@@ -25,7 +25,6 @@ def _factory(workload):
             workload.predicate,
             workload.window_sizes,
             workload.basic,
-            fastpath=True,
         )
 
     return make_shard

@@ -31,7 +31,6 @@ from repro.joins.join_order import (
     validate_order,
 )
 from repro.joins.columnar import select_kernel, supports_columnar
-from repro.joins.pipeline import merge_slices, run_pipeline
 from repro.joins.selectivity import SelectivityEstimator
 from repro.joins.variants import JoinMode
 from repro.obs.explainer import explain_adaptation
@@ -98,14 +97,6 @@ class GrubJoinOperator(StreamOperator):
             later re-selects those segments — the classic memory-shedding
             trade-off.
         rng: generator (or seed) for the shredding sampler.
-        fastpath: probe with the columnar kernel and the run-based harvest
-            slicing (``None`` auto-enables when the predicate supports it,
-            ``False`` forces the reference path, ``True`` raises for
-            unsupported predicates).  The fast path scans exactly the same
-            tuples — identical comparison counts, drop/admit accounting,
-            and output sets — but wall-clock much faster; harvested
-            probes may enumerate their (identical) outputs in a different
-            order within one tuple's result batch.
         warm_start: seed each adaptation's greedy solve with the previous
             tick's harvest counts (rejected automatically when infeasible
             or when the join orders changed).  Cuts solver work sharply on
@@ -136,7 +127,6 @@ class GrubJoinOperator(StreamOperator):
         memory_saving: bool = False,
         rng: np.random.Generator | int | None = None,
         solver_timer: Callable[[], float] | None = None,
-        fastpath: bool | None = None,
         warm_start: bool = False,
         index: str | None = None,
     ) -> None:
@@ -164,7 +154,6 @@ class GrubJoinOperator(StreamOperator):
             index,
             columnar_ok=supports_columnar(predicate),
             radius=radius,
-            fastpath=fastpath,
         )
         self.windex_states = make_index_states(self.index_spec, m, radius)
         # a pinned "flat" spec is valid for *any* predicate (it is
@@ -223,8 +212,7 @@ class GrubJoinOperator(StreamOperator):
         ]
         self.harvest = HarvestConfiguration.full(m, self.segments)
         self.solver_timer = solver_timer
-        self._kernel = select_kernel(predicate, fastpath)
-        self.fastpath = self._kernel is not run_pipeline
+        self._kernel = select_kernel(predicate)
         self.warm_start = bool(warm_start)
         self._warm_counts: np.ndarray | None = None
         self._warm_orders: list[list[int]] | None = None
@@ -354,29 +342,17 @@ class GrubJoinOperator(StreamOperator):
         order = self.orders[i]
         harvest = self.harvest
 
-        if self.fastpath:
-            # run-based slicing: the merge work was done once at selection
-            # time (HarvestConfiguration.selected_runs), so each probe
-            # pays two binary searches per (run, physical window)
-            def slices_for_hop(hop: int, window_stream: int):
-                return harvest.run_slices_for_hop(
-                    self.windows[window_stream],
-                    i,
-                    hop,
-                    now,
-                    reference=tup.timestamp,
-                )
-        else:
-            def slices_for_hop(hop: int, window_stream: int):
-                return merge_slices(
-                    harvest.slices_for_hop(
-                        self.windows[window_stream],
-                        i,
-                        hop,
-                        now,
-                        reference=tup.timestamp,
-                    )
-                )
+        # run-based slicing: the merge work was done once at selection
+        # time (HarvestConfiguration.selected_runs), so each probe pays
+        # two binary searches per (run, physical window)
+        def slices_for_hop(hop: int, window_stream: int):
+            return harvest.run_slices_for_hop(
+                self.windows[window_stream],
+                i,
+                hop,
+                now,
+                reference=tup.timestamp,
+            )
 
         result = self._kernel(tup, order, slices_for_hop, self.predicate)
         if self._obs_handles is not None:

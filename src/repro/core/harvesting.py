@@ -89,7 +89,9 @@ class HarvestConfiguration:
         now: float,
         reference: float | None = None,
     ) -> list[WindowSlice]:
-        """Concrete slices of ``window`` for hop ``j`` of direction ``i``.
+        """Concrete slices of ``window`` for hop ``j`` of direction ``i``,
+        one logical window at a time in rank order — the reference
+        enumeration :meth:`run_slices_for_hop` is tested against.
 
         ``reference`` anchors the logical windows (pass the probing tuple's
         timestamp so the scored offsets line up even for stale tuples).
@@ -140,7 +142,8 @@ class HarvestConfiguration:
         now: float,
         reference: float | None = None,
     ) -> list[WindowSlice]:
-        """Fast-path variant of :meth:`slices_for_hop` + ``merge_slices``.
+        """The slices GrubJoin's harvested probes scan: the run-based
+        equivalent of :meth:`slices_for_hop` + ``merge_slices``.
 
         Scans exactly the same tuples with the same strides — identical
         scanned/matched/comparison accounting and identical output *sets*

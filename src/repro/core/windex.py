@@ -67,13 +67,12 @@ def check_index_compat(
     *,
     columnar_ok: bool,
     radius: float | None,
-    fastpath: bool | None = None,
 ) -> str | None:
     """Validate an ``index=`` spec against the predicate's capabilities.
 
     This is the single compatibility contract shared by the operator
-    constructors (``MJoinOperator``/``IndexedMJoin``/``GrubJoinOperator``),
-    ``Query.build``, and the static plan-analyzer rule P133.
+    constructors (``MJoinOperator``/``GrubJoinOperator``), ``Query.build``,
+    and the static plan-analyzer rule P133.
 
     Args:
         spec: the requested index kind (``None`` disables indexing and
@@ -89,8 +88,6 @@ def check_index_compat(
             lossless for exact equi probes (radius 0): a nonzero
             radius makes the probe an interval that can straddle
             buckets.
-        fastpath: the operator's fastpath setting; ``False`` pins the
-            reference pipeline, which never consults the index.
 
     Returns:
         the validated spec (``None`` passes through).
@@ -111,12 +108,6 @@ def check_index_compat(
             f"index={spec!r} requires a columnar-capable predicate "
             "(scalar storage, interval context, not stream-aware); "
             "pass index=None or index='flat'"
-        )
-    if fastpath is False:
-        raise ValueError(
-            f"index={spec!r} requires the columnar fast path, but "
-            "fastpath=False pins the reference pipeline; pass "
-            "index=None or drop fastpath=False"
         )
     if spec == HASH and (radius is None or radius != 0.0):
         raise ValueError(

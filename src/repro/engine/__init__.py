@@ -27,10 +27,8 @@ from .operator import (
     StreamOperator,
 )
 from .runtime import Simulation, SimulationConfig
-from .tracing import AdaptRecord, EventTrace, ServiceRecord, TracedOperator
 
 __all__ = [
-    "AdaptRecord",
     "AdmissionFilter",
     "AdmitAll",
     "BufferStats",
@@ -41,7 +39,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventQueue",
-    "EventTrace",
     "FilterOperator",
     "GraphResult",
     "InputBuffer",
@@ -50,14 +47,12 @@ __all__ = [
     "OutputBuffer",
     "ProcessReceipt",
     "SchedulingPolicy",
-    "ServiceRecord",
     "Simulation",
     "SimulationConfig",
     "SimulationResult",
     "StreamCounters",
     "StreamOperator",
     "TimeSeries",
-    "TracedOperator",
     "VirtualClock",
     "WorkReceipt",
 ]

@@ -60,32 +60,20 @@ def supports_columnar(predicate: JoinPredicate) -> bool:
 
 
 def select_kernel(
-    predicate: JoinPredicate, fastpath: bool | None = None
+    predicate: JoinPredicate,
 ) -> Callable[..., PipelineResult]:
-    """Pick the probe kernel for ``predicate``.
+    """The probe kernel for ``predicate``: the columnar kernel exactly
+    when :func:`supports_columnar` holds, else the reference nested-loop
+    :func:`~repro.joins.pipeline.run_pipeline` (band/theta/jaccard/
+    vector predicates, whose probe context is not an interval).
 
-    Args:
-        predicate: the join condition.
-        fastpath: ``True`` forces the columnar kernel (raising if the
-            predicate does not support it), ``False`` forces the reference
-            nested-loop pipeline, ``None`` (default) auto-selects the
-            columnar kernel exactly when :func:`supports_columnar` holds.
-
-    Returns:
-        a callable with :func:`repro.joins.pipeline.run_pipeline`'s
-        signature.
+    Kernel choice is a fact about the predicate, not an option: both
+    kernels share one signature and are bit-identical in virtual time
+    wherever both apply.
     """
-    if fastpath is None:
-        fastpath = supports_columnar(predicate)
-    if not fastpath:
-        return run_pipeline
-    if not supports_columnar(predicate):
-        raise ValueError(
-            "columnar fast path requires an interval-context scalar "
-            f"predicate; {type(predicate).__name__} is not one "
-            "(pass fastpath=False or None)"
-        )
-    return run_pipeline_columnar
+    if supports_columnar(predicate):
+        return run_pipeline_columnar
+    return run_pipeline
 
 
 def run_pipeline_columnar(

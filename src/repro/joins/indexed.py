@@ -15,21 +15,10 @@ NLJ — and, conversely, how much CPU pressure remains even with indexes
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.basic_windows import SCALAR, PartitionedWindow, WindowSlice
+from repro.core.basic_windows import SCALAR, PartitionedWindow
 from repro.core.indexing import SortedWindowIndex
-from repro.core.windex import (
-    HASH,
-    WindexTelemetry,
-    WindowIndexState,
-    check_index_compat,
-    make_index_states,
-)
-from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.streams.tuples import JoinResult, StreamTuple
 from repro.streams.windows import WindowPolicy, resolve_policy
@@ -39,58 +28,14 @@ from .join_order import default_orders, validate_order
 from .predicates import JoinPredicate
 from .variants import JoinMode, ModeState
 
-_EMPTY = np.empty(0, dtype=np.intp)
-_NO_KEYS = np.empty(0, dtype=np.float64)
-
-
-def _partition_probe(
-    state: WindowIndexState,
-    window_slice: WindowSlice,
-    low: float,
-    high: float,
-) -> tuple[np.ndarray, int]:
-    """Partition-narrowed range probe over one slice.
-
-    Returns the same hit set as :meth:`repro.core.indexing
-    .SortedWindowIndex.range_probe` (slice-relative indices of values
-    in ``[low, high]``) but enumerated in ascending row order, plus the
-    work units charged — partition lookup priced like a binary search
-    over the basic window, then one comparison per candidate row.
-    """
-    if low > high:
-        return _EMPTY, 1
-    window = window_slice.window
-    if len(window) == 0:
-        return _EMPTY, 1
-    if state.active == HASH:
-        # hash indexing requires an exact equi probe (radius 0), so a
-        # nonempty interval collapses to the single key low == high
-        keys = np.array([low]) if low == high else _NO_KEYS
-    else:
-        keys = None
-    rows = state.candidate_rows(window_slice, low, high, keys)
-    if rows is None:
-        # window too small to index: flat-scan the slice's value block
-        vals = np.asarray(window_slice.values, dtype=np.float64)
-        cost = max(1, len(vals))
-        hits = np.flatnonzero((vals >= low) & (vals <= high))
-        return hits.astype(np.intp), cost
-    cost = max(1, math.ceil(math.log2(max(len(window), 2)))) + len(rows)
-    if len(rows) == 0:
-        return _EMPTY, cost
-    vals = window.values[rows]
-    hits = rows[(vals >= low) & (vals <= high)] - window_slice.lo
-    if window_slice.step != 1:
-        hits //= window_slice.step
-    return hits.astype(np.intp), cost
-
 
 class IndexedMJoin(StreamOperator):
     """Full m-way windowed join probing sorted per-basic-window indexes.
 
     Args:
-        predicate: a predicate with scalar storage whose ``probe_context``
-            returns an inclusive value interval ``(low, high)`` —
+        predicate: a predicate whose ``probe_context`` is an inclusive
+            value interval ``(low, high)`` over scalar storage — the
+            :func:`repro.joins.columnar.supports_columnar` contract;
             :class:`EpsilonJoin` and :class:`EquiJoin` qualify.
         window_sizes: per-stream window sizes (seconds).
         basic_window_size: segment granularity (seconds).
@@ -111,11 +56,11 @@ class IndexedMJoin(StreamOperator):
         output_cost: float = 2.0,
         mode: "JoinMode | str" = JoinMode.INNER,
         window_policy: "WindowPolicy | str | None" = None,
-        index: str | None = None,
     ) -> None:
-        if predicate.storage_mode != SCALAR:
+        if not supports_columnar(predicate):
             raise ValueError(
-                "IndexedMJoin requires a scalar-storage predicate"
+                "IndexedMJoin requires an interval-context scalar "
+                f"predicate; {type(predicate).__name__} is not one"
             )
         m = len(window_sizes)
         if m < 2:
@@ -125,24 +70,12 @@ class IndexedMJoin(StreamOperator):
         self.predicate = predicate
         self.mode = JoinMode(mode)
         self.window_policy = resolve_policy(window_policy)
-        radius = getattr(predicate, "interval_radius", None)
-        self.index_spec = check_index_compat(
-            index,
-            columnar_ok=supports_columnar(predicate),
-            radius=radius,
-        )
-        self.windex_states = make_index_states(self.index_spec, m, radius)
         self.windows = [
             PartitionedWindow(
                 w, basic_window_size, mode=SCALAR,
                 policy=self.window_policy,
-                index=(
-                    None
-                    if self.windex_states is None
-                    else self.windex_states[i]
-                ),
             )
-            for i, w in enumerate(window_sizes)
+            for w in window_sizes
         ]
         self._modes = (
             None
@@ -164,7 +97,6 @@ class IndexedMJoin(StreamOperator):
         self.work_total = 0
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_work = None
-        self._obs_windex = None
 
     def _obs_setup(self, obs, labels) -> None:
         """Cache per-(direction, hop) indexed-probe work counters."""
@@ -184,7 +116,6 @@ class IndexedMJoin(StreamOperator):
             ]
             for i in range(m)
         ]
-        self._obs_windex = WindexTelemetry(obs, labels, m)
 
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Insert and probe via the indexes."""
@@ -197,11 +128,7 @@ class IndexedMJoin(StreamOperator):
         )
         partials: list[list[StreamTuple]] = [[tup]]
         for hop, window_stream in enumerate(self.orders[tup.stream]):
-            window = self.windows[window_stream]
-            state = window.windex
-            if state is not None and not state.is_active:
-                state = None
-            slices = window.full_slices(now)
+            slices = self.windows[window_stream].full_slices(now)
             next_partials: list[list[StreamTuple]] = []
             hop_work = 0
             for partial in partials:
@@ -211,10 +138,7 @@ class IndexedMJoin(StreamOperator):
                     [t.value for t in partial]  # lint: disable=R007
                 )
                 for s in slices:
-                    if state is not None:
-                        hits, cost = _partition_probe(state, s, low, high)
-                    else:
-                        hits, cost = self.index.range_probe(s, low, high)
+                    hits, cost = self.index.range_probe(s, low, high)
                     hop_work += cost
                     for idx in hits:
                         next_partials.append(
@@ -243,20 +167,8 @@ class IndexedMJoin(StreamOperator):
         total = work + int(self.output_cost * len(outputs))
         return ProcessReceipt(comparisons=total, outputs=outputs)
 
-    def on_adapt(
-        self, now: float, stats: list[BufferStats], interval: float
-    ) -> None:
-        """Tick the partition-index policy (no shedding knobs here)."""
-        if self.windex_states is not None:
-            for state in self.windex_states:
-                state.tick()
-        if self._obs_windex is not None:
-            self._obs_windex.record(self.windex_states)
-
     def on_finish(self, now: float) -> list[JoinResult]:
         """Release deferred anti/outer survivors at end-of-run."""
-        if self._obs_windex is not None:
-            self._obs_windex.record(self.windex_states)
         if self._modes is None:
             return []
         return self._modes.flush(now)

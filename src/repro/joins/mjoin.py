@@ -25,7 +25,6 @@ from repro.streams.windows import WindowPolicy, resolve_policy
 
 from .columnar import select_kernel, supports_columnar
 from .join_order import default_orders, low_selectivity_first, validate_order
-from .pipeline import run_pipeline
 from .predicates import JoinPredicate
 from .selectivity import SelectivityEstimator
 from .variants import JoinMode, ModeState
@@ -47,21 +46,20 @@ class MJoinOperator(StreamOperator):
             (result construction is not free on a real system; without it
             an overloaded high-selectivity join could nominally emit more
             results per second than its CPU could even enumerate).
-        fastpath: probe with the columnar kernel
-            (:func:`repro.joins.columnar.run_pipeline_columnar`), which is
-            bit-identical in virtual time but much faster in wall clock.
-            ``None`` (default) auto-enables it when the predicate supports
-            it; ``False`` forces the reference nested-loop pipeline;
-            ``True`` raises for unsupported predicates.
         mode: emission semantics (:class:`repro.joins.variants.JoinMode`
             or its string value).  Non-inner modes run the same inner
             pipeline and post-process its outputs; anti/outer emission is
-            deferred to window-expiry and the end-of-run flush.  The
-            columnar fast path is certified for inner only, so non-inner
-            modes force the reference pipeline.
+            deferred to window-expiry and the end-of-run flush.
         window_policy: membership policy for every stream's window
             (:class:`repro.streams.windows.WindowPolicy`, spec string, or
             ``None`` for the bit-identical sliding default).
+        index: partition-index spec for the columnar kernel
+            (:func:`repro.core.windex.check_index_compat`).
+
+    Probes run on :func:`repro.joins.columnar.select_kernel`'s choice
+    for the predicate — the columnar kernel for interval predicates,
+    the reference nested-loop pipeline otherwise — in every mode and
+    window policy.
     """
 
     def __init__(
@@ -72,7 +70,6 @@ class MJoinOperator(StreamOperator):
         orders: Sequence[Sequence[int]] | None = None,
         adapt_orders: bool = True,
         output_cost: float = 2.0,
-        fastpath: bool | None = None,
         mode: "JoinMode | str" = JoinMode.INNER,
         window_policy: "WindowPolicy | str | None" = None,
         index: str | None = None,
@@ -89,22 +86,11 @@ class MJoinOperator(StreamOperator):
         self.basic_window_size = float(basic_window_size)
         self.mode = JoinMode(mode)
         self.window_policy = resolve_policy(window_policy)
-        plain = (
-            self.mode is JoinMode.INNER and self.window_policy.is_sliding
-        )
-        if not plain:
-            if fastpath:
-                raise ValueError(
-                    "the columnar fast path is only certified for "
-                    "inner-mode sliding-window joins"
-                )
-            fastpath = False
         radius = getattr(predicate, "interval_radius", None)
         self.index_spec = check_index_compat(
             index,
             columnar_ok=supports_columnar(predicate),
             radius=radius,
-            fastpath=fastpath,
         )
         self.windex_states = make_index_states(self.index_spec, m, radius)
         # a pinned "flat" spec is valid for *any* predicate (it is
@@ -141,8 +127,7 @@ class MJoinOperator(StreamOperator):
                 validate_order(order, i, m)
         self.adapt_orders = adapt_orders and orders is None
         self.output_cost = float(output_cost)
-        self._kernel = select_kernel(predicate, fastpath)
-        self.fastpath = self._kernel is not run_pipeline
+        self._kernel = select_kernel(predicate)
         self.selectivity = SelectivityEstimator(m)
         self.tuples_processed = 0
         self.comparisons_total = 0

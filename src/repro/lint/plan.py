@@ -91,9 +91,9 @@ P132   Session-gap geometry (warnings): a session gap that is not an
 P133   Partition-index compatibility: an ``index=`` spec must agree
        with the predicate's capabilities — the single contract of
        :func:`repro.core.windex.check_index_compat` (columnar-capable
-       predicate; ``hash`` only for exact equi probes, radius 0; never
-       under ``fastpath=False``).  Also rejects a spec given through
-       both ``.index(...)`` and ``.join(index=...)``.
+       predicate; ``hash`` only for exact equi probes, radius 0).  Also
+       rejects a spec given through both ``.index(...)`` and
+       ``.join(index=...)``.
 
 The effect checks (P120-P124) run automatically whenever the graph
 contains a routed topology, and can be forced on or off with
@@ -728,7 +728,6 @@ def analyze_graph(
                     spec,
                     columnar_ok=supports_columnar(op_predicate),
                     radius=getattr(op_predicate, "interval_radius", None),
-                    fastpath=getattr(op, "fastpath", None),
                 )
             except ValueError as exc:
                 report.add("P133", f"node {name!r}: {exc}", node=name)
@@ -920,9 +919,8 @@ def analyze_query(
     from repro.core.windex import check_index_compat
     from repro.joins.columnar import supports_columnar
 
-    join_kwargs = getattr(query, "_join_kwargs", {})
     index_spec = getattr(query, "_index", None)
-    kwargs_spec = join_kwargs.get("index")
+    kwargs_spec = getattr(query, "_join_kwargs", {}).get("index")
     if index_spec is not None and kwargs_spec is not None:
         report.add(
             "P133",
@@ -937,7 +935,6 @@ def analyze_query(
                 spec,
                 columnar_ok=supports_columnar(predicate),
                 radius=getattr(predicate, "interval_radius", None),
-                fastpath=join_kwargs.get("fastpath"),
             )
         except ValueError as exc:
             report.add("P133", str(exc), node="join")

@@ -1,7 +1,6 @@
 """Operator-level instrumentation: wrap any operator with an ``Obs``.
 
-:class:`ObservedOperator` is the successor of the flat
-``engine.tracing.TracedOperator``: it records one ``service`` span per
+:class:`ObservedOperator` records one ``service`` span per
 serviced tuple and one ``adapt`` span per adaptation tick, into a shared
 :class:`~repro.obs.hub.Obs`.  Use it when the operator is driven outside
 the runtime (unit tests poking :meth:`process` directly) or when only

@@ -14,9 +14,6 @@ Two recording styles:
 * direct — ``recorder.record("service", start, end, ...)`` when the
   caller already knows both endpoints (the runtime knows a service's
   completion time the moment it schedules it).
-
-This module subsumes the flat ``repro.engine.tracing.EventTrace``; the
-old API remains as a deprecation shim on top of it.
 """
 
 from __future__ import annotations

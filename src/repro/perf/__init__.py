@@ -7,7 +7,9 @@ bit-identical in virtual time**:
 
 * the columnar probe kernel
   (:func:`repro.joins.columnar.run_pipeline_columnar`), re-exported
-  here together with :func:`select_kernel` / :func:`supports_columnar`;
+  here together with :func:`supports_columnar` and the one selection
+  rule :func:`select_kernel` (columnar iff the predicate supports it —
+  the operators derive the kernel, callers never choose it);
 * epoch slice caching on
   :class:`repro.core.basic_windows.PartitionedWindow` (``full_slices``
   memoization keyed on the rotation epoch and content version, plus
@@ -16,8 +18,10 @@ bit-identical in virtual time**:
   :class:`repro.core.GrubJoinOperator` (``warm_start=True``,
   histogram-version-keyed Eq. 2/4 score memoization);
 * the perfbench regression harness (:mod:`repro.perf.bench`, runnable
-  as ``python -m repro.perf.bench``), which measures the macros CI
-  gates on and writes ``BENCH_PERF.json``.
+  as ``python -m repro.perf.bench``), which measures the same-host
+  ratios CI gates on (hash index vs flat scan, warm vs cold solver,
+  procs scaling) and writes ``BENCH_PERF.json``.  Absolute end-to-end
+  numbers are ``BENCHMARK.json`` / ``benchmarks/e2e``.
 
 The kernel itself lives in :mod:`repro.joins.columnar` so the join
 layer has no dependency on this package; ``repro.perf`` is the façade

@@ -1,24 +1,25 @@
-"""perfbench: the wall-clock regression harness behind ``BENCH_PERF.json``.
+"""perfbench: the wall-clock ratio harness behind ``BENCH_PERF.json``.
 
-Runs pinned, seeded macro-workloads through the simulator twice — once on
-the reference nested-loop pipeline, once on the columnar fast path — and
-once through the GrubJoin solver with warm starts off and on.  The
-skewed-key macro instead drives the operator directly (no event engine)
-so the flat-scan vs hash-index ratio isn't diluted by engine overhead
-both legs would share.  Because the fast path is bit-identical in
-*virtual* time, every macro asserts the two runs produce the same result
-identity set before reporting any numbers; a perf harness that silently
+Three pinned, seeded macros, each a paired comparison on one host:
+
+* ``macro3_skew`` — flat columnar scan vs the hash partition index on a
+  zipf-skewed equi-join, driving the operator directly (no event engine)
+  so the ratio isn't diluted by engine overhead both legs would share;
+* ``fig10_solver`` — GrubJoin solver wall time with warm starts off and
+  on (accumulated ``solver_seconds_total`` via an injected
+  :func:`repro.timing.wall_clock_timer`, plus microseconds per tick);
+* ``procs_scaling`` — merged rate of the process runtime at K workers
+  vs K=1.
+
+Every macro whose legs must agree asserts they produce the same result
+identity set before reporting any number; a perf harness that silently
 benchmarks a wrong kernel is worse than none.
 
-Reported per macro: wall seconds, tuples serviced, tuples/second, and
-p95 per-tuple service time in microseconds (host wall clock, measured by
-wrapping the operator in :class:`TimedOperator`).  The solver macro
-reports accumulated ``solver_seconds_total`` (via an injected
-:func:`repro.timing.wall_clock_timer`) and microseconds per solver tick.
-
 Absolute numbers are machine-specific, so the CI gate runs on the
-**ratios** in ``gate_metrics`` — fast-over-slow speedups and the
-warm-over-cold solver time ratio — which transfer across hosts.
+**ratios** in ``gate_metrics``, which transfer across hosts.  Absolute
+end-to-end throughput and latency (tuples/s, service percentiles, a
+per-layer breakdown) are the job of ``BENCHMARK.json`` /
+``benchmarks/e2e``, not of this module.
 
 Usage::
 
@@ -28,9 +29,8 @@ Usage::
 
 ``--check`` compares the fresh run's gate metrics against a committed
 baseline with a relative tolerance (default ±15%) plus the absolute
-floors the reproduction promises (≥2x macro3 speedup, ≥3x hash-index
-speedup on the skewed macro, ≥30% solver time drop), and exits non-zero
-on regression.
+floors the reproduction promises (≥3x hash-index speedup on the skewed
+macro, ≥30% solver time drop), and exits non-zero on regression.
 """
 
 from __future__ import annotations
@@ -39,32 +39,20 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Callable, Sequence
-
-import numpy as np
+from typing import IO, Sequence
 
 from repro.core import GrubJoinOperator
 from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
-from repro.parallel import build_sharded_graph
-from repro.testkit.differential import calibrated_shed_capacity
 from repro.testkit.workloads import (
     Workload,
-    drift_workload,
     key_workload,
     zipf_key_workload,
 )
 from repro.timing import wall_clock_timer
 
-#: capacity large enough that no equality run is ever CPU-bound
-UNBOUNDED_CAPACITY = 1e12
-
-#: which direction is "better" for each *gated* metric.  macro5 and
-#: sharded_k4 are reported but not gated: their wall time is dominated
-#: by the (shared) event engine, so their speedups swing more than the
-#: gate tolerance between runs on the same host.
+#: which direction is "better" for each *gated* metric
 GATE_DIRECTIONS = {
-    "macro3_speedup_x": "higher",
     "macro3_skew_speedup_x": "higher",
     "fig10_solver_time_ratio": "lower",
 }
@@ -74,83 +62,10 @@ GATE_DIRECTIONS = {
 #: ``run_bench`` omits it on hosts with fewer than four cores, where a
 #: wall-clock scaling number would be noise.
 GATE_FLOORS = {
-    "macro3_speedup_x": ("higher", 2.0),
     "macro3_skew_speedup_x": ("higher", 3.0),
     "fig10_solver_time_ratio": ("lower", 0.7),
     "procs_k4_speedup_x": ("higher", 2.5),
 }
-
-
-class TimedOperator:
-    """Wall-clock timing proxy around a stream operator.
-
-    Overrides :meth:`process` to record per-tuple host service time and
-    delegates everything else, so the wrapped operator behaves
-    identically inside the simulator.  The recorded durations never feed
-    back into the simulation — virtual time stays deterministic.
-    """
-
-    def __init__(self, inner, timer: Callable[[], float] = wall_clock_timer):
-        self._inner = inner
-        self._timer = timer
-        self.service_seconds: list[float] = []
-
-    def process(self, tup, now):
-        started = self._timer()
-        receipt = self._inner.process(tup, now)
-        self.service_seconds.append(self._timer() - started)
-        return receipt
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _p95_us(samples: Sequence[float]) -> float:
-    if not samples:
-        return 0.0
-    return float(np.percentile(np.asarray(samples), 95.0)) * 1e6
-
-
-def _run_config(workload: Workload) -> SimulationConfig:
-    return SimulationConfig(
-        duration=workload.duration + 1.0,
-        warmup=0.0,
-        adaptation_interval=2.0,
-    )
-
-
-def _leg_stats(wall: float, timed: Sequence[TimedOperator]) -> dict:
-    samples = [s for op in timed for s in op.service_seconds]
-    tuples = len(samples)
-    return {
-        "wall_s": round(wall, 6),
-        "tuples": tuples,
-        "tuples_per_s": round(tuples / wall, 1) if wall > 0 else 0.0,
-        "p95_service_us": round(_p95_us(samples), 2),
-    }
-
-
-def _grub_leg(workload: Workload, capacity: float, fastpath: bool):
-    operator = GrubJoinOperator(
-        workload.predicate,
-        workload.window_sizes,
-        workload.basic,
-        rng=workload.seed + 101,
-        fastpath=fastpath,
-    )
-    timed = TimedOperator(operator)
-    sim = Simulation(
-        workload.traces,
-        timed,
-        CpuModel(capacity),
-        _run_config(workload),
-        retain_outputs=True,
-    )
-    started = wall_clock_timer()
-    sim.run()
-    wall = wall_clock_timer() - started
-    ids = frozenset(r.key() for r in sim.output_buffer.results)
-    return _leg_stats(wall, [timed]), ids
 
 
 def _mjoin_drive_leg(workload: Workload, tuples, index: str | None):
@@ -169,7 +84,6 @@ def _mjoin_drive_leg(workload: Workload, tuples, index: str | None):
         workload.predicate,
         workload.window_sizes,
         workload.basic,
-        fastpath=True,
         index=index,
     )
     ids = set()
@@ -191,103 +105,16 @@ def _mjoin_drive_leg(workload: Workload, tuples, index: str | None):
     return stats, frozenset(ids)
 
 
-def _sharded_leg(workload: Workload, num_shards: int, fastpath: bool):
-    timed: list[TimedOperator] = []
-
-    def make_shard(_k: int):
-        op = TimedOperator(
-            MJoinOperator(
-                workload.predicate,
-                workload.window_sizes,
-                workload.basic,
-                fastpath=fastpath,
-            )
-        )
-        timed.append(op)
-        return op
-
-    plan = build_sharded_graph(
-        workload.traces, make_shard, num_shards, policy="hash"
-    )
-    cpu = CpuModel(UNBOUNDED_CAPACITY, cores=num_shards + 2)
-    started = wall_clock_timer()
-    result = plan.run(cpu, _run_config(workload), retain_outputs=True)
-    wall = wall_clock_timer() - started
-    ids = frozenset(plan.merged_result_ids(result))
-    return _leg_stats(wall, timed), ids
-
-
-def _macro(name: str, run_leg, repeats: int) -> dict:
-    """Run slow + fast legs ``repeats`` times, keep the fastest walls,
-    and hard-fail unless every leg produced the same identity set."""
-    best: dict[str, dict] = {}
-    ids: dict[str, frozenset] = {}
-    for _ in range(repeats):
-        for label, fastpath in (("slow", False), ("fast", True)):
-            stats, leg_ids = run_leg(fastpath)
-            if label in ids and ids[label] != leg_ids:
-                raise AssertionError(
-                    f"{name}/{label}: non-deterministic result set"
-                )
-            ids[label] = leg_ids
-            if (
-                label not in best
-                or stats["wall_s"] < best[label]["wall_s"]
-            ):
-                best[label] = stats
-    if ids["slow"] != ids["fast"]:
-        raise AssertionError(
-            f"{name}: fast path diverged from reference "
-            f"(slow={len(ids['slow'])} results, "
-            f"fast={len(ids['fast'])})"
-        )
-    speedup = (
-        best["slow"]["wall_s"] / best["fast"]["wall_s"]
-        if best["fast"]["wall_s"] > 0
-        else float("inf")
-    )
-    return {
-        "slow": best["slow"],
-        "fast": best["fast"],
-        "speedup_x": round(speedup, 3),
-        "results": len(ids["fast"]),
-        "identical": True,
-    }
-
-
 # ----------------------------------------------------------------------
 # the pinned macros
 # ----------------------------------------------------------------------
-
-
-def macro3(quick: bool, repeats: int) -> dict:
-    """3-way overloaded GrubJoin on the drift workload.
-
-    Sized so probe work dominates the event engine: wide windows (the
-    columnar kernel's advantage grows with candidates per hop) under a
-    moderate overload (0.8 of measured demand — heavy enough to shed,
-    light enough that harvested probes stay large)."""
-    workload = drift_workload(
-        seed=11,
-        m=3,
-        rate=50.0,
-        duration=14.0 if quick else 20.0,
-        window=50.0,
-        basic=2.0,
-    )
-    capacity = calibrated_shed_capacity(workload, 0.8)
-    return _macro(
-        "macro3",
-        lambda fastpath: _grub_leg(workload, capacity, fastpath),
-        repeats,
-    )
 
 
 def macro3_skew(quick: bool, repeats: int) -> dict:
     """3-way zipf-skewed equi-join, flat columnar kernel vs the hash
     partition index, driven without the event engine.
 
-    Both legs run the same fast-path MJoin, so the measured ratio
+    Both legs run the same columnar-kernel MJoin, so the measured ratio
     isolates the partition index: the "slow" leg scans every candidate
     row per hop, the "fast" leg only the probe key's hash bucket.  Many
     keys (2M) over wide, dense windows (~86k rows per stream) keep the
@@ -352,44 +179,6 @@ def macro3_skew(quick: bool, repeats: int) -> dict:
     }
 
 
-def macro5(quick: bool, repeats: int) -> dict:
-    """5-way overloaded GrubJoin (near-aligned lags so the clique join
-    is non-vacuous)."""
-    workload = drift_workload(
-        seed=12,
-        m=5,
-        rate=12.0,
-        duration=12.0 if quick else 15.0,
-        window=30.0,
-        basic=2.0,
-        epsilon=2.0,
-        lags=[0.1 * i for i in range(5)],
-    )
-    capacity = calibrated_shed_capacity(workload, 0.8)
-    return _macro(
-        "macro5",
-        lambda fastpath: _grub_leg(workload, capacity, fastpath),
-        repeats,
-    )
-
-
-def sharded_k4(quick: bool, repeats: int) -> dict:
-    """K=4 hash-sharded equi-join plan, unconstrained CPU."""
-    workload = key_workload(
-        seed=13,
-        m=3,
-        rate=150.0,
-        duration=10.0 if quick else 15.0,
-        window=12.0,
-        n_keys=1000,
-    )
-    return _macro(
-        "sharded_k4",
-        lambda fastpath: _sharded_leg(workload, 4, fastpath),
-        repeats,
-    )
-
-
 def procs_scaling(quick: bool, repeats: int) -> dict:
     """Process-runtime scaling: merged rate at K workers vs K=1.
 
@@ -417,7 +206,6 @@ def procs_scaling(quick: bool, repeats: int) -> dict:
             workload.predicate,
             workload.window_sizes,
             workload.basic,
-            fastpath=True,
         )
 
     ks = (1, 2) if quick else (1, 2, 4, 8)
@@ -564,18 +352,12 @@ def run_bench(quick: bool = False, repeats: int | None = None) -> dict:
     if repeats is None:
         repeats = 1 if quick else 3
     benchmarks = {
-        "macro3": macro3(quick, repeats),
         "macro3_skew": macro3_skew(quick, repeats),
-        "macro5": macro5(quick, repeats),
-        "sharded_k4": sharded_k4(quick, repeats),
         "procs_scaling": procs_scaling(quick, repeats),
         "fig10_solver": fig10_solver(quick, repeats),
     }
     gate_metrics = {
-        "macro3_speedup_x": benchmarks["macro3"]["speedup_x"],
         "macro3_skew_speedup_x": benchmarks["macro3_skew"]["speedup_x"],
-        "macro5_speedup_x": benchmarks["macro5"]["speedup_x"],
-        "sharded_k4_speedup_x": benchmarks["sharded_k4"]["speedup_x"],
         "fig10_solver_time_ratio": benchmarks["fig10_solver"][
             "solver_time_ratio"
         ],
@@ -634,7 +416,7 @@ def check_against_baseline(
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="wall-clock fast-path regression benchmarks",
+        description="wall-clock ratio regression benchmarks",
     )
     parser.add_argument(
         "-o", "--output", default="BENCH_PERF.json",

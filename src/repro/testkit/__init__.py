@@ -75,6 +75,7 @@ from .sanitizer import (
 )
 from .workloads import (
     Workload,
+    band_workload,
     build_scenarios,
     default_workloads,
     drift_sources,
@@ -101,6 +102,7 @@ __all__ = [
     "PropertyOutcome",
     "SanitizedOperator",
     "Workload",
+    "band_workload",
     "build_scenarios",
     "calibrated_shed_capacity",
     "chaos_ids",

@@ -97,14 +97,13 @@ def _simulate(workload: Workload, operator, capacity: float,
 def mjoin_ids(
     workload: Workload,
     capacity: float = UNBOUNDED_CAPACITY,
-    fastpath: bool | None = None,
     sanitize: bool = False,
     index: str | None = None,
 ) -> set[IdVector]:
-    """Run the plain nested-loop MJoin and return its identity set."""
+    """Run the full MJoin (on the kernel its predicate selects) and
+    return its identity set."""
     operator = MJoinOperator(
         workload.predicate, workload.window_sizes, workload.basic,
-        fastpath=fastpath,
         mode=workload.mode, window_policy=workload.window_policy,
         index=index,
     )
@@ -116,7 +115,7 @@ def indexed_ids(
     workload: Workload, capacity: float = UNBOUNDED_CAPACITY,
     sanitize: bool = False,
 ) -> set[IdVector]:
-    """Run the block-probing IndexedMJoin (scalar predicates only)."""
+    """Run the block-probing IndexedMJoin (interval predicates only)."""
     operator = IndexedMJoin(
         workload.predicate, workload.window_sizes, workload.basic,
         mode=workload.mode, window_policy=workload.window_policy,
@@ -169,7 +168,6 @@ def sharded_ids(
     num_shards: int,
     capacity: float = UNBOUNDED_CAPACITY,
     cores: int | None = None,
-    fastpath: bool | None = None,
     sanitize: bool = False,
 ) -> set[IdVector]:
     """Run the router -> K shards -> merger dataflow plan and return the
@@ -186,7 +184,6 @@ def sharded_ids(
     def _shard(k: int):
         operator = MJoinOperator(
             workload.predicate, workload.window_sizes, workload.basic,
-            fastpath=fastpath,
         )
         if sanitizer is not None:
             return sanitizer.wrap(f"shard{k}", operator)
@@ -207,11 +204,7 @@ def sharded_ids(
     return plan.merged_result_ids(result)
 
 
-def procs_ids(
-    workload: Workload,
-    num_shards: int,
-    fastpath: bool | None = None,
-) -> set[IdVector]:
+def procs_ids(workload: Workload, num_shards: int) -> set[IdVector]:
     """Run the wall-clock process-parallel runtime and return the
     merged identity set.
 
@@ -233,7 +226,6 @@ def procs_ids(
     def _shard(k: int):
         return MJoinOperator(
             workload.predicate, workload.window_sizes, workload.basic,
-            fastpath=fastpath,
         )
 
     result = run_procs(
@@ -460,12 +452,6 @@ class MatrixSpec:
             (capacity = this fraction of measured full-join demand).
         include_shedding: run the overloaded GrubJoin / RandomDrop
             subset checks (slowest part of the matrix).
-        include_fastpath: additionally run MJoin, GrubJoin(z=1) and the
-            sharded plan with the columnar probe kernel forced on, and
-            pin the base rows to the reference nested-loop pipeline —
-            so the matrix certifies both kernels against the oracle
-            *and* against each other (skipped per-workload when the
-            predicate has no columnar kernel).
     """
 
     pinned_zs: tuple[float, ...] = (0.3, 0.6)
@@ -473,7 +459,6 @@ class MatrixSpec:
     procs_counts: tuple[int, ...] = (2, 4)
     shed_fraction: float = 0.3
     include_shedding: bool = True
-    include_fastpath: bool = True
 
 
 def _check(
@@ -500,15 +485,17 @@ def differential_matrix(
 ) -> dict:
     """Run the full differential grid and return a JSON-able verdict.
 
-    Per workload: oracle ≡ MJoin ≡ IndexedMJoin ≡ GrubJoin(z=1) ≡
-    ShardedPlan(K) for co-partitioning predicates — and, when the
-    predicate has a columnar kernel, the same equalities again with the
-    fast path forced on (``*_fast`` rows) and with partition indexes
-    under the kernel (``*_indexed`` rows: range always, hash at
-    interval radius zero, GrubJoin under the adaptive policy) — plus
-    subset for every
-    shedding configuration (pinned z grid, feedback throttling under
-    measured overload, RandomDrop under the same overload).  Equi-join
+    Per workload: oracle ≡ MJoin ≡ GrubJoin(z=1) ≡ ShardedPlan(K) for
+    co-partitioning predicates, each on the kernel its predicate
+    selects (:func:`repro.joins.columnar.select_kernel`: interval
+    predicates run the columnar kernel, the band workload keeps the
+    reference pipeline under the oracle) — and, when the predicate is
+    columnar-capable, ≡ IndexedMJoin and ≡ the same operators with
+    partition indexes under the kernel (``*_indexed`` rows: range
+    always, hash at interval radius zero, GrubJoin under the adaptive
+    policy) — plus subset for every shedding configuration (pinned z
+    grid, feedback throttling under measured overload, RandomDrop under
+    the same overload).  Equi-join
     workloads additionally run the wall-clock process-parallel rows
     (``procs_k{K}``): real worker processes whose merged identity set
     must be bit-identical to the same-K sharded plan (skipped under
@@ -516,9 +503,9 @@ def differential_matrix(
 
     Non-plain workloads (semi/anti/outer modes, tumbling/session
     windows — the scenario grid) run the rows their contracts cover:
-    the MJoin/IndexedMJoin equality rows always, the GrubJoin, fast
-    path, sharded/procs and pinned-z rows only on the paper's home turf
-    (inner + sliding, where they are defined and certified), and the
+    the MJoin/IndexedMJoin and ``mjoin_*_indexed`` equality rows
+    always, the GrubJoin, sharded/procs and pinned-z rows only on the
+    paper's home turf (inner + sliding, where they are defined), and the
     RandomDrop subset row whenever shedding is sound for the mode
     (inner/semi — an anti/outer run would *invent* results for dropped
     tuples) over sliding windows (under backlog a stale probe evaluates
@@ -546,73 +533,53 @@ def differential_matrix(
 
         plain = workload.plain
         _check(reports, renders, "mjoin", reference,
-               mjoin_ids(workload, fastpath=False, sanitize=sanitize),
-               workload, "equal")
-        _check(reports, renders, "indexed", reference,
-               indexed_ids(workload, sanitize=sanitize), workload,
-               "equal")
+               mjoin_ids(workload, sanitize=sanitize), workload, "equal")
         if plain:
             _check(reports, renders, "grubjoin_z1", reference,
-                   grubjoin_ids(workload, pin_z=1.0, fastpath=False,
-                                warm_start=False, sanitize=sanitize),
+                   grubjoin_ids(workload, pin_z=1.0, warm_start=False,
+                                sanitize=sanitize),
                    workload, "equal")
             # same pin, warm-started solver: the warm path must land on
             # the same identity set (its configurations may differ, its
             # z=1 harvests may not)
             _check(reports, renders, "grubjoin_z1_warm", reference,
-                   grubjoin_ids(workload, pin_z=1.0, fastpath=False,
-                                warm_start=True, sanitize=sanitize),
-                   workload, "equal")
-
-        equi = workload.tags.get("kind") == "keys"
-        fast = (
-            plain
-            and spec.include_fastpath
-            and supports_columnar(workload.predicate)
-        )
-        if fast:
-            _check(reports, renders, "mjoin_fast", reference,
-                   mjoin_ids(workload, fastpath=True,
-                             sanitize=sanitize),
-                   workload, "equal")
-            _check(reports, renders, "grubjoin_z1_fast", reference,
-                   grubjoin_ids(workload, pin_z=1.0, fastpath=True,
+                   grubjoin_ids(workload, pin_z=1.0, warm_start=True,
                                 sanitize=sanitize),
                    workload, "equal")
+
+        # rows that need an interval predicate: the sorted-index join
+        # and the partition indexes under the columnar kernel
+        if supports_columnar(workload.predicate):
+            _check(reports, renders, "indexed", reference,
+                   indexed_ids(workload, sanitize=sanitize), workload,
+                   "equal")
             # partition-indexed probes must enumerate exactly the flat
             # kernel's hit set: range indexes apply to any columnar
             # predicate, hash indexes only at interval radius zero
             _check(reports, renders, "mjoin_range_indexed", reference,
-                   mjoin_ids(workload, fastpath=True, index="range",
-                             sanitize=sanitize),
+                   mjoin_ids(workload, index="range", sanitize=sanitize),
                    workload, "equal")
-            radius = getattr(workload.predicate, "interval_radius",
-                             None)
-            if radius == 0:
+            if workload.predicate.interval_radius == 0:
                 _check(reports, renders, "mjoin_hash_indexed",
                        reference,
-                       mjoin_ids(workload, fastpath=True, index="hash",
+                       mjoin_ids(workload, index="hash",
                                  sanitize=sanitize),
                        workload, "equal")
-            _check(reports, renders, "grubjoin_z1_indexed", reference,
-                   grubjoin_ids(workload, pin_z=1.0, fastpath=True,
-                                index="adaptive", sanitize=sanitize),
-                   workload, "equal")
+            if plain:
+                _check(reports, renders, "grubjoin_z1_indexed",
+                       reference,
+                       grubjoin_ids(workload, pin_z=1.0,
+                                    index="adaptive", sanitize=sanitize),
+                       workload, "equal")
+        equi = workload.tags.get("kind") == "keys"
         sharded_sets: dict[int, set[IdVector]] = {}
         for k in spec.shard_counts:
             if not plain or (k > 1 and not equi):
                 continue
-            observed = sharded_ids(workload, k, fastpath=False,
-                                   sanitize=sanitize)
+            observed = sharded_ids(workload, k, sanitize=sanitize)
             sharded_sets[k] = observed
             _check(reports, renders, f"sharded_k{k}", reference,
                    observed, workload, "equal")
-            if fast:
-                _check(reports, renders, f"sharded_k{k}_fast",
-                       reference,
-                       sharded_ids(workload, k, fastpath=True,
-                                   sanitize=sanitize),
-                       workload, "equal")
 
         if plain and equi and not sanitize:
             for k in spec.procs_counts:
@@ -621,7 +588,7 @@ def differential_matrix(
                 # row already proved Sharded ≡ oracle
                 _check(reports, renders, f"procs_k{k}",
                        sharded_sets.get(k, reference),
-                       procs_ids(workload, k, fastpath=False),
+                       procs_ids(workload, k),
                        workload, "equal")
 
         if plain:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import Callable, Sequence
 
-from repro.joins.predicates import EpsilonJoin, EquiJoin, JoinPredicate
+from repro.joins.predicates import (
+    BandJoin,
+    EpsilonJoin,
+    EquiJoin,
+    JoinPredicate,
+)
 from repro.joins.variants import JoinMode
 from repro.streams import (
     ConstantRate,
@@ -170,8 +175,8 @@ class Workload:
     def plain(self) -> bool:
         """True for the paper's home turf: inner mode, sliding windows.
 
-        Gates the differential rows that are only proven there (columnar
-        fast path, sharded/procs plans, GrubJoin shedding)."""
+        Gates the differential rows that are only defined there
+        (sharded/procs plans, GrubJoin shedding)."""
         return self.mode is JoinMode.INNER and self.policy.is_sliding
 
     @property
@@ -273,6 +278,33 @@ def drift_workload(
         duration=duration,
         seed=seed,
         tags={"kind": "drift", "epsilon": epsilon},
+    )
+
+
+def band_workload(
+    seed: int,
+    m: int = 3,
+    rate: float = 10.0,
+    duration: float = 10.0,
+    window: float = 4.0,
+    basic: float = 1.0,
+    low: float = 0.5,
+    high: float = 2.5,
+) -> Workload:
+    """A frozen band-join workload over the drift process.
+
+    ``low > 0`` makes the probe context a union of bands rather than one
+    interval, so this is the matrix's workload on the reference
+    nested-loop pipeline (no columnar kernel, no indexes)."""
+    return Workload(
+        name=f"band-m{m}-r{rate:g}-s{seed}",
+        traces=freeze(drift_sources(m=m, rate=rate, seed=seed), duration),
+        predicate=BandJoin(low, high),
+        window=window,
+        basic=basic,
+        duration=duration,
+        seed=seed,
+        tags={"kind": "band", "low": low, "high": high},
     )
 
 
@@ -530,8 +562,9 @@ def default_workloads(seeds: Sequence[int] = (1, 2, 3)) -> list[Workload]:
     """The differential matrix's standard workload set: for each seed, a
     3-way drift epsilon-join, a 3-way sharded-friendly equi-join, a
     3-way zipf-skewed equi-join (hot keys stress the partition
-    indexes), and a 4-way drift join at lower rate (4-way blowup is
-    combinatorial)."""
+    indexes), a 4-way drift join at lower rate (4-way blowup is
+    combinatorial), and a 3-way band join (the one non-interval
+    predicate, keeping the reference pipeline under the oracle)."""
     workloads: list[Workload] = []
     for seed in seeds:
         workloads.append(drift_workload(seed))
@@ -546,4 +579,5 @@ def default_workloads(seeds: Sequence[int] = (1, 2, 3)) -> list[Workload]:
                 lags=[0.1 * i for i in range(4)],
             )
         )
+        workloads.append(band_workload(seed))
     return workloads

@@ -69,9 +69,7 @@ class TestCheckIndexCompat:
     def test_none_and_flat_always_pass(self):
         assert check_index_compat(None, columnar_ok=False, radius=None) is None
         assert (
-            check_index_compat(
-                FLAT, columnar_ok=False, radius=None, fastpath=False
-            )
+            check_index_compat(FLAT, columnar_ok=False, radius=None)
             == FLAT
         )
 
@@ -83,12 +81,6 @@ class TestCheckIndexCompat:
     def test_non_columnar_predicate_rejected(self, spec):
         with pytest.raises(ValueError, match="columnar-capable"):
             check_index_compat(spec, columnar_ok=False, radius=0.0)
-
-    def test_reference_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="fastpath"):
-            check_index_compat(
-                RANGE, columnar_ok=True, radius=1.0, fastpath=False
-            )
 
     @pytest.mark.parametrize("radius", [None, 0.5])
     def test_hash_requires_equi(self, radius):
@@ -464,7 +456,6 @@ class TestOperatorEquivalence:
             workload.predicate,
             workload.window_sizes,
             workload.basic,
-            fastpath=True,
             index=index,
         )
         tuples = sorted(

@@ -1,23 +1,10 @@
-"""Tests for operator observation and GrubJoin's debug logging.
-
-``TracedOperator`` is deprecated in favour of the ``repro.obs`` span
-API; the shim tests below prove old call sites keep working (under a
-``DeprecationWarning``), and ``TestObservedOperator`` covers the
-successor.
-"""
+"""Tests for operator observation (the ``repro.obs`` span API) and
+GrubJoin's debug logging."""
 
 import logging
 
-import pytest
-
 from repro.core import GrubJoinOperator
-from repro.engine import (
-    CpuModel,
-    EventTrace,
-    Simulation,
-    SimulationConfig,
-    TracedOperator,
-)
+from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
 from repro.obs import Obs, ObservedOperator
 from repro.testkit.workloads import drift_sources
@@ -106,55 +93,6 @@ class TestObservedOperator:
             MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0)
         )
         assert observed.describe() == "Observed(MJoin(m=3))"
-
-
-class TestTracedOperatorShim:
-    """The deprecated wrapper still runs — and still fills its trace."""
-
-    def _run(self, trace=None, capacity=1e12):
-        op = MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0)
-        with pytest.warns(DeprecationWarning, match="TracedOperator"):
-            traced = TracedOperator(op, trace)
-        run_wrapped(traced, capacity)
-        return traced
-
-    def test_services_recorded(self):
-        traced = self._run()
-        assert len(traced.trace.services) == 360  # 3 streams * 20/s * 6s
-        record = traced.trace.services[0]
-        assert record.comparisons >= 0
-        assert record.stream in (0, 1, 2)
-
-    def test_adaptations_recorded(self):
-        traced = self._run()
-        assert len(traced.trace.adaptations) == 3
-        assert traced.trace.adaptations[0].time == 2.0
-        assert traced.trace.adaptations[0].pushed[0] == 40
-
-    def test_total_comparisons_and_busiest(self):
-        traced = self._run()
-        assert traced.trace.total_comparisons() > 0
-        busiest = traced.trace.busiest_services(5)
-        assert len(busiest) == 5
-        assert busiest[0].comparisons >= busiest[-1].comparisons
-
-    def test_max_records_cap(self):
-        trace = EventTrace(max_records=10)
-        traced = self._run(trace=trace)
-        assert len(traced.trace.services) == 10
-
-    def test_spans_recorded_alongside_trace(self):
-        # the shim is an ObservedOperator underneath: span records exist
-        traced = self._run()
-        assert isinstance(traced, ObservedOperator)
-        assert len(traced.service_spans()) == 360
-
-    def test_describe(self):
-        with pytest.warns(DeprecationWarning):
-            traced = TracedOperator(
-                MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0)
-            )
-        assert traced.describe() == "Traced(MJoin(m=3))"
 
 
 class TestAdaptLogging:

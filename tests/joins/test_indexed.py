@@ -3,7 +3,13 @@
 import pytest
 
 from repro.engine import CpuModel, Simulation, SimulationConfig
-from repro.joins import EpsilonJoin, IndexedMJoin, InnerProductJoin, MJoinOperator
+from repro.joins import (
+    BandJoin,
+    EpsilonJoin,
+    IndexedMJoin,
+    InnerProductJoin,
+    MJoinOperator,
+)
 from repro.streams import (
     ConstantRate,
     LinearDriftProcess,
@@ -62,6 +68,13 @@ class TestValidation:
     def test_requires_scalar_predicate(self):
         with pytest.raises(ValueError):
             IndexedMJoin(InnerProductJoin(0.1), [10.0] * 3, 1.0)
+
+    def test_rejects_scalar_predicate_without_interval_context(self):
+        # regression: BandJoin is scalar-storage but its probe context is
+        # not one (low, high) interval — this used to construct and then
+        # die unpacking probe_context on the first probe
+        with pytest.raises(ValueError, match="interval-context"):
+            IndexedMJoin(BandJoin(0.5, 1.0), [10.0] * 3, 1.0)
 
     def test_requires_two_streams(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.joins import EpsilonJoin, IndexedMJoin, MJoinOperator
+from repro.engine import CpuModel, Simulation
+from repro.joins import EpsilonJoin, EquiJoin, IndexedMJoin, MJoinOperator
+from repro.joins.columnar import run_pipeline_columnar
 from repro.joins.variants import SHEDDABLE_MODES, JoinMode, ModeState
 from repro.streams.tuples import JoinResult, StreamTuple
+from repro.testkit import key_workload, oracle_ids, run_config
 
 
 def tup(stream, seq, ts, value=0.0):
@@ -92,12 +95,34 @@ class TestOperatorIntegration:
     def make(self, cls, **kwargs):
         return cls(EpsilonJoin(1.0), [4.0] * 3, 1.0, **kwargs)
 
-    def test_fastpath_rejected_off_home_turf(self):
-        with pytest.raises(ValueError, match="inner-mode sliding"):
-            self.make(MJoinOperator, mode="anti", fastpath=True)
-        with pytest.raises(ValueError, match="inner-mode sliding"):
-            self.make(MJoinOperator, window_policy="tumbling",
-                      fastpath=True)
+    def test_kernel_follows_predicate_in_every_mode_and_policy(self):
+        for kwargs in (
+            {"mode": "anti"},
+            {"mode": "outer"},
+            {"window_policy": "tumbling"},
+            {"mode": "semi", "window_policy": "session:1.5"},
+        ):
+            op = self.make(MJoinOperator, **kwargs)
+            assert op._kernel is run_pipeline_columnar, kwargs
+
+    def test_semi_mode_hash_index_equals_oracle(self):
+        # regression: a non-inner mode used to pin the reference
+        # pipeline, which made any index= spec fail at construction
+        # citing a kernel option the caller never passed
+        workload = key_workload(5, n_keys=8)
+        workload.mode = JoinMode.SEMI
+        op = MJoinOperator(EquiJoin(), workload.window_sizes,
+                           workload.basic, mode="semi", index="hash")
+        for state in op.windex_states:
+            # the frozen workload's basic windows hold ~12 rows; build
+            # tables anyway so the probe really goes through the index
+            state.min_index_rows = 4
+        sim = Simulation(workload.traces, op, CpuModel(1e12),
+                         run_config(workload), retain_outputs=True)
+        sim.run()
+        observed = {r.key() for r in sim.output_buffer.results}
+        assert observed == oracle_ids(workload).id_set
+        assert sum(s.rows_pruned for s in op.windex_states) > 0
 
     def test_profile_reports_mode_and_policy(self):
         for cls in (MJoinOperator, IndexedMJoin):

@@ -548,14 +548,6 @@ class TestPartitionIndexRule:
         report = analyze_query(self.make(EquiJoin(), "btree"))
         assert "P133" in error_codes(report)
 
-    def test_pinned_reference_pipeline_rejected(self):
-        from repro.joins import EquiJoin
-
-        report = analyze_query(
-            self.make(EquiJoin(), "hash", fastpath=False)
-        )
-        assert "P133" in error_codes(report)
-
     def test_double_specification_rejected(self):
         from repro.joins import EquiJoin
 

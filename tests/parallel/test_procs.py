@@ -37,7 +37,6 @@ def mjoin_factory(workload):
             workload.predicate,
             workload.window_sizes,
             workload.basic,
-            fastpath=False,
         )
 
     return _shard
@@ -89,9 +88,7 @@ class TestDeterminism:
         for num_shards in (1, 2):
             observed = set(procs_run(workload, num_shards).merged_ids)
             assert observed == oracle
-            assert observed == sharded_ids(
-                workload, num_shards, fastpath=False
-            )
+            assert observed == sharded_ids(workload, num_shards)
 
     def test_procs_matches_oracle_on_mixed_keys(self):
         # mixed int/float/bool keys cross the pickle boundary and the

@@ -162,7 +162,6 @@ class TestResultsUnchanged:
                 workload.predicate,
                 workload.window_sizes,
                 workload.basic,
-                fastpath=False,
             )
 
         result, _obs = procs_obs_run(workload, factory, 2)
@@ -305,7 +304,6 @@ class TestWorkerTelemetryCertification:
                 workload.predicate,
                 workload.window_sizes,
                 workload.basic,
-                fastpath=False,
             )
             operator.secret_sink = Obs()
             return operator

@@ -180,8 +180,7 @@ class TestKeyCanonicalization:
         )
 
         workload = mixed_key_workload(seed=1)
-        assert sharded_ids(workload, 4, fastpath=False) == \
-            oracle_ids(workload).id_set
+        assert sharded_ids(workload, 4) == oracle_ids(workload).id_set
 
     def test_old_hash_would_lose_mixed_key_matches(self, monkeypatch):
         """Locks the discrimination power of the regression workload:
@@ -198,8 +197,7 @@ class TestKeyCanonicalization:
             router_mod, "_canonical_key", lambda key: key
         )
         workload = mixed_key_workload(seed=1)
-        assert sharded_ids(workload, 4, fastpath=False) != \
-            oracle_ids(workload).id_set
+        assert sharded_ids(workload, 4) != oracle_ids(workload).id_set
 
 
 class TestMigrationGuards:

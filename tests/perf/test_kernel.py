@@ -249,13 +249,6 @@ class TestKernelSelection:
         assert not supports_columnar(per_pair)
         assert select_kernel(per_pair) is run_pipeline
 
-    def test_forcing_fastpath_on_unsupported_predicate_raises(self):
-        with pytest.raises(ValueError):
-            select_kernel(BandJoin(0.5, 1.0), fastpath=True)
-
-    def test_forcing_slow_path(self):
-        assert select_kernel(EpsilonJoin(1.0), fastpath=False) is run_pipeline
-
 
 def test_numpy_dtype_stability():
     """Pooled candidate arrays are float64 regardless of slice striding."""

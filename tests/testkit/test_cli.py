@@ -30,7 +30,7 @@ class TestVerdict:
         verdict = run_verdict(parse(["--quick", "--no-shedding"]))
         assert verdict["ok"]
         assert verdict["seeds"] == [1]
-        assert len(verdict["differential"]["workloads"]) == 4
+        assert len(verdict["differential"]["workloads"]) == 5
         assert "chaos" not in verdict and "properties" not in verdict
 
     def test_verdict_serializes_canonically(self):

@@ -21,7 +21,11 @@ from repro.testkit import (
     randomdrop_ids,
     sharded_ids,
 )
-from repro.testkit.workloads import drift_workload, key_workload
+from repro.testkit.workloads import (
+    band_workload,
+    drift_workload,
+    key_workload,
+)
 
 DURATION = 6.0
 
@@ -166,19 +170,33 @@ class TestMatrix:
         drift_checks = verdict["workloads"][drift3.name]["checks"]
         keys_checks = verdict["workloads"][keys3.name]["checks"]
         assert set(drift_checks) == {
-            "mjoin", "mjoin_fast", "indexed",
-            "grubjoin_z1", "grubjoin_z1_warm", "grubjoin_z1_fast",
+            "mjoin", "indexed",
+            "grubjoin_z1", "grubjoin_z1_warm",
             "mjoin_range_indexed", "grubjoin_z1_indexed",
-            "sharded_k1", "sharded_k1_fast",
+            "sharded_k1",
             "grubjoin_z0.5",
         }
         # K>1 sharding only asserted for co-partitioning predicates
         assert "sharded_k2" in keys_checks
-        assert "sharded_k2_fast" in keys_checks
+        assert "sharded_k2" not in drift_checks
         # hash indexes need interval radius zero: equi yes, epsilon no
         assert "mjoin_hash_indexed" in keys_checks
         assert "mjoin_hash_indexed" not in drift_checks
         assert all(row["ok"] for row in keys_checks.values())
+
+    def test_band_workload_runs_the_reference_pipeline_rows(self):
+        # the one default workload without a columnar kernel: the
+        # reference pipeline stays under the oracle end to end, and the
+        # rows that need an interval predicate are skipped, not failed
+        band = band_workload(1, duration=DURATION)
+        assert oracle_ids(band).ids, "band workload is vacuous"
+        spec = MatrixSpec(pinned_zs=(0.5,), shard_counts=(1, 2))
+        verdict = differential_matrix([band], spec)
+        assert verdict["ok"], verdict["failures"]
+        assert set(verdict["workloads"][band.name]["checks"]) == {
+            "mjoin", "grubjoin_z1", "grubjoin_z1_warm", "sharded_k1",
+            "grubjoin_z0.5", "grubjoin_shed", "randomdrop_shed",
+        }
 
     def test_matrix_flags_failures(self, drift3, monkeypatch):
         import repro.testkit.differential as differential

@@ -200,7 +200,7 @@ class TestMatrixIntegration:
 
         spec = MatrixSpec(
             pinned_zs=(0.5,), shard_counts=(1, 2),
-            include_shedding=False, include_fastpath=True,
+            include_shedding=False,
         )
         verdict = differential_matrix([keys, drift], spec,
                                       sanitize=True)
@@ -214,7 +214,6 @@ class TestMatrixIntegration:
         )
 
         spec = MatrixSpec(pinned_zs=(), shard_counts=(1,),
-                          include_shedding=False,
-                          include_fastpath=False)
+                          include_shedding=False)
         verdict = differential_matrix([keys], spec)
         assert verdict["sanitized"] is False

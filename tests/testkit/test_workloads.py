@@ -79,17 +79,26 @@ class TestShrinking:
 
 
 class TestDefaultSet:
-    def test_four_workloads_per_seed(self):
+    def test_five_workloads_per_seed(self):
         workloads = default_workloads((1, 2))
-        assert len(workloads) == 8
+        assert len(workloads) == 10
         names = [w.name for w in workloads]
         assert len(names) == len(set(names))
 
     def test_covers_m3_m4_and_both_kinds(self):
         workloads = default_workloads((1,))
         assert {w.m for w in workloads} == {3, 4}
-        assert {w.tags["kind"] for w in workloads} == {"drift", "keys"}
+        assert {w.tags["kind"] for w in workloads} >= {"drift", "keys"}
         assert any(w.tags.get("skewed") for w in workloads)
+
+    def test_band_workload_keeps_the_reference_pipeline_covered(self):
+        from repro.joins.columnar import supports_columnar
+
+        bands = [w for w in default_workloads((1,))
+                 if w.tags["kind"] == "band"]
+        assert len(bands) == 1
+        assert bands[0].predicate.low > 0
+        assert not supports_columnar(bands[0].predicate)
 
     def test_every_default_workload_produces_output(self):
         from repro.testkit import oracle_ids
