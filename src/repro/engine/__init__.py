@@ -18,15 +18,16 @@ from .graph import (
     GraphResult,
     NodeResult,
     SchedulingPolicy,
+    SimulationConfig,
 )
-from .metrics import SimulationResult, StreamCounters, TimeSeries
+from .metrics import SimulationResult, StreamCounters
 from .operator import (
     AdmissionFilter,
     AdmitAll,
     ProcessReceipt,
     StreamOperator,
 )
-from .runtime import Simulation, SimulationConfig
+from .runtime import Simulation
 
 __all__ = [
     "AdmissionFilter",
@@ -52,7 +53,6 @@ __all__ = [
     "SimulationResult",
     "StreamCounters",
     "StreamOperator",
-    "TimeSeries",
     "VirtualClock",
     "WorkReceipt",
 ]

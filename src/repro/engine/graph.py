@@ -1,13 +1,14 @@
-"""Dataflow-graph runtime: multiple operators sharing one simulated CPU.
+"""Dataflow-graph runtime: the engine's one scheduler loop.
 
-:class:`repro.engine.runtime.Simulation` hosts a single operator, which is
-all the paper's experiments need.  Real deployments (the paper's System S
-host) run joins inside operator *graphs* — filters upstream, aggregations
-downstream, several queries sharing the machine.  :class:`DataflowGraph`
-provides that: named nodes wrapping operators, edges carrying one node's
-outputs into another's input buffer, and a scheduler that serves all
-nodes from one CPU (globally oldest buffered tuple first, so no node can
+The paper runs GrubJoin as one operator *inside* a System S operator
+graph — filters upstream, aggregations downstream, several queries
+sharing the machine.  :class:`DataflowGraph` is that host: named nodes
+wrapping operators, edges carrying one node's outputs into another's
+input buffer, and a scheduler that serves all nodes from one CPU
+(globally oldest buffered tuple first by default, so no node can
 indefinitely starve another with equal load).
+:class:`repro.engine.runtime.Simulation` is the same loop seen through a
+one-node graph.
 
 Edges may carry a ``transform`` turning an upstream output (e.g. a
 ``JoinResult``) into the ``StreamTuple`` the downstream operator expects;
@@ -17,23 +18,89 @@ upstream output (before the transform): only outputs it accepts travel
 the edge.  Filters are what makes partitioned fan-out possible — a
 router node emits routed outputs once, and each router->shard edge picks
 out the outputs addressed to its shard (see :mod:`repro.parallel`).
+
+Event semantics
+---------------
+
+* ``ARRIVAL`` — a tuple reaches an input's admission filter; if admitted
+  it is buffered (a full buffer drops and counts it) and idle cores are
+  put to work.
+* ``COMPLETION`` — an operator finishes one tuple: results it owns
+  (``output_kind`` ``"join-result"`` / ``"aggregate"``) are stamped with
+  the completion time (``StreamTuple`` outputs keep theirs), counted, and
+  sent down each outgoing edge; the next buffered tuple begins service.
+* ``ADAPT`` — every ``adaptation_interval`` (the paper's ``Delta``) each
+  operator's ``on_adapt`` sees its buffers' push/pop counts, which reset.
+* ``MEASURE`` — statistics sampling (queue depths, cumulative output).
+* ``STOP`` — at ``duration``: pending events are discarded and every
+  operator's ``on_finish`` flush (anti/outer survivors) is stamped at the
+  stop time and recorded on its node — not forwarded, because nothing is
+  serviced after ``STOP``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.obs.registry import Histogram, Series, label_key
 from repro.streams.tuples import StreamTuple
 
-from .buffers import InputBuffer
+from .buffers import InputBuffer, OutputBuffer
 from .clock import VirtualClock
 from .cpu import CpuModel
 from .events import EventKind, EventQueue
-from .metrics import TimeSeries
-from .operator import AdmissionFilter, StreamOperator
-from .runtime import SimulationConfig
+from .metrics import StreamCounters
+from .operator import AdmissionFilter, ProcessReceipt, StreamOperator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Obs
+
+#: operators that build their own result records; the host stamps those
+#: with the emission time (``"tuple"`` / ``"routed"`` outputs are frozen
+#: stream tuples that already carry their timestamp)
+_STAMPED_KINDS = ("join-result", "aggregate")
+
+
+@dataclass(frozen=True, slots=True)
+class SimulationConfig:
+    """Run parameters.
+
+    Attributes:
+        duration: virtual seconds to simulate.  Paper default: 60.
+        warmup: leading seconds excluded from rate measurement.  Paper: 20.
+        adaptation_interval: the paper's ``Delta`` in seconds.
+        measure_interval: sampling period for depth/output series.
+        buffer_capacity: optional bound on each input buffer (a graph
+            node's own ``add_node(buffer_capacity=...)`` wins).
+        on_operator_error: ``"raise"`` propagates operator exceptions
+            (default — fail loudly during development); ``"skip"`` charges
+            a minimal service, drops the poisoned tuple and keeps the
+            stream flowing (production posture: one malformed tuple must
+            not take the query down).
+    """
+
+    duration: float = 60.0
+    warmup: float = 20.0
+    adaptation_interval: float = 5.0
+    measure_interval: float = 1.0
+    buffer_capacity: int | None = None
+    on_operator_error: str = "raise"
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+        if not 0 <= self.warmup < self.duration:
+            raise ValueError("warmup must lie in [0, duration)")
+        if self.adaptation_interval <= 0:
+            raise ValueError("adaptation_interval must be positive")
+        if self.measure_interval <= 0:
+            raise ValueError("measure_interval must be positive")
+        if self.on_operator_error not in ("raise", "skip"):
+            raise ValueError("on_operator_error must be 'raise' or 'skip'")
 
 
 class SchedulingPolicy(str, Enum):
@@ -73,18 +140,45 @@ class Edge:
 
 @dataclass
 class NodeResult:
-    """Per-node measurements of a graph run."""
+    """Per-node measurements of one graph run — what
+    :class:`~repro.engine.metrics.SimulationResult` reports, per node.
+
+    ``output_count`` spans the whole run (end-of-run flush included),
+    ``output_count_warm`` only the measurement window ``output_rate``
+    divides by.  ``streams`` is the per-input accounting, the series are
+    sampled at measure ticks (``throttle_series`` at adaptation ticks),
+    ``operator_errors`` counts tuples skipped under
+    ``on_operator_error="skip"``, and ``outputs`` (raw operator outputs
+    in emission order) is filled only under ``retain_outputs=True``.
+    """
 
     name: str
+    streams: list[StreamCounters]
+    latency_histogram: Histogram
+    queue_depth_series: list[Series]
+    throttle_series: Series
+    output_series: Series
     output_count: int = 0
     output_count_warm: int = 0
     output_rate: float = 0.0
-    consumed: int = 0
-    queue_depth_series: list[TimeSeries] = field(default_factory=list)
-    #: raw operator outputs in emission order; populated only when the
-    #: graph ran with ``retain_outputs=True`` (memory-heavy — used by the
-    #: testkit's differential harness, not by benchmarks)
+    operator_errors: int = 0
     outputs: list[Any] = field(default_factory=list)
+
+    @property
+    def consumed(self) -> int:
+        """Tuples the operator serviced, over all inputs."""
+        return sum(s.consumed for s in self.streams)
+
+    @property
+    def mean_latency(self) -> float:
+        """Mean arrival-to-completion delay of serviced tuples."""
+        return self.latency_histogram.mean()
+
+    @property
+    def p95_latency(self) -> float:
+        """95th-percentile delay: a conservative bucket-upper-bound
+        estimate, 0.0 when nothing was serviced."""
+        return self.latency_histogram.quantile(0.95)
 
 
 @dataclass
@@ -98,7 +192,7 @@ class GraphResult:
 
 
 class _Node:
-    """Internal node state: an operator plus its input buffers."""
+    """A registered node: an operator, its admission slots and edges."""
 
     def __init__(
         self,
@@ -111,10 +205,7 @@ class _Node:
         self.name = name
         self.operator = operator
         self.priority = priority
-        self.buffers = [
-            InputBuffer(i, buffer_capacity)
-            for i in range(operator.num_streams)
-        ]
+        self.buffer_capacity = buffer_capacity
         if admission is None:
             admission = [None] * operator.num_streams
         if len(admission) != operator.num_streams:
@@ -123,8 +214,330 @@ class _Node:
             )
         self.admission = list(admission)
         self.edges: list[Edge] = []
-        self.result = NodeResult(name=name)
-        self.warm_marked = False
+
+
+class _Port:
+    """One node input during one run: gate -> buffer, with its counters,
+    queue-depth series and the telemetry labels they are exported under."""
+
+    __slots__ = ("node", "gate", "buffer", "counters", "labels", "depth")
+
+    def __init__(self, node: "_NodeRun", index: int,
+                 gate: AdmissionFilter | None,
+                 capacity: int | None) -> None:
+        self.node = node
+        self.gate = gate
+        self.buffer = InputBuffer(index, capacity)
+        self.counters = StreamCounters()
+        self.labels = {**node.labels, "stream": index}
+        self.depth = Series("queue_depth", label_key(self.labels))
+
+
+class _NodeRun:
+    """One node during one run: its ports, its output buffer and the
+    :class:`NodeResult` the loop fills in."""
+
+    __slots__ = (
+        "operator", "priority", "labels", "ports", "edges", "output",
+        "stamps", "warm_start", "result",
+    )
+
+    def __init__(self, node: _Node, config: SimulationConfig,
+                 retain_outputs: bool) -> None:
+        self.operator = node.operator
+        self.priority = node.priority
+        # an anonymous node (the Simulation facade's) carries no label
+        self.labels = {"node": node.name} if node.name else {}
+        capacity = (
+            node.buffer_capacity
+            if node.buffer_capacity is not None
+            else config.buffer_capacity
+        )
+        self.ports = [
+            _Port(self, i, gate, capacity)
+            for i, gate in enumerate(node.admission)
+        ]
+        #: ``(edge, target port)`` pairs, resolved once all nodes exist
+        self.edges: list[tuple[Edge, _Port]] = []
+        self.output = OutputBuffer(retain=retain_outputs)
+        self.stamps = node.operator.output_kind in _STAMPED_KINDS
+        self.warm_start: int | None = None
+        labels = label_key(self.labels)
+        self.result = NodeResult(
+            name=node.name,
+            streams=[port.counters for port in self.ports],
+            latency_histogram=Histogram("tuple_latency_seconds", labels),
+            queue_depth_series=[port.depth for port in self.ports],
+            throttle_series=Series("throttle_fraction", labels),
+            output_series=Series("output_count", labels),
+            outputs=self.output.results,
+        )
+
+    def close(self, window: float) -> NodeResult:
+        """Fill in the output totals once the run has stopped."""
+        result, total = self.result, self.output.count
+        result.output_count = total
+        result.output_count_warm = total - (
+            self.warm_start if self.warm_start is not None else total
+        )
+        result.output_rate = (
+            result.output_count_warm / window if window > 0 else 0.0
+        )
+        return result
+
+
+def _oldest(ports: Sequence[_Port]) -> _Port | None:
+    """The non-empty port whose head tuple is oldest (first on ties)."""
+    best: _Port | None = None
+    best_ts = float("inf")
+    for port in ports:
+        head = port.buffer.head()
+        if head is not None and head.timestamp < best_ts:
+            best, best_ts = port, head.timestamp
+    return best
+
+
+class _Run:
+    """One execution of a graph: the event loop and everything it
+    measures.  Built fresh by every :meth:`DataflowGraph.run`, so no
+    measurement outlives (or leaks into) a run."""
+
+    def __init__(
+        self,
+        nodes: Sequence[_Node],
+        sources: Sequence[tuple[str, int, Any]],
+        cpu: CpuModel,
+        config: SimulationConfig,
+        policy: SchedulingPolicy,
+        retain_outputs: bool,
+        obs: "Obs | None",
+    ) -> None:
+        self.cpu = cpu
+        self.config = config
+        self.obs = obs
+        self.clock = VirtualClock()
+        self.events = EventQueue()
+        self.nodes = {
+            node.name: _NodeRun(node, config, retain_outputs)
+            for node in nodes
+        }
+        for node in nodes:
+            self.nodes[node.name].edges = [
+                (edge, self.nodes[edge.target].ports[edge.target_input])
+                for edge in node.edges
+            ]
+        self._sources = sources
+        # the chooser is fixed per run; OLDEST over the flat port list
+        # costs a one-node run exactly one scan of its own buffers
+        self._ports = [
+            port for node in self.nodes.values() for port in node.ports
+        ]
+        self._order = list(self.nodes.values())
+        self._rr_next = 0
+        self._pick = {
+            SchedulingPolicy.OLDEST: partial(_oldest, self._ports),
+            SchedulingPolicy.ROUND_ROBIN: self._pick_round_robin,
+            SchedulingPolicy.PRIORITY: self._pick_priority,
+        }[policy]
+        if obs is not None:
+            self._bind_obs(obs)
+
+    def _bind_obs(self, obs: "Obs") -> None:
+        """Wire the telemetry sink: clock, instruments, operators."""
+        clock = self.clock  # the sink outlives the run: capture only this
+        obs.bind_clock(lambda: clock.now)
+        for node in self.nodes.values():
+            obs.registry.register(node.result.latency_histogram)
+            node.operator.bind_obs(obs, **node.labels)
+            for port in node.ports:
+                obs.registry.register(port.depth)
+                if port.gate is not None:
+                    port.gate.bind_obs(obs, **port.labels)
+
+    def _publish_counts(self, obs: "Obs") -> None:
+        """Export the per-input accounting once, at end of run (the
+        per-tuple path touches only the :class:`StreamCounters`)."""
+        for port in self._ports:
+            labels, c = port.labels, port.counters
+            obs.counter("stream_arrived_total", **labels).inc(c.arrived)
+            obs.counter("stream_admitted_total", **labels).inc(c.admitted)
+            obs.counter(
+                "stream_dropped_total", reason="admission", **labels
+            ).inc(c.dropped_at_admission)
+            obs.counter(
+                "stream_dropped_total", reason="buffer", **labels
+            ).inc(c.dropped_at_buffer)
+
+    def execute(self) -> GraphResult:
+        cfg = self.config
+        events = self.events
+        for name, index, source in self._sources:
+            port = self.nodes[name].ports[index]
+            for tup in source.iter_tuples(cfg.duration):
+                events.push(tup.delivery_time, EventKind.ARRIVAL,
+                            (port, tup))
+        for kind, step in ((EventKind.ADAPT, cfg.adaptation_interval),
+                           (EventKind.MEASURE, cfg.measure_interval)):
+            t = step
+            while t <= cfg.duration:
+                events.push(t, kind)
+                t += step
+        events.push(cfg.duration, EventKind.STOP)
+
+        while events:
+            event = events.pop()
+            now = event.time
+            if now > cfg.duration:
+                break
+            self.clock.advance_to(now)
+            kind = event.kind
+            if kind is EventKind.ARRIVAL:
+                port, tup = event.payload
+                if self._deliver(port, tup, now):
+                    self._fill_cores(now)
+            elif kind is EventKind.COMPLETION:
+                self._on_completion(*event.payload, now)
+            elif kind is EventKind.ADAPT:
+                self._on_adapt(now)
+            elif kind is EventKind.MEASURE:
+                self._on_measure(now)
+            else:  # STOP
+                break
+
+        self._finish(cfg.duration)
+        if self.obs is not None:
+            self._publish_counts(self.obs)
+        window = cfg.duration - cfg.warmup
+        return GraphResult(
+            nodes={n: node.close(window) for n, node in self.nodes.items()},
+            cpu_utilization=self.cpu.utilization(cfg.duration),
+            duration=cfg.duration,
+            warmup=cfg.warmup,
+        )
+
+    def _deliver(self, port: _Port, tup: StreamTuple, now: float) -> bool:
+        """Offer ``tup`` to a node input; False iff its gate refused it
+        (a full buffer drops and counts the tuple but returns True)."""
+        counters = port.counters
+        counters.arrived += 1
+        if port.gate is not None and not port.gate.admit(tup, now):
+            counters.dropped_at_admission += 1
+            return False
+        if port.buffer.push(tup):
+            counters.admitted += 1
+        else:
+            counters.dropped_at_buffer += 1
+        return True
+
+    def _collect(self, node: _NodeRun, outputs: list, now: float) -> None:
+        """Stamp (operator-owned results only), count and retain."""
+        if node.stamps:
+            for result in outputs:
+                result.timestamp = now
+        node.output.push_many(outputs)
+        if node.warm_start is None and now >= self.config.warmup:
+            node.warm_start = node.output.count - len(outputs)
+
+    def _on_completion(self, node: _NodeRun, outputs: list,
+                       probe: StreamTuple, now: float) -> None:
+        self._collect(node, outputs, now)
+        node.result.latency_histogram.observe(now - probe.timestamp)
+        for edge, target in node.edges:
+            for out in outputs:
+                if edge.filter is not None and not edge.filter(out):
+                    continue
+                tup = edge.transform(out) if edge.transform else out
+                if not isinstance(tup, StreamTuple):
+                    raise TypeError(
+                        f"edge {edge.source!r}->{edge.target!r} delivered "
+                        "a non-StreamTuple; provide a transform"
+                    )
+                self._deliver(target, tup, now)
+        self._fill_cores(now)
+
+    def _on_adapt(self, now: float) -> None:
+        interval = self.config.adaptation_interval
+        obs = self.obs
+        with obs.span("adapt") if obs is not None else nullcontext():
+            for node in self.nodes.values():
+                stats = [p.buffer.interval_stats() for p in node.ports]
+                node.operator.on_adapt(now, stats, interval)
+                for port, stat in zip(node.ports, stats):
+                    if port.gate is not None:
+                        port.gate.on_adapt(now, stat.push_rate(interval))
+                    port.buffer.reset_interval()
+                throttle = getattr(node.operator, "throttle_fraction", None)
+                if throttle is not None:
+                    node.result.throttle_series.observe(now, throttle)
+
+    def _on_measure(self, now: float) -> None:
+        for node in self.nodes.values():
+            for port in node.ports:
+                port.depth.observe(now, len(port.buffer))
+            node.result.output_series.observe(now, node.output.count)
+
+    def _finish(self, now: float) -> None:
+        """Collect every operator's end-of-run flush (anti/outer
+        survivors): stamped and counted like completions, but with no
+        service latency and no edge to travel — nothing runs after STOP."""
+        for node in self.nodes.values():
+            outputs = node.operator.on_finish(now)
+            if outputs:
+                self._collect(node, outputs, now)
+
+    def _fill_cores(self, now: float) -> None:
+        """Start services until every core is busy or the buffers drain."""
+        while self.cpu.idle_cores(now) > 0 and self._start_service(now):
+            pass
+
+    def _start_service(self, now: float) -> bool:
+        port = self._pick()
+        if port is None:
+            return False
+        tup = port.buffer.pop()
+        port.counters.consumed += 1
+        node = port.node
+        try:
+            receipt = node.operator.process(tup, now)
+        except Exception:
+            if self.config.on_operator_error == "raise":
+                raise
+            node.result.operator_errors += 1
+            receipt = ProcessReceipt(comparisons=0, outputs=[])
+        done = self.cpu.begin(now, receipt.comparisons)
+        if self.obs is not None:
+            self.obs.spans.record(
+                "service",
+                start=now,
+                end=done,
+                labels={**node.labels, "stream": str(tup.stream)},
+                attrs={
+                    "seq": tup.seq,
+                    "comparisons": receipt.comparisons,
+                    "outputs": len(receipt.outputs),
+                },
+            )
+        self.events.push(
+            done, EventKind.COMPLETION, (node, receipt.outputs, tup)
+        )
+        return True
+
+    def _pick_round_robin(self) -> _Port | None:
+        order = self._order
+        for offset in range(len(order)):
+            at = (self._rr_next + offset) % len(order)
+            port = _oldest(order[at].ports)
+            if port is not None:
+                self._rr_next = (at + 1) % len(order)
+                return port
+        return None
+
+    def _pick_priority(self) -> _Port | None:
+        return max(
+            (port for port in self._ports if port.buffer),
+            key=lambda p: (p.node.priority, -p.buffer.head().timestamp),
+            default=None,
+        )
 
 
 class DataflowGraph:
@@ -134,6 +547,9 @@ class DataflowGraph:
         self._nodes: dict[str, _Node] = {}
         self._sources: list[tuple[str, int, Any]] = []
         self._edges: list[Edge] = []
+        #: the latest run (live while it executes) — what
+        #: :meth:`queue_depth` reads
+        self._run: _Run | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -149,8 +565,11 @@ class DataflowGraph:
     ) -> None:
         """Register an operator under a unique name.
 
+        ``buffer_capacity`` bounds each of the node's input buffers;
+        ``None`` defers to the run's ``config.buffer_capacity``.
         ``priority`` matters only under the PRIORITY scheduling policy
-        (higher runs first).
+        (higher runs first).  An empty ``name`` makes the node anonymous:
+        its telemetry carries no ``node=`` label.
         """
         if name in self._nodes:
             raise ValueError(f"duplicate node name {name!r}")
@@ -200,14 +619,17 @@ class DataflowGraph:
         return list(self._sources)
 
     def queue_depth(self, name: str) -> int:
-        """Total buffered tuples across a node's input buffers right now.
+        """Total buffered tuples across a node's input buffers right now
+        (0 before the first run; the final backlog after one).
 
         Adaptive routers use this (via a depth probe closure) to observe
         per-shard backlog at adaptation ticks and rebalance accordingly.
         """
         if name not in self._nodes:
             raise ValueError(f"unknown node {name!r}")
-        return sum(len(buf) for buf in self._nodes[name].buffers)
+        if self._run is None:
+            return 0
+        return sum(len(p.buffer) for p in self._run.nodes[name].ports)
 
     def validate(self, assumptions=None):
         """Run the static plan analyzer over this graph.
@@ -254,219 +676,21 @@ class DataflowGraph:
         :class:`NodeResult` so correctness harnesses can diff actual
         result sets, not just counts.
 
-        ``obs`` (a :class:`repro.obs.Obs`) turns on instrumentation:
-        every node's operator and admission filters are bound with a
-        ``node=<name>`` label, node-labeled ``service`` spans and
-        queue-depth series are recorded, and the virtual clock is bound
-        to the sink.  ``None`` (default) keeps instrumentation off.
+        ``obs`` (a :class:`repro.obs.Obs`) turns on instrumentation: the
+        virtual clock is bound to the sink, every node's operator and
+        admission filters are bound with a ``node=<name>`` label, and
+        the run records ``service`` and ``adapt`` spans, per-input
+        arrival/admission/drop counters, queue-depth series and the
+        latency histogram.  ``None`` (default) keeps it all off.
+
+        Every call measures from zero (buffers, counters and series
+        belong to the run); operators and sources keep their state.
         """
         if validate:
             self.validate().raise_for_errors()
-        config = config or SimulationConfig()
-        policy = SchedulingPolicy(policy)
-        rr_order = list(self._nodes)
-        rr_next = 0
-        clock = VirtualClock()
-        events = EventQueue()
-
-        obs_depth: dict[str, list] = {}
-        if obs is not None:
-            obs.bind_clock(lambda: clock.now)
-            for name, node in self._nodes.items():
-                node.operator.bind_obs(obs, node=name)
-                for i, gate in enumerate(node.admission):
-                    if gate is not None:
-                        gate.bind_obs(obs, node=name, input=i)
-                obs_depth[name] = [
-                    obs.series("queue_depth", node=name, input=i)
-                    for i in range(len(node.buffers))
-                ]
-
-        for node in self._nodes.values():
-            node.result.queue_depth_series = [
-                TimeSeries() for _ in node.buffers
-            ]
-
-        for node_name, input_index, source in self._sources:
-            for tup in source.iter_tuples(config.duration):
-                events.push(
-                    tup.delivery_time, EventKind.ARRIVAL,
-                    (node_name, input_index, tup),
-                )
-        t = config.adaptation_interval
-        while t <= config.duration:
-            events.push(t, EventKind.ADAPT)
-            t += config.adaptation_interval
-        t = config.measure_interval
-        while t <= config.duration:
-            events.push(t, EventKind.MEASURE)
-            t += config.measure_interval
-        events.push(config.duration, EventKind.STOP)
-
-        def deliver(node: _Node, input_index: int, tup: StreamTuple,
-                    now: float) -> None:
-            gate = node.admission[input_index]
-            if gate is not None and not gate.admit(tup, now):
-                return
-            node.buffers[input_index].push(tup)
-
-        def oldest_buffer(node: _Node) -> InputBuffer | None:
-            best = None
-            best_ts = float("inf")
-            for buf in node.buffers:
-                head = buf.head()
-                if head is not None and head.timestamp < best_ts:
-                    best = buf
-                    best_ts = head.timestamp
-            return best
-
-        def pick() -> tuple[_Node, InputBuffer] | None:
-            nonlocal rr_next
-            if policy is SchedulingPolicy.ROUND_ROBIN:
-                for offset in range(len(rr_order)):
-                    node = self._nodes[
-                        rr_order[(rr_next + offset) % len(rr_order)]
-                    ]
-                    buf = oldest_buffer(node)
-                    if buf is not None:
-                        rr_next = (
-                            rr_next + offset + 1
-                        ) % len(rr_order)
-                        return node, buf
-                return None
-            candidates = []
-            for node in self._nodes.values():
-                buf = oldest_buffer(node)
-                if buf is not None:
-                    candidates.append((node, buf))
-            if not candidates:
-                return None
-            if policy is SchedulingPolicy.PRIORITY:
-                return max(
-                    candidates,
-                    key=lambda nb: (
-                        nb[0].priority,
-                        -nb[1].head().timestamp,
-                    ),
-                )
-            return min(candidates, key=lambda nb: nb[1].head().timestamp)
-
-        def start_service(now: float) -> bool:
-            choice = pick()
-            if choice is None:
-                return False
-            node, buf = choice
-            tup = buf.pop()
-            node.result.consumed += 1
-            receipt = node.operator.process(tup, now)
-            done = cpu.begin(now, receipt.comparisons)
-            if obs is not None:
-                obs.spans.record(
-                    "service",
-                    start=now,
-                    end=done,
-                    labels={
-                        "node": node.name,
-                        "stream": str(tup.stream),
-                    },
-                    attrs={
-                        "seq": tup.seq,
-                        "comparisons": receipt.comparisons,
-                        "outputs": len(receipt.outputs),
-                    },
-                )
-            events.push(
-                done, EventKind.COMPLETION,
-                (node.name, receipt.outputs),
-            )
-            return True
-
-        def fill_cores(now: float) -> None:
-            while cpu.idle_cores(now) > 0 and start_service(now):
-                pass
-
-        while events:
-            event = events.pop()
-            if event.time > config.duration:
-                break
-            clock.advance_to(event.time)
-            now = clock.now
-            if event.kind is EventKind.STOP:
-                break
-            if event.kind is EventKind.ARRIVAL:
-                node_name, input_index, tup = event.payload
-                deliver(self._nodes[node_name], input_index, tup, now)
-                fill_cores(now)
-            elif event.kind is EventKind.COMPLETION:
-                node_name, outputs = event.payload
-                node = self._nodes[node_name]
-                node.result.output_count += len(outputs)
-                if retain_outputs:
-                    node.result.outputs.extend(outputs)
-                if not node.warm_marked and now >= config.warmup:
-                    node.result.output_count_warm = (
-                        node.result.output_count - len(outputs)
-                    )
-                    node.warm_marked = True
-                for edge in node.edges:
-                    target = self._nodes[edge.target]
-                    for out in outputs:
-                        if edge.filter is not None and not edge.filter(out):
-                            continue
-                        tup = (
-                            edge.transform(out)
-                            if edge.transform is not None
-                            else out
-                        )
-                        if not isinstance(tup, StreamTuple):
-                            raise TypeError(
-                                f"edge {edge.source!r}->{edge.target!r} "
-                                "delivered a non-StreamTuple; provide a "
-                                "transform"
-                            )
-                        deliver(target, edge.target_input, tup, now)
-                fill_cores(now)
-            elif event.kind is EventKind.ADAPT:
-                interval = config.adaptation_interval
-
-                def adapt_all() -> None:
-                    for node in self._nodes.values():
-                        stats = [b.interval_stats() for b in node.buffers]
-                        node.operator.on_adapt(now, stats, interval)
-                        for i, gate in enumerate(node.admission):
-                            if gate is not None:
-                                gate.on_adapt(
-                                    now, stats[i].push_rate(interval)
-                                )
-                        for b in node.buffers:
-                            b.reset_interval()
-
-                if obs is not None:
-                    with obs.span("adapt"):
-                        adapt_all()
-                else:
-                    adapt_all()
-            elif event.kind is EventKind.MEASURE:
-                for node in self._nodes.values():
-                    for i, b in enumerate(node.buffers):
-                        node.result.queue_depth_series[i].append(
-                            now, len(b)
-                        )
-                        if obs is not None:
-                            obs_depth[node.name][i].observe(now, len(b))
-
-        window = config.duration - config.warmup
-        results: dict[str, NodeResult] = {}
-        for node in self._nodes.values():
-            r = node.result
-            if not node.warm_marked:
-                r.output_count_warm = r.output_count
-            warm = r.output_count - r.output_count_warm
-            r.output_rate = warm / window if window > 0 else 0.0
-            results[node.name] = r
-        return GraphResult(
-            nodes=results,
-            cpu_utilization=cpu.utilization(config.duration),
-            duration=config.duration,
-            warmup=config.warmup,
+        self._run = _Run(
+            list(self._nodes.values()), self._sources, cpu,
+            config or SimulationConfig(), SchedulingPolicy(policy),
+            retain_outputs, obs,
         )
+        return self._run.execute()

@@ -1,78 +1,31 @@
-"""The discrete-event simulation runtime: sources -> buffers -> operator.
+"""The single-operator host: sources -> buffers -> operator.
 
 One :class:`Simulation` wires stream sources through optional admission
 filters (drop operators) into per-stream input buffers, services them with
-a single operator on a simulated CPU, and measures the output rate.
-
-Event semantics
----------------
-
-* ``ARRIVAL`` — a tuple reaches its admission filter; if admitted it is
-  pushed to its buffer, and the server is kicked if idle.
-* ``COMPLETION`` — the operator finishes one tuple; its outputs are
-  stamped and counted, and the next buffered tuple (earliest timestamp
-  across buffer heads) begins service.
-* ``ADAPT`` — every ``adaptation_interval`` virtual seconds the operator's
-  :meth:`on_adapt` runs with each buffer's push/pop counts, after which the
-  interval counters reset.  This is the paper's ``Delta``.
-* ``MEASURE`` — statistics sampling (queue depths, cumulative output).
-* ``STOP`` — at ``duration``; remaining events are discarded.
+a single operator on a simulated CPU, and measures the output rate — all
+the paper's experiments need.  It owns no event loop: a run is a one-node
+:class:`~repro.engine.graph.DataflowGraph` (see that module for the event
+semantics, the end-of-run flush, result stamping and the error policy),
+and :class:`SimulationResult` is a view of that node's measurements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.obs.registry import Histogram
-from repro.streams.tuples import StreamTuple
-
-from .buffers import InputBuffer, OutputBuffer
-from .clock import VirtualClock
+from .buffers import OutputBuffer
 from .cpu import CpuModel
-from .events import EventKind, EventQueue
-from .metrics import SimulationResult, StreamCounters, TimeSeries
-from .operator import AdmissionFilter, ProcessReceipt, StreamOperator
+from .graph import DataflowGraph, SimulationConfig
+from .metrics import SimulationResult
+from .operator import AdmissionFilter, StreamOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Obs
 
+__all__ = ["Simulation", "SimulationConfig"]
 
-@dataclass(frozen=True, slots=True)
-class SimulationConfig:
-    """Run parameters.
-
-    Attributes:
-        duration: virtual seconds to simulate.  Paper default: 60.
-        warmup: leading seconds excluded from rate measurement.  Paper: 20.
-        adaptation_interval: the paper's ``Delta`` in seconds.
-        measure_interval: sampling period for depth/output series.
-        buffer_capacity: optional bound on each input buffer.
-        on_operator_error: ``"raise"`` propagates operator exceptions
-            (default — fail loudly during development); ``"skip"`` charges
-            a minimal service, drops the poisoned tuple and keeps the
-            stream flowing (production posture: one malformed tuple must
-            not take the query down).
-    """
-
-    duration: float = 60.0
-    warmup: float = 20.0
-    adaptation_interval: float = 5.0
-    measure_interval: float = 1.0
-    buffer_capacity: int | None = None
-    on_operator_error: str = "raise"
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError("warmup must lie in [0, duration)")
-        if self.adaptation_interval <= 0:
-            raise ValueError("adaptation_interval must be positive")
-        if self.measure_interval <= 0:
-            raise ValueError("measure_interval must be positive")
-        if self.on_operator_error not in ("raise", "skip"):
-            raise ValueError("on_operator_error must be 'raise' or 'skip'")
+#: the facade's node is anonymous, so its telemetry carries no ``node=``
+_NODE = ""
 
 
 class Simulation:
@@ -89,13 +42,10 @@ class Simulation:
             omitting the list) mean admit-all.
         retain_outputs: keep the actual result tuples (memory-heavy; tests
             use it, benchmarks do not).
-        obs: optional :class:`repro.obs.Obs` telemetry sink.  When given,
-            the runtime binds its virtual clock to it, records ``service``
-            spans (true busy durations), per-stream arrival/admission/drop
-            counters, per-stream queue-depth series, and ``adapt`` spans,
-            and calls ``bind_obs`` on the operator and admission filters
-            so they populate their own instruments.  ``None`` (default)
-            keeps all instrumentation off.
+        obs: optional :class:`repro.obs.Obs` telemetry sink, handed to
+            :meth:`DataflowGraph.run` (which lists what it records); the
+            facade's node is anonymous, so nothing carries a ``node=``
+            label.  ``None`` (default) keeps all instrumentation off.
     """
 
     def __init__(
@@ -124,278 +74,36 @@ class Simulation:
         )
         self.retain_outputs = retain_outputs
         self.obs = obs
-
-        self._clock = VirtualClock()
-        self._events = EventQueue()
-        self._buffers = [
-            InputBuffer(i, self.config.buffer_capacity)
-            for i in range(len(self.sources))
-        ]
-        self._output = OutputBuffer(retain=retain_outputs)
-        self._counters = [StreamCounters() for _ in self.sources]
-        self._latency_sum = 0.0
-        self._latency_count = 0
-        self._queue_series = [TimeSeries() for _ in self.sources]
-        self._throttle_series = TimeSeries()
-        self._output_series = TimeSeries()
-        self._warm_output_start: int | None = None
+        #: the operator's outputs (for tests inspecting results)
+        self.output_buffer = OutputBuffer(retain=retain_outputs)
         #: tuples dropped because the operator raised on them ("skip" mode)
         self.operator_errors = 0
-        #: always-on latency distribution (log2 buckets; cheap to fill)
-        self._latency_hist = Histogram("tuple_latency_seconds", ())
-        # cached obs instrument handles (populated by _obs_bind)
-        self._obs_arrived = None
-        self._obs_admitted = None
-        self._obs_dropped = None
-        self._obs_depth = None
-        if obs is not None:
-            self._obs_bind(obs)
-
-    def _obs_bind(self, obs: "Obs") -> None:
-        """Wire the telemetry sink: clock, cached handles, operator."""
-        obs.bind_clock(lambda: self._clock.now)
-        obs.registry.register(self._latency_hist)
-        streams = range(len(self.sources))
-        self._obs_arrived = [
-            obs.counter("stream_arrived_total", stream=i) for i in streams
-        ]
-        self._obs_admitted = [
-            obs.counter("stream_admitted_total", stream=i) for i in streams
-        ]
-        self._obs_dropped = [
-            {
-                reason: obs.counter(
-                    "stream_dropped_total", stream=i, reason=reason
-                )
-                for reason in ("admission", "buffer")
-            }
-            for i in streams
-        ]
-        self._obs_depth = [
-            obs.series("queue_depth", stream=i) for i in streams
-        ]
-        self.operator.bind_obs(obs)
-        for i, gate in enumerate(self.admission):
-            if gate is not None:
-                gate.bind_obs(obs, stream=i)
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return its measurements."""
-        cfg = self.config
-        self._schedule_arrivals(cfg.duration)
-        self._schedule_ticks(cfg)
-        self._events.push(cfg.duration, EventKind.STOP)
-
-        while self._events:
-            event = self._events.pop()
-            if event.time > cfg.duration:
-                break
-            self._clock.advance_to(event.time)
-            if event.kind is EventKind.STOP:
-                break
-            handler = {
-                EventKind.ARRIVAL: self._on_arrival,
-                EventKind.COMPLETION: self._on_completion,
-                EventKind.ADAPT: self._on_adapt,
-                EventKind.MEASURE: self._on_measure,
-            }[event.kind]
-            handler(event.payload)
-
-        self._drain_finish(cfg.duration)
-        return self._build_result()
-
-    @property
-    def output_buffer(self) -> OutputBuffer:
-        """The operator's output buffer (for tests inspecting results)."""
-        return self._output
-
-    # ------------------------------------------------------------------
-    # event scheduling
-    # ------------------------------------------------------------------
-
-    def _schedule_arrivals(self, until: float) -> None:
-        for source in self.sources:
-            for tup in source.iter_tuples(until):
-                self._events.push(
-                    tup.delivery_time, EventKind.ARRIVAL, tup
-                )
-
-    def _schedule_ticks(self, cfg: SimulationConfig) -> None:
-        t = cfg.adaptation_interval
-        while t <= cfg.duration:
-            self._events.push(t, EventKind.ADAPT)
-            t += cfg.adaptation_interval
-        t = cfg.measure_interval
-        while t <= cfg.duration:
-            self._events.push(t, EventKind.MEASURE)
-            t += cfg.measure_interval
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-
-    def _on_arrival(self, tup: StreamTuple) -> None:
-        now = self._clock.now
-        counters = self._counters[tup.stream]
-        counters.arrived += 1
-        if self._obs_arrived is not None:
-            self._obs_arrived[tup.stream].inc()
-        gate = self.admission[tup.stream]
-        if gate is not None and not gate.admit(tup, now):
-            counters.dropped_at_admission += 1
-            if self._obs_dropped is not None:
-                self._obs_dropped[tup.stream]["admission"].inc()
-            return
-        if self._buffers[tup.stream].push(tup):
-            counters.admitted += 1
-            if self._obs_admitted is not None:
-                self._obs_admitted[tup.stream].inc()
-        else:
-            counters.dropped_at_buffer += 1
-            if self._obs_dropped is not None:
-                self._obs_dropped[tup.stream]["buffer"].inc()
-        self._fill_cores()
-
-    def _on_completion(self, receipt_outputs) -> None:
-        now = self._clock.now
-        outputs, probe = receipt_outputs
-        for result in outputs:
-            result.timestamp = now
-        self._output.push_many(outputs)
-        if self._warm_output_start is None and now >= self.config.warmup:
-            self._warm_output_start = self._output.count - len(outputs)
-        self._latency_sum += now - probe.timestamp
-        self._latency_count += 1
-        self._latency_hist.observe(now - probe.timestamp)
-        self._fill_cores()
-
-    def _drain_finish(self, now: float) -> None:
-        """Collect the operator's end-of-run flush (deferred emissions
-        from anti/outer join modes).  Flushed results are stamped at the
-        stop time and counted like completions, but carry no service
-        latency — they were never serviced, only released."""
-        outputs = self.operator.on_finish(now)
-        if not outputs:
-            return
-        for result in outputs:
-            result.timestamp = now
-        self._output.push_many(outputs)
-        if self._warm_output_start is None and now >= self.config.warmup:
-            self._warm_output_start = self._output.count - len(outputs)
-
-    def _on_adapt(self, _payload) -> None:
-        now = self._clock.now
-        interval = self.config.adaptation_interval
-        stats = [buf.interval_stats() for buf in self._buffers]
-        if self.obs is not None:
-            with self.obs.span("adapt"):
-                self.operator.on_adapt(now, stats, interval)
-        else:
-            self.operator.on_adapt(now, stats, interval)
-        for i, gate in enumerate(self.admission):
-            if gate is not None:
-                gate.on_adapt(now, stats[i].push_rate(interval))
-        for buf in self._buffers:
-            buf.reset_interval()
-        throttle = getattr(self.operator, "throttle_fraction", None)
-        if throttle is not None:
-            self._throttle_series.append(now, throttle)
-
-    def _on_measure(self, _payload) -> None:
-        now = self._clock.now
-        for i, buf in enumerate(self._buffers):
-            self._queue_series[i].append(now, len(buf))
-            if self._obs_depth is not None:
-                self._obs_depth[i].observe(now, len(buf))
-        self._output_series.append(now, self._output.count)
-
-    # ------------------------------------------------------------------
-    # service
-    # ------------------------------------------------------------------
-
-    def _fill_cores(self) -> None:
-        """Start services until every core is busy or the buffers drain."""
-        while (
-            self.cpu.idle_cores(self._clock.now) > 0
-            and self._start_service()
-        ):
-            pass
-
-    def _start_service(self) -> bool:
-        buf = self._pick_buffer()
-        if buf is None:
-            return False
-        tup = buf.pop()
-        self._counters[tup.stream].consumed += 1
-        now = self._clock.now
-        try:
-            receipt = self.operator.process(tup, now)
-        except Exception:
-            if self.config.on_operator_error == "raise":
-                raise
-            self.operator_errors += 1
-            receipt = ProcessReceipt(comparisons=0, outputs=[])
-        done = self.cpu.begin(now, receipt.comparisons)
-        if self.obs is not None:
-            self.obs.spans.record(
-                "service",
-                start=now,
-                end=done,
-                labels={"stream": str(tup.stream)},
-                attrs={
-                    "seq": tup.seq,
-                    "comparisons": receipt.comparisons,
-                    "outputs": len(receipt.outputs),
-                },
-            )
-        self._events.push(
-            done, EventKind.COMPLETION, (receipt.outputs, tup)
+        graph = DataflowGraph()
+        graph.add_node(_NODE, self.operator, admission=self.admission)
+        for i, source in enumerate(self.sources):
+            graph.add_source(_NODE, i, source)
+        run = graph.run(
+            self.cpu, self.config, validate=False,
+            retain_outputs=self.retain_outputs, obs=self.obs,
         )
-        return True
-
-    def _pick_buffer(self) -> InputBuffer | None:
-        """Choose the non-empty buffer whose head tuple is oldest."""
-        best: InputBuffer | None = None
-        best_ts = float("inf")
-        for buf in self._buffers:
-            head = buf.head()
-            if head is not None and head.timestamp < best_ts:
-                best, best_ts = buf, head.timestamp
-        return best
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-
-    def _build_result(self) -> SimulationResult:
-        cfg = self.config
-        warm_start = (
-            self._warm_output_start
-            if self._warm_output_start is not None
-            else self._output.count
-        )
-        warm_count = self._output.count - warm_start
-        window = cfg.duration - cfg.warmup
-        mean_latency = (
-            self._latency_sum / self._latency_count
-            if self._latency_count
-            else 0.0
-        )
+        node = run.nodes[_NODE]
+        self.operator_errors = node.operator_errors
+        self.output_buffer.results = node.outputs
+        self.output_buffer.count = node.output_count
         return SimulationResult(
-            duration=cfg.duration,
-            warmup=cfg.warmup,
-            output_count=warm_count,
-            output_count_total=self._output.count,
-            output_rate=warm_count / window if window > 0 else 0.0,
-            streams=self._counters,
-            cpu_utilization=self.cpu.utilization(cfg.duration),
-            mean_latency=mean_latency,
-            queue_depths=self._queue_series,
-            throttle_series=self._throttle_series,
-            output_series=self._output_series,
-            latency_histogram=self._latency_hist,
+            duration=run.duration,
+            warmup=run.warmup,
+            output_count=node.output_count_warm,
+            output_count_total=node.output_count,
+            output_rate=node.output_rate,
+            streams=node.streams,
+            cpu_utilization=run.cpu_utilization,
+            mean_latency=node.mean_latency,
+            queue_depths=node.queue_depth_series,
+            throttle_series=node.throttle_series,
+            output_series=node.output_series,
+            latency_histogram=node.latency_histogram,
         )

@@ -71,12 +71,11 @@ P126   Worker telemetry (process runtime): worker telemetry is
        in a to-be-forked operator's state graph, and no two worker
        probes may reach the same telemetry object (cross-worker
        sharing) — see :func:`check_worker_telemetry`.
-P130   Mode/runtime compatibility: anti and outer joins defer emission
-       to window expiry plus an end-of-run flush; the graph runtime has
-       no flush, so those modes may not appear in a dataflow graph (or
-       a :class:`~repro.query.Query`).  Shard targets behind a router
-       additionally require the paper's home configuration — inner
-       mode over sliding windows.
+P130   Mode placement: shard targets behind a router require the
+       paper's home configuration — inner mode over sliding windows.
+       An anti or outer join with outgoing edges is a WARNING: its
+       end-of-run flush is recorded on the join node but travels no
+       edge (nothing is serviced after ``STOP``).
 P131   Shedding soundness: load shedding with an anti or outer join is
        an ERROR — dropping a tuple's matches turns the tuple into a
        spurious "survivor", inventing results instead of losing them.
@@ -682,8 +681,8 @@ def analyze_graph(
             )
 
     # P103 / P104 / P108 / P109 — per-operator window parameters
-    # P130 / P132 / P133 — join-mode runtime compatibility, session
-    # geometry, partition-index compatibility
+    # P130 / P132 / P133 — unforwarded flush, session geometry,
+    # partition-index compatibility
     from repro.core.windex import check_index_compat
     from repro.joins.columnar import supports_columnar
 
@@ -693,15 +692,18 @@ def analyze_graph(
         if window_sizes is not None and basic is not None:
             _check_join_windows(report, window_sizes, basic, name)
         mode = _join_mode_of(op)
-        if mode is not None and mode.value in ("anti", "outer"):
+        if (
+            mode is not None
+            and mode.value in ("anti", "outer")
+            and adjacency[name]
+        ):
             report.add(
                 "P130",
-                f"node {name!r} runs an {mode.value} join; those modes "
-                "defer emission to window expiry plus an end-of-run "
-                "flush, which the graph runtime does not perform — "
-                "survivors past the last arrival would be silently "
-                "dropped.  Run this mode through the Simulation "
-                "runtime",
+                f"node {name!r} runs an {mode.value} join with outgoing "
+                "edges; survivors released by the end-of-run flush are "
+                "recorded on this node but not forwarded (nothing is "
+                "serviced after STOP), so downstream stages miss them",
+                severity=Severity.WARNING,
                 node=name,
             )
         policy = _window_policy_of(op)
@@ -881,17 +883,6 @@ def analyze_query(
             node="join",
         )
 
-    # P130 — deferred-emission modes need the Simulation runtime
-    if mode in (JoinMode.ANTI, JoinMode.OUTER):
-        report.add(
-            "P130",
-            f"{mode.value} joins defer emission to window expiry plus "
-            "an end-of-run flush; the query's graph runtime performs "
-            "no flush, so survivors past the last arrival would be "
-            "silently dropped.  Run this mode through the Simulation "
-            "runtime instead",
-            node="join",
-        )
     # P131 — shedding soundness and policy support for variant modes
     if shedding in SHEDDING_POLICIES and shedding != "none":
         if mode in (JoinMode.ANTI, JoinMode.OUTER):

@@ -231,6 +231,10 @@ class Series(Instrument):
     def last(self) -> float | None:
         return self.values[-1] if self.values else None
 
+    def mean(self) -> float:
+        """Arithmetic mean of the values (0.0 if empty)."""
+        return sum(self.values) / len(self.values) if self.values else 0.0
+
 
 class MetricsRegistry:
     """Get-or-create store of instruments, keyed by ``(name, labels)``.

@@ -24,8 +24,9 @@ def shard_result_transform(
 ) -> Callable[[JoinResult], StreamTuple]:
     """Edge transform for ``shard -> merger``: pack a join result into a
     stream tuple stamped with the shard index and the result's logical
-    emission time (its youngest constituent's timestamp — graph nodes do
-    not restamp outputs, so this keeps merger-side ordering meaningful).
+    emission time — its youngest constituent's timestamp, which (unlike
+    the virtual completion time) the wall-clock procs runtime reproduces,
+    so ``Procs(K)`` and ``Sharded(K)`` order merged results identically.
     """
 
     def _pack(result: JoinResult) -> StreamTuple:

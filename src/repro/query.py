@@ -129,9 +129,8 @@ class Query:
 
         ``shedding``: ``grubjoin`` (window harvesting), ``randomdrop``
         (drop operators in front of the buffers) or ``none`` (plain
-        MJoin).  ``mode``: ``inner`` (default) or ``semi``; ``anti``
-        and ``outer`` are rejected at validation time (P130 — the graph
-        runtime has no end-of-run flush for their deferred emissions).
+        MJoin).  ``mode``: ``inner`` (default), ``semi``, ``anti`` or
+        ``outer`` (the last two only with ``shedding="none"`` — P131).
         Extra kwargs go to the join operator.
         """
         if shedding not in SHEDDING_POLICIES:
@@ -193,12 +192,6 @@ class Query:
         if m < 2:
             raise ValueError("a join needs at least two streams")
 
-        if self._mode in (JoinMode.ANTI, JoinMode.OUTER):
-            raise ValueError(
-                f"{self._mode.value} joins defer emission to an "
-                "end-of-run flush the graph runtime never performs "
-                "(P130); run them through the Simulation runtime"
-            )
         plain = self._mode is JoinMode.INNER and self._policy.is_sliding
         join_kwargs = dict(self._join_kwargs)
         if self._index is not None:

@@ -1,9 +1,15 @@
-"""Failure injection: poisoned tuples and operator exceptions."""
+"""Failure injection: poisoned tuples and operator exceptions.
+
+The error policy lives in the engine's one scheduler loop, so every case
+runs on both entry points: the ``Simulation`` facade and a plain
+``DataflowGraph`` node.
+"""
 
 import pytest
 
 from repro.engine import (
     CpuModel,
+    DataflowGraph,
     ProcessReceipt,
     Simulation,
     SimulationConfig,
@@ -34,34 +40,51 @@ def make_source(rate=20.0):
                                                               rng=0))
 
 
+def run_simulation(op, cpu, cfg):
+    sim = Simulation([make_source()], op, cpu, cfg)
+    res = sim.run()
+    return sim.operator_errors, res.output_count_total
+
+
+def run_graph(op, cpu, cfg):
+    graph = DataflowGraph()
+    graph.add_node("fragile", op)
+    graph.add_source("fragile", 0, make_source())
+    node = graph.run(cpu, cfg).nodes["fragile"]
+    return node.operator_errors, node.output_count
+
+
+HOSTS = (run_simulation, run_graph)
+
+
 class TestErrorPolicies:
     def test_raise_policy_propagates(self):
-        op = FragileOperator()
         cfg = SimulationConfig(duration=10.0, warmup=0.0,
                                on_operator_error="raise")
-        with pytest.raises(RuntimeError, match="poisoned"):
-            Simulation([make_source()], op, CpuModel(1e9), cfg).run()
+        for run in HOSTS:
+            with pytest.raises(RuntimeError, match="poisoned"):
+                run(FragileOperator(), CpuModel(1e9), cfg)
 
     def test_skip_policy_keeps_flowing(self):
-        op = FragileOperator(poison_below=10.0)  # ~10% of tuples poisoned
         cfg = SimulationConfig(duration=10.0, warmup=0.0,
                                on_operator_error="skip")
-        sim = Simulation([make_source()], op, CpuModel(1e9), cfg)
-        res = sim.run()
-        assert sim.operator_errors > 0
-        assert op.processed + sim.operator_errors == 200
-        assert res.output_count_total == op.processed
+        for run in HOSTS:
+            op = FragileOperator(poison_below=10.0)  # ~10% poisoned
+            errors, outputs = run(op, CpuModel(1e9), cfg)
+            assert errors > 0
+            assert op.processed + errors == 200
+            assert outputs == op.processed
 
     def test_skip_policy_charges_no_work_for_failures(self):
-        op = FragileOperator(poison_below=200.0)  # everything poisoned
         cfg = SimulationConfig(duration=5.0, warmup=0.0,
                                on_operator_error="skip")
-        cpu = CpuModel(1e9, tuple_overhead=1.0)
-        sim = Simulation([make_source()], op, cpu, cfg)
-        sim.run()
-        assert sim.operator_errors == 100
-        # only the per-tuple overhead was charged
-        assert cpu.busy_time == pytest.approx(100 * 1.0 / 1e9)
+        for run in HOSTS:
+            op = FragileOperator(poison_below=200.0)  # all poisoned
+            cpu = CpuModel(1e9, tuple_overhead=1.0)
+            errors, _ = run(op, cpu, cfg)
+            assert errors == 100
+            # only the per-tuple overhead was charged
+            assert cpu.busy_time == pytest.approx(100 * 1.0 / 1e9)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

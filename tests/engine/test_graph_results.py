@@ -66,6 +66,50 @@ class TestNodeResult:
         assert result.nodes["pass"].output_rate == 0.0
 
 
+class TestPerRunState:
+    def test_config_buffer_capacity_bounds_a_node_that_set_none(self):
+        def run(node_capacity):
+            g = DataflowGraph()
+            g.add_node("slow", FilterOperator(lambda v: True, cost=50),
+                       buffer_capacity=node_capacity)
+            g.add_source("slow", 0, StreamSource(0, ConstantRate(20.0),
+                                                 UniformProcess(rng=0)))
+            cfg = SimulationConfig(duration=8.0, warmup=0.0,
+                                   buffer_capacity=5)
+            return g.run(CpuModel(200.0), cfg).nodes["slow"]
+
+        node = run(None)
+        counters = node.streams[0]
+        queued = int(node.queue_depth_series[0].values[-1])
+        assert counters.dropped_at_buffer > 0
+        assert max(node.queue_depth_series[0].values) <= 5
+        assert counters.arrived == (
+            counters.consumed + queued + counters.dropped_at_buffer
+        )
+        # the node's own bound wins over the config's
+        roomy = run(1000)
+        assert roomy.streams[0].dropped_at_buffer == 0
+        assert max(roomy.queue_depth_series[0].values) > 5
+
+    def test_second_run_measures_from_zero(self):
+        from repro.streams import TraceSource
+
+        src = StreamSource(0, ConstantRate(10.0), UniformProcess(rng=0))
+        g = DataflowGraph()
+        g.add_node("pass", FilterOperator(lambda v: True))
+        g.add_source("pass", 0, TraceSource(0, list(src.generate(5.0))))
+        cfg = SimulationConfig(duration=5.0, warmup=1.0)
+        first = g.run(CpuModel(1e9), cfg, retain_outputs=True)
+        second = g.run(CpuModel(1e9), cfg, retain_outputs=True)
+        a, b = first.nodes["pass"], second.nodes["pass"]
+        assert a is not b
+        assert a.output_count == b.output_count == 50
+        assert a.streams == b.streams
+        assert a.outputs == b.outputs
+        assert a.output_series.values == b.output_series.values
+        assert a.latency_histogram.counts == b.latency_histogram.counts
+
+
 class TestFanOut:
     def test_one_node_feeds_two_consumers(self):
         g = DataflowGraph()

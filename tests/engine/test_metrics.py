@@ -2,44 +2,50 @@
 
 import pytest
 
-from repro.engine import SimulationResult, StreamCounters, TimeSeries
+from repro.engine import SimulationResult, StreamCounters
 from repro.obs import Histogram
+from repro.obs.registry import Series
 
 
 class TestTimeSeries:
+    """The (time, value) series on result objects — ``obs.registry.Series``
+    now that the engine's own series type is folded into it."""
+
     def test_append_and_read(self):
-        ts = TimeSeries()
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 20.0)
+        # the loop feeds integer samples (queue depth, cumulative
+        # output); they are stored as floats
+        ts = Series("queue_depth", ())
+        ts.observe(1, 10)
+        ts.observe(2.0, 20.0)
         assert ts.times == [1.0, 2.0]
         assert ts.values == [10.0, 20.0]
+        assert all(type(v) is float for v in ts.times + ts.values)
         assert len(ts) == 2
 
     def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.append(2.0, 1.0)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            ts.append(1.0, 1.0)
+        ts = Series("queue_depth", ())
+        ts.observe(2.0, 1.0)
+        with pytest.raises(ValueError, match="time order"):
+            ts.observe(1.0, 1.0)
 
     def test_equal_times_allowed(self):
         # several events can share one virtual instant (adaptation and
         # measure ticks landing on the same event time) — equal is legal,
         # only strictly-backwards appends are rejected
-        ts = TimeSeries()
-        ts.append(1.0, 1.0)
-        ts.append(1.0, 2.0)
-        ts.append(1.0, 3.0)
-        assert len(ts) == 3
+        ts = Series("queue_depth", ())
+        ts.observe(1.0, 1.0)
+        ts.observe(1.0, 2.0)
+        ts.observe(1.0, 3.0)
         assert ts.values == [1.0, 2.0, 3.0]
-        ts.append(2.0, 4.0)
+        ts.observe(2.0, 4.0)
         assert len(ts) == 4
 
     def test_last_and_mean(self):
-        ts = TimeSeries()
+        ts = Series("queue_depth", ())
         assert ts.last() is None
         assert ts.mean() == 0.0
-        ts.append(0.0, 4.0)
-        ts.append(1.0, 8.0)
+        ts.observe(0.0, 4.0)
+        ts.observe(1.0, 8.0)
         assert ts.last() == 8.0
         assert ts.mean() == 6.0
 
@@ -58,9 +64,10 @@ class TestSimulationResult:
             ],
             cpu_utilization=0.8,
             mean_latency=0.1,
-            queue_depths=[TimeSeries(), TimeSeries()],
-            throttle_series=TimeSeries(),
-            output_series=TimeSeries(),
+            queue_depths=[Series("queue_depth", ()),
+                          Series("queue_depth", ())],
+            throttle_series=Series("throttle_fraction", ()),
+            output_series=Series("output_count", ()),
         )
 
     def test_measurement_window(self):

@@ -93,6 +93,20 @@ class TestSimulationBasics:
         # arrived = consumed + still queued + dropped (no other sinks)
         assert s.arrived == s.consumed + queued + s.dropped_at_buffer
 
+    def test_hosts_a_tuple_emitting_operator(self):
+        # pass-through outputs are frozen StreamTuples that already carry
+        # their timestamp: the host counts them without restamping
+        from repro.engine import FilterOperator
+
+        cfg = SimulationConfig(duration=10.0, warmup=0.0)
+        sim = Simulation(make_sources(), FilterOperator(lambda v: True),
+                         CpuModel(1e9), cfg, retain_outputs=True)
+        res = sim.run()
+        assert res.output_count_total == 100
+        kept = sim.output_buffer.results
+        assert [t.seq for t in kept] == list(range(100))
+        assert kept[-1].timestamp < 10.0  # arrival time, not completion
+
     def test_mean_latency_positive_under_load(self):
         op = EchoOperator(cost=100)
         cfg = SimulationConfig(duration=5.0, warmup=0.0)

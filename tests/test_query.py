@@ -76,6 +76,28 @@ class TestExecution:
         assert result.stage("where0").consumed == join_out
         assert result.stage("aggregate2").output_count > 0
 
+    def test_stages_downstream_of_the_join_see_emission_times(self):
+        # join results are stamped with their completion time, so a
+        # windowed aggregate behind the join has something to window on
+        from repro.engine import CpuModel, SimulationConfig
+
+        graph, query = (
+            self._base_query(rng=0)
+            .project(lambda r: max(t.value for t in r.constituents))
+            .aggregate("count", window=2.0, slide=1.0)
+            .build(capacity=1e12)
+        )
+        result = graph.run(
+            CpuModel(1e12),
+            SimulationConfig(duration=12.0, warmup=4.0,
+                             adaptation_interval=2.0),
+            retain_outputs=True,
+        )
+        joined = result.nodes["join"].outputs
+        assert joined and all(r.timestamp > 0 for r in joined)
+        windows = result.nodes[query.stage_names[-1]].outputs
+        assert max(w.value for w in windows) > 0
+
     def test_default_projection(self):
         result = (
             self._base_query(rng=0)
