@@ -17,12 +17,24 @@ search on the timestamp arrays, so no linear scan is ever needed.
 Tuples inside one join window come from a single stream and are inserted in
 timestamp order, so every physical basic window keeps its timestamps
 sorted, which is what makes the binary-search slicing valid.
+
+What a cut costs.  Each basic window also keeps its first and last
+timestamp as plain floats, and :meth:`BasicWindow.slice_between` answers a
+bound that falls outside them by comparison alone.  A harvested run over
+many logical windows covers its interior physical windows whole, so it
+pays at most two searches — in the windows its two bounds fall inside —
+whatever ``n`` is; membership is still decided on actual timestamps in
+every window visited, never inferred from ring positions.
+:meth:`PartitionedWindow.full_slices` caches the whole-window slices of
+the frozen windows until one of *them* changes (rotation, late insert,
+eviction), not until the next insert into the filling window.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -48,8 +60,8 @@ class BasicWindow:
     """
 
     __slots__ = (
-        "mode", "dim", "tuples", "_ts", "_vals", "_count", "version",
-        "windex",
+        "mode", "dim", "tuples", "_ts", "_vals", "_count", "_first", "_last",
+        "version", "windex",
     )
 
     def __init__(self, mode: str = SCALAR, dim: int | None = None) -> None:
@@ -70,6 +82,10 @@ class BasicWindow:
         else:
             self._vals = None
         self._count = 0
+        #: ``_ts[0]`` and ``_ts[_count - 1]`` as python floats, so ordering
+        #: checks and :meth:`slice_between`'s guards never read the array;
+        #: meaningless while the window is empty
+        self._first = self._last = 0.0
         #: bumped on every mutation; lets external indexes detect staleness
         self.version = 0
         #: shared per-stream partition-index state
@@ -94,21 +110,26 @@ class BasicWindow:
 
     def append(self, tup: StreamTuple) -> None:
         """Add a tuple; its timestamp must not precede the last one."""
-        if self._count and tup.timestamp < self._ts[self._count - 1]:
+        ts = float(tup.timestamp)
+        count = self._count
+        if count == 0:
+            self._first = ts
+        elif ts < self._last:
             raise ValueError(
                 "basic window appends must be timestamp-ordered "
-                f"({tup.timestamp} < {self._ts[self._count - 1]}); "
+                f"({ts} < {self._last}); "
                 "use insert_sorted for out-of-order arrivals"
             )
-        if self._count == len(self._ts):
+        if count == len(self._ts):
             self._grow()
-        self._ts[self._count] = tup.timestamp
+        self._ts[count] = ts
+        self._last = ts
         if self.mode == SCALAR:
-            self._vals[self._count] = tup.value
+            self._vals[count] = tup.value
         elif self.mode == VECTOR:
-            self._vals[self._count] = np.asarray(tup.value, dtype=np.float64)
+            self._vals[count] = np.asarray(tup.value, dtype=np.float64)
         self.tuples.append(tup)
-        self._count += 1
+        self._count = count + 1
         self.version += 1
 
     def insert_sorted(self, tup: StreamTuple) -> None:
@@ -118,12 +139,13 @@ class BasicWindow:
         because disorder is bounded to one basic window's worth of tuples
         and late arrivals are the exception, not the rule.
         """
-        if self._count == 0 or tup.timestamp >= self._ts[self._count - 1]:
+        if self._count == 0 or tup.timestamp >= self._last:
             self.append(tup)
             return
-        pos = int(
-            np.searchsorted(self.timestamps, tup.timestamp, side="right")
-        )
+        ts = float(tup.timestamp)
+        pos = int(self._ts[: self._count].searchsorted(ts, "right"))
+        if pos == 0:
+            self._first = ts
         if self._count == len(self._ts):
             self._grow()
         # .copy() the shifted block: numpy overlapping slice assignment
@@ -131,7 +153,7 @@ class BasicWindow:
         self._ts[pos + 1 : self._count + 1] = self._ts[
             pos : self._count
         ].copy()
-        self._ts[pos] = tup.timestamp
+        self._ts[pos] = ts
         if self.mode == SCALAR:
             self._vals[pos + 1 : self._count + 1] = self._vals[
                 pos : self._count
@@ -169,10 +191,32 @@ class BasicWindow:
     def slice_between(self, ts_lo: float, ts_hi: float) -> tuple[int, int]:
         """Index range ``[lo, hi)`` of tuples with timestamp in
         ``(ts_lo, ts_hi]`` (half-open on the old side, matching the logical
-        basic window definition)."""
-        ts = self.timestamps
-        lo = int(np.searchsorted(ts, ts_lo, side="right"))
-        hi = int(np.searchsorted(ts, ts_hi, side="right"))
+        basic window definition).
+
+        Each side is ``searchsorted(timestamps, bound, "right")``, but a
+        bound outside ``[first, last)`` is answered from the two cached
+        end timestamps without a search: ``first > bound`` means no row
+        is ``<= bound`` (index 0), ``last <= bound`` means every row is
+        (index ``count``) — by definition what the search would return.
+        A run over many physical windows therefore searches only the (at
+        most two) windows its bounds actually fall inside.
+        """
+        count = self._count
+        if count == 0:
+            return 0, 0
+        first, last = self._first, self._last
+        if first > ts_lo:
+            lo = 0
+        elif last <= ts_lo:
+            lo = count
+        else:
+            lo = int(self._ts[:count].searchsorted(ts_lo, "right"))
+        if last <= ts_hi:
+            hi = count
+        elif first > ts_hi:
+            hi = 0
+        else:
+            hi = int(self._ts[:count].searchsorted(ts_hi, "right"))
         return lo, hi
 
 
@@ -183,7 +227,7 @@ class WindowSlice:
     to scan an evenly distributed sample of the window.
     """
 
-    __slots__ = ("window", "lo", "hi", "step")
+    __slots__ = ("window", "lo", "hi", "step", "_len")
 
     def __init__(
         self, window: BasicWindow, lo: int, hi: int, step: int = 1
@@ -194,16 +238,23 @@ class WindowSlice:
         self.lo = lo
         self.hi = hi
         self.step = step
+        span = hi - lo
+        self._len = (span + step - 1) // step if span > 0 else 0
 
     def __len__(self) -> int:
-        span = self.hi - self.lo
-        if span <= 0:
-            return 0
-        return (span + self.step - 1) // self.step
+        return self._len
 
     @property
     def values(self) -> np.ndarray | list:
-        return self.window.values[self.lo : self.hi : self.step]
+        """The selected rows' join-attribute values: a view of the value
+        column (scalar / vector storage) or a list built from the selected
+        tuples only (generic storage) — ``O(len(self))`` either way."""
+        window = self.window
+        if window._vals is not None:
+            return window._vals[self.lo : self.hi : self.step]
+        return [
+            t.value for t in window.tuples[self.lo : self.hi : self.step]
+        ]
 
     @property
     def tuples(self) -> list[StreamTuple]:
@@ -234,8 +285,9 @@ class PartitionedWindow:
 
     __slots__ = (
         "window_size", "basic_window_size", "n", "mode", "policy", "_ring",
-        "_epoch_start", "rotations", "version", "windex",
-        "_fs_key", "_fs_prefix", "_fs_now", "_fs_full",
+        "_epoch_start", "rotations", "version", "_frozen_version", "windex",
+        "_fs_key", "_fs_frozen", "_fs_live_version", "_fs_live",
+        "_fs_now", "_fs_full",
     )
 
     def __init__(
@@ -277,14 +329,20 @@ class PartitionedWindow:
         #: rotation-epoch counter: increments once per basic-window rotation
         self.rotations = 0
         #: bumped on every content mutation that is not a rotation
-        #: (insert, early eviction); ``(rotations, version)`` together key
-        #: the slice caches below
+        #: (insert, early eviction)
         self.version = 0
-        # full_slices cache: the k < n slices depend only on
-        # (rotations, version); only the oldest window's tail cut moves
-        # with ``now``, so it is re-cut on a prefix hit.
+        #: bumped only by the mutations that can touch a window other than
+        #: the filling one: a late insert into ring ``k >= 1``, an eviction
+        self._frozen_version = 0
+        # full_slices cache, in three parts keyed on what changes each:
+        # ring 1..n-1 (whole frozen windows) per (rotations,
+        # _frozen_version); the filling window's slice per version; the
+        # assembled list, whose oldest-window cut moves with ``now``, per
+        # distinct call time.
         self._fs_key: tuple[int, int] | None = None
-        self._fs_prefix: list[WindowSlice] = []
+        self._fs_frozen: list[WindowSlice] = []
+        self._fs_live_version = -1
+        self._fs_live: list[WindowSlice] = []
         self._fs_now: float | None = None
         self._fs_full: list[WindowSlice] = []
 
@@ -347,11 +405,13 @@ class PartitionedWindow:
         if k > self.n:
             return
         target = self._ring[k]
-        if len(target) and tup.timestamp < target.timestamps[-1]:
+        if target._count and tup.timestamp < target._last:
             target.insert_sorted(tup)
         else:
             target.append(tup)
         self.version += 1
+        if k:
+            self._frozen_version += 1
         if self.windex is not None and self.windex.needs_sensor:
             self.windex.observe(tup.value)
 
@@ -365,6 +425,26 @@ class PartitionedWindow:
         if offset <= 0:
             return 0
         return math.ceil(offset / self.basic_window_size)
+
+    def _slices_between(
+        self, ts_lo: float, ts_hi: float
+    ) -> list[WindowSlice]:
+        """Non-empty slices of the rows with timestamp in ``(ts_lo, ts_hi]``,
+        newest physical window first.
+
+        Ring arithmetic only picks which windows to visit; membership is
+        decided inside each by :meth:`BasicWindow.slice_between` on actual
+        timestamps, because a row was placed against the ``_epoch_start``
+        of its insertion (or of a checkpoint restore), not today's.
+        """
+        k_first = self._ring_index_of(ts_hi)
+        k_last = min(self._ring_index_of(ts_lo), self.n)
+        slices = []
+        for window in islice(self._ring, k_first, k_last + 1):
+            lo, hi = window.slice_between(ts_lo, ts_hi)
+            if hi > lo:
+                slices.append(WindowSlice(window, lo, hi))
+        return slices
 
     def logical_window_slices(
         self, j: int, now: float, reference: float | None = None
@@ -386,27 +466,20 @@ class PartitionedWindow:
         if reference is None:
             reference = now
         b = self.basic_window_size
-        ts_hi = reference - (j - 1) * b
-        ts_lo = reference - j * b
-        k_first = self._ring_index_of(ts_hi)
-        k_last = min(self._ring_index_of(ts_lo), self.n)
-        slices = []
-        for k in range(k_first, k_last + 1):
-            window = self._ring[k]
-            lo, hi = window.slice_between(ts_lo, ts_hi)
-            if hi > lo:
-                slices.append(WindowSlice(window, lo, hi))
-        return slices
+        return self._slices_between(reference - j * b, reference - (j - 1) * b)
 
     def full_slices(self, now: float) -> list[WindowSlice]:
         """Slices covering the entire unexpired window (ages in
         ``[0, n*b)``) — what a full, non-harvested join probes.
 
-        Cached per ``(rotations, version)``: the slices over the ``n``
-        non-oldest physical windows always span their full contents, so
-        they are reused until the next mutation; only the oldest window's
-        expiration cut depends on ``now`` and is redone per distinct call
-        time.  Treat the returned list as immutable.
+        The slices over the ``n`` non-oldest physical windows always span
+        their full contents, and each part is cached on what can change
+        it: the frozen windows (ring ``1..n-1``) until the next rotation,
+        late insert or eviction — *not* per insert into the filling
+        window, which is what most probes of an m-way join follow — the
+        filling window's slice until the next insert, and the assembled
+        list per call time, since only the oldest window's expiration cut
+        depends on ``now``.  Treat the returned list as immutable.
 
         Under a non-sliding :attr:`policy` the live set is the sliding
         set further restricted by the policy's inclusive lower timestamp
@@ -416,26 +489,32 @@ class PartitionedWindow:
         self.rotate_to(now)
         if not self.policy.is_sliding:
             return self._policy_slices(now)
-        key = (self.rotations, self.version)
-        if key == self._fs_key:
-            if now == self._fs_now:
-                return self._fs_full
-            prefix = self._fs_prefix
-        else:
-            prefix = []
-            for k in range(self.n):
-                window = self._ring[k]
-                if len(window):
-                    prefix.append(WindowSlice(window, 0, len(window)))
+        ring = self._ring
+        key = (self.rotations, self._frozen_version)
+        if key != self._fs_key:
             self._fs_key = key
-            self._fs_prefix = prefix
-        slices = list(prefix)
-        oldest = self._ring[self.n]
-        if len(oldest):
-            ts_lo = now - self.n * self.basic_window_size
-            lo, hi = oldest.slice_between(ts_lo, now)
-            if hi > lo:
-                slices.append(WindowSlice(oldest, lo, hi))
+            self._fs_frozen = [
+                WindowSlice(window, 0, window._count)
+                for window in islice(ring, 1, self.n)
+                if window._count
+            ]
+            # no version is negative: falls through to a fresh assembly
+            self._fs_live_version = -1
+        if self.version != self._fs_live_version:
+            self._fs_live_version = self.version
+            live = ring[0]
+            self._fs_live = (
+                [WindowSlice(live, 0, live._count)] if live._count else []
+            )
+        elif now == self._fs_now:
+            return self._fs_full
+        slices = self._fs_live + self._fs_frozen
+        oldest = ring[self.n]
+        lo, hi = oldest.slice_between(
+            now - self.n * self.basic_window_size, now
+        )
+        if hi > lo:
+            slices.append(WindowSlice(oldest, lo, hi))
         self._fs_now = now
         self._fs_full = slices
         return slices
@@ -491,11 +570,15 @@ class PartitionedWindow:
 
         Equivalent to concatenating :meth:`logical_window_slices` for each
         ``j`` in the run and coalescing touching slices (adjacent logical
-        windows always abut inside a shared physical window), but pays two
-        binary searches per *physical* window instead of two per logical
-        window: the once-per-configuration run decomposition of
+        windows always abut inside a shared physical window), but pays at
+        most two binary searches per *run* — one in each physical window
+        a bound of the run falls inside; the windows between them are
+        taken whole on a comparison of their end timestamps — instead of
+        two per logical window: with the once-per-configuration run
+        decomposition of
         :meth:`repro.core.harvesting.HarvestConfiguration.selected_runs`
-        makes the per-probe harvest slicing linear in the number of runs.
+        the searching a harvested probe does is linear in the number of
+        runs, not in ``n``.
         """
         if not 1 <= j_lo <= j_hi <= self.n:
             raise ValueError(
@@ -505,19 +588,9 @@ class PartitionedWindow:
         if reference is None:
             reference = now
         b = self.basic_window_size
-        ts_hi = reference - (j_lo - 1) * b
-        ts_lo = reference - j_hi * b
-        k_first = self._ring_index_of(ts_hi)
-        k_last = min(self._ring_index_of(ts_lo), self.n)
-        slices = []
-        for k in range(k_first, k_last + 1):
-            window = self._ring[k]
-            if len(window) == 0:
-                continue
-            lo, hi = window.slice_between(ts_lo, ts_hi)
-            if hi > lo:
-                slices.append(WindowSlice(window, lo, hi))
-        return slices
+        return self._slices_between(
+            reference - j_hi * b, reference - (j_lo - 1) * b
+        )
 
     def evict_older_than(self, age: float, now: float) -> int:
         """Early-evict every basic window wholly older than ``age`` seconds.
@@ -542,7 +615,32 @@ class PartitionedWindow:
                 window.clear()
         if evicted:
             self.version += 1
+            self._frozen_version += 1
         return evicted
+
+    def evict_basic_window(self, k: int) -> int:
+        """Early-evict physical basic window ``k`` (ring index, ``1..n``;
+        the filling window ``0`` is not evictable) and return the number
+        of tuples dropped.
+
+        The one way for an outside policy (memory-limited joins) to empty
+        a single window: clearing a ring window directly would leave the
+        :meth:`full_slices` cache holding a slice past its new length.
+        """
+        if not 1 <= k <= self.n:
+            raise ValueError(f"ring index {k} out of [1, {self.n}]")
+        window = self._ring[k]
+        evicted = len(window)
+        if evicted:
+            window.clear()
+            self.version += 1
+            self._frozen_version += 1
+        return evicted
+
+    def basic_window_sizes(self) -> list[int]:
+        """Stored tuples per physical basic window, ring index 0 (the
+        filling one) first."""
+        return [len(w) for w in self._ring]
 
     def count_unexpired(self, now: float) -> int:
         """Number of tuples with age under ``n*b``."""

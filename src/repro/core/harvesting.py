@@ -149,8 +149,8 @@ class HarvestConfiguration:
         scanned/matched/comparison accounting and identical output *sets*
         — but enumerates slices run-by-run (ascending logical index,
         strided fractional tail first) rather than in merged rank order,
-        and pays two binary searches per (run, physical window) instead of
-        two per logical window plus a sort.
+        and pays at most two binary searches per run instead of two per
+        logical window plus a sort.
         """
         slices: list[WindowSlice] = []
         partial = self.fractional_window(i, j)

@@ -1,18 +1,29 @@
 """Event queue for the discrete-event simulator.
 
-Events are ``(time, priority, seq)``-ordered: ties in time are broken by an
-explicit priority class, then by insertion order.  The priority classes
-make the semantics of simultaneous events well-defined — e.g. an adaptation
-tick scheduled at the same instant as a tuple arrival observes the buffer
-state *before* that arrival.
+Events are plain tuples ordered ``(time, kind, seq)``: ties in time are
+broken by an explicit priority class, then by insertion order.  The
+priority classes make the semantics of simultaneous events well-defined —
+e.g. an adaptation tick scheduled at the same instant as a tuple arrival
+observes the buffer state *before* that arrival.  ``seq`` is unique per
+queue, so the tuple comparison (``tuple.__lt__``, entirely in C) never
+reaches the payload.
+
+The queue keeps two stores.  Events known before the run starts — every
+arrival of a frozen trace, the adaptation and measurement ticks, the stop
+— are handed over once through :meth:`EventQueue.schedule`, sorted once,
+and consumed from the end of that list; they are never heap entries,
+because a heap holding all ``N`` arrivals makes each of the run's
+pushes and pops sift through ``log2 N`` levels for events whose order was
+known up front.  The heap holds only what is pushed while the run is
+under way (service completions: at most one per core), and :meth:`pop`
+returns the smaller of the two heads.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 
 class EventKind(IntEnum):
@@ -25,28 +36,47 @@ class EventKind(IntEnum):
     STOP = 4           # end of simulation
 
 
-@dataclass(order=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled simulation event."""
 
     time: float
     kind: EventKind
     seq: int
-    payload: Any = field(compare=False, default=None)
+    payload: Any = None
 
 
 class EventQueue:
-    """A min-heap of :class:`Event` objects."""
+    """A min-priority queue of :class:`Event` tuples."""
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_scheduled", "_heap", "_seq")
 
     def __init__(self) -> None:
+        #: bulk-loaded events, sorted descending: the earliest is last, so
+        #: consuming it is ``list.pop()`` and releases the entry
+        self._scheduled: list[Event] = []
+        #: events pushed one at a time
         self._heap: list[Event] = []
         self._seq = 0
 
+    def schedule(self, entries: Iterable[tuple[float, EventKind, Any]]) -> None:
+        """Bulk-load ``(time, kind, payload)`` entries known in advance.
+
+        Entries take consecutive ``seq`` numbers in iteration order, exactly
+        as if each had been :meth:`push`\\ ed in turn, and are sorted once.
+        May be called again later; the new entries merge with whatever is
+        still scheduled.
+        """
+        scheduled = self._scheduled
+        seq = self._seq
+        for time, kind, payload in entries:
+            scheduled.append(Event(time, kind, seq, payload))
+            seq += 1
+        self._seq = seq
+        scheduled.sort(reverse=True)
+
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns it (useful for inspection in tests)."""
-        event = Event(time=time, kind=kind, seq=self._seq, payload=payload)
+        event = Event(time, kind, self._seq, payload)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event
@@ -57,14 +87,20 @@ class EventQueue:
         Raises:
             IndexError: if the queue is empty.
         """
-        return heapq.heappop(self._heap)
+        scheduled, heap = self._scheduled, self._heap
+        if scheduled and (not heap or scheduled[-1] < heap[0]):
+            return scheduled.pop()
+        return heapq.heappop(heap)
 
     def peek_time(self) -> float | None:
         """Time of the earliest event, or None if empty."""
-        return self._heap[0].time if self._heap else None
+        scheduled, heap = self._scheduled, self._heap
+        if scheduled and (not heap or scheduled[-1] < heap[0]):
+            return scheduled[-1].time
+        return heap[0].time if heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._scheduled) + len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._scheduled or self._heap)

@@ -44,7 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.obs.registry import Histogram, Series, label_key
 from repro.streams.tuples import StreamTuple
@@ -368,35 +368,39 @@ class _Run:
                 "stream_dropped_total", reason="buffer", **labels
             ).inc(c.dropped_at_buffer)
 
-    def execute(self) -> GraphResult:
+    def _known_events(self) -> Iterator[tuple[float, EventKind, Any]]:
+        """Everything known before the run starts, in the order that
+        fixes the ``seq`` tie-break: arrivals source by source, then the
+        adaptation ticks, the measurement ticks and the stop."""
         cfg = self.config
-        events = self.events
         for name, index, source in self._sources:
             port = self.nodes[name].ports[index]
             for tup in source.iter_tuples(cfg.duration):
-                events.push(tup.delivery_time, EventKind.ARRIVAL,
-                            (port, tup))
+                yield tup.delivery_time, EventKind.ARRIVAL, (port, tup)
         for kind, step in ((EventKind.ADAPT, cfg.adaptation_interval),
                            (EventKind.MEASURE, cfg.measure_interval)):
             t = step
             while t <= cfg.duration:
-                events.push(t, kind)
+                yield t, kind, None
                 t += step
-        events.push(cfg.duration, EventKind.STOP)
+        yield cfg.duration, EventKind.STOP, None
+
+    def execute(self) -> GraphResult:
+        cfg = self.config
+        events = self.events
+        events.schedule(self._known_events())
 
         while events:
-            event = events.pop()
-            now = event.time
+            now, kind, _, payload = events.pop()
             if now > cfg.duration:
                 break
             self.clock.advance_to(now)
-            kind = event.kind
             if kind is EventKind.ARRIVAL:
-                port, tup = event.payload
+                port, tup = payload
                 if self._deliver(port, tup, now):
                     self._fill_cores(now)
             elif kind is EventKind.COMPLETION:
-                self._on_completion(*event.payload, now)
+                self._on_completion(*payload, now)
             elif kind is EventKind.ADAPT:
                 self._on_adapt(now)
             elif kind is EventKind.MEASURE:

@@ -150,16 +150,14 @@ class MemoryLimitedMJoin(StreamOperator):
             if victim is None:
                 return
             window, ring_index = victim
-            basic = window._ring[ring_index]
-            self.tuples_evicted += len(basic)
-            basic.clear()
+            self.tuples_evicted += window.evict_basic_window(ring_index)
 
     def _candidates(self, now: float):
         """Non-empty, non-filling basic windows as (stream, ring index)."""
         for l, window in enumerate(self.windows):
             window.rotate_to(now)
-            for k in range(1, window.n + 1):
-                if len(window._ring[k]):
+            for k, size in enumerate(window.basic_window_sizes()):
+                if k and size:
                     yield l, k
 
     def _pick_victim(self, now: float):

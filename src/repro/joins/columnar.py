@@ -125,12 +125,12 @@ def run_pipeline_columnar(
                 completed = False
                 break
         else:
+            # SCALAR storage (supports_columnar): every slice's values
+            # are already a float64 view of its window's value column
             if len(slices) == 1:
-                pool = np.asarray(slices[0].values, dtype=np.float64)
+                pool = slices[0].values
             else:
-                pool = np.concatenate(
-                    [np.asarray(s.values, dtype=np.float64) for s in slices]
-                )
+                pool = np.concatenate([s.values for s in slices])
             eff_total = total
         stats.scanned = num_partials * eff_total
         result.comparisons += stats.scanned
@@ -221,9 +221,7 @@ def _indexed_pool(
             rows = state.candidate_rows(s, glo, ghi, parts=parts)
             if rows is None:
                 # window too small to index: the whole slice competes
-                pool_parts.append(
-                    np.asarray(s.values, dtype=np.float64)
-                )
+                pool_parts.append(s.values)
                 sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
             elif len(rows):
                 pool_parts.append(s.window.values[rows])
@@ -265,9 +263,7 @@ def _hash_pool(
             t = table_for(s.window)
             if t is None:
                 # window too small to index: the whole slice competes
-                pool_parts.append(
-                    np.asarray(s.values, dtype=np.float64)
-                )
+                pool_parts.append(s.values)
                 sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
                 pos += ln
                 continue
@@ -316,9 +312,7 @@ def _hash_pool(
                 s, key, key, parts=parts
             )
             if rows is None:
-                pool_parts.append(
-                    np.asarray(s.values, dtype=np.float64)
-                )
+                pool_parts.append(s.values)
                 sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
             elif len(rows):
                 pool_parts.append(s.window.values[rows])

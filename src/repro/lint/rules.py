@@ -405,8 +405,11 @@ def _check_float_equality(tree: ast.AST, ctx: RuleContext) -> list[Diagnostic]:
 # R006 — hot-path classes declare __slots__
 # --------------------------------------------------------------------------
 
-#: base-class name fragments exempting a class (no instance dict of ours)
-_SLOTS_EXEMPT_BASES = ("Enum", "Exception", "Error", "ABC", "Protocol")
+#: base-class name fragments exempting a class (no instance dict of ours);
+#: a ``NamedTuple`` sets ``__slots__ = ()`` itself and rejects one in its body
+_SLOTS_EXEMPT_BASES = (
+    "Enum", "Exception", "Error", "ABC", "Protocol", "NamedTuple",
+)
 
 
 def _has_slots(cls: ast.ClassDef) -> bool:

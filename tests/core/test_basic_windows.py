@@ -57,6 +57,40 @@ class TestBasicWindow:
         lo, hi = bw.slice_between(2.0, 5.0)  # (2, 5] -> ts 3, 4, 5
         assert list(bw.timestamps[lo:hi]) == [3, 4, 5]
 
+    def test_slice_between_follows_first_and_last_through_mutation(self):
+        """The O(1) guards read cached end timestamps; every mutation
+        that moves an end must move them too."""
+
+        def searched(bw, ts_lo, ts_hi):
+            ts = bw.timestamps
+            return (int(np.searchsorted(ts, ts_lo, side="right")),
+                    int(np.searchsorted(ts, ts_hi, side="right")))
+
+        bounds = [-1.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.5, 9.0]
+        bw = BasicWindow()
+
+        def check():
+            for ts_lo in bounds:
+                for ts_hi in bounds:
+                    assert bw.slice_between(ts_lo, ts_hi) == searched(
+                        bw, ts_lo, ts_hi
+                    )
+
+        check()  # empty
+        for ts in (2.0, 3.0, 3.0, 4.0):
+            bw.append(tup(ts))
+        check()
+        bw.insert_sorted(tup(1.0))  # late arrival at position 0
+        assert bw.timestamps[0] == 1.0
+        check()
+        bw.insert_sorted(tup(3.5))  # mid
+        bw.insert_sorted(tup(4.0))  # ties the last row: appended
+        check()
+        bw.clear()
+        check()
+        bw.append(tup(0.5))  # recycled: the ends restart
+        check()
+
     def test_vector_mode(self):
         bw = BasicWindow(mode="vector", dim=2)
         bw.append(tup(0, value=np.array([1.0, 2.0])))
@@ -97,6 +131,49 @@ class TestWindowSlice:
     def test_empty(self):
         s = WindowSlice(self._window(), 4, 4)
         assert len(s) == 0
+
+    @pytest.mark.parametrize("mode", ["scalar", "vector", "generic"])
+    @pytest.mark.parametrize(
+        "lo,hi,step", [(0, 12, 1), (3, 9, 1), (2, 11, 3), (5, 5, 1)]
+    )
+    def test_values_equal_the_sliced_window_column(self, mode, lo, hi, step):
+        bw = BasicWindow(mode=mode, dim=2 if mode == "vector" else None)
+        for i in range(12):
+            value = {"scalar": float(i), "vector": [i, -i],
+                     "generic": {"k": i}}[mode]
+            bw.append(tup(i, value=value))
+        s = WindowSlice(bw, lo, hi, step)
+        expected = bw.values[lo:hi:step]
+        assert len(s.values) == len(s) == len(expected)
+        if mode == "generic":
+            assert s.values == expected
+        else:
+            assert np.array_equal(s.values, expected)
+
+    def test_generic_values_read_only_the_selected_tuples(self):
+        """A slice's values cost O(slice), not O(window)."""
+        reads = []
+
+        class Counting:
+            def __init__(self, ts):
+                self.timestamp = float(ts)
+
+            @property
+            def value(self):
+                reads.append(self.timestamp)
+                return {"k": self.timestamp}
+
+        bw = BasicWindow(mode="generic")
+        for i in range(1000):
+            bw.append(Counting(i))
+        assert reads == []
+        contiguous = WindowSlice(bw, 100, 110)
+        assert contiguous.values == [{"k": float(i)} for i in range(100, 110)]
+        assert reads == [float(i) for i in range(100, 110)]
+        del reads[:]
+        strided = WindowSlice(bw, 0, 1000, step=250)
+        assert len(strided.values) == len(strided) == 4
+        assert reads == [0.0, 250.0, 500.0, 750.0]
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):

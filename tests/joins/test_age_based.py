@@ -5,6 +5,7 @@ import pytest
 from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import (
     EpsilonJoin,
+    EquiJoin,
     EvictionPolicy,
     MemoryLimitedMJoin,
     MJoinOperator,
@@ -15,6 +16,7 @@ from repro.streams import (
     StreamSource,
     TraceSource,
 )
+from repro.streams.tuples import StreamTuple
 
 WINDOW = 20.0
 BASIC = 2.0
@@ -109,3 +111,60 @@ class TestAgeBasedAdvantage:
         assert outputs[EvictionPolicy.UTILITY] > outputs[
             EvictionPolicy.OLDEST
         ]
+
+
+class TestEvictionKeepsSliceCacheHonest:
+    """Every retained row matches here (one constant key), so a probe that
+    still scanned an evicted basic window would emit — or crash
+    materializing — rows that are gone."""
+
+    @pytest.mark.parametrize(
+        "policy", [EvictionPolicy.OLDEST, EvictionPolicy.UTILITY]
+    )
+    def test_probes_see_exactly_the_retained_rows(self, policy):
+        op = MemoryLimitedMJoin(
+            EquiJoin(), [10.0] * 2, 1.0, memory_budget=40, policy=policy,
+            sampling=0.25, rng=2,
+        )
+        horizon = op.windows[0].n * op.windows[0].basic_window_size
+        seqs = [0, 0]
+        for step in range(400):
+            stream = step % 2
+            now = step * 0.05
+            tup = StreamTuple(7.0, now, stream=stream, seq=seqs[stream])
+            seqs[stream] += 1
+            other = op.windows[1 - stream]
+            other.rotate_to(now)
+            retained = {
+                t.seq
+                for bw in other._ring
+                for t in bw.tuples
+                if now - horizon < t.timestamp <= now
+            }
+            receipt = op.process(tup, now)
+            got = [r.constituents[1 - stream].seq for r in receipt.outputs]
+            assert sorted(got) == sorted(retained)
+            assert receipt.comparisons == len(retained) + round(
+                2.0 * len(retained)
+            )
+            for window in op.windows:
+                for s in window.full_slices(now):
+                    assert s.hi <= len(s.window)
+        assert op.tuples_evicted > 0
+
+    def test_evict_basic_window_contract(self):
+        op = MemoryLimitedMJoin(EquiJoin(), [4.0] * 2, 1.0, memory_budget=99)
+        window = op.windows[0]
+        for i in range(30):
+            window.insert(StreamTuple(1.0, i * 0.1, seq=i), i * 0.1)
+        sizes = window.basic_window_sizes()
+        assert sizes[:3] == [10, 10, 10] and sum(sizes) == len(window)
+        before = window.full_slices(2.9)
+        assert window.evict_basic_window(1) == 10
+        after = window.full_slices(2.9)
+        assert [len(s) for s in before] == [10, 10, 10]
+        assert [len(s) for s in after] == [10, 10]
+        assert window.evict_basic_window(1) == 0
+        for k in (0, window.n + 1):
+            with pytest.raises(ValueError):
+                window.evict_basic_window(k)

@@ -308,6 +308,26 @@ class TestR006Slots:
         )
         assert codes(report) == []
 
+    def test_namedtuple_exempt_plain_class_still_flagged(self):
+        # a NamedTuple sets ``__slots__ = ()`` itself and forbids one in
+        # its body, so it cannot (and need not) satisfy the rule literally
+        report = lint(
+            """
+            from typing import Any, NamedTuple
+
+            class Event(NamedTuple):
+                time: float
+                payload: Any = None
+
+            class Plain:
+                def __init__(self, time):
+                    self.time = time
+            """,
+            "repro/engine/events.py",
+        )
+        assert codes(report) == ["R006"]
+        assert "`Plain`" in report.diagnostics[0].message
+
     def test_out_of_scope_module_ignored(self):
         report = lint(
             """

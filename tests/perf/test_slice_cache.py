@@ -4,8 +4,12 @@ and the once-per-configuration run decomposition."""
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.basic_windows import SCALAR, PartitionedWindow
 from repro.core.harvesting import HarvestConfiguration
@@ -38,13 +42,62 @@ class TestFullSlicesCache:
         pw = fill_window(2)
         a = pw.full_slices(9.3)
         b = pw.full_slices(9.8)  # same epoch, later now
-        # non-oldest slices are the identical objects (prefix reuse)
+        assert b is not a
+        # every non-oldest slice — the filling window's and the frozen
+        # windows' — is the identical object
+        assert len(a) == len(b) == pw.n + 1
         assert all(s is t for s, t in zip(a[:-1], b[:-1]))
         # the oldest window's cut honors the new expiration horizon
         expected_lo = 9.8 - pw.n * pw.basic_window_size
         oldest = b[-1]
+        assert oldest is not a[-1]
         assert oldest.window.timestamps[oldest.lo] > expected_lo
         assert len(b[-1]) <= len(a[-1])
+
+    def test_frozen_prefix_survives_a_live_window_insert(self):
+        """What most probes of an m-way join follow is an insert into the
+        filling window: only that window's slice may be rebuilt."""
+        now = 9.3
+        pw = fill_window(6, now=now)
+        a = pw.full_slices(now)
+        pw.insert(StreamTuple(value=0.5, timestamp=now, seq=999), now)
+        b = pw.full_slices(now)
+        assert len(a) == len(b) == pw.n + 1
+        assert b[0] is not a[0] and len(b[0]) == len(a[0]) + 1
+        assert all(s is t for s, t in zip(a[1:-1], b[1:-1]))
+
+    def test_frozen_prefix_rebuilt_when_a_frozen_window_changes(self):
+        now = 9.3
+
+        def frozen(pw, at=now):
+            slices = pw.full_slices(at)
+            ends = (pw._ring[0], pw._ring[pw.n])
+            return [s for s in slices if s.window not in ends]
+
+        # a rotation shifts every window one ring place
+        pw = fill_window(7, now=now)
+        before = frozen(pw)
+        after = frozen(pw, now + 1.0)
+        assert [slice_key(s) for s in after[1:]] == [
+            slice_key(s) for s in before[:-1]
+        ]
+        assert not any(s is t for s in after for t in before)
+
+        # a late insert into ring k >= 1 grows that window
+        pw = fill_window(8, now=now)
+        before = frozen(pw)
+        pw.insert(StreamTuple(value=0.5, timestamp=now - 2.5, seq=999), now)
+        after = frozen(pw)
+        assert not any(s is t for s in after for t in before)
+        assert sum(map(len, after)) == sum(map(len, before)) + 1
+
+        # an eviction empties windows
+        pw = fill_window(9, now=now)
+        before = frozen(pw)
+        assert pw.evict_older_than(2.0, now) > 0
+        after = frozen(pw)
+        assert not any(s is t for s in after for t in before)
+        assert sum(map(len, after)) < sum(map(len, before))
 
     def test_insert_invalidates(self):
         now = 9.3
@@ -119,6 +172,180 @@ class TestLogicalSpanSlices:
             except ValueError:
                 continue
             raise AssertionError(f"range {bad} should be rejected")
+
+
+def count_searches(fn):
+    """Run ``fn`` and count the ``searchsorted`` C calls it makes."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "searchsorted":
+            calls.append(arg)
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+class TestSearchesPerRun:
+    """The invariant the cached end timestamps exist for: a harvested run
+    searches the (at most two) windows its bounds fall inside, however
+    many physical windows it covers."""
+
+    @pytest.mark.parametrize("n", [4, 25, 100])
+    def test_at_most_two_searches_per_span(self, n):
+        now = n + 0.37
+        pw = PartitionedWindow(float(n), 1.0, mode=SCALAR)
+        for seq in range(int(now / 0.05)):  # 20 in-order rows per window
+            t = seq * 0.05
+            pw.insert(StreamTuple(value=0.0, timestamp=t, seq=seq), t)
+        pw.rotate_to(now)
+        assert all(len(w) for w in pw._ring)
+        for reference in (now, now - 0.6):
+            for j_lo in range(1, n + 1):
+                for j_hi in {j_lo, min(j_lo + 2, n), n}:
+                    got = []
+                    searches = count_searches(
+                        lambda: got.extend(
+                            pw.logical_span_slices(j_lo, j_hi, now, reference)
+                        )
+                    )
+                    assert searches <= 2, (n, j_lo, j_hi, searches)
+                    assert len(got) >= j_hi - j_lo + 1
+
+
+# ----------------------------------------------------------------------
+# the cuts against the implementation they replace
+# ----------------------------------------------------------------------
+
+
+def searched(window, ts_lo, ts_hi):
+    """The previous ``BasicWindow.slice_between``: two searches, always."""
+    ts = window.timestamps
+    return (int(np.searchsorted(ts, ts_lo, side="right")),
+            int(np.searchsorted(ts, ts_hi, side="right")))
+
+
+def reference_span(pw, j_lo, j_hi, now, reference):
+    """The previous ``logical_span_slices`` (``logical_window_slices`` is
+    the ``j_lo == j_hi`` case): search every physical window touched."""
+    pw.rotate_to(now)
+    b = pw.basic_window_size
+    ts_hi = reference - (j_lo - 1) * b
+    ts_lo = reference - j_hi * b
+    k_first = pw._ring_index_of(ts_hi)
+    k_last = min(pw._ring_index_of(ts_lo), pw.n)
+    out = []
+    for k in range(k_first, k_last + 1):
+        window = pw._ring[k]
+        lo, hi = searched(window, ts_lo, ts_hi)
+        if hi > lo:
+            out.append((id(window), lo, hi, 1))
+    return out
+
+
+def reference_full(pw, now):
+    """The previous ``full_slices``, uncached, sliding or not."""
+    pw.rotate_to(now)
+    horizon = pw.n * pw.basic_window_size
+    if pw.policy.is_sliding:
+        out = [(id(w), 0, len(w), 1) for w in list(pw._ring)[:pw.n] if len(w)]
+        oldest = pw._ring[pw.n]
+        lo, hi = searched(oldest, now - horizon, now)
+        if hi > lo:
+            out.append((id(oldest), lo, hi, 1))
+        return out
+    ranges = []
+    for window in pw._ring:
+        lo, hi = searched(window, now - horizon, now)
+        if hi > lo:
+            ranges.append((window, lo, hi))
+    live_ts = []
+    for window, lo, hi in reversed(ranges):
+        live_ts.extend(window.timestamps[lo:hi].tolist())
+    cut = pw.policy.live_from(horizon, live_ts, now)
+    out = []
+    for window, lo, hi in ranges:
+        if cut != float("-inf"):
+            lo = max(lo, int(np.searchsorted(window.timestamps, cut, "left")))
+        if hi > lo:
+            out.append((id(window), lo, hi, 1))
+    return out
+
+
+#: with b = 1 these steps put timestamps exactly on rotation boundaries
+#: and on ``reference - j*b`` (0.25 / 0.5 / 1.0 are exact in binary),
+#: repeat timestamps (0.0) and leave gaps wider than a basic window
+_STEPS = [0.0, 0.0, 0.25, 0.5, 1.0, 0.1, 0.3, 2.5]
+#: late arrivals: into the filling window, onto a boundary (position 0 of
+#: a frozen window unless a duplicate is already there), mid-window, deep
+_LATENESS = [0.25, 0.5, 1.0, 1.25, 2.0, 3.7]
+
+_OPS = st.lists(
+    st.one_of(
+        # listed twice: in-order arrivals are the common case
+        st.tuples(st.just("advance"), st.sampled_from(_STEPS)),
+        st.tuples(st.just("advance"), st.sampled_from(_STEPS)),
+        st.tuples(st.just("late"), st.sampled_from(_LATENESS)),
+        st.tuples(st.just("evict"), st.sampled_from([0.5, 2.0, 3.0])),
+        # one ring window by index (memory-limited joins), taken mod n
+        st.tuples(st.just("evict_k"), st.integers(0, 24)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestCutsMatchSearchEveryWindow:
+    @pytest.mark.parametrize("policy", [None, "tumbling", "session:0.6"])
+    @pytest.mark.parametrize("n", [1, 4, 25])
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_OPS, stale=st.sampled_from([0.0, 0.25, 1.0, 1.7]),
+           ahead=st.sampled_from([0.0, 0.5, 1.0, 3.1]))
+    def test_same_slices_as_the_replaced_implementation(
+        self, n, policy, ops, stale, ahead
+    ):
+        pw = PartitionedWindow(float(n), 1.0, mode=SCALAR, policy=policy)
+        now = 0.0
+        for seq, (op, arg) in enumerate(ops):
+            if op == "advance":
+                now += arg
+                pw.insert(StreamTuple(value=0.0, timestamp=now, seq=seq), now)
+            elif op == "late":
+                pw.insert(
+                    StreamTuple(value=0.0, timestamp=now - arg, seq=seq), now
+                )
+            elif op == "evict":
+                pw.evict_older_than(arg, now)
+            else:
+                pw.rotate_to(now)
+                pw.evict_basic_window(1 + arg % n)
+            # after every mutation, so the caches are exercised in every
+            # state they can be left in (and hit: the second call)
+            for _ in range(2):
+                assert [slice_key(s) for s in pw.full_slices(now)] == (
+                    reference_full(pw, now)
+                )
+        for at in (now, now + ahead):
+            assert [slice_key(s) for s in pw.full_slices(at)] == (
+                reference_full(pw, at)
+            )
+            reference = at - stale
+            for j_lo in range(1, n + 1):
+                assert [
+                    slice_key(s)
+                    for s in pw.logical_window_slices(j_lo, at, reference)
+                ] == reference_span(pw, j_lo, j_lo, at, reference)
+                for j_hi in {j_lo, min(j_lo + 3, n), n}:
+                    assert [
+                        slice_key(s)
+                        for s in pw.logical_span_slices(
+                            j_lo, j_hi, at, reference
+                        )
+                    ] == reference_span(pw, j_lo, j_hi, at, reference)
 
 
 class TestSelectedRuns:
