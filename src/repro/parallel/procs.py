@@ -469,8 +469,13 @@ class _Supervisor:
             worker.conn.send(payload)
         except (BrokenPipeError, OSError):
             # the dead worker's conn must stay drainable here: its
-            # parting "error" message is what we're looking for
-            self.drain(0.5)  # raises with the worker's traceback if any
+            # parting "error" message is what we're looking for.  It can
+            # sit behind every unread ack, and drain() reads one message
+            # per pipe, so read on until the pipe is dry (EOF = done)
+            for _ in range(self.max_inflight + 2):
+                if worker.done:
+                    break
+                self.drain(0.5)  # raises with the worker's traceback
             worker.done = True
             self.shutdown(force=True)
             raise RuntimeError(

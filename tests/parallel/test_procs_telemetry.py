@@ -293,6 +293,28 @@ class TestCrashFlightRecorder:
                 certify=False,
             )
 
+    def test_crash_report_queued_behind_unread_acks_is_found(self):
+        """One-tuple batches, a deep inflight cap and no control-tick
+        drain: the five acks that precede the crash sit unread in the
+        pipe, so the parting error report is the sixth message — the
+        supervisor must read past the acks to find it."""
+        workload = key_workload(seed=1, duration=4.0)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_procs(
+                workload.traces,
+                lambda worker_id: CrashShard(),
+                2,
+                duration=workload.duration,
+                batch_size=1,
+                max_inflight_batches=64,
+                control_interval=10**9,
+                certify=False,
+            )
+        message = str(excinfo.value)
+        assert "died without an error report" not in message
+        assert "boom on purpose" in message          # the child traceback
+        assert "flight recorder (last" in message    # the tail
+
 
 class TestWorkerTelemetryCertification:
     def test_hidden_telemetry_object_is_rejected(self):
