@@ -13,7 +13,11 @@ GrubJoin combines the three framework components:
   recomputed.
 
 The operator plugs into :class:`repro.engine.runtime.Simulation` exactly
-like the full :class:`repro.joins.mjoin.MJoinOperator` it descends from.
+like the full :class:`repro.joins.mjoin.MJoinOperator` it descends from
+— literally: it subclasses it (windows, orders, kernel, index states,
+obs counters, flush and oracle profile are inherited) and keeps its own
+``process``, whose accounting differs: selectivity learns from shredded
+probes only, the per-hop counters are fed by harvested probes only.
 """
 
 from __future__ import annotations
@@ -24,20 +28,12 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.engine.buffers import BufferStats
-from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.joins.join_order import (
-    default_orders,
-    low_selectivity_first,
-    validate_order,
-)
-from repro.joins.columnar import select_kernel, supports_columnar
+from repro.engine.operator import ProcessReceipt
+from repro.joins.mjoin import MJoinOperator
 from repro.joins.selectivity import SelectivityEstimator
-from repro.joins.variants import JoinMode
 from repro.obs.explainer import explain_adaptation
 from repro.streams.tuples import JoinResult, StreamTuple
-from repro.streams.windows import SlidingWindow
 
-from .basic_windows import SCALAR, PartitionedWindow
 from .cost_model import JoinProfile
 from .greedy import Metric, greedy_double_sided, greedy_pick
 from .harvesting import HarvestConfiguration
@@ -45,7 +41,6 @@ from .histograms import EquiWidthHistogram
 from .scores import scores_from_histograms
 from .shredding import shred_slices_for_hop
 from .throttle import ThrottleController
-from .windex import WindexTelemetry, check_index_compat, make_index_states
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.joins.predicates import JoinPredicate
@@ -53,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 
-class GrubJoinOperator(StreamOperator):
+class GrubJoinOperator(MJoinOperator):
     """The paper's contribution, ready to host in the simulation runtime.
 
     Args:
@@ -130,61 +125,21 @@ class GrubJoinOperator(StreamOperator):
         warm_start: bool = False,
         index: str | None = None,
     ) -> None:
-        m = len(window_sizes)
-        if m < 2:
-            raise ValueError("an m-way join needs at least 2 streams")
         if not 0 < sampling <= 1:
             raise ValueError("sampling (omega) must be in (0, 1]")
         if solver not in ("greedy", "double-sided"):
             raise ValueError("solver must be 'greedy' or 'double-sided'")
-        if output_cost < 0:
-            raise ValueError("output_cost must be non-negative")
-        self.num_streams = m
-        self.output_kind = "join-result"
-        self.predicate = predicate
-        self.window_sizes = [float(w) for w in window_sizes]
-        self.basic_window_size = float(basic_window_size)
         # shedding is only sound for inner-mode sliding windows (plan
-        # rule P131); GrubJoin therefore pins both and merely declares
-        # them for obs labels and plan-analyzer introspection
-        self.mode = JoinMode.INNER
-        self.window_policy = SlidingWindow()
-        radius = getattr(predicate, "interval_radius", None)
-        self.index_spec = check_index_compat(
-            index,
-            columnar_ok=supports_columnar(predicate),
-            radius=radius,
+        # rule P131): mode and window policy stay at the base's defaults
+        super().__init__(
+            predicate, window_sizes, basic_window_size, orders=orders,
+            adapt_orders=adapt_orders, output_cost=output_cost, index=index,
         )
-        self.windex_states = make_index_states(self.index_spec, m, radius)
-        # a pinned "flat" spec is valid for *any* predicate (it is
-        # inert), but only scalar windows can carry index state
-        ring_states = (
-            self.windex_states
-            if predicate.storage_mode == SCALAR
-            else None
-        )
-        self.windows = [
-            PartitionedWindow(
-                w,
-                basic_window_size,
-                mode=predicate.storage_mode,
-                dim=predicate.dim,
-                index=None if ring_states is None else ring_states[i],
-            )
-            for i, w in enumerate(self.window_sizes)
-        ]
+        m = self.num_streams
         self.segments = [w.n for w in self.windows]
-        if orders is None:
-            self.orders = default_orders(m)
-        else:
-            self.orders = [list(o) for o in orders]
-            for i, order in enumerate(self.orders):
-                validate_order(order, i, m)
-        self.adapt_orders = adapt_orders and orders is None
         self.sampling = float(sampling)
         self.metric = metric
         self.solver = solver
-        self.output_cost = float(output_cost)
         self.fractional_fallback = bool(fractional_fallback)
         self.memory_saving = bool(memory_saving)
         self.throttle = ThrottleController(gamma=gamma, z_min=z_min)
@@ -212,7 +167,6 @@ class GrubJoinOperator(StreamOperator):
         ]
         self.harvest = HarvestConfiguration.full(m, self.segments)
         self.solver_timer = solver_timer
-        self._kernel = select_kernel(predicate)
         self.warm_start = bool(warm_start)
         self._warm_counts: np.ndarray | None = None
         self._warm_orders: list[list[int]] | None = None
@@ -227,17 +181,14 @@ class GrubJoinOperator(StreamOperator):
         self._rng = np.random.default_rng(rng)
         self._rates = np.zeros(m)
         # diagnostics
-        self.tuples_processed = 0
         self.tuples_shredded = 0
         self.tuples_evicted = 0
-        self.comparisons_total = 0
         self.adaptations = 0
         self.last_solver_result = None
         self.solver_seconds_total = 0.0
         self.z_history: list[tuple[float, float]] = []
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_handles = None
-        self._obs_windex = None
 
     # ------------------------------------------------------------------
     # telemetry
@@ -245,6 +196,7 @@ class GrubJoinOperator(StreamOperator):
 
     def _obs_setup(self, obs, labels) -> None:
         """Cache instrument handles so hot paths pay one guarded call."""
+        super()._obs_setup(obs, labels)
         m = self.num_streams
         labels = {
             "mode": self.mode.value,
@@ -276,16 +228,6 @@ class GrubJoinOperator(StreamOperator):
             ),
             "z": obs.series("throttle_z", **labels),
             "beta": obs.series("throttle_beta", **labels),
-            "comparisons": [
-                [
-                    obs.counter(
-                        "direction_comparisons_total",
-                        direction=i, hop=j, **labels,
-                    )
-                    for j in range(m - 1)
-                ]
-                for i in range(m)
-            ],
             "fraction": [
                 [
                     obs.gauge(
@@ -299,7 +241,6 @@ class GrubJoinOperator(StreamOperator):
         for i in range(m):
             for j in range(m - 1):
                 self._obs_handles["fraction"][i][j].set(1.0)
-        self._obs_windex = WindexTelemetry(obs, labels, m)
 
     def _obs_record_harvest(self, counts) -> None:
         """Update the per-direction harvest-fraction gauges z_{i,j}."""
@@ -355,8 +296,8 @@ class GrubJoinOperator(StreamOperator):
             )
 
         result = self._kernel(tup, order, slices_for_hop, self.predicate)
-        if self._obs_handles is not None:
-            per_hop = self._obs_handles["comparisons"][i]
+        if self._obs_comparisons is not None:
+            per_hop = self._obs_comparisons[i]
             for hop, stats in enumerate(result.hop_stats):
                 per_hop[hop].inc(stats.scanned)
         return result.outputs, result.comparisons
@@ -399,20 +340,14 @@ class GrubJoinOperator(StreamOperator):
         if self._obs_handles is not None:
             self._obs_handles["z"].observe(now, z)
             self._obs_handles["beta"].observe(now, self.throttle.last_beta)
-        self.selectivity.age()
         for hist in self.histograms[1:]:
             hist.decay(self.histogram_decay)
         for s in range(self.num_streams):
             rate = stats[s].push_rate(interval)
             if rate > 0:
                 self._rates[s] = rate
-        if self.adapt_orders:
-            self.orders = low_selectivity_first(self.selectivity.matrix())
-        if self.windex_states is not None:
-            for state in self.windex_states:
-                state.tick()
-        if self._obs_windex is not None:
-            self._obs_windex.record(self.windex_states)
+        # selectivity aging, order refresh, index tick + telemetry
+        super().on_adapt(now, stats, interval)
         self._reconfigure_harvesting(now, z)
         self.adaptations += 1
         if self._obs_handles is not None:
@@ -588,22 +523,6 @@ class GrubJoinOperator(StreamOperator):
             self.tuples_evicted += self.windows[l].evict_older_than(
                 horizon, now
             )
-
-    def on_finish(self, now: float) -> list[JoinResult]:
-        """Flush the final index-telemetry deltas at end-of-run."""
-        if self._obs_windex is not None:
-            self._obs_windex.record(self.windex_states)
-        return []
-
-    def testkit_profile(self) -> dict:
-        """Join semantics for the correctness oracle: the ideal (no
-        shedding) join this operator approximates under load (consumed by
-        :mod:`repro.testkit.differential`)."""
-        return {
-            "predicate": self.predicate,
-            "window_sizes": list(self.window_sizes),
-            "basic_window_size": self.basic_window_size,
-        }
 
     def describe(self) -> str:
         return (

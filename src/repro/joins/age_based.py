@@ -9,8 +9,10 @@ most likely to produce output and evict it afterwards, instead of FIFO.
 This module provides that baseline generalized to m-way joins on top of
 the same basic-window substrate:
 
-* :class:`MemoryLimitedMJoin` runs the full MJoin probe logic but bounds
-  the total number of stored tuples;
+* :class:`MemoryLimitedMJoin` is an
+  :class:`~repro.joins.mjoin.MJoinOperator` — same probe, obs counters,
+  oracle profile and end-of-run flush — that bounds the total number of
+  stored tuples after every ``process``;
 * eviction works at basic-window granularity guided by learned
   per-segment match rates — a segment's *remaining utility* is the match
   mass a tuple still ahead of it will encounter as it ages;
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.buffers import BufferStats
-from repro.engine.operator import ProcessReceipt, StreamOperator
+from repro.engine.operator import ProcessReceipt
 from repro.streams.tuples import StreamTuple
 
 from .mjoin import MJoinOperator
@@ -41,7 +43,7 @@ class EvictionPolicy(str, Enum):
     UTILITY = "utility"    # age-based: evict the least future-productive
 
 
-class MemoryLimitedMJoin(StreamOperator):
+class MemoryLimitedMJoin(MJoinOperator):
     """Full m-way join under a tuple-count memory budget.
 
     Args:
@@ -73,31 +75,19 @@ class MemoryLimitedMJoin(StreamOperator):
             raise ValueError("memory_budget must be positive")
         if not 0 < sampling <= 1:
             raise ValueError("sampling must be in (0, 1]")
-        self._inner = MJoinOperator(
+        super().__init__(
             predicate, window_sizes, basic_window_size,
             output_cost=output_cost,
         )
-        self.num_streams = self._inner.num_streams
-        self.output_kind = "join-result"
         self.memory_budget = int(memory_budget)
         self.policy = EvictionPolicy(policy)
         self.sampling = float(sampling)
         self.stat_decay = float(stat_decay)
         # per window l, per logical segment k: scans / matches
-        self._scans = [np.zeros(w.n) for w in self._inner.windows]
-        self._matches = [np.zeros(w.n) for w in self._inner.windows]
+        self._scans = [np.zeros(w.n) for w in self.windows]
+        self._matches = [np.zeros(w.n) for w in self.windows]
         self._rng = np.random.default_rng(rng)
         self.tuples_evicted = 0
-
-    @property
-    def windows(self):
-        """The underlying partitioned windows."""
-        return self._inner.windows
-
-    @property
-    def orders(self):
-        """Join orders of the underlying MJoin."""
-        return self._inner.orders
 
     def stored_tuples(self) -> int:
         """Total tuples currently held across all windows."""
@@ -109,36 +99,32 @@ class MemoryLimitedMJoin(StreamOperator):
 
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Probe as the full MJoin, then enforce the memory budget."""
-        sample = (
+        if (
             self.policy is EvictionPolicy.UTILITY
             and self._rng.random() < self.sampling
-        )
-        if sample:
-            receipt = self._segmented_probe(tup, now)
-        else:
-            receipt = self._inner.process(tup, now)
+        ):
+            self._sample_segments(tup, now)
+        receipt = super().process(tup, now)
         self._enforce_budget(now)
         return receipt
 
-    def _segmented_probe(self, tup: StreamTuple, now: float) -> ProcessReceipt:
+    def _sample_segments(self, tup: StreamTuple, now: float) -> None:
         """First-hop probe executed per logical segment so the match
-        statistics attribute to segments; deeper hops via the inner join
-        on the matched partials would complicate accounting, so sampled
-        probes only gather first-hop statistics and then run the normal
-        pipeline for the actual output."""
-        order = self._inner.orders[tup.stream]
-        first = order[0]
+        statistics attribute to segments; deeper hops on the matched
+        partials would complicate accounting, so sampled probes only
+        gather first-hop statistics — the normal pipeline then produces
+        the actual output."""
+        first = self.orders[tup.stream][0]
         window = self.windows[first]
         window.rotate_to(now)
-        context = self._inner.predicate.probe_context([tup.value])
+        context = self.predicate.probe_context([tup.value])
         for k in range(window.n):
             for s in window.logical_window_slices(
                 k + 1, now, reference=tup.timestamp
             ):
                 self._scans[first][k] += len(s)
-                hits = self._inner.predicate.probe_block(context, s.values)
+                hits = self.predicate.probe_block(context, s.values)
                 self._matches[first][k] += len(hits)
-        return self._inner.process(tup, now)
 
     # ------------------------------------------------------------------
     # memory management
@@ -196,11 +182,11 @@ class MemoryLimitedMJoin(StreamOperator):
     def on_adapt(
         self, now: float, stats: list[BufferStats], interval: float
     ) -> None:
-        """Age statistics and forward the tick to the inner MJoin."""
+        """Age statistics, then the substrate's own adaptation step."""
         for l in range(self.num_streams):
             self._scans[l] *= self.stat_decay
             self._matches[l] *= self.stat_decay
-        self._inner.on_adapt(now, stats, interval)
+        super().on_adapt(now, stats, interval)
 
     def describe(self) -> str:
         return f"MemoryLimitedMJoin({self.policy.value})"

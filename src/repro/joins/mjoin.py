@@ -6,6 +6,11 @@ windows organized into basic windows for batch expiration.  It always scans
 the entire unexpired window at every hop.  Under overload it simply falls
 behind — which is exactly the regime the RandomDrop baseline fixes by
 dropping input tuples, and GrubJoin by window harvesting.
+
+It is also the one join *substrate*: the only class that builds windows,
+orders, kernel, index states and obs counters and charges a receipt.
+GrubJoin, ``IndexedMJoin``, ``AdaptiveTwoWayJoin`` and
+``MemoryLimitedMJoin`` subclass it and override only the probe.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.streams.windows import WindowPolicy, resolve_policy
 
 from .columnar import select_kernel, supports_columnar
 from .join_order import default_orders, low_selectivity_first, validate_order
+from .pipeline import PipelineResult
 from .predicates import JoinPredicate
 from .selectivity import SelectivityEstimator
 from .variants import JoinMode, ModeState
@@ -155,16 +161,22 @@ class MJoinOperator(StreamOperator):
         ]
         self._obs_windex = WindexTelemetry(obs, labels, m)
 
+    def _probe(
+        self, tup: StreamTuple, order: Sequence[int], now: float
+    ) -> PipelineResult:
+        """The probe seam: how ``tup`` (already inserted) walks ``order``
+        — by default the selected kernel over every unexpired slice.
+        Overriders inherit the accounting and the receipt."""
+        return self._kernel(
+            tup, order, lambda hop, l: self.windows[l].full_slices(now),
+            self.predicate,
+        )
+
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Insert ``tup`` into its window and probe the others fully."""
         self.windows[tup.stream].insert(tup, now)
         order = self.orders[tup.stream]
-        result = self._kernel(
-            tup,
-            order,
-            lambda hop, l: self.windows[l].full_slices(now),
-            self.predicate,
-        )
+        result = self._probe(tup, order, now)
         per_hop = (
             self._obs_comparisons[tup.stream]
             if self._obs_comparisons is not None

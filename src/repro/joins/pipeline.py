@@ -10,7 +10,9 @@ context so each basic-window block is tested with one vectorized call.
 The executor is parameterized by which slices of each window to scan, which
 is the single point where full joins (all slices), window harvesting
 (top-ranked logical basic windows) and window shredding (evenly strided
-sample) differ.
+sample) differ — and optionally by *how* a partial probes a slice
+(``probe``): the flat scan by default, or an index lookup charged what
+it spent (:class:`repro.joins.indexed.IndexedMJoin`).
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def run_pipeline(
     order: Sequence[int],
     slices_for_hop: Callable[[int, int], Sequence[WindowSlice]],
     predicate: JoinPredicate,
+    probe: Callable[[object, WindowSlice], tuple[Sequence[int], int]]
+    | None = None,
 ) -> PipelineResult:
     """Probe the windows along ``order`` starting from ``tup``.
 
@@ -116,10 +120,18 @@ def run_pipeline(
         slices_for_hop: ``(hop_index, window_stream) -> slices`` selecting
             what part of that window this hop scans.
         predicate: the join condition.
+        probe: block-probe strategy ``(context, slice) -> (hits, cost)``:
+            slice-relative indices of the matching rows in emission order
+            and the work units to charge.  Default: the flat
+            ``probe_block`` scan, charged ``len(slice)``.
 
     Returns:
         comparisons performed, complete join results, and per-hop stats.
     """
+    if probe is None:
+        def probe(context, s):
+            return predicate.probe_block(context, s.values), len(s)
+
     result = PipelineResult(hop_stats=[HopStats() for _ in order])
     partials: list[list[StreamTuple]] = [[tup]]
     stream_aware = getattr(predicate, "stream_aware", False)
@@ -137,8 +149,8 @@ def run_pipeline(
                     [t.value for t in partial]
                 )
             for s in slices:
-                stats.scanned += len(s)
-                hits = predicate.probe_block(context, s.values)
+                hits, cost = probe(context, s)
+                stats.scanned += cost
                 if len(hits) == 0:
                     continue
                 stats.matched += len(hits)

@@ -18,6 +18,9 @@ This implementation serves as the historical baseline at ``m = 2``:
   (direction, segment) pairs with the best observed match rate until the
   budget ``z * C(1)`` is spent — no m-way cost model needed because each
   direction has exactly one hop.
+
+It is an :class:`~repro.joins.mjoin.MJoinOperator` with its own probe:
+windows, kernel choice, per-hop obs counters and receipt are inherited.
 """
 
 from __future__ import annotations
@@ -26,17 +29,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.basic_windows import PartitionedWindow
+from repro.core.basic_windows import WindowSlice
 from repro.core.throttle import ThrottleController
 from repro.engine.buffers import BufferStats
-from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import JoinResult, StreamTuple
 
-from .pipeline import merge_slices, run_pipeline
+from .mjoin import MJoinOperator
+from .pipeline import HopStats, PipelineResult, merge_slices
 from .predicates import JoinPredicate
 
 
-class AdaptiveTwoWayJoin(StreamOperator):
+class AdaptiveTwoWayJoin(MJoinOperator):
     """Two-way windowed join with time-correlation-aware shedding.
 
     Args:
@@ -69,22 +72,14 @@ class AdaptiveTwoWayJoin(StreamOperator):
             raise ValueError("sampling must be in (0, 1]")
         if not 0 < stat_decay <= 1:
             raise ValueError("stat_decay must be in (0, 1]")
-        self.num_streams = 2
-        self.output_kind = "join-result"
-        self.predicate = predicate
-        self.windows = [
-            PartitionedWindow(
-                w,
-                basic_window_size,
-                mode=predicate.storage_mode,
-                dim=predicate.dim,
-            )
-            for w in window_sizes
-        ]
+        # at m = 2 each direction has exactly one hop: nothing to reorder
+        super().__init__(
+            predicate, window_sizes, basic_window_size,
+            adapt_orders=False, output_cost=output_cost,
+        )
         self.segments = [w.n for w in self.windows]
         self.sampling = float(sampling)
         self.stat_decay = float(stat_decay)
-        self.output_cost = float(output_cost)
         self.throttle = ThrottleController(gamma=gamma, z_min=z_min)
         # per direction i: scans[i][k], matches[i][k] for logical window k
         # of the opposite window
@@ -95,7 +90,6 @@ class AdaptiveTwoWayJoin(StreamOperator):
             np.arange(self.segments[1 - i]) for i in range(2)
         ]
         self._rng = np.random.default_rng(rng)
-        self.tuples_processed = 0
         self.tuples_sampled = 0
 
     @property
@@ -107,24 +101,28 @@ class AdaptiveTwoWayJoin(StreamOperator):
     # processing
     # ------------------------------------------------------------------
 
-    def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
-        """Insert and probe the opposite window, fully (sampled) or over
-        the selected segments."""
-        i = tup.stream
-        self.windows[i].insert(tup, now)
-        other = 1 - i
-        window = self.windows[other]
-        full = self._rng.random() < self.sampling
-        if full:
+    def _probe(
+        self, tup: StreamTuple, order: Sequence[int], now: float
+    ) -> PipelineResult:
+        """Probe the opposite window, fully (sampled) or over the
+        selected segments."""
+        window = self.windows[order[0]]
+        if self._rng.random() < self.sampling:
             self.tuples_sampled += 1
-            comparisons, outputs = self._full_probe(tup, window, now)
-        else:
-            comparisons, outputs = self._selective_probe(tup, window, now)
-        self.tuples_processed += 1
-        work = comparisons + int(self.output_cost * len(outputs))
-        return ProcessReceipt(comparisons=work, outputs=outputs)
+            return self._full_probe(tup, window, now)
+        slices: list[WindowSlice] = []
+        for k in self.selected[tup.stream]:
+            slices.extend(
+                window.logical_window_slices(
+                    int(k) + 1, now, reference=tup.timestamp
+                )
+            )
+        merged = merge_slices(slices)
+        return self._kernel(
+            tup, order, lambda hop, l: merged, self.predicate
+        )
 
-    def _full_probe(self, tup, window, now):
+    def _full_probe(self, tup, window, now) -> PipelineResult:
         """Whole-window statistics probe, stride-sampled by the throttle.
 
         Scanning the entire window for every sampled tuple would blow the
@@ -133,8 +131,6 @@ class AdaptiveTwoWayJoin(StreamOperator):
         of each, spread evenly via a stride.  Per-segment match *rates*
         stay unbiased.
         """
-        from repro.core.basic_windows import WindowSlice
-
         i = tup.stream
         stride = max(1, round(1.0 / max(self.throttle.z, 1e-6)))
         comparisons = 0
@@ -154,22 +150,10 @@ class AdaptiveTwoWayJoin(StreamOperator):
                         (tup, sampled.tuple_at(int(idx))),
                         key=lambda t: t.stream,
                     )
-                    outputs.append(_result(pair))
-        return comparisons, outputs
-
-    def _selective_probe(self, tup, window, now):
-        i = tup.stream
-        slices = []
-        for k in self.selected[i]:
-            slices.extend(
-                window.logical_window_slices(
-                    int(k) + 1, now, reference=tup.timestamp
-                )
-            )
-        result = run_pipeline(
-            tup, [1 - i], lambda hop, l: merge_slices(slices), self.predicate
-        )
-        return result.comparisons, result.outputs
+                    outputs.append(JoinResult(tuple(pair)))
+        # one hop; every hit is one result
+        stats = HopStats(scanned=comparisons, matched=len(outputs))
+        return PipelineResult(comparisons, outputs, [stats])
 
     # ------------------------------------------------------------------
     # adaptation
@@ -183,6 +167,7 @@ class AdaptiveTwoWayJoin(StreamOperator):
         for i in range(2):
             self._scans[i] *= self.stat_decay
             self._matches[i] *= self.stat_decay
+        super().on_adapt(now, stats, interval)
         self._select_segments(now, z)
 
     def _select_segments(self, now: float, z: float) -> None:
@@ -232,9 +217,3 @@ class AdaptiveTwoWayJoin(StreamOperator):
 
     def describe(self) -> str:
         return "AdaptiveTwoWayJoin"
-
-
-def _result(pair):
-    from repro.streams.tuples import JoinResult
-
-    return JoinResult(tuple(pair))

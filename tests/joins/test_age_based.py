@@ -16,7 +16,9 @@ from repro.streams import (
     StreamSource,
     TraceSource,
 )
+from repro.obs import Obs
 from repro.streams.tuples import StreamTuple
+from repro.testkit import drift_workload, oracle_join, run_config
 
 WINDOW = 20.0
 BASIC = 2.0
@@ -168,3 +170,47 @@ class TestEvictionKeepsSliceCacheHonest:
         for k in (0, window.n + 1):
             with pytest.raises(ValueError):
                 window.evict_basic_window(k)
+
+
+class TestIsAnMJoin:
+    """The memory-limited join subclasses the substrate instead of
+    hiding one, so the oracle can read its geometry and an obs binding
+    reaches the probe counters."""
+
+    def run_ample(self, **sim_kwargs):
+        # aligned streams: every direction finds first-hop matches, so
+        # every (direction, hop) really scans
+        workload = drift_workload(seed=4, lags=[0.0] * 3)
+        op = MemoryLimitedMJoin(
+            workload.predicate, workload.window_sizes, workload.basic,
+            memory_budget=10**6, sampling=0.5, rng=0,
+        )
+        sim = Simulation(
+            workload.traces, op, CpuModel(1e12), run_config(workload),
+            retain_outputs=True, **sim_kwargs,
+        )
+        sim.run()
+        return workload, op, sim
+
+    def test_ample_budget_equals_oracle_via_own_profile(self):
+        workload, op, sim = self.run_ample()
+        observed = {r.key() for r in sim.output_buffer.results}
+        assert op.tuples_evicted == 0
+        assert observed
+        assert observed == oracle_join(
+            workload.traces, **op.testkit_profile()
+        ).id_set
+
+    def test_obs_bound_run_exports_per_hop_comparisons(self):
+        obs = Obs()
+        _workload, op, _sim = self.run_ample(obs=obs)
+        m = op.num_streams
+        for direction in range(m):
+            for hop in range(m - 1):
+                counter = obs.registry.get(
+                    "direction_comparisons_total",
+                    direction=direction, hop=hop,
+                    mode="inner", window_policy="sliding",
+                )
+                assert counter is not None, (direction, hop)
+                assert counter.value > 0, (direction, hop)

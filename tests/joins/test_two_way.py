@@ -3,13 +3,22 @@
 import pytest
 
 from repro.engine import BufferStats, CpuModel, Simulation, SimulationConfig
-from repro.joins import AdaptiveTwoWayJoin, EpsilonJoin, MJoinOperator
+from repro.joins import (
+    AdaptiveTwoWayJoin,
+    BandJoin,
+    EpsilonJoin,
+    MJoinOperator,
+    run_pipeline,
+    run_pipeline_columnar,
+    select_kernel,
+)
 from repro.streams import (
     ConstantRate,
     LinearDriftProcess,
     StreamSource,
     TraceSource,
 )
+from repro.testkit import drift_workload, oracle_join, run_config
 
 
 def make_traces(rate=30.0, lag=4.0, duration=20.0, seed=0):
@@ -94,3 +103,36 @@ class TestCorrectness:
         assert two.throttle_fraction == pytest.approx(0.1)
         # a throttled selection keeps at least one segment per direction
         assert all(len(sel) >= 1 for sel in two.selected)
+
+    def test_unbounded_capacity_equals_oracle_via_own_profile(self):
+        """z stays 1, so sampled probes run at stride 1 and the budget
+        covers every segment that ever matched.  Aligned streams put all
+        partners at age < b (values drift 20/s against epsilon 1.5), so
+        the segment the selection keeps is the only productive one."""
+        workload = drift_workload(seed=6, m=2, lags=[0.0, 0.0])
+        two = AdaptiveTwoWayJoin(
+            workload.predicate, workload.window_sizes, workload.basic,
+            sampling=0.5, rng=0,
+        )
+        sim = Simulation(workload.traces, two, CpuModel(1e12),
+                         run_config(workload), retain_outputs=True)
+        sim.run()
+        assert two.throttle_fraction == 1.0
+        assert 0 < two.tuples_sampled < two.tuples_processed
+        observed = {r.key() for r in sim.output_buffer.results}
+        assert observed
+        assert observed == oracle_join(
+            workload.traces, **two.testkit_profile()
+        ).id_set
+
+    @pytest.mark.parametrize(
+        "predicate, kernel",
+        [
+            (EpsilonJoin(1.0), run_pipeline_columnar),
+            (BandJoin(0.5, 2.5), run_pipeline),
+        ],
+    )
+    def test_kernel_follows_the_predicate(self, predicate, kernel):
+        two = AdaptiveTwoWayJoin(predicate, [10.0] * 2, 1.0)
+        assert two._kernel is kernel
+        assert two._kernel is select_kernel(predicate)
