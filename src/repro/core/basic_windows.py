@@ -56,12 +56,21 @@ class BasicWindow:
     Values live in a numpy array too when the mode allows (``scalar`` for
     floats, ``vector`` for fixed-dimension float vectors), enabling
     vectorized predicate probes; ``generic`` mode keeps only the python
-    tuple list.
+    tuple list.  Sequence numbers live in an int64 column, so a probe
+    kernel can name its results (``(stream, seq)`` identities) with array
+    gathers, without touching a tuple object.
+
+    :attr:`tuples` is **append-only**: :meth:`clear` and
+    :meth:`insert_sorted` bind a new list instead of mutating the old
+    one, so a ``(list, row)`` reference taken at probe time (the columnar
+    kernel's :class:`~repro.joins.columnar.ResultBlock`) keeps naming the
+    same tuple after the window rotates, takes a late insert or is
+    evicted.
     """
 
     __slots__ = (
-        "mode", "dim", "tuples", "_ts", "_vals", "_count", "_first", "_last",
-        "version", "windex",
+        "mode", "dim", "tuples", "_ts", "_vals", "_seq", "_count", "_first",
+        "_last", "version", "windex",
     )
 
     def __init__(self, mode: str = SCALAR, dim: int | None = None) -> None:
@@ -81,6 +90,7 @@ class BasicWindow:
             self._vals = np.empty((_INITIAL_CAPACITY, dim), dtype=np.float64)
         else:
             self._vals = None
+        self._seq = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._count = 0
         #: ``_ts[0]`` and ``_ts[_count - 1]`` as python floats, so ordering
         #: checks and :meth:`slice_between`'s guards never read the array;
@@ -108,6 +118,12 @@ class BasicWindow:
             return self._vals[: self._count]
         return [t.value for t in self.tuples]
 
+    @property
+    def seqs(self) -> np.ndarray:
+        """Per-stream sequence numbers aligned with :attr:`timestamps`
+        (a view; do not mutate)."""
+        return self._seq[: self._count]
+
     def append(self, tup: StreamTuple) -> None:
         """Add a tuple; its timestamp must not precede the last one."""
         ts = float(tup.timestamp)
@@ -128,6 +144,7 @@ class BasicWindow:
             self._vals[count] = tup.value
         elif self.mode == VECTOR:
             self._vals[count] = np.asarray(tup.value, dtype=np.float64)
+        self._seq[count] = tup.seq
         self.tuples.append(tup)
         self._count = count + 1
         self.version += 1
@@ -164,7 +181,14 @@ class BasicWindow:
                 pos : self._count
             ].copy()
             self._vals[pos] = np.asarray(tup.value, dtype=np.float64)
-        self.tuples.insert(pos, tup)
+        self._seq[pos + 1 : self._count + 1] = self._seq[
+            pos : self._count
+        ].copy()
+        self._seq[pos] = tup.seq
+        # insert into a copy, never shift in place: see the class docstring
+        tuples = self.tuples.copy()
+        tuples.insert(pos, tup)
+        self.tuples = tuples
         self._count += 1
         # bump twice: a shift moves existing rows, so version advancing
         # faster than the row count tells append-only consumers (the
@@ -181,11 +205,15 @@ class BasicWindow:
             vals = np.empty(shape, dtype=np.float64)
             vals[: self._count] = self._vals[: self._count]
             self._vals = vals
+        seq = np.empty(new_cap, dtype=np.int64)
+        seq[: self._count] = self._seq[: self._count]
+        self._seq = seq
 
     def clear(self) -> None:
         """Empty the window in O(1) (batch expiration)."""
         self._count = 0
-        self.tuples.clear()
+        # rebind, never clear in place: see the class docstring
+        self.tuples = []
         self.version += 1
 
     def slice_between(self, ts_lo: float, ts_hi: float) -> tuple[int, int]:
@@ -255,6 +283,11 @@ class WindowSlice:
         return [
             t.value for t in window.tuples[self.lo : self.hi : self.step]
         ]
+
+    @property
+    def seqs(self) -> np.ndarray:
+        """The selected rows' sequence numbers (a view)."""
+        return self.window._seq[self.lo : self.hi : self.step]
 
     @property
     def tuples(self) -> list[StreamTuple]:

@@ -18,9 +18,10 @@ Each hop pools the selected slices' value columns into one array and tests
 the entire ``(partials x candidates)`` grid with two broadcast comparisons;
 ``np.nonzero`` enumerates hits in (partial-major, candidate-ascending)
 order, which is exactly the order the nested loops of the slow path visit
-them in.  ``StreamTuple``/``JoinResult`` objects are materialized only at
-the final hop, by walking the back-pointer chains of the surviving
-partials.
+them in.  After the final hop the back-pointer chains of the surviving
+partials are resolved — with array gathers — into a :class:`ResultBlock`:
+the results' ``seq`` identities as one int64 matrix, and the
+``JoinResult`` objects themselves only if a consumer iterates.
 
 The kernel is **bit-identical in virtual time** to ``run_pipeline``: same
 outputs in the same order, same ``comparisons``, same per-hop
@@ -32,7 +33,9 @@ candidate pool preserves slice order and stride.  The differential tests in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from itertools import accumulate, repeat
+from typing import Callable
 
 import numpy as np
 
@@ -93,7 +96,7 @@ def run_pipeline_columnar(
     vmin = np.array([v0], dtype=np.float64)
     vmax = np.array([v0], dtype=np.float64)
     # per-hop slice pools and back-pointer chains for final materialization
-    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int]]] = []
+    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int], bool]] = []
     parents_chain: list[np.ndarray] = []
     rows_chain: list[np.ndarray] = []
     completed = True
@@ -161,7 +164,7 @@ def run_pipeline_columnar(
         # slice offsets are only needed to resolve hits at the final
         # materialization, which runs once per completed probe — far
         # less often than this per-hop path
-        hop_pools.append((slices, lens))
+        hop_pools.append((slices, lens, sel is not None))
         parents_chain.append(prow)
         # with an indexed pool, map pruned-pool hits back to their
         # positions in the full (unpruned) pool so materialization is
@@ -330,47 +333,149 @@ def _hash_pool(
     return np.concatenate(pool_parts), np.concatenate(sel_parts)
 
 
+def _locate(
+    slices: Sequence[WindowSlice], lens: Sequence[int], cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve positions ``cols`` in a hop's full candidate pool to
+    ``(index into slices, row in that slice's basic window)``."""
+    if len(slices) == 1:
+        s = slices[0]
+        return np.zeros(len(cols), dtype=np.intp), s.lo + cols * s.step
+    offsets = np.fromiter(
+        accumulate(lens, initial=0), dtype=np.intp, count=len(lens) + 1
+    )
+    ids = offsets.searchsorted(cols, "right") - 1
+    los = np.array([s.lo for s in slices], dtype=np.intp)
+    steps = np.array([s.step for s in slices], dtype=np.intp)
+    return ids, los[ids] + (cols - offsets[ids]) * steps[ids]
+
+
+class ResultBlock(Sequence):
+    """One completed probe's results, kept columnar.
+
+    To every consumer it *is* the ``list[JoinResult]`` the reference
+    pipeline returns — sized, truthy when non-empty, iterable, indexable,
+    equal to a list of the same results — but the
+    :class:`~repro.streams.tuples.JoinResult` objects are only built the
+    first time somebody looks at one (and then kept, so a timestamp
+    stamped on a result is seen by every later reader).  What is built
+    eagerly is :attr:`seqs`: an ``(n, m)`` int64 matrix whose column
+    ``s`` holds the sequence number of each result's constituent from
+    stream ``s`` — the results' identities, which is all the process
+    runtime ships.
+
+    Until then the constituents are held, per hop, as positions in the
+    hop's candidate pool plus the probed slices' tuple lists.
+    :attr:`BasicWindow.tuples <repro.core.basic_windows.BasicWindow.tuples>`
+    is append-only, so those stay valid however the windows change
+    afterwards.
+    """
+
+    __slots__ = ("seqs", "_tup", "_perm", "_levels", "_results")
+
+    def __init__(
+        self,
+        seqs: np.ndarray,
+        tup: StreamTuple,
+        perm: Sequence[int],
+        levels: list[tuple],
+    ) -> None:
+        self.seqs = seqs
+        self._tup = tup
+        #: constituent positions (0 = the probing tuple, ``h + 1`` = hop
+        #: ``h``) in ascending stream order
+        self._perm = perm
+        #: per hop ``(slices, lens, lists, cols)``: :func:`_locate`'s
+        #: arguments and each slice's tuple list as of the probe
+        self._levels = levels
+        self._results: list[JoinResult] | None = None
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the ``JoinResult`` objects have been built yet."""
+        return self._results is not None
+
+    def _rows(self) -> list[JoinResult]:
+        results = self._results
+        if results is None:
+            columns: list = [repeat(self._tup)]
+            for slices, lens, lists, cols in self._levels:
+                ids, rows = _locate(slices, lens, cols)
+                columns.append([
+                    lists[i][r] for i, r in zip(ids.tolist(), rows.tolist())
+                ])
+            # every block has a hop, so zip() ends with the level lists
+            results = self._results = [
+                JoinResult(constituents)
+                for constituents in zip(*(columns[k] for k in self._perm))
+            ]
+            self._levels = None  # release the expired windows' lists
+        return results
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, ResultBlock)):
+            return self._rows() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ResultBlock({self._rows()!r})"
+
+
 def _materialize(
     tup: StreamTuple,
     order: Sequence[int],
-    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int]]],
+    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int], bool]],
     parents_chain: list[np.ndarray],
     rows_chain: list[np.ndarray],
-) -> list[JoinResult]:
-    """Resolve surviving back-pointer chains into stream-sorted results.
+) -> ResultBlock:
+    """Resolve surviving back-pointer chains into a :class:`ResultBlock`.
 
     Output order is ascending final-partial index, which equals the slow
     path's enumeration order; constituents are sorted by stream via a
-    permutation precomputed from the (distinct) stream ids.
+    permutation precomputed from the (distinct) stream ids.  The chain
+    walk is array gathers only: each hop's hits are positions in its
+    candidate pool, and the matching ``seq`` values fill that stream's
+    column of the identity matrix.
     """
     hops = len(rows_chain)
     count = len(rows_chain[-1])
     streams = [tup.stream, *order]
     perm = sorted(range(len(streams)), key=streams.__getitem__)
-    # vectorized chain walk: resolve every level's tuples for all outputs
-    idxs = np.arange(count, dtype=np.intp)
-    levels: list[list[StreamTuple]] = []
+    seqs = np.empty((count, len(streams)), dtype=np.int64)
+    seqs[:, tup.stream] = tup.seq
+    levels: list = [None] * hops
+    idxs: np.ndarray | None = None  # None: the identity over the last hop
     for h in range(hops - 1, -1, -1):
-        slices, lens = hop_pools[h]
-        offsets = np.zeros(len(lens) + 1, dtype=np.intp)
-        np.cumsum(lens, out=offsets[1:])
-        cols = rows_chain[h][idxs]
-        slice_ids = np.searchsorted(offsets, cols, side="right") - 1
-        within = cols - offsets[slice_ids]
-        levels.append(
-            [
-                slices[int(si)].tuple_at(int(w))
-                for si, w in zip(slice_ids, within)
-            ]
-        )
-        idxs = parents_chain[h][idxs]
-    levels.reverse()
-    outputs: list[JoinResult] = []
-    for p in range(count):
-        constituents = [tup]
-        for level in levels:
-            constituents.append(level[p])
-        outputs.append(
-            JoinResult(tuple(constituents[k] for k in perm))
-        )
-    return outputs
+        slices, lens, pruned = hop_pools[h]
+        cols = rows_chain[h] if idxs is None else rows_chain[h][idxs]
+        levels[h] = (slices, lens, [s.window.tuples for s in slices], cols)
+        if not pruned:
+            # the hop already paid O(pool) to line up its value columns;
+            # lining up the seq columns the same way is one more memcpy
+            # and makes every hit a single gather
+            if len(slices) == 1:
+                pool = slices[0].seqs
+            else:
+                pool = np.concatenate([s.seqs for s in slices])
+            seqs[:, order[h]] = pool[cols]
+        else:
+            # an index-pruned hop never touched most of the window and
+            # must not start now: gather from the hit slices only
+            ids, rows = _locate(slices, lens, cols)
+            column = seqs[:, order[h]]
+            for i in np.flatnonzero(
+                np.bincount(ids, minlength=len(slices))
+            ).tolist():
+                hit = ids == i
+                column[hit] = slices[i].window.seqs[rows[hit]]
+        idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
+    return ResultBlock(seqs, tup, perm, levels)

@@ -36,10 +36,15 @@ class HopStats:
 
 @dataclass(slots=True)
 class PipelineResult:
-    """Outcome of pushing one tuple through the probe pipeline."""
+    """Outcome of pushing one tuple through the probe pipeline.
+
+    ``outputs`` is a sequence of results in emission order: a list here,
+    a lazily materialized :class:`~repro.joins.columnar.ResultBlock`
+    from the columnar kernel's completed probes.
+    """
 
     comparisons: int = 0
-    outputs: list[JoinResult] = field(default_factory=list)
+    outputs: Sequence[JoinResult] = field(default_factory=list)
     hop_stats: list[HopStats] = field(default_factory=list)
 
 

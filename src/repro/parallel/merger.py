@@ -88,13 +88,19 @@ class MergerOperator(StreamOperator):
                 "merger_merged_total", shard=new, **self._obs_labels))
         return new
 
+    def absorb(self, shard: int, count: int = 1) -> None:
+        """Account ``count`` results from ``shard`` without passing
+        anything through — all the process runtime's merge is, since its
+        results arrive as identity columns, a batch per ack."""
+        if 0 <= shard < self.num_shards:
+            self.merged_per_shard[shard] += count
+            if self._obs_merged is not None:
+                self._obs_merged[shard].inc(count)
+        self.merged += count
+
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Count one shard result and pass it through."""
-        if 0 <= tup.stream < self.num_shards:
-            self.merged_per_shard[tup.stream] += 1
-            if self._obs_merged is not None:
-                self._obs_merged[tup.stream].inc()
-        self.merged += 1
+        self.absorb(tup.stream)
         return ProcessReceipt(comparisons=self.merge_cost, outputs=[tup])
 
     def describe(self) -> str:

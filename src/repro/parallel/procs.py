@@ -14,7 +14,12 @@ router and the merger:
   unacknowledged batches per worker so the downstream pipe always fits
   the OS buffer (sends never block) while acks are drained continuously
   (workers never stall on a full upstream pipe) — the classic
-  two-sided-pipe deadlock cannot form.
+  two-sided-pipe deadlock cannot form.  Results travel upstream as
+  *identity columns*: each ack carries one ``(n, m)`` int64 matrix of
+  ``seq`` numbers (:func:`result_keys`), the supervisor's merge is a
+  count and a list append per ack, and no per-result Python object is
+  built on either side (``ProcsResult.merged_ids`` builds the testkit's
+  identity set from the matrices on first access).
 * **deterministic seeding** — workers are forked, and each builds its
   own operator via ``make_shard(worker_id)`` inside the child; a factory
   that seeds from the worker id reproduces bit-identical shard state on
@@ -63,8 +68,11 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import StreamOperator
@@ -91,6 +99,27 @@ DEFAULT_BATCH_SIZE = 64
 DEFAULT_FLIGHT_CAPACITY = 64
 
 
+def result_keys(outputs: Sequence[Any], m: int) -> np.ndarray:
+    """The identities of one ``process()`` call's results as an ``(n, m)``
+    int64 matrix: column ``s`` is the ``seq`` of the constituent from
+    stream ``s``, ``-1`` where a result has none (the singletons of the
+    semi/anti/outer modes).
+
+    The columnar kernel's :class:`~repro.joins.columnar.ResultBlock`
+    already carries that matrix and is returned as is — no result object
+    is ever built; any other output sequence (the reference pipeline,
+    ``ModeState``) is filled from :meth:`JoinResult.key`.
+    """
+    seqs = getattr(outputs, "seqs", None)
+    if seqs is not None:
+        return seqs
+    keys = np.full((len(outputs), m), -1, dtype=np.int64)
+    for row, result in zip(keys, outputs):
+        for stream, seq in result.key():
+            row[stream] = seq
+    return keys
+
+
 def _worker_main(
     conn,
     make_shard: Callable[[int], StreamOperator],
@@ -103,10 +132,11 @@ def _worker_main(
 
     Runs in the forked child.  The operator is constructed *here* so
     its state never crosses the process boundary; only plain
-    :class:`StreamTuple` batches come in and result identity keys (plus
-    telemetry deltas) go out.  Virtual time inside the worker is each
-    tuple's delivery time, and adaptation ticks are replayed at the
-    same multiples of ``adaptation_interval`` the simulator would fire.
+    :class:`StreamTuple` batches come in and result identities (one
+    :func:`result_keys` matrix per ack, plus telemetry deltas) go out.
+    Virtual time inside the worker is each tuple's delivery time, and
+    adaptation ticks are replayed at the same multiples of
+    ``adaptation_interval`` the simulator would fire.
     Tick buffer statistics are synthesized from the arrival counts
     since the previous tick (everything routed here was delivered:
     ``pushed == popped``, nothing dropped, no standing queue) — enough
@@ -134,7 +164,9 @@ def _worker_main(
         next_adapt = (
             adaptation_interval if adaptation_interval else None
         )
-        arrivals = [0] * operator.num_streams
+        m = operator.num_streams
+        no_keys = np.empty((0, m), dtype=np.int64)
+        arrivals = [0] * m
         while True:
             msg = conn.recv()
             if msg[0] == "batch":
@@ -142,7 +174,7 @@ def _worker_main(
                 flight.note(
                     clock[0], f"recv batch seq={seq} n={len(batch)}"
                 )
-                keys: list = []
+                blocks: list[np.ndarray] = []
                 comparisons = 0
                 for tup in batch:
                     now = tup.delivery_time
@@ -161,13 +193,15 @@ def _worker_main(
                                 next_adapt,
                                 f"adapt tick t={next_adapt:g}",
                             )
-                            arrivals = [0] * operator.num_streams
+                            arrivals = [0] * m
                             next_adapt += adaptation_interval
                     clock[0] = now
                     arrivals[tup.stream] += 1
                     receipt = operator.process(tup, now)
                     comparisons += receipt.comparisons
-                    keys.extend(r.key() for r in receipt.outputs)
+                    if receipt.outputs:
+                        blocks.append(result_keys(receipt.outputs, m))
+                keys = np.concatenate(blocks) if blocks else no_keys
                 flight.note(
                     clock[0],
                     f"ack seq={seq} results={len(keys)} "
@@ -237,14 +271,17 @@ class _Worker:
 class ProcsResult:
     """Outcome of one process-parallel run.
 
-    ``merged_ids`` is the identity set the testkit diffs (each element
-    a :meth:`JoinResult.key` — the ``(stream, seq)`` pairs of the
-    result's constituents), ``merged_per_worker`` /
-    ``routed_per_worker`` are indexed by stable worker id (retired
-    workers keep their slot).
+    ``merged_keys`` is the merged output as it crossed the pipes: the
+    acks' :func:`result_keys` matrices in arrival order, one row per
+    result (``merged_count`` rows in all, at-least-once duplicates
+    included).  ``merged_ids`` is the identity set the testkit diffs
+    (each element a :meth:`JoinResult.key` — the ``(stream, seq)`` pairs
+    of the result's constituents), built from those matrices on first
+    access.  ``merged_per_worker`` / ``routed_per_worker`` are indexed
+    by stable worker id (retired workers keep their slot).
     """
 
-    merged_ids: frozenset
+    merged_keys: list[np.ndarray] = field(repr=False)
     merged_count: int
     merged_per_worker: list[int]
     routed_per_worker: list[int]
@@ -255,6 +292,23 @@ class ProcsResult:
     workers_retired: int
     rebalances: int
     autoscale_events: list[AutoscaleEvent] = field(default_factory=list)
+
+    @cached_property
+    def merged_ids(self) -> frozenset:
+        ids: set = set()
+        for keys in self.merged_keys:
+            # tolist() first: identities are python ints, not numpy
+            # scalars (their repr goes into the verify digests)
+            rows = keys.tolist()
+            if (keys >= 0).all():
+                streams = range(keys.shape[1])
+                ids.update(tuple(zip(streams, row)) for row in rows)
+            else:  # -1: no constituent from that stream
+                ids.update(
+                    tuple((s, q) for s, q in enumerate(row) if q >= 0)
+                    for row in rows
+                )
+        return frozenset(ids)
 
     @property
     def merged_rate(self) -> float:
@@ -334,7 +388,7 @@ class _Supervisor:
         )
         self.workers: dict[int, _Worker] = {}
         self.pending: dict[int, list[StreamTuple]] = {}
-        self.merged_ids: set = set()
+        self.merged_keys: list[np.ndarray] = []
         self.workers_retired = 0
         self.obs = obs
         self.dashboard = dashboard
@@ -420,14 +474,8 @@ class _Supervisor:
             worker.batches_acked += 1
             worker.results += len(keys)
             worker.comparisons += comparisons
-            for result_key in keys:
-                self.merged_ids.add(result_key)
-                self.merger.process(
-                    StreamTuple(
-                        value=result_key, timestamp=0.0, stream=wid
-                    ),
-                    0.0,
-                )
+            self.merger.absorb(wid, len(keys))
+            self.merged_keys.append(keys)
             self._absorb(delta)
         elif kind == "bye":
             _, wid, delta = msg
@@ -618,7 +666,7 @@ class _Supervisor:
         wall = self.timer() - started
         order = sorted(self.workers)
         return ProcsResult(
-            merged_ids=frozenset(self.merged_ids),
+            merged_keys=self.merged_keys,
             merged_count=self.merger.merged,
             merged_per_worker=[
                 self.merger.merged_per_shard[w] for w in order

@@ -157,6 +157,7 @@ class TestWindowSlice:
         class Counting:
             def __init__(self, ts):
                 self.timestamp = float(ts)
+                self.seq = int(ts)  # append() stores the seq column
 
             @property
             def value(self):

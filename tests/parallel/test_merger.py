@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Obs
 from repro.parallel import MergerOperator, shard_result_transform
 from repro.streams import JoinResult, StreamTuple
 
@@ -35,6 +36,21 @@ class TestMerger:
                 assert len(receipt.outputs) == 1
         assert merger.merged == 3
         assert merger.merged_per_shard == [2, 0, 1]
+
+    def test_absorb_counts_a_batch_like_that_many_process_calls(self):
+        obs = Obs()
+        merger = MergerOperator(num_shards=2)
+        merger.bind_obs(obs, node="merger")
+        merger.absorb(1, 5)
+        merger.absorb(0, 0)
+        merger.process(shard_result_transform(1)(result([1.0, 2.0])), 5.0)
+        assert merger.merged == 6
+        assert merger.merged_per_shard == [0, 6]
+        counts = [
+            obs.counter("merger_merged_total", shard=k, node="merger").value
+            for k in range(2)
+        ]
+        assert counts == [0, 6]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -10,21 +10,32 @@ certification ride along.
 
 import os
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.engine import CpuModel
 from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.joins import MJoinOperator
+from repro.joins.columnar import ResultBlock
 from repro.lint.plan import PlanValidationError
 from repro.obs import Obs
-from repro.parallel import AutoscalerConfig, run_procs
+from repro.parallel import AutoscalerConfig, build_sharded_graph, run_procs
+from repro.parallel.procs import result_keys
 from repro.testkit import (
+    band_workload,
     key_workload,
     mixed_key_workload,
     oracle_ids,
     sharded_ids,
 )
-from repro.testkit.differential import DRAIN_TAIL
+from repro.testkit.chaos import duplicate_delivery
+from repro.testkit.differential import (
+    DRAIN_TAIL,
+    UNBOUNDED_CAPACITY,
+    run_config,
+)
 from repro.timing import ManualTimer
 
 
@@ -104,6 +115,107 @@ class TestDeterminism:
         assert first.merged_ids == second.merged_ids
         assert first.routed_per_worker == second.routed_per_worker
         assert first.merged_count == second.merged_count
+
+
+class TestColumnarResultPlane:
+    """Results cross the pipe as ``seq`` matrices whatever produced
+    them; ``merged_ids`` rebuilt from the matrices is still the
+    virtual-time plan's identity set."""
+
+    @staticmethod
+    def both(workload, **shard_kwargs):
+        """The same pinned two-shard plan on the process runtime and on
+        the virtual-time graph: ``(ProcsResult, plan ids, plan count)``."""
+
+        def make_shard(_worker_id: int) -> MJoinOperator:
+            return MJoinOperator(
+                workload.predicate, workload.window_sizes, workload.basic,
+                **shard_kwargs,
+            )
+
+        procs = run_procs(
+            workload.traces, make_shard, 2,
+            duration=workload.duration + DRAIN_TAIL,
+        )
+        plan = build_sharded_graph(
+            workload.traces, make_shard, 2, rebalance_threshold=None
+        )
+        graph = plan.run(
+            CpuModel(UNBOUNDED_CAPACITY, cores=4), run_config(workload),
+            # the analyzer certifies sharding against the *unsharded*
+            # join (inner mode only, P130); this compares two runtimes
+            # over one plan, which holds for any shard operator
+            validate=False, retain_outputs=True,
+        )
+        return (
+            procs, plan.merged_result_ids(graph),
+            plan.output_count(graph),
+        )
+
+    @pytest.mark.parametrize("mode", ["semi", "anti"])
+    def test_singleton_modes_fill_absent_streams(self, mode):
+        # semi/anti results have one constituent: the other columns
+        # travel as -1 and must not come back as identities
+        workload = key_workload(seed=4, duration=6.0, window=2.0, n_keys=60)
+        procs, plan_ids, plan_count = self.both(workload, mode=mode)
+        assert plan_ids, "workload produced no results — test is vacuous"
+        assert {len(ids) for ids in plan_ids} == {1}
+        assert procs.merged_ids == plan_ids
+        assert procs.merged_count == plan_count
+        keys = np.concatenate(procs.merged_keys)
+        assert ((keys >= 0).sum(axis=1) == 1).all()
+        assert (keys[keys < 0] == -1).all()
+
+    def test_reference_pipeline_outputs(self):
+        # a band predicate runs the nested-loop kernel: plain lists
+        workload = band_workload(seed=2, duration=6.0)
+        procs, plan_ids, plan_count = self.both(workload)
+        assert plan_ids, "workload produced no results — test is vacuous"
+        assert procs.merged_ids == plan_ids
+        assert procs.merged_count == plan_count
+
+    def test_at_least_once_duplicates(self):
+        workload = key_workload(seed=3, duration=6.0)
+        workload = replace(workload, traces=[
+            duplicate_delivery(trace, 0.3, rng=trace.stream)
+            for trace in workload.traces
+        ])
+        procs, plan_ids, plan_count = self.both(workload)
+        assert procs.merged_ids == plan_ids
+        # every copy is merged and counted; the identity set holds one
+        assert procs.merged_count == plan_count
+        assert procs.merged_count == sum(map(len, procs.merged_keys))
+        assert procs.merged_count > len(procs.merged_ids)
+
+    def test_identities_are_python_ints(self):
+        # benchmarks/e2e/check.py reprs them into the verify digest
+        result = procs_run(key_workload(seed=1, duration=5.0), 2)
+        assert result.merged_ids
+        for ids in result.merged_ids:
+            assert type(ids) is tuple
+            for pair in ids:
+                assert type(pair) is tuple
+                assert [type(x) for x in pair] == [int, int]
+        assert result.merged_ids is result.merged_ids  # built once
+
+    def test_result_keys_passes_a_block_through_unbuilt(self):
+        workload = key_workload(seed=1, duration=5.0)
+        operator = mjoin_factory(workload)(0)
+        blocks = []
+        for tup in sorted(
+            (t for trace in workload.traces for t in trace.tuples),
+            key=lambda t: (t.timestamp, t.stream),
+        ):
+            outputs = operator.process(tup, tup.timestamp).outputs
+            if outputs:
+                blocks.append(outputs)
+        assert blocks
+        for block in blocks:
+            assert isinstance(block, ResultBlock)
+            assert result_keys(block, 3) is block.seqs
+            assert not block.materialized
+            # the list path names the same identities
+            assert result_keys(list(block), 3).tolist() == block.seqs.tolist()
 
 
 class TestAccounting:

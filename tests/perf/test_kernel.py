@@ -15,7 +15,9 @@ import pytest
 
 from repro.core.basic_windows import SCALAR, PartitionedWindow, WindowSlice
 from repro.core.shredding import shred_slices_for_hop
+from repro.core.windex import HASH, RANGE, WindowIndexState
 from repro.joins.columnar import (
+    ResultBlock,
     run_pipeline_columnar,
     select_kernel,
     supports_columnar,
@@ -226,6 +228,144 @@ def test_outputs_are_stream_sorted():
     for out in fast.outputs:
         streams = [t.stream for t in out.constituents]
         assert streams == sorted(streams)
+
+
+# ----------------------------------------------------------------------
+# ResultBlock: columnar now, JoinResult objects whenever (if ever)
+# ----------------------------------------------------------------------
+
+
+def _block_fixture(pool: str, seed: int, now: float):
+    """Three windows of a random trace, the predicate, and the probe's
+    slice selection, for one kind of candidate pool."""
+    rng = random.Random(seed)
+    m, window, basic = 3, 6.0, 1.5
+    if pool == "hash":
+        predicate = EquiJoin()
+        states = [
+            WindowIndexState(HASH, 0.0, min_index_rows=8, n_partitions=16)
+            for _ in range(m)
+        ]
+
+        def draw():
+            return float(rng.randrange(6))
+    else:
+        predicate = EpsilonJoin(0.4)
+        states = [None] * m
+        if pool == "range":
+            states = [
+                WindowIndexState(RANGE, 0.4, min_index_rows=8,
+                                 n_partitions=8, min_samples=4, warmup=4)
+                for _ in range(m)
+            ]
+
+        def draw():
+            return rng.uniform(0.0, 8.0)
+
+    windows = [
+        PartitionedWindow(window, basic, mode=SCALAR, index=state)
+        for state in states
+    ]
+    for stream, pw in enumerate(windows):
+        stamps = sorted(
+            rng.uniform(now - window - basic, now) for _ in range(120)
+        )
+        for i, ts in enumerate(stamps):
+            pw.insert(
+                StreamTuple(value=draw(), timestamp=ts, stream=stream,
+                            seq=10_000 * stream + i),
+                now,
+            )
+    if pool == "range":
+        for state in states:
+            state.tick()
+            assert state.active == RANGE
+
+    def slices_for(order):
+        if pool == "shredded":
+            return shred_slices_for_hop(windows, order, 0.5, now)
+        return lambda hop, ws: windows[ws].full_slices(now)
+
+    return windows, states, predicate, draw, slices_for
+
+
+@pytest.mark.parametrize("pool", ["full", "shredded", "hash", "range"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_result_block_outlives_its_windows(pool, seed):
+    """A block taken at probe time and first read after its windows took
+    a late sorted insert, an eviction and a full turn of the ring is the
+    reference pipeline's output as of the probe: same tuple objects, same
+    order, same keys — and ``seqs`` names them without building any."""
+    now = 10.0
+    windows, states, predicate, draw, slices_for = _block_fixture(
+        pool, seed, now
+    )
+    rng = random.Random(1000 + seed)
+    taken = []
+    strided = False
+    for trial in range(12):
+        stream = trial % 3
+        order = [s for s in range(3) if s != stream]
+        rng.shuffle(order)
+        tup = StreamTuple(value=draw(), timestamp=now, stream=stream,
+                          seq=5000 + trial)
+        slices_for_hop = slices_for(order)
+        strided |= any(s.step > 1 for s in slices_for_hop(0, order[0]))
+        slow = run_pipeline(tup, order, slices_for_hop, predicate)
+        fast = run_pipeline_columnar(tup, order, slices_for_hop, predicate)
+        if not slow.outputs:
+            assert fast.outputs == [] and not fast.outputs
+            continue
+        assert isinstance(fast.outputs, ResultBlock)
+        taken.append((fast.outputs, slow.outputs))
+    assert taken  # the fixture must actually complete probes
+    assert strided == (pool == "shredded")
+    if pool in ("hash", "range"):
+        assert sum(state.rows_pruned for state in states) > 0
+
+    for stream, pw in enumerate(windows):
+        frozen = pw._ring[1]
+        before = frozen.tuples
+        late = float(frozen.timestamps[len(frozen) // 2])
+        pw.insert(
+            StreamTuple(value=draw(), timestamp=late, stream=stream,
+                        seq=77_777),
+            now,
+        )
+        assert len(frozen) == len(before) + 1  # shifted rows in place
+        assert pw.evict_basic_window(2) > 0
+        # n + 1 rotations recycle every basic window of the probe, and
+        # the refill overwrites the rows its hits pointed at
+        later = now + (pw.n + 2) * pw.basic_window_size
+        for i in range(80):
+            pw.insert(
+                StreamTuple(value=draw(), timestamp=later + 0.01 * i,
+                            stream=stream, seq=88_000 + i),
+                later + 0.01 * i,
+            )
+        assert pw.rotations >= pw.n + 1
+
+    for block, expected in taken:
+        assert not block.materialized
+        assert len(block) == len(expected) and block
+        seqs = block.seqs
+        assert seqs.dtype == np.int64 and seqs.shape == (len(expected), 3)
+        assert seqs.tolist() == [
+            [t.seq for t in r.constituents] for r in expected
+        ]
+        assert not block.materialized  # seqs is eager; rows are not
+        for got, want in zip(block, expected):
+            assert len(got.constituents) == len(want.constituents)
+            assert all(
+                g is w for g, w in zip(got.constituents, want.constituents)
+            )
+            assert got.key() == want.key()
+        assert block.materialized
+        assert block == expected and expected == block
+        assert block[0] is block[0]  # built once: a stamp sticks
+        assert block.seqs.tolist() == [
+            [t.seq for t in r.constituents] for r in block
+        ]
 
 
 class TestKernelSelection:

@@ -1,5 +1,8 @@
 """Tests for stream tuples and join results."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.streams import JoinResult, StreamTuple
@@ -40,6 +43,33 @@ class TestStreamTuple:
         t = StreamTuple(value=0.0, timestamp=0.0)
         with pytest.raises(AttributeError):
             t.timestamp = 5.0
+
+    @pytest.mark.parametrize("delivery", [None, 12.25])
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            *(
+                lambda t, protocol=protocol: pickle.loads(
+                    pickle.dumps(t, protocol)
+                )
+                for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+            ),
+        ],
+    )
+    def test_reduce_round_trip(self, delivery, clone):
+        """``__reduce__`` (the procs runtime's batch path) rebuilds every
+        field through the constructor."""
+        t = StreamTuple(value={"k": [1.5]}, timestamp=10.0, stream=2,
+                        seq=7, delivery=delivery)
+        again = clone(t)
+        assert again is not t
+        assert again == t
+        assert again.delivery == delivery
+        assert again.delivery_time == t.delivery_time
+        flat = StreamTuple(3.5, 10.0, 2, 7, delivery)
+        assert hash(clone(flat)) == hash(flat)
 
 
 class TestJoinResult:
