@@ -23,9 +23,10 @@ per-layer breakdown) are the job of ``BENCHMARK.json`` /
 
 Usage::
 
-    python -m repro.perf.bench                      # full run -> BENCH_PERF.json
-    python -m repro.perf.bench --quick              # CI smoke sizes
-    python -m repro.perf.bench --check benchmarks/perfbench/BENCH_PERF.json
+    PYTHONPATH=src python benchmarks/perfbench/bench.py          # full run
+    PYTHONPATH=src python benchmarks/perfbench/bench.py --quick  # CI sizes
+    PYTHONPATH=src python benchmarks/perfbench/bench.py \
+        --check benchmarks/perfbench/BENCH_PERF.json
 
 ``--check`` compares the fresh run's gate metrics against a committed
 baseline with a relative tolerance (default ±15%) plus the absolute
@@ -415,7 +416,7 @@ def check_against_baseline(
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.bench",
+        prog="python benchmarks/perfbench/bench.py",
         description="wall-clock ratio regression benchmarks",
     )
     parser.add_argument(

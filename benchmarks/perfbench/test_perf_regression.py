@@ -1,6 +1,6 @@
 """perfbench harness smoke: gate logic and CLI.
 
-The heavy wall-clock measurements live in ``python -m repro.perf.bench``
+The heavy wall-clock measurements live in the sibling ``bench.py``
 (CI runs it with ``--quick --check`` against the committed
 ``BENCH_PERF.json``).  This module keeps the *harness itself* honest with
 fast deterministic checks: the regression gate fires in the right
@@ -9,18 +9,27 @@ direction and the CLI's exit code follows it.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.perf.bench import (
-    GATE_DIRECTIONS,
-    check_against_baseline,
-    main,
-)
+HERE = Path(__file__).resolve().parent
+BASELINE = HERE / "BENCH_PERF.json"
 
-BASELINE = Path(__file__).with_name("BENCH_PERF.json")
+# the sibling harness, loaded under its own module name: a plain
+# ``import bench`` would collide with benchmarks/e2e/bench.py when both
+# suites are collected in one pytest session
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_bench", HERE / "bench.py"
+)
+bench_mod = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_mod)
+
+GATE_DIRECTIONS = bench_mod.GATE_DIRECTIONS
+check_against_baseline = bench_mod.check_against_baseline
+main = bench_mod.main
 
 
 def _doc(metrics: dict) -> dict:
@@ -105,7 +114,7 @@ class TestCli:
         out = tmp_path / "run.json"
         proc = subprocess.run(
             [
-                sys.executable, "-m", "repro.perf.bench", "--quick",
+                sys.executable, str(HERE / "bench.py"), "--quick",
                 "--repeats", "1", "-o", str(out),
                 "--check", str(baseline),
             ],
@@ -116,8 +125,6 @@ class TestCli:
         assert json.loads(out.read_text())["meta"]["quick"] is True
 
     def test_main_writes_report(self, tmp_path, monkeypatch):
-        import repro.perf.bench as bench_mod
-
         monkeypatch.setattr(
             bench_mod, "run_bench",
             lambda quick=False, repeats=None: {

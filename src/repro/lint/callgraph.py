@@ -10,7 +10,8 @@ per source tree and caches it.
 Resolution is deliberately conservative and syntactic:
 
 * imports are followed through ``import x as y`` / ``from x import y``
-  aliases, exactly like :class:`repro.lint.rules.RuleContext`;
+  aliases by :class:`repro.lint.rules.RuleContext`'s own collector and
+  resolver;
 * base classes are resolved within the package only — ``ABC``,
   ``Protocol`` and other stdlib bases terminate the MRO walk;
 * attribute types are inferred from *constructor assignments only*
@@ -29,6 +30,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .rules import RuleContext, collect_imports
 
 #: base-class names that terminate MRO resolution without a finding
 _EXTERNAL_BASES = {
@@ -109,43 +112,15 @@ class ModuleInfo:
     #: every module-level binding (mutable or not)
     globals_all: set[str] = field(default_factory=set)
 
-
-def _collect_imports(tree: ast.Module, info: ModuleInfo,
-                     package: str) -> None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                info.module_aliases[alias.asname or
-                                    alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-                if alias.asname:
-                    info.module_aliases[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module is not None:
-            module = node.module
-            if node.level:  # relative import -> absolute within package
-                parts = info.name.split(".")
-                anchor = parts[: len(parts) - node.level]
-                module = ".".join(anchor + [module])
-            for alias in node.names:
-                info.from_imports[alias.asname or alias.name] = (
-                    module, alias.name
-                )
-        elif isinstance(node, ast.ImportFrom) and node.level:
-            # ``from . import x``
-            parts = info.name.split(".")
-            anchor = ".".join(parts[: len(parts) - node.level])
-            for alias in node.names:
-                info.from_imports[alias.asname or alias.name] = (
-                    anchor, alias.name
-                )
+    #: dotted names resolve through the alias tables exactly as the
+    #: per-file rules resolve them
+    resolve = RuleContext.resolve
 
 
-def _index_module(name: str, source: str, path: str,
-                  package: str) -> ModuleInfo:
+def _index_module(name: str, source: str, path: str) -> ModuleInfo:
     tree = ast.parse(source, filename=path)
     info = ModuleInfo(name=name, path=path, tree=tree)
-    _collect_imports(tree, info, package)
+    collect_imports(tree, info)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[node.name] = node
@@ -214,8 +189,7 @@ class PackageIndex:
             module_name = path.stem
         try:
             source = path.read_text(encoding="utf-8")
-            info = _index_module(module_name, source, str(path),
-                                 self.package)
+            info = _index_module(module_name, source, str(path))
         except (OSError, SyntaxError) as exc:
             self.errors.append(f"{path}: {exc}")
             return None
@@ -225,7 +199,7 @@ class PackageIndex:
     def add_source(self, source: str, module_name: str,
                    path: str = "<string>") -> ModuleInfo:
         """Index an in-memory module (tests)."""
-        info = _index_module(module_name, source, path, self.package)
+        info = _index_module(module_name, source, path)
         self.modules[module_name] = info
         return info
 

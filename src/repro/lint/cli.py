@@ -22,10 +22,10 @@ are frozen at version 1.  ``--format sarif`` emits SARIF 2.1.0 for
 GitHub code-scanning annotations.
 
 ``--effects`` switches to the effect-certification pass
-(:mod:`repro.lint.effects`): certify every operator class, enforce the
-suppression baseline (P123), and optionally write
-(``--manifest-out``) or drift-check (``--check-manifest``) the
-machine-readable manifest CI commits under ``benchmarks/effects/``.
+(:mod:`repro.lint.effects`): certify every operator class, and
+optionally write (``--manifest-out``) or drift-check
+(``--check-manifest``) the machine-readable manifest CI commits under
+``benchmarks/effects/``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from .checker import FileReport, check_paths, module_path_of
+from .checker import FileReport, check_paths
 from .rules import REGISTRY
 
 _SARIF_SCHEMA = (
@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the effect-certification pass instead of the file "
-            "rules: classify every operator, enforce the suppression "
-            "baseline (P123)"
+            "rules: classify every operator"
         ),
     )
     parser.add_argument(
@@ -237,8 +236,7 @@ def _effects_src_root(paths: Sequence[str]) -> Path | None:
 
 
 def _run_effects(args: argparse.Namespace) -> int:
-    """The ``--effects`` mode: certify, enforce baseline, manifest."""
-    from .baseline import load_baseline
+    """The ``--effects`` mode: certify, write/check the manifest."""
     from .effects import analyze_package
 
     src_root = _effects_src_root(args.paths)
@@ -248,7 +246,6 @@ def _run_effects(args: argparse.Namespace) -> int:
         print(f"INTERNAL: effect analysis crashed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    baseline = load_baseline()
     problems: list[str] = []
 
     # every certificate must resolve to a real classification
@@ -260,31 +257,6 @@ def _run_effects(args: argparse.Namespace) -> int:
             )
     for error in analysis.errors:
         problems.append(f"P120 analysis error: {error}")
-
-    # P123 — baseline schema + forced entries must reference real classes
-    for problem in baseline.problems:
-        problems.append(f"P123 {problem}")
-    for qualname in sorted(baseline.classifications):
-        if analysis.get(qualname) is None:
-            problems.append(
-                f"P123 baseline forces a classification for "
-                f"{qualname}, which the effect pass did not certify "
-                "(renamed or removed class? stale entry?)"
-            )
-
-    # P123 — every suppression must cite a reviewed baseline entry
-    lint_reports = check_paths(args.paths)
-    for report in lint_reports:
-        for diag in report.suppressed_diags:
-            module_path = module_path_of(report.path)
-            if not baseline.covers_suppression(diag.code, module_path):
-                problems.append(
-                    f"P123 suppression of {diag.code} at "
-                    f"{report.path}:{diag.line} has no reviewed "
-                    f"baseline entry (rule={diag.code}, "
-                    f"path={module_path}); add one to "
-                    "src/repro/lint/baseline.json"
-                )
 
     manifest = analysis.manifest_json()
     if args.manifest_out:

@@ -34,8 +34,8 @@ The classification is conservative: anything the analysis cannot prove
 lands in the worse class, unresolved method calls are recorded in the
 manifest under ``unknown_calls`` (assumed effect-free — the documented
 analysis assumption the sanitizer backstops), and a class may *declare*
-a worse class via ``__effects__ = "shared-state"`` but may only be
-upgraded through a reviewed baseline entry (rule P123).
+a worse class via ``__effects__ = "shared-state"`` but never a better
+one: the only way up is to fix the operator.
 
 Entry points:
 
@@ -43,8 +43,8 @@ Entry points:
   ``src/repro`` (cached per source root).
 * :func:`classify_class` — certify one runtime class object, including
   classes defined outside the package (test operators).
-* :func:`build_manifest` / ``python -m repro.lint --effects`` — the
-  byte-stable JSON manifest CI diffs against
+* ``python -m repro.lint --effects`` — the byte-stable JSON manifest
+  (:meth:`EffectAnalysis.manifest_json`) CI diffs against
   ``benchmarks/effects/MANIFEST.json``.
 """
 
@@ -69,8 +69,8 @@ SHARDABLE = frozenset({"pure", "stream-local", "shard-safe"})
 #: methods the runtime (or plan wiring) actually invokes — the rollup
 #: roots; helper/introspection methods are certified only if reachable
 ENTRY_METHODS = (
-    "__init__", "process", "admit", "on_adapt", "bind_obs",
-    "_obs_setup", "describe", "attach_depth_probe", "select_kernel",
+    "__init__", "process", "admit", "on_adapt", "on_finish", "bind_obs",
+    "_obs_setup", "describe", "attach_depth_probe",
 )
 
 #: method names assumed to mutate their receiver when the receiver's
@@ -88,14 +88,12 @@ _OBS_WRITE_API = frozenset({
     "series", "histogram", "bind_obs", "span", "explain",
 })
 
-#: instance attributes that are telemetry plumbing, not operator state
-#: (excluded from state-write classification and from the sanitizer's
-#: object-graph walk alike — policed separately by P122)
-OBS_ATTR_ROOTS = ("obs", "_obs")
-
-
 def is_obs_attr(name: str) -> bool:
+    """Telemetry plumbing (``obs``, ``_obs*``), not operator state:
+    excluded from state-write classification and from the sanitizer's
+    object-graph walk alike — policed separately by P122."""
     return name == "obs" or name.startswith("_obs")
+
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
@@ -109,11 +107,6 @@ _BUILTIN_CTORS = {
 
 def _rank(classification: str) -> int:
     return EFFECT_ORDER.index(classification)
-
-
-def worst(a: str, b: str) -> str:
-    """The worse of two classifications."""
-    return a if _rank(a) >= _rank(b) else b
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +293,6 @@ class _FunctionVisitor(ast.NodeVisitor):
             return "builtin"
         return "external"
 
-    def _resolve_dotted(self, node: ast.AST) -> str | None:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        root = node.id
-        if root in self.module.module_aliases:
-            parts.append(self.module.module_aliases[root])
-        elif root in self.module.from_imports:
-            mod, original = self.module.from_imports[root]
-            parts.append(original)
-            parts.append(mod)
-        else:
-            parts.append(root)
-        return ".".join(reversed(parts))
-
     # -- write targets --------------------------------------------------
 
     def _record_store(self, target: ast.AST, value: ast.AST | None) -> None:
@@ -419,7 +394,7 @@ class _FunctionVisitor(ast.NodeVisitor):
     def _class_of_call(self, call: ast.Call) -> ClassInfo | None:
         if isinstance(call.func, ast.Name):
             return self.index.resolve_class(self.module, call.func.id)
-        dotted = self._resolve_dotted(call.func)
+        dotted = self.module.resolve(call.func)
         if dotted is None:
             return None
         mod_name, _, cls_name = dotted.rpartition(".")
@@ -525,7 +500,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                 if self._is_property(chain[1]):
                     # property getter: the body executes at read time
                     self.summary.calls.append(("self", chain[1], []))
-            dotted = self._resolve_dotted(node)
+            dotted = self.module.resolve(node)
             if dotted in _WALL_CLOCK:
                 self.summary.clock = True
             elif dotted and dotted.startswith("numpy.random.") and \
@@ -604,7 +579,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                          self._describe_args(node))
                     )
                     return
-                dotted = self._resolve_dotted(func)
+                dotted = self.module.resolve(func)
                 self._external_call(dotted or name)
                 return
             if kind in ("local", "builtin"):
@@ -636,12 +611,11 @@ class _FunctionVisitor(ast.NodeVisitor):
                     summary.opaque_calls.add(method)
                 return
             if root == self.self_name:
-                self._attr_root_call(chain[1], method, node,
-                                     path=chain[1:-1])
+                self._attr_root_call(chain[1], method, node)
                 return
             kind = self._kind_of(root)
             if kind == "param":
-                if root == "obs" or root.startswith("_obs"):
+                if is_obs_attr(root):
                     self._obs_call(method)
                 elif "rng" in root:
                     summary.rng_injected = True
@@ -651,7 +625,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                     summary.param_mutations.add(root)
                 return
             if kind == "global":
-                dotted = self._resolve_dotted(func)
+                dotted = self.module.resolve(func)
                 if dotted is not None and (
                         dotted in _WALL_CLOCK
                         or dotted.startswith("numpy.random.")
@@ -696,11 +670,11 @@ class _FunctionVisitor(ast.NodeVisitor):
                 self.summary.self_writes.add(chain[1])
                 self.summary.mutated_attrs.add(chain[1])
 
-    def _attr_root_call(self, root: str, method: str, node: ast.Call,
-                        path: list[str] | None = None) -> None:
+    def _attr_root_call(self, root: str, method: str,
+                        node: ast.Call) -> None:
         """A call through ``self.<root>...<method>(...)``."""
         summary = self.summary
-        if root == "obs" or root.startswith("_obs"):
+        if is_obs_attr(root):
             self._obs_call(method)
             return
         if "rng" in root:
@@ -996,7 +970,6 @@ class ClassCertificate:
     classification: str
     inferred: str
     declared: str | None
-    forced: bool
     why: list[str]
     effects: dict
     entry_methods: list[str]
@@ -1011,7 +984,6 @@ class ClassCertificate:
             "declared": self.declared,
             "effects": self.effects,
             "entry_methods": self.entry_methods,
-            "forced": self.forced,
             "inferred": self.inferred,
             "kind": self.kind,
             "why": self.why,
@@ -1212,15 +1184,14 @@ def certify_class_info(index: PackageIndex, cls: ClassInfo,
                    f"from inferred {inferred!r})"] + why
         elif _rank(declared) < _rank(inferred):
             why = [f"declared __effects__ = {declared!r} IGNORED: "
-                   f"inference found {inferred!r}; upgrades require a "
-                   "reviewed baseline entry (P123)"] + why
+                   f"inference found {inferred!r}; a declaration can "
+                   "only downgrade"] + why
     return ClassCertificate(
         qualname=cls.qualname,
         kind=kind,
         classification=classification,
         inferred=inferred,
         declared=declared,
-        forced=False,
         why=why,
         effects=_effects_dict(merged, aliased),
         entry_methods=entries,
@@ -1344,9 +1315,10 @@ def classify_class(cls: type,
         cert = analysis.get(qualname)
         if cert is not None:
             return cert
-        info = _find_indexed_class(analysis.index, module, cls.__name__)
-        if info is not None:
-            return certify_class_info(analysis.index, info)
+        info = analysis.index.modules.get(module)
+        if info is not None and cls.__name__ in info.classes:
+            return certify_class_info(analysis.index,
+                                      info.classes[cls.__name__])
         return _unknown_certificate(
             qualname, f"class {qualname} not found in the package index"
         )
@@ -1378,14 +1350,6 @@ def classify_class(cls: type,
     return cert
 
 
-def _find_indexed_class(index: PackageIndex, module: str,
-                        name: str) -> ClassInfo | None:
-    info = index.modules.get(module)
-    if info is not None:
-        return info.classes.get(name)
-    return None
-
-
 def _unknown_certificate(qualname: str, reason: str) -> ClassCertificate:
     return ClassCertificate(
         qualname=qualname,
@@ -1393,13 +1357,7 @@ def _unknown_certificate(qualname: str, reason: str) -> ClassCertificate:
         classification="unknown",
         inferred="unknown",
         declared=None,
-        forced=False,
         why=[reason],
         effects={},
         entry_methods=[],
     )
-
-
-def build_manifest(src_root: str | Path | None = None) -> dict:
-    """The package's effect manifest as a JSON-ready dict."""
-    return analyze_package(src_root, refresh=True).manifest_dict()

@@ -41,8 +41,7 @@ P111   Router fan-out: a partitioning router (``output_kind ==
 P120   Shard safety: every operator replicated behind a router must
        certify ``pure``/``stream-local``/``shard-safe`` in the effect
        manifest (:mod:`repro.lint.effects`); a ``shared-state`` or
-       ``unknown`` operator may only be sharded through a reviewed
-       baseline classification entry.
+       ``unknown`` operator is never sharded.
 P121   Merger order-insensitivity: an operator that fans shard outputs
        back in must declare ``order_insensitive = True`` (or expose a
        ``merge_key``) or certify ``pure`` — shard completion order is
@@ -52,25 +51,19 @@ P122   Telemetry direction: operator entry paths may *write* obs
        instruments but never read them; reading telemetry feeds the
        metrics plane back into results and (under sharding) couples
        shards through the shared obs tree.
-P123   Baseline hygiene: every forced classification and every lint
-       suppression must cite a complete, reviewed baseline entry
-       (id, reason, reviewed_by) — see :mod:`repro.lint.baseline`.
 P124   Instance aliasing: the *actual* shard operator instances must
        not share mutable objects reachable through attributes their
        certificates say they write (a shared read-only table is fine;
        a shared written window is one shard scribbling on another).
-P125   Worker entry (process runtime): an operator about to be forked
-       into a worker process must not carry a bound obs sink (handles
-       do not cross the process boundary) and the shard factory must
-       return a fresh instance per worker id — see
-       :func:`check_worker_entry`.
+       A shard factory returning one instance for two shards is the
+       limiting case: every written root is aliased.
 P126   Worker telemetry (process runtime): worker telemetry is
        constructed *post-fork* and stays private to its worker — no
-       telemetry-plane object (``Obs``, registry, instrument,
-       span/flight recorder, delta shipper) may be reachable anywhere
-       in a to-be-forked operator's state graph, and no two worker
-       probes may reach the same telemetry object (cross-worker
-       sharing) — see :func:`check_worker_telemetry`.
+       telemetry-plane object (a bound ``Obs`` sink, registry,
+       instrument, span/flight recorder, delta shipper) may be
+       reachable anywhere in a to-be-forked operator's state graph,
+       and no two worker probes may reach the same telemetry object
+       (cross-worker sharing).
 P130   Mode placement: shard targets behind a router require the
        paper's home configuration — inner mode over sliding windows.
        An anti or outer join with outgoing edges is a WARNING: its
@@ -93,11 +86,11 @@ P133   Partition-index compatibility: an ``index=`` spec must agree
        predicate; ``hash`` only for exact equi probes, radius 0).  Also
        rejects a spec given through both ``.index(...)`` and
        ``.join(index=...)``.
-
-The effect checks (P120-P124) run automatically whenever the graph
-contains a routed topology, and can be forced on or off with
-``analyze_graph(..., effects=True/False)``.
 =====  ==================================================================
+
+The effect checks (P120-P124) run exactly when the graph contains a
+routed topology; P120/P124/P126 are one function,
+:func:`certify_shards`, shared with the build-time gate.
 
 Feasibility (P106) is *symbolic*: rates, selectivities and throttle come
 from :class:`HarvestAssumptions`, not from a run.  With uniform
@@ -386,17 +379,132 @@ def _feasibility_profile(
 
 
 # --------------------------------------------------------------------------
-# effect certification checks (P120-P124)
+# effect certification checks (P120-P126)
 # --------------------------------------------------------------------------
 
 
-def _state_root_of(path: str) -> str:
-    """``windows[2].tuples`` -> ``windows`` (the owning attribute)."""
-    for sep in (".", "[", "{"):
-        idx = path.find(sep)
-        if idx > 0:
-            path = path[:idx]
-    return path
+def certify_shards(
+    shard_ops: Sequence[Any],
+    labels: Sequence[str] | None = None,
+    *,
+    worker_entry: bool = False,
+) -> PlanReport:
+    """The shard-safety gate: P120 + P124 (+ P126 for worker entry).
+
+    The only implementation of the three checks: the plan analyzer runs
+    it per routed shard group, ``build_sharded_graph`` and ``run_procs``
+    through :func:`repro.parallel.sharded.certify_shard_operators`.
+
+    * P120 — every replicated operator *class* certifies
+      ``pure``/``stream-local``/``shard-safe`` (one finding per class,
+      naming the shards that carry it);
+    * P124 — the *instances* alias no mutable object through a root
+      their certificates say they mutate (one instance handed to two
+      shards aliases every such root);
+    * P126 — ``worker_entry=True``: the process runtime is about to
+      fork these operators, see :func:`_check_worker_telemetry`.
+
+    ``labels`` name the operators in messages (default ``shard<k>``).
+    """
+    from .effects import SHARDABLE, classify_class
+    from .stategraph import written_aliases
+
+    if labels is None:
+        labels = [f"shard{k}" for k in range(len(shard_ops))]
+    report = PlanReport()
+    if worker_entry:
+        _check_worker_telemetry(report, shard_ops, labels)
+    certificates = [classify_class(type(op)) for op in shard_ops]
+
+    carriers: dict[str, list[int]] = {}
+    for k, cert in enumerate(certificates):
+        carriers.setdefault(cert.qualname, []).append(k)
+    for indices in carriers.values():
+        cert = certificates[indices[0]]
+        if cert.classification in SHARDABLE:
+            continue
+        detail = cert.why[0] if cert.why else "no certificate"
+        report.add(
+            "P120",
+            f"shard operator {cert.qualname} (on "
+            f"{', '.join(labels[k] for k in indices)}) certifies "
+            f"{cert.classification!r} ({detail}); only pure/"
+            "stream-local/shard-safe operators may be replicated — "
+            "fix the shared state",
+            node=labels[indices[0]],
+        )
+
+    mutated = [
+        frozenset(cert.effects.get("mutated_writes", ()))
+        for cert in certificates
+    ]
+    for shared, hits in written_aliases(shard_ops, mutated, labels):
+        report.add(
+            "P124",
+            f"shard instances share one mutable {shared.type_name} "
+            f"({shared.render()}) reachable through written state; "
+            f"writes at {', '.join(hits)} would leak across shards — "
+            "give every shard its own instance",
+            node=hits[0].split(".", 1)[0],
+        )
+    return report
+
+
+def _check_worker_telemetry(
+    report: PlanReport, shard_ops: Sequence[Any], labels: Sequence[str]
+) -> None:
+    """P126 — worker telemetry is constructed post-fork and private.
+
+    The cross-process telemetry plane builds each worker's
+    :class:`~repro.obs.Obs` *inside the forked child* and ships
+    incremental deltas back over the pipe (write-only from the shard —
+    P122 polices the entry paths); the supervisor-side aggregator is
+    the only reader.  That design holds only if the operators about to
+    be forked carry no telemetry at all:
+
+    * any reachable telemetry-plane object (an ``Obs`` bound with
+      ``bind_obs``, a registry or instrument, a span or flight
+      recorder, a delta shipper) was necessarily constructed
+      *pre-fork* — the forked copy would record into dead
+      supervisor-side state instead of the worker's own post-fork
+      plane (bind obs on the supervisor's router/merger instead);
+    * one telemetry object reachable from two worker probes is
+      cross-worker sharing: after the fork it silently becomes K
+      divergent copies no runtime check can see across.
+
+    Walks the operator's whole reachable state graph, *including* the
+    ``obs``/``_obs*`` roots the P124 aliasing walk deliberately skips.
+    """
+    from .stategraph import is_telemetry_object, iter_state
+
+    owners: dict[int, tuple[int, str]] = {}
+    for k, op in enumerate(shard_ops):
+        for node in iter_state(op, include_telemetry=True):
+            if not is_telemetry_object(node.obj):
+                continue
+            type_name = type(node.obj).__qualname__
+            prior = owners.get(id(node.obj))
+            if prior is None:
+                owners[id(node.obj)] = (k, node.path)
+                report.add(
+                    "P126",
+                    f"worker operator {labels[k]} "
+                    f"({type(op).__qualname__}) reaches telemetry "
+                    f"object {type_name} at {node.path!r} before the "
+                    "fork; worker telemetry must be constructed inside "
+                    "the child (the procs runtime builds each worker's "
+                    "Obs post-fork and ships deltas back)",
+                    node=labels[k],
+                )
+            elif prior[0] != k:
+                report.add(
+                    "P126",
+                    f"telemetry object {type_name} is reachable from "
+                    f"worker probes {prior[0]} (at {prior[1]!r}) and "
+                    f"{k} (at {node.path!r}) — cross-worker telemetry "
+                    "sharing",
+                    node=labels[k],
+                )
 
 
 def _effect_checks(
@@ -404,26 +512,13 @@ def _effect_checks(
     nodes: dict[str, Any],
     shard_groups: list[tuple[str, list[str]]],
     edges: list[Any],
-    baseline: Any = None,
 ) -> None:
-    """P120-P124: certify the graph against the effect manifest."""
-    from .baseline import load_baseline
-    from .effects import SHARDABLE, classify_class
-    from .stategraph import shared_mutable_objects
-
-    if baseline is None:
-        baseline = load_baseline()
-
-    # P123 — incomplete/invalid baseline entries are findings themselves
-    for problem in baseline.problems:
-        report.add("P123", problem, node="baseline")
-
-    certificates = {
-        name: classify_class(type(op)) for name, op in nodes.items()
-    }
+    """P120-P124 over a routed plan."""
+    from .effects import classify_class
 
     # P122 — obs hooks must be write-only, on every node in the plan
-    for name, cert in sorted(certificates.items()):
+    for name, op in sorted(nodes.items()):
+        cert = classify_class(type(op))
         if cert.effects.get("obs") == "reads":
             methods = ", ".join(
                 d for d in cert.why if d.startswith("reads telemetry")
@@ -437,33 +532,18 @@ def _effect_checks(
                 node=name,
             )
 
-    shard_nodes: set[str] = set()
-    for router_name, targets in shard_groups:
-        shard_nodes.update(targets)
-        # P120 — replicated operators must certify shardable
-        for target in targets:
-            cert = certificates[target]
-            forced = baseline.forced_classification(cert.qualname)
-            effective = forced if forced is not None \
-                else cert.classification
-            if effective in SHARDABLE:
-                continue
-            detail = cert.why[0] if cert.why else "no certificate"
-            report.add(
-                "P120",
-                f"operator {cert.qualname} replicated on shard node "
-                f"{target!r} certifies {cert.classification!r} "
-                f"({detail}); only pure/stream-local/shard-safe "
-                "operators may be sharded — fix the shared state or "
-                "add a reviewed baseline classification entry",
-                node=target,
-            )
+    for _router_name, targets in shard_groups:
+        # P120 / P124 — the one shard-safety gate
+        report.diagnostics.extend(
+            certify_shards([nodes[t] for t in targets], targets)
+            .diagnostics
+        )
 
         # P121 — whatever fans the shards back in must tolerate any
         # shard completion order
         merge_targets = sorted({
             e.target for e in edges
-            if e.source in set(targets) and e.target not in targets
+            if e.source in targets and e.target not in targets
         })
         for merge_target in merge_targets:
             merger_op = nodes[merge_target]
@@ -471,7 +551,7 @@ def _effect_checks(
                 continue
             if getattr(merger_op, "merge_key", None) is not None:
                 continue
-            cert = certificates[merge_target]
+            cert = classify_class(type(merger_op))
             if cert.classification == "pure":
                 continue
             report.add(
@@ -484,136 +564,6 @@ def _effect_checks(
                 node=merge_target,
             )
 
-        # P124 — the actual instances must not alias mutable state
-        # through written attributes
-        shard_ops = [nodes[t] for t in targets]
-        for shared in shared_mutable_objects(shard_ops):
-            written_hits = []
-            for owner_index, path in sorted(shared.paths.items()):
-                cert = certificates[targets[owner_index]]
-                root = _state_root_of(path)
-                writes = set(cert.effects.get("mutated_writes", ()))
-                if root in writes or "*" in writes:
-                    written_hits.append(
-                        f"{targets[owner_index]}.{path}"
-                    )
-            if written_hits:
-                report.add(
-                    "P124",
-                    f"shard instances share one mutable "
-                    f"{shared.type_name} reachable through written "
-                    f"state ({shared.render()}); writes at "
-                    f"{', '.join(written_hits)} would be visible to "
-                    "other shards — give every shard its own instance",
-                    node=written_hits[0].split(".", 1)[0],
-                )
-
-
-def check_worker_entry(shard_ops: Sequence[Any]) -> PlanReport:
-    """P125 — process-parallel worker-entry safety.
-
-    The process runtime (:mod:`repro.parallel.procs`) forks each shard
-    operator into its own OS process, which tightens the shard-safety
-    contract beyond P120/P124:
-
-    * an operator must not carry a bound telemetry sink — obs handles
-      do not cross the process boundary, so a forked copy would record
-      into a dead registry the supervisor never reads (bind obs on the
-      supervisor's router/merger instead);
-    * the factory must return a *fresh instance* per worker id — with
-      fork semantics a shared instance silently becomes K divergent
-      copies, the worst kind of aliasing because no runtime check can
-      see across the boundary afterwards.
-
-    Called by ``certify_shard_operators(..., worker_entry=True)`` on
-    probe instances built *before* any fork.
-    """
-    report = PlanReport()
-    for k, op in enumerate(shard_ops):
-        if getattr(op, "obs", None) is not None:
-            report.add(
-                "P125",
-                f"worker operator shard{k} "
-                f"({type(op).__qualname__}) carries a bound obs sink; "
-                "telemetry handles do not survive the fork — the "
-                "worker would record into a registry the supervisor "
-                "never reads.  Bind obs to the supervisor-side router "
-                "and merger instead",
-                node=f"shard{k}",
-            )
-    seen: dict[int, int] = {}
-    for k, op in enumerate(shard_ops):
-        first = seen.setdefault(id(op), k)
-        if first != k:
-            report.add(
-                "P125",
-                f"shard factory returned the same operator instance "
-                f"for workers {first} and {k}; each forked worker "
-                "must build its own operator (state cannot be shared "
-                "across the process boundary)",
-                node=f"shard{k}",
-            )
-    return report
-
-
-def check_worker_telemetry(shard_ops: Sequence[Any]) -> PlanReport:
-    """P126 — worker telemetry is constructed post-fork and private.
-
-    The cross-process telemetry plane builds each worker's
-    :class:`~repro.obs.Obs` *inside the forked child* and ships
-    incremental deltas back over the pipe (write-only from the shard —
-    P122 polices the entry paths); the supervisor-side aggregator is
-    the only reader.  That design holds only if the operators about to
-    be forked carry no telemetry at all:
-
-    * any reachable telemetry-plane object (an ``Obs``, a registry or
-      instrument, a span or flight recorder, a delta shipper) was
-      necessarily constructed *pre-fork* — the forked copy would record
-      into dead supervisor-side state instead of the worker's own
-      post-fork plane;
-    * one telemetry object reachable from two worker probes is
-      cross-worker sharing: after the fork it silently becomes K
-      divergent copies no runtime check can see across.
-
-    Deepens P125 (which spots the directly bound ``op.obs`` handle) to
-    the operator's whole reachable state graph, *including* the
-    ``obs``/``_obs*`` roots the P124 aliasing walk deliberately skips.
-    Called next to :func:`check_worker_entry` by
-    ``certify_shard_operators(..., worker_entry=True)``.
-    """
-    from .stategraph import is_telemetry_object, iter_state
-
-    report = PlanReport()
-    owners: dict[int, tuple[int, str]] = {}
-    for k, op in enumerate(shard_ops):
-        for node in iter_state(op, include_telemetry=True):
-            if not is_telemetry_object(node.obj):
-                continue
-            type_name = type(node.obj).__qualname__
-            prior = owners.get(id(node.obj))
-            if prior is None:
-                owners[id(node.obj)] = (k, node.path)
-                report.add(
-                    "P126",
-                    f"worker operator shard{k} "
-                    f"({type(op).__qualname__}) reaches telemetry "
-                    f"object {type_name} at {node.path!r} before the "
-                    "fork; worker telemetry must be constructed inside "
-                    "the child (the procs runtime builds each worker's "
-                    "Obs post-fork and ships deltas back)",
-                    node=f"shard{k}",
-                )
-            elif prior[0] != k:
-                report.add(
-                    "P126",
-                    f"telemetry object {type_name} is reachable from "
-                    f"worker probes {prior[0]} (at {prior[1]!r}) and "
-                    f"{k} (at {node.path!r}) — cross-worker telemetry "
-                    "sharing",
-                    node=f"shard{k}",
-                )
-    return report
-
 
 # --------------------------------------------------------------------------
 # graph analysis
@@ -623,11 +573,9 @@ def check_worker_telemetry(shard_ops: Sequence[Any]) -> PlanReport:
 def analyze_graph(
     graph: "DataflowGraph",
     assumptions: HarvestAssumptions | None = None,
-    effects: bool | None = None,
 ) -> PlanReport:
     """Validate a constructed dataflow graph (checks P101-P111, plus the
-    effect-certification checks P120-P124 — automatic for routed
-    topologies, forceable with ``effects=True/False``)."""
+    effect-certification checks P120-P124 for routed topologies)."""
     report = PlanReport()
     nodes = graph.node_operators()
     edges = graph.edge_list()
@@ -825,9 +773,8 @@ def analyze_graph(
                     )
                 )
 
-    # P120-P124 — effect certification (automatic for routed plans)
-    run_effects = effects if effects is not None else bool(shard_groups)
-    if run_effects:
+    # P120-P124 — effect certification of routed plans
+    if shard_groups:
         _effect_checks(report, nodes, shard_groups, edges)
     return report
 
@@ -840,7 +787,6 @@ def analyze_graph(
 def analyze_query(
     query: Any,
     assumptions: HarvestAssumptions | None = None,
-    effects: bool | None = None,
 ) -> PlanReport:
     """Validate a declarative :class:`repro.query.Query` before it runs.
 
@@ -992,6 +938,6 @@ def analyze_query(
     # state can actually be assembled
     if report.ok and sources and window is not None and predicate is not None:
         graph, _ = query.build(capacity=1.0)
-        graph_report = analyze_graph(graph, effects=effects)
+        graph_report = analyze_graph(graph)
         report.diagnostics.extend(graph_report.diagnostics)
     return report

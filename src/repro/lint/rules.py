@@ -94,6 +94,12 @@ class RuleContext:
     #: ``local name -> (module, original name)`` from ``from x import y``
     from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
 
+    @property
+    def name(self) -> str:
+        """Dotted module name (``core/greedy.py`` -> ``repro.core.greedy``)."""
+        stem = self.module_path.removesuffix(".py").removesuffix("/__init__")
+        return "repro." + stem.replace("/", ".")
+
     def resolve(self, node: ast.AST) -> str | None:
         """Dotted name of an expression, with import aliases expanded.
 
@@ -120,8 +126,14 @@ class RuleContext:
         return ".".join(reversed(parts))
 
 
-def collect_imports(tree: ast.AST, ctx: RuleContext) -> None:
-    """Populate the context's alias tables from the module's imports."""
+def collect_imports(tree: ast.AST, ctx) -> None:
+    """Populate ``ctx``'s alias tables from the module's imports.
+
+    The one import collector: ``ctx`` is a :class:`RuleContext` or the
+    effect pass's :class:`repro.lint.callgraph.ModuleInfo` — anything
+    with ``module_aliases``, ``from_imports`` and a dotted ``name``,
+    against which relative imports are made absolute.
+    """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -130,10 +142,14 @@ def collect_imports(tree: ast.AST, ctx: RuleContext) -> None:
                 else:
                     root = alias.name.split(".")[0]
                     ctx.module_aliases[root] = root
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        elif isinstance(node, ast.ImportFrom):
+            module = [node.module] if node.module else []
+            if node.level:  # ``from .x import y`` / ``from . import x``
+                parts = ctx.name.split(".")
+                module = parts[: len(parts) - node.level] + module
             for alias in node.names:
                 ctx.from_imports[alias.asname or alias.name] = (
-                    node.module,
+                    ".".join(module),
                     alias.name,
                 )
 
@@ -554,12 +570,10 @@ def _dedup_by_line(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 
 #: packages forming the deterministic simulator (R001's scope); obs/ is
-#: included because telemetry is keyed to virtual time by contract,
-#: parallel/ because sharded runs must replay bit-identically, and
-#: perf/ because benchmark *measurement* may touch the wall clock only
-#: at its two explicitly reviewed timing points (see the baseline)
+#: included because telemetry is keyed to virtual time by contract and
+#: parallel/ because sharded runs must replay bit-identically
 SIMULATOR_PACKAGES = ("core/", "engine/", "joins/", "streams/", "obs/",
-                      "parallel/", "perf/")
+                      "parallel/")
 
 #: packages whose per-tuple paths are performance critical (R004's scope)
 HOT_PATH_PACKAGES = ("core/", "engine/", "joins/")
@@ -574,8 +588,8 @@ FLOAT_EQ_MODULES = (
 #: packages whose operator `process()` methods run once per tuple
 #: (R007's scope); engine/ is excluded — its process-like entry points
 #: are the scheduler, not per-tuple operator code.  parallel/ routers
-#: and mergers see *every* tuple, perf/ kernels are the hot path itself
-PROCESS_HOT_PACKAGES = ("core/", "joins/", "parallel/", "perf/")
+#: and mergers see *every* tuple
+PROCESS_HOT_PACKAGES = ("core/", "joins/", "parallel/")
 
 #: modules whose classes sit on the per-tuple hot path (R006's scope)
 SLOTTED_MODULES = (

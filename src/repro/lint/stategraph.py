@@ -6,7 +6,8 @@ with the dotted path it was reached through (``windows[2].tuples``).
 P124 uses it at plan-build time to find objects aliased across shard
 instances; :class:`repro.testkit.sanitizer.DeterminismSanitizer` uses it
 at run time to fingerprint state between calls and attribute any
-unexpected change to a path.
+unexpected change to a path.  Both ask :func:`written_aliases` the same
+question, so they name the same objects and the same paths.
 
 Traversal rules (deliberately identical for both users, so the static
 and dynamic layers reason about the same graph):
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Collection, Iterator, Sequence
 
 #: instance-attribute roots excluded from the walk: telemetry plumbing,
 #: the router's graph-wide depth probe, and the sanitizer's own handle
@@ -201,7 +202,7 @@ class SharedObject:
         return f"{self.type_name} shared at {where}"
 
 
-def shared_mutable_objects(operators: list[Any]) -> list[SharedObject]:
+def shared_mutable_objects(operators: Sequence[Any]) -> list[SharedObject]:
     """Mutable objects reachable from two or more of the operators.
 
     Sharing an immutable object (a tuple of window sizes, an interned
@@ -224,6 +225,42 @@ def shared_mutable_objects(operators: list[Any]) -> list[SharedObject]:
         if len(paths) >= 2
     ]
     return sorted(shared, key=lambda s: min(s.paths.values()))
+
+
+def root_of(path: str) -> str:
+    """``windows[2].tuples`` -> ``windows`` (the owning attribute)."""
+    for sep in (".", "[", "{"):
+        idx = path.find(sep)
+        if idx > 0:
+            path = path[:idx]
+    return path
+
+
+def written_aliases(
+    operators: Sequence[Any],
+    mutated_roots: Sequence[Collection[str]],
+    labels: Sequence[str],
+) -> list[tuple[SharedObject, list[str]]]:
+    """Aliased objects an owner *mutates*: ``(shared, written_hits)``.
+
+    ``mutated_roots[k]`` is operator ``k``'s certified
+    ``mutated_writes`` (``"*"`` = any root).  Sharing an injected
+    read-only collaborator (a predicate) is fine; sharing an object
+    reachable through a root its owner mutates (a window list) is one
+    operator scribbling on another.  ``written_hits`` are the
+    ``label.path`` sites of those owners; objects with none are dropped.
+    """
+    found = []
+    for shared in shared_mutable_objects(operators):
+        hits = [
+            f"{labels[owner]}.{path}"
+            for owner, path in sorted(shared.paths.items())
+            if "*" in mutated_roots[owner]
+            or root_of(path) in mutated_roots[owner]
+        ]
+        if hits:
+            found.append((shared, hits))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +316,3 @@ def _canonical(obj: Any, depth: int = 0,
 def fingerprint(obj: Any) -> int:
     """Deterministic structural CRC of one object (content, not id)."""
     return zlib.crc32(_canonical(obj).encode("utf-8", "replace"))
-
-
-def fingerprint_state(operator: Any) -> dict[str, int]:
-    """Root attribute -> structural fingerprint, for the whole state."""
-    return {
-        name: fingerprint(value)
-        for name, value in sorted(state_roots(operator).items())
-    }

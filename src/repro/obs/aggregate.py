@@ -1,7 +1,7 @@
 """Cross-process telemetry plane: delta shipping and exact aggregation.
 
 The process-parallel runtime (:mod:`repro.parallel.procs`) forks its
-shard workers, and lint rule P125 forbids carrying a bound obs sink
+shard workers, and lint rule P126 forbids carrying a bound obs sink
 across the fork — so each worker builds its *own* :class:`Obs` inside
 the child and this module moves that telemetry back to the supervisor:
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import JoinResult, StreamTuple
 
 from .hub import Obs
 
@@ -84,6 +84,14 @@ class ObservedOperator(StreamOperator):
             "adapt", start=now, end=now, labels=dict(self.labels),
             attrs=attrs,
         )
+
+    def on_finish(self, now: float) -> list[JoinResult]:
+        """Forward the end-of-run flush (anti/outer survivors)."""
+        return self.inner.on_finish(now)
+
+    def testkit_profile(self) -> dict:
+        """The wrapped operator's join semantics, for the oracle."""
+        return self.inner.testkit_profile()
 
     def describe(self) -> str:
         return f"Observed({self.inner.describe()})"

@@ -49,7 +49,7 @@ plane**.  The supervisor exports its own ``procs_*`` transport counters
 and ``autoscaler_*`` families on a wall-relative clock (read through
 the injected ``timer`` — the sanctioned seam from :mod:`repro.timing`;
 this module never touches the wall clock directly), and every worker
-builds its own :class:`~repro.obs.Obs` *inside the forked child* (P125
+builds its own :class:`~repro.obs.Obs` *inside the forked child* (P126
 stays satisfied), binds it to the shard operator, and piggybacks
 incremental :class:`~repro.obs.TelemetryDelta` snapshots on its batch
 acks plus a final flush on the drain "bye".  A supervisor-side
@@ -144,7 +144,7 @@ def _worker_main(
     don't adapt, so results never depend on telemetry being on.
 
     With ``telemetry`` the worker builds its own :class:`Obs` *here*,
-    post-fork (P125/P126: telemetry is constructed inside the child and
+    post-fork (P126: telemetry is constructed inside the child and
     only written, never shared), binds it to the operator on a clock
     that follows replayed virtual time, and ships incremental
     :class:`TelemetryDelta` snapshots on every ack plus a final one
@@ -740,11 +740,11 @@ def run_procs(
             batches.
         certify: run the P120-series shard-safety gate over probe
             operators built from ``make_shard`` before forking,
-            including the worker-entry checks (P125).
+            including the worker-entry check (P126).
         obs: optional :class:`repro.obs.Obs` sink.  Supervisor-side
             transport/autoscaler telemetry lands in it directly; in
             addition each worker builds its *own* ``Obs`` post-fork
-            (P125/P126 stay satisfied), and its shipped deltas are
+            (P126 stays satisfied), and its shipped deltas are
             merged in under a ``worker=<id>`` label — exporters see
             the whole fleet.  Telemetry never changes results.
         meta: run metadata merged into ``obs.meta`` (seed, workload

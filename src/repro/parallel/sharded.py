@@ -50,88 +50,24 @@ def certify_shard_operators(
 ) -> None:
     """The build-time shard-safety gate (static P120 + dynamic P124).
 
-    Every operator class replicated across shards must certify
-    ``pure``/``stream-local``/``shard-safe`` in the effect manifest
-    (:mod:`repro.lint.effects`) or carry a reviewed baseline
-    classification entry, and the *instances* must not alias mutable
-    objects through attributes their certificates say they write (the
-    classic bug: one window list passed to every shard).  Raises
+    Runs :func:`repro.lint.plan.certify_shards` — the same function the
+    plan analyzer runs at validate time — and raises
     :class:`repro.lint.plan.PlanValidationError` naming every problem
-    at once.
+    at once: an operator class that does not certify
+    ``pure``/``stream-local``/``shard-safe`` in the effect manifest
+    (P120), or instances aliasing a mutable object through attributes
+    their certificates say they write (P124; the classic bug: one
+    window list, or one operator, handed to every shard).
 
-    ``worker_entry=True`` additionally runs the P125 worker-entry and
-    P126 worker-telemetry checks
-    (:func:`repro.lint.plan.check_worker_entry`,
-    :func:`repro.lint.plan.check_worker_telemetry`): the process
-    runtime is about to fork these operators, so none may carry a
-    bound obs sink, no two worker ids may share an instance, and no
-    telemetry object may be reachable anywhere in their state graphs
-    (worker telemetry is constructed post-fork and shipped back as
-    deltas — see :mod:`repro.obs.aggregate`).
+    ``worker_entry=True`` adds P126: the process runtime is about to
+    fork these operators, so no telemetry object — a bound obs sink
+    included — may be reachable anywhere in their state graphs (worker
+    telemetry is constructed post-fork and shipped back as deltas —
+    see :mod:`repro.obs.aggregate`).
     """
-    from repro.lint.baseline import load_baseline
-    from repro.lint.effects import SHARDABLE, classify_class
-    from repro.lint.plan import (
-        PlanReport,
-        check_worker_entry,
-        check_worker_telemetry,
-    )
-    from repro.lint.stategraph import shared_mutable_objects
+    from repro.lint.plan import certify_shards
 
-    report = PlanReport()
-    if worker_entry:
-        report.diagnostics.extend(
-            check_worker_entry(shard_ops).diagnostics
-        )
-        report.diagnostics.extend(
-            check_worker_telemetry(shard_ops).diagnostics
-        )
-    baseline = load_baseline()
-    certificates = [classify_class(type(op)) for op in shard_ops]
-
-    seen: set[str] = set()
-    for cert in certificates:
-        if cert.qualname in seen:
-            continue
-        seen.add(cert.qualname)
-        forced = baseline.forced_classification(cert.qualname)
-        effective = forced if forced is not None else cert.classification
-        if effective in SHARDABLE:
-            continue
-        detail = cert.why[0] if cert.why else "no certificate"
-        report.add(
-            "P120",
-            f"shard operator {cert.qualname} certifies "
-            f"{cert.classification!r} ({detail}); only pure/"
-            "stream-local/shard-safe operators may be replicated — fix "
-            "the shared state or add a reviewed baseline entry",
-            node=cert.qualname,
-        )
-
-    for shared in shared_mutable_objects(list(shard_ops)):
-        written_hits = []
-        for owner_index, path in sorted(shared.paths.items()):
-            root = path.split(".")[0].split("[")[0].split("{")[0]
-            # keyed on *mutated* roots: sharing an injected read-only
-            # collaborator (a predicate) is fine, sharing an object the
-            # operator mutates (a window list) is the classic bug
-            writes = set(
-                certificates[owner_index].effects.get(
-                    "mutated_writes", ())
-            )
-            if root in writes or "*" in writes:
-                written_hits.append(f"shard{owner_index}.{path}")
-        if written_hits:
-            report.add(
-                "P124",
-                f"shard instances share one mutable {shared.type_name} "
-                f"({shared.render()}) reachable through written state; "
-                f"writes at {', '.join(written_hits)} would leak across "
-                "shards — the make_shard factory must build a fresh "
-                "object per shard",
-                node=written_hits[0].split(".", 1)[0],
-            )
-    report.raise_for_errors()
+    certify_shards(shard_ops, worker_entry=worker_entry).raise_for_errors()
 
 
 def _shard_stream_filter(
@@ -249,10 +185,10 @@ def build_sharded_graph(
             (:func:`certify_shard_operators`) over the built shard
             operators — raises
             :class:`repro.lint.plan.PlanValidationError` when a shard
-            operator certifies ``shared-state``/``unknown`` without a
-            baseline entry (P120), or when instances alias written
-            mutable state (P124).  ``False`` skips the gate (the plan
-            analyzer still catches both at validate time).
+            operator certifies ``shared-state``/``unknown`` (P120), or
+            when instances alias written mutable state (P124).
+            ``False`` skips the gate (the plan analyzer still catches
+            both at validate time).
 
     Returns:
         The assembled :class:`ShardedPlan` (depth probe already attached).

@@ -268,7 +268,7 @@ class Query:
         )
         return graph, placeholder
 
-    def validate(self, assumptions=None, effects: bool | None = None):
+    def validate(self, assumptions=None):
         """Run the static plan analyzer over the declared query.
 
         Returns a :class:`repro.lint.plan.PlanReport` listing every
@@ -277,14 +277,10 @@ class Query:
         hypothesis, ...).  ``assumptions`` is an optional
         :class:`repro.lint.plan.HarvestAssumptions` enabling the
         symbolic §4 feasibility check ``z * C(1) >= C({z_ij})``.
-        ``effects=True`` additionally certifies every operator against
-        the effect manifest (checks P120-P124 — telemetry direction,
-        shard safety); the default runs those checks only for plans
-        containing a routed (sharded) topology.
         """
         from .lint.plan import analyze_query
 
-        return analyze_query(self, assumptions, effects=effects)
+        return analyze_query(self, assumptions)
 
     def run(
         self,
@@ -294,7 +290,6 @@ class Query:
         adaptation_interval: float = 5.0,
         validate: bool = True,
         obs=None,
-        effects: bool | None = None,
     ) -> QueryResult:
         """Build and execute the query on a fresh simulated CPU.
 
@@ -302,15 +297,13 @@ class Query:
         analyzer and raises
         :class:`repro.lint.plan.PlanValidationError` when it reports
         ERROR-level findings, so misconfigured plans fail before any
-        virtual time is spent.  ``effects=True`` extends validation
-        with the P120-P124 effect-certification checks (see
-        :meth:`validate`).
+        virtual time is spent.
 
         ``obs`` (a :class:`repro.obs.Obs`) is forwarded to
         :meth:`DataflowGraph.run` to instrument the whole run.
         """
         if validate:
-            self.validate(effects=effects).raise_for_errors()
+            self.validate().raise_for_errors()
         graph, result = self.build(capacity)
         config = SimulationConfig(
             duration=duration,

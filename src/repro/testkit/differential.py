@@ -219,7 +219,7 @@ def procs_ids(workload: Workload, num_shards: int) -> set[IdVector]:
     operator state in-process and cannot observe writes across a
     process boundary, so the matrix skips the procs rows when
     sanitizing (the worker entry path is certified statically instead —
-    lint P120/P124/P125).
+    lint P120/P124/P126).
     """
     from repro.parallel.procs import run_procs
 

@@ -58,8 +58,9 @@ from repro.lint.stategraph import (
     fingerprint,
     iter_state,
     is_mutable,
-    shared_mutable_objects,
+    root_of,
     state_roots,
+    written_aliases,
 )
 
 #: top-level subpackages whose module globals the sanitizer snapshots
@@ -73,14 +74,6 @@ _GLOBAL_EXCLUDE = ("logger",)
 
 class DeterminismViolation(AssertionError):
     """The dynamic run contradicted the effect manifest."""
-
-
-def _root_of(path: str) -> str:
-    for sep in (".", "[", "{"):
-        idx = path.find(sep)
-        if idx > 0:
-            path = path[:idx]
-    return path
 
 
 def _fingerprint_paths(operator: Any) -> dict[str, int]:
@@ -166,26 +159,19 @@ class DeterminismSanitizer:
         if self._sealed:
             return
         self._sealed = True
-        labels = list(self._records)
-        operators = [self._records[label].operator for label in labels]
-        for shared in shared_mutable_objects(operators):
-            written_hits = []
-            for owner_index, path in sorted(shared.paths.items()):
-                record = self._records[labels[owner_index]]
-                root = _root_of(path)
-                if root in record.mutated_roots or \
-                        "*" in record.mutated_roots:
-                    written_hits.append(
-                        f"{record.label}.{path}"
-                    )
-            if written_hits:
-                self._violations.append(
-                    f"aliasing: one mutable {shared.type_name} is "
-                    f"reachable from {len(shared.paths)} operators "
-                    f"({shared.render()}) through written state "
-                    f"({', '.join(written_hits)}); the manifest "
-                    "certifies these operators as independent"
-                )
+        records = list(self._records.values())
+        for shared, written_hits in written_aliases(
+            [record.operator for record in records],
+            [record.mutated_roots for record in records],
+            [record.label for record in records],
+        ):
+            self._violations.append(
+                f"aliasing: one mutable {shared.type_name} is "
+                f"reachable from {len(shared.paths)} operators "
+                f"({shared.render()}) through written state "
+                f"({', '.join(written_hits)}); the manifest "
+                "certifies these operators as independent"
+            )
         for record in self._records.values():
             record.prints = _fingerprint_paths(record.operator)
             record.attr_names = frozenset(state_roots(record.operator))
@@ -251,7 +237,7 @@ class DeterminismSanitizer:
                 return
             changed = [
                 p for p in changed
-                if _root_of(p) not in record.allowed_roots
+                if root_of(p) not in record.allowed_roots
             ]
         if not changed:
             return
@@ -285,7 +271,7 @@ class DeterminismSanitizer:
                 + ", ".join(f"{record.label}.{p}" for p in changed[:5])
             )
             return
-        roots = {_root_of(p) for p in changed}
+        roots = {root_of(p) for p in changed}
         undeclared = sorted(
             r for r in roots
             if r not in record.allowed_roots
@@ -293,7 +279,7 @@ class DeterminismSanitizer:
         )
         if undeclared:
             sites = [
-                p for p in changed if _root_of(p) in set(undeclared)
+                p for p in changed if root_of(p) in set(undeclared)
             ]
             self._violations.append(
                 f"undeclared write: {record.label} "

@@ -7,7 +7,8 @@ from repro.core import GrubJoinOperator
 from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
 from repro.obs import Obs, ObservedOperator
-from repro.testkit.workloads import drift_sources
+from repro.testkit import oracle_join
+from repro.testkit.workloads import drift_sources, drift_workload
 
 
 def make_sources(rate=20.0, m=3, seed=0):
@@ -93,6 +94,27 @@ class TestObservedOperator:
             MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0)
         )
         assert observed.describe() == "Observed(MJoin(m=3))"
+
+    def test_end_of_run_flush_forwarded(self):
+        # an anti join releases its survivors at STOP, through
+        # on_finish; a wrapper that does not forward it loses them
+        workload = drift_workload(3, m=3, rate=20, duration=10,
+                                  window=3, basic=0.5, epsilon=0.5)
+
+        def count(wrap):
+            op = MJoinOperator(workload.predicate, workload.window_sizes,
+                               workload.basic, mode="anti")
+            op = wrap(op)
+            cfg = SimulationConfig(duration=workload.duration, warmup=0.0)
+            result = Simulation(workload.traces, op, CpuModel(1e12),
+                                cfg).run()
+            return result.output_count_total, op
+
+        bare, _ = count(lambda op: op)
+        wrapped, observed = count(ObservedOperator)
+        oracle = oracle_join(workload.traces,
+                             **observed.testkit_profile())
+        assert wrapped == bare == len(oracle.ids) == 600
 
 
 class TestAdaptLogging:

@@ -131,28 +131,6 @@ class TestGate:
                                    num_shards=2, certify=False)
         assert plan.num_shards == 2
 
-    def test_baseline_can_force_a_classification(self, monkeypatch):
-        from repro.lint import baseline as baseline_mod
-
-        forced = baseline_mod.Baseline(
-            path="<test>",
-            suppressions={},
-            classifications={
-                f"{GlobalTallyJoin.__module__}.GlobalTallyJoin": {
-                    "id": "reviewed-tally",
-                    "class":
-                        f"{GlobalTallyJoin.__module__}.GlobalTallyJoin",
-                    "force": "shard-safe",
-                    "reason": "test fixture",
-                    "reviewed_by": "tests",
-                },
-            },
-        )
-        monkeypatch.setattr(baseline_mod, "load_baseline",
-                            lambda path=None: forced)
-        # the gate imports load_baseline lazily from the module
-        certify_shard_operators([GlobalTallyJoin(), GlobalTallyJoin()])
-
 
 class TestAnalyzerRules:
     def build(self, make_shard, num_shards=2):
@@ -181,13 +159,8 @@ class TestAnalyzerRules:
         assert "P121" in error_codes(report)
 
     def test_p122_rejects_obs_reading_node(self):
-        from repro.engine.graph import DataflowGraph
-
-        g = DataflowGraph()
-        g.add_node("join", ObsReadingJoin())
-        for i, src in enumerate(sources()):
-            g.add_source("join", i, src)
-        report = analyze_graph(g, effects=True)
+        plan = self.build(lambda _k: ObsReadingJoin())
+        report = analyze_graph(plan.graph)
         assert "P122" in error_codes(report)
 
     def test_effects_off_by_default_without_routing(self):
@@ -197,6 +170,66 @@ class TestAnalyzerRules:
         g.add_node("join", ObsReadingJoin())
         for i, src in enumerate(sources()):
             g.add_source("join", i, src)
-        # no shard groups and effects unset: the effect pass stays off
+        # no shard groups: the effect pass does not run
         report = analyze_graph(g)
         assert "P122" not in error_codes(report)
+
+
+def _sharing_windows():
+    """A shard factory closing over one window list — the classic way a
+    written object ends up shared by every shard."""
+    windows = []
+    return lambda _k: SharedWindowJoin(windows)
+
+
+def _sharing_predicate():
+    """A shard factory closing over one read-only predicate."""
+    predicate = EquiJoin()
+    return lambda _k: MJoinOperator(predicate, [10.0] * 3, 1.0)
+
+
+def _via_analyzer(ops):
+    plan = build_sharded_graph(sources(), lambda k: ops[k], len(ops),
+                               certify=False)
+    return [d.message for d in analyze_graph(plan.graph).errors
+            if d.code == "P124"]
+
+
+def _via_gate(ops):
+    try:
+        certify_shard_operators(ops)
+    except PlanValidationError as exc:
+        return [d.message for d in exc.report.errors if d.code == "P124"]
+    return []
+
+
+def _via_sanitizer(ops):
+    from repro.testkit.sanitizer import DeterminismSanitizer
+
+    sanitizer = DeterminismSanitizer(check_globals=False)
+    for k, op in enumerate(ops):
+        sanitizer.register(f"shard{k}", op)
+    sanitizer.seal()
+    return [v for v in sanitizer.violations if v.startswith("aliasing")]
+
+
+class TestOneGateThreeCallers:
+    """analyze_graph, certify_shard_operators and the sanitizer's seal
+    ask stategraph.written_aliases the same question, so they must name
+    the same object and the same paths."""
+
+    CALLERS = [_via_analyzer, _via_gate, _via_sanitizer]
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_shared_window_list_names_same_object_and_paths(self, caller):
+        make_shard = _sharing_windows()
+        messages = caller([make_shard(0), make_shard(1)])
+        assert len(messages) == 1
+        assert "one mutable list" in messages[0]
+        assert "list shared at op[0].windows, op[1].windows" in messages[0]
+        assert "shard0.windows, shard1.windows" in messages[0]
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_shared_readonly_predicate_passes(self, caller):
+        make_shard = _sharing_predicate()
+        assert caller([make_shard(0), make_shard(1)]) == []

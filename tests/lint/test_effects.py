@@ -107,6 +107,23 @@ class TestAdversarial:
         )
         assert cert.classification == "shared-state"
 
+    def test_global_write_only_in_on_finish(self):
+        # the runtime calls on_finish on every node at end of run; a
+        # write hidden there is as shared as one in process
+        cert = certify(
+            "FLUSHED = []\n"
+            "class Op:\n"
+            "    def process(self, tup, now):\n"
+            "        return tup.value\n"
+            "    def on_finish(self, now):\n"
+            "        FLUSHED.append(now)\n"
+            "        return []\n",
+            "Op",
+        )
+        assert cert.classification == "shared-state"
+        assert "on_finish" in cert.entry_methods
+        assert "FLUSHED" in cert.effects["global_writes"]
+
     def test_closure_smuggling_surfaces_the_assumption(self):
         # a per-instance closure from a factory IS shard-safe (fresh
         # cell per __init__), but the engine cannot see inside it — the

@@ -4,7 +4,7 @@ The determinism contract is the headline: with scaling pinned,
 ``run_procs`` over real ``multiprocessing`` workers must merge the
 *bit-identical* identity set the virtual-time :class:`ShardedPlan`
 (and the brute-force oracle) produce on the same frozen workload.
-Elastic autoscaling, crash propagation and the P125 worker-entry
+Elastic autoscaling, crash propagation and the P126/P124 worker-entry
 certification ride along.
 """
 
@@ -344,22 +344,27 @@ class TestWorkerEntryCertification:
             operator.bind_obs(obs, node=f"shard{worker_id}")
             return operator
 
-        with pytest.raises(PlanValidationError, match="P125"):
+        # a bound sink is a telemetry object reachable pre-fork: P126,
+        # and only P126 (no second code for the same cause)
+        with pytest.raises(PlanValidationError, match="P126") as exc:
             run_procs(
                 workload.traces, _bound, 2,
                 duration=workload.duration,
             )
+        assert {d.code for d in exc.value.report.errors} == {"P126"}
 
     def test_shared_instance_is_rejected(self):
         workload = key_workload(seed=1, duration=2.0)
         one = mjoin_factory(workload)(0)
-        with pytest.raises(PlanValidationError, match="P125"):
+        # one instance for two worker ids aliases every written root
+        with pytest.raises(PlanValidationError, match="P124") as exc:
             run_procs(
                 workload.traces,
                 lambda worker_id: one,
                 2,
                 duration=workload.duration,
             )
+        assert {d.code for d in exc.value.report.errors} == {"P124"}
 
 
 @pytest.mark.skipif(

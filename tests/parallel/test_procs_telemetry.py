@@ -344,7 +344,7 @@ class TestWorkerTelemetryCertification:
 
     def test_clean_grub_factory_passes_the_gate(self):
         # certify=True is the default — a run reaching results proves
-        # the P125/P126 gate accepts telemetry-free factories
+        # the P126 gate accepts telemetry-free factories
         workload = key_workload(seed=1, duration=3.0)
         result, _obs = procs_obs_run(
             workload, grub_factory(workload, seed=1), 2

@@ -26,7 +26,6 @@ class TestTopLevelApi:
             "repro.experiments",
             "repro.joins",
             "repro.obs",
-            "repro.perf",
             "repro.streams",
             "repro.testkit",
         ],
@@ -38,16 +37,16 @@ class TestTopLevelApi:
 
     def test_no_private_names_exported(self):
         for mod_name in ("repro", "repro.core", "repro.engine",
-                         "repro.joins", "repro.obs", "repro.perf",
-                         "repro.streams", "repro.testkit"):
+                         "repro.joins", "repro.obs", "repro.streams",
+                         "repro.testkit"):
             mod = importlib.import_module(mod_name)
             assert not any(n.startswith("_") for n in mod.__all__)
 
     def test_all_sorted(self):
         """Keep the export lists tidy (and merges conflict-free)."""
         for mod_name in ("repro", "repro.core", "repro.engine",
-                         "repro.joins", "repro.obs", "repro.perf",
-                         "repro.streams", "repro.testkit"):
+                         "repro.joins", "repro.obs", "repro.streams",
+                         "repro.testkit"):
             mod = importlib.import_module(mod_name)
             assert list(mod.__all__) == sorted(mod.__all__), mod_name
 
