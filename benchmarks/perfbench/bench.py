@@ -184,7 +184,7 @@ def procs_scaling(quick: bool, repeats: int) -> dict:
     """Process-runtime scaling: merged rate at K workers vs K=1.
 
     Every leg runs the same frozen equi-join workload through
-    :func:`repro.parallel.procs.run_procs` with scaling pinned, so the
+    :func:`repro.parallel.procs.run_procs`, so the
     merged identity set must be bit-identical across all K — that part
     hard-fails anywhere.  The *timing* claim (near-linear merged-rate
     scaling, the k4 >= 2.5x gate) is only meaningful with real cores to

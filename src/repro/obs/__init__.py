@@ -14,14 +14,14 @@ The pieces:
   (:mod:`repro.obs.spans`);
 * :func:`explain_adaptation` — the shedding-decision explainer: why each
   basic window was kept or shed (:mod:`repro.obs.explainer`);
-* :func:`write_jsonl` / :func:`prometheus_snapshot` — deterministic
-  exporters (:mod:`repro.obs.export`);
+* :func:`write_jsonl` — the deterministic JSONL exporter
+  (:mod:`repro.obs.export`);
 * :func:`load_recording` / :func:`render_report` — replay and inspect a
   recorded run (:mod:`repro.obs.inspect`, :mod:`repro.obs.dashboard`),
-  also via ``python -m repro.obs``;
-* :class:`ObservedOperator` — wrap a single operator with an ``Obs``
-  (:mod:`repro.obs.instrument`; imported lazily because it pulls in
-  :mod:`repro.engine`, which itself imports this package).
+  also via ``python -m repro.obs``.
+
+An operator driven by hand is instrumented the way every host does it:
+``op.bind_obs(obs)``.
 """
 
 from .aggregate import (
@@ -29,7 +29,6 @@ from .aggregate import (
     DeltaShipper,
     TelemetryAggregator,
     TelemetryDelta,
-    merge_recordings,
     reference_aggregate,
 )
 from .dashboard import render_dashboard, render_fleet, render_report
@@ -45,7 +44,6 @@ from .explainer import (
 )
 from .export import (
     jsonl_lines,
-    prometheus_snapshot,
     worker_scoped,
     write_jsonl,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "LOG2_BOUNDS",
     "MetricsRegistry",
     "Obs",
-    "ObservedOperator",
     "REASON_BUDGET",
     "REASON_FRACTIONAL",
     "REASON_NO_SHEDDING",
@@ -98,9 +95,7 @@ __all__ = [
     "explain_adaptation",
     "jsonl_lines",
     "load_recording",
-    "merge_recordings",
     "parse_lines",
-    "prometheus_snapshot",
     "reference_aggregate",
     "render_dashboard",
     "render_fleet",
@@ -109,11 +104,3 @@ __all__ = [
     "write_jsonl",
 ]
 
-
-def __getattr__(name: str):
-    """Lazy export of the engine-dependent wrapper (cycle-free)."""
-    if name == "ObservedOperator":
-        from .instrument import ObservedOperator
-
-        return ObservedOperator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

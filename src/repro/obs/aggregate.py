@@ -23,8 +23,6 @@ the child and this module moves that telemetry back to the supervisor:
   to every shipped timestamp.  Workers replay tuples on the virtual
   delivery-time clock, which both sides share, so the identity map is
   the default; the hook exists for transports with skewed clocks.
-* :func:`merge_recordings` — the same merge, offline, over JSONL dumps
-  (``python -m repro.obs report --merge a.jsonl b.jsonl``).
 
 Everything here is virtual-time native (R001: no wall clocks) and
 stdlib-only, like the rest of the package.
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .hub import Obs
-from .registry import LOG2_BOUNDS, Counter, Gauge, Histogram, Series
+from .registry import Counter, Gauge, Histogram, Series
 from .spans import SpanRecord
 
 
@@ -45,9 +43,8 @@ class ClockMap:
     """Affine worker-relative → supervisor time mapping.
 
     Workers run on the shared virtual delivery-time clock, so the
-    default (``offset=0.0``) is the identity; a supervisor that spawns a
-    worker mid-run on its own zero-based clock registers the spawn time
-    as the offset.
+    default (``offset=0.0``) is the identity; a transport whose workers
+    run on their own zero-based clock registers the skew as the offset.
     """
 
     offset: float = 0.0
@@ -232,7 +229,7 @@ class TelemetryAggregator:
     and decisions are *order-sensitive* — ack arrival order depends on
     scheduling — so they are buffered per worker and installed by
     :meth:`finalize` in sorted worker order, making the finalized export
-    deterministic under pinned scaling.
+    deterministic.
 
     Every absorbed record gains ``worker=<id>`` provenance: a label on
     instruments and spans, the ``worker`` field on decisions.
@@ -324,63 +321,6 @@ class TelemetryAggregator:
     def workers(self) -> list[int]:
         """Worker ids seen so far, sorted."""
         return sorted(self._workers)
-
-
-def merge_recordings(recordings: "Sequence") -> Obs:
-    """Merge parsed JSONL recordings into one ``Obs``, offline.
-
-    The offline twin of :class:`TelemetryAggregator` for per-worker
-    dumps saved separately (``python -m repro.obs report --merge``):
-    counters add, histograms merge bucket-wise (exact — the recorded
-    bucket bounds are the shared fixed power-of-two edges), series
-    merge-sort their samples by time (file order breaks ties), gauges
-    take the last file's value, spans are adopted with fresh ids in
-    file order, decisions and meta keep file order.  Deterministic: the
-    same files in the same order always produce the same ``Obs``.
-
-    Args:
-        recordings: :class:`~repro.obs.inspect.RunRecording` objects,
-            in merge order.
-    """
-    merged = Obs()
-    series_samples: dict = {}
-    for rec in recordings:
-        for key, value in rec.meta.items():
-            merged.meta.setdefault(key, value)
-        for (name, labels), value in sorted(rec.counters.items()):
-            merged.registry.counter(name, **dict(labels)).inc(value)
-        for (name, labels), value in sorted(rec.gauges.items()):
-            merged.registry.gauge(name, **dict(labels)).set(value)
-        for (name, labels), hist in sorted(rec.histograms.items()):
-            bucket_deltas = tuple(
-                (
-                    len(LOG2_BOUNDS)
-                    if bound == float("inf")
-                    else Histogram.bucket_index(bound),
-                    fill,
-                )
-                for bound, fill in hist.buckets
-            )
-            merged.registry.histogram(name, **dict(labels)).merge(
-                bucket_deltas,
-                hist.count,
-                hist.sum,
-                hist.min if hist.min is not None else float("inf"),
-                hist.max if hist.max is not None else float("-inf"),
-            )
-        for (name, labels), series in sorted(rec.series.items()):
-            series_samples.setdefault((name, labels), []).extend(
-                zip(series.times, series.values)
-            )
-        merged.spans.extend_remapped(rec.spans)
-        merged.spans.dropped += rec.spans_dropped
-        merged.decisions.extend(rec.adaptations)
-    for (name, labels), samples in sorted(series_samples.items()):
-        samples.sort(key=lambda sample: sample[0])  # stable: file order ties
-        instrument = merged.registry.series(name, **dict(labels))
-        for time, value in samples:
-            instrument.observe(time, value)
-    return merged
 
 
 def reference_aggregate(

@@ -18,17 +18,14 @@ Two subcommands:
     Replay a recorded JSONL log and print the inspection report:
     throttle trajectory, per-direction harvest heat map, top-k most
     expensive services, latency summary, per-stream accounting.
-    ``--merge`` unifies several per-worker dumps first (deterministic:
-    same files, same order, same output; ``-o`` saves the merged
-    JSONL), and ``--fleet`` renders the fleet dashboard instead of the
-    single-run report.
+    ``--fleet`` renders the fleet dashboard instead of the single-run
+    report.
 
 Examples::
 
     python -m repro.obs record -o /tmp/slice.jsonl
     python -m repro.obs record --procs 2 -o /tmp/procs.jsonl
     python -m repro.obs report /tmp/slice.jsonl --top 3
-    python -m repro.obs report --merge a.jsonl b.jsonl -o merged.jsonl
     python -m repro.obs report /tmp/procs.jsonl --fleet
 """
 
@@ -38,11 +35,10 @@ import argparse
 import sys
 from typing import IO, Sequence
 
-from .aggregate import merge_recordings
 from .dashboard import render_dashboard, render_fleet, render_report
-from .export import jsonl_lines, worker_scoped, write_jsonl
+from .export import worker_scoped, write_jsonl
 from .hub import Obs
-from .inspect import load_recording, parse_lines
+from .inspect import load_recording
 
 #: the recorded slice's stepped input rates (a scaled-down Fig. 10
 #: scenario: rate steps every 4 virtual seconds, cycling)
@@ -131,8 +127,8 @@ def record_procs_slice(
     GrubJoin shards with a :class:`~repro.core.throttle.FixedThrottle`
     replay a frozen keyed workload on ``K`` forked workers; every
     worker ships its telemetry back over the ack pipe and the returned
-    supervisor ``Obs`` holds the merged fleet.  With scaling pinned and
-    the throttle fixed, the worker-scoped export
+    supervisor ``Obs`` holds the merged fleet.  With the throttle
+    fixed, the worker-scoped export
     (``jsonl_lines(obs, select=worker_scoped)``) is byte-identical
     across reruns — the CI aggregated-golden slice depends on it.
     """
@@ -195,20 +191,7 @@ def _cmd_record(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, out: IO[str]) -> int:
-    if len(args.path) > 1 and not args.merge:
-        out.write("error: several input files need --merge\n")
-        return 2
-    recordings = [load_recording(p) for p in args.path]
-    if args.merge:
-        merged = merge_recordings(recordings)
-        if args.output:
-            lines = write_jsonl(merged, args.output)
-            out.write(
-                f"wrote {lines} merged records to {args.output}\n"
-            )
-        rec = parse_lines(jsonl_lines(merged))
-    else:
-        rec = recordings[0]
+    rec = load_recording(args.path)
     if args.fleet:
         out.write(render_fleet(rec) + "\n")
     else:
@@ -244,14 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.set_defaults(func=_cmd_record)
 
     rep = sub.add_parser("report", help="replay a recorded JSONL log")
-    rep.add_argument("path", nargs="+",
-                     help="JSONL file(s) written by `record`")
-    rep.add_argument("--merge", action="store_true",
-                     help="merge several recordings (deterministic: "
-                          "counters add, histograms merge exactly, "
-                          "series merge-sort by time)")
-    rep.add_argument("-o", "--output", default=None,
-                     help="with --merge: also write the merged JSONL")
+    rep.add_argument("path", help="JSONL file written by `record`")
     rep.add_argument("--fleet", action="store_true",
                      help="render the fleet dashboard instead of the "
                           "single-run report")

@@ -201,9 +201,9 @@ def render_fleet(source: Obs | RunRecording, width: int = 24) -> str:
     over a loaded recording (``python -m repro.obs report --fleet``).
     Shows, per worker: routed/merged totals, the backlog trajectory as
     a sparkline, shipped comparison counts, and the latest harvest
-    fractions ``z[i,j]`` as heat cells; below, the fleet-size timeline
-    and the autoscaler event counters.  Deterministic for a finalized
-    recording (sections sort by worker id).
+    fractions ``z[i,j]`` as heat cells; below, each worker's harvest
+    heat map.  Deterministic for a finalized recording (sections sort
+    by worker id).
     """
     counters, gauges, series = _fleet_instruments(source)
     decisions = (
@@ -276,25 +276,6 @@ def render_fleet(source: Obs | RunRecording, width: int = 24) -> str:
         "workers", "\n".join(rows) if rows else "  (no workers yet)"
     ))
 
-    fleet = next(
-        ((times, values) for n, _labels, times, values in series
-         if n == "autoscaler_workers" and times),
-        None,
-    )
-    if fleet is not None:
-        lines.append(_section(
-            "fleet size",
-            series_plot(fleet[0], fleet[1], label="  workers"),
-        ))
-    ticks = counter_sum("autoscaler_ticks_total")
-    if ticks:
-        lines.append(_section(
-            "autoscaler",
-            f"  ticks={ticks:g} "
-            f"scale_ups={counter_sum('autoscaler_scale_ups_total'):g} "
-            f"scale_downs="
-            f"{counter_sum('autoscaler_scale_downs_total'):g}",
-        ))
     worker_decisions = [d for d in decisions if d.worker is not None]
     for wid in sorted({d.worker for d in worker_decisions}):
         lines.append(_section(

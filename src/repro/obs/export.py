@@ -1,6 +1,6 @@
-"""Exporters: JSONL event log and Prometheus-style text snapshot.
+"""The JSONL event-log exporter.
 
-Both are **deterministic**: keys are sorted, floats are emitted with
+It is **deterministic**: keys are sorted, floats are emitted with
 Python's shortest-roundtrip ``repr`` (stable across platforms), numpy
 scalars are converted to plain Python numbers, and collections are
 ordered by ``(name, labels)``.  Re-running a seeded workload produces a
@@ -49,9 +49,9 @@ def worker_scoped(record: dict) -> bool:
 
     A process-parallel run's :class:`Obs` holds two clock domains: the
     *worker-side* telemetry merged by the aggregator (virtual-time,
-    deterministic under pinned scaling — every record carries a
-    ``worker`` label or field) and the *supervisor-side* transport and
-    autoscaler families (wall-relative, load-dependent).  The
+    deterministic — every record carries a ``worker`` label or field)
+    and the *supervisor-side* transport and backlog families
+    (wall-relative, load-dependent).  The
     aggregated-golden CI slice exports through this filter so only the
     deterministic domain is diffed.
     """
@@ -152,74 +152,3 @@ def write_jsonl(obs: Obs, target: str | IO[str], select=None) -> int:
             lines += 1
     return lines
 
-
-def _format_number(value: float) -> str:
-    """Prometheus-style number: integers without a decimal point."""
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _format_labels(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{k}="{v}"' for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def prometheus_snapshot(obs: Obs) -> str:
-    """Prometheus text-format snapshot of the registry's current state.
-
-    Series export their last sample (as a gauge); histograms export
-    cumulative ``_bucket`` lines plus ``_sum`` and ``_count``.
-    """
-    lines: list[str] = []
-    seen_types: set[str] = set()
-    for instrument in obs.registry.collect():
-        labels = instrument.label_dict()
-        if instrument.name not in seen_types:
-            seen_types.add(instrument.name)
-            kind = {
-                "counter": "counter",
-                "gauge": "gauge",
-                "series": "gauge",
-                "histogram": "histogram",
-            }[instrument.kind]
-            lines.append(f"# TYPE {instrument.name} {kind}")
-        if isinstance(instrument, (Counter, Gauge)):
-            lines.append(
-                f"{instrument.name}{_format_labels(labels)} "
-                f"{_format_number(instrument.value)}"
-            )
-        elif isinstance(instrument, Series):
-            last = instrument.last()
-            if last is not None:
-                lines.append(
-                    f"{instrument.name}{_format_labels(labels)} "
-                    f"{_format_number(last)}"
-                )
-        elif isinstance(instrument, Histogram):
-            cumulative = 0
-            for bound, fill in instrument.nonzero_buckets():
-                cumulative += fill
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _format_number(bound)
-                lines.append(
-                    f"{instrument.name}_bucket"
-                    f"{_format_labels(bucket_labels)} {cumulative}"
-                )
-            lines.append(
-                f"{instrument.name}_sum{_format_labels(labels)} "
-                f"{_format_number(instrument.sum)}"
-            )
-            lines.append(
-                f"{instrument.name}_count{_format_labels(labels)} "
-                f"{instrument.count}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -9,8 +9,7 @@ time-stamped samples carry whatever virtual time the caller passes.
 Design notes:
 
 * Instruments are keyed by ``(name, labels)`` where labels are sorted
-  ``(key, value)`` string pairs — the same identity Prometheus uses, so
-  the text exporter is a direct dump.
+  ``(key, value)`` string pairs — the same identity Prometheus uses.
 * ``registry.counter(...)`` is get-or-create: instrument handles are
   cheap to cache at bind time (see ``StreamOperator.bind_obs``), making
   the hot-path cost of an enabled metric one method call and one add.
@@ -240,8 +239,7 @@ class MetricsRegistry:
     """Get-or-create store of instruments, keyed by ``(name, labels)``.
 
     Registering the same name with two different instrument kinds is an
-    error — one name means one kind across the whole run, exactly the
-    invariant the Prometheus text format requires.
+    error — one name means one kind across the whole run.
     """
 
     def __init__(self) -> None:

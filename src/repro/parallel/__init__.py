@@ -20,18 +20,11 @@ Two execution modes share that topology:
   shedding stays local to the overloaded shards when routing is skewed;
 * the **process runtime** (:func:`run_procs` in
   :mod:`repro.parallel.procs`): the same router/merger supervise K
-  real ``multiprocessing`` workers over pickled-batch pipes, with
-  optional elastic autoscaling (:mod:`repro.parallel.autoscale`) that
-  grows and shrinks the fleet from live backlog.  With scaling pinned,
-  its merged output is bit-identical to the virtual-time plan's.
+  real ``multiprocessing`` workers over pickled-batch pipes.  The
+  fleet is fixed at launch, and its merged output is bit-identical to
+  the virtual-time plan's and to the oracle.
 """
 
-from .autoscale import (
-    AutoscaleEvent,
-    Autoscaler,
-    AutoscalerConfig,
-    ScaleDecision,
-)
 from .merger import MergerOperator, shard_result_transform
 from .procs import ProcsResult, run_procs
 from .router import (
@@ -43,15 +36,11 @@ from .router import (
 from .sharded import ShardedPlan, build_sharded_graph
 
 __all__ = [
-    "AutoscaleEvent",
-    "Autoscaler",
-    "AutoscalerConfig",
     "MergerOperator",
     "ProcsResult",
     "ROUTING_POLICIES",
     "RoutedTuple",
     "RouterOperator",
-    "ScaleDecision",
     "ShardedPlan",
     "build_sharded_graph",
     "run_procs",

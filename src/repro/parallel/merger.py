@@ -66,27 +66,13 @@ class MergerOperator(StreamOperator):
         self.merged_per_shard = [0] * self.num_shards
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_merged = None
-        self._obs_labels: dict[str, str] = {}
 
     def _obs_setup(self, obs, labels) -> None:
         """Cache per-shard merged-result counters."""
-        self._obs_labels = dict(labels)
         self._obs_merged = [
             obs.counter("merger_merged_total", shard=k, **labels)
             for k in range(self.num_shards)
         ]
-
-    def add_shard(self) -> int:
-        """Account one more shard (elastic scale-up companion to
-        :meth:`RouterOperator.add_shard` in the process runtime); the
-        graph-hosted merger has a fixed fan-in and never grows."""
-        new = self.num_shards
-        self.num_shards += 1
-        self.merged_per_shard.append(0)
-        if self._obs_merged is not None:
-            self._obs_merged.append(self.obs.counter(
-                "merger_merged_total", shard=new, **self._obs_labels))
-        return new
 
     def absorb(self, shard: int, count: int = 1) -> None:
         """Account ``count`` results from ``shard`` without passing

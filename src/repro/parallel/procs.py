@@ -9,17 +9,22 @@ same router -> shards -> merger plan as
 router and the merger:
 
 * **transport** — pickled-batch duplex pipes.  The supervisor routes
-  tuples through the live :class:`~repro.parallel.router.RouterOperator`
-  bucket map, packs per-worker batches, and bounds the number of
-  unacknowledged batches per worker so the downstream pipe always fits
-  the OS buffer (sends never block) while acks are drained continuously
+  tuples through the :class:`~repro.parallel.router.RouterOperator`
+  bucket map (a constant of the run), packs per-worker batches, and
+  bounds the number of unacknowledged batches per worker so the
+  downstream pipe always fits the OS buffer (sends never block) while
+  acks are drained continuously
   (workers never stall on a full upstream pipe) — the classic
   two-sided-pipe deadlock cannot form.  Results travel upstream as
   *identity columns*: each ack carries one ``(n, m)`` int64 matrix of
   ``seq`` numbers (:func:`result_keys`), the supervisor's merge is a
   count and a list append per ack, and no per-result Python object is
   built on either side (``ProcsResult.merged_ids`` builds the testkit's
-  identity set from the matrices on first access).
+  identity set from the matrices on first access).  On ``("stop",)``
+  a worker runs the operator's end-of-run flush (``on_finish``, the
+  same call the graph host makes on every node) and its result
+  identities ride the ``("bye", ...)`` — anti/outer survivors still
+  pending at STOP reach the merger like any other block.
 * **deterministic seeding** — workers are forked, and each builds its
   own operator via ``make_shard(worker_id)`` inside the child; a factory
   that seeds from the worker id reproduces bit-identical shard state on
@@ -27,26 +32,20 @@ router and the merger:
   seq)`` order restricted to each worker, which is exactly the order the
   virtual-time graph services them in (de-phased workloads never tie),
   and each worker replays the adaptation ticks the simulator would have
-  fired.  With a pinned bucket map the merged identity set is therefore
-  bit-identical to the :class:`ShardedPlan` oracle — the testkit's
-  ``procs_k{K}`` differential rows prove it against the same frozen
-  workloads.
-* **elastic autoscaling** — an optional
-  :class:`~repro.parallel.autoscale.Autoscaler` watches live per-worker
-  backlog (tuples routed minus tuples acknowledged) at every control
-  tick, forks a new worker under sustained backlog (migrating virtual
-  buckets to it via :meth:`RouterOperator.add_shard`) and drains/retires
-  the shallowest worker when the fleet idles
-  (:meth:`RouterOperator.retire_shard` re-homes its buckets first, so
-  no tuple ever routes to a retiring worker).  Scale events move future
-  tuples only — window history stays behind, the same bounded
-  one-window-loss trade-off as virtual-time bucket migration — so runs
-  with autoscaling enabled may legitimately diverge from the pinned
-  oracle (documented in ``docs/PARALLEL.md``).
+  fired.  The merged identity set is therefore bit-identical to the
+  :class:`ShardedPlan` oracle, for every run and every join mode — the
+  testkit's ``procs_k{K}`` differential rows prove it against the same
+  frozen workloads.
+* **one fleet shape** — the fleet is fixed at launch: ``num_shards``
+  workers are forked before the first tuple is routed and every one of
+  them runs to the final "bye".  Re-partitioning a stateful join is
+  only exact if the window state moves with the keys; nothing here
+  moves state, so nothing here moves keys (``docs/PARALLEL.md`` records
+  why the control loops that did were cut).
 
 Telemetry: pass ``obs=`` to turn on the **cross-process telemetry
 plane**.  The supervisor exports its own ``procs_*`` transport counters
-and ``autoscaler_*`` families on a wall-relative clock (read through
+and per-worker backlog series on a wall-relative clock (read through
 the injected ``timer`` — the sanctioned seam from :mod:`repro.timing`;
 this module never touches the wall clock directly), and every worker
 builds its own :class:`~repro.obs.Obs` *inside the forked child* (P126
@@ -54,9 +53,9 @@ stays satisfied), binds it to the shard operator, and piggybacks
 incremental :class:`~repro.obs.TelemetryDelta` snapshots on its batch
 acks plus a final flush on the drain "bye".  A supervisor-side
 :class:`~repro.obs.TelemetryAggregator` merges them — exactly, under a
-``worker=<id>`` label — into the run's ``Obs``, so the JSONL/
-Prometheus/ascii exporters and the golden-slice machinery see the
-whole fleet unchanged.  Each worker also keeps a bounded
+``worker=<id>`` label — into the run's ``Obs``, so the JSONL/ascii
+exporters and the golden-slice machinery see the whole fleet
+unchanged.  Each worker also keeps a bounded
 :class:`~repro.obs.FlightRecorder`; a crashing worker's post-mortem
 ``RuntimeError`` carries its traceback *and* the flight-recorder tail.
 Pass ``dashboard=`` for the live fleet view
@@ -83,7 +82,6 @@ from repro.obs.hub import Obs
 from repro.streams.tuples import StreamTuple
 from repro.timing import Timer, wall_clock_timer
 
-from .autoscale import AutoscaleEvent, Autoscaler, AutoscalerConfig
 from .merger import MergerOperator
 from .router import RouterOperator
 
@@ -148,8 +146,9 @@ def _worker_main(
     only written, never shared), binds it to the operator on a clock
     that follows replayed virtual time, and ships incremental
     :class:`TelemetryDelta` snapshots on every ack plus a final one
-    with the "bye".  A bounded :class:`FlightRecorder` always runs; its
-    tail travels with the crash report.
+    with the "bye" (taken after the end-of-run flush, so it includes
+    what ``on_finish`` records).  A bounded :class:`FlightRecorder`
+    always runs; its tail travels with the crash report.
     """
     flight = FlightRecorder(capacity=flight_capacity)
     clock = [0.0]
@@ -216,10 +215,11 @@ def _worker_main(
                 )
             elif msg[0] == "stop":
                 flight.note(clock[0], "stop received")
+                keys = result_keys(operator.on_finish(clock[0]), m)
                 delta = (
                     shipper.collect() if shipper is not None else None
                 )
-                conn.send(("bye", worker_id, delta))
+                conn.send(("bye", worker_id, keys, delta))
                 return
     except EOFError:
         return
@@ -259,7 +259,6 @@ class _Worker:
     batches_acked: int = 0
     results: int = 0
     comparisons: int = 0
-    retired: bool = False
     done: bool = False       # "bye" received
 
     @property
@@ -278,7 +277,7 @@ class ProcsResult:
     (each element a :meth:`JoinResult.key` — the ``(stream, seq)`` pairs
     of the result's constituents), built from those matrices on first
     access.  ``merged_per_worker`` / ``routed_per_worker`` are indexed
-    by stable worker id (retired workers keep their slot).
+    by worker id.
     """
 
     merged_keys: list[np.ndarray] = field(repr=False)
@@ -289,9 +288,6 @@ class ProcsResult:
     tuples_routed: int
     wall_seconds: float
     workers_spawned: int
-    workers_retired: int
-    rebalances: int
-    autoscale_events: list[AutoscaleEvent] = field(default_factory=list)
 
     @cached_property
     def merged_ids(self) -> frozenset:
@@ -320,7 +316,6 @@ class ProcsResult:
     def describe(self) -> str:
         return (
             f"Procs(workers={self.workers_spawned}, "
-            f"retired={self.workers_retired}, "
             f"merged={self.merged_count}, "
             f"wall={self.wall_seconds:.3f}s)"
         )
@@ -337,12 +332,9 @@ class _Supervisor:
         *,
         duration: float,
         key: Callable[[StreamTuple], Any] | None,
-        buckets: int,
-        rebalance_threshold: float | None,
         adaptation_interval: float | None,
         batch_size: int,
         max_inflight_batches: int,
-        autoscale: AutoscalerConfig | None,
         control_interval: int,
         obs,
         meta: dict | None,
@@ -359,12 +351,6 @@ class _Supervisor:
             raise ValueError("max_inflight_batches must be >= 1")
         if control_interval < 1:
             raise ValueError("control_interval must be >= 1")
-        if autoscale is not None and rebalance_threshold is not None:
-            raise ValueError(
-                "skew rebalancing and autoscaling are separate control "
-                "loops over the same bucket map; enable one or the "
-                "other (rebalance_threshold=None under the autoscaler)"
-            )
         self.sources = sources
         self.make_shard = make_shard
         self.duration = float(duration)
@@ -379,17 +365,12 @@ class _Supervisor:
             num_shards=num_shards,
             policy="hash",
             key=key,
-            buckets=buckets,
-            rebalance_threshold=rebalance_threshold,
+            rebalance_threshold=None,
         )
         self.merger = MergerOperator(num_shards)
-        self.autoscaler = (
-            Autoscaler(autoscale) if autoscale is not None else None
-        )
         self.workers: dict[int, _Worker] = {}
         self.pending: dict[int, list[StreamTuple]] = {}
         self.merged_keys: list[np.ndarray] = []
-        self.workers_retired = 0
         self.obs = obs
         self.dashboard = dashboard
         self.flight_capacity = int(flight_capacity)
@@ -406,27 +387,12 @@ class _Supervisor:
                 obs.meta.setdefault(
                     "adaptation_interval", float(adaptation_interval)
                 )
-            if autoscale is not None:
-                obs.meta.setdefault("autoscale", {
-                    "min_workers": autoscale.min_workers,
-                    "max_workers": autoscale.max_workers,
-                    "high_watermark": autoscale.high_watermark,
-                    "low_watermark": autoscale.low_watermark,
-                    "sustain_ticks": autoscale.sustain_ticks,
-                    "cooldown_ticks": autoscale.cooldown_ticks,
-                })
             if meta:
                 obs.meta.update(meta)
             self.router.bind_obs(obs, node="router")
             self.merger.bind_obs(obs, node="merger")
             self._obs_batches = obs.counter("procs_batches_total")
             self._obs_tuples = obs.counter("procs_tuples_total")
-            self._obs_ticks = obs.counter("autoscaler_ticks_total")
-            self._obs_ups = obs.counter("autoscaler_scale_ups_total")
-            self._obs_downs = obs.counter(
-                "autoscaler_scale_downs_total"
-            )
-            self._obs_fleet = obs.series("autoscaler_workers")
 
     # -- fleet ---------------------------------------------------------
 
@@ -446,6 +412,9 @@ class _Supervisor:
         self.workers[worker_id] = worker
         self.pending[worker_id] = []
         if self.obs is not None:
+            # the exported name outlived the scaling loop that first
+            # read it: two records of it sit in the procs_k2 obs golden,
+            # and a rename is not worth a golden change
             self._obs_backlog[worker_id] = self.obs.series(
                 "autoscaler_backlog", worker=worker_id
             )
@@ -454,16 +423,16 @@ class _Supervisor:
             self.aggregator.register_worker(worker_id)
         return worker
 
-    def active_ids(self) -> list[int]:
-        return sorted(
-            w.id for w in self.workers.values() if not w.retired
-        )
-
     # -- transport -----------------------------------------------------
 
     def _absorb(self, delta) -> None:
         if delta is not None and self.aggregator is not None:
             self.aggregator.absorb(delta)
+
+    def _merge(self, worker: _Worker, keys: np.ndarray) -> None:
+        worker.results += len(keys)
+        self.merger.absorb(worker.id, len(keys))
+        self.merged_keys.append(keys)
 
     def _handle(self, msg: tuple) -> None:
         kind = msg[0]
@@ -472,14 +441,14 @@ class _Supervisor:
             worker = self.workers[wid]
             worker.acked += n
             worker.batches_acked += 1
-            worker.results += len(keys)
             worker.comparisons += comparisons
-            self.merger.absorb(wid, len(keys))
-            self.merged_keys.append(keys)
+            self._merge(worker, keys)
             self._absorb(delta)
-        elif kind == "bye":
-            _, wid, delta = msg
-            self.workers[wid].done = True
+        elif kind == "bye":  # carries the end-of-run flush's results
+            _, wid, keys, delta = msg
+            worker = self.workers[wid]
+            worker.done = True
+            self._merge(worker, keys)
             self._absorb(delta)
         elif kind == "error":
             _, wid, trace, flight_tail, delta = msg
@@ -552,61 +521,14 @@ class _Supervisor:
             self._obs_tuples.inc(len(batch))
         self.pending[worker_id] = []
 
-    # -- elastic control ----------------------------------------------
-
     def control_tick(self) -> None:
         self.drain(0.0)
-        scaling = (self.autoscaler is not None
-                   or self.router.rebalance_threshold is not None)
-        live = self.dashboard is not None and self.obs is not None
-        if not scaling and not live:
+        if self.dashboard is None:
             return
-        now_rel = None
-        depths = {
-            w.id: w.backlog
-            for w in self.workers.values()
-            if not w.retired
-        }
-        if self.obs is not None:
-            now_rel = self.obs.now()
-            for wid, depth in depths.items():
-                self._obs_backlog[wid].observe(now_rel, depth)
-        if live:
-            self.dashboard(render_fleet(self.obs))
-        if not scaling:
-            return
-        if self.router.rebalance_threshold is not None:
-            dense = [depths.get(k, 0)
-                     for k in range(self.router.num_shards)]
-            self.router.last_depths = dense
-            self.router.maybe_rebalance(dense)
-            return
-        decision = self.autoscaler.observe(depths)
-        if self.obs is not None:
-            self._obs_ticks.inc()
-            self._obs_fleet.observe(now_rel, len(depths))
-        if decision.action == "up":
-            new_id = self.router.add_shard()
-            self.merger.add_shard()
-            self.spawn(new_id)
-            if self.obs is not None:
-                self._obs_ups.inc()
-        elif decision.action == "down":
-            self.retire(decision.worker)
-            if self.obs is not None:
-                self._obs_downs.inc()
-
-    def retire(self, worker_id: int) -> None:
-        """Drain and retire one worker: re-home its buckets, flush what
-        it already owns, send stop.  Its in-flight acks keep arriving
-        and are accounted normally; the "bye" marks it done."""
-        worker = self.workers[worker_id]
-        survivors = [w for w in self.active_ids() if w != worker_id]
-        self.router.retire_shard(worker_id, survivors)
-        self.flush(worker_id)
-        self._send(worker, ("stop",))
-        worker.retired = True
-        self.workers_retired += 1
+        now_rel = self.obs.now()
+        for worker in self.workers.values():
+            self._obs_backlog[worker.id].observe(now_rel, worker.backlog)
+        self.dashboard(render_fleet(self.obs))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -643,10 +565,9 @@ class _Supervisor:
                     flushes += 1
                     if flushes % self.control_interval == 0:
                         self.control_tick()
-            for worker_id in list(self.pending):
-                self.flush(worker_id)
-            for worker_id in self.active_ids():
-                self._send(self.workers[worker_id], ("stop",))
+            for worker in self.workers.values():
+                self.flush(worker.id)
+                self._send(worker, ("stop",))
             deadline = self.timer() + 60.0
             while any(not w.done for w in self.workers.values()):
                 if self.timer() > deadline:
@@ -680,13 +601,6 @@ class _Supervisor:
             tuples_routed=tuples_routed,
             wall_seconds=wall,
             workers_spawned=len(self.workers),
-            workers_retired=self.workers_retired,
-            rebalances=self.router.rebalances,
-            autoscale_events=(
-                list(self.autoscaler.events)
-                if self.autoscaler is not None
-                else []
-            ),
         )
 
 
@@ -697,12 +611,9 @@ def run_procs(
     *,
     duration: float,
     key: Callable[[StreamTuple], Any] | None = None,
-    buckets: int = 64,
-    rebalance_threshold: float | None = None,
     adaptation_interval: float | None = 2.0,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_inflight_batches: int = DEFAULT_MAX_INFLIGHT,
-    autoscale: AutoscalerConfig | None = None,
     control_interval: int = 4,
     certify: bool = True,
     obs=None,
@@ -721,28 +632,22 @@ def run_procs(
         make_shard: factory called with each worker id *inside the
             forked child*; must build a fresh operator whose state
             derives only from that id (deterministic seeding).
-        num_shards: initial worker count (the autoscaler may grow or
-            shrink the fleet between ``min_workers``/``max_workers``).
+        num_shards: worker count, fixed for the whole run.
         duration: virtual seconds of trace to replay.
         key: join-key extractor for hash routing (default: tuple value).
-        buckets: virtual hash buckets (migration granularity).
-        rebalance_threshold: enable the router's skew rebalancing over
-            live worker backlog; mutually exclusive with ``autoscale``
-            (two control loops would fight over the bucket map).
         adaptation_interval: virtual period of the adaptation ticks
             workers replay (match the simulator config when comparing
             against a :class:`ShardedPlan` run); ``None`` disables.
         batch_size / max_inflight_batches: transport tuning — tuples
             per pickled batch, and the per-worker cap on batches in
             flight (keeps pipes below the OS buffer: deadlock-free).
-        autoscale: :class:`AutoscalerConfig` enabling elastic scaling.
-        control_interval: run the control loop every this many flushed
-            batches.
+        control_interval: drain acks (and refresh ``dashboard``) every
+            this many flushed batches.
         certify: run the P120-series shard-safety gate over probe
             operators built from ``make_shard`` before forking,
             including the worker-entry check (P126).
         obs: optional :class:`repro.obs.Obs` sink.  Supervisor-side
-            transport/autoscaler telemetry lands in it directly; in
+            transport telemetry lands in it directly; in
             addition each worker builds its *own* ``Obs`` post-fork
             (P126 stays satisfied), and its shipped deltas are
             merged in under a ``worker=<id>`` label — exporters see
@@ -750,7 +655,7 @@ def run_procs(
         meta: run metadata merged into ``obs.meta`` (seed, workload
             name...) so aggregated exports are self-describing; the
             runtime adds ``runtime``/``num_shards``/
-            ``adaptation_interval``/``autoscale`` keys itself.
+            ``adaptation_interval`` keys itself.
         dashboard: optional sink for the live fleet view — called with
             the rendered :func:`repro.obs.render_fleet` text on every
             control tick (and once after the fleet drains).  Requires
@@ -764,10 +669,10 @@ def run_procs(
             ``make_shard``).
 
     Returns:
-        A :class:`ProcsResult`; with ``autoscale=None`` and
-        ``rebalance_threshold=None`` its ``merged_ids`` is bit-identical
-        to the virtual-time plan's
-        :meth:`~repro.parallel.sharded.ShardedPlan.merged_result_ids`.
+        A :class:`ProcsResult`; its ``merged_ids`` is bit-identical to
+        the virtual-time plan's
+        :meth:`~repro.parallel.sharded.ShardedPlan.merged_result_ids`
+        and to the oracle, for every join mode.
     """
     if dashboard is not None and obs is None:
         raise ValueError(
@@ -793,12 +698,9 @@ def run_procs(
         num_shards,
         duration=duration,
         key=key,
-        buckets=buckets,
-        rebalance_threshold=rebalance_threshold,
         adaptation_interval=adaptation_interval,
         batch_size=batch_size,
         max_inflight_batches=max_inflight_batches,
-        autoscale=autoscale,
         control_interval=control_interval,
         obs=obs,
         meta=meta,

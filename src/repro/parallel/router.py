@@ -28,7 +28,10 @@ migrates virtual buckets from hot to cold and round-robin routing
 re-weights its cycle.  Migrated keys leave their window history behind on
 the old shard — matches spanning the migration instant are lost as that
 history expires, the classic state-migration trade-off (documented in
-``docs/PARALLEL.md``).
+``docs/PARALLEL.md``).  Rebalancing exists in the virtual-time
+:class:`~repro.parallel.sharded.ShardedPlan` only; the process runtime
+(:mod:`repro.parallel.procs`) builds its router with
+``rebalance_threshold=None`` and its bucket map is a constant of the run.
 """
 
 from __future__ import annotations
@@ -161,11 +164,9 @@ class RouterOperator(StreamOperator):
         self._obs_routed = None
         self._obs_rebalances = None
         self._obs_depths = None
-        self._obs_labels: dict[str, str] = {}
 
     def _obs_setup(self, obs, labels) -> None:
         """Cache per-shard routing counters and depth series."""
-        self._obs_labels = dict(labels)
         shards = range(self.num_shards)
         self._obs_routed = [
             obs.counter("router_routed_total", shard=k, **labels)
@@ -254,11 +255,6 @@ class RouterOperator(StreamOperator):
         their backlog to drain before depths mean anything again —
         without it, back-to-back adaptation ticks see the same stale
         skew and ping-pong the same buckets between shards.
-
-        This is the shared decision core: the virtual-time graph calls
-        it from :meth:`on_adapt`, the process runtime's supervisor
-        (:mod:`repro.parallel.procs`) calls it with live worker queue
-        depths.
         """
         if self.rebalance_threshold is None or self.num_shards < 2:
             return False
@@ -324,72 +320,6 @@ class RouterOperator(StreamOperator):
                 for j in range(n)
             )
         ]
-
-    # ------------------------------------------------------------------
-    # elastic membership (process runtime / autoscaler)
-    # ------------------------------------------------------------------
-
-    def add_shard(self) -> int:
-        """Register shard ``K`` and seed it with a fair share of buckets.
-
-        Elastic scale-up for the process runtime
-        (:mod:`repro.parallel.procs`): the new shard receives
-        ``buckets // (K + 1)`` virtual buckets, taken one at a time from
-        whichever shard currently owns the most (ties to the lowest id;
-        every donor keeps at least one bucket).  Returns the new shard
-        id.  The virtual-time graph topology is fixed at build time, so
-        :class:`~repro.parallel.sharded.ShardedPlan` never calls this.
-        """
-        if self.policy != "hash":
-            raise ValueError("elastic scaling requires hash routing")
-        new = self.num_shards
-        self.num_shards += 1
-        self.routed_per_shard.append(0)
-        if self._obs_routed is not None:
-            self._obs_routed.append(self.obs.counter(
-                "router_routed_total", shard=new, **self._obs_labels))
-            self._obs_depths.append(self.obs.series(
-                "shard_queue_depth", shard=new, **self._obs_labels))
-        share = self.buckets // self.num_shards
-        for _ in range(share):
-            counts: dict[int, int] = {}
-            for s in self.bucket_map:
-                counts[s] = counts.get(s, 0) + 1
-            donor = max(
-                (k for k in counts if k != new),
-                key=lambda k: (counts[k], -k),
-                default=None,
-            )
-            if donor is None or counts[donor] <= 1:
-                break
-            for b, s in enumerate(self.bucket_map):
-                if s == donor:
-                    self.bucket_map[b] = new
-                    break
-        return new
-
-    def retire_shard(
-        self, shard: int, targets: Sequence[int]
-    ) -> int:
-        """Re-home every bucket owned by ``shard`` across ``targets``.
-
-        Elastic scale-down: buckets are reassigned round-robin over the
-        surviving shards so the retiree's key share spreads evenly.
-        The shard id stays valid (ids are stable for accounting); it
-        simply owns no buckets afterwards, so no future tuple routes to
-        it.  Returns the number of buckets moved.
-        """
-        if self.policy != "hash":
-            raise ValueError("elastic scaling requires hash routing")
-        survivors = [int(t) for t in targets if int(t) != shard]
-        if not survivors:
-            raise ValueError("need at least one surviving shard")
-        moved = 0
-        for b, s in enumerate(self.bucket_map):
-            if s == shard:
-                self.bucket_map[b] = survivors[moved % len(survivors)]
-                moved += 1
-        return moved
 
     def describe(self) -> str:
         return (

@@ -194,6 +194,9 @@ def sharded_ids(
         _shard,
         num_shards,
         policy="hash",
+        # the bucket map stays put: equality must not lean on the
+        # unbounded CPU never letting a shard queue build
+        rebalance_threshold=None,
     )
     cpu = CpuModel(
         capacity, cores=cores if cores is not None else num_shards + 2
@@ -209,11 +212,10 @@ def procs_ids(workload: Workload, num_shards: int) -> set[IdVector]:
     merged identity set.
 
     ``K`` real ``multiprocessing`` workers behind the supervisor-owned
-    router/merger (:func:`repro.parallel.procs.run_procs`), with
-    scaling pinned — no autoscaler, no skew rebalancing — and the same
-    adaptation cadence as :func:`run_config`, so for equi-join
-    workloads the result must be bit-identical to
-    :func:`sharded_ids` and the oracle.
+    router/merger (:func:`repro.parallel.procs.run_procs`) — a fleet
+    fixed at launch, a constant bucket map — and the same adaptation
+    cadence as :func:`run_config`, so for equi-join workloads the
+    result must be bit-identical to :func:`sharded_ids` and the oracle.
 
     No ``sanitize`` parameter: the determinism sanitizer shadow-tracks
     operator state in-process and cannot observe writes across a

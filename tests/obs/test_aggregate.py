@@ -16,8 +16,6 @@ from repro.obs import (
     Obs,
     TelemetryAggregator,
     jsonl_lines,
-    merge_recordings,
-    parse_lines,
     reference_aggregate,
     worker_scoped,
 )
@@ -203,38 +201,6 @@ class TestClockMap:
 
     def test_identity_is_default(self):
         assert ClockMap().map(3.5) == 3.5
-
-
-class TestMergeRecordings:
-    def test_round_trip_single_recording(self):
-        merged = reference_aggregate(
-            {0: make_worker(0, 3), 1: make_worker(1, 2)}
-        )
-        lines = list(jsonl_lines(merged))
-        again = merge_recordings([parse_lines(lines)])
-        assert list(jsonl_lines(again)) == lines
-
-    def test_per_worker_dumps_unify_to_the_aggregate(self):
-        # each worker saved its own (unlabelled) dump; merging offline
-        # adds counters and merges histograms exactly
-        dumps = [
-            parse_lines(jsonl_lines(make_worker(k, 3))) for k in (0, 1)
-        ]
-        merged = merge_recordings(dumps)
-        counter = merged.registry.get("events_total", kind="demo")
-        assert counter.value == 3 * 1 + 3 * 2  # worker k incs by k+1
-        hist = merged.registry.get("work_units")
-        assert hist.count == 6
-        assert len(merged.spans.records) == 6
-
-    def test_merge_is_deterministic(self):
-        dumps = ["\n".join(jsonl_lines(make_worker(k, 4))) for k in (0, 1)]
-
-        def run():
-            recs = [parse_lines(d.splitlines()) for d in dumps]
-            return list(jsonl_lines(merge_recordings(recs)))
-
-        assert run() == run()
 
 
 class TestWorkerScopedFilter:

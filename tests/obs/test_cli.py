@@ -132,32 +132,3 @@ class TestProcsCli:
         text = out.getvalue()
         assert "fleet dashboard" in text
         assert "worker 0" in text and "worker 1" in text
-
-    def test_report_merge_unifies_recordings(self, tmp_path):
-        merged_path = tmp_path / "merged.jsonl"
-        out = io.StringIO()
-        assert main([
-            "report", str(PROCS_GOLDEN), str(PROCS_GOLDEN),
-            "--merge", "-o", str(merged_path),
-        ], out=out) == 0
-        assert "merged records" in out.getvalue()
-        merged = load_recording(str(merged_path))
-        single = load_recording(str(PROCS_GOLDEN))
-        # counters add across the merged inputs
-        key = next(iter(single.counters))
-        assert merged.counters[key] == 2 * single.counters[key]
-
-    def test_report_merge_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        for path in (a, b):
-            assert main([
-                "report", str(PROCS_GOLDEN), str(PROCS_GOLDEN),
-                "--merge", "-o", str(path),
-            ], out=io.StringIO()) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_report_multiple_paths_need_merge(self):
-        out = io.StringIO()
-        assert main(["report", str(PROCS_GOLDEN), str(PROCS_GOLDEN)],
-                    out=out) == 2
-        assert "--merge" in out.getvalue()

@@ -11,7 +11,6 @@ from repro.obs import (
     jsonl_lines,
     load_recording,
     parse_lines,
-    prometheus_snapshot,
     write_jsonl,
 )
 from repro.obs.export import jsonable
@@ -113,38 +112,3 @@ class TestJsonable:
                 return "odd"
 
         assert json.dumps(jsonable({"o": Odd()}))
-
-
-class TestPrometheus:
-    def test_snapshot_format(self):
-        text = prometheus_snapshot(sample_obs())
-        lines = text.splitlines()
-        assert "# TYPE drops_total counter" in lines
-        assert 'drops_total{stream="0"} 5' in lines
-        assert 'throttle{node="join"} 0.5' in lines
-        # series export their last sample as a gauge
-        assert "# TYPE depth gauge" in lines
-        assert 'depth{stream="0"} 4' in lines
-        # histogram: cumulative buckets, sum, count
-        assert "latency_count 3" in lines
-        assert "latency_sum 3.5" in lines
-        buckets = [line for line in lines
-                   if line.startswith("latency_bucket")]
-        values = [int(line.rsplit(" ", 1)[1]) for line in buckets]
-        assert values == sorted(values)  # cumulative
-        assert values[-1] == 3
-        assert all('le="' in line for line in buckets)
-
-    def test_one_type_line_per_name(self):
-        text = prometheus_snapshot(sample_obs())
-        type_lines = [line for line in text.splitlines()
-                      if line.startswith("# TYPE")]
-        assert len(type_lines) == len({line for line in type_lines})
-        assert sum("drops_total" in line for line in type_lines) == 1
-
-    def test_empty_obs(self):
-        assert prometheus_snapshot(Obs()) == ""
-
-    def test_deterministic(self):
-        assert (prometheus_snapshot(sample_obs())
-                == prometheus_snapshot(sample_obs()))

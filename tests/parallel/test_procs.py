@@ -1,15 +1,14 @@
 """End-to-end tests for the process-parallel shard runtime.
 
-The determinism contract is the headline: with scaling pinned,
-``run_procs`` over real ``multiprocessing`` workers must merge the
-*bit-identical* identity set the virtual-time :class:`ShardedPlan`
-(and the brute-force oracle) produce on the same frozen workload.
-Elastic autoscaling, crash propagation and the P126/P124 worker-entry
+The determinism contract is the headline: ``run_procs`` over real
+``multiprocessing`` workers must merge the *bit-identical* identity set
+the virtual-time :class:`ShardedPlan` (and the brute-force oracle)
+produce on the same frozen workload — for every join mode and every
+transport setting.  Crash propagation and the P126/P124 worker-entry
 certification ride along.
 """
 
 import os
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,13 +20,14 @@ from repro.joins import MJoinOperator
 from repro.joins.columnar import ResultBlock
 from repro.lint.plan import PlanValidationError
 from repro.obs import Obs
-from repro.parallel import AutoscalerConfig, build_sharded_graph, run_procs
+from repro.parallel import build_sharded_graph, run_procs
 from repro.parallel.procs import result_keys
 from repro.testkit import (
     band_workload,
     key_workload,
     mixed_key_workload,
     oracle_ids,
+    oracle_join,
     sharded_ids,
 )
 from repro.testkit.chaos import duplicate_delivery
@@ -61,21 +61,6 @@ def procs_run(workload, num_shards, **kwargs):
     )
 
 
-class SlowShard(StreamOperator):
-    """A deliberately slow pass-through: builds worker backlog so the
-    autoscaler's high watermark trips (never certified — tests pass
-    ``certify=False``)."""
-
-    num_streams = 3
-
-    def __init__(self, delay: float = 0.002):
-        self.delay = delay
-
-    def process(self, tup, now):
-        time.sleep(self.delay)
-        return ProcessReceipt(comparisons=1)
-
-
 class CrashShard(StreamOperator):
     """Raises mid-stream to exercise worker crash propagation."""
 
@@ -89,6 +74,26 @@ class CrashShard(StreamOperator):
         if self.count > 5:
             raise ValueError("boom on purpose")
         return ProcessReceipt(comparisons=1)
+
+
+GRID_SEEDS = (1, 2, 3)
+GRID_SHARDS = (1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def references():
+    """``(workload, oracle ids, sharded ids)`` per ``(seed, K)``, computed
+    once for the whole transport grid."""
+    refs = {}
+    for seed in GRID_SEEDS:
+        workload = key_workload(seed=seed, duration=6.0)
+        oracle = oracle_ids(workload).id_set
+        assert oracle, "workload produced no joins — test is vacuous"
+        for num_shards in GRID_SHARDS:
+            refs[seed, num_shards] = (
+                workload, oracle, sharded_ids(workload, num_shards)
+            )
+    return refs
 
 
 class TestDeterminism:
@@ -115,6 +120,58 @@ class TestDeterminism:
         assert first.merged_ids == second.merged_ids
         assert first.routed_per_worker == second.routed_per_worker
         assert first.merged_count == second.merged_count
+
+    @pytest.mark.parametrize("control_interval", [1, 4])
+    @pytest.mark.parametrize("batch_size", [1, 8, 64])
+    @pytest.mark.parametrize("num_shards", GRID_SHARDS)
+    @pytest.mark.parametrize("seed", GRID_SEEDS)
+    def test_every_transport_setting_is_exact(
+        self, seed, num_shards, batch_size, control_interval, references
+    ):
+        # no control loop reads the transport any more, so no transport
+        # setting can change what is merged
+        workload, oracle, sharded = references[seed, num_shards]
+        result = procs_run(
+            workload, num_shards,
+            batch_size=batch_size, control_interval=control_interval,
+        )
+        assert set(result.merged_ids) == oracle == sharded
+        assert result.merged_count == len(oracle)
+
+
+class TestModes:
+    """Every join mode is exact on the process runtime: the workers run
+    the end-of-run flush, so anti/outer survivors still pending at STOP
+    are merged too."""
+
+    @pytest.mark.parametrize("mode", ["inner", "semi", "anti", "outer"])
+    def test_mode_matches_oracle(self, mode):
+        workload = key_workload(3, n_keys=200)
+
+        def make_shard(_worker_id: int) -> MJoinOperator:
+            return MJoinOperator(
+                workload.predicate, workload.window_sizes, workload.basic,
+                mode=mode,
+            )
+
+        result = run_procs(
+            workload.traces, make_shard, 2,
+            duration=workload.duration + DRAIN_TAIL,
+            adaptation_interval=2.0,
+        )
+        oracle = oracle_join(
+            workload.traces, **make_shard(0).testkit_profile()
+        ).id_set
+        assert oracle, "workload produced no results — test is vacuous"
+        assert set(result.merged_ids) == oracle
+        assert result.merged_count == len(oracle)
+        keys = np.concatenate(result.merged_keys)
+        # a result's missing streams travel as -1, never as an identity
+        assert (keys[keys < 0] == -1).all()
+        sizes = {len(ids) for ids in oracle}
+        assert set((keys >= 0).sum(axis=1).tolist()) == sizes
+        if mode != "inner":
+            assert 1 in sizes  # singletons
 
 
 class TestColumnarResultPlane:
@@ -147,10 +204,16 @@ class TestColumnarResultPlane:
             # over one plan, which holds for any shard operator
             validate=False, retain_outputs=True,
         )
-        return (
-            procs, plan.merged_result_ids(graph),
-            plan.output_count(graph),
-        )
+        # the shard nodes' outputs, not the merger's: the graph host
+        # records a shard's end-of-run flush (anti survivors) on the
+        # shard node, the process runtime ships it to the merger — with
+        # the queues drained everything else is on both
+        outputs = [
+            result
+            for name in plan.shards
+            for result in graph.nodes[name].outputs
+        ]
+        return procs, {r.key() for r in outputs}, len(outputs)
 
     @pytest.mark.parametrize("mode", ["semi", "anti"])
     def test_singleton_modes_fill_absent_streams(self, mode):
@@ -227,8 +290,6 @@ class TestAccounting:
         assert result.merged_count == len(result.merged_ids)
         assert sum(result.merged_per_worker) == result.merged_count
         assert result.workers_spawned == 2
-        assert result.workers_retired == 0
-        assert result.autoscale_events == []
         assert "Procs(" in result.describe()
 
     def test_manual_timer_is_honoured(self):
@@ -238,63 +299,6 @@ class TestAccounting:
         result = procs_run(workload, 2, timer=ManualTimer())
         assert result.wall_seconds == 0.0
         assert result.merged_rate == 0.0
-
-
-class TestAutoscaling:
-    def test_sustained_backlog_scales_up(self):
-        workload = key_workload(seed=1, rate=30.0, duration=6.0)
-        result = run_procs(
-            workload.traces,
-            lambda worker_id: SlowShard(),
-            1,
-            duration=workload.duration,
-            adaptation_interval=None,
-            batch_size=16,
-            max_inflight_batches=8,
-            control_interval=1,
-            autoscale=AutoscalerConfig(
-                max_workers=4,
-                high_watermark=8.0,
-                low_watermark=1.0,
-                sustain_ticks=1,
-                cooldown_ticks=0,
-            ),
-            certify=False,
-        )
-        assert result.workers_spawned > 1
-        assert any(e.action == "up" for e in result.autoscale_events)
-        # the new workers actually received load after bucket migration
-        assert sum(1 for n in result.routed_per_worker if n > 0) > 1
-
-    def test_idle_fleet_drains_and_retires(self):
-        workload = key_workload(seed=1, duration=6.0)
-        result = procs_run(
-            workload, 3,
-            batch_size=8,
-            control_interval=1,
-            autoscale=AutoscalerConfig(
-                min_workers=1,
-                max_workers=3,
-                high_watermark=10_000.0,
-                low_watermark=5_000.0,
-                sustain_ticks=1,
-                cooldown_ticks=0,
-            ),
-        )
-        assert result.workers_retired >= 1
-        assert any(e.action == "down" for e in result.autoscale_events)
-        # migration moves future tuples only, so results may drop a
-        # window of matches — but never invent one
-        assert set(result.merged_ids) <= oracle_ids(workload).id_set
-
-    def test_autoscale_conflicts_with_rebalancing(self):
-        workload = key_workload(seed=1, duration=2.0)
-        with pytest.raises(ValueError, match="separate control loops"):
-            procs_run(
-                workload, 2,
-                rebalance_threshold=2.0,
-                autoscale=AutoscalerConfig(),
-            )
 
 
 class TestFailurePaths:

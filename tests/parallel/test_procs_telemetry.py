@@ -119,6 +119,8 @@ def replay_in_process(workload, factory, num_shards):
         state["clock"][0] = now
         state["arrivals"][tup.stream] += 1
         state["operator"].process(tup, now)
+    for state in workers.values():  # the stop-time flush
+        state["operator"].on_finish(state["clock"][0])
     return reference_aggregate(
         {wid: state["obs"] for wid, state in workers.items()}
     )
@@ -179,6 +181,25 @@ class TestDeltaMergeExactness:
         _result, obs = procs_obs_run(workload, factory, 2)
         reference = replay_in_process(workload, factory, 2)
         assert worker_lines(obs) == worker_lines(reference)
+
+    def test_stop_time_flush_telemetry_rides_the_bye(self):
+        # an indexed join publishes its windex_* counter deltas at ticks
+        # and in on_finish; what accrued after the last tick only
+        # reaches the supervisor if the worker runs the flush before
+        # its final delta
+        workload = key_workload(seed=3, duration=6.0)
+
+        def factory(worker_id: int) -> MJoinOperator:
+            return MJoinOperator(
+                workload.predicate, workload.window_sizes, workload.basic,
+                index="hash",
+            )
+
+        _result, obs = procs_obs_run(workload, factory, 2)
+        reference = replay_in_process(workload, factory, 2)
+        assert worker_lines(obs) == worker_lines(reference)
+        assert any('"windex_rows_total"' in line
+                   for line in worker_lines(obs))
 
     def test_worker_scoped_export_is_bit_identical_across_runs(self):
         workload = key_workload(seed=4, duration=6.0)

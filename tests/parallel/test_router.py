@@ -285,47 +285,6 @@ class TestReweightInterleave:
         assert longest_run < cycle.count(majority)
 
 
-class TestElasticMembership:
-    def test_add_shard_takes_fair_share(self):
-        router = RouterOperator(num_streams=1, num_shards=2, buckets=9)
-        new = router.add_shard()
-        assert new == 2
-        assert router.num_shards == 3
-        assert len(router.routed_per_shard) == 3
-        assert router.bucket_map.count(2) == 3  # buckets // 3
-        for shard in range(3):
-            assert router.bucket_map.count(shard) >= 1
-
-    def test_add_shard_never_empties_a_donor(self):
-        router = RouterOperator(num_streams=1, num_shards=2, buckets=2)
-        router.add_shard()
-        # both donors own exactly one bucket: nothing may move
-        assert sorted(router.bucket_map) == [0, 1]
-
-    def test_retire_rehomes_every_bucket(self):
-        router = RouterOperator(num_streams=1, num_shards=3, buckets=9)
-        owned = router.bucket_map.count(1)
-        moved = router.retire_shard(1, [0, 2])
-        assert moved == owned
-        assert router.bucket_map.count(1) == 0
-        # no tuple can ever route to the retiree again
-        shards = {router.shard_of(tup(float(v))) for v in range(200)}
-        assert 1 not in shards
-
-    def test_retire_needs_a_survivor(self):
-        router = RouterOperator(num_streams=1, num_shards=2)
-        with pytest.raises(ValueError):
-            router.retire_shard(0, [0])
-
-    def test_elastic_requires_hash_policy(self):
-        router = RouterOperator(num_streams=1, num_shards=2,
-                                policy="round-robin")
-        with pytest.raises(ValueError):
-            router.add_shard()
-        with pytest.raises(ValueError):
-            router.retire_shard(1, [0])
-
-
 class TestRouterEdgeCases:
     def probe(self, depths):
         return lambda: depths

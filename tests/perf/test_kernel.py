@@ -82,9 +82,13 @@ def run_both(tup, order, slices_for_hop, predicate):
     return slow
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("m", [2, 3, 5])
-def test_full_slices_identical(seed, m):
+@pytest.mark.parametrize(
+    "m, seed",
+    # the reference pipeline enumerates a 5-way join 25 times per seed
+    # (~4 s each): every seed at m <= 3, one at m = 5
+    [(m, seed) for m in (2, 3) for seed in (0, 1, 2, 3)] + [(5, 0)],
+)
+def test_full_slices_identical(m, seed):
     now = 10.0
     windows = build_windows(seed, m=m)
     predicate = EpsilonJoin(0.5)
