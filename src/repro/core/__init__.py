@@ -12,7 +12,6 @@ from .basic_windows import (
     GENERIC,
     SCALAR,
     VECTOR,
-    BasicWindow,
     PartitionedWindow,
     WindowSlice,
 )
@@ -36,7 +35,6 @@ from .windex import (
 
 __all__ = [
     "AggregateResult",
-    "BasicWindow",
     "EquiWidthHistogram",
     "FixedThrottle",
     "GENERIC",

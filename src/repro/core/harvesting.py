@@ -46,8 +46,8 @@ class HarvestConfiguration:
             [np.asarray(r, dtype=int) for r in per_dir]
             for per_dir in rankings
         ]
-        # once-per-configuration run decomposition cache (see selected_runs)
-        self._runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # once-per-configuration hop plans (see _hop_plan)
+        self._plans: dict[tuple[int, int], tuple] = {}
 
     @classmethod
     def full(cls, m: int, segments: Sequence[int]) -> "HarvestConfiguration":
@@ -101,13 +101,49 @@ class HarvestConfiguration:
             slices.extend(
                 window.logical_window_slices(int(k) + 1, now, reference)
             )
-        partial = self.fractional_window(i, j)
-        if partial is not None:
-            k, frac = partial
-            stride = max(1, round(1.0 / frac))
-            for s in window.logical_window_slices(k + 1, now, reference):
-                slices.append(WindowSlice(s.window, s.lo, s.hi, step=stride))
-        return slices
+        return slices + self._fractional_slices(
+            window, self._hop_plan(i, j)[0], now, reference
+        )
+
+    def _hop_plan(
+        self, i: int, j: int
+    ) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
+        """What hop ``j`` of direction ``i`` scans, decomposed once per
+        (immutable) configuration: the fractional window as ``(1-based
+        logical index, stride)`` — stride ``max(1, round(1 / fraction))``
+        — or ``None``, and the runs of :meth:`selected_runs`."""
+        key = (i, j)
+        plan = self._plans.get(key)
+        if plan is None:
+            partial = self.fractional_window(i, j)
+            strided = None if partial is None else (
+                partial[0] + 1, max(1, round(1.0 / partial[1]))
+            )
+            runs: list[tuple[int, int]] = []
+            for k in sorted(int(k) for k in self.selected_windows(i, j)):
+                if runs and k == runs[-1][1]:
+                    runs[-1] = (runs[-1][0], k + 1)
+                else:
+                    runs.append((k + 1, k + 1))
+            plan = self._plans[key] = (strided, runs)
+        return plan
+
+    @staticmethod
+    def _fractional_slices(
+        window: PartitionedWindow,
+        strided: tuple[int, int] | None,
+        now: float,
+        reference: float | None,
+    ) -> list[WindowSlice]:
+        """The strided sample of a hop's partially scanned logical window,
+        the stride restarting at the physical basic window boundary the
+        logical window straddles (:meth:`PartitionedWindow.strided`)."""
+        if strided is None:
+            return []
+        return window.strided(
+            window.logical_window_slices(strided[0], now, reference),
+            strided[1],
+        )
 
     def selected_runs(self, i: int, j: int) -> list[tuple[int, int]]:
         """Maximal runs of consecutive fully selected logical windows at
@@ -116,23 +152,11 @@ class HarvestConfiguration:
 
         This is the slice-merging work of :func:`merge_slices` hoisted to
         selection time: a configuration is immutable, so the adjacency of
-        its selected logical windows is computed once here instead of
-        being rediscovered (via sort + coalesce over physical slices) on
-        every probe.
+        its selected logical windows is computed once instead of being
+        rediscovered (via sort + coalesce over physical slices) on every
+        probe.
         """
-        key = (i, j)
-        cached = self._runs.get(key)
-        if cached is not None:
-            return cached
-        selected = sorted(int(k) for k in self.selected_windows(i, j))
-        runs: list[tuple[int, int]] = []
-        for k in selected:
-            if runs and k == runs[-1][1]:
-                runs[-1] = (runs[-1][0], k + 1)
-            else:
-                runs.append((k + 1, k + 1))
-        self._runs[key] = runs
-        return runs
+        return self._hop_plan(i, j)[1]
 
     def run_slices_for_hop(
         self,
@@ -147,19 +171,14 @@ class HarvestConfiguration:
 
         Scans exactly the same tuples with the same strides — identical
         scanned/matched/comparison accounting and identical output *sets*
-        — but enumerates slices run-by-run (ascending logical index,
-        strided fractional tail first) rather than in merged rank order,
-        and pays at most two binary searches per run instead of two per
-        logical window plus a sort.
+        — but enumerates one slice per run (ascending logical index,
+        strided fractional tail first) rather than one per logical window
+        in rank order, and pays at most two binary searches per run
+        instead of two per logical window plus a sort.
         """
-        slices: list[WindowSlice] = []
-        partial = self.fractional_window(i, j)
-        if partial is not None:
-            k, frac = partial
-            stride = max(1, round(1.0 / frac))
-            for s in window.logical_window_slices(k + 1, now, reference):
-                slices.append(WindowSlice(s.window, s.lo, s.hi, step=stride))
-        for first, last in self.selected_runs(i, j):
+        strided, runs = self._hop_plan(i, j)
+        slices = self._fractional_slices(window, strided, now, reference)
+        for first, last in runs:
             slices.extend(
                 window.logical_span_slices(first, last, now, reference)
             )

@@ -7,11 +7,12 @@ sorted index answers a probe in ``O(log n + matches)`` instead of
 ``O(n)`` — the sliding-window indexing direction of Golab et al. (EDBT
 2004), which the paper cites for its basic-window expiration batching.
 
-Indexes live *outside* the windows, keyed by basic-window identity and
-invalidated by a version counter, so the core window structures stay
-index-agnostic.  The CPU charge for an indexed probe is
-``ceil(log2(n)) + matches`` work units, making the cost saving visible
-to the load-shedding machinery.
+Indexes live *outside* the windows, keyed by
+:meth:`~repro.core.basic_windows.PartitionedWindow.window_key` and the
+window's row count, so the core window structures stay index-agnostic.
+The CPU charge for an indexed probe is ``ceil(log2(n)) + matches`` work
+units per basic window probed, making the cost saving visible to the
+load-shedding machinery.
 """
 
 from __future__ import annotations
@@ -20,34 +21,43 @@ import math
 
 import numpy as np
 
-from .basic_windows import SCALAR, BasicWindow, WindowSlice
+from .basic_windows import SCALAR, PartitionedWindow, WindowSlice
 
 
 class SortedWindowIndex:
-    """Lazily maintained sorted indexes for a set of basic windows.
+    """Lazily maintained sorted indexes for one or more stores' basic
+    windows.
 
     Each index is rebuilt on first use after its window changed (append,
-    clear or recycle), which amortizes to one ``argsort`` per basic-window
-    lifetime under batch expiration.
+    late insert, eviction, or expiry and reuse of the ring position),
+    which amortizes to one ``argsort`` per basic-window lifetime under
+    batch expiration.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._cache: dict[tuple, tuple[tuple, np.ndarray, np.ndarray]] = {}
         self.rebuilds = 0
 
-    def _entry(self, window: BasicWindow) -> tuple[np.ndarray, np.ndarray]:
-        if window.mode != SCALAR:
-            raise ValueError("sorted indexes require scalar storage")
-        key = id(window)
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] == window.version:
-            return cached[1], cached[2]
-        values = np.asarray(window.values, dtype=float)
+    def _entry(
+        self, store: PartitionedWindow, k: int
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(start row, order, sorted values)`` of physical window ``k``;
+        ``order`` counts rows from the start, which compaction moves."""
+        start, stop = store.window_rows(k)
+        # ring position, not window identity, names the slot: the cache
+        # stays at n + 1 entries per store and the key check below tells
+        # a recycled position from an unchanged window
+        slot = (id(store), (store.rotations - k) % (store.n + 1))
+        key = (*store.window_key(k), stop - start)
+        cached = self._cache.get(slot)
+        if cached is not None and cached[0] == key:
+            return start, cached[1], cached[2]
+        values = store.values[start:stop]
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
-        self._cache[key] = (window.version, order, sorted_values)
+        self._cache[slot] = (key, order, sorted_values)
         self.rebuilds += 1
-        return order, sorted_values
+        return start, order, sorted_values
 
     def range_probe(
         self, window_slice: WindowSlice, low: float, high: float
@@ -55,35 +65,35 @@ class SortedWindowIndex:
         """Indices (relative to the slice) with value in ``[low, high]``,
         plus the work units the probe cost.
 
-        The index covers the whole basic window; hits outside the slice's
-        index range are filtered out, so the result is identical to a
-        linear scan of the slice.
+        Every physical basic window the slice touches is probed through
+        its own index and charged for it; an index covers its whole basic
+        window, and hits outside the slice's range or stride are filtered
+        out, so the result is identical to a linear scan of the slice.
         """
-        window = window_slice.window
-        if len(window) == 0 or low > high:
-            return np.empty(0, dtype=np.intp), 1
-        order, sorted_values = self._entry(window)
-        lo_pos = int(np.searchsorted(sorted_values, low, side="left"))
-        hi_pos = int(np.searchsorted(sorted_values, high, side="right"))
-        hits_window = order[lo_pos:hi_pos]
-        if window_slice.step != 1:
-            keep = (
-                (hits_window >= window_slice.lo)
-                & (hits_window < window_slice.hi)
-                & ((hits_window - window_slice.lo) % window_slice.step == 0)
-            )
-            hits_slice = (
-                hits_window[keep] - window_slice.lo
-            ) // window_slice.step
-        else:
-            keep = (hits_window >= window_slice.lo) & (
-                hits_window < window_slice.hi
-            )
-            hits_slice = hits_window[keep] - window_slice.lo
-        cost = max(1, math.ceil(math.log2(max(len(window), 2)))) + len(
-            hits_window
-        )
-        return hits_slice.astype(np.intp), cost
+        store = window_slice.store
+        if store.mode != SCALAR:
+            raise ValueError("sorted indexes require scalar storage")
+        s_lo, s_hi, step = window_slice.lo, window_slice.hi, window_slice.step
+        pieces = store.window_pieces(s_lo, s_hi)
+        if not pieces or low > high:
+            return np.empty(0, dtype=np.intp), max(1, len(pieces))
+        found = []
+        cost = 0
+        for k, _, _, _ in pieces:
+            start, order, sorted_values = self._entry(store, k)
+            hits = order[
+                np.searchsorted(sorted_values, low, side="left") :
+                np.searchsorted(sorted_values, high, side="right")
+            ]
+            cost += max(
+                1, math.ceil(math.log2(max(len(order), 2)))
+            ) + len(hits)
+            found.append(hits + start)
+        rows = np.concatenate(found)
+        keep = (rows >= s_lo) & (rows < s_hi)
+        if step != 1:
+            keep &= (rows - s_lo) % step == 0
+        return (rows[keep] - s_lo) // step, cost
 
     def invalidate(self) -> None:
         """Drop all cached indexes (e.g. between runs)."""

@@ -23,19 +23,18 @@ def shredded_slices(
 ) -> list[WindowSlice]:
     """Evenly distributed sample of ``fraction`` of the window's tuples.
 
-    Implemented as a strided scan: with stride ``s = ceil(1/fraction)``
-    every ``s``-th tuple across the unexpired window is selected, so
-    selected tuples are spread uniformly over the window's time range.
+    Implemented as a strided scan: with stride
+    ``s = max(1, round(1 / fraction))`` every ``s``-th tuple of each
+    physical basic window is selected — the stride restarts at every
+    basic window boundary (:meth:`PartitionedWindow.strided`), so the
+    sample is spread uniformly over the window's time range and a basic
+    window's sampled rows do not depend on how full the older ones are.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
-    stride = max(1, round(1.0 / fraction))
-    if stride == 1:
-        return window.full_slices(now)
-    return [
-        WindowSlice(s.window, s.lo, s.hi, step=stride)
-        for s in window.full_slices(now)
-    ]
+    return window.strided(
+        window.full_slices(now), max(1, round(1.0 / fraction))
+    )
 
 
 def shred_slices_for_hop(

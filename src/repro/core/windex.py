@@ -12,17 +12,19 @@ This module supplies that layer for :class:`~repro.core.basic_windows
 .PartitionedWindow` without changing its storage:
 
 * :class:`PartitionTable` — an immutable partition layout over one
-  :class:`~repro.core.basic_windows.BasicWindow`'s value column: a
+  physical basic window's stretch of the store's value column: a
   stable ``argsort`` of per-row partition codes plus segment offsets
   and per-partition ``(min, max)`` summaries.  Rows stay where they
-  are; the table is a permutation view, so slice semantics (and the
-  reference path) are untouched.
+  are; the table is a permutation view in window-relative row numbers
+  (the window's start moves when the store compacts), so slice
+  semantics (and the reference path) are untouched.
 * :class:`WindowIndexState` — the per-stream mutable state: which
   index kind is active (``flat`` / ``hash`` / ``range``), a value
   histogram (:class:`~repro.core.histograms.EquiWidthHistogram`
   reused as the distribution sensor), lazily rebuilt partition tables
-  keyed on basic-window identity + version (the
-  :class:`~repro.core.indexing.SortedWindowIndex` pattern), and the
+  keyed on :meth:`~repro.core.basic_windows.PartitionedWindow
+  .window_key` (the :class:`~repro.core.indexing.SortedWindowIndex`
+  pattern), and the
   adaptive kind-selection policy with hysteresis so the kind does not
   flap between adaptation ticks.
 
@@ -42,7 +44,7 @@ import struct
 
 import numpy as np
 
-from .basic_windows import BasicWindow, WindowSlice
+from .basic_windows import PartitionedWindow, WindowSlice
 from .histograms import EquiWidthHistogram
 
 #: index kinds — FLAT is bit-for-bit today's behavior (no tables built)
@@ -121,12 +123,13 @@ class PartitionTable:
     """Partition layout of one basic window's value column prefix.
 
     ``order[starts[p]:starts[p+1]]`` lists partition ``p``'s row
-    positions in ascending row order (the ``argsort`` over codes is
-    stable, and codes are computed in row order).  ``pmins``/``pmaxs``
+    positions — relative to the window's first row — in ascending row
+    order (the ``argsort`` over codes is stable, and codes are computed
+    in row order).  ``pmins``/``pmaxs``
     hold per-partition value extrema (``+inf``/``-inf`` for empty
     partitions) for summary-based pruning.
 
-    The table covers the first ``build_n`` rows as of ``build_version``.
+    The table covers the window's first ``build_n`` rows.
     Basic windows are append-only between rotations, so a table stays
     valid for its prefix while the window merely grows — probes treat
     the appended tail ``[build_n, len)`` as always-candidate rows and
@@ -136,7 +139,7 @@ class PartitionTable:
     """
 
     __slots__ = ("kind", "n_parts", "order", "starts", "pmins", "pmaxs",
-                 "ovals", "nonempty_parts", "build_version", "build_n")
+                 "ovals", "nonempty_parts", "build_n")
 
     def __init__(
         self,
@@ -147,7 +150,6 @@ class PartitionTable:
         pmins: np.ndarray,
         pmaxs: np.ndarray,
         ovals: np.ndarray,
-        build_version: int,
         build_n: int,
     ) -> None:
         self.kind = kind
@@ -162,17 +164,13 @@ class PartitionTable:
         #: need no gather at all
         self.ovals = ovals
         self.nonempty_parts = int(np.count_nonzero(np.diff(starts)))
-        self.build_version = build_version
         self.build_n = build_n
 
 
 class WindowIndexState:
-    """Per-stream partition-index state shared by one window's ring.
-
-    One instance is attached to every physical basic window of a
-    :class:`~repro.core.basic_windows.PartitionedWindow` (the ring
-    recycles the same ``n + 1`` objects forever, so attachment happens
-    once at construction).  The state owns:
+    """Per-stream partition-index state of one
+    :class:`~repro.core.basic_windows.PartitionedWindow`.  The state
+    owns:
 
     * the **sensor** — a warmup sample buffer that seeds an
       :class:`~repro.core.histograms.EquiWidthHistogram` over the
@@ -181,8 +179,8 @@ class WindowIndexState:
       step) the desired kind is derived from the sensor and applied
       only after ``hysteresis`` consecutive agreeing ticks;
     * the **tables** — per-basic-window :class:`PartitionTable`\\ s
-      rebuilt lazily when the window's version or the state's epoch
-      (bumped on every kind/boundary switch) moved.
+      rebuilt lazily when the window's rows moved or the state's epoch
+      (bumped on every kind/boundary switch) did.
 
     Args:
         spec: ``"flat"`` / ``"hash"`` / ``"range"`` pin the kind;
@@ -264,9 +262,9 @@ class WindowIndexState:
         self._pending: str | None = None
         self._pending_ticks = 0
         self.min_index_rows = int(min_index_rows)
-        # table cache: id(basic window) -> (epoch, table); the ring
-        # recycles its windows, so this stays bounded at n + 1
-        self._tables: dict[int, tuple[int, PartitionTable]] = {}
+        # table cache: window identity -> (epoch, generation, table);
+        # mark_frozen drops the expired window's, so it stays at n + 1
+        self._tables: dict[int, tuple[int, int, PartitionTable]] = {}
         # telemetry (flushed into obs as deltas at adaptation ticks)
         self.rebuilds = 0
         self.switches = 0
@@ -398,39 +396,43 @@ class WindowIndexState:
     # tables
     # ------------------------------------------------------------------
 
-    def table_for(self, window: BasicWindow) -> PartitionTable | None:
-        """The (lazily rebuilt) partition table of ``window``.
+    def table_for(
+        self, store: PartitionedWindow, k: int
+    ) -> PartitionTable | None:
+        """The (lazily rebuilt) partition table of ``store``'s physical
+        basic window ``k``.
 
         Returns ``None`` when the window is too small to be worth
         indexing (probe it flat).  A cached table is reused while the
-        window has only *appended* since the build — detected by
-        ``version`` advancing in lockstep with the row count; a clear
-        or a sorted-insert shift breaks the equation (the latter bumps
-        the version twice) — and the appended tail stays within its
-        tolerated fraction of the window.  Either failing triggers a
-        rebuild, so a filling window rebuilds logarithmically often
-        instead of once per insert.
+        window has only *appended* since the build — its
+        :meth:`~repro.core.basic_windows.PartitionedWindow.window_key`
+        is unchanged; a late insert's shift or an eviction moves it —
+        and the appended tail stays within its tolerated fraction of
+        the window.  Either failing triggers a rebuild, so a filling
+        window rebuilds logarithmically often instead of once per
+        insert.
         """
-        n = len(window)
-        key = id(window)
+        start, stop = store.window_rows(k)
+        n = stop - start
+        key, generation = store.window_key(k)
         cached = self._tables.get(key)
-        if cached is not None and cached[0] == self.epoch:
-            table = cached[1]
-            append_only = (
-                window.version - table.build_version == n - table.build_n
-            )
+        if (
+            cached is not None
+            and cached[0] == self.epoch
+            and cached[1] == generation
+        ):
+            table = cached[2]
             # tolerate a delta tail of 1/16 of the window (plus a small
             # absolute slack): every tail row is an unpruned candidate
             # on every probe, so a lax bound silently erodes pruning,
             # while a tight one rebuilds the actively filling window so
             # often that rebuild cost eats the pruning win
-            tail_max = max(self.min_index_rows >> 2, n >> 4)
-            if append_only and n - table.build_n <= tail_max:
+            if n - table.build_n <= max(self.min_index_rows >> 2, n >> 4):
                 return table
         if n < self.min_index_rows:
             return None
-        table = self._build(window)
-        self._tables[key] = (self.epoch, table)
+        table = self._build(store.values[start:stop])
+        self._tables[key] = (self.epoch, generation, table)
         self.rebuilds += 1
         return table
 
@@ -451,9 +453,7 @@ class WindowIndexState:
         code = (bits * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         return int(code >> int(self._hash_shift))
 
-    def _build(self, window: BasicWindow) -> PartitionTable:
-        build_version = window.version
-        vals = np.asarray(window.values, dtype=np.float64)
+    def _build(self, vals: np.ndarray) -> PartitionTable:
         if self.active == HASH:
             kind = HASH
             n_parts = self.n_partitions
@@ -477,7 +477,7 @@ class WindowIndexState:
             pmins[nonempty] = np.minimum.reduceat(sv, starts[nonempty])
             pmaxs[nonempty] = np.maximum.reduceat(sv, starts[nonempty])
         return PartitionTable(kind, n_parts, order, starts, pmins, pmaxs,
-                              sv, build_version, len(vals))
+                              sv, len(vals))
 
     # ------------------------------------------------------------------
     # probing
@@ -513,74 +513,81 @@ class WindowIndexState:
         keys: np.ndarray | None = None,
         parts: np.ndarray | None = None,
     ) -> np.ndarray | None:
-        """Ascending row positions in the slice that can match a probe.
+        """Ascending store rows in the slice that can match a probe.
 
         ``[glo, ghi]`` is the union envelope of every live partial
         match's probe interval; for an active hash index ``keys`` must
         additionally carry the distinct probe keys (exact equi probes
         only — enforced by :func:`check_index_compat`).  ``parts`` is
         an optional precomputed :meth:`probe_parts` result (one per
-        hop, shared across slices).  The result is a superset of the
-        matching rows restricted to the slice's ``[lo, hi)`` range and
-        stride, so downstream exact comparison over it reproduces the
-        flat scan's hits in the flat scan's order.  Rows appended
-        after the table build (the delta tail) are always candidates.
-        Returns ``None`` when the window has no table (too small to be
-        worth indexing) — the caller scans the slice flat.
+        hop).  The result is a superset of the matching rows restricted
+        to the slice's ``[lo, hi)`` range and stride, so downstream
+        exact comparison over it reproduces the flat scan's hits in the
+        flat scan's order.  Each physical basic window the slice touches
+        answers from its own table; rows appended after the table build
+        (the delta tail) and the rows of a window too small to index
+        are always candidates.  Returns ``None`` when no window touched
+        has a table — the caller scans the slice flat.
         """
-        window = window_slice.window
+        store = window_slice.store
         s_lo, s_hi = window_slice.lo, window_slice.hi
-        if len(window) == 0 or s_hi <= s_lo:
-            return _EMPTY_ROWS
-        table = self.table_for(window)
-        if table is None:
-            return None
-        if parts is None:
-            parts = self.probe_parts(glo, ghi, keys)
-        keep = (table.pmins[parts] <= ghi) & (table.pmaxs[parts] >= glo)
-        parts = parts[keep]
-        self.partitions_scanned += len(parts)
-        self.partitions_pruned += table.nonempty_parts - len(parts)
-        build_n = table.build_n
-        if len(parts) == 0:
-            rows = _EMPTY_ROWS
-        else:
-            starts = table.starts
-            if len(parts) == 1:
-                # one partition's segment is already in ascending row
-                # order: the build argsort is stable over row-ordered
-                # codes, so ties (same partition) keep their row order
-                p = int(parts[0])
-                rows = table.order[starts[p] : starts[p + 1]]
-            else:
-                rows = np.sort(np.concatenate(
-                    [table.order[starts[p] : starts[p + 1]] for p in parts]
-                ))
-            if s_lo > 0 or s_hi < build_n:
-                lo_pos = int(np.searchsorted(rows, s_lo, side="left"))
-                hi_pos = int(np.searchsorted(
-                    rows, min(s_hi, build_n), side="left"
-                ))
-                rows = rows[lo_pos:hi_pos]
-        tail_lo = max(s_lo, build_n)
-        if tail_lo < s_hi:
-            tail = np.arange(tail_lo, s_hi, dtype=np.intp)
-            rows = np.concatenate([rows, tail]) if len(rows) else tail
+        found = []
+        indexed = False
+        for k, start, lo, hi in store.window_pieces(s_lo, s_hi):
+            table = self.table_for(store, k)
+            if table is None:
+                found.append(np.arange(lo, hi, dtype=np.intp))
+                continue
+            indexed = True
+            if parts is None:
+                parts = self.probe_parts(glo, ghi, keys)
+            keep = (table.pmins[parts] <= ghi) & (table.pmaxs[parts] >= glo)
+            kept = parts[keep]
+            self.partitions_scanned += len(kept)
+            self.partitions_pruned += table.nonempty_parts - len(kept)
+            built = start + table.build_n
+            if len(kept):
+                starts = table.starts
+                if len(kept) == 1:
+                    # one partition's segment is already in ascending row
+                    # order: the build argsort is stable over row-ordered
+                    # codes, so ties (same partition) keep their row order
+                    p = int(kept[0])
+                    rows = table.order[starts[p] : starts[p + 1]]
+                else:
+                    rows = np.sort(np.concatenate(
+                        [table.order[starts[p] : starts[p + 1]] for p in kept]
+                    ))
+                if lo > start or hi < built:
+                    rows = rows[
+                        np.searchsorted(rows, lo - start, side="left") :
+                        np.searchsorted(
+                            rows, min(hi, built) - start, side="left"
+                        )
+                    ]
+                found.append(rows + start)
+            if max(lo, built) < hi:
+                found.append(np.arange(max(lo, built), hi, dtype=np.intp))
+        if not indexed:
+            return None if found else _EMPTY_ROWS
+        rows = np.concatenate(found) if found else _EMPTY_ROWS
         if window_slice.step != 1:
             rows = rows[(rows - s_lo) % window_slice.step == 0]
         return rows
 
-    def mark_frozen(self, window: BasicWindow) -> None:
-        """Drop one window's cached table because it stopped growing.
+    def mark_frozen(self, store: PartitionedWindow) -> None:
+        """``store`` just rotated: drop the cached table of the window
+        that stopped growing, and of the one that expired.
 
-        Called by the ring on rotation for the window that was filling
-        until now: its cached table carries a delta tail of unpruned
-        candidate rows, and since no more appends are coming, one more
-        rebuild (on the next probe) yields a tail-free table that the
-        append-only reuse rule then keeps for the window's whole
-        remaining lifetime.
+        The window that was filling until now carries a delta tail of
+        unpruned candidate rows in its table, and since no more appends
+        are coming, one more rebuild (on the next probe) yields a
+        tail-free table that the append-only reuse rule then keeps for
+        the window's whole remaining lifetime.
         """
-        self._tables.pop(id(window), None)
+        frozen = store.window_key(1)[0]
+        self._tables.pop(frozen, None)
+        self._tables.pop(frozen - store.n, None)
 
     def invalidate(self) -> None:
         """Drop all cached tables (e.g. between runs)."""

@@ -14,12 +14,15 @@ a handful of numpy vectors:
 * ``parents/rows`` back-pointer chains — which prior partial and which
   pooled window row each partial extends.
 
-Each hop pools the selected slices' value columns into one array and tests
-the entire ``(partials x candidates)`` grid with two broadcast comparisons;
-``np.nonzero`` enumerates hits in (partial-major, candidate-ascending)
-order, which is exactly the order the nested loops of the slow path visit
-them in.  After the final hop the back-pointer chains of the surviving
-partials are resolved — with array gathers — into a :class:`ResultBlock`:
+Each hop's candidate pool is the selected slice's view of its stream's
+value column — a copy only when a hop selects several runs or strided
+pieces — tested against the entire ``(partials x candidates)`` grid with
+two broadcast comparisons (two scalar ones while the probing tuple is the
+only partial); ``np.nonzero`` enumerates hits in (partial-major,
+candidate-ascending) order, which is exactly the order the nested loops
+of the slow path visit them in.  After the final hop the back-pointer
+chains of the surviving partials are resolved — with array gathers —
+into a :class:`ResultBlock`:
 the results' ``seq`` identities as one int64 matrix, and the
 ``JoinResult`` objects themselves only if a consumer iterates.
 
@@ -93,34 +96,46 @@ def run_pipeline_columnar(
     radius = float(predicate.interval_radius)
     result = PipelineResult(hop_stats=[HopStats() for _ in order])
     v0 = float(tup.value)
-    vmin = np.array([v0], dtype=np.float64)
-    vmax = np.array([v0], dtype=np.float64)
-    # per-hop slice pools and back-pointer chains for final materialization
-    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int], bool]] = []
-    parents_chain: list[np.ndarray] = []
+    # per-partial running value extrema; arrays only once a second hop
+    # is reached — until then the probing tuple is the one partial
+    vmin = vmax = None
+    num_partials = 1
+    # per-hop slices and back-pointer chains for final materialization
+    hop_slices: list[Sequence[WindowSlice]] = []
+    parents_chain: list[np.ndarray | None] = []
     rows_chain: list[np.ndarray] = []
     completed = True
+    last_hop = len(order) - 1
     for hop, window_stream in enumerate(order):
         slices = slices_for_hop(hop, window_stream)
         stats = result.hop_stats[hop]
-        lens = [len(s) for s in slices]
-        total = sum(lens)
-        num_partials = len(vmin)
+        total = len(slices[0]) if len(slices) == 1 else sum(map(len, slices))
         if total == 0:
             completed = False
             break
-        # at radius 0 the probe interval is [vmax, vmin] itself; alias
-        # instead of allocating (IEEE: the only value changed by -/+ 0.0
-        # is the sign of a zero, which compares equal either way)
-        if radius == 0.0:
+        if num_partials == 1:
+            # python floats: ``max - r`` is the same IEEE subtraction
+            pmin, pmax = (v0, v0) if vmin is None else (
+                float(vmin[0]), float(vmax[0])
+            )
+            lo = pmax - radius
+            hi = pmin + radius
+        elif radius == 0.0:
+            # the probe interval is [vmax, vmin] itself; alias instead of
+            # allocating (IEEE: the only value changed by -/+ 0.0 is the
+            # sign of a zero, which compares equal either way)
             lo, hi = vmax, vmin
         else:
             lo = vmax - radius
             hi = vmin + radius
-        state = slices[0].window.windex
+        state = slices[0].store.windex
         sel: np.ndarray | None = None
         if state is not None and state.is_active:
-            pool, sel = _indexed_pool(state, slices, lens, lo, hi, v0)
+            # the union envelope of every live partial's probe interval
+            glo, ghi = (lo, hi) if num_partials == 1 else (
+                float(lo.min()), float(hi.max())
+            )
+            pool, sel = _indexed_pool(state, slices, glo, ghi, v0)
             eff_total = len(pool)
             state.rows_scanned += eff_total
             state.rows_pruned += total - eff_total
@@ -128,8 +143,8 @@ def run_pipeline_columnar(
                 completed = False
                 break
         else:
-            # SCALAR storage (supports_columnar): every slice's values
-            # are already a float64 view of its window's value column
+            # SCALAR storage (supports_columnar): a slice's values are
+            # already a float64 view of its store's value column
             if len(slices) == 1:
                 pool = slices[0].values
             else:
@@ -137,34 +152,45 @@ def run_pipeline_columnar(
             eff_total = total
         stats.scanned = num_partials * eff_total
         result.comparisons += stats.scanned
-        max_rows = max(1, _CHUNK_ELEMS // eff_total)
-        if num_partials <= max_rows:
-            mask = (pool >= lo[:, None]) & (pool <= hi[:, None])
-            prow, pcol = np.nonzero(mask)
+        if num_partials == 1:
+            pcol = ((pool >= lo) & (pool <= hi)).nonzero()[0]
+            # hop 0's parents are never read
+            prow = np.zeros(len(pcol), dtype=np.intp) if hop else None
         else:
-            row_parts = []
-            col_parts = []
+            # hits as positions in the row-major (partials x candidates)
+            # grid: a 1-D nonzero per chunk of rows, split into (partial,
+            # candidate) once — far cheaper than a 2-D nonzero, same order
+            max_rows = max(1, _CHUNK_ELEMS // eff_total)
+            hit_parts = []
             for start in range(0, num_partials, max_rows):
-                stop = min(start + max_rows, num_partials)
+                stop = start + max_rows
                 mask = (pool >= lo[start:stop, None]) & (
                     pool <= hi[start:stop, None]
                 )
-                rows, cols = np.nonzero(mask)
-                row_parts.append(rows + start)
-                col_parts.append(cols)
-            prow = np.concatenate(row_parts)
-            pcol = np.concatenate(col_parts)
-        stats.matched = int(len(prow))
+                hits = mask.ravel().nonzero()[0]
+                hit_parts.append(hits + start * eff_total if start else hits)
+            prow, pcol = np.divmod(
+                hit_parts[0] if len(hit_parts) == 1
+                else np.concatenate(hit_parts),
+                eff_total,
+            )
+        stats.matched = len(pcol)
         if stats.matched == 0:
             completed = False
             break
-        candidates = pool[pcol]
-        vmin = np.minimum(vmin[prow], candidates)
-        vmax = np.maximum(vmax[prow], candidates)
-        # slice offsets are only needed to resolve hits at the final
+        if hop < last_hop:
+            candidates = pool[pcol]
+            if num_partials == 1:
+                vmin = np.minimum(candidates, pmin)
+                vmax = np.maximum(candidates, pmax)
+            else:
+                vmin = np.minimum(vmin[prow], candidates)
+                vmax = np.maximum(vmax[prow], candidates)
+            num_partials = stats.matched
+        # hits are only resolved to store rows at the final
         # materialization, which runs once per completed probe — far
         # less often than this per-hop path
-        hop_pools.append((slices, lens, sel is not None))
+        hop_slices.append(slices)
         parents_chain.append(prow)
         # with an indexed pool, map pruned-pool hits back to their
         # positions in the full (unpruned) pool so materialization is
@@ -172,7 +198,7 @@ def run_pipeline_columnar(
         rows_chain.append(pcol if sel is None else sel[pcol])
     if completed:
         result.outputs = _materialize(
-            tup, order, hop_pools, parents_chain, rows_chain
+            tup, order, hop_slices, parents_chain, rows_chain
         )
     return result
 
@@ -184,25 +210,25 @@ _EMPTY_IDX = np.empty(0, dtype=np.intp)
 def _indexed_pool(
     state,
     slices: Sequence[WindowSlice],
-    lens: Sequence[int],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    glo: float,
+    ghi: float,
     v0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition-pruned candidate pool for one hop.
 
     Returns ``(pool, sel)`` where ``pool`` holds the candidate values
-    and ``sel`` their positions in the full concatenated pool the flat
-    path would build.  Candidates come back in ascending full-pool
-    position (ascending rows within each slice, slices in order), so
+    and ``sel`` their positions in the full pool the flat path would
+    scan.  Candidates come back in ascending full-pool position
+    (ascending rows within each slice, slices in order), so
     ``np.nonzero`` over the pruned mask enumerates hits in exactly the
-    flat scan's order.  Pruning is lossless: the per-slice candidates
-    are a superset of every row whose value falls in the union probe
-    envelope ``[min(lo), max(hi)]`` (for hash indexes, of every row
-    whose value equals the probe key — exact equi probes only,
-    enforced at construction via ``check_index_compat``).
+    flat scan's order.  Pruning is lossless: the candidates are a
+    superset of every row whose value falls in the union probe
+    envelope ``[glo, ghi]`` (for hash indexes, of every row whose
+    value equals the probe key — exact equi probes only, enforced at
+    construction via ``check_index_compat``).
     """
-    if state.active == HASH:
+    hashed = state.active == HASH
+    if hashed:
         # radius == 0 here, so lo == vmax and hi == vmin: every partial
         # contains the probing tuple, and a partial only survives a hop
         # by extending with an exactly-equal value — so every live
@@ -212,27 +238,29 @@ def _indexed_pool(
         # nonempty), caught by the self-inequality test.
         if v0 != v0:
             return _EMPTY_F64, _EMPTY_IDX
-        return _hash_pool(state, slices, lens, v0)
-    glo = float(lo.min())
-    ghi = float(hi.max())
-    parts = state.probe_parts(glo, ghi)
+        part = state.hash_part(v0)
+        parts = None  # lazily materialized for the strided general path
+        glo = ghi = v0
+    else:
+        parts = state.probe_parts(glo, ghi)
     pool_parts = []
     sel_parts = []
     pos = 0
-    for s, ln in zip(slices, lens):
-        if ln:
+    for s in slices:
+        if hashed and s.step == 1:
+            _hash_bucket(state, s, part, pos, pool_parts, sel_parts)
+        elif len(s):
+            if parts is None:
+                parts = np.array([part], dtype=np.intp)
             rows = state.candidate_rows(s, glo, ghi, parts=parts)
             if rows is None:
-                # window too small to index: the whole slice competes
+                # windows too small to index: the whole slice competes
                 pool_parts.append(s.values)
-                sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
+                sel_parts.append(np.arange(pos, pos + len(s), dtype=np.intp))
             elif len(rows):
-                pool_parts.append(s.window.values[rows])
-                if s.step == 1:
-                    sel_parts.append(pos + rows - s.lo)
-                else:
-                    sel_parts.append(pos + (rows - s.lo) // s.step)
-        pos += ln
+                pool_parts.append(s.store.values[rows])
+                sel_parts.append(pos + (rows - s.lo) // s.step)
+        pos += len(s)
     if not pool_parts:
         return _EMPTY_F64, _EMPTY_IDX
     if len(pool_parts) == 1:
@@ -240,114 +268,86 @@ def _indexed_pool(
     return np.concatenate(pool_parts), np.concatenate(sel_parts)
 
 
-def _hash_pool(
+def _hash_bucket(
     state,
-    slices: Sequence[WindowSlice],
-    lens: Sequence[int],
-    key: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-bucket candidate pool for an exact equi probe.
+    s: WindowSlice,
+    part: int,
+    pos: int,
+    pool_parts: list[np.ndarray],
+    sel_parts: list[np.ndarray],
+) -> None:
+    """One contiguous slice's candidates for an exact equi probe,
+    appended to ``pool_parts`` / ``sel_parts``.
 
-    The hot path of the hash index: the key's partition is resolved
-    once, and each indexed slice contributes its bucket segment as two
-    array *views* (``ovals``/``order`` are laid out in partition
-    order), so per-slice work is a table lookup plus pointer
-    arithmetic — no gathers, no sorts.
+    The hot path of the hash index: the key's partition was resolved
+    once, and each indexed basic window under the slice contributes its
+    bucket segment as two array *views* (``ovals``/``order`` are laid
+    out in partition order), so per-window work is a table lookup plus
+    pointer arithmetic — no gathers, no sorts.
     """
-    part = state.hash_part(key)
-    parts = None  # lazily materialized for the strided general path
-    pool_parts = []
-    sel_parts = []
-    pos = 0
+    store = s.store
+    values = store.values
+    offset = pos - s.lo  # store row -> full-pool position
     scanned = pruned = 0
-    table_for = state.table_for
-    for s, ln in zip(slices, lens):
-        if ln and s.step == 1:
-            t = table_for(s.window)
-            if t is None:
-                # window too small to index: the whole slice competes
-                pool_parts.append(s.values)
-                sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
-                pos += ln
-                continue
-            starts = t.starts
-            a = starts[part]
-            b = starts[part + 1]
-            bn = t.build_n
-            s_lo, s_hi = s.lo, s.hi
-            if b > a:
-                # no (min, max)-summary test here: thousands of keys
-                # share each bucket, so a nonempty bucket's value span
-                # practically always covers the probe key and the test
-                # would only add two scalar reads per slice
-                scanned += 1
-                pruned += t.nonempty_parts - 1
-                rows = t.order[a:b]
-                vals = t.ovals[a:b]
-                if s_lo > 0 or s_hi < bn:
-                    lo_pos = int(np.searchsorted(rows, s_lo, "left"))
-                    hi_pos = int(np.searchsorted(
-                        rows, min(s_hi, bn), "left"
-                    ))
-                    rows = rows[lo_pos:hi_pos]
-                    vals = vals[lo_pos:hi_pos]
-                if len(rows):
-                    pool_parts.append(vals)
-                    sel_parts.append(
-                        rows if pos == s_lo else (pos - s_lo) + rows
-                    )
-            else:
-                pruned += t.nonempty_parts
-            tail_lo = max(s_lo, bn)
-            if tail_lo < s_hi:
-                # rows appended after the table build are always
-                # candidates; they are contiguous, so views again
-                pool_parts.append(s.window.values[tail_lo:s_hi])
-                sel_parts.append(np.arange(
-                    pos + tail_lo - s_lo, pos + s_hi - s_lo,
-                    dtype=np.intp,
-                ))
-        elif ln:
-            # strided (shredded) slice: general path
-            if parts is None:
-                parts = np.array([part], dtype=np.intp)
-            rows = state.candidate_rows(
-                s, key, key, parts=parts
+    for k, start, lo, hi in store.window_pieces(s.lo, s.hi):
+        t = state.table_for(store, k)
+        if t is None:
+            # window too small to index: all of it competes
+            pool_parts.append(values[lo:hi])
+            sel_parts.append(
+                np.arange(offset + lo, offset + hi, dtype=np.intp)
             )
-            if rows is None:
-                pool_parts.append(s.values)
-                sel_parts.append(np.arange(pos, pos + ln, dtype=np.intp))
-            elif len(rows):
-                pool_parts.append(s.window.values[rows])
-                sel_parts.append(pos + (rows - s.lo) // s.step)
-        pos += ln
+            continue
+        built = start + t.build_n
+        a = t.starts[part]
+        b = t.starts[part + 1]
+        if b > a:
+            # no (min, max)-summary test here: thousands of keys
+            # share each bucket, so a nonempty bucket's value span
+            # practically always covers the probe key and the test
+            # would only add two scalar reads per window
+            scanned += 1
+            pruned += t.nonempty_parts - 1
+            rows = t.order[a:b]
+            vals = t.ovals[a:b]
+            if lo > start or hi < built:
+                cut = slice(
+                    int(np.searchsorted(rows, lo - start, "left")),
+                    int(np.searchsorted(rows, min(hi, built) - start, "left")),
+                )
+                rows = rows[cut]
+                vals = vals[cut]
+            if len(rows):
+                pool_parts.append(vals)
+                sel_parts.append(rows + (offset + start))
+        else:
+            pruned += t.nonempty_parts
+        if built < hi:
+            # rows appended after the table build are always
+            # candidates; they are contiguous, so views again
+            tail_lo = max(lo, built)
+            pool_parts.append(values[tail_lo:hi])
+            sel_parts.append(
+                np.arange(offset + tail_lo, offset + hi, dtype=np.intp)
+            )
     state.partitions_scanned += scanned
     state.partitions_pruned += pruned
-    if not pool_parts:
-        return _EMPTY_F64, _EMPTY_IDX
-    if len(pool_parts) == 1:
-        sel = sel_parts[0]
-        return pool_parts[0], (
-            sel if sel.dtype == np.intp else sel.astype(np.intp)
-        )
-    return np.concatenate(pool_parts), np.concatenate(sel_parts)
 
 
-def _locate(
-    slices: Sequence[WindowSlice], lens: Sequence[int], cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve positions ``cols`` in a hop's full candidate pool to
-    ``(index into slices, row in that slice's basic window)``."""
+def _locate(slices: Sequence[WindowSlice], cols: np.ndarray) -> np.ndarray:
+    """Resolve positions ``cols`` in a hop's full candidate pool to rows
+    of the hop's store."""
     if len(slices) == 1:
         s = slices[0]
-        return np.zeros(len(cols), dtype=np.intp), s.lo + cols * s.step
+        return s.lo + cols * s.step
     offsets = np.fromiter(
-        accumulate(lens, initial=0), dtype=np.intp, count=len(lens) + 1
+        accumulate(map(len, slices), initial=0),
+        dtype=np.intp, count=len(slices) + 1,
     )
     ids = offsets.searchsorted(cols, "right") - 1
     los = np.array([s.lo for s in slices], dtype=np.intp)
     steps = np.array([s.step for s in slices], dtype=np.intp)
-    return ids, los[ids] + (cols - offsets[ids]) * steps[ids]
+    return los[ids] + (cols - offsets[ids]) * steps[ids]
 
 
 class ResultBlock(Sequence):
@@ -364,11 +364,12 @@ class ResultBlock(Sequence):
     stream ``s`` — the results' identities, which is all the process
     runtime ships.
 
-    Until then the constituents are held, per hop, as positions in the
-    hop's candidate pool plus the probed slices' tuple lists.
-    :attr:`BasicWindow.tuples <repro.core.basic_windows.BasicWindow.tuples>`
-    is append-only, so those stay valid however the windows change
-    afterwards.
+    Until then the constituents are held, per hop, as the probed store's
+    tuple list and the hits' rows in it.
+    :attr:`PartitionedWindow.tuples
+    <repro.core.basic_windows.PartitionedWindow.tuples>` is only ever
+    appended to or rebound, so those stay valid however the window
+    changes afterwards.
     """
 
     __slots__ = ("seqs", "_tup", "_perm", "_levels", "_results")
@@ -385,8 +386,7 @@ class ResultBlock(Sequence):
         #: constituent positions (0 = the probing tuple, ``h + 1`` = hop
         #: ``h``) in ascending stream order
         self._perm = perm
-        #: per hop ``(slices, lens, lists, cols)``: :func:`_locate`'s
-        #: arguments and each slice's tuple list as of the probe
+        #: per hop ``(tuple list, rows)`` as of the probe
         self._levels = levels
         self._results: list[JoinResult] | None = None
 
@@ -399,17 +399,14 @@ class ResultBlock(Sequence):
         results = self._results
         if results is None:
             columns: list = [repeat(self._tup)]
-            for slices, lens, lists, cols in self._levels:
-                ids, rows = _locate(slices, lens, cols)
-                columns.append([
-                    lists[i][r] for i, r in zip(ids.tolist(), rows.tolist())
-                ])
+            for tuples, rows in self._levels:
+                columns.append([tuples[r] for r in rows.tolist()])
             # every block has a hop, so zip() ends with the level lists
             results = self._results = [
                 JoinResult(constituents)
                 for constituents in zip(*(columns[k] for k in self._perm))
             ]
-            self._levels = None  # release the expired windows' lists
+            self._levels = None  # release the expired tuples' lists
         return results
 
     def __len__(self) -> int:
@@ -433,8 +430,8 @@ class ResultBlock(Sequence):
 def _materialize(
     tup: StreamTuple,
     order: Sequence[int],
-    hop_pools: list[tuple[Sequence[WindowSlice], Sequence[int], bool]],
-    parents_chain: list[np.ndarray],
+    hop_slices: list[Sequence[WindowSlice]],
+    parents_chain: list[np.ndarray | None],
     rows_chain: list[np.ndarray],
 ) -> ResultBlock:
     """Resolve surviving back-pointer chains into a :class:`ResultBlock`.
@@ -443,8 +440,10 @@ def _materialize(
     path's enumeration order; constituents are sorted by stream via a
     permutation precomputed from the (distinct) stream ids.  The chain
     walk is array gathers only: each hop's hits are positions in its
-    candidate pool, and the matching ``seq`` values fill that stream's
-    column of the identity matrix.
+    candidate pool, resolved to rows of the hop's store, and the ``seq``
+    column gathered at those rows — hit rows only, so an index-pruned
+    hop still never touches the rest of the window — fills that
+    stream's column of the identity matrix.
     """
     hops = len(rows_chain)
     count = len(rows_chain[-1])
@@ -455,27 +454,13 @@ def _materialize(
     levels: list = [None] * hops
     idxs: np.ndarray | None = None  # None: the identity over the last hop
     for h in range(hops - 1, -1, -1):
-        slices, lens, pruned = hop_pools[h]
-        cols = rows_chain[h] if idxs is None else rows_chain[h][idxs]
-        levels[h] = (slices, lens, [s.window.tuples for s in slices], cols)
-        if not pruned:
-            # the hop already paid O(pool) to line up its value columns;
-            # lining up the seq columns the same way is one more memcpy
-            # and makes every hit a single gather
-            if len(slices) == 1:
-                pool = slices[0].seqs
-            else:
-                pool = np.concatenate([s.seqs for s in slices])
-            seqs[:, order[h]] = pool[cols]
-        else:
-            # an index-pruned hop never touched most of the window and
-            # must not start now: gather from the hit slices only
-            ids, rows = _locate(slices, lens, cols)
-            column = seqs[:, order[h]]
-            for i in np.flatnonzero(
-                np.bincount(ids, minlength=len(slices))
-            ).tolist():
-                hit = ids == i
-                column[hit] = slices[i].window.seqs[rows[hit]]
-        idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
+        slices = hop_slices[h]
+        store = slices[0].store
+        rows = _locate(
+            slices, rows_chain[h] if idxs is None else rows_chain[h][idxs]
+        )
+        seqs[:, order[h]] = store.seqs[rows]
+        levels[h] = (store.tuples, rows)
+        if h:
+            idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
     return ResultBlock(seqs, tup, perm, levels)

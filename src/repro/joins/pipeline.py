@@ -49,58 +49,30 @@ class PipelineResult:
 
 
 def merge_slices(slices: Sequence[WindowSlice]) -> list[WindowSlice]:
-    """Coalesce slices of the same basic window with touching ranges.
+    """Coalesce contiguous slices of the same store with touching ranges.
 
-    Selected logical basic windows are often adjacent, so their physical
-    slices abut; merging them reduces per-block probe overhead without
-    changing which tuples are scanned.
+    Selected logical basic windows are often adjacent, so their slices
+    abut; merging them reduces per-block probe overhead without changing
+    which tuples are scanned.  Strided slices are never merged and come
+    first, in input order; the contiguous ones follow per store (in
+    first-seen order), ascending by row.
 
-    Fast path: a singleton input, or contiguous slices over pairwise
-    distinct basic windows (the shape ``full_slices`` produces), has
-    nothing to merge and is returned as-is — the grouping/sorting below
-    would reproduce the input order exactly.  A *prefix* of strided
-    slices (the shape harvesting's fractional window produces, and the
-    degenerate single-partition run) keeps the fast path: the slow path
-    fronts strided slices unchanged, so a strided-prefix input is
-    already in its output order.  A strided slice after the first
-    contiguous one would be reordered to the front, so it falls through.
+    Fast path: a singleton input has nothing to merge.
     """
     if len(slices) <= 1:
         return list(slices)
-    seen_windows: set[int] = set()
-    in_prefix = True
+    merged = [s for s in slices if s.step != 1]
+    by_store: dict[int, list[WindowSlice]] = {}
     for s in slices:
-        if s.step != 1:
-            if in_prefix:
-                continue
-            break
-        in_prefix = False
-        if id(s.window) in seen_windows:
-            break
-        seen_windows.add(id(s.window))
-    else:
-        return list(slices)
-    by_window: dict[int, list[WindowSlice]] = {}
-    order: list[int] = []
-    merged_out: list[WindowSlice] = []
-    for s in slices:
-        if s.step != 1:
-            merged_out.append(s)  # strided slices are never merged
-            continue
-        key = id(s.window)
-        if key not in by_window:
-            by_window[key] = []
-            order.append(key)
-        by_window[key].append(s)
-    merged: list[WindowSlice] = list(merged_out)
-    for key in order:
-        group = sorted(by_window[key], key=lambda s: s.lo)
+        if s.step == 1:
+            by_store.setdefault(id(s.store), []).append(s)
+    for group in by_store.values():
+        group.sort(key=lambda s: s.lo)
         current = group[0]
         for nxt in group[1:]:
             if nxt.lo <= current.hi:
-                current = WindowSlice(
-                    current.window, current.lo, max(current.hi, nxt.hi)
-                )
+                if nxt.hi > current.hi:
+                    current = WindowSlice(current.store, current.lo, nxt.hi)
             else:
                 merged.append(current)
                 current = nxt

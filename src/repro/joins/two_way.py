@@ -128,8 +128,9 @@ class AdaptiveTwoWayJoin(MJoinOperator):
         Scanning the entire window for every sampled tuple would blow the
         budget under deep overload, so — like GrubJoin's window shredding
         — the probe covers every logical window but only a ``z`` fraction
-        of each, spread evenly via a stride.  Per-segment match *rates*
-        stay unbiased.
+        of each, spread evenly via a stride of ``max(1, round(1 / z))``
+        that restarts at every physical basic window.  Per-segment match
+        *rates* stay unbiased.
         """
         i = tup.stream
         stride = max(1, round(1.0 / max(self.throttle.z, 1e-6)))
@@ -137,10 +138,12 @@ class AdaptiveTwoWayJoin(MJoinOperator):
         outputs = []
         context = self.predicate.probe_context([tup.value])
         for k in range(window.n):
-            for s in window.logical_window_slices(
-                k + 1, now, reference=tup.timestamp
+            for sampled in window.strided(
+                window.logical_window_slices(
+                    k + 1, now, reference=tup.timestamp
+                ),
+                stride,
             ):
-                sampled = WindowSlice(s.window, s.lo, s.hi, step=stride)
                 self._scans[i][k] += len(sampled)
                 comparisons += len(sampled)
                 hits = self.predicate.probe_block(context, sampled.values)

@@ -9,9 +9,9 @@ each tuple keeps its original timestamp but is delivered up to
 ``max_delay`` seconds late, so consecutive deliveries can be out of
 timestamp order (bounded by ``max_delay``).
 
-The window substrate handles the consequence — a tuple landing in a
-basic window behind already-inserted younger tuples — via
-``BasicWindow.insert_sorted``.
+The window substrate handles the consequence — a tuple landing behind
+already-inserted younger tuples — by shifting it into its timestamp
+position (``PartitionedWindow.insert``).
 """
 
 from __future__ import annotations

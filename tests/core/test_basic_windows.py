@@ -1,12 +1,22 @@
 """Tests for basic-window partitioned join windows (paper Section 4.1.1)."""
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
+import repro.core.basic_windows as basic_windows
 from repro.core import PartitionedWindow
-from repro.core.basic_windows import BasicWindow, WindowSlice
+from repro.core.basic_windows import WindowSlice
 from repro.streams import StreamTuple
 
 
@@ -19,101 +29,128 @@ def tup(ts, value=None, seq=0):
     )
 
 
+def one_window(mode="scalar", dim=None):
+    """A store whose every row (timestamps >= 0) lands in the filling
+    basic window, so store rows count from 0 like a lone basic window's."""
+    return PartitionedWindow(1e6, 1e6, mode=mode, dim=dim)
+
+
+def append(store, t):
+    store.insert(t, now=t.timestamp)
+
+
 class TestBasicWindow:
     def test_append_and_views(self):
-        bw = BasicWindow()
+        bw = one_window()
         for i in range(5):
-            bw.append(tup(i, value=10.0 * i))
+            append(bw, tup(i, value=10.0 * i))
         assert len(bw) == 5
         assert list(bw.timestamps) == [0, 1, 2, 3, 4]
         assert list(bw.values) == [0, 10, 20, 30, 40]
+        assert bw.window_rows(0) == (0, 5)
 
     def test_growth_beyond_initial_capacity(self):
-        bw = BasicWindow()
+        bw = one_window()
         for i in range(200):
-            bw.append(tup(i))
+            append(bw, tup(i))
         assert len(bw) == 200
         assert bw.timestamps[-1] == 199
 
     def test_order_enforced(self):
-        bw = BasicWindow()
-        bw.append(tup(5))
-        with pytest.raises(ValueError):
-            bw.append(tup(4))
+        """The store keeps timestamp order itself: an older tuple is
+        shifted into place, after its equals, instead of being refused."""
+        bw = one_window()
+        append(bw, tup(5, seq=0))
+        append(bw, tup(5, seq=1))
+        bw.insert(tup(4, seq=2), now=5.0)
+        bw.insert(tup(5, seq=3), now=5.0)
+        assert list(bw.timestamps) == [4, 5, 5, 5]
+        assert list(bw.seqs) == [2, 0, 1, 3]
+        assert [t.seq for t in bw.tuples] == [2, 0, 1, 3]
 
     def test_clear(self):
-        bw = BasicWindow()
-        bw.append(tup(1))
-        bw.clear()
-        assert len(bw) == 0
-        assert bw.tuples == []
-        bw.append(tup(0))  # order restriction resets with clear
-        assert len(bw) == 1
+        w = PartitionedWindow(10.0, 2.0)
+        w.insert(tup(1.0), now=1.0)
+        w.rotate_to(2.5)
+        before = w.tuples
+        assert w.evict_basic_window(1) == 1
+        assert len(w) == 0
+        assert len(before) == 1  # a probe-time reference never shrinks
+        w.insert(tup(0.5), now=2.5)  # order restriction resets with it
+        assert len(w) == 1 and w.basic_window_sizes()[1] == 1
 
     def test_slice_between_half_open(self):
-        bw = BasicWindow()
+        bw = one_window()
         for i in range(10):
-            bw.append(tup(i))
-        lo, hi = bw.slice_between(2.0, 5.0)  # (2, 5] -> ts 3, 4, 5
-        assert list(bw.timestamps[lo:hi]) == [3, 4, 5]
+            append(bw, tup(i))
+        (s,) = bw._slices_between(2.0, 5.0)  # (2, 5] -> ts 3, 4, 5
+        assert list(bw.timestamps[s.lo:s.hi]) == [3, 4, 5]
 
     def test_slice_between_follows_first_and_last_through_mutation(self):
-        """The O(1) guards read cached end timestamps; every mutation
-        that moves an end must move them too."""
-
-        def searched(bw, ts_lo, ts_hi):
-            ts = bw.timestamps
-            return (int(np.searchsorted(ts, ts_lo, side="right")),
-                    int(np.searchsorted(ts, ts_hi, side="right")))
-
+        """The cut skips its upper search on the cached newest timestamp;
+        every mutation that moves the newest row must move it too."""
+        w = PartitionedWindow(8.0, 2.0)
+        now = 5.0
         bounds = [-1.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.5, 9.0]
-        bw = BasicWindow()
 
         def check():
+            head, tail = w.live_rows
+            ts = w.timestamps[head:tail].tolist()
             for ts_lo in bounds:
                 for ts_hi in bounds:
-                    assert bw.slice_between(ts_lo, ts_hi) == searched(
-                        bw, ts_lo, ts_hi
-                    )
+                    rows = [
+                        r for s in w._slices_between(ts_lo, ts_hi)
+                        for r in range(s.lo, s.hi)
+                    ]
+                    assert rows == [
+                        head + i for i, t in enumerate(ts)
+                        if ts_lo < t <= ts_hi
+                    ], (ts_lo, ts_hi)
 
+        w.rotate_to(now)
         check()  # empty
         for ts in (2.0, 3.0, 3.0, 4.0):
-            bw.append(tup(ts))
+            w.insert(tup(ts), now)
         check()
-        bw.insert_sorted(tup(1.0))  # late arrival at position 0
-        assert bw.timestamps[0] == 1.0
+        w.insert(tup(1.0), now)  # late arrival at position 0
+        assert w.timestamps[w.live_rows[0]] == 1.0
         check()
-        bw.insert_sorted(tup(3.5))  # mid
-        bw.insert_sorted(tup(4.0))  # ties the last row: appended
+        w.insert(tup(3.5), now)  # mid
+        w.insert(tup(4.0), now)  # ties the last row: appended
         check()
-        bw.clear()
+        now = 6.0
+        w.rotate_to(now)
+        assert w.evict_basic_window(1) == 2  # the newest rows (ts 4.0)
+        assert w._last == 3.5
         check()
-        bw.append(tup(0.5))  # recycled: the ends restart
+        w.evict_older_than(0.0, now)
+        check()  # empty again
+        w.insert(tup(0.5), now)  # older than the stale newest timestamp
         check()
 
     def test_vector_mode(self):
-        bw = BasicWindow(mode="vector", dim=2)
-        bw.append(tup(0, value=np.array([1.0, 2.0])))
-        bw.append(tup(1, value=np.array([3.0, 4.0])))
+        bw = one_window(mode="vector", dim=2)
+        append(bw, tup(0, value=np.array([1.0, 2.0])))
+        append(bw, tup(1, value=np.array([3.0, 4.0])))
         assert bw.values.shape == (2, 2)
 
     def test_generic_mode(self):
-        bw = BasicWindow(mode="generic")
-        bw.append(tup(0, value={"a": 1}))
+        bw = one_window(mode="generic")
+        append(bw, tup(0, value={"a": 1}))
         assert bw.values == [{"a": 1}]
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            BasicWindow(mode="weird")
+            one_window(mode="weird")
         with pytest.raises(ValueError):
-            BasicWindow(mode="vector")  # missing dim
+            one_window(mode="vector")  # missing dim
 
 
 class TestWindowSlice:
     def _window(self, n=10):
-        bw = BasicWindow()
+        bw = one_window()
         for i in range(n):
-            bw.append(tup(i, value=float(i)))
+            append(bw, tup(i, value=float(i)))
         return bw
 
     def test_contiguous(self):
@@ -137,11 +174,11 @@ class TestWindowSlice:
         "lo,hi,step", [(0, 12, 1), (3, 9, 1), (2, 11, 3), (5, 5, 1)]
     )
     def test_values_equal_the_sliced_window_column(self, mode, lo, hi, step):
-        bw = BasicWindow(mode=mode, dim=2 if mode == "vector" else None)
+        bw = one_window(mode=mode, dim=2 if mode == "vector" else None)
         for i in range(12):
             value = {"scalar": float(i), "vector": [i, -i],
                      "generic": {"k": i}}[mode]
-            bw.append(tup(i, value=value))
+            append(bw, tup(i, value=value))
         s = WindowSlice(bw, lo, hi, step)
         expected = bw.values[lo:hi:step]
         assert len(s.values) == len(s) == len(expected)
@@ -157,16 +194,16 @@ class TestWindowSlice:
         class Counting:
             def __init__(self, ts):
                 self.timestamp = float(ts)
-                self.seq = int(ts)  # append() stores the seq column
+                self.seq = int(ts)  # insert() stores the seq column
 
             @property
             def value(self):
                 reads.append(self.timestamp)
                 return {"k": self.timestamp}
 
-        bw = BasicWindow(mode="generic")
+        bw = one_window(mode="generic")
         for i in range(1000):
-            bw.append(Counting(i))
+            append(bw, Counting(i))
         assert reads == []
         contiguous = WindowSlice(bw, 100, 110)
         assert contiguous.values == [{"k": float(i)} for i in range(100, 110)]
@@ -188,7 +225,7 @@ class TestPartitionedWindowStructure:
 
     def test_physical_count_is_n_plus_one(self):
         w = PartitionedWindow(10.0, 2.0)
-        assert len(w._ring) == w.n + 1
+        assert len(w.basic_window_sizes()) == w.n + 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -235,13 +272,13 @@ class TestInsertPlacement:
     def test_fresh_tuple_goes_to_newest(self):
         w = PartitionedWindow(10.0, 2.0)
         w.insert(tup(0.5), now=0.5)
-        assert len(w._ring[0]) == 1
+        assert w.basic_window_sizes()[0] == 1
 
     def test_delayed_tuple_goes_to_covering_window(self):
         w = PartitionedWindow(10.0, 2.0)
         w.rotate_to(6.0)  # epoch_start = 6
         w.insert(tup(3.5), now=6.0)  # 2.5 s old -> ring index 2
-        assert len(w._ring[2]) == 1
+        assert w.basic_window_sizes()[2] == 1
 
     def test_too_old_tuple_ignored(self):
         w = PartitionedWindow(4.0, 1.0)
@@ -254,9 +291,9 @@ class TestInsertPlacement:
         w.rotate_to(4.0)
         w.insert(tup(1.0), now=4.0)
         w.insert(tup(1.5), now=4.0)
-        for bw in w._ring:
-            ts = list(bw.timestamps)
-            assert ts == sorted(ts)
+        head, tail = w.live_rows
+        ts = list(w.timestamps[head:tail])
+        assert ts == sorted(ts) and len(ts) == 2
 
 
 class TestLogicalWindows:
@@ -361,3 +398,189 @@ def test_property_logical_windows_partition_unexpired(timestamps, now, b):
         if 0 <= now - ts < horizon
     ]
     assert sorted(collected) == expected
+
+
+# ----------------------------------------------------------------------
+# the store against a list-of-lists model
+# ----------------------------------------------------------------------
+
+
+class RingModel:
+    """``n + 1`` python lists of ``(ts, seq)``, newest window first."""
+
+    def __init__(self, n, b):
+        self.n, self.b, self.epoch = n, b, 0.0
+        self.ring = [[] for _ in range(n + 1)]
+
+    def rotate(self, now):
+        while now - self.epoch >= self.b:
+            self.ring.pop()
+            self.ring.insert(0, [])
+            self.epoch += self.b
+
+    def insert(self, ts, seq, now):
+        self.rotate(now)
+        offset = self.epoch - ts
+        k = 0 if offset <= 0 else math.ceil(offset / self.b)
+        if k <= self.n:
+            rows = self.ring[k]
+            stamps = [t for t, _ in rows]
+            rows.insert(bisect.bisect_right(stamps, ts), (ts, seq))
+
+    def evict_older_than(self, age, now):
+        self.rotate(now)
+        dropped = 0
+        for k in range(1, self.n + 1):
+            if self.epoch - (k - 1) * self.b <= now - age:
+                dropped += len(self.ring[k])
+                self.ring[k] = []
+        return dropped
+
+    def oldest_first(self):
+        return [row for rows in reversed(self.ring) for row in rows]
+
+    def between(self, ts_lo, ts_hi):
+        return [seq for t, seq in self.oldest_first() if ts_lo < t <= ts_hi]
+
+
+#: multiples of 1/8, and b = 1 or 1/2: every boundary comparison is
+#: exact, so the model and the store agree on which side a row falls
+_EIGHTHS = st.integers(0, 24).map(lambda i: i / 8.0)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Random interleavings of every mutation, small initial capacity so
+    growth *and* compaction both fire; after each step the store must
+    show what the model shows, through every view."""
+
+    mode = "scalar"
+
+    def __init__(self):
+        super().__init__()
+        self._capacity = basic_windows._INITIAL_CAPACITY
+        basic_windows._INITIAL_CAPACITY = 4
+
+    def teardown(self):
+        basic_windows._INITIAL_CAPACITY = self._capacity
+
+    @initialize(n=st.sampled_from([1, 3, 6]), b=st.sampled_from([1.0, 0.5]))
+    def build(self, n, b):
+        self.store = PartitionedWindow(
+            n * b, b, mode=self.mode, dim=2 if self.mode == "vector" else None
+        )
+        assert len(self.store._ts) == 4
+        self.model = RingModel(n, b)
+        self.now = self.newest = 0.0
+        self.seq = 0
+
+    def _insert(self, ts):
+        value = {"scalar": ts, "vector": [ts, -ts], "generic": {"k": ts}}
+        self.store.insert(
+            StreamTuple(value=value[self.mode], timestamp=ts, stream=0,
+                        seq=self.seq),
+            self.now,
+        )
+        self.model.insert(ts, self.seq, self.now)
+        self.seq += 1
+
+    @rule(step=st.sampled_from([0.0, 0.125, 0.125, 0.25, 0.5]))
+    def arrives(self, step):
+        """The common case: processed at its own timestamp."""
+        self.now += step
+        self.newest = self.now
+        self._insert(self.now)
+
+    @rule(step=_EIGHTHS, rotations=st.sampled_from([0, 1, 9]))
+    def time_passes(self, step, rotations):
+        """0, 1 or more than ``n + 1`` rotations, nothing inserted."""
+        self.now += step + rotations * self.model.b
+
+    @rule(gap=_EIGHTHS)
+    def delayed(self, gap):
+        """In order — never older than the newest row — but as old
+        against ``now`` (any ring position) as time has passed since."""
+        self.newest = min(self.now, self.newest + gap)
+        self._insert(self.newest)
+
+    @rule(back=_EIGHTHS.filter(bool))
+    def late(self, back):
+        self._insert(self.newest - back)
+
+    @rule(k=st.integers(1, 6))
+    def evict_basic_window(self, k):
+        k = 1 + (k - 1) % self.model.n
+        self.store.rotate_to(self.now)
+        self.model.rotate(self.now)
+        assert self.store.evict_basic_window(k) == len(self.model.ring[k])
+        self.model.ring[k] = []
+
+    @rule(age=_EIGHTHS)
+    def evict_older_than(self, age):
+        assert self.store.evict_older_than(age, self.now) == (
+            self.model.evict_older_than(age, self.now)
+        )
+
+    def _seqs(self, slices):
+        assert len(slices) <= 1  # contiguous coverage is one slice
+        return [t.seq for s in slices for t in s.tuples]
+
+    @invariant()
+    def agrees_with_the_model(self):
+        store, model, now = self.store, self.model, self.now
+        n, b = model.n, model.b
+        store.rotate_to(now)
+        model.rotate(now)
+        assert store.basic_window_sizes() == [len(w) for w in model.ring]
+        stored = model.oldest_first()
+        assert len(store) == len(stored)
+        head, tail = store.live_rows
+        assert store.timestamps[head:tail].tolist() == [t for t, _ in stored]
+        assert store.seqs[head:tail].tolist() == [s for _, s in stored]
+        assert [t.seq for t in store.tuples[head:tail]] == [
+            s for _, s in stored
+        ]
+        if self.mode == "scalar":
+            assert store.values[head:tail].tolist() == [t for t, _ in stored]
+        elif self.mode == "vector":
+            assert store.values[head:tail, 1].tolist() == [
+                -t for t, _ in stored
+            ]
+        pieces = []  # cutting at head + 1 leaves the oldest window partial
+        for k in range(n, -1, -1):
+            start, stop = store.window_rows(k)
+            if stop > max(head + 1, start):
+                pieces.append((k, start, max(head + 1, start), stop))
+        assert store.window_pieces(head + 1, tail) == pieces
+        live = model.between(now - n * b, math.inf)
+        assert [t.seq for t in store.iter_unexpired(now)] == live
+        assert store.count_unexpired(now) == len(live)
+        assert self._seqs(store.full_slices(now)) == live
+        for reference in (None, now - 0.375):
+            ref = now if reference is None else reference
+            for j_lo in range(1, n + 1):
+                assert self._seqs(
+                    store.logical_window_slices(j_lo, now, reference)
+                ) == model.between(ref - j_lo * b, ref - (j_lo - 1) * b)
+                for j_hi in range(j_lo, n + 1):
+                    assert self._seqs(
+                        store.logical_span_slices(j_lo, j_hi, now, reference)
+                    ) == model.between(ref - j_hi * b, ref - (j_lo - 1) * b)
+
+
+class VectorStoreMachine(StoreMachine):
+    mode = "vector"
+
+
+class GenericStoreMachine(StoreMachine):
+    mode = "generic"
+
+
+_MACHINE_SETTINGS = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+StoreMachine.TestCase.settings = _MACHINE_SETTINGS
+VectorStoreMachine.TestCase.settings = _MACHINE_SETTINGS
+GenericStoreMachine.TestCase.settings = _MACHINE_SETTINGS
+TestStoreAgainstModelScalar = StoreMachine.TestCase
+TestStoreAgainstModelVector = VectorStoreMachine.TestCase
+TestStoreAgainstModelGeneric = GenericStoreMachine.TestCase

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.basic_windows import BasicWindow, WindowSlice
+from repro.core.basic_windows import PartitionedWindow, WindowSlice
 from repro.core.indexing import SortedWindowIndex
 from repro.streams import StreamTuple
 
 
-def window_with(values):
-    bw = BasicWindow()
+def window_with(values, mode="scalar"):
+    """A store whose rows all sit in one basic window, rows from 0."""
+    bw = PartitionedWindow(1e6, 1e6, mode=mode)
     for i, v in enumerate(values):
-        bw.append(
-            StreamTuple(value=float(v), timestamp=float(i), stream=0, seq=i)
+        bw.insert(
+            StreamTuple(value=v, timestamp=float(i), stream=0, seq=i),
+            now=float(i),
         )
     return bw
 
@@ -80,7 +82,8 @@ class TestCaching:
         index.range_probe(s, 0, 10)
         index.range_probe(s, 0, 10)
         assert index.rebuilds == 1
-        bw.append(StreamTuple(value=9.0, timestamp=99.0, stream=0, seq=9))
+        bw.insert(StreamTuple(value=9.0, timestamp=99.0, stream=0, seq=9),
+                  now=99.0)
         index.range_probe(WindowSlice(bw, 0, 4), 0, 10)
         assert index.rebuilds == 2
 
@@ -88,9 +91,14 @@ class TestCaching:
         bw = window_with([1, 2])
         index = SortedWindowIndex()
         index.range_probe(WindowSlice(bw, 0, 2), 0, 10)
-        bw.clear()
-        hits, _ = index.range_probe(WindowSlice(bw, 0, 0), 0, 10)
+        bw.rotate_to(1e6)
+        assert bw.evict_basic_window(1) == 2
+        hits, _ = index.range_probe(WindowSlice(bw, *bw.live_rows), 0, 10)
         assert len(hits) == 0
+        bw.insert(StreamTuple(value=5.0, timestamp=7.0, stream=0, seq=7),
+                  now=1e6)
+        hits, _ = index.range_probe(WindowSlice(bw, *bw.live_rows), 0, 10)
+        assert len(hits) == 1 and index.rebuilds == 2
 
     def test_invalidate_drops_cache(self):
         bw = window_with([1, 2])
@@ -101,9 +109,7 @@ class TestCaching:
         assert index.rebuilds == 2
 
     def test_non_scalar_rejected(self):
-        bw = BasicWindow(mode="generic")
-        bw.append(StreamTuple(value={"a": 1}, timestamp=0.0, stream=0,
-                              seq=0))
+        bw = window_with([{"a": 1}], mode="generic")
         index = SortedWindowIndex()
         with pytest.raises(ValueError):
             index.range_probe(WindowSlice(bw, 0, 1), 0, 1)

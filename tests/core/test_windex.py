@@ -11,11 +11,7 @@ mid-run is output-identical — set *and* order — to running flat.
 import numpy as np
 import pytest
 
-from repro.core.basic_windows import (
-    BasicWindow,
-    PartitionedWindow,
-    WindowSlice,
-)
+from repro.core.basic_windows import PartitionedWindow, WindowSlice
 from repro.core.windex import (
     ADAPTIVE,
     FLAT,
@@ -39,9 +35,19 @@ def tup(ts, value=None, seq=0, stream=0):
     )
 
 
+def one_window():
+    """A store whose rows all sit in the filling basic window (ring index
+    0), store rows counting from 0 like a lone basic window's."""
+    return PartitionedWindow(1e6, 1e6)
+
+
+def append(bw, t):
+    bw.insert(t, now=max(t.timestamp, bw.epoch_start))
+
+
 def fill(bw, values, t0=0.0):
     for i, v in enumerate(values):
-        bw.append(tup(t0 + 0.001 * i, value=v, seq=i))
+        append(bw, tup(t0 + 0.001 * i, value=v, seq=i))
     return bw
 
 
@@ -153,8 +159,8 @@ class TestHashCodes:
 class TestTableLifecycle:
     def test_small_window_not_indexed(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(5))
-        assert state.table_for(bw) is None
+        bw = fill(one_window(), range(5))
+        assert state.table_for(bw, 0) is None
         assert (
             state.candidate_rows(WindowSlice(bw, 0, 5), 2.0, 2.0,
                                  keys=np.array([2.0]))
@@ -166,8 +172,8 @@ class TestTableLifecycle:
         state = hash_state(n_partitions=16)
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 40, size=200).astype(float)
-        bw = fill(BasicWindow(), vals)
-        table = state.table_for(bw)
+        bw = fill(one_window(), vals)
+        table = state.table_for(bw, 0)
         assert table.build_n == 200
         codes = state._hash_codes(vals)
         seen = []
@@ -189,25 +195,25 @@ class TestTableLifecycle:
 
     def test_append_only_tail_reuses_table(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(200))
-        table = state.table_for(bw)
+        bw = fill(one_window(), range(200))
+        table = state.table_for(bw, 0)
         assert state.rebuilds == 1
         for i in range(5):  # well under tail_max
-            bw.append(tup(1.0 + i, value=500.0 + i, seq=300 + i))
-        assert state.table_for(bw) is table
+            append(bw, tup(1.0 + i, value=500.0 + i, seq=300 + i))
+        assert state.table_for(bw, 0) is table
         assert state.rebuilds == 1
 
     def test_large_tail_triggers_rebuild(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(200))
-        first = state.table_for(bw)
+        bw = fill(one_window(), range(200))
+        first = state.table_for(bw, 0)
         # keep appending until the delta tail outgrows its tolerated
         # fraction of the (growing) window; the reuse rule must then
         # fold the tail into a fresh table exactly once
         second = first
         for i in range(200):
-            bw.append(tup(1.0 + i, value=500.0 + i, seq=300 + i))
-            second = state.table_for(bw)
+            append(bw, tup(1.0 + i, value=500.0 + i, seq=300 + i))
+            second = state.table_for(bw, 0)
             if second is not first:
                 break
         assert second is not first
@@ -216,58 +222,60 @@ class TestTableLifecycle:
 
     def test_sorted_insert_breaks_reuse(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(100), t0=10.0)
-        state.table_for(bw)
+        bw = fill(one_window(), range(100), t0=10.0)
+        state.table_for(bw, 0)
         assert state.rebuilds == 1
         # a late arrival shifts existing rows: the cached row mapping is
         # stale even though only one row was added
-        bw.insert_sorted(tup(5.0, value=99.0, seq=999))
-        table = state.table_for(bw)
+        append(bw, tup(5.0, value=99.0, seq=999))
+        table = state.table_for(bw, 0)
         assert table.build_n == 101
         assert state.rebuilds == 2
 
     def test_clear_breaks_reuse(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(100))
-        state.table_for(bw)
-        bw.clear()
+        bw = fill(one_window(), range(100))
+        state.table_for(bw, 0)
+        bw.rotate_to(1e6)  # the window froze: ring index 1 now
+        assert bw.evict_basic_window(1) == 100
         fill(bw, range(50))
-        table = state.table_for(bw)
+        table = state.table_for(bw, 1)
         assert table.build_n == 50
         assert state.rebuilds == 2
 
     def test_mark_frozen_forces_one_tail_free_rebuild(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(100))
-        state.table_for(bw)
-        bw.append(tup(1.0, value=7.0, seq=200))
-        state.mark_frozen(bw)
-        table = state.table_for(bw)
+        bw = fill(one_window(), range(100))
+        state.table_for(bw, 0)
+        append(bw, tup(1.0, value=7.0, seq=200))
+        bw.windex = state
+        bw.rotate_to(1e6)  # calls state.mark_frozen(bw)
+        table = state.table_for(bw, 1)
         assert table.build_n == 101  # tail folded in
         assert state.rebuilds == 2
         # frozen window: the rebuilt table now lives forever
-        assert state.table_for(bw) is table
+        assert state.table_for(bw, 1) is table
 
     def test_epoch_bump_invalidates(self):
         state = WindowIndexState(
             ADAPTIVE, 0.0, min_index_rows=8, n_partitions=16,
             min_samples=4, warmup=4, hysteresis=1,
         )
-        bw = fill(BasicWindow(), range(100))
+        bw = fill(one_window(), range(100))
         for v in range(10):
             state.observe(float(v))
         state.tick()
         assert state.active == HASH
-        first = state.table_for(bw)
+        first = state.table_for(bw, 0)
         state._switch(HASH)  # epoch moves even to the same kind
-        assert state.table_for(bw) is not first
+        assert state.table_for(bw, 0) is not first
 
     def test_invalidate_drops_all(self):
         state = hash_state(min_index_rows=8)
-        bw = fill(BasicWindow(), range(100))
-        state.table_for(bw)
+        bw = fill(one_window(), range(100))
+        state.table_for(bw, 0)
         state.invalidate()
-        state.table_for(bw)
+        state.table_for(bw, 0)
         assert state.rebuilds == 2
 
 
@@ -275,7 +283,7 @@ class TestCandidateRows:
     def _window_and_state(self, n=300, n_keys=17, seed=11):
         rng = np.random.default_rng(seed)
         vals = rng.integers(0, n_keys, size=n).astype(float)
-        bw = fill(BasicWindow(), vals)
+        bw = fill(one_window(), vals)
         return bw, vals, hash_state()
 
     def test_hash_candidates_are_ascending_superset(self):
@@ -301,8 +309,8 @@ class TestCandidateRows:
 
     def test_delta_tail_always_candidate(self):
         bw, vals, state = self._window_and_state()
-        state.table_for(bw)
-        bw.append(tup(1.0, value=1000.0, seq=999))  # matches nothing
+        state.table_for(bw, 0)
+        append(bw, tup(1.0, value=1000.0, seq=999))  # matches nothing
         rows = state.candidate_rows(
             WindowSlice(bw, 0, len(bw)), 3.0, 3.0, keys=np.array([3.0])
         )
@@ -321,7 +329,7 @@ class TestCandidateRows:
     def test_missing_key_prunes_everything(self):
         # value never inserted and (by summaries) outside every bucket's
         # range — probes must come back empty without scanning
-        bw = fill(BasicWindow(), np.full(100, 5.0))
+        bw = fill(one_window(), np.full(100, 5.0))
         state = hash_state()
         rows = state.candidate_rows(
             WindowSlice(bw, 0, 100), 9e9, 9e9, keys=np.array([9e9])
@@ -339,7 +347,7 @@ class TestCandidateRows:
     def test_range_candidates_cover_interval(self):
         rng = np.random.default_rng(23)
         vals = rng.uniform(0.0, 100.0, size=400)
-        bw = fill(BasicWindow(), vals)
+        bw = fill(one_window(), vals)
         state = range_state(vals)
         glo, ghi = 30.0, 34.0
         rows = state.candidate_rows(WindowSlice(bw, 0, 400), glo, ghi)
@@ -352,7 +360,7 @@ class TestCandidateRows:
     def test_range_probe_parts_shared_across_slices(self):
         rng = np.random.default_rng(29)
         vals = rng.uniform(0.0, 100.0, size=400)
-        bw = fill(BasicWindow(), vals)
+        bw = fill(one_window(), vals)
         state = range_state(vals)
         parts = state.probe_parts(10.0, 12.0)
         direct = state.candidate_rows(WindowSlice(bw, 0, 400), 10.0, 12.0)

@@ -28,7 +28,7 @@ def build(policy=None, window=4.0, basic=1.0, timestamps=()):
 def live_timestamps(win, now):
     out = []
     for s in win.full_slices(now):
-        out.extend(float(t) for t in s.window.timestamps[s.lo:s.hi])
+        out.extend(float(t) for t in s.store.timestamps[s.lo:s.hi])
     return sorted(out)
 
 
@@ -111,7 +111,7 @@ class TestMergeSlices:
         assert sum(len(s) for s in merged) == sum(len(s) for s in slices)
         kept = sorted(
             float(t) for s in merged
-            for t in s.window.timestamps[s.lo:s.hi]
+            for t in s.store.timestamps[s.lo:s.hi]
         )
         assert kept == [0.5, 1.2, 1.9, 2.6, 3.3]
 
@@ -120,6 +120,6 @@ class TestMergeSlices:
         merged = merge_slices(win.full_slices(5.0))
         kept = sorted(
             float(t) for s in merged
-            for t in s.window.timestamps[s.lo:s.hi]
+            for t in s.store.timestamps[s.lo:s.hi]
         )
         assert kept == [4.2, 4.8]

@@ -1,12 +1,14 @@
 """Failure injection: the join stack under out-of-order deliveries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GrubJoinOperator
-from repro.core.basic_windows import BasicWindow, PartitionedWindow
+from repro.core.basic_windows import PartitionedWindow
 from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
 from repro.streams import (
@@ -25,37 +27,47 @@ def tup(ts, value=None, seq=0):
     )
 
 
+def one_window():
+    """A store whose rows all sit in the filling basic window."""
+    return PartitionedWindow(1e6, 1e6)
+
+
 class TestInsertSorted:
     def test_inserts_in_order_position(self):
-        bw = BasicWindow()
+        bw = one_window()
         for ts in (1.0, 3.0, 5.0):
-            bw.append(tup(ts))
-        bw.insert_sorted(tup(2.0))
+            bw.insert(tup(ts), now=5.0)
+        bw.insert(tup(2.0), now=5.0)
         assert list(bw.timestamps) == [1.0, 2.0, 3.0, 5.0]
         assert [t.timestamp for t in bw.tuples] == [1.0, 2.0, 3.0, 5.0]
 
     def test_values_follow(self):
-        bw = BasicWindow()
-        bw.append(tup(1.0, value=10.0))
-        bw.append(tup(3.0, value=30.0))
-        bw.insert_sorted(tup(2.0, value=20.0))
+        bw = one_window()
+        bw.insert(tup(1.0, value=10.0), now=3.0)
+        bw.insert(tup(3.0, value=30.0), now=3.0)
+        bw.insert(tup(2.0, value=20.0), now=3.0)
         assert list(bw.values) == [10.0, 20.0, 30.0]
+        assert list(bw.seqs) == [t.seq for t in bw.tuples]
 
     def test_append_fast_path(self):
-        bw = BasicWindow()
-        bw.insert_sorted(tup(1.0))
-        bw.insert_sorted(tup(2.0))
+        bw = one_window()
+        bw.insert(tup(1.0), now=2.0)
+        before = bw.tuples
+        bw.insert(tup(2.0), now=2.0)
         assert list(bw.timestamps) == [1.0, 2.0]
+        assert bw.tuples is before  # appended, not shifted into a copy
 
     def test_version_bumped(self):
-        bw = BasicWindow()
-        bw.append(tup(2.0))
-        v = bw.version
-        bw.insert_sorted(tup(1.0))
-        # a shifting insert bumps twice: version outpacing the row count
-        # is how append-only consumers (partition-index delta reuse)
-        # detect that their cached row mapping is stale
-        assert bw.version == v + 2
+        bw = one_window()
+        bw.insert(tup(2.0), now=2.0)
+        key = bw.window_key(0)
+        bw.insert(tup(3.0), now=3.0)
+        assert bw.window_key(0) == key  # an append keeps row numbers
+        bw.insert(tup(1.0), now=3.0)
+        # a shifting insert moves the generation: that is how append-only
+        # consumers (partition-index delta reuse) detect that their
+        # cached row mapping is stale
+        assert bw.window_key(0) == (key[0], key[1] + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -64,9 +76,9 @@ class TestInsertSorted:
         )
     )
     def test_property_any_order_stays_sorted(self, timestamps):
-        bw = BasicWindow()
+        bw = one_window()
         for i, ts in enumerate(timestamps):
-            bw.insert_sorted(tup(ts, seq=i))
+            bw.insert(tup(ts, seq=i), now=10.0)
         got = list(bw.timestamps)
         assert got == sorted(got)
         assert len(bw) == len(timestamps)
@@ -81,9 +93,16 @@ class TestPartitionedWindowDisorder:
             now += rng.uniform(0, 0.2)
             ts = max(0.0, now - rng.uniform(0, 1.5))  # late by up to 1.5 s
             win.insert(tup(ts, seq=i), now=now)
-        for bw in win._ring:
-            ts = list(bw.timestamps)
-            assert ts == sorted(ts)
+        head, tail = win.live_rows
+        ts = list(win.timestamps[head:tail])
+        assert ts == sorted(ts) and len(ts) > 100
+        # and every row sits in the basic window covering its timestamp
+        for k in range(win.n + 1):
+            start, stop = win.window_rows(k)
+            assert all(
+                max(0, math.ceil((win.epoch_start - t) / 2.0)) == k
+                for t in win.timestamps[start:stop]
+            )
 
 
 class TestJoinsUnderDisorder:

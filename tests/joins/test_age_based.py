@@ -137,10 +137,10 @@ class TestEvictionKeepsSliceCacheHonest:
             seqs[stream] += 1
             other = op.windows[1 - stream]
             other.rotate_to(now)
+            head, tail = other.live_rows
             retained = {
                 t.seq
-                for bw in other._ring
-                for t in bw.tuples
+                for t in other.tuples[head:tail]
                 if now - horizon < t.timestamp <= now
             }
             receipt = op.process(tup, now)
@@ -151,7 +151,8 @@ class TestEvictionKeepsSliceCacheHonest:
             )
             for window in op.windows:
                 for s in window.full_slices(now):
-                    assert s.hi <= len(s.window)
+                    head, tail = window.live_rows
+                    assert head <= s.lo and s.hi <= tail
         assert op.tuples_evicted > 0
 
     def test_evict_basic_window_contract(self):
@@ -164,8 +165,12 @@ class TestEvictionKeepsSliceCacheHonest:
         before = window.full_slices(2.9)
         assert window.evict_basic_window(1) == 10
         after = window.full_slices(2.9)
-        assert [len(s) for s in before] == [10, 10, 10]
-        assert [len(s) for s in after] == [10, 10]
+        assert [len(s) for s in before] == [30]
+        assert [len(s) for s in after] == [20]
+        assert [t.seq for s in after for t in s.tuples] == [
+            *range(10), *range(20, 30)
+        ]
+        assert window.basic_window_sizes()[:3] == [10, 0, 10]
         assert window.evict_basic_window(1) == 0
         for k in (0, window.n + 1):
             with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from repro.core import PartitionedWindow
-from repro.core.basic_windows import BasicWindow, WindowSlice
+from repro.core.basic_windows import PartitionedWindow, WindowSlice
 from repro.joins import EpsilonJoin, merge_slices, run_pipeline
 from repro.streams import StreamTuple
 
@@ -128,9 +128,9 @@ class TestRunPipeline:
 
 class TestMergeSlices:
     def _bw(self, n=20):
-        bw = BasicWindow()
+        bw = PartitionedWindow(100.0, 100.0)  # rows 0..n-1, one window
         for i in range(n):
-            bw.append(tup(i * 0.1, i, seq=i))
+            bw.insert(tup(i * 0.1, i, seq=i), now=i * 0.1)
         return bw
 
     def test_adjacent_merged(self):
@@ -251,7 +251,7 @@ class TestMergeSlices:
         windows = [self._bw() for _ in range(4)]
         slices = [WindowSlice(w, 1, 6) for w in windows]
         merged = merge_slices(slices)
-        assert [s.window for s in merged] == windows
+        assert [s.store for s in merged] == windows
         assert all(a is b for a, b in zip(merged, slices))
 
     def test_skip_does_not_mutate_input(self):
@@ -297,5 +297,5 @@ class TestMergeSlices:
             WindowSlice(b, 0, 4),
             WindowSlice(a, 5, 9),
         ])
-        assert [s.window for s in merged] == [b, a]
+        assert [s.store for s in merged] == [b, a]
         assert [(s.lo, s.hi) for s in merged] == [(0, 8), (0, 9)]

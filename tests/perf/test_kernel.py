@@ -155,13 +155,13 @@ def test_merged_and_manual_strided_slices_identical():
         for s in full:
             mid = (s.lo + s.hi) // 2
             if mid > s.lo:
-                pieces.append(WindowSlice(s.window, s.lo, mid))
+                pieces.append(WindowSlice(s.store, s.lo, mid))
             if s.hi > mid:
-                pieces.append(WindowSlice(s.window, mid, s.hi))
+                pieces.append(WindowSlice(s.store, mid, s.hi))
         if full:
             first = full[0]
             pieces.append(
-                WindowSlice(first.window, first.lo, first.hi, step=3)
+                WindowSlice(first.store, first.lo, first.hi, step=3)
             )
         return merge_slices(pieces)
 
@@ -199,6 +199,33 @@ def test_no_match_context_collapse_identical():
         predicate,
     )
     assert slow.comparisons > 0
+
+
+def test_single_partial_hops_identical():
+    """The scalar path: hop 0 always has one partial (the probing tuple),
+    and a later hop has one whenever the hop before left a single hit —
+    NaN probe values (no interval contains anything) included."""
+    now = 10.0
+    windows = build_windows(37, m=4, value_span=40.0)
+    rng = random.Random(5)
+    single_later_hop = 0
+    for predicate in (EpsilonJoin(0.3), EquiJoin(0.0), EquiJoin(0.25)):
+        for trial in range(40):
+            value = float("nan") if trial == 0 else rng.uniform(0.0, 40.0)
+            if trial % 3 == 1:  # an exact hit, so radius 0 gets past hop 0
+                value = float(windows[1].values[rng.randrange(100)])
+            tup = StreamTuple(value=value, timestamp=now, stream=0,
+                              seq=9600 + trial)
+            slow = run_both(
+                tup, [1, 2, 3],
+                lambda hop, ws: windows[ws].full_slices(now),
+                predicate,
+            )
+            single_later_hop += slow.hop_stats[0].matched == 1
+            if trial == 0:
+                assert slow.hop_stats[0].matched == 0
+                assert slow.comparisons == len(windows[1].full_slices(now)[0])
+    assert single_later_hop > 5  # the fixture must reach that path
 
 
 def test_chunked_mask_path_identical(monkeypatch):
@@ -297,9 +324,10 @@ def _block_fixture(pool: str, seed: int, now: float):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_result_block_outlives_its_windows(pool, seed):
     """A block taken at probe time and first read after its windows took
-    a late sorted insert, an eviction and a full turn of the ring is the
-    reference pipeline's output as of the probe: same tuple objects, same
-    order, same keys — and ``seqs`` names them without building any."""
+    a late sorted insert, an eviction, a full turn of the ring, growth
+    and compaction is the reference pipeline's output as of the probe:
+    same tuple objects, same order, same keys — and ``seqs`` names them
+    without building any."""
     now = 10.0
     windows, states, predicate, draw, slices_for = _block_fixture(
         pool, seed, now
@@ -328,26 +356,36 @@ def test_result_block_outlives_its_windows(pool, seed):
         assert sum(state.rows_pruned for state in states) > 0
 
     for stream, pw in enumerate(windows):
-        frozen = pw._ring[1]
-        before = frozen.tuples
-        late = float(frozen.timestamps[len(frozen) // 2])
+        start, stop = pw.window_rows(1)
+        before = pw.tuples
+        late = float(pw.timestamps[(start + stop) // 2])
         pw.insert(
             StreamTuple(value=draw(), timestamp=late, stream=stream,
                         seq=77_777),
             now,
         )
-        assert len(frozen) == len(before) + 1  # shifted rows in place
+        # shifted rows in place, under a rebound tuple list
+        assert pw.window_rows(1) == (start, stop + 1)
+        assert pw.tuples is not before
         assert pw.evict_basic_window(2) > 0
-        # n + 1 rotations recycle every basic window of the probe, and
-        # the refill overwrites the rows its hits pointed at
+        # n + 1 rotations expire every basic window of the probe, and
+        # the refill — past the initial capacity, so the store grows and
+        # then compacts (several times: 600 rows against ~200 live) —
+        # overwrites the rows its hits pointed at
         later = now + (pw.n + 2) * pw.basic_window_size
-        for i in range(80):
+        columns = {id(pw._ts)}
+        compactions = 0
+        for i in range(600):
+            tuples = pw.tuples
             pw.insert(
                 StreamTuple(value=draw(), timestamp=later + 0.01 * i,
                             stream=stream, seq=88_000 + i),
                 later + 0.01 * i,
             )
+            columns.add(id(pw._ts))
+            compactions += pw.tuples is not tuples
         assert pw.rotations >= pw.n + 1
+        assert len(columns) > 1 and compactions > len(columns) - 1
 
     for block, expected in taken:
         assert not block.materialized
@@ -399,5 +437,5 @@ def test_numpy_dtype_stability():
     now = 10.0
     windows = build_windows(31, m=2)
     s = windows[1].full_slices(now)[0]
-    strided = WindowSlice(s.window, s.lo, s.hi, step=2)
+    strided = WindowSlice(s.store, s.lo, s.hi, step=2)
     assert np.asarray(strided.values).dtype == np.float64

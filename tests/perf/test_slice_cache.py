@@ -1,8 +1,10 @@
-"""Epoch slice caching: `full_slices` memoization, `logical_span_slices`,
-and the once-per-configuration run decomposition."""
+"""Slice cutting: what `full_slices` / `logical_span_slices` cover and what
+they cost (searches, `WindowSlice` objects, copies), and the
+once-per-configuration run decomposition."""
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -11,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.basic_windows as basic_windows
 from repro.core.basic_windows import SCALAR, PartitionedWindow
 from repro.core.harvesting import HarvestConfiguration
+from repro.joins.columnar import run_pipeline_columnar
 from repro.joins.pipeline import merge_slices
+from repro.joins.predicates import EpsilonJoin
 from repro.streams.tuples import StreamTuple
 
 
@@ -29,76 +34,15 @@ def fill_window(seed: int, window=6.0, basic=1.0, count=200, now=9.3):
 
 
 def slice_key(s):
-    return (id(s.window), s.lo, s.hi, s.step)
+    return (id(s.store), s.lo, s.hi, s.step)
+
+
+def rows_of(slices):
+    """The store rows the slices select, in scan order."""
+    return [r for s in slices for r in range(s.lo, s.hi, s.step)]
 
 
 class TestFullSlicesCache:
-    def test_repeated_call_same_now_returns_cached_list(self):
-        pw = fill_window(1)
-        first = pw.full_slices(9.3)
-        assert pw.full_slices(9.3) is first
-
-    def test_prefix_reused_tail_recut_when_now_advances(self):
-        pw = fill_window(2)
-        a = pw.full_slices(9.3)
-        b = pw.full_slices(9.8)  # same epoch, later now
-        assert b is not a
-        # every non-oldest slice — the filling window's and the frozen
-        # windows' — is the identical object
-        assert len(a) == len(b) == pw.n + 1
-        assert all(s is t for s, t in zip(a[:-1], b[:-1]))
-        # the oldest window's cut honors the new expiration horizon
-        expected_lo = 9.8 - pw.n * pw.basic_window_size
-        oldest = b[-1]
-        assert oldest is not a[-1]
-        assert oldest.window.timestamps[oldest.lo] > expected_lo
-        assert len(b[-1]) <= len(a[-1])
-
-    def test_frozen_prefix_survives_a_live_window_insert(self):
-        """What most probes of an m-way join follow is an insert into the
-        filling window: only that window's slice may be rebuilt."""
-        now = 9.3
-        pw = fill_window(6, now=now)
-        a = pw.full_slices(now)
-        pw.insert(StreamTuple(value=0.5, timestamp=now, seq=999), now)
-        b = pw.full_slices(now)
-        assert len(a) == len(b) == pw.n + 1
-        assert b[0] is not a[0] and len(b[0]) == len(a[0]) + 1
-        assert all(s is t for s, t in zip(a[1:-1], b[1:-1]))
-
-    def test_frozen_prefix_rebuilt_when_a_frozen_window_changes(self):
-        now = 9.3
-
-        def frozen(pw, at=now):
-            slices = pw.full_slices(at)
-            ends = (pw._ring[0], pw._ring[pw.n])
-            return [s for s in slices if s.window not in ends]
-
-        # a rotation shifts every window one ring place
-        pw = fill_window(7, now=now)
-        before = frozen(pw)
-        after = frozen(pw, now + 1.0)
-        assert [slice_key(s) for s in after[1:]] == [
-            slice_key(s) for s in before[:-1]
-        ]
-        assert not any(s is t for s in after for t in before)
-
-        # a late insert into ring k >= 1 grows that window
-        pw = fill_window(8, now=now)
-        before = frozen(pw)
-        pw.insert(StreamTuple(value=0.5, timestamp=now - 2.5, seq=999), now)
-        after = frozen(pw)
-        assert not any(s is t for s in after for t in before)
-        assert sum(map(len, after)) == sum(map(len, before)) + 1
-
-        # an eviction empties windows
-        pw = fill_window(9, now=now)
-        before = frozen(pw)
-        assert pw.evict_older_than(2.0, now) > 0
-        after = frozen(pw)
-        assert not any(s is t for s in after for t in before)
-        assert sum(map(len, after)) < sum(map(len, before))
-
     def test_insert_invalidates(self):
         now = 9.3
         pw = fill_window(3, now=now)
@@ -135,7 +79,7 @@ class TestFullSlicesCache:
                 manual = sum(
                     1
                     for s in got
-                    for ts in s.window.timestamps[s.lo : s.hi]
+                    for ts in s.store.timestamps[s.lo : s.hi]
                     if t - pw.n * pw.basic_window_size < ts <= t
                 )
                 assert pw.count_unexpired(t) == total
@@ -191,9 +135,8 @@ def count_searches(fn):
 
 
 class TestSearchesPerRun:
-    """The invariant the cached end timestamps exist for: a harvested run
-    searches the (at most two) windows its bounds fall inside, however
-    many physical windows it covers."""
+    """A harvested run is contiguous in the store: at most two searches
+    and one slice, however many physical windows it covers."""
 
     @pytest.mark.parametrize("n", [4, 25, 100])
     def test_at_most_two_searches_per_span(self, n):
@@ -203,7 +146,7 @@ class TestSearchesPerRun:
             t = seq * 0.05
             pw.insert(StreamTuple(value=0.0, timestamp=t, seq=seq), t)
         pw.rotate_to(now)
-        assert all(len(w) for w in pw._ring)
+        assert all(pw.basic_window_sizes())
         for reference in (now, now - 0.6):
             for j_lo in range(1, n + 1):
                 for j_hi in {j_lo, min(j_lo + 2, n), n}:
@@ -214,7 +157,65 @@ class TestSearchesPerRun:
                         )
                     )
                     assert searches <= 2, (n, j_lo, j_hi, searches)
-                    assert len(got) >= j_hi - j_lo + 1
+                    (run,) = got
+                    assert len(pw.window_pieces(run.lo, run.hi)) >= (
+                        j_hi - j_lo + 1
+                    )
+
+
+class TestOneSlicePerHop:
+    """What the one-store layout buys, as counts: contiguous coverage is
+    one ``WindowSlice`` — one view as the hop's candidate pool — and
+    nothing is glued back together, values or ``seq``."""
+
+    def _probe_counts(self, monkeypatch, slices_for_hop):
+        built = []
+        init = basic_windows.WindowSlice.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        copies = []
+        concatenate = np.concatenate
+        monkeypatch.setattr(basic_windows.WindowSlice, "__init__",
+                            counting_init)
+        monkeypatch.setattr(
+            np, "concatenate",
+            lambda *a, **kw: copies.append(a) or concatenate(*a, **kw),
+        )
+        tup = StreamTuple(value=0.5, timestamp=9.3, stream=0, seq=10_000)
+        result = run_pipeline_columnar(
+            tup, [1, 2], slices_for_hop, EpsilonJoin(0.6)
+        )
+        monkeypatch.undo()
+        assert len(result.outputs) > 0  # every hop ran, and materialized
+        assert result.outputs.seqs.shape == (len(result.outputs), 3)
+        return len(built), len(copies)
+
+    def test_full_probe(self, monkeypatch):
+        now = 9.3
+        windows = [fill_window(30 + i, now=now) for i in range(3)]
+        assert self._probe_counts(
+            monkeypatch, lambda hop, l: windows[l].full_slices(now)
+        ) == (2, 0)
+
+    def test_single_run_harvested_probe(self, monkeypatch):
+        now = 9.3
+        windows = [fill_window(40 + i, now=now) for i in range(3)]
+        n = windows[0].n
+        # whole counts, consecutive ranks 2..4: one run, no strided tail
+        cfg = HarvestConfiguration(
+            np.full((3, 2), 3.0),
+            [[np.roll(np.arange(n), -1)] * 2 for _ in range(3)],
+        )
+        assert cfg.selected_runs(0, 0) == [(2, 4)]
+        assert self._probe_counts(
+            monkeypatch,
+            lambda hop, l: cfg.run_slices_for_hop(
+                windows[l], 0, hop, now, reference=now - 0.2
+            ),
+        ) == (2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -222,58 +223,63 @@ class TestSearchesPerRun:
 # ----------------------------------------------------------------------
 
 
-def searched(window, ts_lo, ts_hi):
-    """The previous ``BasicWindow.slice_between``: two searches, always."""
-    ts = window.timestamps
-    return (int(np.searchsorted(ts, ts_lo, side="right")),
-            int(np.searchsorted(ts, ts_hi, side="right")))
+def ring_index_of(pw, ts):
+    """0-based ring index of the physical window covering ``ts``."""
+    offset = pw.epoch_start - ts
+    return 0 if offset <= 0 else math.ceil(offset / pw.basic_window_size)
+
+
+def searched(pw, k, ts_lo, ts_hi):
+    """The previous ``BasicWindow.slice_between`` on physical window
+    ``k``: two searches, always; as store rows."""
+    start, stop = pw.window_rows(k)
+    ts = pw.timestamps[start:stop]
+    return (start + int(np.searchsorted(ts, ts_lo, side="right")),
+            start + int(np.searchsorted(ts, ts_hi, side="right")))
 
 
 def reference_span(pw, j_lo, j_hi, now, reference):
     """The previous ``logical_span_slices`` (``logical_window_slices`` is
-    the ``j_lo == j_hi`` case): search every physical window touched."""
+    the ``j_lo == j_hi`` case): search every physical window touched.
+    Returns the rows it selected, ascending."""
     pw.rotate_to(now)
     b = pw.basic_window_size
     ts_hi = reference - (j_lo - 1) * b
     ts_lo = reference - j_hi * b
-    k_first = pw._ring_index_of(ts_hi)
-    k_last = min(pw._ring_index_of(ts_lo), pw.n)
-    out = []
-    for k in range(k_first, k_last + 1):
-        window = pw._ring[k]
-        lo, hi = searched(window, ts_lo, ts_hi)
-        if hi > lo:
-            out.append((id(window), lo, hi, 1))
-    return out
+    k_first = ring_index_of(pw, ts_hi)
+    k_last = min(ring_index_of(pw, ts_lo), pw.n)
+    rows = []
+    for k in range(k_last, k_first - 1, -1):
+        rows.extend(range(*searched(pw, k, ts_lo, ts_hi)))
+    return rows
 
 
 def reference_full(pw, now):
-    """The previous ``full_slices``, uncached, sliding or not."""
+    """The previous ``full_slices``, uncached, sliding or not: the rows
+    it selected, ascending."""
     pw.rotate_to(now)
     horizon = pw.n * pw.basic_window_size
     if pw.policy.is_sliding:
-        out = [(id(w), 0, len(w), 1) for w in list(pw._ring)[:pw.n] if len(w)]
-        oldest = pw._ring[pw.n]
-        lo, hi = searched(oldest, now - horizon, now)
-        if hi > lo:
-            out.append((id(oldest), lo, hi, 1))
-        return out
-    ranges = []
-    for window in pw._ring:
-        lo, hi = searched(window, now - horizon, now)
-        if hi > lo:
-            ranges.append((window, lo, hi))
-    live_ts = []
-    for window, lo, hi in reversed(ranges):
-        live_ts.extend(window.timestamps[lo:hi].tolist())
+        rows = list(range(*searched(pw, pw.n, now - horizon, now)))
+        for k in range(pw.n - 1, -1, -1):
+            rows.extend(range(*pw.window_rows(k)))
+        return rows
+    ranges = [
+        searched(pw, k, now - horizon, now) for k in range(pw.n, -1, -1)
+    ]
+    live_ts = [
+        t for lo, hi in ranges for t in pw.timestamps[lo:hi].tolist()
+    ]
     cut = pw.policy.live_from(horizon, live_ts, now)
-    out = []
-    for window, lo, hi in ranges:
+    rows = []
+    for k, (lo, hi) in zip(range(pw.n, -1, -1), ranges):
         if cut != float("-inf"):
-            lo = max(lo, int(np.searchsorted(window.timestamps, cut, "left")))
-        if hi > lo:
-            out.append((id(window), lo, hi, 1))
-    return out
+            start, stop = pw.window_rows(k)
+            lo = max(lo, start + int(np.searchsorted(
+                pw.timestamps[start:stop], cut, "left"
+            )))
+        rows.extend(range(lo, hi))
+    return rows
 
 
 #: with b = 1 these steps put timestamps exactly on rotation boundaries
@@ -323,29 +329,20 @@ class TestCutsMatchSearchEveryWindow:
             else:
                 pw.rotate_to(now)
                 pw.evict_basic_window(1 + arg % n)
-            # after every mutation, so the caches are exercised in every
-            # state they can be left in (and hit: the second call)
-            for _ in range(2):
-                assert [slice_key(s) for s in pw.full_slices(now)] == (
-                    reference_full(pw, now)
-                )
+            # after every mutation, so every state the store can be left
+            # in is read (growth, compaction and shifts included)
+            assert rows_of(pw.full_slices(now)) == reference_full(pw, now)
         for at in (now, now + ahead):
-            assert [slice_key(s) for s in pw.full_slices(at)] == (
-                reference_full(pw, at)
-            )
+            assert rows_of(pw.full_slices(at)) == reference_full(pw, at)
             reference = at - stale
             for j_lo in range(1, n + 1):
-                assert [
-                    slice_key(s)
-                    for s in pw.logical_window_slices(j_lo, at, reference)
-                ] == reference_span(pw, j_lo, j_lo, at, reference)
+                assert rows_of(
+                    pw.logical_window_slices(j_lo, at, reference)
+                ) == reference_span(pw, j_lo, j_lo, at, reference)
                 for j_hi in {j_lo, min(j_lo + 3, n), n}:
-                    assert [
-                        slice_key(s)
-                        for s in pw.logical_span_slices(
-                            j_lo, j_hi, at, reference
-                        )
-                    ] == reference_span(pw, j_lo, j_hi, at, reference)
+                    assert rows_of(
+                        pw.logical_span_slices(j_lo, j_hi, at, reference)
+                    ) == reference_span(pw, j_lo, j_hi, at, reference)
 
 
 class TestSelectedRuns:
