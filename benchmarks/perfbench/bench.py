@@ -1,10 +1,7 @@
 """perfbench: the wall-clock ratio harness behind ``BENCH_PERF.json``.
 
-Three pinned, seeded macros, each a paired comparison on one host:
+Two pinned, seeded macros, each a paired comparison on one host:
 
-* ``macro3_skew`` — flat columnar scan vs the hash partition index on a
-  zipf-skewed equi-join, driving the operator directly (no event engine)
-  so the ratio isn't diluted by engine overhead both legs would share;
 * ``fig10_solver`` — GrubJoin solver wall time with warm starts off and
   on (accumulated ``solver_seconds_total`` via an injected
   :func:`repro.timing.wall_clock_timer`, plus microseconds per tick);
@@ -30,8 +27,8 @@ Usage::
 
 ``--check`` compares the fresh run's gate metrics against a committed
 baseline with a relative tolerance (default ±15%) plus the absolute
-floors the reproduction promises (≥3x hash-index speedup on the skewed
-macro, ≥30% solver time drop), and exits non-zero on regression.
+floors the reproduction promises (≥30% solver time drop), and exits
+non-zero on regression.
 """
 
 from __future__ import annotations
@@ -45,16 +42,11 @@ from typing import IO, Sequence
 from repro.core import GrubJoinOperator
 from repro.engine import CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
-from repro.testkit.workloads import (
-    Workload,
-    key_workload,
-    zipf_key_workload,
-)
+from repro.testkit.workloads import key_workload
 from repro.timing import wall_clock_timer
 
 #: which direction is "better" for each *gated* metric
 GATE_DIRECTIONS = {
-    "macro3_skew_speedup_x": "higher",
     "fig10_solver_time_ratio": "lower",
 }
 
@@ -63,121 +55,14 @@ GATE_DIRECTIONS = {
 #: ``run_bench`` omits it on hosts with fewer than four cores, where a
 #: wall-clock scaling number would be noise.
 GATE_FLOORS = {
-    "macro3_skew_speedup_x": ("higher", 3.0),
     "fig10_solver_time_ratio": ("lower", 0.7),
     "procs_k4_speedup_x": ("higher", 2.5),
 }
 
 
-def _mjoin_drive_leg(workload: Workload, tuples, index: str | None):
-    """Feed a pre-sorted trace straight into ``MJoinOperator.process``.
-
-    The skew macro compares two variants of the *same* operator, so the
-    event engine's per-tuple cost (heap push/pop, arrival bookkeeping)
-    would be pure dead weight added equally to both legs, diluting the
-    measured ratio toward 1.  Driving the operator directly leaves only
-    the cost the index actually changes — the probe — plus the operator's
-    own fixed overhead.  Virtual time still comes from the tuples'
-    timestamps and adaptation still ticks every 2s of it, so the output
-    identity set is exactly what the simulator would produce.
-    """
-    operator = MJoinOperator(
-        workload.predicate,
-        workload.window_sizes,
-        workload.basic,
-        index=index,
-    )
-    ids = set()
-    next_adapt = 2.0
-    started = wall_clock_timer()
-    for tup in tuples:
-        now = tup.timestamp
-        while now >= next_adapt:
-            operator.on_adapt(next_adapt, [], 2.0)
-            next_adapt += 2.0
-        for result in operator.process(tup, now).outputs:
-            ids.add(result.key())
-    wall = wall_clock_timer() - started
-    stats = {
-        "wall_s": round(wall, 6),
-        "tuples": len(tuples),
-        "tuples_per_s": round(len(tuples) / wall, 1) if wall > 0 else 0.0,
-    }
-    return stats, frozenset(ids)
-
-
 # ----------------------------------------------------------------------
 # the pinned macros
 # ----------------------------------------------------------------------
-
-
-def macro3_skew(quick: bool, repeats: int) -> dict:
-    """3-way zipf-skewed equi-join, flat columnar kernel vs the hash
-    partition index, driven without the event engine.
-
-    Both legs run the same columnar-kernel MJoin, so the measured ratio
-    isolates the partition index: the "slow" leg scans every candidate
-    row per hop, the "fast" leg only the probe key's hash bucket.  Many
-    keys (2M) over wide, dense windows (~86k rows per stream) keep the
-    bucket tiny relative to the window while keeping the equi-join
-    output modest, so shared materialization cost doesn't dilute the
-    ratio.  Legs are paired per repeat and the gated speedup is the best
-    *paired* ratio — back-to-back legs see the same host load, which
-    makes the ratio far more stable than cross-pairing each leg's best
-    wall.  Quick mode runs the full trace: the 3x floor is absolute, so
-    shrinking the pool (which is what the flat leg's cost scales with)
-    would gate CI on a different, easier claim.  Identity is asserted
-    before any number is reported, as everywhere else."""
-    workload = zipf_key_workload(
-        seed=15,
-        m=3,
-        rate=5750.0,
-        duration=12.0,
-        window=15.0,
-        basic=7.5,
-        n_keys=2_000_000,
-        alpha=0.5,
-    )
-    tuples = sorted(
-        (t for trace in workload.traces for t in trace.tuples),
-        key=lambda t: (t.timestamp, t.stream, t.seq),
-    )
-    best: dict[str, dict] = {}
-    ids: dict[str, frozenset] = {}
-    best_ratio = 0.0
-    for _ in range(repeats):
-        pair: dict[str, dict] = {}
-        for label, index in (("slow", None), ("fast", "hash")):
-            stats, leg_ids = _mjoin_drive_leg(workload, tuples, index)
-            if label in ids and ids[label] != leg_ids:
-                raise AssertionError(
-                    f"macro3_skew/{label}: non-deterministic result set"
-                )
-            ids[label] = leg_ids
-            pair[label] = stats
-            if (
-                label not in best
-                or stats["wall_s"] < best[label]["wall_s"]
-            ):
-                best[label] = stats
-        if ids["slow"] != ids["fast"]:
-            raise AssertionError(
-                f"macro3_skew: hash index diverged from flat scan "
-                f"(slow={len(ids['slow'])} results, "
-                f"fast={len(ids['fast'])})"
-            )
-        if pair["fast"]["wall_s"] > 0:
-            best_ratio = max(
-                best_ratio,
-                pair["slow"]["wall_s"] / pair["fast"]["wall_s"],
-            )
-    return {
-        "slow": best["slow"],
-        "fast": best["fast"],
-        "speedup_x": round(best_ratio, 3),
-        "results": len(ids["fast"]),
-        "identical": True,
-    }
 
 
 def procs_scaling(quick: bool, repeats: int) -> dict:
@@ -353,12 +238,10 @@ def run_bench(quick: bool = False, repeats: int | None = None) -> dict:
     if repeats is None:
         repeats = 1 if quick else 3
     benchmarks = {
-        "macro3_skew": macro3_skew(quick, repeats),
         "procs_scaling": procs_scaling(quick, repeats),
         "fig10_solver": fig10_solver(quick, repeats),
     }
     gate_metrics = {
-        "macro3_skew_speedup_x": benchmarks["macro3_skew"]["speedup_x"],
         "fig10_solver_time_ratio": benchmarks["fig10_solver"][
             "solver_time_ratio"
         ],

@@ -28,31 +28,37 @@ This module supplies that layer for :class:`~repro.core.basic_windows
   adaptive kind-selection policy with hysteresis so the kind does not
   flap between adaptation ticks.
 
-The probe contract is **pruning only**: :meth:`WindowIndexState
-.candidate_rows` returns an *ascending superset* of the rows in a
-slice that can match a probe envelope, so the columnar kernel
-enumerates hits over the pruned pool in exactly the order the flat
-scan would — identical outputs and output order, fewer comparisons.
-Correctness never depends on the partition boundaries, only probe
-cost does; a switch mid-run is therefore output-identical to a pinned
-:data:`FLAT` index (``tests/core/test_windex.py`` asserts this).
+The index **prices a hop, it does not find its hits**: the columnar
+kernel always finds a hop's hits by scanning the hop's slice view, and
+an active index only decides how many rows the hop is charged —
+:meth:`WindowIndexState.charge`, the rows of the partitions the probe
+can reach (plus each window's delta tail and the windows too small to
+index).  Those rows are a superset of the hits (:meth:`WindowIndexState
+.candidate_rows` is lossless), so outputs and their order never depend
+on the index; only the comparisons a probe is billed — the simulated
+CPU's currency — do.  Gathering the pruned rows into a pool of their
+own costs more wall time than scanning the whole view at every window
+size the repo runs (docs/PERFORMANCE.md §4).  A switch mid-run is
+output-identical to running without an index
+(``tests/core/test_windex.py`` asserts this).
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 import numpy as np
 
 from .basic_windows import PartitionedWindow, WindowSlice
 from .histograms import EquiWidthHistogram
 
-#: index kinds — FLAT is bit-for-bit today's behavior (no tables built)
+#: index kinds — FLAT is the inactive state (no tables built)
 FLAT, HASH, RANGE = "flat", "hash", "range"
 #: spec value asking the policy to pick the kind from the observed
 #: distribution at adaptation ticks
 ADAPTIVE = "adaptive"
-INDEX_SPECS = (FLAT, HASH, RANGE, ADAPTIVE)
+INDEX_SPECS = (HASH, RANGE, ADAPTIVE)
 
 #: gauge encoding of the active kind for the obs plane
 KIND_CODES = {FLAT: 0, HASH: 1, RANGE: 2}
@@ -73,13 +79,12 @@ def check_index_compat(
     """Validate an ``index=`` spec against the predicate's capabilities.
 
     This is the single compatibility contract shared by the operator
-    constructors (``MJoinOperator``/``GrubJoinOperator``), ``Query.build``,
-    and the static plan-analyzer rule P133.
+    constructors (``MJoinOperator``/``GrubJoinOperator``) and the static
+    plan-analyzer rule P133 (``analyze_query``).
 
     Args:
         spec: the requested index kind (``None`` disables indexing and
-            is always valid; ``"flat"`` pins today's behavior and is
-            also always valid).
+            is always valid).
         columnar_ok: whether the predicate satisfies the columnar
             kernel's contract (:func:`repro.joins.columnar
             .supports_columnar`) — partition pruning reuses its
@@ -103,13 +108,11 @@ def check_index_compat(
         raise ValueError(
             f"unknown index spec {spec!r}; expected one of {INDEX_SPECS}"
         )
-    if spec == FLAT:
-        return spec
     if not columnar_ok:
         raise ValueError(
             f"index={spec!r} requires a columnar-capable predicate "
             "(scalar storage, interval context, not stream-aware); "
-            "pass index=None or index='flat'"
+            "pass index=None"
         )
     if spec == HASH and (radius is None or radius != 0.0):
         raise ValueError(
@@ -139,7 +142,7 @@ class PartitionTable:
     """
 
     __slots__ = ("kind", "n_parts", "order", "starts", "pmins", "pmaxs",
-                 "ovals", "nonempty_parts", "build_n")
+                 "nonempty_parts", "build_n")
 
     def __init__(
         self,
@@ -149,7 +152,6 @@ class PartitionTable:
         starts: np.ndarray,
         pmins: np.ndarray,
         pmaxs: np.ndarray,
-        ovals: np.ndarray,
         build_n: int,
     ) -> None:
         self.kind = kind
@@ -158,11 +160,6 @@ class PartitionTable:
         self.starts = starts
         self.pmins = pmins
         self.pmaxs = pmaxs
-        #: the value column permuted into partition order — one
-        #: partition's values are the contiguous view
-        #: ``ovals[starts[p]:starts[p+1]]``, so single-partition probes
-        #: need no gather at all
-        self.ovals = ovals
         self.nonempty_parts = int(np.count_nonzero(np.diff(starts)))
         self.build_n = build_n
 
@@ -183,68 +180,41 @@ class WindowIndexState:
       (bumped on every kind/boundary switch) did.
 
     Args:
-        spec: ``"flat"`` / ``"hash"`` / ``"range"`` pin the kind;
-            ``"adaptive"`` lets the policy choose.
+        spec: ``"hash"`` / ``"range"`` pin the kind; ``"adaptive"``
+            lets the policy choose (validated by
+            :func:`check_index_compat`).
         radius: the predicate's interval radius (drives the hash/range
             decision; hash requires 0).
-        n_partitions: partition count per basic window (hash bucket
-            count must be a power of two for the multiply-shift code).
-        sensor_buckets: histogram resolution of the sensor.
-        min_samples: sensor weight below which the policy stays flat.
-        hysteresis: consecutive agreeing ticks required to switch.
-        span_ratio: adaptive policy picks range when the probe
-            envelope width ``2 * radius`` is at most this fraction of
-            the observed value span.
-        warmup: warmup buffer size used to fix the sensor domain.
-        sensor_decay: per-tick aging factor of the sensor.
-        min_index_rows: basic windows smaller than this are probed
-            flat even under an active index — below it the per-table
-            bookkeeping costs more than the pruning saves, and the
-            still-filling newest window churns through sizes in this
-            range on every insert.
     """
 
-    def __init__(
-        self,
-        spec: str = ADAPTIVE,
-        radius: float = 0.0,
-        *,
-        n_partitions: int = 256,
-        sensor_buckets: int = 64,
-        min_samples: int = 256,
-        hysteresis: int = 2,
-        span_ratio: float = 0.25,
-        warmup: int = 512,
-        sensor_decay: float = 0.9,
-        min_index_rows: int = 256,
-    ) -> None:
-        if spec not in INDEX_SPECS:
-            raise ValueError(
-                f"unknown index spec {spec!r}; "
-                f"expected one of {INDEX_SPECS}"
-            )
-        if n_partitions < 2 or n_partitions & (n_partitions - 1):
-            raise ValueError("n_partitions must be a power of two >= 2")
+    #: partition count per basic window (a power of two: the hash code
+    #: is a multiply-shift)
+    n_partitions = 256
+    #: histogram resolution of the sensor
+    sensor_buckets = 64
+    #: sensor weight below which the policy stays flat
+    min_samples = 256
+    #: consecutive agreeing ticks required to switch
+    hysteresis = 2
+    #: the adaptive policy picks range when the probe envelope width
+    #: ``2 * radius`` is at most this fraction of the observed span
+    span_ratio = 0.25
+    #: warmup buffer size used to fix the sensor domain
+    warmup = 512
+    #: per-tick aging factor of the sensor
+    sensor_decay = 0.9
+    #: basic windows smaller than this are charged in full even under
+    #: an active index — below it the per-table bookkeeping costs more
+    #: than the pruning saves, and the still-filling newest window
+    #: churns through sizes in this range on every insert
+    min_index_rows = 256
+
+    def __init__(self, spec: str = ADAPTIVE, radius: float = 0.0) -> None:
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if spec == HASH and radius != 0.0:
-            raise ValueError(
-                "index='hash' requires an exact equi predicate "
-                "(interval radius 0); see check_index_compat"
-            )
-        if hysteresis < 1:
-            raise ValueError("hysteresis must be at least 1")
-        if warmup < 2:
-            raise ValueError("warmup must be at least 2")
         self.spec = spec
         self.radius = float(radius)
-        self.n_partitions = int(n_partitions)
-        self._hash_shift = np.uint64(64 - int(n_partitions).bit_length() + 1)
-        self.sensor_buckets = int(sensor_buckets)
-        self.min_samples = int(min_samples)
-        self.hysteresis = int(hysteresis)
-        self.span_ratio = float(span_ratio)
-        self.sensor_decay = float(sensor_decay)
+        self._hash_shift = np.uint64(64 - self.n_partitions.bit_length() + 1)
         #: the currently applied kind; hash needs no boundaries so a
         #: pinned hash spec activates immediately, pinned range waits
         #: for the sensor (boundaries), adaptive starts flat
@@ -256,12 +226,11 @@ class WindowIndexState:
         #: bumped on every kind/boundary switch; part of the table key
         self.epoch = 0
         self.sensor: EquiWidthHistogram | None = None
-        self._warm = np.empty(int(warmup), dtype=np.float64)
+        self._warm = np.empty(self.warmup, dtype=np.float64)
         self._warm_n = 0
         self._boundaries: np.ndarray | None = None
         self._pending: str | None = None
         self._pending_ticks = 0
-        self.min_index_rows = int(min_index_rows)
         # table cache: window identity -> (epoch, generation, table);
         # mark_frozen drops the expired window's, so it stays at n + 1
         self._tables: dict[int, tuple[int, int, PartitionTable]] = {}
@@ -326,7 +295,7 @@ class WindowIndexState:
                 self._init_sensor()
         else:
             self.sensor.decay(self.sensor_decay)
-        if self.spec == FLAT or self.spec == HASH:
+        if self.spec == HASH:
             return self.active
         if self.spec == RANGE:
             if self.active != RANGE and self.sensor is not None:
@@ -403,7 +372,7 @@ class WindowIndexState:
         basic window ``k``.
 
         Returns ``None`` when the window is too small to be worth
-        indexing (probe it flat).  A cached table is reused while the
+        indexing (charge it in full).  A cached table is reused while the
         window has only *appended* since the build — its
         :meth:`~repro.core.basic_windows.PartitionedWindow.window_key`
         is unchanged; a late insert's shift or an eviction moves it —
@@ -477,7 +446,7 @@ class WindowIndexState:
             pmins[nonempty] = np.minimum.reduceat(sv, starts[nonempty])
             pmaxs[nonempty] = np.maximum.reduceat(sv, starts[nonempty])
         return PartitionTable(kind, n_parts, order, starts, pmins, pmaxs,
-                              sv, len(vals))
+                              len(vals))
 
     # ------------------------------------------------------------------
     # probing
@@ -521,13 +490,12 @@ class WindowIndexState:
         only — enforced by :func:`check_index_compat`).  ``parts`` is
         an optional precomputed :meth:`probe_parts` result (one per
         hop).  The result is a superset of the matching rows restricted
-        to the slice's ``[lo, hi)`` range and stride, so downstream
-        exact comparison over it reproduces the flat scan's hits in the
-        flat scan's order.  Each physical basic window the slice touches
-        answers from its own table; rows appended after the table build
-        (the delta tail) and the rows of a window too small to index
-        are always candidates.  Returns ``None`` when no window touched
-        has a table — the caller scans the slice flat.
+        to the slice's ``[lo, hi)`` range and stride — the rows
+        :meth:`charge` bills.  Each physical basic window the slice
+        touches answers from its own table; rows appended after the
+        table build (the delta tail) and the rows of a window too small
+        to index are always candidates.  Returns ``None`` when no window
+        touched has a table — the whole slice is charged.
         """
         store = window_slice.store
         s_lo, s_hi = window_slice.lo, window_slice.hi
@@ -574,6 +542,88 @@ class WindowIndexState:
         if window_slice.step != 1:
             rows = rows[(rows - s_lo) % window_slice.step == 0]
         return rows
+
+    def charge(
+        self,
+        slices: Sequence[WindowSlice],
+        total: int,
+        glo: float,
+        ghi: float,
+        key: float,
+    ) -> int:
+        """Rows one hop is charged under the active index, out of the
+        ``total`` rows its ``slices`` select; ``rows_scanned`` /
+        ``rows_pruned`` move by the charge and the rest.
+
+        ``[glo, ghi]`` is the union envelope of the live partials' probe
+        intervals and ``key`` the probing tuple's value.  Charged are the
+        rows :meth:`candidate_rows` keeps, except that a hash probe over
+        a step-1 slice takes the key's bucket from each table with no
+        summary test (:meth:`_bucket_rows`).  A charge of 0 means the
+        hop has no hits.
+        """
+        charged = 0
+        hashed = self.active == HASH
+        if not hashed:
+            parts = self.probe_parts(glo, ghi)
+        elif key != key:  # a NaN key matches nothing
+            self.rows_pruned += total
+            return 0
+        else:
+            # radius 0 (check_index_compat): a partial only survives a
+            # hop by extending with an exactly equal value, so every live
+            # partial's values equal the probing tuple's — one probe key,
+            # one bucket, resolved once
+            part = self.hash_part(key)
+            parts = np.array([part], dtype=np.intp)
+            glo = ghi = key
+        for s in slices:
+            if hashed and s.step == 1:
+                charged += self._bucket_rows(s, part)
+            elif len(s):
+                rows = self.candidate_rows(s, glo, ghi, parts=parts)
+                charged += len(s) if rows is None else len(rows)
+        self.rows_scanned += charged
+        self.rows_pruned += total - charged
+        return charged
+
+    def _bucket_rows(self, s: WindowSlice, part: int) -> int:
+        """Rows of the step-1 slice ``s`` in hash bucket ``part``, plus
+        each window's delta tail and the windows too small to index.
+
+        No ``(min, max)``-summary test here: thousands of keys share
+        each bucket, so a nonempty bucket's value span practically
+        always covers the probe key and the test would only add two
+        scalar reads per window.
+        """
+        store = s.store
+        count = scanned = pruned = 0
+        for k, start, lo, hi in store.window_pieces(s.lo, s.hi):
+            table = self.table_for(store, k)
+            if table is None:
+                count += hi - lo
+                continue
+            built = start + table.build_n
+            a = int(table.starts[part])
+            b = int(table.starts[part + 1])
+            if b > a:
+                scanned += 1
+                pruned += table.nonempty_parts - 1
+                if lo > start or hi < built:
+                    # the bucket's rows are ascending: cut them to the
+                    # slice's part of the table's prefix
+                    rows = table.order[a:b]
+                    a = int(np.searchsorted(rows, lo - start, "left"))
+                    b = int(np.searchsorted(rows, min(hi, built) - start,
+                                            "left"))
+                count += max(b - a, 0)
+            else:
+                pruned += table.nonempty_parts
+            if built < hi:
+                count += hi - max(lo, built)
+        self.partitions_scanned += scanned
+        self.partitions_pruned += pruned
+        return count
 
     def mark_frozen(self, store: PartitionedWindow) -> None:
         """``store`` just rotated: drop the cached table of the window
@@ -665,13 +715,12 @@ class WindexTelemetry:
 
 
 def make_index_states(
-    spec: str | None, num_streams: int, radius: float | None, **kwargs
+    spec: str | None, num_streams: int, radius: float | None
 ) -> "list[WindowIndexState] | None":
     """Per-stream states for a validated spec (``None`` stays ``None``)."""
     if spec is None:
         return None
     return [
-        WindowIndexState(spec, radius if radius is not None else 0.0,
-                         **kwargs)
+        WindowIndexState(spec, radius if radius is not None else 0.0)
         for _ in range(num_streams)
     ]

@@ -32,6 +32,9 @@ outputs in the same order, same ``comparisons``, same per-hop
 (``max(values) - r`` is the same IEEE subtraction either way) and the
 candidate pool preserves slice order and stride.  The differential tests in
 ``tests/perf/test_kernel.py`` and the testkit matrix assert this equality.
+A hop over a stream with an active partition index (:mod:`repro.core
+.windex`) scans the same pool and finds the same hits; the index only sets
+how many rows the hop is charged (``HopStats.scanned``, ``comparisons``).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.basic_windows import SCALAR, WindowSlice
-from repro.core.windex import HASH
 from repro.streams.tuples import JoinResult, StreamTuple
 
 from .pipeline import HopStats, PipelineResult, run_pipeline
@@ -129,29 +131,27 @@ def run_pipeline_columnar(
             lo = vmax - radius
             hi = vmin + radius
         state = slices[0].store.windex
-        sel: np.ndarray | None = None
         if state is not None and state.is_active:
-            # the union envelope of every live partial's probe interval
+            # an active index only prices the hop: it is charged the rows
+            # of the partitions its probe can reach, and its hits (a
+            # subset of those) are still found by the scan below
             glo, ghi = (lo, hi) if num_partials == 1 else (
                 float(lo.min()), float(hi.max())
             )
-            pool, sel = _indexed_pool(state, slices, glo, ghi, v0)
-            eff_total = len(pool)
-            state.rows_scanned += eff_total
-            state.rows_pruned += total - eff_total
-            if eff_total == 0:
+            charged = state.charge(slices, total, glo, ghi, v0)
+            if charged == 0:
                 completed = False
                 break
         else:
-            # SCALAR storage (supports_columnar): a slice's values are
-            # already a float64 view of its store's value column
-            if len(slices) == 1:
-                pool = slices[0].values
-            else:
-                pool = np.concatenate([s.values for s in slices])
-            eff_total = total
-        stats.scanned = num_partials * eff_total
+            charged = total
+        stats.scanned = num_partials * charged
         result.comparisons += stats.scanned
+        # SCALAR storage (supports_columnar): a slice's values are
+        # already a float64 view of its store's value column
+        if len(slices) == 1:
+            pool = slices[0].values
+        else:
+            pool = np.concatenate([s.values for s in slices])
         if num_partials == 1:
             pcol = ((pool >= lo) & (pool <= hi)).nonzero()[0]
             # hop 0's parents are never read
@@ -160,7 +160,7 @@ def run_pipeline_columnar(
             # hits as positions in the row-major (partials x candidates)
             # grid: a 1-D nonzero per chunk of rows, split into (partial,
             # candidate) once — far cheaper than a 2-D nonzero, same order
-            max_rows = max(1, _CHUNK_ELEMS // eff_total)
+            max_rows = max(1, _CHUNK_ELEMS // total)
             hit_parts = []
             for start in range(0, num_partials, max_rows):
                 stop = start + max_rows
@@ -168,11 +168,11 @@ def run_pipeline_columnar(
                     pool <= hi[start:stop, None]
                 )
                 hits = mask.ravel().nonzero()[0]
-                hit_parts.append(hits + start * eff_total if start else hits)
+                hit_parts.append(hits + start * total if start else hits)
             prow, pcol = np.divmod(
                 hit_parts[0] if len(hit_parts) == 1
                 else np.concatenate(hit_parts),
-                eff_total,
+                total,
             )
         stats.matched = len(pcol)
         if stats.matched == 0:
@@ -192,146 +192,12 @@ def run_pipeline_columnar(
         # less often than this per-hop path
         hop_slices.append(slices)
         parents_chain.append(prow)
-        # with an indexed pool, map pruned-pool hits back to their
-        # positions in the full (unpruned) pool so materialization is
-        # oblivious to pruning
-        rows_chain.append(pcol if sel is None else sel[pcol])
+        rows_chain.append(pcol)
     if completed:
         result.outputs = _materialize(
             tup, order, hop_slices, parents_chain, rows_chain
         )
     return result
-
-
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
-_EMPTY_IDX = np.empty(0, dtype=np.intp)
-
-
-def _indexed_pool(
-    state,
-    slices: Sequence[WindowSlice],
-    glo: float,
-    ghi: float,
-    v0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition-pruned candidate pool for one hop.
-
-    Returns ``(pool, sel)`` where ``pool`` holds the candidate values
-    and ``sel`` their positions in the full pool the flat path would
-    scan.  Candidates come back in ascending full-pool position
-    (ascending rows within each slice, slices in order), so
-    ``np.nonzero`` over the pruned mask enumerates hits in exactly the
-    flat scan's order.  Pruning is lossless: the candidates are a
-    superset of every row whose value falls in the union probe
-    envelope ``[glo, ghi]`` (for hash indexes, of every row whose
-    value equals the probe key — exact equi probes only, enforced at
-    construction via ``check_index_compat``).
-    """
-    hashed = state.active == HASH
-    if hashed:
-        # radius == 0 here, so lo == vmax and hi == vmin: every partial
-        # contains the probing tuple, and a partial only survives a hop
-        # by extending with an exactly-equal value — so every live
-        # partial's values all equal v0, the only possible probe key is
-        # v0 itself, and its bucket can be resolved once.  The sole
-        # degenerate case is a NaN probe value (no interval is ever
-        # nonempty), caught by the self-inequality test.
-        if v0 != v0:
-            return _EMPTY_F64, _EMPTY_IDX
-        part = state.hash_part(v0)
-        parts = None  # lazily materialized for the strided general path
-        glo = ghi = v0
-    else:
-        parts = state.probe_parts(glo, ghi)
-    pool_parts = []
-    sel_parts = []
-    pos = 0
-    for s in slices:
-        if hashed and s.step == 1:
-            _hash_bucket(state, s, part, pos, pool_parts, sel_parts)
-        elif len(s):
-            if parts is None:
-                parts = np.array([part], dtype=np.intp)
-            rows = state.candidate_rows(s, glo, ghi, parts=parts)
-            if rows is None:
-                # windows too small to index: the whole slice competes
-                pool_parts.append(s.values)
-                sel_parts.append(np.arange(pos, pos + len(s), dtype=np.intp))
-            elif len(rows):
-                pool_parts.append(s.store.values[rows])
-                sel_parts.append(pos + (rows - s.lo) // s.step)
-        pos += len(s)
-    if not pool_parts:
-        return _EMPTY_F64, _EMPTY_IDX
-    if len(pool_parts) == 1:
-        return pool_parts[0], sel_parts[0]
-    return np.concatenate(pool_parts), np.concatenate(sel_parts)
-
-
-def _hash_bucket(
-    state,
-    s: WindowSlice,
-    part: int,
-    pos: int,
-    pool_parts: list[np.ndarray],
-    sel_parts: list[np.ndarray],
-) -> None:
-    """One contiguous slice's candidates for an exact equi probe,
-    appended to ``pool_parts`` / ``sel_parts``.
-
-    The hot path of the hash index: the key's partition was resolved
-    once, and each indexed basic window under the slice contributes its
-    bucket segment as two array *views* (``ovals``/``order`` are laid
-    out in partition order), so per-window work is a table lookup plus
-    pointer arithmetic — no gathers, no sorts.
-    """
-    store = s.store
-    values = store.values
-    offset = pos - s.lo  # store row -> full-pool position
-    scanned = pruned = 0
-    for k, start, lo, hi in store.window_pieces(s.lo, s.hi):
-        t = state.table_for(store, k)
-        if t is None:
-            # window too small to index: all of it competes
-            pool_parts.append(values[lo:hi])
-            sel_parts.append(
-                np.arange(offset + lo, offset + hi, dtype=np.intp)
-            )
-            continue
-        built = start + t.build_n
-        a = t.starts[part]
-        b = t.starts[part + 1]
-        if b > a:
-            # no (min, max)-summary test here: thousands of keys
-            # share each bucket, so a nonempty bucket's value span
-            # practically always covers the probe key and the test
-            # would only add two scalar reads per window
-            scanned += 1
-            pruned += t.nonempty_parts - 1
-            rows = t.order[a:b]
-            vals = t.ovals[a:b]
-            if lo > start or hi < built:
-                cut = slice(
-                    int(np.searchsorted(rows, lo - start, "left")),
-                    int(np.searchsorted(rows, min(hi, built) - start, "left")),
-                )
-                rows = rows[cut]
-                vals = vals[cut]
-            if len(rows):
-                pool_parts.append(vals)
-                sel_parts.append(rows + (offset + start))
-        else:
-            pruned += t.nonempty_parts
-        if built < hi:
-            # rows appended after the table build are always
-            # candidates; they are contiguous, so views again
-            tail_lo = max(lo, built)
-            pool_parts.append(values[tail_lo:hi])
-            sel_parts.append(
-                np.arange(offset + tail_lo, offset + hi, dtype=np.intp)
-            )
-    state.partitions_scanned += scanned
-    state.partitions_pruned += pruned
 
 
 def _locate(slices: Sequence[WindowSlice], cols: np.ndarray) -> np.ndarray:
@@ -441,9 +307,8 @@ def _materialize(
     permutation precomputed from the (distinct) stream ids.  The chain
     walk is array gathers only: each hop's hits are positions in its
     candidate pool, resolved to rows of the hop's store, and the ``seq``
-    column gathered at those rows — hit rows only, so an index-pruned
-    hop still never touches the rest of the window — fills that
-    stream's column of the identity matrix.
+    column gathered at those rows fills that stream's column of the
+    identity matrix.
     """
     hops = len(rows_chain)
     count = len(rows_chain[-1])

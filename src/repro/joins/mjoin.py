@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.basic_windows import SCALAR, PartitionedWindow
+from repro.core.basic_windows import PartitionedWindow
 from repro.core.windex import (
     WindexTelemetry,
     check_index_compat,
@@ -99,13 +99,6 @@ class MJoinOperator(StreamOperator):
             radius=radius,
         )
         self.windex_states = make_index_states(self.index_spec, m, radius)
-        # a pinned "flat" spec is valid for *any* predicate (it is
-        # inert), but only scalar windows can carry index state
-        ring_states = (
-            self.windex_states
-            if predicate.storage_mode == SCALAR
-            else None
-        )
         self.windows = [
             PartitionedWindow(
                 w,
@@ -113,9 +106,11 @@ class MJoinOperator(StreamOperator):
                 mode=predicate.storage_mode,
                 dim=predicate.dim,
                 policy=self.window_policy,
-                index=None if ring_states is None else ring_states[i],
+                index=state,
             )
-            for i, w in enumerate(self.window_sizes)
+            for w, state in zip(
+                self.window_sizes, self.windex_states or [None] * m
+            )
         ]
         self._modes = (
             None

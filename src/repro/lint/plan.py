@@ -83,9 +83,9 @@ P132   Session-gap geometry (warnings): a session gap that is not an
 P133   Partition-index compatibility: an ``index=`` spec must agree
        with the predicate's capabilities — the single contract of
        :func:`repro.core.windex.check_index_compat` (columnar-capable
-       predicate; ``hash`` only for exact equi probes, radius 0).  Also
-       rejects a spec given through both ``.index(...)`` and
-       ``.join(index=...)``.
+       predicate; ``hash`` only for exact equi probes, radius 0).
+       Checked on a declared query's ``.join(index=...)``; a built
+       operator already passed the same check in its constructor.
 =====  ==================================================================
 
 The effect checks (P120-P124) run exactly when the graph contains a
@@ -629,11 +629,7 @@ def analyze_graph(
             )
 
     # P103 / P104 / P108 / P109 — per-operator window parameters
-    # P130 / P132 / P133 — unforwarded flush, session geometry,
-    # partition-index compatibility
-    from repro.core.windex import check_index_compat
-    from repro.joins.columnar import supports_columnar
-
+    # P130 / P132 — unforwarded flush, session geometry
     for name, op in nodes.items():
         window_sizes = getattr(op, "window_sizes", None)
         basic = getattr(op, "basic_window_size", None)
@@ -667,20 +663,6 @@ def analyze_graph(
         function = getattr(op, "function", None)
         if slide is not None and window is not None and function is not None:
             _check_aggregate(report, function, window, slide, name)
-        # P133 — a node's index spec must (still) agree with its
-        # predicate; constructors enforce this once, but the analyzer
-        # re-validates so post-construction attribute surgery is caught
-        spec = getattr(op, "index_spec", None)
-        op_predicate = getattr(op, "predicate", None)
-        if spec is not None and op_predicate is not None:
-            try:
-                check_index_compat(
-                    spec,
-                    columnar_ok=supports_columnar(op_predicate),
-                    radius=getattr(op_predicate, "interval_radius", None),
-                )
-            except ValueError as exc:
-                report.add("P133", f"node {name!r}: {exc}", node=name)
 
     # P107 — starved inputs
     fed: set[tuple[str, int]] = set()
@@ -856,16 +838,7 @@ def analyze_query(
     from repro.core.windex import check_index_compat
     from repro.joins.columnar import supports_columnar
 
-    index_spec = getattr(query, "_index", None)
-    kwargs_spec = getattr(query, "_join_kwargs", {}).get("index")
-    if index_spec is not None and kwargs_spec is not None:
-        report.add(
-            "P133",
-            "index specified twice: both .index(...) and "
-            ".join(index=...) set a partition index; drop one",
-            node="join",
-        )
-    spec = index_spec if index_spec is not None else kwargs_spec
+    spec = getattr(query, "_join_kwargs", {}).get("index")
     if spec is not None and predicate is not None:
         try:
             check_index_compat(

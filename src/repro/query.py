@@ -87,7 +87,6 @@ class Query:
         self._mode = JoinMode.INNER
         self._policy = resolve_policy(None)
         self._join_kwargs: dict[str, Any] = {}
-        self._index: str | None = None
         self._stages: list[tuple[str, Any]] = []
         self._projection: Callable | None = None
 
@@ -131,7 +130,10 @@ class Query:
         (drop operators in front of the buffers) or ``none`` (plain
         MJoin).  ``mode``: ``inner`` (default), ``semi``, ``anti`` or
         ``outer`` (the last two only with ``shedding="none"`` — P131).
-        Extra kwargs go to the join operator.
+        Extra kwargs go to the join operator, under every shedding
+        policy — e.g. ``index="hash"`` / ``"range"`` / ``"adaptive"``
+        for a partition index (:func:`repro.core.windex
+        .check_index_compat`, checked by :meth:`validate` as P133).
         """
         if shedding not in SHEDDING_POLICIES:
             raise ValueError(
@@ -141,20 +143,6 @@ class Query:
         self._shedding = shedding
         self._mode = JoinMode(mode)
         self._join_kwargs = operator_kwargs
-        return self
-
-    def index(self, spec: str | None) -> "Query":
-        """Request a partition index over the join windows.
-
-        ``spec``: ``None`` (no index, the default), ``"flat"`` (pin
-        today's flat scan), ``"hash"`` (equi predicates only),
-        ``"range"``, or ``"adaptive"`` (let the per-stream policy pick
-        at adaptation ticks).  Compatibility with the predicate is
-        checked statically by :meth:`validate` (P133) and again by the
-        operator constructor at :meth:`build` time — both through
-        :func:`repro.core.windex.check_index_compat`.
-        """
-        self._index = spec
         return self
 
     # ---- downstream stages -------------------------------------------
@@ -193,14 +181,6 @@ class Query:
             raise ValueError("a join needs at least two streams")
 
         plain = self._mode is JoinMode.INNER and self._policy.is_sliding
-        join_kwargs = dict(self._join_kwargs)
-        if self._index is not None:
-            if "index" in join_kwargs:
-                raise ValueError(
-                    "index specified twice: pass it through .index(...) "
-                    "or .join(index=...), not both"
-                )
-            join_kwargs["index"] = self._index
         graph = DataflowGraph()
         shedder: RandomDropShedder | None = None
         if self._shedding == "grubjoin":
@@ -212,14 +192,14 @@ class Query:
                 )
             join_op: Any = GrubJoinOperator(
                 self._predicate, [self._window] * m, self._basic,
-                **join_kwargs,
+                **self._join_kwargs,
             )
             graph.add_node("join", join_op)
         else:
             join_op = MJoinOperator(
                 self._predicate, [self._window] * m, self._basic,
                 mode=self._mode, window_policy=self._policy,
-                **join_kwargs,
+                **self._join_kwargs,
             )
             if self._shedding == "randomdrop":
                 shedder = RandomDropShedder(join_op, capacity)

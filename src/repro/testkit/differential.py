@@ -555,9 +555,9 @@ def differential_matrix(
             _check(reports, renders, "indexed", reference,
                    indexed_ids(workload, sanitize=sanitize), workload,
                    "equal")
-            # partition-indexed probes must enumerate exactly the flat
-            # kernel's hit set: range indexes apply to any columnar
-            # predicate, hash indexes only at interval radius zero
+            # partition-indexed probes are charged less and must find
+            # exactly the unindexed kernel's hit set: range indexes apply
+            # to any columnar predicate, hash only at interval radius 0
             _check(reports, renders, "mjoin_range_indexed", reference,
                    mjoin_ids(workload, index="range", sanitize=sanitize),
                    workload, "equal")

@@ -1,17 +1,24 @@
 """Tests for the adaptive per-basic-window partition indexes.
 
-Covers the three layers of ``repro.core.windex``: the compatibility
-contract (``check_index_compat``), the table lifecycle (build, delta-tail
-reuse, rebuild triggers, freeze), probe pruning (candidate supersets in
-flat-scan order), and the adaptive kind policy with hysteresis.  The
-closing class asserts the headline correctness claim: an index switch
-mid-run is output-identical — set *and* order — to running flat.
+Covers the layers of ``repro.core.windex``: the compatibility contract
+(``check_index_compat``), the table lifecycle (build, delta-tail reuse,
+rebuild triggers, freeze), probe pruning (candidate supersets), what a
+hop is charged (against the pruned pool the kernel used to gather), and
+the adaptive kind policy with hysteresis.  The closing class asserts the
+headline correctness claim: an index switch mid-run is output-identical
+— set *and* order — to running without an index.
 """
+
+import random
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.basic_windows import PartitionedWindow, WindowSlice
+from repro.core.basic_windows import SCALAR, PartitionedWindow, WindowSlice
+from repro.core.shredding import shredded_slices
 from repro.core.windex import (
     ADAPTIVE,
     FLAT,
@@ -51,19 +58,28 @@ def fill(bw, values, t0=0.0):
     return bw
 
 
-def hash_state(**kwargs):
-    kwargs.setdefault("min_index_rows", 8)
-    kwargs.setdefault("n_partitions", 16)
-    return WindowIndexState(HASH, 0.0, **kwargs)
+@pytest.fixture
+def tune(monkeypatch):
+    """``tune(name=value, ...)`` sets :class:`WindowIndexState`'s tuning
+    constants for one test: hand-built windows hold tens of rows, not
+    the hundreds the constants are sized for."""
+
+    def apply(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(WindowIndexState, name, value)
+
+    return apply
 
 
-def range_state(values, **kwargs):
+def hash_state(tune):
+    tune(min_index_rows=8, n_partitions=16)
+    return WindowIndexState(HASH, 0.0)
+
+
+def range_state(tune, values):
     """A pinned-range state with sensor + boundaries derived from data."""
-    kwargs.setdefault("min_index_rows", 8)
-    kwargs.setdefault("n_partitions", 8)
-    kwargs.setdefault("min_samples", 4)
-    kwargs.setdefault("warmup", 4)
-    state = WindowIndexState(RANGE, 1.0, **kwargs)
+    tune(min_index_rows=8, n_partitions=8, min_samples=4, warmup=4)
+    state = WindowIndexState(RANGE, 1.0)
     for v in values:
         state.observe(float(v))
     state.tick()
@@ -72,16 +88,14 @@ def range_state(values, **kwargs):
 
 
 class TestCheckIndexCompat:
-    def test_none_and_flat_always_pass(self):
+    def test_none_always_passes(self):
         assert check_index_compat(None, columnar_ok=False, radius=None) is None
-        assert (
-            check_index_compat(FLAT, columnar_ok=False, radius=None)
-            == FLAT
-        )
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="unknown index spec"):
-            check_index_compat("btree", columnar_ok=True, radius=0.0)
+        # FLAT names the inactive state, not a spec one can ask for
+        for spec in ("btree", FLAT):
+            with pytest.raises(ValueError, match="unknown index spec"):
+                check_index_compat(spec, columnar_ok=True, radius=0.0)
 
     @pytest.mark.parametrize("spec", [HASH, RANGE, ADAPTIVE])
     def test_non_columnar_predicate_rejected(self, spec):
@@ -103,28 +117,9 @@ class TestCheckIndexCompat:
 
 
 class TestStateValidation:
-    def test_unknown_spec(self):
-        with pytest.raises(ValueError, match="unknown index spec"):
-            WindowIndexState("btree")
-
-    @pytest.mark.parametrize("n", [0, 1, 3, 100])
-    def test_partitions_must_be_power_of_two(self, n):
-        with pytest.raises(ValueError, match="power of two"):
-            WindowIndexState(HASH, 0.0, n_partitions=n)
-
     def test_negative_radius(self):
         with pytest.raises(ValueError, match="non-negative"):
             WindowIndexState(ADAPTIVE, -1.0)
-
-    def test_hash_with_interval_radius(self):
-        with pytest.raises(ValueError, match="equi"):
-            WindowIndexState(HASH, 0.5)
-
-    def test_hysteresis_and_warmup_floors(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            WindowIndexState(ADAPTIVE, 0.0, hysteresis=0)
-        with pytest.raises(ValueError, match="warmup"):
-            WindowIndexState(ADAPTIVE, 0.0, warmup=1)
 
     def test_make_index_states(self):
         assert make_index_states(None, 3, 0.0) is None
@@ -135,8 +130,8 @@ class TestStateValidation:
 
 
 class TestHashCodes:
-    def test_scalar_matches_vectorized(self):
-        state = hash_state()
+    def test_scalar_matches_vectorized(self, tune):
+        state = hash_state(tune)
         vals = np.array(
             [0.0, -0.0, 1.0, -1.5, 3.7e300, 5e-324, 42.0, np.pi]
         )
@@ -144,12 +139,12 @@ class TestHashCodes:
         for v, c in zip(vals, codes):
             assert state.hash_part(float(v)) == int(c)
 
-    def test_negative_zero_canonicalized(self):
-        state = hash_state()
+    def test_negative_zero_canonicalized(self, tune):
+        state = hash_state(tune)
         assert state.hash_part(-0.0) == state.hash_part(0.0)
 
-    def test_codes_in_range(self):
-        state = hash_state(n_partitions=16)
+    def test_codes_in_range(self, tune):
+        state = hash_state(tune)
         rng = np.random.default_rng(3)
         codes = state._hash_codes(rng.normal(size=1000))
         assert codes.min() >= 0
@@ -157,8 +152,8 @@ class TestHashCodes:
 
 
 class TestTableLifecycle:
-    def test_small_window_not_indexed(self):
-        state = hash_state(min_index_rows=8)
+    def test_small_window_not_indexed(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(5))
         assert state.table_for(bw, 0) is None
         assert (
@@ -168,8 +163,8 @@ class TestTableLifecycle:
         )
         assert state.rebuilds == 0
 
-    def test_build_partitions_are_correct_and_row_ordered(self):
-        state = hash_state(n_partitions=16)
+    def test_build_partitions_are_correct_and_row_ordered(self, tune):
+        state = hash_state(tune)
         rng = np.random.default_rng(7)
         vals = rng.integers(0, 40, size=200).astype(float)
         bw = fill(one_window(), vals)
@@ -185,16 +180,11 @@ class TestTableLifecycle:
             if len(seg):
                 assert table.pmins[p] == vals[seg].min()
                 assert table.pmaxs[p] == vals[seg].max()
-                # ovals is the value column permuted into table order
-                np.testing.assert_array_equal(
-                    table.ovals[table.starts[p]: table.starts[p + 1]],
-                    vals[seg],
-                )
             seen.extend(seg.tolist())
         assert sorted(seen) == list(range(200))
 
-    def test_append_only_tail_reuses_table(self):
-        state = hash_state(min_index_rows=8)
+    def test_append_only_tail_reuses_table(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(200))
         table = state.table_for(bw, 0)
         assert state.rebuilds == 1
@@ -203,8 +193,8 @@ class TestTableLifecycle:
         assert state.table_for(bw, 0) is table
         assert state.rebuilds == 1
 
-    def test_large_tail_triggers_rebuild(self):
-        state = hash_state(min_index_rows=8)
+    def test_large_tail_triggers_rebuild(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(200))
         first = state.table_for(bw, 0)
         # keep appending until the delta tail outgrows its tolerated
@@ -220,8 +210,8 @@ class TestTableLifecycle:
         assert second.build_n == len(bw)
         assert state.rebuilds == 2
 
-    def test_sorted_insert_breaks_reuse(self):
-        state = hash_state(min_index_rows=8)
+    def test_sorted_insert_breaks_reuse(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(100), t0=10.0)
         state.table_for(bw, 0)
         assert state.rebuilds == 1
@@ -232,8 +222,8 @@ class TestTableLifecycle:
         assert table.build_n == 101
         assert state.rebuilds == 2
 
-    def test_clear_breaks_reuse(self):
-        state = hash_state(min_index_rows=8)
+    def test_clear_breaks_reuse(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(100))
         state.table_for(bw, 0)
         bw.rotate_to(1e6)  # the window froze: ring index 1 now
@@ -243,8 +233,8 @@ class TestTableLifecycle:
         assert table.build_n == 50
         assert state.rebuilds == 2
 
-    def test_mark_frozen_forces_one_tail_free_rebuild(self):
-        state = hash_state(min_index_rows=8)
+    def test_mark_frozen_forces_one_tail_free_rebuild(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(100))
         state.table_for(bw, 0)
         append(bw, tup(1.0, value=7.0, seq=200))
@@ -256,11 +246,10 @@ class TestTableLifecycle:
         # frozen window: the rebuilt table now lives forever
         assert state.table_for(bw, 1) is table
 
-    def test_epoch_bump_invalidates(self):
-        state = WindowIndexState(
-            ADAPTIVE, 0.0, min_index_rows=8, n_partitions=16,
-            min_samples=4, warmup=4, hysteresis=1,
-        )
+    def test_epoch_bump_invalidates(self, tune):
+        tune(min_index_rows=8, n_partitions=16, min_samples=4, warmup=4,
+             hysteresis=1)
+        state = WindowIndexState(ADAPTIVE, 0.0)
         bw = fill(one_window(), range(100))
         for v in range(10):
             state.observe(float(v))
@@ -270,8 +259,8 @@ class TestTableLifecycle:
         state._switch(HASH)  # epoch moves even to the same kind
         assert state.table_for(bw, 0) is not first
 
-    def test_invalidate_drops_all(self):
-        state = hash_state(min_index_rows=8)
+    def test_invalidate_drops_all(self, tune):
+        state = hash_state(tune)
         bw = fill(one_window(), range(100))
         state.table_for(bw, 0)
         state.invalidate()
@@ -280,14 +269,14 @@ class TestTableLifecycle:
 
 
 class TestCandidateRows:
-    def _window_and_state(self, n=300, n_keys=17, seed=11):
+    def _window_and_state(self, tune, n=300, n_keys=17, seed=11):
         rng = np.random.default_rng(seed)
         vals = rng.integers(0, n_keys, size=n).astype(float)
         bw = fill(one_window(), vals)
-        return bw, vals, hash_state()
+        return bw, vals, hash_state(tune)
 
-    def test_hash_candidates_are_ascending_superset(self):
-        bw, vals, state = self._window_and_state()
+    def test_hash_candidates_are_ascending_superset(self, tune):
+        bw, vals, state = self._window_and_state(tune)
         for key in (0.0, 3.0, 16.0):
             rows = state.candidate_rows(
                 WindowSlice(bw, 0, len(bw)), key, key,
@@ -297,8 +286,8 @@ class TestCandidateRows:
             exact = np.flatnonzero(vals == key)
             assert set(exact).issubset(set(rows.tolist()))
 
-    def test_slice_restriction(self):
-        bw, vals, state = self._window_and_state()
+    def test_slice_restriction(self, tune):
+        bw, vals, state = self._window_and_state(tune)
         lo, hi = 50, 220
         rows = state.candidate_rows(
             WindowSlice(bw, lo, hi), 3.0, 3.0, keys=np.array([3.0])
@@ -307,8 +296,8 @@ class TestCandidateRows:
         exact = np.flatnonzero(vals[lo:hi] == 3.0) + lo
         assert set(exact).issubset(set(rows.tolist()))
 
-    def test_delta_tail_always_candidate(self):
-        bw, vals, state = self._window_and_state()
+    def test_delta_tail_always_candidate(self, tune):
+        bw, vals, state = self._window_and_state(tune)
         state.table_for(bw, 0)
         append(bw, tup(1.0, value=1000.0, seq=999))  # matches nothing
         rows = state.candidate_rows(
@@ -316,8 +305,8 @@ class TestCandidateRows:
         )
         assert rows[-1] == len(bw) - 1  # unpruned tail row
 
-    def test_strided_slice_filter(self):
-        bw, vals, state = self._window_and_state()
+    def test_strided_slice_filter(self, tune):
+        bw, vals, state = self._window_and_state(tune)
         sl = WindowSlice(bw, 10, 290, step=3)
         rows = state.candidate_rows(sl, 3.0, 3.0, keys=np.array([3.0]))
         assert ((rows - 10) % 3 == 0).all()
@@ -326,29 +315,29 @@ class TestCandidateRows:
         ]
         assert set(exact).issubset(set(rows.tolist()))
 
-    def test_missing_key_prunes_everything(self):
+    def test_missing_key_prunes_everything(self, tune):
         # value never inserted and (by summaries) outside every bucket's
         # range — probes must come back empty without scanning
         bw = fill(one_window(), np.full(100, 5.0))
-        state = hash_state()
+        state = hash_state(tune)
         rows = state.candidate_rows(
             WindowSlice(bw, 0, 100), 9e9, 9e9, keys=np.array([9e9])
         )
         assert len(rows) == 0
         assert state.partitions_scanned == 0
 
-    def test_empty_slice(self):
-        bw, _vals, state = self._window_and_state()
+    def test_empty_slice(self, tune):
+        bw, _vals, state = self._window_and_state(tune)
         rows = state.candidate_rows(
             WindowSlice(bw, 10, 10), 3.0, 3.0, keys=np.array([3.0])
         )
         assert len(rows) == 0
 
-    def test_range_candidates_cover_interval(self):
+    def test_range_candidates_cover_interval(self, tune):
         rng = np.random.default_rng(23)
         vals = rng.uniform(0.0, 100.0, size=400)
         bw = fill(one_window(), vals)
-        state = range_state(vals)
+        state = range_state(tune, vals)
         glo, ghi = 30.0, 34.0
         rows = state.candidate_rows(WindowSlice(bw, 0, 400), glo, ghi)
         assert (np.diff(rows) > 0).all()
@@ -357,11 +346,11 @@ class TestCandidateRows:
         # and the point of the exercise: most rows were pruned
         assert len(rows) < 200
 
-    def test_range_probe_parts_shared_across_slices(self):
+    def test_range_probe_parts_shared_across_slices(self, tune):
         rng = np.random.default_rng(29)
         vals = rng.uniform(0.0, 100.0, size=400)
         bw = fill(one_window(), vals)
-        state = range_state(vals)
+        state = range_state(tune, vals)
         parts = state.probe_parts(10.0, 12.0)
         direct = state.candidate_rows(WindowSlice(bw, 0, 400), 10.0, 12.0)
         shared = state.candidate_rows(
@@ -370,34 +359,315 @@ class TestCandidateRows:
         np.testing.assert_array_equal(direct, shared)
 
 
-class TestPolicy:
-    def _adaptive(self, radius=0.0, **kwargs):
-        kwargs.setdefault("min_samples", 8)
-        kwargs.setdefault("warmup", 8)
-        kwargs.setdefault("hysteresis", 2)
-        return WindowIndexState(ADAPTIVE, radius, **kwargs)
+# ----------------------------------------------------------------------
+# what a hop is charged, against the pruned pool it used to gather
+# ----------------------------------------------------------------------
 
-    def test_starts_flat_and_needs_sensor(self):
-        state = self._adaptive()
+_EMPTY_F64 = np.empty(0, dtype=np.float64)
+_EMPTY_IDX = np.empty(0, dtype=np.intp)
+
+
+def _indexed_pool(
+    state,
+    slices: Sequence[WindowSlice],
+    glo: float,
+    ghi: float,
+    v0: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columnar kernel's partition-pruned candidate pool for one hop,
+    from when it scanned that pool instead of the slice view — kept as
+    the reference :meth:`WindowIndexState.charge` must count
+    (``len(pool)``).
+
+    Returns ``(pool, sel)`` where ``pool`` holds the candidate values
+    and ``sel`` their positions in the full pool the flat path would
+    scan.  Candidates come back in ascending full-pool position
+    (ascending rows within each slice, slices in order), so
+    ``np.nonzero`` over the pruned mask enumerates hits in exactly the
+    flat scan's order.  Pruning is lossless: the candidates are a
+    superset of every row whose value falls in the union probe
+    envelope ``[glo, ghi]`` (for hash indexes, of every row whose
+    value equals the probe key — exact equi probes only, enforced at
+    construction via ``check_index_compat``).
+    """
+    hashed = state.active == HASH
+    if hashed:
+        # radius == 0 here, so lo == vmax and hi == vmin: every partial
+        # contains the probing tuple, and a partial only survives a hop
+        # by extending with an exactly-equal value — so every live
+        # partial's values all equal v0, the only possible probe key is
+        # v0 itself, and its bucket can be resolved once.  The sole
+        # degenerate case is a NaN probe value (no interval is ever
+        # nonempty), caught by the self-inequality test.
+        if v0 != v0:
+            return _EMPTY_F64, _EMPTY_IDX
+        part = state.hash_part(v0)
+        parts = None  # lazily materialized for the strided general path
+        glo = ghi = v0
+    else:
+        parts = state.probe_parts(glo, ghi)
+    pool_parts = []
+    sel_parts = []
+    pos = 0
+    for s in slices:
+        if hashed and s.step == 1:
+            _hash_bucket(state, s, part, pos, pool_parts, sel_parts)
+        elif len(s):
+            if parts is None:
+                parts = np.array([part], dtype=np.intp)
+            rows = state.candidate_rows(s, glo, ghi, parts=parts)
+            if rows is None:
+                # windows too small to index: the whole slice competes
+                pool_parts.append(s.values)
+                sel_parts.append(np.arange(pos, pos + len(s), dtype=np.intp))
+            elif len(rows):
+                pool_parts.append(s.store.values[rows])
+                sel_parts.append(pos + (rows - s.lo) // s.step)
+        pos += len(s)
+    if not pool_parts:
+        return _EMPTY_F64, _EMPTY_IDX
+    if len(pool_parts) == 1:
+        return pool_parts[0], sel_parts[0]
+    return np.concatenate(pool_parts), np.concatenate(sel_parts)
+
+
+def _hash_bucket(
+    state,
+    s: WindowSlice,
+    part: int,
+    pos: int,
+    pool_parts: list[np.ndarray],
+    sel_parts: list[np.ndarray],
+) -> None:
+    """One contiguous slice's candidates for an exact equi probe,
+    appended to ``pool_parts`` / ``sel_parts`` (the reference's hash
+    path; the bucket's values are gathered from the store, where the
+    table used to carry them permuted into partition order)."""
+    store = s.store
+    values = store.values
+    offset = pos - s.lo  # store row -> full-pool position
+    scanned = pruned = 0
+    for k, start, lo, hi in store.window_pieces(s.lo, s.hi):
+        t = state.table_for(store, k)
+        if t is None:
+            # window too small to index: all of it competes
+            pool_parts.append(values[lo:hi])
+            sel_parts.append(
+                np.arange(offset + lo, offset + hi, dtype=np.intp)
+            )
+            continue
+        built = start + t.build_n
+        a = t.starts[part]
+        b = t.starts[part + 1]
+        if b > a:
+            # no (min, max)-summary test here: thousands of keys
+            # share each bucket, so a nonempty bucket's value span
+            # practically always covers the probe key and the test
+            # would only add two scalar reads per window
+            scanned += 1
+            pruned += t.nonempty_parts - 1
+            rows = t.order[a:b]
+            vals = values[start + rows]
+            if lo > start or hi < built:
+                cut = slice(
+                    int(np.searchsorted(rows, lo - start, "left")),
+                    int(np.searchsorted(rows, min(hi, built) - start, "left")),
+                )
+                rows = rows[cut]
+                vals = vals[cut]
+            if len(rows):
+                pool_parts.append(vals)
+                sel_parts.append(rows + (offset + start))
+        else:
+            pruned += t.nonempty_parts
+        if built < hi:
+            # rows appended after the table build are always
+            # candidates; they are contiguous, so views again
+            tail_lo = max(lo, built)
+            pool_parts.append(values[tail_lo:hi])
+            sel_parts.append(
+                np.arange(offset + tail_lo, offset + hi, dtype=np.intp)
+            )
+    state.partitions_scanned += scanned
+    state.partitions_pruned += pruned
+
+
+#: hash-store values (``-0.0`` must share ``0.0``'s bucket) and probe
+#: keys: stored ones, a NaN and one never stored
+_KEYS = [0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
+_PROBE_KEYS = [0.0, 1.0, 3.0, 8.0, float("nan"), 999.0]
+_SEED = st.integers(0, 2**16)
+
+#: store mutations and probes, replayed on twin stores
+_CHARGE_OPS = st.lists(
+    st.one_of(
+        # in-order arrivals: (count, time step) — a small step keeps a
+        # burst in one basic window (large, indexed), a big one spreads
+        # it thin (windows too small to index); listed twice, arrivals
+        # are the common case
+        st.tuples(st.just("burst"), st.integers(1, 60),
+                  st.sampled_from([0.002, 0.01, 0.03, 0.2]), _SEED),
+        st.tuples(st.just("burst"), st.integers(1, 60),
+                  st.sampled_from([0.002, 0.01, 0.03, 0.2]), _SEED),
+        # a late arrival shifts rows inside the store
+        st.tuples(st.just("late"), st.sampled_from([0.3, 1.0, 2.5]),
+                  st.just(0), _SEED),
+        # 0, 1 and more than n + 1 rotations
+        st.tuples(st.just("jump"), st.sampled_from([0.0, 1.0, 9.0]),
+                  st.just(0), st.just(0)),
+        st.tuples(st.just("evict"), st.sampled_from([1.0, 2.5]),
+                  st.just(0), st.just(0)),
+        st.tuples(st.just("evict_k"), st.integers(1, 4),
+                  st.just(0), st.just(0)),
+        st.tuples(st.just("probe"),
+                  st.sampled_from(["full", "span", "strided", "pieces"]),
+                  st.just(0), _SEED),
+        st.tuples(st.just("probe"),
+                  st.sampled_from(["full", "span", "strided", "pieces"]),
+                  st.just(0), _SEED),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def _twin_store(kind: str) -> PartitionedWindow:
+    if kind == HASH:
+        state = WindowIndexState(HASH, 0.0)
+    else:
+        state = WindowIndexState(RANGE, 0.5)
+        for v in np.linspace(0.0, 10.0, 16):
+            state.observe(float(v))
+        state.tick()
+        assert state.active == RANGE
+    return PartitionedWindow(4.0, 1.0, mode=SCALAR, index=state)
+
+
+def _probe_slices(pw, how: str, rng: random.Random, now: float):
+    """One hop's slice selection: a full probe, a harvested run, a
+    shredded (strided) probe, or up to three arbitrary slices."""
+    if how == "full":
+        return pw.full_slices(now)
+    if how == "span":
+        j_lo = rng.randint(1, pw.n)
+        return pw.logical_span_slices(
+            j_lo, rng.randint(j_lo, pw.n), now, now - rng.choice([0.0, 0.4])
+        )
+    if how == "strided":
+        return shredded_slices(pw, rng.choice([0.5, 0.34]), now)
+    head, tail = pw.live_rows
+    slices = []
+    for _ in range(rng.randint(1, 3)):
+        lo, hi = sorted(rng.randint(head, tail) for _ in range(2))
+        slices.append(WindowSlice(pw, lo, hi, rng.choice([1, 1, 2, 3])))
+    return slices
+
+
+def _counters(state):
+    return (state.partitions_scanned, state.partitions_pruned,
+            state.rebuilds, state.switches)
+
+
+class TestChargeMatchesPrunedPool:
+    """``charge`` counts exactly the pool the kernel used to gather, and
+    moves the partition counters by the same amounts — over twin stores
+    that take the same inserts, late inserts, rotations, evictions and
+    probes (so the same tables are built, reused and frozen)."""
+
+    @pytest.mark.parametrize("kind", [HASH, RANGE])
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ops=_CHARGE_OPS)
+    def test_charge_is_the_pruned_pool_size(self, tune, kind, ops):
+        tune(min_index_rows=8, n_partitions=16, min_samples=4, warmup=4)
+        ref, new = _twin_store(kind), _twin_store(kind)
+        now = 0.0
+        seq = 0
+        for op, a, b, seed in ops:
+            rng = random.Random(seed)
+            if op == "burst":
+                for _ in range(a):
+                    now += b
+                    value = (rng.choice(_KEYS) if kind == HASH
+                             else round(rng.uniform(0.0, 10.0), 2))
+                    seq += 1
+                    for pw in (ref, new):
+                        pw.insert(tup(now, value=value, seq=seq), now)
+            elif op == "late":
+                seq += 1
+                value = rng.choice(_KEYS) if kind == HASH else 4.5
+                for pw in (ref, new):
+                    pw.insert(tup(now - a, value=value, seq=seq), now)
+            elif op == "jump":
+                now += a
+                for pw in (ref, new):
+                    pw.rotate_to(now)
+            elif op == "evict":
+                for pw in (ref, new):
+                    pw.evict_older_than(a, now)
+            elif op == "evict_k":
+                for pw in (ref, new):
+                    pw.rotate_to(now)
+                    pw.evict_basic_window(a)
+            else:
+                key = rng.choice(_PROBE_KEYS)
+                if kind == HASH:
+                    glo = ghi = key
+                else:
+                    key = rng.uniform(-1.0, 11.0) if key == key else key
+                    glo = key - rng.choice([0.0, 0.3, 1.5])
+                    ghi = key + rng.choice([0.0, 0.3, 1.5])
+                ref_slices = _probe_slices(ref, a, random.Random(seed), now)
+                new_slices = _probe_slices(new, a, random.Random(seed), now)
+                total = sum(map(len, new_slices))
+                before = new.windex.rows_scanned, new.windex.rows_pruned
+                pool, sel = _indexed_pool(
+                    ref.windex, ref_slices, glo, ghi, key
+                )
+                charged = new.windex.charge(new_slices, total, glo, ghi, key)
+                assert charged == len(pool)
+                assert _counters(new.windex) == _counters(ref.windex)
+                assert (new.windex.rows_scanned, new.windex.rows_pruned) == (
+                    before[0] + charged, before[1] + total - charged
+                )
+                # lossless: every hit of the full scan was charged
+                full = np.concatenate(
+                    [_EMPTY_F64, *(s.values for s in ref_slices)]
+                )
+                hits = np.flatnonzero((full >= glo) & (full <= ghi))
+                assert np.isin(hits, sel).all()
+
+
+class TestPolicy:
+    @pytest.fixture
+    def adaptive(self, tune):
+        def make(radius=0.0, **constants):
+            tune(**{"min_samples": 8, "warmup": 8, "hysteresis": 2,
+                    **constants})
+            return WindowIndexState(ADAPTIVE, radius)
+
+        return make
+
+    def test_starts_flat_and_needs_sensor(self, adaptive):
+        state = adaptive()
         assert state.active == FLAT
         assert state.needs_sensor
         assert not WindowIndexState(HASH, 0.0).needs_sensor
-        assert not WindowIndexState(FLAT, 0.0).needs_sensor
         assert WindowIndexState(RANGE, 1.0).needs_sensor
 
     def test_pinned_hash_active_immediately(self):
         assert WindowIndexState(HASH, 0.0).active == HASH
 
-    def test_stays_flat_below_min_samples(self):
-        state = self._adaptive(min_samples=100)
+    def test_stays_flat_below_min_samples(self, adaptive):
+        state = adaptive(min_samples=100)
         for v in range(20):
             state.observe(float(v))
         for _ in range(5):
             assert state.tick() == FLAT
         assert state.switches == 0
 
-    def test_equi_switches_to_hash_after_hysteresis(self):
-        state = self._adaptive(radius=0.0, hysteresis=3)
+    def test_equi_switches_to_hash_after_hysteresis(self, adaptive):
+        state = adaptive(radius=0.0, hysteresis=3)
         for v in range(16):
             state.observe(float(v))
         assert state.tick() == FLAT  # pending 1
@@ -405,29 +675,29 @@ class TestPolicy:
         assert state.tick() == HASH  # pending 3 -> switch
         assert state.switches == 1
 
-    def test_band_predicate_picks_range_when_selective(self):
+    def test_band_predicate_picks_range_when_selective(self, adaptive):
         # radius 1 over a 0..100 domain: envelope width 2 well under
         # span_ratio * span
-        state = self._adaptive(radius=1.0, hysteresis=1)
+        state = adaptive(radius=1.0, hysteresis=1)
         for v in np.linspace(0.0, 100.0, 64):
             state.observe(float(v))
         assert state.tick() == RANGE
         assert state._boundaries is not None
 
-    def test_wide_band_stays_flat(self):
+    def test_wide_band_stays_flat(self, adaptive):
         # radius 40 over a 0..100 domain: partitions can't prune an
         # envelope that wide, policy keeps the flat scan
-        state = self._adaptive(radius=40.0, hysteresis=1)
+        state = adaptive(radius=40.0, hysteresis=1)
         for v in np.linspace(0.0, 100.0, 64):
             state.observe(float(v))
         assert state.tick() == FLAT
         assert state.switches == 0
 
-    def test_alternating_desire_never_switches(self):
+    def test_alternating_desire_never_switches(self, adaptive):
         # hysteresis is the anti-flap contract: a desired kind that
         # disagrees with the active one must persist for `hysteresis`
         # *consecutive* ticks; any tick that re-agrees resets the count
-        state = self._adaptive(radius=0.0, hysteresis=2)
+        state = adaptive(radius=0.0, hysteresis=2)
         for v in range(16):
             state.observe(float(v))
         flip = [HASH, FLAT] * 10
@@ -437,19 +707,17 @@ class TestPolicy:
         assert state.active == FLAT
         assert state.switches == 0
 
-    def test_pinned_range_waits_for_sensor(self):
-        state = WindowIndexState(
-            RANGE, 1.0, min_samples=8, warmup=8
-        )
+    def test_pinned_range_waits_for_sensor(self, tune):
+        tune(min_samples=8, warmup=8)
+        state = WindowIndexState(RANGE, 1.0)
         assert state.tick() == FLAT  # no sensor yet
         for v in range(8):
             state.observe(float(v))
         assert state.tick() == RANGE
         assert state.switches == 1
 
-    def test_ring_feeds_sensor_through_inserts(self):
-        state = self._adaptive(radius=0.0, hysteresis=1, min_samples=4,
-                               warmup=4)
+    def test_ring_feeds_sensor_through_inserts(self, adaptive):
+        state = adaptive(radius=0.0, hysteresis=1, min_samples=4, warmup=4)
         pw = PartitionedWindow(4.0, 1.0, index=state)
         for i in range(10):
             pw.insert(tup(0.1 * i, value=float(i % 3), seq=i), 0.1 * i)
@@ -504,9 +772,3 @@ class TestOperatorEquivalence:
         states = op.windex_states
         assert sum(s.rows_pruned for s in states) > 0
         assert hash_keys == flat_keys
-
-    def test_pinned_flat_spec_is_inert(self, workload):
-        flat_keys, _ = self._drive(workload, None)
-        pinned_keys, op = self._drive(workload, "flat")
-        assert all(s.rebuilds == 0 for s in op.windex_states)
-        assert pinned_keys == flat_keys

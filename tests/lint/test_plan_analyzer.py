@@ -527,13 +527,12 @@ class TestModeAndPolicyRules:
 class TestPartitionIndexRule:
     """P133: the ``index=`` spec must agree with the predicate."""
 
-    def make(self, predicate, spec, shedding="none", **join_kwargs):
+    def make(self, predicate, spec, shedding="none"):
         return (
             Query()
             .streams(*make_sources())
             .window(10.0, basic=1.0)
-            .join(predicate, shedding=shedding, **join_kwargs)
-            .index(spec)
+            .join(predicate, shedding=shedding, index=spec)
         )
 
     def test_hash_on_equi_is_clean(self):
@@ -547,10 +546,9 @@ class TestPartitionIndexRule:
             report = analyze_query(self.make(EpsilonJoin(1.0), spec))
             assert report.ok, report.render()
 
-    def test_flat_and_none_always_clean(self):
+    def test_none_always_clean(self):
         from repro.joins import JaccardJoin
 
-        assert analyze_query(self.make(JaccardJoin(0.5), "flat")).ok
         assert analyze_query(self.make(JaccardJoin(0.5), None)).ok
 
     def test_hash_on_band_predicate_rejected(self):
@@ -577,18 +575,6 @@ class TestPartitionIndexRule:
         report = analyze_query(self.make(EquiJoin(), "btree"))
         assert "P133" in error_codes(report)
 
-    def test_double_specification_rejected(self):
-        from repro.joins import EquiJoin
-
-        report = analyze_query(
-            self.make(EquiJoin(), "hash", index="hash")
-        )
-        assert "P133" in error_codes(report)
-        with pytest.raises(ValueError, match="twice"):
-            self.make(EquiJoin(), "hash", index="hash").build(
-                capacity=10.0
-            )
-
     def test_build_threads_spec_into_operator(self):
         from repro.joins import EquiJoin
 
@@ -606,15 +592,3 @@ class TestPartitionIndexRule:
         assert report.ok, report.render()
         _graph, placeholder = query.build(capacity=10.0)
         assert placeholder.join_operator.index_spec == "hash"
-
-    def test_graph_level_mirror_catches_attribute_surgery(self):
-        # constructors validate once; the analyzer re-validates the
-        # *current* state of each node
-        from repro.joins import EquiJoin
-
-        graph, placeholder = self.make(EquiJoin(), "hash").build(
-            capacity=10.0
-        )
-        placeholder.join_operator.predicate = EpsilonJoin(1.0)
-        report = analyze_graph(graph)
-        assert "P133" in error_codes(report)

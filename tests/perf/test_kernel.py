@@ -266,17 +266,20 @@ def test_outputs_are_stream_sorted():
 # ----------------------------------------------------------------------
 
 
-def _block_fixture(pool: str, seed: int, now: float):
+def _block_fixture(pool: str, seed: int, now: float, monkeypatch):
     """Three windows of a random trace, the predicate, and the probe's
-    slice selection, for one kind of candidate pool."""
+    slice selection, for one kind of probe (full, shredded, or priced
+    by a hash / range index)."""
     rng = random.Random(seed)
     m, window, basic = 3, 6.0, 1.5
+    # windows of tens of rows: index them anyway
+    for name, value in (("min_index_rows", 8), ("min_samples", 4),
+                        ("warmup", 4)):
+        monkeypatch.setattr(WindowIndexState, name, value)
     if pool == "hash":
         predicate = EquiJoin()
-        states = [
-            WindowIndexState(HASH, 0.0, min_index_rows=8, n_partitions=16)
-            for _ in range(m)
-        ]
+        monkeypatch.setattr(WindowIndexState, "n_partitions", 16)
+        states = [WindowIndexState(HASH, 0.0) for _ in range(m)]
 
         def draw():
             return float(rng.randrange(6))
@@ -284,11 +287,8 @@ def _block_fixture(pool: str, seed: int, now: float):
         predicate = EpsilonJoin(0.4)
         states = [None] * m
         if pool == "range":
-            states = [
-                WindowIndexState(RANGE, 0.4, min_index_rows=8,
-                                 n_partitions=8, min_samples=4, warmup=4)
-                for _ in range(m)
-            ]
+            monkeypatch.setattr(WindowIndexState, "n_partitions", 8)
+            states = [WindowIndexState(RANGE, 0.4) for _ in range(m)]
 
         def draw():
             return rng.uniform(0.0, 8.0)
@@ -322,7 +322,7 @@ def _block_fixture(pool: str, seed: int, now: float):
 
 @pytest.mark.parametrize("pool", ["full", "shredded", "hash", "range"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_result_block_outlives_its_windows(pool, seed):
+def test_result_block_outlives_its_windows(pool, seed, monkeypatch):
     """A block taken at probe time and first read after its windows took
     a late sorted insert, an eviction, a full turn of the ring, growth
     and compaction is the reference pipeline's output as of the probe:
@@ -330,7 +330,7 @@ def test_result_block_outlives_its_windows(pool, seed):
     without building any."""
     now = 10.0
     windows, states, predicate, draw, slices_for = _block_fixture(
-        pool, seed, now
+        pool, seed, now, monkeypatch
     )
     rng = random.Random(1000 + seed)
     taken = []

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import repro.core.basic_windows as basic_windows
 from repro.core.basic_windows import SCALAR, PartitionedWindow
 from repro.core.harvesting import HarvestConfiguration
+from repro.core.windex import HASH, WindowIndexState
 from repro.joins.columnar import run_pipeline_columnar
 from repro.joins.pipeline import merge_slices
-from repro.joins.predicates import EpsilonJoin
+from repro.joins.predicates import EpsilonJoin, EquiJoin
 from repro.streams.tuples import StreamTuple
 
 
@@ -168,7 +169,8 @@ class TestOneSlicePerHop:
     one ``WindowSlice`` — one view as the hop's candidate pool — and
     nothing is glued back together, values or ``seq``."""
 
-    def _probe_counts(self, monkeypatch, slices_for_hop):
+    def _probe_counts(self, slices_for_hop, order=(1, 2),
+                      predicate=EpsilonJoin(0.6), value=0.5):
         built = []
         init = basic_windows.WindowSlice.__init__
 
@@ -178,29 +180,30 @@ class TestOneSlicePerHop:
 
         copies = []
         concatenate = np.concatenate
-        monkeypatch.setattr(basic_windows.WindowSlice, "__init__",
-                            counting_init)
-        monkeypatch.setattr(
-            np, "concatenate",
-            lambda *a, **kw: copies.append(a) or concatenate(*a, **kw),
-        )
-        tup = StreamTuple(value=0.5, timestamp=9.3, stream=0, seq=10_000)
-        result = run_pipeline_columnar(
-            tup, [1, 2], slices_for_hop, EpsilonJoin(0.6)
-        )
-        monkeypatch.undo()
+        tup = StreamTuple(value=value, timestamp=9.3, stream=0, seq=10_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basic_windows.WindowSlice, "__init__", counting_init)
+            mp.setattr(
+                np, "concatenate",
+                lambda *a, **kw: copies.append(a) or concatenate(*a, **kw),
+            )
+            result = run_pipeline_columnar(
+                tup, order, slices_for_hop, predicate
+            )
         assert len(result.outputs) > 0  # every hop ran, and materialized
-        assert result.outputs.seqs.shape == (len(result.outputs), 3)
+        assert result.outputs.seqs.shape == (
+            len(result.outputs), len(order) + 1
+        )
         return len(built), len(copies)
 
-    def test_full_probe(self, monkeypatch):
+    def test_full_probe(self):
         now = 9.3
         windows = [fill_window(30 + i, now=now) for i in range(3)]
         assert self._probe_counts(
-            monkeypatch, lambda hop, l: windows[l].full_slices(now)
+            lambda hop, l: windows[l].full_slices(now)
         ) == (2, 0)
 
-    def test_single_run_harvested_probe(self, monkeypatch):
+    def test_single_run_harvested_probe(self):
         now = 9.3
         windows = [fill_window(40 + i, now=now) for i in range(3)]
         n = windows[0].n
@@ -211,11 +214,51 @@ class TestOneSlicePerHop:
         )
         assert cfg.selected_runs(0, 0) == [(2, 4)]
         assert self._probe_counts(
-            monkeypatch,
             lambda hop, l: cfg.run_slices_for_hop(
                 windows[l], 0, hop, now, reference=now - 0.2
             ),
         ) == (2, 0)
+
+    def test_indexed_single_run_hop(self, monkeypatch):
+        """An active hash index prices the hop and leaves its pool alone:
+        the pool is still the slice's view of the value column, and
+        pricing it gathers and glues nothing."""
+        monkeypatch.setattr(WindowIndexState, "min_index_rows", 8)
+        now = 9.3
+        rng = random.Random(50)
+        windows = []
+        for stream in range(2):
+            pw = PartitionedWindow(6.0, 1.0, mode=SCALAR,
+                                   index=WindowIndexState(HASH, 0.0))
+            stamps = sorted(rng.uniform(now - 7.0, now) for _ in range(240))
+            for seq, t in enumerate(stamps):
+                pw.insert(StreamTuple(value=float(rng.randrange(4)),
+                                      timestamp=t, stream=stream, seq=seq),
+                          now)
+            windows.append(pw)
+        state = windows[1].windex
+
+        def probe_counts():
+            return self._probe_counts(
+                lambda hop, l: windows[l].full_slices(now),
+                order=(1,), predicate=EquiJoin(), value=1.0,
+            )
+
+        probe_counts()  # builds the tables: one argsort gather each
+        assert state.rebuilds >= 3 and state.rows_pruned > 0
+        gathers = []
+
+        class Column(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, (np.ndarray, list)):
+                    gathers.append(key)
+                return super().__getitem__(key)
+
+        windows[1]._vals = windows[1]._vals.view(Column)
+        rebuilds = state.rebuilds
+        assert probe_counts() == (1, 0)
+        assert gathers == []
+        assert state.rebuilds == rebuilds
 
 
 # ----------------------------------------------------------------------
