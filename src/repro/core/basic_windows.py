@@ -130,7 +130,7 @@ class PartitionedWindow:
     __slots__ = (
         "window_size", "basic_window_size", "n", "mode", "policy", "windex",
         "tuples", "_ts", "_vals", "_seq", "_bounds", "_gens", "_last",
-        "_epoch_start", "rotations",
+        "_epoch_start", "rotations", "frozen_version",
     )
 
     def __init__(
@@ -189,6 +189,11 @@ class PartitionedWindow:
         self._epoch_start = float(start_time)
         #: rotation-epoch counter: increments once per basic-window rotation
         self.rotations = 0
+        #: moves whenever the frozen windows (ring index >= 1) may differ
+        #: from before: a rotation, a generation bump, or an in-order
+        #: append into a frozen window (which moves no generation).
+        #: Compaction moves no window-relative row and leaves it alone
+        self.frozen_version = 0
 
     # ------------------------------------------------------------------
     # time management
@@ -217,6 +222,7 @@ class PartitionedWindow:
             self._gens = [*self._gens[1:], 0]
             self._epoch_start += b
             self.rotations += 1
+            self.frozen_version += 1
             if self.windex is not None:
                 self.windex.mark_frozen(self)
 
@@ -259,6 +265,8 @@ class PartitionedWindow:
                 # above it cannot take the tail row (window 0 ends there)
                 while bounds[-k - 1] != row:
                     k -= 1
+                if k:
+                    self.frozen_version += 1
                 for j in range(1, k + 1):
                     bounds[-j - 1] = row + 1
             bounds[-1] = row + 1
@@ -310,6 +318,7 @@ class PartitionedWindow:
         for j in range(k + 1):
             bounds[-j - 1] += delta
         self._gens[-k - 1] += 1
+        self.frozen_version += 1
         if delta < 0 and bounds[-1] > bounds[0]:
             self._last = float(self._ts[bounds[-1] - 1])
 
@@ -406,6 +415,16 @@ class PartitionedWindow:
             k, start, piece_lo, stop = pieces[-1]
             pieces[-1] = (k, start, piece_lo, min(hi, stop))
         return pieces
+
+    def ring_span(self, lo: int, hi: int) -> tuple[int, int]:
+        """Ring indexes of the physical basic windows holding rows ``lo``
+        and ``hi - 1`` (stored rows, ``lo < hi``): the oldest and the
+        newest window that rows ``[lo, hi)`` touch, two searches
+        whatever ``n`` is."""
+        bounds = self._bounds
+        top = self.n + 1
+        return (top - bisect_right(bounds, lo),
+                top - bisect_right(bounds, hi - 1))
 
     def strided(
         self, slices: Sequence[WindowSlice], step: int
@@ -564,6 +583,7 @@ class PartitionedWindow:
             older = self.n + 1 - k  # windows k..n: the first entries
             bounds[:older] = [bounds[-k - 1]] * older
             self._gens[:older] = [g + 1 for g in self._gens[:older]]
+            self.frozen_version += 1
         return dropped
 
     def evict_older_than(self, age: float, now: float) -> int:

@@ -46,6 +46,8 @@ output-identical to running without an index
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +68,8 @@ KIND_CODES = {FLAT: 0, HASH: 1, RANGE: 2}
 #: Fibonacci-hash multiplier (2^64 / phi); multiply-shift over the raw
 #: float64 bit pattern gives a fast, well-mixing bucket code
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
 
 _EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
@@ -128,9 +132,13 @@ class PartitionTable:
     ``order[starts[p]:starts[p+1]]`` lists partition ``p``'s row
     positions — relative to the window's first row — in ascending row
     order (the ``argsort`` over codes is stable, and codes are computed
-    in row order).  ``pmins``/``pmaxs``
-    hold per-partition value extrema (``+inf``/``-inf`` for empty
-    partitions) for summary-based pruning.
+    in row order).  ``starts`` and ``order_list`` (``order`` as a list)
+    are plain python ints for the hash charge, which reads two entries
+    of one and bisects a bucket's few rows of the other: numpy scalars
+    and calls cost more than that work.  ``pmins``/``pmaxs``
+    hold per-partition extrema of the non-NaN values (``+inf``/``-inf``
+    for empty partitions, NaN for NaN-only ones, which then never pass
+    a summary test) for summary-based pruning.
 
     The table covers the window's first ``build_n`` rows.
     Basic windows are append-only between rotations, so a table stays
@@ -141,8 +149,8 @@ class PartitionTable:
     of one per insert).
     """
 
-    __slots__ = ("kind", "n_parts", "order", "starts", "pmins", "pmaxs",
-                 "nonempty_parts", "build_n")
+    __slots__ = ("kind", "n_parts", "order", "order_list", "starts",
+                 "pmins", "pmaxs", "nonempty_parts", "build_n")
 
     def __init__(
         self,
@@ -157,11 +165,49 @@ class PartitionTable:
         self.kind = kind
         self.n_parts = n_parts
         self.order = order
-        self.starts = starts
+        self.order_list = order.tolist()
+        self.starts = starts.tolist()
         self.pmins = pmins
         self.pmaxs = pmaxs
         self.nonempty_parts = int(np.count_nonzero(np.diff(starts)))
         self.build_n = build_n
+
+
+#: a frozen window whose table a :class:`_FrozenPlan` has not asked for
+_UNFETCHED = object()
+
+
+class _FrozenPlan:
+    """One store's frozen basic windows (ring index ``1..n``) as an exact
+    match probe prices them, valid while the store's ``frozen_version``
+    stands (the state drops its plan on an epoch switch).
+
+    ``tables[k]`` is window ``k``'s table (or ``None``: too small or
+    empty), asked of :meth:`WindowIndexState.table_for` the first time
+    a probe touches the window; until the frozen part changes,
+    ``table_for`` would hand back the same object with no side effect,
+    so asking once is exact.  ``rows[p]`` / ``hits[p]`` / ``parts`` are
+    prefix sums over the ring, read only for spans inside ``lo..hi``
+    (ring indexes whose windows are all fetched): ``rows[p][k]`` the
+    rows windows ``< k`` are charged
+    whole for bucket ``p`` (bucket plus delta tail, or every row of a
+    window without a table), ``hits[p][k]`` how many of their tables
+    have bucket ``p`` nonempty, ``parts[k]`` their nonempty partitions.
+    """
+
+    __slots__ = ("store", "version", "tables", "sizes", "lo", "hi",
+                 "rows", "hits", "parts")
+
+    def __init__(self, store: PartitionedWindow | None = None) -> None:
+        self.store = store
+        n = 0 if store is None else store.n
+        self.version = -1 if store is None else store.frozen_version
+        self.tables: list = [_UNFETCHED] * (n + 1)
+        self.sizes = [0] * (n + 1)
+        self.lo, self.hi = 1, 0
+        self.rows: list[list[int]] = []
+        self.hits: list[list[int]] = []
+        self.parts: list[int] = []
 
 
 class WindowIndexState:
@@ -177,7 +223,10 @@ class WindowIndexState:
       only after ``hysteresis`` consecutive agreeing ticks;
     * the **tables** — per-basic-window :class:`PartitionTable`\\ s
       rebuilt lazily when the window's rows moved or the state's epoch
-      (bumped on every kind/boundary switch) did.
+      (bumped on every kind/boundary switch) did;
+    * the **plan** — the frozen windows' tables and the per-bucket
+      prefix sums a hash probe is priced from (:class:`_FrozenPlan`),
+      kept while the store's ``frozen_version`` and the epoch stand.
 
     Args:
         spec: ``"hash"`` / ``"range"`` pin the kind; ``"adaptive"``
@@ -214,7 +263,7 @@ class WindowIndexState:
             raise ValueError("radius must be non-negative")
         self.spec = spec
         self.radius = float(radius)
-        self._hash_shift = np.uint64(64 - self.n_partitions.bit_length() + 1)
+        self._hash_shift = 64 - self.n_partitions.bit_length() + 1
         #: the currently applied kind; hash needs no boundaries so a
         #: pinned hash spec activates immediately, pinned range waits
         #: for the sensor (boundaries), adaptive starts flat
@@ -234,6 +283,8 @@ class WindowIndexState:
         # table cache: window identity -> (epoch, generation, table);
         # mark_frozen drops the expired window's, so it stays at n + 1
         self._tables: dict[int, tuple[int, int, PartitionTable]] = {}
+        # the frozen windows as a hash probe prices them (_bucket_rows)
+        self._plan = _FrozenPlan()
         # telemetry (flushed into obs as deltas at adaptation ticks)
         self.rebuilds = 0
         self.switches = 0
@@ -247,7 +298,14 @@ class WindowIndexState:
     # ------------------------------------------------------------------
 
     def observe(self, value: float) -> None:
-        """Feed one inserted value to the distribution sensor."""
+        """Feed one inserted value to the distribution sensor.
+
+        NaN and infinities are skipped: they say nothing about the
+        distribution, and pricing is lossless by table construction,
+        whatever the sensor saw.
+        """
+        if not isfinite(value):
+            return
         if self.sensor is not None:
             self.sensor.add(value)
             return
@@ -336,6 +394,7 @@ class WindowIndexState:
             self._boundaries = boundaries
         self.active = kind
         self.epoch += 1
+        self._plan = _FrozenPlan()
         self.switches += 1
         self._pending = None
         self._pending_ticks = 0
@@ -408,7 +467,9 @@ class WindowIndexState:
     def _hash_codes(self, vals: np.ndarray) -> np.ndarray:
         # +0.0 canonicalizes -0.0 so equal floats share a bit pattern
         bits = (vals + 0.0).view(np.uint64)
-        return ((bits * _HASH_MULT) >> self._hash_shift).astype(np.intp)
+        return ((bits * _HASH_MULT) >> np.uint64(self._hash_shift)).astype(
+            np.intp
+        )
 
     def hash_part(self, key: float) -> int:
         """Bucket of a single probe key (scalar :meth:`_hash_codes`).
@@ -418,9 +479,9 @@ class WindowIndexState:
         one-element array; pure-Python bit mixing is reproduced
         exactly (uint64 wraparound via the explicit mask).
         """
-        bits = struct.unpack("<Q", struct.pack("<d", key + 0.0))[0]
+        bits = _U64.unpack(_F64.pack(key + 0.0))[0]
         code = (bits * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        return int(code >> int(self._hash_shift))
+        return code >> self._hash_shift
 
     def _build(self, vals: np.ndarray) -> PartitionTable:
         if self.active == HASH:
@@ -443,8 +504,11 @@ class WindowIndexState:
         sv = vals[order]
         nonempty = np.flatnonzero(np.diff(starts) > 0)
         if len(nonempty):
-            pmins[nonempty] = np.minimum.reduceat(sv, starts[nonempty])
-            pmaxs[nonempty] = np.maximum.reduceat(sv, starts[nonempty])
+            # fmin / fmax: a NaN row must not poison its partition's
+            # summary (a NaN-only one stays NaN and prunes: NaN matches
+            # nothing)
+            pmins[nonempty] = np.fmin.reduceat(sv, starts[nonempty])
+            pmaxs[nonempty] = np.fmax.reduceat(sv, starts[nonempty])
         return PartitionTable(kind, n_parts, order, starts, pmins, pmaxs,
                               len(vals))
 
@@ -575,12 +639,14 @@ class WindowIndexState:
             # partial's values equal the probing tuple's — one probe key,
             # one bucket, resolved once
             part = self.hash_part(key)
-            parts = np.array([part], dtype=np.intp)
+            parts = None  # only a strided slice needs it as an array
             glo = ghi = key
         for s in slices:
             if hashed and s.step == 1:
                 charged += self._bucket_rows(s, part)
             elif len(s):
+                if parts is None:
+                    parts = np.array([part], dtype=np.intp)
                 rows = self.candidate_rows(s, glo, ghi, parts=parts)
                 charged += len(s) if rows is None else len(rows)
         self.rows_scanned += charged
@@ -591,39 +657,138 @@ class WindowIndexState:
         """Rows of the step-1 slice ``s`` in hash bucket ``part``, plus
         each window's delta tail and the windows too small to index.
 
-        No ``(min, max)``-summary test here: thousands of keys share
-        each bucket, so a nonempty bucket's value span practically
-        always covers the probe key and the test would only add two
-        scalar reads per window.
+        Python work per call does not grow with the number of basic
+        windows: the slice can only cut its oldest and its newest window
+        (a bucket's rows are ascending, so one bisect pair each), and
+        the whole frozen windows between them are read off
+        the store's :class:`_FrozenPlan` (:meth:`_whole_rows`).  The
+        filling window goes through :meth:`table_for` as every window
+        used to.  No ``(min, max)``-summary test here: thousands of keys
+        share each bucket, so a nonempty bucket's value span practically
+        always covers the probe key.
         """
+        lo, hi = s.lo, s.hi
+        if hi <= lo:
+            return 0
         store = s.store
-        count = scanned = pruned = 0
-        for k, start, lo, hi in store.window_pieces(s.lo, s.hi):
-            table = self.table_for(store, k)
-            if table is None:
-                count += hi - lo
-                continue
-            built = start + table.build_n
-            a = int(table.starts[part])
-            b = int(table.starts[part + 1])
-            if b > a:
-                scanned += 1
-                pruned += table.nonempty_parts - 1
-                if lo > start or hi < built:
-                    # the bucket's rows are ascending: cut them to the
-                    # slice's part of the table's prefix
-                    rows = table.order[a:b]
-                    a = int(np.searchsorted(rows, lo - start, "left"))
-                    b = int(np.searchsorted(rows, min(hi, built) - start,
-                                            "left"))
-                count += max(b - a, 0)
+        plan = self._plan
+        if plan.store is not store or plan.version != store.frozen_version:
+            plan = self._plan = _FrozenPlan(store)
+        k_old, k_new = store.ring_span(lo, hi)
+        count = 0
+        for k in (k_old, k_new) if k_old != k_new else (k_old,):
+            start, stop = store.window_rows(k)
+            if k == 0:
+                table = self.table_for(store, 0)
             else:
-                pruned += table.nonempty_parts
-            if built < hi:
-                count += hi - max(lo, built)
-        self.partitions_scanned += scanned
-        self.partitions_pruned += pruned
+                table = plan.tables[k]
+                if table is _UNFETCHED:
+                    table = self._fetch(plan, store, k, stop - start)
+            count += self._piece_rows(
+                table, part, start, max(lo, start), min(hi, stop)
+            )
+        if k_old - k_new > 1:
+            count += self._whole_rows(plan, store, k_new + 1, k_old - 1, part)
         return count
+
+    def _piece_rows(
+        self,
+        table: PartitionTable | None,
+        part: int,
+        start: int,
+        lo: int,
+        hi: int,
+    ) -> int:
+        """Rows ``[lo, hi)`` of the window starting at row ``start``
+        that bucket ``part`` of its ``table`` (``None``: every row)
+        charges, its delta tail included."""
+        if table is None:
+            return hi - lo
+        built = start + table.build_n
+        a = table.starts[part]
+        b = table.starts[part + 1]
+        if b > a:
+            self.partitions_scanned += 1
+            self.partitions_pruned += table.nonempty_parts - 1
+            if lo > start or hi < built:
+                # the bucket's rows are ascending: cut them to the
+                # slice's part of the table's prefix
+                rows = table.order_list
+                a, b = (bisect_left(rows, lo - start, a, b),
+                        bisect_left(rows, min(hi, built) - start, a, b))
+            count = max(b - a, 0)
+        else:
+            self.partitions_pruned += table.nonempty_parts
+            count = 0
+        if built < hi:
+            count += hi - max(lo, built)
+        return count
+
+    def _fetch(
+        self, plan: _FrozenPlan, store: PartitionedWindow, k: int, size: int
+    ) -> PartitionTable | None:
+        table = plan.tables[k] = self.table_for(store, k)
+        plan.sizes[k] = size
+        return table
+
+    def _whole_rows(
+        self,
+        plan: _FrozenPlan,
+        store: PartitionedWindow,
+        a: int,
+        b: int,
+        part: int,
+    ) -> int:
+        """What frozen windows ``a..b``, each covered whole, are charged
+        for bucket ``part``: two reads of the plan's prefix sums, once
+        every window in the span has been fetched.  Fetching stays lazy —
+        an empty window is never asked for its table, as the per-window
+        walk never asked it — so no table is built that the walk would
+        not have built."""
+        if not plan.lo <= a <= b <= plan.hi:
+            for k in range(a, b + 1):
+                if plan.tables[k] is _UNFETCHED:
+                    start, stop = store.window_rows(k)
+                    if stop > start:
+                        self._fetch(plan, store, k, stop - start)
+                    else:
+                        plan.tables[k] = None
+            if a <= plan.hi + 1 and plan.lo <= b + 1:
+                plan.lo, plan.hi = min(a, plan.lo), max(b, plan.hi)
+            else:
+                plan.lo, plan.hi = a, b
+            self._sum_plan(plan)
+        rows = plan.rows[part]
+        hits = plan.hits[part]
+        scanned = hits[b + 1] - hits[a]
+        self.partitions_scanned += scanned
+        self.partitions_pruned += plan.parts[b + 1] - plan.parts[a] - scanned
+        return rows[b + 1] - rows[a]
+
+    def _sum_plan(self, plan: _FrozenPlan) -> None:
+        """(Re)build the plan's prefix sums over its fetched windows."""
+        n_windows = len(plan.tables)
+        counts = np.zeros((n_windows, self.n_partitions), dtype=np.int64)
+        whole = np.zeros(n_windows, dtype=np.int64)
+        parts = np.zeros(n_windows, dtype=np.int64)
+        for k, table in enumerate(plan.tables):
+            if table is None:
+                whole[k] = plan.sizes[k]
+            elif table is not _UNFETCHED:
+                counts[k] = np.diff(table.starts)
+                whole[k] = plan.sizes[k] - table.build_n
+                parts[k] = table.nonempty_parts
+
+        def prefix(per_window: np.ndarray) -> np.ndarray:
+            return np.concatenate((
+                np.zeros((1, *per_window.shape[1:]), dtype=np.int64),
+                np.cumsum(per_window, axis=0),
+            ))
+
+        # one python list per bucket: a span's charge is two list reads
+        plan.rows = prefix(counts + whole[:, None]).T.tolist()
+        plan.hits = prefix((counts > 0).astype(np.int64)).T.tolist()
+        plan.parts = prefix(parts).tolist()
 
     def mark_frozen(self, store: PartitionedWindow) -> None:
         """``store`` just rotated: drop the cached table of the window
@@ -638,10 +803,6 @@ class WindowIndexState:
         frozen = store.window_key(1)[0]
         self._tables.pop(frozen, None)
         self._tables.pop(frozen - store.n, None)
-
-    def invalidate(self) -> None:
-        """Drop all cached tables (e.g. between runs)."""
-        self._tables.clear()
 
 
 class WindexTelemetry:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.basic_windows import SCALAR, PartitionedWindow, WindowSlice
@@ -29,6 +29,7 @@ from repro.core.windex import (
     make_index_states,
 )
 from repro.joins.mjoin import MJoinOperator
+from repro.joins.predicates import EpsilonJoin, EquiJoin
 from repro.streams import StreamTuple
 from repro.testkit.workloads import zipf_key_workload
 
@@ -259,13 +260,23 @@ class TestTableLifecycle:
         state._switch(HASH)  # epoch moves even to the same kind
         assert state.table_for(bw, 0) is not first
 
-    def test_invalidate_drops_all(self, tune):
+    def test_epoch_switch_refetches_frozen_tables(self, tune):
+        # a hash probe keeps the frozen windows' tables between probes;
+        # after an epoch switch it must ask for (and rebuild) them again
         state = hash_state(tune)
-        bw = fill(one_window(), range(100))
-        state.table_for(bw, 0)
-        state.invalidate()
-        state.table_for(bw, 0)
-        assert state.rebuilds == 2
+        pw = PartitionedWindow(4.0, 1.0, index=state)
+        for i in range(350):
+            pw.insert(tup(0.01 * i, value=float(i % 5), seq=i), 0.01 * i)
+        slices = pw.full_slices(3.5)
+        total = sum(map(len, slices))
+        charged = state.charge(slices, total, 2.0, 2.0, 2.0)
+        # one table per window: ring indexes 3..1 frozen, 0 filling
+        assert state.rebuilds == 4
+        assert state.charge(slices, total, 2.0, 2.0, 2.0) == charged
+        assert state.rebuilds == 4
+        state._switch(HASH)
+        assert state.charge(slices, total, 2.0, 2.0, 2.0) == charged
+        assert state.rebuilds == 8
 
 
 class TestCandidateRows:
@@ -492,11 +503,23 @@ def _hash_bucket(
     state.partitions_pruned += pruned
 
 
+_NAN, _INF = float("nan"), float("inf")
 #: hash-store values (``-0.0`` must share ``0.0``'s bucket) and probe
-#: keys: stored ones, a NaN and one never stored
+#: keys: stored ones, a NaN, the infinities and one never stored
 _KEYS = [0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 8.0]
-_PROBE_KEYS = [0.0, 1.0, 3.0, 8.0, float("nan"), 999.0]
+_PROBE_KEYS = [0.0, 1.0, 3.0, 8.0, _NAN, _INF, -_INF, 999.0]
+#: stored now and then by either kind: a NaN must not hide the values
+#: sharing its partition, and an infinity matches an infinity
+_NON_FINITE = [_NAN, _INF, -_INF]
 _SEED = st.integers(0, 2**16)
+
+
+def _stored_value(rng: random.Random, kind: str) -> float:
+    if rng.random() < 0.1:
+        return rng.choice(_NON_FINITE)
+    if kind == HASH:
+        return rng.choice(_KEYS)
+    return round(rng.uniform(0.0, 10.0), 2)
 
 #: store mutations and probes, replayed on twin stores
 _CHARGE_OPS = st.lists(
@@ -512,6 +535,10 @@ _CHARGE_OPS = st.lists(
         # a late arrival shifts rows inside the store
         st.tuples(st.just("late"), st.sampled_from([0.3, 1.0, 2.5]),
                   st.just(0), _SEED),
+        # tuples stamped with the newest stored timestamp: in order, and
+        # after a jump older than the filling window, so appended into a
+        # frozen one with no generation moving
+        st.tuples(st.just("stale"), st.integers(1, 30), st.just(0), _SEED),
         # 0, 1 and more than n + 1 rotations
         st.tuples(st.just("jump"), st.sampled_from([0.0, 1.0, 9.0]),
                   st.just(0), st.just(0)),
@@ -571,33 +598,52 @@ def _counters(state):
 class TestChargeMatchesPrunedPool:
     """``charge`` counts exactly the pool the kernel used to gather, and
     moves the partition counters by the same amounts — over twin stores
-    that take the same inserts, late inserts, rotations, evictions and
-    probes (so the same tables are built, reused and frozen)."""
+    that take the same inserts, in-order appends into frozen windows,
+    late inserts, rotations, evictions and probes (so the same tables
+    are built, reused and frozen), NaN and infinities stored among the
+    values."""
 
     @pytest.mark.parametrize("kind", [HASH, RANGE])
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ops=_CHARGE_OPS)
+    # the frozen windows' changes a hash probe must notice between two
+    # probes (whose seeds draw finite keys): an in-order append into one
+    # (4 windows of 1 s here) ...
+    @example(ops=[("burst", 60, 0.01, 1), ("jump", 1.0, 0, 0),
+                  ("probe", "full", 0, 2), ("stale", 20, 0, 3),
+                  ("probe", "full", 0, 4), ("burst", 5, 0.01, 5),
+                  ("probe", "full", 0, 6)])
+    # ... and a late insert into one that a full probe covers whole
+    @example(ops=[("burst", 90, 0.03, 1), ("burst", 10, 0.05, 2),
+                  ("probe", "full", 0, 3), ("late", 1.0, 0, 4),
+                  ("probe", "full", 0, 6)])
     def test_charge_is_the_pruned_pool_size(self, tune, kind, ops):
         tune(min_index_rows=8, n_partitions=16, min_samples=4, warmup=4)
         ref, new = _twin_store(kind), _twin_store(kind)
-        now = 0.0
+        now = newest = 0.0
         seq = 0
         for op, a, b, seed in ops:
             rng = random.Random(seed)
             if op == "burst":
                 for _ in range(a):
                     now += b
-                    value = (rng.choice(_KEYS) if kind == HASH
-                             else round(rng.uniform(0.0, 10.0), 2))
+                    value = _stored_value(rng, kind)
                     seq += 1
                     for pw in (ref, new):
                         pw.insert(tup(now, value=value, seq=seq), now)
+                newest = now
             elif op == "late":
                 seq += 1
                 value = rng.choice(_KEYS) if kind == HASH else 4.5
                 for pw in (ref, new):
                     pw.insert(tup(now - a, value=value, seq=seq), now)
+            elif op == "stale":
+                for _ in range(a):
+                    value = _stored_value(rng, kind)
+                    seq += 1
+                    for pw in (ref, new):
+                        pw.insert(tup(newest, value=value, seq=seq), now)
             elif op == "jump":
                 now += a
                 for pw in (ref, new):
@@ -772,3 +818,51 @@ class TestOperatorEquivalence:
         states = op.windex_states
         assert sum(s.rows_pruned for s in states) > 0
         assert hash_keys == flat_keys
+
+
+class TestNonFiniteValues:
+    """NaN and the infinities in the join column: no index kind may
+    crash on them (the sensor skips them, during warm-up and after) or
+    charge a hop less than its hits (a NaN shares a range partition with
+    real values, whose summary must still cover them)."""
+
+    @staticmethod
+    def _tuples(seed=5, rate=300.0, duration=6.0, n_keys=2000):
+        rng = random.Random(seed)
+        tuples = []
+        for stream in range(3):
+            for i in range(int(rate * duration)):
+                value = (rng.choice(_NON_FINITE) if rng.random() < 0.03
+                         else float(rng.randrange(n_keys)))
+                tuples.append(tup(i / rate + 0.001 * stream, value=value,
+                                  seq=i, stream=stream))
+        return sorted(tuples, key=lambda t: (t.timestamp, t.stream, t.seq))
+
+    @staticmethod
+    def _drive(tuples, predicate, index):
+        op = MJoinOperator(predicate, [2.0] * 3, 1.0, index=index)
+        keys = []
+        next_adapt = 1.0
+        for t in tuples:
+            while t.timestamp >= next_adapt:
+                op.on_adapt(next_adapt, [], 1.0)
+                next_adapt += 1.0
+            keys.extend(r.key() for r in op.process(t, t.timestamp).outputs)
+        return keys, op
+
+    @pytest.mark.parametrize("predicate, index, kind", [
+        (EpsilonJoin(0.5), RANGE, RANGE),
+        (EpsilonJoin(0.5), ADAPTIVE, RANGE),
+        (EquiJoin(), ADAPTIVE, HASH),
+    ])
+    def test_same_output_as_no_index(self, tune, predicate, index, kind):
+        # eight range partitions: the one a NaN lands in (the last) holds
+        # an eighth of the keys, so a poisoned summary would lose results
+        tune(min_index_rows=64, n_partitions=8)
+        tuples = self._tuples()
+        flat_keys, _ = self._drive(tuples, predicate, None)
+        keys, op = self._drive(tuples, predicate, index)
+        # not vacuous: the index was active and pruned
+        assert all(s.active == kind for s in op.windex_states)
+        assert sum(s.rows_pruned for s in op.windex_states) > 0
+        assert keys == flat_keys

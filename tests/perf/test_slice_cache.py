@@ -261,6 +261,54 @@ class TestOneSlicePerHop:
         assert state.rebuilds == rebuilds
 
 
+class TestFrozenTablesOncePerRotation:
+    """What pricing a hash hop costs, as counts: the frozen windows'
+    tables are asked for once per rotation, not once per probe — a
+    steady-state full probe calls ``table_for`` for the filling window
+    only."""
+
+    def test_full_hash_probes(self, monkeypatch):
+        monkeypatch.setattr(WindowIndexState, "min_index_rows", 8)
+        calls = []
+        table_for = WindowIndexState.table_for
+
+        def counting(self, store, k):
+            calls.append(k)
+            return table_for(self, store, k)
+
+        monkeypatch.setattr(WindowIndexState, "table_for", counting)
+        rng = random.Random(70)
+        pw = PartitionedWindow(6.0, 1.0, mode=SCALAR,
+                               index=WindowIndexState(HASH, 0.0))
+        probes = rows = 0
+        per_rotation = []
+        for rotation in range(12):
+            calls.clear()
+            # 10 probes per basic window, each after 4 in-order arrivals
+            for _ in range(10):
+                for _ in range(4):
+                    rows += 1
+                    t = rows * 0.025
+                    pw.insert(StreamTuple(value=float(rng.randrange(8)),
+                                          timestamp=t, stream=1, seq=rows), t)
+                probes += 1
+                now = rows * 0.025
+                run_pipeline_columnar(
+                    StreamTuple(value=float(rng.randrange(8)), timestamp=now,
+                                stream=0, seq=probes),
+                    (1,), lambda hop, l: pw.full_slices(now), EquiJoin(),
+                )
+            per_rotation.append((calls.count(0), len(calls) - calls.count(0)))
+        assert pw.windex.rows_pruned > 0  # the index priced the hops
+        # steady state (the window is full from the 7th basic window on):
+        # once per probe for the filling window, and at most once per
+        # frozen window per rotation — where a per-window walk asks every
+        # window on every probe (70 frozen-window calls per rotation)
+        for filling, frozen in per_rotation[pw.n + 1:]:
+            assert filling == 10
+            assert frozen <= pw.n
+
+
 # ----------------------------------------------------------------------
 # the cuts against the implementation they replace
 # ----------------------------------------------------------------------
