@@ -812,9 +812,9 @@ class WindexTelemetry:
     ``windex_*`` metric families appear in every export (zero-valued
     at the flat default); values are flushed as deltas at adaptation
     ticks and at end-of-run, keeping the per-tuple hot path free of
-    instrument calls.  The publishing entry point is named ``record``
-    (not ``flush``) deliberately: it only *writes* instruments, and the
-    effect certifier's P122 allowlist admits it as write-only telemetry.
+    instrument calls.  ``record`` only *writes*
+    instruments: an operator never reads telemetry back into its
+    results (obs on and obs off give the same ids).
     """
 
     def __init__(self, obs, labels: dict, num_streams: int) -> None:

@@ -20,12 +20,6 @@ tree.  ``--format json`` emits a machine-readable document::
 The JSON schema is golden-tested: field names, ordering and indentation
 are frozen at version 1.  ``--format sarif`` emits SARIF 2.1.0 for
 GitHub code-scanning annotations.
-
-``--effects`` switches to the effect-certification pass
-(:mod:`repro.lint.effects`): certify every operator class, and
-optionally write (``--manifest-out``) or drift-check
-(``--check-manifest``) the machine-readable manifest CI commits under
-``benchmarks/effects/``.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Simulator-invariant linter for the GrubJoin reproduction "
-            "(rules R001-R007, effect certification; see "
+            "(rules R001-R007; see "
             "docs/STATIC_ANALYSIS.md)"
         ),
     )
@@ -76,27 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule registry and exit",
-    )
-    parser.add_argument(
-        "--effects",
-        action="store_true",
-        help=(
-            "run the effect-certification pass instead of the file "
-            "rules: classify every operator"
-        ),
-    )
-    parser.add_argument(
-        "--manifest-out",
-        metavar="PATH",
-        help="(with --effects) write the JSON effect manifest here",
-    )
-    parser.add_argument(
-        "--check-manifest",
-        metavar="PATH",
-        help=(
-            "(with --effects) fail (exit 1) unless the committed "
-            "manifest at PATH byte-matches the freshly computed one"
-        ),
     )
     return parser
 
@@ -226,69 +199,6 @@ def _render_sarif(reports: list[FileReport]) -> str:
     )
 
 
-def _effects_src_root(paths: Sequence[str]) -> Path | None:
-    """The src root to certify: the first path containing ``repro/``."""
-    for entry in paths:
-        p = Path(entry)
-        if (p / "repro").is_dir():
-            return p
-    return None
-
-
-def _run_effects(args: argparse.Namespace) -> int:
-    """The ``--effects`` mode: certify, write/check the manifest."""
-    from .effects import analyze_package
-
-    src_root = _effects_src_root(args.paths)
-    try:
-        analysis = analyze_package(src_root, refresh=True)
-    except Exception as exc:  # noqa: BLE001 — analyzer crash is exit 2
-        print(f"INTERNAL: effect analysis crashed: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    problems: list[str] = []
-
-    # every certificate must resolve to a real classification
-    for name, cert in sorted(analysis.certificates.items()):
-        if cert.classification == "unknown":
-            problems.append(
-                f"P120 {name} could not be classified: "
-                + "; ".join(cert.why)
-            )
-    for error in analysis.errors:
-        problems.append(f"P120 analysis error: {error}")
-
-    manifest = analysis.manifest_json()
-    if args.manifest_out:
-        Path(args.manifest_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.manifest_out).write_text(manifest, encoding="utf-8")
-    if args.check_manifest:
-        committed_path = Path(args.check_manifest)
-        committed = (
-            committed_path.read_text(encoding="utf-8")
-            if committed_path.exists() else None
-        )
-        if committed != manifest:
-            problems.append(
-                f"manifest drift: {committed_path} does not match the "
-                "freshly computed manifest; regenerate with "
-                "`python -m repro.lint --effects --manifest-out "
-                f"{committed_path}` and review the classification diff"
-            )
-
-    if args.format == "json":
-        print(manifest, end="")
-        for problem in problems:
-            print(problem, file=sys.stderr)
-    else:
-        print(analysis.render_human())
-        for problem in problems:
-            print(problem)
-        print(f"{len(problems)} problem(s), "
-              f"{len(analysis.certificates)} class(es) certified")
-    return 1 if problems else 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -298,9 +208,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{rule.code}  {rule.name:<22} [{scope}]")
             print(f"      {rule.summary}")
         return 0
-
-    if args.effects:
-        return _run_effects(args)
 
     select = None
     if args.select:

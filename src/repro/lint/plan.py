@@ -38,25 +38,16 @@ P111   Router fan-out: a partitioning router (``output_kind ==
        must carry a ``filter`` — an unfiltered edge would deliver every
        routed tuple to every shard (duplicated results), a missing
        target would silently drop that shard's share of the input.
-P120   Shard safety: every operator replicated behind a router must
-       certify ``pure``/``stream-local``/``shard-safe`` in the effect
-       manifest (:mod:`repro.lint.effects`); a ``shared-state`` or
-       ``unknown`` operator is never sharded.
 P121   Merger order-insensitivity: an operator that fans shard outputs
        back in must declare ``order_insensitive = True`` (or expose a
-       ``merge_key``) or certify ``pure`` — shard completion order is
-       scheduling-dependent, and an order-sensitive merge would make
-       results depend on it.
-P122   Telemetry direction: operator entry paths may *write* obs
-       instruments but never read them; reading telemetry feeds the
-       metrics plane back into results and (under sharding) couples
-       shards through the shared obs tree.
-P124   Instance aliasing: the *actual* shard operator instances must
-       not share mutable objects reachable through attributes their
-       certificates say they write (a shared read-only table is fine;
-       a shared written window is one shard scribbling on another).
-       A shard factory returning one instance for two shards is the
-       limiting case: every written root is aliased.
+       ``merge_key``) — shard completion order is scheduling-dependent,
+       and an order-sensitive merge would make results depend on it.
+P124   Instance aliasing: no container or array (list, dict, set,
+       deque, ndarray, bytearray, memoryview) may be reachable from two
+       of the *actual* shard operator instances (a shared read-only
+       predicate object is fine; a shared window list is one shard
+       scribbling on another).  A shard factory returning one instance
+       for two shards is the limiting case: every container is shared.
 P126   Worker telemetry (process runtime): worker telemetry is
        constructed *post-fork* and stays private to its worker — no
        telemetry-plane object (a bound ``Obs`` sink, registry,
@@ -88,9 +79,9 @@ P133   Partition-index compatibility: an ``index=`` spec must agree
        operator already passed the same check in its constructor.
 =====  ==================================================================
 
-The effect checks (P120-P124) run exactly when the graph contains a
-routed topology; P120/P124/P126 are one function,
-:func:`certify_shards`, shared with the build-time gate.
+The shard checks (P121, P124) run exactly when the graph contains a
+routed topology; P124/P126 are one function, :func:`certify_shards`,
+shared with the build-time gate.  All of them look at live objects.
 
 Feasibility (P106) is *symbolic*: rates, selectivities and throttle come
 from :class:`HarvestAssumptions`, not from a run.  With uniform
@@ -379,7 +370,7 @@ def _feasibility_profile(
 
 
 # --------------------------------------------------------------------------
-# effect certification checks (P120-P126)
+# shard-safety checks (P121, P124, P126)
 # --------------------------------------------------------------------------
 
 
@@ -389,56 +380,30 @@ def certify_shards(
     *,
     worker_entry: bool = False,
 ) -> PlanReport:
-    """The shard-safety gate: P120 + P124 (+ P126 for worker entry).
+    """The shard-safety gate on live objects: P124 (+ P126 for worker
+    entry).
 
-    The only implementation of the three checks: the plan analyzer runs
-    it per routed shard group, ``build_sharded_graph`` and ``run_procs``
+    The only implementation of both checks: the plan analyzer runs it
+    per routed shard group, ``build_sharded_graph`` and ``run_procs``
     through :func:`repro.parallel.sharded.certify_shard_operators`.
 
-    * P120 — every replicated operator *class* certifies
-      ``pure``/``stream-local``/``shard-safe`` (one finding per class,
-      naming the shards that carry it);
-    * P124 — the *instances* alias no mutable object through a root
-      their certificates say they mutate (one instance handed to two
-      shards aliases every such root);
+    * P124 — no container or array is reachable from two of the
+      instances (one instance handed to two shards shares every
+      container it holds);
     * P126 — ``worker_entry=True``: the process runtime is about to
       fork these operators, see :func:`_check_worker_telemetry`.
 
     ``labels`` name the operators in messages (default ``shard<k>``).
     """
-    from .effects import SHARDABLE, classify_class
-    from .stategraph import written_aliases
+    from .stategraph import shared_containers
 
     if labels is None:
         labels = [f"shard{k}" for k in range(len(shard_ops))]
     report = PlanReport()
     if worker_entry:
         _check_worker_telemetry(report, shard_ops, labels)
-    certificates = [classify_class(type(op)) for op in shard_ops]
-
-    carriers: dict[str, list[int]] = {}
-    for k, cert in enumerate(certificates):
-        carriers.setdefault(cert.qualname, []).append(k)
-    for indices in carriers.values():
-        cert = certificates[indices[0]]
-        if cert.classification in SHARDABLE:
-            continue
-        detail = cert.why[0] if cert.why else "no certificate"
-        report.add(
-            "P120",
-            f"shard operator {cert.qualname} (on "
-            f"{', '.join(labels[k] for k in indices)}) certifies "
-            f"{cert.classification!r} ({detail}); only pure/"
-            "stream-local/shard-safe operators may be replicated — "
-            "fix the shared state",
-            node=labels[indices[0]],
-        )
-
-    mutated = [
-        frozenset(cert.effects.get("mutated_writes", ()))
-        for cert in certificates
-    ]
-    for shared, hits in written_aliases(shard_ops, mutated, labels):
+    for shared in shared_containers(shard_ops):
+        hits = shared.sites(labels)
         report.add(
             "P124",
             f"shard instances share one mutable {shared.type_name} "
@@ -457,8 +422,7 @@ def _check_worker_telemetry(
 
     The cross-process telemetry plane builds each worker's
     :class:`~repro.obs.Obs` *inside the forked child* and ships
-    incremental deltas back over the pipe (write-only from the shard —
-    P122 polices the entry paths); the supervisor-side aggregator is
+    incremental deltas back over the pipe (write-only from the shard); the supervisor-side aggregator is
     the only reader.  That design holds only if the operators about to
     be forked carry no telemetry at all:
 
@@ -507,33 +471,14 @@ def _check_worker_telemetry(
                 )
 
 
-def _effect_checks(
+def _shard_checks(
     report: PlanReport,
     nodes: dict[str, Any],
     shard_groups: list[tuple[str, list[str]]],
     edges: list[Any],
 ) -> None:
-    """P120-P124 over a routed plan."""
-    from .effects import classify_class
-
-    # P122 — obs hooks must be write-only, on every node in the plan
-    for name, op in sorted(nodes.items()):
-        cert = classify_class(type(op))
-        if cert.effects.get("obs") == "reads":
-            methods = ", ".join(
-                d for d in cert.why if d.startswith("reads telemetry")
-            ) or "reads telemetry"
-            report.add(
-                "P122",
-                f"operator {cert.qualname} on node {name!r} reads obs "
-                f"instruments ({methods}); telemetry is write-only from "
-                "operator entry paths — feedback through the metrics "
-                "plane makes results depend on what is being observed",
-                node=name,
-            )
-
+    """P121 / P124 over a routed plan."""
     for _router_name, targets in shard_groups:
-        # P120 / P124 — the one shard-safety gate
         report.diagnostics.extend(
             certify_shards([nodes[t] for t in targets], targets)
             .diagnostics
@@ -551,16 +496,13 @@ def _effect_checks(
                 continue
             if getattr(merger_op, "merge_key", None) is not None:
                 continue
-            cert = classify_class(type(merger_op))
-            if cert.classification == "pure":
-                continue
             report.add(
                 "P121",
-                f"operator {cert.qualname} on node {merge_target!r} "
-                f"merges {len(targets)} shard streams but neither "
-                "declares order_insensitive = True, nor exposes a "
-                "merge_key, nor certifies pure; shard completion order "
-                "is scheduling-dependent and would leak into results",
+                f"operator {type(merger_op).__qualname__} on node "
+                f"{merge_target!r} merges {len(targets)} shard streams "
+                "but neither declares order_insensitive = True nor "
+                "exposes a merge_key; shard completion order is "
+                "scheduling-dependent and would leak into results",
                 node=merge_target,
             )
 
@@ -574,8 +516,8 @@ def analyze_graph(
     graph: "DataflowGraph",
     assumptions: HarvestAssumptions | None = None,
 ) -> PlanReport:
-    """Validate a constructed dataflow graph (checks P101-P111, plus the
-    effect-certification checks P120-P124 for routed topologies)."""
+    """Validate a constructed dataflow graph (checks P101-P132, plus the
+    shard-safety checks P121/P124 for routed topologies)."""
     report = PlanReport()
     nodes = graph.node_operators()
     edges = graph.edge_list()
@@ -755,9 +697,9 @@ def analyze_graph(
                     )
                 )
 
-    # P120-P124 — effect certification of routed plans
+    # P121 / P124 — shard safety of routed plans
     if shard_groups:
-        _effect_checks(report, nodes, shard_groups, edges)
+        _shard_checks(report, nodes, shard_groups, edges)
     return report
 
 

@@ -126,14 +126,9 @@ class RuleContext:
         return ".".join(reversed(parts))
 
 
-def collect_imports(tree: ast.AST, ctx) -> None:
-    """Populate ``ctx``'s alias tables from the module's imports.
-
-    The one import collector: ``ctx`` is a :class:`RuleContext` or the
-    effect pass's :class:`repro.lint.callgraph.ModuleInfo` — anything
-    with ``module_aliases``, ``from_imports`` and a dotted ``name``,
-    against which relative imports are made absolute.
-    """
+def collect_imports(tree: ast.AST, ctx: RuleContext) -> None:
+    """Populate ``ctx``'s alias tables from the module's imports;
+    relative imports are made absolute against ``ctx.name``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:

@@ -1,20 +1,19 @@
 """Object-graph walker shared by rule P124 and the determinism sanitizer.
 
 Both checks need the same view of an operator's *state graph*: every
-mutable object reachable from its instance attributes, each labelled
-with the dotted path it was reached through (``windows[2].tuples``).
-P124 uses it at plan-build time to find objects aliased across shard
-instances; :class:`repro.testkit.sanitizer.DeterminismSanitizer` uses it
-at run time to fingerprint state between calls and attribute any
-unexpected change to a path.  Both ask :func:`written_aliases` the same
-question, so they name the same objects and the same paths.
+object reachable from its instance attributes, each labelled with the
+dotted path it was reached through (``windows[2].tuples``).  P124 uses
+it at plan-build time to find containers reachable from two shard
+instances; :class:`repro.testkit.sanitizer.DeterminismSanitizer` asks
+the same question at ``seal()`` and fingerprints the graph between
+calls to attribute any foreign change to a path.  Both ask
+:func:`shared_containers`, so they name the same objects and paths.
 
-Traversal rules (deliberately identical for both users, so the static
-and dynamic layers reason about the same graph):
+Traversal rules (identical for both users):
 
 * roots are ``vars(operator)`` minus telemetry plumbing (``obs``,
-  ``_obs_*`` — legitimately shared, policed by P122) and the router's
-  ``_depth_probe`` (closes over the whole graph by design);
+  ``_obs_*`` — write-only, and policed at the fork by P126) and the
+  router's ``_depth_probe`` (closes over the whole graph by design);
 * containers (dict/list/tuple/set/frozenset) and plain Python objects
   (``__dict__`` or relevant ``__slots__``) are entered; dict iteration
   is sorted by ``repr`` of the key so reports and fingerprints are
@@ -22,20 +21,27 @@ and dynamic layers reason about the same graph):
 * callables are *recorded* (by qualname) but never entered — an injected
   predicate's closure is the predicate author's business, and entering
   it would drag in module globals;
-* numpy arrays, bytearrays and memoryviews are mutable leaves;
+* numpy arrays, bytearrays, memoryviews and deques are mutable leaves;
 * strings/numbers/None/bool are immutable and invisible to aliasing
   (interning would produce false sharing).
+
+Sharing is flagged only where a write lands: a *container or array*
+(list, dict, set, deque, ndarray, bytearray, memoryview).  Plain objects
+on the way are walked through but not flagged, so one predicate object
+serving every shard is fine; a write through a shared plain object
+shows up as a foreign write on the victim's side of the sanitizer.
 
 Fingerprints are CRC32 over a canonical structural repr — content-based,
 never ``id()``-based, so two runs of the same simulation produce
 identical fingerprints (the sanitizer's reports stay deterministic).
+An array contributes its shape, dtype and a CRC of its whole buffer.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Collection, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 #: instance-attribute roots excluded from the walk: telemetry plumbing,
 #: the router's graph-wide depth probe, and the sanitizer's own handle
@@ -201,18 +207,31 @@ class SharedObject:
         )
         return f"{self.type_name} shared at {where}"
 
+    def sites(self, labels: Sequence[str]) -> list[str]:
+        """``label.path`` of every owner, in owner order."""
+        return [f"{labels[k]}.{p}" for k, p in sorted(self.paths.items())]
 
-def shared_mutable_objects(operators: Sequence[Any]) -> list[SharedObject]:
-    """Mutable objects reachable from two or more of the operators.
+
+def is_container(obj: Any) -> bool:
+    """Whether ``obj`` is where a write lands: a list, dict, set, deque,
+    array, bytearray or memoryview."""
+    return (isinstance(obj, (list, dict, set))
+            or type(obj).__name__ in _MUTABLE_LEAVES)
+
+
+def shared_containers(operators: Sequence[Any]) -> list[SharedObject]:
+    """Containers and arrays reachable from two or more of the operators.
 
     Sharing an immutable object (a tuple of window sizes, an interned
-    string) is invisible to execution; sharing a *mutable* one means one
-    shard's write is another shard's state change.
+    string) or a read-only collaborator is invisible to execution;
+    sharing a container means one shard's write is another shard's
+    state change.  One instance handed to two owners shares every
+    container it holds.
     """
     owners: dict[int, tuple[Any, dict[int, str]]] = {}
     for index, operator in enumerate(operators):
         for node in iter_state(operator):
-            if not is_mutable(node.obj):
+            if not is_container(node.obj):
                 continue
             entry = owners.get(id(node.obj))
             if entry is None:
@@ -225,42 +244,6 @@ def shared_mutable_objects(operators: Sequence[Any]) -> list[SharedObject]:
         if len(paths) >= 2
     ]
     return sorted(shared, key=lambda s: min(s.paths.values()))
-
-
-def root_of(path: str) -> str:
-    """``windows[2].tuples`` -> ``windows`` (the owning attribute)."""
-    for sep in (".", "[", "{"):
-        idx = path.find(sep)
-        if idx > 0:
-            path = path[:idx]
-    return path
-
-
-def written_aliases(
-    operators: Sequence[Any],
-    mutated_roots: Sequence[Collection[str]],
-    labels: Sequence[str],
-) -> list[tuple[SharedObject, list[str]]]:
-    """Aliased objects an owner *mutates*: ``(shared, written_hits)``.
-
-    ``mutated_roots[k]`` is operator ``k``'s certified
-    ``mutated_writes`` (``"*"`` = any root).  Sharing an injected
-    read-only collaborator (a predicate) is fine; sharing an object
-    reachable through a root its owner mutates (a window list) is one
-    operator scribbling on another.  ``written_hits`` are the
-    ``label.path`` sites of those owners; objects with none are dropped.
-    """
-    found = []
-    for shared in shared_mutable_objects(operators):
-        hits = [
-            f"{labels[owner]}.{path}"
-            for owner, path in sorted(shared.paths.items())
-            if "*" in mutated_roots[owner]
-            or root_of(path) in mutated_roots[owner]
-        ]
-        if hits:
-            found.append((shared, hits))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +284,7 @@ def _canonical(obj: Any, depth: int = 0,
         return ("[" if isinstance(obj, list) else "(") + inner + (
             "]" if isinstance(obj, list) else ")")
     if type(obj).__name__ == "ndarray":
-        return f"array{obj.shape}:{obj.dtype}:" + repr(obj.tobytes()[:512])
+        return f"array{obj.shape}:{obj.dtype}:{zlib.crc32(obj.tobytes())}"
     inner_dict = _instance_attrs(obj)
     if inner_dict:
         inner = ",".join(

@@ -52,7 +52,7 @@ class MergerOperator(StreamOperator):
 
     #: merging is commutative: results carry their own identity (the
     #: JoinResult key) and logical timestamps, so shard arrival order
-    #: never changes what downstream sees — P121 checks this declaration
+    #: never changes what downstream sees — P121 requires this declaration
     order_insensitive = True
 
     def __init__(self, num_shards: int, merge_cost: int = 1) -> None:

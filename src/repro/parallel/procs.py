@@ -643,7 +643,7 @@ def run_procs(
             flight (keeps pipes below the OS buffer: deadlock-free).
         control_interval: drain acks (and refresh ``dashboard``) every
             this many flushed batches.
-        certify: run the P120-series shard-safety gate over probe
+        certify: run the shard-safety gate (P124) over probe
             operators built from ``make_shard`` before forking,
             including the worker-entry check (P126).
         obs: optional :class:`repro.obs.Obs` sink.  Supervisor-side

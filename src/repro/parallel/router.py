@@ -110,11 +110,6 @@ class RouterOperator(StreamOperator):
 
     output_kind = "routed"
 
-    #: the depth probe closes over the live graph and feeds global
-    #: backlog state into routing decisions — a router is coordination
-    #: infrastructure, never replicated across shards (P120 enforces it)
-    __effects__ = "shared-state"
-
     def __init__(
         self,
         num_streams: int,

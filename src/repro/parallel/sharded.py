@@ -48,16 +48,13 @@ def certify_shard_operators(
     shard_ops: Sequence[StreamOperator],
     worker_entry: bool = False,
 ) -> None:
-    """The build-time shard-safety gate (static P120 + dynamic P124).
+    """The build-time shard-safety gate (P124, on live objects).
 
     Runs :func:`repro.lint.plan.certify_shards` — the same function the
     plan analyzer runs at validate time — and raises
-    :class:`repro.lint.plan.PlanValidationError` naming every problem
-    at once: an operator class that does not certify
-    ``pure``/``stream-local``/``shard-safe`` in the effect manifest
-    (P120), or instances aliasing a mutable object through attributes
-    their certificates say they write (P124; the classic bug: one
-    window list, or one operator, handed to every shard).
+    :class:`repro.lint.plan.PlanValidationError` naming every container
+    or array two instances can reach (P124; the classic bug: one window
+    list, or one operator, handed to every shard).
 
     ``worker_entry=True`` adds P126: the process runtime is about to
     fork these operators, so no telemetry object — a bound obs sink
@@ -184,11 +181,10 @@ def build_sharded_graph(
         certify: run the shard-safety gate
             (:func:`certify_shard_operators`) over the built shard
             operators — raises
-            :class:`repro.lint.plan.PlanValidationError` when a shard
-            operator certifies ``shared-state``/``unknown`` (P120), or
-            when instances alias written mutable state (P124).
-            ``False`` skips the gate (the plan analyzer still catches
-            both at validate time).
+            :class:`repro.lint.plan.PlanValidationError` when instances
+            share a container or array (P124).  ``False`` skips the
+            gate (the plan analyzer still catches it at validate
+            time).
 
     Returns:
         The assembled :class:`ShardedPlan` (depth probe already attached).

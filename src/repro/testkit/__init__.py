@@ -15,8 +15,8 @@ Four pieces, one contract:
   spikes, duplicates, reordering, CPU degradation), all replayable from
   a seed;
 * :mod:`~repro.testkit.sanitizer` — runtime determinism sanitizer that
-  shadow-tracks operators and hard-fails on writes the static effect
-  manifest (:mod:`repro.lint.effects`) claims impossible.
+  shadow-tracks operators and hard-fails on shared containers, foreign
+  writes and changed module or class globals.
 
 ``python -m repro.testkit`` runs the standard matrix and prints a
 canonical JSON verdict; CI diffs two runs byte-for-byte.

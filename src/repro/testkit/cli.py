@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sanitize", action="store_true",
         help="run every row under the determinism sanitizer: hard-fail "
-             "on any runtime write the effect manifest claims "
-             "impossible (aliasing, foreign writes, purity breaks)",
+             "on shared containers, foreign writes and changed module "
+             "or class globals",
     )
     parser.add_argument(
         "--check-determinism", action="store_true",

@@ -220,8 +220,8 @@ def procs_ids(workload: Workload, num_shards: int) -> set[IdVector]:
     No ``sanitize`` parameter: the determinism sanitizer shadow-tracks
     operator state in-process and cannot observe writes across a
     process boundary, so the matrix skips the procs rows when
-    sanitizing (the worker entry path is certified statically instead —
-    lint P120/P124/P126).
+    sanitizing (the worker entry path is gated on live objects instead —
+    lint P124/P126 before the fork).
     """
     from repro.parallel.procs import run_procs
 
@@ -515,8 +515,8 @@ def differential_matrix(
     can legitimately resurrect results the probe-time cut excluded).
 
     ``sanitize=True`` runs every row under the determinism sanitizer
-    (:mod:`repro.testkit.sanitizer`): a write that contradicts the
-    static effect manifest raises
+    (:mod:`repro.testkit.sanitizer`): a shared container, a foreign
+    write or a changed module or class global raises
     :class:`~repro.testkit.sanitizer.DeterminismViolation` instead of
     producing a (possibly still passing) verdict.
 

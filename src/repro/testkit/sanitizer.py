@@ -1,66 +1,54 @@
-"""Runtime determinism sanitizer: the effect manifest's dynamic cross-check.
-
-The static certifier (:mod:`repro.lint.effects`) *claims* things about
-every operator: which instance attributes it writes, that it never
-touches another operator's state, that replicated shards share no
-mutable objects.  Static analysis rests on assumptions (injected
-callables are pure, constructor-injected objects are per-instance), so
-this module re-checks the claims against what actually happens during a
-testkit run — a disagreement is a bug in the operator *or* in the
-analyzer, and both are worth a hard failure.
+"""Runtime determinism sanitizer: shard safety checked on live objects.
 
 :class:`DeterminismSanitizer` shadow-tracks registered operators through
-:class:`SanitizedOperator` proxies:
+:class:`SanitizedOperator` proxies and hard-fails when state an operator
+owns, or state every operator shares, changes behind its back:
 
-* **aliasing** — at :meth:`seal`, registered operators must not reach a
-  common mutable object through attributes their certificates mark as
-  *mutated* (the dynamic twin of rule P124; sharing a read-only
-  collaborator is fine);
-* **write provenance** — around every (stride-sampled) call, the
-  operator's state is fingerprinted path-by-path
-  (:func:`repro.lint.stategraph.iter_state`).  State that changed while
-  the operator *was not running* is a foreign write, reported with the
-  victim path and the operators that ran in between (with ``stride > 1``
-  this check is restricted to roots the certificate says the operator
-  never writes — its own unsampled writes are otherwise
-  indistinguishable; ``stride=1`` gives full detection); state the
-  operator
-  changed itself must stay within the attribute roots its certificate
-  declares (``pure`` operators may change nothing);
-* **new attributes** — cheap every-call check: attributes appearing
-  after construction must be declared writes (catches ``setattr``
-  smuggling that stride sampling might miss);
-* **module globals** — the mutable module-level bindings of the
-  simulator packages are fingerprinted at :meth:`seal` and re-checked at
-  :meth:`finish`; a simulation run must not modify package state.
+* **aliasing** — at :meth:`seal`, no container or array may be
+  reachable from two registered operators (rule P124's question, asked
+  through the same :func:`repro.lint.stategraph.shared_containers`, so
+  both name the same object and paths; sharing a read-only collaborator
+  object is fine);
+* **foreign writes** — an operator's state is fingerprinted path by
+  path (:func:`repro.lint.stategraph.iter_state`) at :meth:`seal`, after
+  every ``stride``-th of its calls, and again before the call that
+  follows.  State that changed in between changed while the operator was
+  not running: it is reported with the victim path and the operators
+  that ran in between.  A write through an object two operators share
+  shows up on the victim's side;
+* **globals** — the mutable module-level bindings of the loaded
+  ``repro.{core,engine,joins,streams,parallel}`` modules and of each
+  registered operator's defining module, and the class-level attributes
+  of each registered operator's classes (its MRO up to
+  :class:`StreamOperator`), are fingerprinted at :meth:`seal` and
+  re-checked at :meth:`finish`: a run must leave state every instance
+  shares as it found it.
 
 All fingerprints are structural (CRC over canonical reprs, never
 ``id()``), so sanitized runs stay bit-reproducible and two runs of the
 same workload produce identical reports.
 
 Performance: fingerprinting a join's full window state is O(state), so
-calls are sampled every ``stride`` calls per operator (plus the first
-and the final check).  ``stride=1`` gives exact attribution and is what
-the injected-violation tests use; the differential matrix default keeps
+an operator is fingerprinted twice per ``stride`` of its calls.
+``stride=1`` checks every gap between calls and is what the
+injected-violation tests use; the differential matrix default keeps
 overhead modest.
 """
 
 from __future__ import annotations
 
 import sys
+import types
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.lint.effects import classify_class
 from repro.lint.stategraph import (
     fingerprint,
-    iter_state,
     is_mutable,
-    root_of,
-    state_roots,
-    written_aliases,
+    iter_state,
+    shared_containers,
 )
 
 #: top-level subpackages whose module globals the sanitizer snapshots
@@ -73,7 +61,7 @@ _GLOBAL_EXCLUDE = ("logger",)
 
 
 class DeterminismViolation(AssertionError):
-    """The dynamic run contradicted the effect manifest."""
+    """The run wrote state an operator does not own."""
 
 
 def _fingerprint_paths(operator: Any) -> dict[str, int]:
@@ -85,32 +73,36 @@ def _fingerprint_paths(operator: Any) -> dict[str, int]:
     }
 
 
+def _is_shared_state(name: str, value: Any) -> bool:
+    """A module or class binding holding data (not code) a write can
+    change."""
+    return (
+        not name.startswith("__")
+        and name not in _GLOBAL_EXCLUDE
+        and not isinstance(value, types.ModuleType)
+        and is_mutable(value)
+    )
+
+
 @dataclass
 class _Record:
     """Shadow state for one registered operator."""
 
     label: str
     operator: Any
-    allowed_roots: frozenset[str]
-    #: roots whose *object* the operator mutates (aliasing check)
-    mutated_roots: frozenset[str]
-    classification: str
-    qualname: str
     calls: int = 0
-    #: path -> hash as of the operator's last own check
-    prints: dict[str, int] = field(default_factory=dict)
-    #: attribute names present at the last check
-    attr_names: frozenset[str] = frozenset()
+    #: path -> hash at seal or after the last sampled own call; None
+    #: once an unsampled own call may have changed it
+    prints: dict[str, int] | None = None
 
 
 class DeterminismSanitizer:
-    """Cross-checks runtime writes against the static effect manifest.
+    """Hard-fails on writes to state an operator does not own.
 
     Args:
-        stride: fingerprint every Nth call per operator (1 = every call,
-            exact provenance).  The cheap new-attribute check always
-            runs.
-        check_globals: also snapshot/verify simulator module globals.
+        stride: fingerprint after every Nth call per operator and again
+            before the next one (1 = every gap, exact provenance).
+        check_globals: also snapshot/verify module and class state.
     """
 
     def __init__(self, stride: int = 64,
@@ -125,6 +117,8 @@ class DeterminismSanitizer:
         self._violations: list[str] = []
         #: recent completed calls, for blaming foreign writes
         self._recent_calls: deque[str] = deque(maxlen=32)
+        #: scope -> (kind, namespace) of the state every instance shares
+        self._spaces: dict[str, tuple[str, Any]] = {}
         self._global_prints: dict[tuple[str, str], int] = {}
 
     # -- registration ----------------------------------------------------
@@ -140,105 +134,56 @@ class DeterminismSanitizer:
             raise RuntimeError("sanitizer already sealed")
         if label in self._records:
             raise ValueError(f"duplicate sanitizer label {label!r}")
-        cert = classify_class(type(operator))
-        self._records[label] = _Record(
-            label=label,
-            operator=operator,
-            allowed_roots=frozenset(
-                cert.effects.get("self_writes", ())
-            ),
-            mutated_roots=frozenset(
-                cert.effects.get("mutated_writes", ())
-            ),
-            classification=cert.classification,
-            qualname=cert.qualname,
-        )
+        self._records[label] = _Record(label=label, operator=operator)
 
     def seal(self) -> None:
         """Freeze registration: run the aliasing check, snapshot state."""
         if self._sealed:
             return
         self._sealed = True
-        records = list(self._records.values())
-        for shared, written_hits in written_aliases(
-            [record.operator for record in records],
-            [record.mutated_roots for record in records],
-            [record.label for record in records],
+        labels = list(self._records)
+        for shared in shared_containers(
+            [record.operator for record in self._records.values()]
         ):
             self._violations.append(
                 f"aliasing: one mutable {shared.type_name} is "
                 f"reachable from {len(shared.paths)} operators "
-                f"({shared.render()}) through written state "
-                f"({', '.join(written_hits)}); the manifest "
-                "certifies these operators as independent"
+                f"({shared.render()}) at "
+                f"{', '.join(shared.sites(labels))}; every operator "
+                "must own its containers"
             )
         for record in self._records.values():
             record.prints = _fingerprint_paths(record.operator)
-            record.attr_names = frozenset(state_roots(record.operator))
         if self.check_globals:
+            self._spaces = self._shared_namespaces()
             self._global_prints = self._snapshot_globals()
 
     # -- per-call hooks --------------------------------------------------
 
-    def before_call(self, label: str) -> bool:
-        """Pre-call check; returns whether this call is sampled."""
-        record = self._records[label]
+    def before_call(self, label: str) -> None:
+        """State changed since the operator's last sampled call changed
+        while it was not running."""
         if not self._sealed:
             self.seal()
-        record.calls += 1
-        sampled = (record.calls % self.stride == 0) or record.calls == 1
-        if sampled:
-            current = _fingerprint_paths(record.operator)
-            self._diff_foreign(record, current)
-            record.prints = current
-        return sampled
-
-    def after_call(self, label: str, sampled: bool) -> None:
         record = self._records[label]
-        names = frozenset(state_roots(record.operator))
-        new_names = names - record.attr_names
-        bad = [
-            n for n in new_names
-            if n not in record.allowed_roots
-            and "*" not in record.allowed_roots
-        ]
-        if bad:
-            self._violations.append(
-                f"undeclared attribute write: {record.label} "
-                f"({record.qualname}) grew attribute(s) "
-                f"{sorted(bad)} during a call, but its certificate "
-                f"declares writes only to "
-                f"{sorted(record.allowed_roots)}"
-            )
-        record.attr_names = names
-        if sampled:
-            current = _fingerprint_paths(record.operator)
-            self._diff_own(record, current)
-            record.prints = current
+        if record.prints is not None:
+            self._diff_foreign(record, _fingerprint_paths(record.operator))
+            record.prints = None
+
+    def after_call(self, label: str) -> None:
+        record = self._records[label]
+        record.calls += 1
+        if record.calls % self.stride == 0:
+            record.prints = _fingerprint_paths(record.operator)
         self._recent_calls.append(label)
-
-    # -- diffing ---------------------------------------------------------
-
-    def _changed_paths(self, old: dict[str, int],
-                       new: dict[str, int]) -> list[str]:
-        changed = [p for p, h in new.items() if old.get(p) != h]
-        changed.extend(p for p in old if p not in new)
-        return sorted(set(changed))
 
     def _diff_foreign(self, record: _Record,
                       current: dict[str, int]) -> None:
-        changed = self._changed_paths(record.prints, current)
-        if self.stride > 1:
-            # between samples the operator ran unsampled calls, so its
-            # own declared writes are indistinguishable from foreign
-            # ones — only changes to roots it *never* writes are
-            # provably foreign.  stride=1 keeps full detection.
-            if "*" in record.allowed_roots:
-                return
-            changed = [
-                p for p in changed
-                if root_of(p) not in record.allowed_roots
-            ]
+        old = record.prints
+        changed = sorted(
+            {p for p, h in current.items() if old.get(p) != h}
+            | (old.keys() - current.keys())
+        )
         if not changed:
             return
         ran_between = [
@@ -250,69 +195,45 @@ class DeterminismSanitizer:
         )
         self._violations.append(
             f"foreign write: state of {record.label} "
-            f"({record.qualname}) changed while it was not running — "
-            f"write site(s): "
+            f"({type(record.operator).__qualname__}) changed while it "
+            "was not running — write site(s): "
             + ", ".join(f"{record.label}.{p}" for p in changed[:5])
             + (f" (+{len(changed) - 5} more)" if len(changed) > 5
                else "")
             + f"; operators that ran in between: {suspects}"
         )
 
-    def _diff_own(self, record: _Record,
-                  current: dict[str, int]) -> None:
-        changed = self._changed_paths(record.prints, current)
-        if not changed:
-            return
-        if record.classification == "pure":
-            self._violations.append(
-                f"purity violation: {record.label} "
-                f"({record.qualname}) certifies pure but changed "
-                f"state at: "
-                + ", ".join(f"{record.label}.{p}" for p in changed[:5])
-            )
-            return
-        roots = {root_of(p) for p in changed}
-        undeclared = sorted(
-            r for r in roots
-            if r not in record.allowed_roots
-            and "*" not in record.allowed_roots
-        )
-        if undeclared:
-            sites = [
-                p for p in changed if root_of(p) in set(undeclared)
-            ]
-            self._violations.append(
-                f"undeclared write: {record.label} "
-                f"({record.qualname}) wrote attribute root(s) "
-                f"{undeclared} — write site(s): "
-                + ", ".join(f"{record.label}.{p}" for p in sites[:5])
-                + f"; certificate declares "
-                f"{sorted(record.allowed_roots)}"
-            )
+    # -- module and class state ------------------------------------------
 
-    # -- module globals --------------------------------------------------
+    def _shared_namespaces(self) -> dict[str, tuple[str, Any]]:
+        spaces: dict[str, tuple[str, Any]] = {}
+        for name in sorted(sys.modules):
+            parts = name.split(".")
+            module = sys.modules.get(name)
+            if (module is not None and parts[0] == "repro"
+                    and len(parts) > 1
+                    and parts[1] in _GLOBAL_SNAPSHOT_PACKAGES):
+                spaces[name] = ("module-global", vars(module))
+        for record in self._records.values():
+            cls = type(record.operator)
+            module = sys.modules.get(cls.__module__)
+            if module is not None:
+                spaces[cls.__module__] = ("module-global", vars(module))
+            for klass in cls.__mro__:
+                if klass is StreamOperator or klass is object:
+                    break
+                spaces[f"{klass.__module__}.{klass.__qualname__}"] = (
+                    "class-attribute", vars(klass)
+                )
+        return spaces
 
     def _snapshot_globals(self) -> dict[tuple[str, str], int]:
-        from repro.lint.effects import analyze_package
-
-        index = analyze_package().index
-        prints: dict[tuple[str, str], int] = {}
-        for module_name, info in sorted(index.modules.items()):
-            parts = module_name.split(".")
-            if len(parts) < 2 or \
-                    parts[1] not in _GLOBAL_SNAPSHOT_PACKAGES:
-                continue
-            module = sys.modules.get(module_name)
-            if module is None:
-                continue
-            for name in sorted(info.mutable_globals):
-                if name in _GLOBAL_EXCLUDE:
-                    continue
-                value = getattr(module, name, None)
-                if value is None:
-                    continue
-                prints[(module_name, name)] = fingerprint(value)
-        return prints
+        return {
+            (scope, name): fingerprint(value)
+            for scope, (_kind, space) in self._spaces.items()
+            for name, value in list(space.items())
+            if _is_shared_state(name, value)
+        }
 
     # -- teardown --------------------------------------------------------
 
@@ -324,17 +245,19 @@ class DeterminismSanitizer:
         if not self._sealed:
             self.seal()
         for record in self._records.values():
-            current = _fingerprint_paths(record.operator)
-            self._diff_foreign(record, current)
+            if record.prints is not None:
+                self._diff_foreign(
+                    record, _fingerprint_paths(record.operator)
+                )
         if self.check_globals:
-            for key, stamp in self._snapshot_globals().items():
-                old = self._global_prints.get(key)
-                if old is not None and old != stamp:
-                    module_name, name = key
+            current = self._snapshot_globals()
+            for key in sorted(self._global_prints):
+                if current.get(key) != self._global_prints[key]:
+                    scope, name = key
                     self._violations.append(
-                        f"module-global write: {module_name}.{name} "
-                        "changed during the run; simulator package "
-                        "state must be constant across simulations"
+                        f"{self._spaces[scope][0]} write: {scope}.{name} "
+                        "changed during the run; state every instance "
+                        "shares must stay constant across runs"
                     )
         self.raise_for_violations()
 
@@ -363,25 +286,25 @@ class SanitizedOperator(StreamOperator):
         self.output_kind = inner.output_kind
 
     def process(self, tup, now: float) -> ProcessReceipt:
-        sampled = self._sanitizer.before_call(self._label)
+        self._sanitizer.before_call(self._label)
         try:
             return self._inner.process(tup, now)
         finally:
-            self._sanitizer.after_call(self._label, sampled)
+            self._sanitizer.after_call(self._label)
 
     def on_adapt(self, now, stats, interval) -> None:
-        sampled = self._sanitizer.before_call(self._label)
+        self._sanitizer.before_call(self._label)
         try:
             self._inner.on_adapt(now, stats, interval)
         finally:
-            self._sanitizer.after_call(self._label, sampled)
+            self._sanitizer.after_call(self._label)
 
     def on_finish(self, now):
-        sampled = self._sanitizer.before_call(self._label)
+        self._sanitizer.before_call(self._label)
         try:
             return self._inner.on_finish(now)
         finally:
-            self._sanitizer.after_call(self._label, sampled)
+            self._sanitizer.after_call(self._label)
 
     def bind_obs(self, obs, **labels) -> None:
         self._inner.bind_obs(obs, **labels)

@@ -1,10 +1,21 @@
-"""CLI behavior: exit codes, human output, and the JSON schema."""
+"""CLI behavior: exit codes, human output, the JSON schema, goldens.
+
+Exit-code contract (CI depends on it): ``0`` clean, ``1`` findings,
+``2`` usage errors *and* rule crashes — a crashing rule must never
+masquerade as a clean tree.  The golden tests byte-compare
+``--format json``/``sarif`` over the committed fixture tree — the
+version-1 schema is frozen.
+"""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.lint.cli import main
+from repro.lint.rules import REGISTRY, RULES_BY_CODE, Rule
+
+HERE = Path(__file__).resolve().parent
 
 CLEAN = "def f(x=None):\n    return x\n"
 DIRTY = (
@@ -95,3 +106,55 @@ class TestListRules:
         out = capsys.readouterr().out
         for code in ("R001", "R002", "R003", "R004", "R005", "R006"):
             assert code in out
+
+
+class TestRuleCrashIsExitTwo:
+    def test_crashing_rule_exits_two_not_one(self, monkeypatch,
+                                             tmp_path, capsys):
+        import repro.lint.rules as rules_mod
+
+        crasher = Rule(
+            code="R998",
+            name="synthetic-crasher",
+            summary="always raises (test fixture)",
+            scope=(),
+            check=lambda tree, ctx: 1 // 0,
+        )
+        patched = REGISTRY + (crasher,)
+        monkeypatch.setattr(rules_mod, "REGISTRY", patched)
+        monkeypatch.setattr(
+            rules_mod, "RULES_BY_CODE",
+            {**RULES_BY_CODE, "R998": crasher},
+        )
+        pkg = tmp_path / "repro" / "core"
+        pkg.mkdir(parents=True)
+        (pkg / "ok.py").write_text("def f(x=None):\n    return x\n")
+        assert main([str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "R998 crashed" in captured.err
+        # a crash must not be double-reported as a finding
+        assert "0 finding(s)" in captured.out
+
+
+class TestGoldenOutputs:
+    """Byte-stable machine formats over the committed fixture tree."""
+
+    @pytest.fixture(autouse=True)
+    def _in_test_dir(self, monkeypatch):
+        # fixture paths in the output are relative to tests/lint
+        monkeypatch.chdir(HERE)
+
+    def run(self, fmt: str, capsys) -> str:
+        assert main(["fixtures", "--format", fmt]) == 1
+        return capsys.readouterr().out
+
+    def test_json_matches_golden(self, capsys):
+        expected = (HERE / "golden" / "dirty.json").read_text()
+        assert self.run("json", capsys) == expected
+
+    def test_sarif_matches_golden(self, capsys):
+        expected = (HERE / "golden" / "dirty.sarif").read_text()
+        assert self.run("sarif", capsys) == expected
+
+    def test_json_is_byte_deterministic(self, capsys):
+        assert self.run("json", capsys) == self.run("json", capsys)

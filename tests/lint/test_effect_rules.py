@@ -1,11 +1,11 @@
-"""Plan rules P120-P124 and the build-time shard-safety gate.
+"""Plan rules P121 / P124 and the build-time shard-safety gate.
 
-The bad operators here are the canonical sharding bugs: a module-global
-tally (any shard's write visible to all), one window list handed to
-every shard, an order-sensitive merger, an operator that *reads*
-telemetry back into its control path.  Each must be rejected both by the
-plan analyzer (``analyze_graph``) and — where applicable — by the build
-gate inside :func:`repro.parallel.build_sharded_graph`.
+The bad plans here are the canonical sharding bugs: one window list
+handed to every shard, an order-sensitive merger.  Each must be rejected
+both by the plan analyzer (``analyze_graph``) and — where applicable —
+by the build gate inside :func:`repro.parallel.build_sharded_graph`.
+The other defects (globals, class attributes, the wall clock...) are
+rows of ``tests/testkit/test_catch_matrix.py``.
 """
 
 import pytest
@@ -17,23 +17,6 @@ from repro.parallel import build_sharded_graph
 from repro.parallel.sharded import certify_shard_operators
 from repro.testkit.workloads import drift_sources
 
-TALLY = {}
-
-
-class GlobalTallyJoin(StreamOperator):
-    """Writes a module global from process: shared-state, not shardable."""
-
-    num_streams = 3
-
-    def __init__(self):
-        self.count = 0
-
-    def process(self, tup, now):
-        TALLY[tup.stream] = TALLY.get(tup.stream, 0) + 1
-        self.count += 1
-        return ProcessReceipt(comparisons=1, outputs=[])
-
-
 class SharedWindowJoin(StreamOperator):
     """Mutates a constructor-injected list: only safe if per-instance."""
 
@@ -44,20 +27,6 @@ class SharedWindowJoin(StreamOperator):
 
     def process(self, tup, now):
         self.windows.append(tup)
-        return ProcessReceipt(comparisons=1, outputs=[])
-
-
-class ObsReadingJoin(StreamOperator):
-    """Feeds telemetry back into processing: P122 must reject."""
-
-    num_streams = 3
-
-    def __init__(self):
-        self.obs = None
-
-    def process(self, tup, now):
-        if self.obs is not None and self.obs.latest("output_rate") > 5:
-            return ProcessReceipt(comparisons=0, outputs=[])
         return ProcessReceipt(comparisons=1, outputs=[])
 
 
@@ -91,14 +60,6 @@ class TestGate:
     def test_good_shards_pass(self):
         certify_shard_operators([fresh_shard(0), fresh_shard(1)])
 
-    def test_p120_rejects_shared_state_operator(self):
-        with pytest.raises(PlanValidationError) as exc:
-            certify_shard_operators([GlobalTallyJoin(),
-                                     GlobalTallyJoin()])
-        message = str(exc.value)
-        assert "P120" in message
-        assert "TALLY" in message
-
     def test_p124_rejects_aliased_mutable_state(self):
         shared = []
         with pytest.raises(PlanValidationError) as exc:
@@ -121,13 +82,12 @@ class TestGate:
         ])
 
     def test_build_sharded_graph_runs_the_gate(self):
-        with pytest.raises(PlanValidationError):
-            build_sharded_graph(sources(), lambda _k: GlobalTallyJoin(),
+        with pytest.raises(PlanValidationError, match="P124"):
+            build_sharded_graph(sources(), _sharing_windows(),
                                 num_shards=2)
 
     def test_certify_false_skips_the_gate(self):
-        plan = build_sharded_graph(sources(),
-                                   lambda _k: GlobalTallyJoin(),
+        plan = build_sharded_graph(sources(), _sharing_windows(),
                                    num_shards=2, certify=False)
         assert plan.num_shards == 2
 
@@ -141,11 +101,6 @@ class TestAnalyzerRules:
         report = analyze_graph(self.build(fresh_shard).graph)
         assert report.ok, report.render()
 
-    def test_p120_from_analyzer(self):
-        plan = self.build(lambda _k: GlobalTallyJoin())
-        report = analyze_graph(plan.graph)
-        assert "P120" in error_codes(report)
-
     def test_p124_from_analyzer(self):
         shared = []
         plan = self.build(lambda _k: SharedWindowJoin(shared))
@@ -158,21 +113,18 @@ class TestAnalyzerRules:
         report = analyze_graph(plan.graph)
         assert "P121" in error_codes(report)
 
-    def test_p122_rejects_obs_reading_node(self):
-        plan = self.build(lambda _k: ObsReadingJoin())
-        report = analyze_graph(plan.graph)
-        assert "P122" in error_codes(report)
-
     def test_effects_off_by_default_without_routing(self):
         from repro.engine.graph import DataflowGraph
 
+        windows = []
         g = DataflowGraph()
-        g.add_node("join", ObsReadingJoin())
-        for i, src in enumerate(sources()):
-            g.add_source("join", i, src)
-        # no shard groups: the effect pass does not run
+        for name in ("a", "b"):
+            g.add_node(name, SharedWindowJoin(windows))
+            for i, src in enumerate(sources()):
+                g.add_source(name, i, src)
+        # no shard groups: the shard-safety checks do not run
         report = analyze_graph(g)
-        assert "P122" not in error_codes(report)
+        assert "P124" not in error_codes(report)
 
 
 def _sharing_windows():
@@ -215,7 +167,7 @@ def _via_sanitizer(ops):
 
 class TestOneGateThreeCallers:
     """analyze_graph, certify_shard_operators and the sanitizer's seal
-    ask stategraph.written_aliases the same question, so they must name
+    ask stategraph.shared_containers the same question, so they must name
     the same object and the same paths."""
 
     CALLERS = [_via_analyzer, _via_gate, _via_sanitizer]

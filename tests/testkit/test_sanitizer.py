@@ -1,11 +1,9 @@
 """Determinism sanitizer: clean runs stay green, seeded bugs get blamed.
 
-The sanitizer is the dynamic half of the shard-safety story: the static
-pass (``repro.lint.effects``) certifies what each operator *may* write,
-and these tests prove the runtime cross-check (a) accepts the real
-engine on real workloads and (b) rejects seeded violations with
-provenance precise enough to debug from — the victim path and the
-operators that ran in between.
+These tests prove the runtime check (a) accepts the real engine on real
+workloads and (b) rejects seeded violations with provenance precise
+enough to debug from — the victim path and the operators that ran in
+between, or the module or class binding that changed.
 """
 
 import pytest
@@ -42,13 +40,34 @@ def fresh_join(workload):
     )
 
 
-class NotActuallyPure(StreamOperator):
-    """Certifies pure, but the test mutates it behind the proxy."""
+class Passive(StreamOperator):
+    """Writes nothing itself; the test writes to it between calls."""
 
     num_streams = 3
 
     def process(self, tup, now):
         return ProcessReceipt(comparisons=1, outputs=[])
+
+
+TALLY = {}
+
+
+class TallyJoin(MJoinOperator):
+    """Counts tuples in a global of this module."""
+
+    def process(self, tup, now):
+        TALLY[tup.stream] = TALLY.get(tup.stream, 0) + 1
+        return super().process(tup, now)
+
+
+class CachingJoin(MJoinOperator):
+    """Caches into a dict every instance shares through the class."""
+
+    seen = {}
+
+    def process(self, tup, now):
+        self.seen[(tup.stream, tup.seq)] = tup.value
+        return super().process(tup, now)
 
 
 class TestCleanRuns:
@@ -154,41 +173,66 @@ class TestSeededViolations:
         san.seal()
         san.raise_for_violations()
 
-    def test_undeclared_attribute_growth_caught(self, keys):
-        class Sneaky(MJoinOperator):
-            def process(self, tup, now):
-                setattr(self, f"smuggled_{tup.stream}", tup)
-                return super().process(tup, now)
-
-        # a function-local class has no statically reachable source, so
-        # it certifies unknown with an empty write set — every runtime
-        # write is then undeclared, which is exactly the strictness an
-        # uncertified operator deserves
+    def test_write_between_calls_is_foreign(self, keys):
+        op = Passive()
         san = DeterminismSanitizer(stride=1)
-        op = Sneaky(keys.predicate, keys.window_sizes, keys.basic)
         proxy = san.wrap("op", op)
-        assert san._records["op"].classification == "unknown"
         san.seal()
         tup = keys.traces[0].tuples[0]
         proxy.process(tup, tup.timestamp)
-        with pytest.raises(DeterminismViolation) as exc:
-            san.raise_for_violations()
-        assert "smuggled_" in str(exc.value)
-
-    def test_purity_violation_caught(self, keys):
-        op = NotActuallyPure()
-        san = DeterminismSanitizer(stride=1)
-        proxy = san.wrap("op", op)
-        record = san._records["op"]
-        assert record.classification == "pure"
-        san.seal()
-        tup = keys.traces[0].tuples[0]
-        proxy.process(tup, tup.timestamp)
-        # a "pure" operator that grows state between samples
+        # state that grows while the operator is not running
         op.cache = [1, 2, 3]
         proxy.process(tup, tup.timestamp + 0.001)
-        with pytest.raises(DeterminismViolation):
+        with pytest.raises(DeterminismViolation) as exc:
             san.raise_for_violations()
+        assert "foreign write" in str(exc.value)
+        assert "op.cache" in str(exc.value)
+
+    def test_foreign_write_past_row_63_caught(self, keys):
+        # a store column's fingerprint covers its whole buffer, not the
+        # first 512 bytes (64 float64 rows)
+        san = DeterminismSanitizer(stride=1)
+        op = fresh_join(keys)
+        proxy = san.wrap("op", op)
+        san.seal()
+        window = op.windows[0]
+        tups = sorted((t for trace in keys.traces for t in trace.tuples),
+                      key=lambda t: t.timestamp)
+        for t in tups:
+            proxy.process(t, t.timestamp)
+            if window.live_rows[1] >= 100:
+                break
+        head, tail = window.live_rows
+        assert tail - 5 >= max(head, 64)
+        window._vals[tail - 5] += 1
+        with pytest.raises(DeterminismViolation) as exc:
+            san.finish()
+        assert "foreign write" in str(exc.value)
+        assert "op.windows[0]" in str(exc.value)
+
+    def _one_call_then_finish(self, keys, operator) -> str:
+        san = DeterminismSanitizer(stride=1)
+        proxy = san.wrap("op", operator)
+        san.seal()
+        tup = keys.traces[0].tuples[0]
+        proxy.process(tup, tup.timestamp)
+        assert san.violations == []
+        with pytest.raises(DeterminismViolation) as exc:
+            san.finish()
+        return str(exc.value)
+
+    def test_own_module_global_write_reported_at_finish(self, keys):
+        message = self._one_call_then_finish(
+            keys, TallyJoin(keys.predicate, keys.window_sizes, keys.basic)
+        )
+        assert f"module-global write: {__name__}.TALLY" in message
+
+    def test_class_level_dict_write_reported_at_finish(self, keys):
+        message = self._one_call_then_finish(
+            keys, CachingJoin(keys.predicate, keys.window_sizes, keys.basic)
+        )
+        assert (f"class-attribute write: {__name__}.CachingJoin.seen"
+                in message)
 
 
 class TestMatrixIntegration:
