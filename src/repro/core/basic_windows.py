@@ -3,7 +3,7 @@
 Each join window ``W_i`` of size ``w`` seconds is divided into basic
 windows of ``b`` seconds.  Basic windows are integral units, so the window
 physically consists of ``n + 1`` of them, where ``n = ceil(w / b)``: the
-first (newest) is still filling and the last contains some expired tuples.
+first (newest) is still open and the last contains some expired tuples.
 Every ``b`` seconds the structure *rotates* — the oldest basic window is
 dropped wholesale (batch expiration) and a new, empty first one opens.
 
@@ -15,20 +15,21 @@ physical windows ``j`` and ``j+1``; the split point is found with a binary
 search on the timestamp column, so no linear scan is ever needed.
 
 The store.  A :class:`PartitionedWindow` keeps its stream's tuples in
-**one** ``ts`` / value / ``seq`` column triple (plus one tuple list), in
-ascending timestamp order; the physical basic windows are the ``n + 1``
-row ranges between the entries of an ``n + 2``-entry boundary table that
-starts at the head and ends at the tail.  An in-order tuple is one
-append at the tail whichever basic window covers it, a rotation moves
+**one** set of columns — ``ts``, value, ``seq`` and the tuple objects
+themselves — in ascending timestamp order; the physical basic windows
+are the ``n + 1`` row ranges between the entries of an ``n + 2``-entry
+boundary table that starts at the head and ends at the tail.  An
+in-order tuple is one append at the tail whichever basic window covers
+it, a rotation moves
 boundaries and copies nothing, and any contiguous selection — the whole
 unexpired window, a run of logical windows — is one
 :class:`WindowSlice`, i.e. one array view, found with at most two
 searches.  The layout is linear, not circular: when the tail reaches
 capacity the live rows are copied to the front (into arrays twice the
-size if they fill more than half), which costs the same amortised one
+size if they take more than half), which costs the same amortised one
 copy per row as a ring and leaves no wrap-around case anywhere.  The
 rare mutations — a late tuple, evicting a basic window from the middle —
-shift the rows above them.
+shift the rows above them, in every column alike.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ SCALAR, VECTOR, GENERIC = "scalar", "vector", "generic"
 _MODES = (SCALAR, VECTOR, GENERIC)
 
 _INITIAL_CAPACITY = 64
+
+#: every per-row column a store keeps (``_vals`` is None in generic mode)
+_COLUMNS = ("_ts", "_vals", "_seq", "_tups")
 
 
 class WindowSlice:
@@ -93,11 +97,11 @@ class WindowSlice:
 
     @property
     def tuples(self) -> list[StreamTuple]:
-        return self.store.tuples[self.lo : self.hi : self.step]
+        return self.store._tups[self.lo : self.hi : self.step].tolist()
 
     def tuple_at(self, idx: int) -> StreamTuple:
         """The idx-th *selected* tuple (accounting for the stride)."""
-        return self.store.tuples[self.lo + idx * self.step]
+        return self.store._tups[self.lo + idx * self.step]
 
 
 class PartitionedWindow:
@@ -119,17 +123,16 @@ class PartitionedWindow:
             further restrict :meth:`full_slices`; retention, rotation,
             and the harvesting views are policy-independent.
 
-    :attr:`tuples` is indexed by store row like the columns and is only
-    ever appended to: compaction, late inserts and evictions bind a new
-    list instead of mutating the old one, so a ``(list, rows)`` reference
-    taken at probe time (the columnar kernel's
-    :class:`~repro.joins.columnar.ResultBlock`) keeps naming the same
-    tuples whatever happens to the window afterwards.
+    Every column, the tuple objects included, is indexed by store row
+    and moved by the same code: a row's contents are only valid while it
+    is live, so anything that must outlive a later mutation (the
+    columnar kernel's :class:`~repro.joins.columnar.ResultBlock`)
+    gathers what it needs at the rows when it runs.
     """
 
     __slots__ = (
         "window_size", "basic_window_size", "n", "mode", "policy", "windex",
-        "tuples", "_ts", "_vals", "_seq", "_bounds", "_gens", "_last",
+        "_tups", "_ts", "_vals", "_seq", "_bounds", "_gens", "_last",
         "_epoch_start", "rotations", "frozen_version",
     )
 
@@ -163,7 +166,6 @@ class PartitionedWindow:
         #: per-stream partition-index state
         #: (:class:`repro.core.windex.WindowIndexState` or ``None``)
         self.windex = index
-        self.tuples: list[StreamTuple] = []
         self._ts = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         if mode == SCALAR:
             self._vals: np.ndarray | None = np.empty(
@@ -174,8 +176,10 @@ class PartitionedWindow:
         else:
             self._vals = None
         self._seq = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        #: the inserted StreamTuple objects themselves, by store row
+        self._tups = np.empty(_INITIAL_CAPACITY, dtype=object)
         #: ascending row boundaries, head first and tail last: physical
-        #: basic window ``k`` (ring index, 0 = newest, currently filling)
+        #: basic window ``k`` (ring index, 0 = newest, still open)
         #: is rows ``[_bounds[-k - 2], _bounds[-k - 1])``
         self._bounds = [0] * (self.n + 2)
         #: per physical window (``_gens[-k - 1]``, like the boundaries):
@@ -201,7 +205,7 @@ class PartitionedWindow:
 
     @property
     def epoch_start(self) -> float:
-        """Start time of the currently filling basic window."""
+        """Start time of the basic window still open."""
         return self._epoch_start
 
     def theta(self, now: float) -> float:
@@ -252,13 +256,12 @@ class PartitionedWindow:
         bounds = self._bounds
         row = bounds[-1]
         if row > bounds[0] and ts < self._last:
-            row = self._open_gap(tup, k)
+            row = self._open_gap(ts, k)
         else:
             if row == len(self._ts):
                 self._make_room()
                 bounds = self._bounds
                 row = bounds[-1]
-            self.tuples.append(tup)
             self._last = ts
             if k:
                 # row order has the last word: a window with newer rows
@@ -274,47 +277,42 @@ class PartitionedWindow:
         if self._vals is not None:
             self._vals[row] = tup.value
         self._seq[row] = tup.seq
+        self._tups[row] = tup
         if self.windex is not None and self.windex.needs_sensor:
             self.windex.observe(tup.value)
 
-    def _open_gap(self, tup: StreamTuple, k: int) -> int:
+    def _open_gap(self, ts: float, k: int) -> int:
         """Make room for a late tuple at its timestamp position — after
-        any rows with the same timestamp — and return that row.  The
-        columns move only above it, but :attr:`tuples` is copied whole
-        (dead prefix included), so a late arrival costs ``O(store)``
-        where a per-basic-window store paid ``O(one window)`` — measured
-        in docs/PERFORMANCE.md section 7, "The rare paths"."""
+        any rows with the same timestamp — and return that row.  Only
+        the rows above it move (docs/PERFORMANCE.md section 7, "The rare
+        paths")."""
         if self._bounds[-1] == len(self._ts):
             self._make_room()
         bounds = self._bounds
         head = bounds[0]
-        pos = head + int(
-            self._ts[head : bounds[-1]].searchsorted(tup.timestamp, "right")
-        )
+        pos = head + int(self._ts[head : bounds[-1]].searchsorted(ts, "right"))
         # ring arithmetic proposed window k; the row order disposes
         while pos > bounds[-k - 1]:
             k -= 1
         while pos < bounds[-k - 2]:
             k += 1
-        self._shift_rows(pos, 1, k, [tup])
+        self._shift_rows(pos, 1, k)
         return pos
 
-    def _shift_rows(
-        self, src: int, delta: int, k: int, fill: Sequence[StreamTuple] = ()
-    ) -> None:
+    def _shift_rows(self, src: int, delta: int, k: int) -> None:
         """Move rows ``[src, tail)`` by ``delta``: open a gap inside
-        physical window ``k`` (``delta > 0``, ``fill`` = its tuples) or
+        physical window ``k`` (``delta > 0``; the caller writes it) or
         close the one its eviction leaves (``delta < 0``)."""
         bounds = self._bounds
         tail = bounds[-1]
-        for col in (self._ts, self._vals, self._seq):
+        for name in _COLUMNS:
+            col = getattr(self, name)
             if col is not None:
                 # .copy(): the two ranges overlap
                 col[src + delta : tail + delta] = col[src:tail].copy()
-        # a new list, not an in-place splice: see the class docstring
-        tuples = self.tuples.copy()
-        tuples[src + min(delta, 0) : src] = fill
-        self.tuples = tuples
+        if delta < 0:
+            # the vacated rows stop holding the evicted tuples
+            self._tups[tail + delta : tail] = None
         for j in range(k + 1):
             bounds[-j - 1] += delta
         self._gens[-k - 1] += 1
@@ -324,13 +322,13 @@ class PartitionedWindow:
 
     def _make_room(self) -> None:
         """The tail is at capacity: copy the live rows to the front, into
-        arrays twice the size if they fill more than half."""
+        arrays twice the size if they take more than half."""
         bounds = self._bounds
         head, tail = bounds[0], bounds[-1]
         live = tail - head
         capacity = len(self._ts)
         grow = 2 * live > capacity
-        for name in ("_ts", "_vals", "_seq"):
+        for name in _COLUMNS:
             col = getattr(self, name)
             if col is None:
                 continue
@@ -342,7 +340,8 @@ class PartitionedWindow:
             )
             new[:live] = col[head:tail]
             setattr(self, name, new)
-        self.tuples = self.tuples[head:tail]
+        # the rows the live ones were copied out of stop holding tuples
+        self._tups[live:tail] = None
         self._bounds = [row - head for row in bounds]
 
     # ------------------------------------------------------------------
@@ -363,9 +362,20 @@ class PartitionedWindow:
         return [t.value for t in self.tuples]
 
     @property
+    def tuples(self) -> np.ndarray:
+        """The inserted :class:`StreamTuple` objects aligned with
+        :attr:`timestamps` (an object-array view; do not mutate)."""
+        return self._tups[: self._bounds[-1]]
+
+    @property
     def seqs(self) -> np.ndarray:
         """Per-stream sequence numbers aligned with :attr:`timestamps`."""
         return self._seq[: self._bounds[-1]]
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``seq`` numbers and the tuple objects at store ``rows``:
+        copies, which no later change to the store reaches."""
+        return self._seq[rows], self._tups[rows]
 
     @property
     def live_rows(self) -> tuple[int, int]:
@@ -375,7 +385,7 @@ class PartitionedWindow:
 
     def window_rows(self, k: int) -> tuple[int, int]:
         """Row range ``[start, stop)`` of physical basic window ``k``
-        (ring index: 0 = filling, ``n`` = oldest)."""
+        (ring index: 0 = still open, ``n`` = oldest)."""
         return self._bounds[-k - 2], self._bounds[-k - 1]
 
     def window_key(self, k: int) -> tuple[int, int]:
@@ -607,7 +617,7 @@ class PartitionedWindow:
 
     def evict_basic_window(self, k: int) -> int:
         """Early-evict physical basic window ``k`` (ring index, ``1..n``;
-        the filling window ``0`` is not evictable) and return the number
+        the open window ``0`` is not evictable) and return the number
         of tuples dropped.  The way for an outside policy (memory-limited
         joins) to empty a single window; unless it is the oldest stored
         one, the rows above it shift down to close the gap."""
@@ -626,7 +636,7 @@ class PartitionedWindow:
 
     def basic_window_sizes(self) -> list[int]:
         """Stored tuples per physical basic window, ring index 0 (the
-        filling one) first."""
+        open one) first."""
         bounds = self._bounds
         return [bounds[-k - 1] - bounds[-k - 2] for k in range(self.n + 1)]
 

@@ -48,6 +48,7 @@ def snapshot(operator: GrubJoinOperator, now: float) -> dict[str, Any]:
                     "timestamp": t.timestamp,
                     "stream": t.stream,
                     "seq": t.seq,
+                    "delivery": t.delivery,
                 }
                 for t in window.iter_unexpired(now)
             ]
@@ -109,6 +110,7 @@ def restore(operator: GrubJoinOperator, state: dict[str, Any]) -> None:
                     timestamp=record["timestamp"],
                     stream=record["stream"],
                     seq=record["seq"],
+                    delivery=record.get("delivery"),
                 ),
                 now=now,
             )

@@ -100,12 +100,6 @@ class WorkloadSpec:
             for i in range(self.m)
         ]
 
-    def to_testkit_traces(self, duration: float):
-        """Freeze this spec's workload into replayable per-stream traces,
-        so the testkit can run its differential oracle against the exact
-        workloads the paper experiments use."""
-        return [s.to_testkit_trace(duration) for s in self.sources()]
-
 
 def nonaligned_spec(m: int = 3, rate: float = 100.0, **kwargs) -> WorkloadSpec:
     """The paper's nonaligned workload for ``m`` streams."""

@@ -230,12 +230,10 @@ class ResultBlock(Sequence):
     stream ``s`` — the results' identities, which is all the process
     runtime ships.
 
-    Until then the constituents are held, per hop, as the probed store's
-    tuple list and the hits' rows in it.
-    :attr:`PartitionedWindow.tuples
-    <repro.core.basic_windows.PartitionedWindow.tuples>` is only ever
-    appended to or rebound, so those stay valid however the window
-    changes afterwards.
+    Until then the constituents are held, per hop, as the tuple objects
+    gathered from the probed store at the hits' rows when the probe ran:
+    the block owns them and refers to no store, so later changes to the
+    windows cannot reach it.
     """
 
     __slots__ = ("seqs", "_tup", "_perm", "_levels", "_results")
@@ -245,14 +243,14 @@ class ResultBlock(Sequence):
         seqs: np.ndarray,
         tup: StreamTuple,
         perm: Sequence[int],
-        levels: list[tuple],
+        levels: list[np.ndarray],
     ) -> None:
         self.seqs = seqs
         self._tup = tup
         #: constituent positions (0 = the probing tuple, ``h + 1`` = hop
         #: ``h``) in ascending stream order
         self._perm = perm
-        #: per hop ``(tuple list, rows)`` as of the probe
+        #: per hop, the constituents' tuple objects (object arrays)
         self._levels = levels
         self._results: list[JoinResult] | None = None
 
@@ -265,14 +263,13 @@ class ResultBlock(Sequence):
         results = self._results
         if results is None:
             columns: list = [repeat(self._tup)]
-            for tuples, rows in self._levels:
-                columns.append([tuples[r] for r in rows.tolist()])
+            columns.extend(level.tolist() for level in self._levels)
             # every block has a hop, so zip() ends with the level lists
             results = self._results = [
                 JoinResult(constituents)
                 for constituents in zip(*(columns[k] for k in self._perm))
             ]
-            self._levels = None  # release the expired tuples' lists
+            self._levels = None  # the results hold the tuples now
         return results
 
     def __len__(self) -> int:
@@ -306,9 +303,10 @@ def _materialize(
     path's enumeration order; constituents are sorted by stream via a
     permutation precomputed from the (distinct) stream ids.  The chain
     walk is array gathers only: each hop's hits are positions in its
-    candidate pool, resolved to rows of the hop's store, and the ``seq``
+    candidate pool, resolved to rows of the hop's store; the ``seq``
     column gathered at those rows fills that stream's column of the
-    identity matrix.
+    identity matrix, and the tuple column gathered there is the block's
+    own copy of that hop's constituents.
     """
     hops = len(rows_chain)
     count = len(rows_chain[-1])
@@ -324,8 +322,7 @@ def _materialize(
         rows = _locate(
             slices, rows_chain[h] if idxs is None else rows_chain[h][idxs]
         )
-        seqs[:, order[h]] = store.seqs[rows]
-        levels[h] = (store.tuples, rows)
+        seqs[:, order[h]], levels[h] = store.gather(rows)
         if h:
             idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
     return ResultBlock(seqs, tup, perm, levels)

@@ -2,7 +2,7 @@
 
 Both checks need the same view of an operator's *state graph*: every
 object reachable from its instance attributes, each labelled with the
-dotted path it was reached through (``windows[2].tuples``).  P124 uses
+dotted path it was reached through (``windows[2]._seq``).  P124 uses
 it at plan-build time to find containers reachable from two shard
 instances; :class:`repro.testkit.sanitizer.DeterminismSanitizer` asks
 the same question at ``seal()`` and fingerprints the graph between
@@ -34,7 +34,9 @@ shows up as a foreign write on the victim's side of the sanitizer.
 Fingerprints are CRC32 over a canonical structural repr — content-based,
 never ``id()``-based, so two runs of the same simulation produce
 identical fingerprints (the sanitizer's reports stay deterministic).
-An array contributes its shape, dtype and a CRC of its whole buffer.
+An array contributes its shape, dtype and a CRC of its whole buffer —
+except an object array, whose buffer is pointers: its elements are
+rendered one by one, as a list's are.
 """
 
 from __future__ import annotations
@@ -284,6 +286,9 @@ def _canonical(obj: Any, depth: int = 0,
         return ("[" if isinstance(obj, list) else "(") + inner + (
             "]" if isinstance(obj, list) else ")")
     if type(obj).__name__ == "ndarray":
+        if obj.dtype == object:
+            flat = obj.ravel().tolist()
+            return f"array{obj.shape}:{_canonical(flat, depth + 1, seen)}"
         return f"array{obj.shape}:{obj.dtype}:{zlib.crc32(obj.tobytes())}"
     inner_dict = _instance_attrs(obj)
     if inner_dict:

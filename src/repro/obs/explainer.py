@@ -77,12 +77,6 @@ class DirectionDecision:
     fraction: float
     windows: tuple[WindowDecision, ...]
 
-    def kept_windows(self) -> list[int]:
-        """Window indices scanned (fully or strided), best rank first."""
-        kept = [w for w in self.windows if w.kept]
-        kept.sort(key=lambda w: w.rank)
-        return [w.window for w in kept]
-
     def fully_kept_windows(self) -> list[int]:
         """Window indices scanned in full, best rank first — the exact
         set :meth:`HarvestConfiguration.selected_windows` returns."""

@@ -63,11 +63,6 @@ class RunRecording:
     def get_series(self, name: str, **labels) -> RecordedSeries | None:
         return self.series.get(_key(name, labels))
 
-    def series_named(self, name: str) -> list[RecordedSeries]:
-        """All series with the given name, in deterministic label order."""
-        return [s for k, s in sorted(self.series.items())
-                if k[0] == name]
-
     def counter(self, name: str, **labels) -> float:
         return self.counters.get(_key(name, labels), 0)
 

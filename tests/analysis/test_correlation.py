@@ -57,6 +57,21 @@ class TestOffsetProfile:
                                        max_pairs=3000, rng=0)
         assert sampled.peak_offset() == full.peak_offset()
 
+    def test_default_subsampling_is_deterministic(self):
+        """Above ``max_pairs`` the default generator is seeded: the same
+        traces give the same profile on every call."""
+        a, b = correlated_traces(duration=30.0, rate=20.0)
+        first, second = (
+            offset_match_profile(a, b, EpsilonJoin(1.0), max_offset=8.0,
+                                 bin_width=2.0, max_pairs=3000)
+            for _ in range(2)
+        )
+        assert first.pair_counts.sum() == 3000
+        assert first.pair_counts.tolist() == second.pair_counts.tolist()
+        assert first.match_probability.tolist() == (
+            second.match_probability.tolist()
+        )
+
     def test_validation(self):
         a, b = correlated_traces(duration=5.0)
         with pytest.raises(ValueError):

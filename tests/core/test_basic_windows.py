@@ -70,12 +70,15 @@ class TestBasicWindow:
 
     def test_clear(self):
         w = PartitionedWindow(10.0, 2.0)
-        w.insert(tup(1.0), now=1.0)
+        first = tup(1.0)
+        w.insert(first, now=1.0)
         w.rotate_to(2.5)
-        before = w.tuples
+        (held,) = w.full_slices(2.5)
+        taken = held.tuples
         assert w.evict_basic_window(1) == 1
         assert len(w) == 0
-        assert len(before) == 1  # a probe-time reference never shrinks
+        # what a caller took from a slice is its own list
+        assert len(taken) == 1 and taken[0] is first
         w.insert(tup(0.5), now=2.5)  # order restriction resets with it
         assert len(w) == 1 and w.basic_window_sizes()[1] == 1
 
@@ -472,14 +475,15 @@ class StoreMachine(RuleBasedStateMachine):
         self.model = RingModel(n, b)
         self.now = self.newest = 0.0
         self.seq = 0
+        #: seq -> the very object inserted
+        self.inserted = {}
 
     def _insert(self, ts):
         value = {"scalar": ts, "vector": [ts, -ts], "generic": {"k": ts}}
-        self.store.insert(
-            StreamTuple(value=value[self.mode], timestamp=ts, stream=0,
-                        seq=self.seq),
-            self.now,
-        )
+        tup = StreamTuple(value=value[self.mode], timestamp=ts, stream=0,
+                          seq=self.seq)
+        self.inserted[self.seq] = tup
+        self.store.insert(tup, self.now)
         self.model.insert(ts, self.seq, self.now)
         self.seq += 1
 
@@ -522,7 +526,13 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _seqs(self, slices):
         assert len(slices) <= 1  # contiguous coverage is one slice
-        return [t.seq for s in slices for t in s.tuples]
+        tuples = [t for s in slices for t in s.tuples]
+        self._are_the_inserted(tuples)
+        return [t.seq for t in tuples]
+
+    def _are_the_inserted(self, tuples):
+        """Every row holds the object that was inserted, not a copy."""
+        assert all(t is self.inserted[t.seq] for t in tuples)
 
     @invariant()
     def agrees_with_the_model(self):
@@ -539,6 +549,7 @@ class StoreMachine(RuleBasedStateMachine):
         assert [t.seq for t in store.tuples[head:tail]] == [
             s for _, s in stored
         ]
+        self._are_the_inserted(store.tuples[head:tail])
         if self.mode == "scalar":
             assert store.values[head:tail].tolist() == [t for t, _ in stored]
         elif self.mode == "vector":
@@ -552,7 +563,9 @@ class StoreMachine(RuleBasedStateMachine):
                 pieces.append((k, start, max(head + 1, start), stop))
         assert store.window_pieces(head + 1, tail) == pieces
         live = model.between(now - n * b, math.inf)
-        assert [t.seq for t in store.iter_unexpired(now)] == live
+        unexpired = list(store.iter_unexpired(now))
+        self._are_the_inserted(unexpired)
+        assert [t.seq for t in unexpired] == live
         assert store.count_unexpired(now) == len(live)
         assert self._seqs(store.full_slices(now)) == live
         for reference in (None, now - 0.375):

@@ -1,5 +1,7 @@
 """Tests for GrubJoin state checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.streams import (
     ConstantRate,
     LinearDriftProcess,
     StreamSource,
+    StreamTuple,
     TraceSource,
 )
 
@@ -145,6 +148,30 @@ class TestSnapshotRestore:
         assert [op._rng.random() for _ in range(5)] == [
             fresh._rng.random() for _ in range(5)
         ]
+
+    def test_delivery_restored(self):
+        """A late-delivered tuple keeps its delivery time, through JSON
+        too: restore(snapshot(op)) gives back the same window."""
+        late = StreamTuple(0.0, 1.0, 0, 0, delivery=1.5)
+        op = make_operator()
+        op.windows[0].insert(late, now=1.5)
+        state = snapshot(op, now=2.0)
+        for loaded in (state, json.loads(json.dumps(state))):
+            fresh = make_operator(seed=99)
+            restore(fresh, loaded)
+            assert list(fresh.windows[0].iter_unexpired(2.0)) == [late]
+
+    def test_snapshot_without_delivery_loads(self):
+        """Snapshots written before ``delivery`` was recorded still
+        load, as on-time tuples."""
+        op = make_operator()
+        op.windows[0].insert(StreamTuple(0.0, 1.0, 0, 0), now=1.0)
+        state = snapshot(op, now=2.0)
+        del state["windows"][0][0]["delivery"]
+        fresh = make_operator(seed=99)
+        restore(fresh, state)
+        (got,) = fresh.windows[0].iter_unexpired(2.0)
+        assert got.delivery is None and got.timestamp == 1.0
 
     def test_version_checked(self):
         op = warm_operator()

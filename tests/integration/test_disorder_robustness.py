@@ -50,12 +50,55 @@ class TestInsertSorted:
         assert list(bw.seqs) == [t.seq for t in bw.tuples]
 
     def test_append_fast_path(self):
+        """An in-order tuple is written at the tail: no row moves and
+        no column is reallocated."""
         bw = one_window()
-        bw.insert(tup(1.0), now=2.0)
-        before = bw.tuples
-        bw.insert(tup(2.0), now=2.0)
+        first = tup(1.0)
+        bw.insert(first, now=2.0)
+        columns = [bw._ts, bw._vals, bw._seq, bw._tups]
+        key = bw.window_key(0)
+        second = tup(2.0)
+        bw.insert(second, now=2.0)
         assert list(bw.timestamps) == [1.0, 2.0]
-        assert bw.tuples is before  # appended, not shifted into a copy
+        assert bw.window_key(0) == key
+        assert all(a is b for a, b in zip(
+            [bw._ts, bw._vals, bw._seq, bw._tups], columns))
+        assert bw.tuples[0] is first and bw.tuples[1] is second
+
+    @pytest.mark.parametrize("mode", ["scalar", "vector", "generic"])
+    def test_rare_paths_shift_in_place(self, mode):
+        """With spare capacity, a late insert and a mid-store eviction
+        move rows inside the columns they already have: no column is
+        copied into a new array or rebound, in any storage mode."""
+        w = PartitionedWindow(4.0, 1.0, mode=mode,
+                              dim=2 if mode == "vector" else None)
+        value = {"scalar": lambda ts: ts, "vector": lambda ts: [ts, -ts],
+                 "generic": lambda ts: {"k": ts}}[mode]
+        inserted = [
+            StreamTuple(value=value(0.25 * i), timestamp=0.25 * i,
+                        stream=0, seq=i)
+            for i in range(14)
+        ]
+        for t in inserted:
+            w.insert(t, now=t.timestamp)
+        assert len(w._ts) > len(w) + 1  # spare capacity
+        columns = [w._ts, w._vals, w._seq, w._tups]
+        late = StreamTuple(value=value(1.6), timestamp=1.6, stream=0,
+                           seq=99)
+        w.insert(late, now=3.25)
+        start, stop = w.window_rows(1)
+        assert w.evict_basic_window(1) == stop - start > 0
+        assert w.window_rows(2)[1] == start  # the gap is closed
+        assert all(a is b for a, b in zip(
+            [w._ts, w._vals, w._seq, w._tups], columns))
+        head, tail = w.live_rows
+        kept = [t for t in [*inserted, late]
+                if not 2.0 <= t.timestamp < 3.0]
+        kept.sort(key=lambda t: t.timestamp)
+        assert all(a is b for a, b in zip(w.tuples[head:tail], kept))
+        assert len(w) == len(kept)
+        # the vacated rows no longer hold the evicted tuples
+        assert all(t is None for t in w._tups[tail:])
 
     def test_version_bumped(self):
         bw = one_window()

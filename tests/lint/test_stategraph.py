@@ -1,0 +1,38 @@
+"""Structural fingerprints: content, never ``id()``."""
+
+import numpy as np
+
+from repro.lint.stategraph import fingerprint
+
+
+def objects(*elements):
+    column = np.empty(len(elements), dtype=object)
+    column[:] = list(elements)
+    return column
+
+
+class TestObjectArrays:
+    """An object array's buffer is pointers, so its fingerprint is built
+    from its elements, as a list's is."""
+
+    def test_equal_contents_fingerprint_equally(self):
+        a = objects({"k": 1.0}, [2, 3], None)
+        b = objects({"k": 1.0}, [2, 3], None)
+        assert a[0] is not b[0]
+        assert fingerprint(a) == fingerprint(b)
+        assert fingerprint(a) != fingerprint(objects({"k": 2.0}, [2, 3], None))
+
+    def test_in_place_payload_write_is_seen(self):
+        payload = {"k": 1.0}
+        column, listed = objects(payload, None), [payload, None]
+        before = fingerprint(column), fingerprint(listed)
+        payload["k"] = 2.0
+        assert fingerprint(listed) != before[1]
+        assert fingerprint(column) != before[0]
+
+    def test_numeric_arrays_keep_their_buffer_crc(self):
+        a = np.arange(4.0)
+        assert fingerprint(a) == fingerprint(a.copy())
+        b = a.copy()
+        b[2] = -1.0
+        assert fingerprint(a) != fingerprint(b)
