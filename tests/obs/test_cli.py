@@ -1,9 +1,13 @@
 """CLI record/report behaviour and the committed golden slices.
 
-Two golden files pin deterministic JSONL exports:
+Three golden files pin deterministic JSONL exports:
 
 * ``fig10_slice.jsonl`` — the full export of the default
   ``python -m repro.obs record`` run (seed 7, 16 s, 8e3 capacity).
+* ``fig10_idle_slice.jsonl`` — the same slice on a CPU so fast it is
+  idle (``--capacity 1e12``): nothing queues, so almost every service
+  completion is the very next event, which the saturated slice barely
+  exercises.
 * ``procs_k2_slice.jsonl`` — the *worker-scoped* export of
   ``python -m repro.obs record --procs 2``: GrubJoin shards on two
   real forked workers, telemetry shipped back over the ack pipes and
@@ -14,6 +18,7 @@ The workloads, the runtimes, and the exporters are all deterministic,
 so any byte of drift is a behaviour change — regenerate with::
 
     PYTHONPATH=src python -m repro.obs record -o tests/obs/golden/fig10_slice.jsonl
+    PYTHONPATH=src python -m repro.obs record --capacity 1e12 -o tests/obs/golden/fig10_idle_slice.jsonl
     PYTHONPATH=src python -m repro.obs record --procs 2 -o tests/obs/golden/procs_k2_slice.jsonl
 
 and review the diff before committing it.
@@ -28,6 +33,9 @@ from repro.obs import jsonl_lines, load_recording, worker_scoped
 from repro.obs.cli import main, record_procs_slice, record_slice
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "fig10_slice.jsonl"
+IDLE_GOLDEN = (
+    pathlib.Path(__file__).parent / "golden" / "fig10_idle_slice.jsonl"
+)
 PROCS_GOLDEN = (
     pathlib.Path(__file__).parent / "golden" / "procs_k2_slice.jsonl"
 )
@@ -60,6 +68,21 @@ class TestGolden:
         )
         assert len(rec.spans_named("service")) > 500
         assert rec.spans_named("solver.greedy")
+
+    def test_matches_committed_idle_golden(self):
+        obs = record_slice(capacity=1e12)
+        expected = IDLE_GOLDEN.read_text(encoding="utf-8").splitlines()
+        assert list(jsonl_lines(obs)) == expected
+
+    def test_idle_golden_run_never_queues(self):
+        # the idle slice must stay idle: every service takes under a
+        # nanosecond of virtual time, so the CPU is free long before the
+        # next arrival (50 ms apart at the slice's rates)
+        rec = load_recording(str(IDLE_GOLDEN))
+        assert rec.meta["capacity"] == 1e12
+        services = rec.spans_named("service")
+        assert len(services) > 500
+        assert max(s.end - s.start for s in services) < 1e-9
 
 
 class TestCli:
