@@ -105,8 +105,10 @@ def key_sources(
     phase_step: float = 1e-3,
     poisson: bool = False,
 ) -> list[StreamSource]:
-    """Uniform integer-key streams — the natural equi-join workload for
-    partitioned (sharded) plans: equal keys always co-partition.
+    """Uniform integer-valued key streams — the natural equi-join
+    workload for partitioned (sharded) plans: equal keys always
+    co-partition.  The keys are whole-number floats
+    (:class:`~repro.streams.DiscreteUniformProcess` returns floats).
 
     Streams are de-phased by ``phase_step`` so no two tuples ever share a
     timestamp and no cross-stream age lands exactly on a window boundary
@@ -385,7 +387,9 @@ def zipf_key_workload(
 
 
 def _mixed_cast(value, kind: int):
-    """Re-type an integer key per stream: ints / floats / bools."""
+    """Re-type an integer-valued ``float`` key per stream: kind 0 keeps
+    it, kind 1 casts it to ``float`` (a no-op on these keys), kind 2
+    turns 0 and 1 into bools."""
     if kind == 1:
         return float(value)
     if kind == 2 and value in (0, 1):
@@ -404,14 +408,17 @@ def mixed_key_workload(
 ) -> Workload:
     """An equi-join workload with mixed numeric key representations.
 
-    Streams carry the *same* logical keys in different types: stream 0
-    keeps plain ints, stream 1 casts every key to ``float``, stream 2
-    maps the keys 0/1 onto bools (``m > 3`` cycles the pattern).
-    Python equality makes ``1 == 1.0 == True``, so the oracle joins
-    across representations — and hash routing must co-partition them
-    the same way, which is exactly what a raw-repr key hash gets wrong
-    (the ``stable_key_hash`` regression this workload exists to catch:
-    ``repr(1)``, ``repr(1.0)`` and ``repr(True)`` all differ).
+    Streams carry the *same* logical keys in different types.  The keys
+    of :func:`key_sources` are whole-number floats, so streams 0 and 1
+    both carry floats (stream 1's cast to ``float`` changes
+    nothing), and stream 2 maps the keys 0.0 / 1.0 onto bools and keeps
+    the rest as floats (``m > 3`` cycles the pattern).  Python equality
+    makes ``1.0 == True``, so the oracle joins across representations —
+    and hash routing must co-partition them the same way, which is
+    exactly what a raw-repr key hash gets wrong (the ``stable_key_hash``
+    regression this workload exists to catch: ``repr(1.0)`` and
+    ``repr(True)`` differ).  No stream carries ints, so the
+    ``repr(1)`` vs ``repr(1.0)`` case is not exercised here.
 
     A small ``n_keys`` keeps the bool-eligible keys 0 and 1 frequent.
     """

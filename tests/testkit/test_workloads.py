@@ -5,6 +5,7 @@ from repro.testkit.workloads import (
     drift_workload,
     key_sources,
     key_workload,
+    mixed_key_workload,
 )
 
 
@@ -105,3 +106,20 @@ class TestDefaultSet:
 
         for workload in default_workloads((1,)):
             assert len(oracle_ids(workload).ids) > 0, workload.name
+
+
+class TestKeyTypes:
+    """What the key workloads' values are, so their docstrings cannot
+    drift from them again."""
+
+    def test_key_sources_carry_whole_number_floats(self):
+        values = [t.value for src in key_sources(seed=0)
+                  for t in src.generate(5.0)]
+        assert {type(v) for v in values} == {float}
+        assert all(v == int(v) for v in values)
+
+    def test_mixed_key_workload_value_types(self):
+        workload = mixed_key_workload(seed=0)
+        types = [{type(t.value) for t in trace.tuples}
+                 for trace in workload.traces]
+        assert types == [{float}, {float}, {float, bool}]
