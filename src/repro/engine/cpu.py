@@ -85,7 +85,8 @@ class CpuModel:
         return t
 
     def idle_cores(self, now: float) -> int:
-        """Number of cores whose current service has finished by ``now``."""
+        """Number of cores whose current service has finished by ``now``
+        (positive iff ``min(core_busy_until) <= now``)."""
         return sum(1 for t in self.core_busy_until if t <= now)
 
     def begin(self, now: float, comparisons: int) -> float:
@@ -94,9 +95,11 @@ class CpuModel:
         Picks the core with the smallest ``busy_until`` (lowest index on
         ties, so assignment is deterministic), charges the work to that
         core, and returns the virtual time at which the service completes.
-        The runtimes only call this when :meth:`idle_cores` is positive, so
-        the service normally starts at ``now``; if every core is busy the
-        work queues on the soonest-free core and starts when it frees up.
+        Only call this when :meth:`idle_cores` is positive: the service
+        then starts at ``now``.  The scheduler loop asks the same question
+        in one comparison, ``min(core_busy_until) <= now``.  If every core
+        is busy the work queues on the soonest-free core and starts when
+        it frees up.
         """
         service = self.service_time(comparisons)
         core = 0

@@ -14,14 +14,23 @@ arrival of a frozen trace, the adaptation and measurement ticks, the stop
 and consumed from the end of that list; they are never heap entries,
 because a heap holding all ``N`` arrivals makes each of the run's
 pushes and pops sift through ``log2 N`` levels for events whose order was
-known up front.  The heap holds only what is pushed while the run is
-under way (service completions: at most one per core), and :meth:`pop`
-returns the smaller of the two heads.
+known up front.  :meth:`pop` returns the smaller of the two heads.
+
+The heap holds only completions that something else can precede.  A
+service completion is the one kind of event created while the run is
+under way; when :meth:`precedes` says it sorts strictly before both
+heads, the scheduler runs it next without queueing it, so on an idle CPU
+the heap stays empty.  A completion run that way takes no ``seq``, so
+later pushes take lower ``seq`` numbers than an always-push loop would
+give them.  That cannot reorder anything: ``seq`` only breaks ties on
+``(time, kind)``, pushed events keep their relative order, and every
+pushed event is a ``COMPLETION``, a kind no scheduled event has.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from enum import IntEnum
 from typing import Any, Iterable, NamedTuple
 
@@ -43,6 +52,11 @@ class Event(NamedTuple):
     kind: EventKind
     seq: int
     payload: Any = None
+
+
+#: a ``seq`` above every real one: ``(time, kind, _AFTER_ALL)`` sorts
+#: before an event only if ``(time, kind)`` alone does
+_AFTER_ALL = math.inf
 
 
 class EventQueue:
@@ -91,6 +105,19 @@ class EventQueue:
         if scheduled and (not heap or scheduled[-1] < heap[0]):
             return scheduled.pop()
         return heapq.heappop(heap)
+
+    def precedes(self, time: float, kind: EventKind) -> bool:
+        """True iff an event ``(time, kind)`` sorts strictly before every
+        queued event, scheduled and pushed alike.
+
+        Only ``(time, kind)`` is compared: a tie with a queued event goes
+        to the queued one, whatever its ``seq``.  An empty queue is
+        preceded by anything.
+        """
+        probe = (time, kind, _AFTER_ALL)
+        scheduled, heap = self._scheduled, self._heap
+        return ((not scheduled or probe < scheduled[-1])
+                and (not heap or probe < heap[0]))
 
     def peek_time(self) -> float | None:
         """Time of the earliest event, or None if empty."""

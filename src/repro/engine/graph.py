@@ -29,6 +29,15 @@ Event semantics
   (``output_kind`` ``"join-result"`` / ``"aggregate"``) are stamped with
   the completion time (``StreamTuple`` outputs keep theirs), counted, and
   sent down each outgoing edge; the next buffered tuple begins service.
+  Putting idle cores to work pushes every completion it starts except
+  the last; the last runs as the very next event, without entering the
+  queue, when it sorts strictly before everything queued
+  (:meth:`EventQueue.precedes`) — nothing can then happen between its
+  service and its end — and is pushed otherwise.  The processed
+  ``(time, kind)`` sequence is the one an always-push loop gives, so on
+  an idle CPU the queue only ever pops scheduled events.  The fill test
+  is O(1): a core is free iff ``min(core_busy_until) <= now``, and the
+  run counts its buffered tuples instead of scanning for them.
 * ``ADAPT`` — every ``adaptation_interval`` (the paper's ``Delta``) each
   operator's ``on_adapt`` sees its buffers' push/pop counts, which reset.
 * ``MEASURE`` — statistics sampling (queue depths, cumulative output).
@@ -58,6 +67,13 @@ from .operator import AdmissionFilter, ProcessReceipt, StreamOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Obs
+
+# the loop's kinds, read once: on CPython 3.11 an ``EventKind.X``
+# attribute read costs about as much as a short function call
+_ADAPT, _ARRIVAL, _COMPLETION, _MEASURE = (
+    EventKind.ADAPT, EventKind.ARRIVAL, EventKind.COMPLETION,
+    EventKind.MEASURE,
+)
 
 #: operators that build their own result records; the host stamps those
 #: with the emission time (``"tuple"`` / ``"routed"`` outputs are frozen
@@ -334,6 +350,9 @@ class _Run:
         ]
         self._order = list(self.nodes.values())
         self._rr_next = 0
+        #: tuples waiting in the input buffers, over every port: the fill
+        #: loop reads this instead of asking the chooser to scan them
+        self._queued = 0
         self._pick = {
             SchedulingPolicy.OLDEST: partial(_oldest, self._ports),
             SchedulingPolicy.ROUND_ROBIN: self._pick_round_robin,
@@ -376,7 +395,7 @@ class _Run:
         for name, index, source in self._sources:
             port = self.nodes[name].ports[index]
             for tup in source.iter_tuples(cfg.duration):
-                yield tup.delivery_time, EventKind.ARRIVAL, (port, tup)
+                yield tup.delivery_time, _ARRIVAL, (port, tup)
         for kind, step in ((EventKind.ADAPT, cfg.adaptation_interval),
                            (EventKind.MEASURE, cfg.measure_interval)):
             t = step
@@ -390,20 +409,27 @@ class _Run:
         events = self.events
         events.schedule(self._known_events())
 
-        while events:
-            now, kind, _, payload = events.pop()
-            if now > cfg.duration:
+        pop, advance_to, duration = (
+            events.pop, self.clock.advance_to, cfg.duration
+        )
+        # ``held`` is a completion that runs next without being queued
+        # (see _fill_cores); STOP is always queued, so the loop ends on it
+        held = None
+        while True:
+            now, kind, _, payload = held or pop()
+            if now > duration:
                 break
-            self.clock.advance_to(now)
-            if kind is EventKind.ARRIVAL:
+            advance_to(now)
+            held = None
+            if kind is _ARRIVAL:
                 port, tup = payload
                 if self._deliver(port, tup, now):
-                    self._fill_cores(now)
-            elif kind is EventKind.COMPLETION:
-                self._on_completion(*payload, now)
-            elif kind is EventKind.ADAPT:
+                    held = self._fill_cores(now)
+            elif kind is _COMPLETION:
+                held = self._on_completion(*payload, now)
+            elif kind is _ADAPT:
                 self._on_adapt(now)
-            elif kind is EventKind.MEASURE:
+            elif kind is _MEASURE:
                 self._on_measure(now)
             else:  # STOP
                 break
@@ -429,6 +455,7 @@ class _Run:
             return False
         if port.buffer.push(tup):
             counters.admitted += 1
+            self._queued += 1
         else:
             counters.dropped_at_buffer += 1
         return True
@@ -443,7 +470,7 @@ class _Run:
             node.warm_start = node.output.count - len(outputs)
 
     def _on_completion(self, node: _NodeRun, outputs: list,
-                       probe: StreamTuple, now: float) -> None:
+                       probe: StreamTuple, now: float) -> tuple | None:
         self._collect(node, outputs, now)
         node.result.latency_histogram.observe(now - probe.timestamp)
         for edge, target in node.edges:
@@ -457,7 +484,7 @@ class _Run:
                         "a non-StreamTuple; provide a transform"
                     )
                 self._deliver(target, tup, now)
-        self._fill_cores(now)
+        return self._fill_cores(now) if self._queued else None
 
     def _on_adapt(self, now: float) -> None:
         interval = self.config.adaptation_interval
@@ -489,16 +516,33 @@ class _Run:
             if outputs:
                 self._collect(node, outputs, now)
 
-    def _fill_cores(self, now: float) -> None:
-        """Start services until every core is busy or the buffers drain."""
-        while self.cpu.idle_cores(now) > 0 and self._start_service(now):
-            pass
+    def _fill_cores(self, now: float) -> tuple | None:
+        """Start services until every core is busy or the buffers drain.
 
-    def _start_service(self, now: float) -> bool:
+        Every completion but the last one started is pushed.  The last is
+        returned, to run as the very next event, when it sorts strictly
+        before everything queued: nothing can then happen between its
+        service and its end.  Otherwise it is pushed too and None is
+        returned.  A core is free iff its ``busy_until`` is ``<= now``.
+        """
+        cpu, events = self.cpu, self.events
+        last = None
+        while self._queued and min(cpu.core_busy_until) <= now:
+            if last is not None:
+                events.push(last[0], _COMPLETION, last[3])
+            last = self._start_service(now)
+        if last is not None and not events.precedes(last[0], _COMPLETION):
+            events.push(last[0], _COMPLETION, last[3])
+            last = None
+        return last
+
+    def _start_service(self, now: float) -> tuple:
+        """Service the chosen buffered tuple (one must be queued) and
+        return its completion, shaped like a popped event: ``(done,
+        COMPLETION, seq placeholder, payload)``."""
         port = self._pick()
-        if port is None:
-            return False
         tup = port.buffer.pop()
+        self._queued -= 1
         port.counters.consumed += 1
         node = port.node
         try:
@@ -521,10 +565,7 @@ class _Run:
                     "outputs": len(receipt.outputs),
                 },
             )
-        self.events.push(
-            done, EventKind.COMPLETION, (node, receipt.outputs, tup)
-        )
-        return True
+        return done, _COMPLETION, None, (node, receipt.outputs, tup)
 
     def _pick_round_robin(self) -> _Port | None:
         order = self._order

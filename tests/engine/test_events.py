@@ -146,3 +146,63 @@ class TestTwoStores:
         assert sorted(e.seq for e in popped + drained) == list(
             range(next(seq))
         )
+
+
+class TestPrecedes:
+    """``precedes(time, kind)``: would an event sort strictly before every
+    queued one?  Only ``(time, kind)`` counts; a tie goes to the queue."""
+
+    def test_empty_queue_is_preceded_by_anything(self):
+        assert EventQueue().precedes(1e9, EventKind.STOP)
+
+    @pytest.mark.parametrize("store", ["scheduled", "heap"])
+    @pytest.mark.parametrize("queued_kind", list(EventKind))
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_every_kind_pair_in_each_store(self, store, queued_kind, kind):
+        q = EventQueue()
+        if store == "scheduled":
+            q.schedule([(1.0, queued_kind, None)])
+        else:
+            q.push(1.0, queued_kind)
+        # equal times: strictly lower kinds only, never an equal kind
+        assert q.precedes(1.0, kind) is (kind < queued_kind)
+        assert q.precedes(0.5, kind)
+        assert not q.precedes(1.5, kind)
+        assert len(q) == 1  # a query, not a pop
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_both_heads_are_consulted(self, kind):
+        q = EventQueue()
+        q.schedule([(2.0, EventKind.ARRIVAL, None)])
+        q.push(1.0, EventKind.COMPLETION)
+        assert q.precedes(1.0, kind) is (kind < EventKind.COMPLETION)
+        assert not q.precedes(1.5, kind)
+        q.pop()  # only the scheduled ARRIVAL at 2.0 is left
+        assert q.precedes(1.5, kind)
+        assert q.precedes(2.0, kind) is (kind < EventKind.ARRIVAL)
+
+    def test_seq_never_decides(self):
+        # however late the queued event was pushed, a tie on
+        # (time, kind) is not precedence
+        q = EventQueue()
+        for _ in range(5):
+            q.push(0.0, EventKind.MEASURE)
+            q.pop()
+        q.push(3.0, EventKind.COMPLETION)
+        assert q._heap[0].seq == 5
+        assert not q.precedes(3.0, EventKind.COMPLETION)
+        assert q.precedes(3.0, EventKind.ARRIVAL)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_next_pop(self, seed):
+        rng = random.Random(seed)
+        kinds = list(EventKind)
+        q = EventQueue()
+        q.schedule([(float(rng.randrange(6)), rng.choice(kinds), None)
+                    for _ in range(40)])
+        for _ in range(30):
+            q.push(float(rng.randrange(6)), rng.choice(kinds))
+            time, kind = float(rng.randrange(6)), rng.choice(kinds)
+            answer = q.precedes(time, kind)
+            # the next pop carries the smallest queued (time, kind)
+            assert answer is ((time, kind) < q.pop()[:2])
