@@ -665,11 +665,7 @@ class DataflowGraph:
 
     def queue_depth(self, name: str) -> int:
         """Total buffered tuples across a node's input buffers right now
-        (0 before the first run; the final backlog after one).
-
-        Adaptive routers use this (via a depth probe closure) to observe
-        per-shard backlog at adaptation ticks and rebalance accordingly.
-        """
+        (0 before the first run; the final backlog after one)."""
         if name not in self._nodes:
             raise ValueError(f"unknown node {name!r}")
         if self._run is None:

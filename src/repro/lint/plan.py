@@ -850,9 +850,14 @@ def analyze_query(
 
     # graph-level checks (cycles are impossible from the linear builder,
     # but schema/starvation checks still apply) — only when the declared
-    # state can actually be assembled
+    # state can actually be assembled.  The graph pass re-runs the
+    # per-stage checks above on the built operators (a warning leaves
+    # the report ok), so a finding already reported is not repeated.
     if report.ok and sources and window is not None and predicate is not None:
         graph, _ = query.build(capacity=1.0)
-        graph_report = analyze_graph(graph)
-        report.diagnostics.extend(graph_report.diagnostics)
+        seen = {(d.code, d.node, d.message) for d in report.diagnostics}
+        report.diagnostics.extend(
+            d for d in analyze_graph(graph).diagnostics
+            if (d.code, d.node, d.message) not in seen
+        )
     return report

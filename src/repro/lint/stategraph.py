@@ -13,7 +13,7 @@ Traversal rules (identical for both users):
 
 * roots are ``vars(operator)`` minus telemetry plumbing (``obs``,
   ``_obs_*`` — write-only, and policed at the fork by P126) and the
-  router's ``_depth_probe`` (closes over the whole graph by design);
+  sanitizer's own handle;
 * containers (dict/list/tuple/set/frozenset) and plain Python objects
   (``__dict__`` or relevant ``__slots__``) are entered; dict iteration
   is sorted by ``repr`` of the key so reports and fingerprints are
@@ -45,10 +45,10 @@ import zlib
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Iterator, Sequence
 
-#: instance-attribute roots excluded from the walk: telemetry plumbing,
-#: the router's graph-wide depth probe, and the sanitizer's own handle
-#: (testkit wrappers share one sanitizer by design)
-EXCLUDED_ROOTS = ("obs", "_depth_probe", "_sanitizer")
+#: instance-attribute roots excluded from the walk: telemetry plumbing
+#: and the sanitizer's own handle (testkit wrappers share one sanitizer
+#: by design)
+EXCLUDED_ROOTS = ("obs", "_sanitizer")
 
 
 def is_excluded_root(name: str) -> bool:

@@ -3,8 +3,8 @@
 The paper sheds CPU load on a *single* operator; this package scales the
 same operators *out*: ``K`` independent join instances (GrubJoin, MJoin,
 or any :class:`~repro.engine.operator.StreamOperator`) run behind a
-:class:`RouterOperator` that partitions the input streams (hash or
-round-robin, with skew-aware rebalancing driven by per-shard backlog),
+:class:`RouterOperator` that partitions the input streams (a key's
+shard is ``crc32(key) % K``, so equal keys always meet on one shard),
 and a :class:`MergerOperator` that combines the shard outputs into one
 result stream with correct output-rate accounting.  The architecture
 follows the shared-nothing partitioned designs of Chakraborty's
@@ -28,7 +28,6 @@ Two execution modes share that topology:
 from .merger import MergerOperator, shard_result_transform
 from .procs import ProcsResult, run_procs
 from .router import (
-    ROUTING_POLICIES,
     RoutedTuple,
     RouterOperator,
     stable_key_hash,
@@ -38,7 +37,6 @@ from .sharded import ShardedPlan, build_sharded_graph
 __all__ = [
     "MergerOperator",
     "ProcsResult",
-    "ROUTING_POLICIES",
     "RoutedTuple",
     "RouterOperator",
     "ShardedPlan",

@@ -10,7 +10,7 @@ router and the merger:
 
 * **transport** — pickled-batch duplex pipes.  The supervisor routes
   tuples through the :class:`~repro.parallel.router.RouterOperator`
-  bucket map (a constant of the run), packs per-worker batches, and
+  (a key's shard is ``crc32(key) % K``), packs per-worker batches, and
   bounds the number of unacknowledged batches per worker so the
   downstream pipe always fits the OS buffer (sends never block) while
   acks are drained continuously
@@ -363,9 +363,7 @@ class _Supervisor:
         self.router = RouterOperator(
             num_streams=len(sources),
             num_shards=num_shards,
-            policy="hash",
             key=key,
-            rebalance_threshold=None,
         )
         self.merger = MergerOperator(num_shards)
         self.workers: dict[int, _Worker] = {}

@@ -85,7 +85,7 @@ class ShardedPlan:
         router: router node name.
         shards: shard node names, in shard order.
         merger: merger node name.
-        router_op: the router operator (rebalance diagnostics).
+        router_op: the router operator (per-shard routing counts).
         merger_op: the merger operator (per-shard output accounting).
         shard_ops: the shard operators, in shard order.
     """
@@ -151,10 +151,7 @@ def build_sharded_graph(
     sources: Sequence[Any],
     make_shard: Callable[[int], StreamOperator],
     num_shards: int,
-    policy: str = "hash",
     key: Callable[[StreamTuple], Any] | None = None,
-    buckets: int = 64,
-    rebalance_threshold: float | None = 2.0,
     route_cost: int = 1,
     merge_cost: int = 1,
     shard_buffer_capacity: int | None = None,
@@ -170,11 +167,7 @@ def build_sharded_graph(
             shard its own operator instance — shards must not share
             windows or controllers.
         num_shards: how many join instances to run in parallel.
-        policy: router partitioning policy (``"hash"``/``"round-robin"``).
-        key: join-key extractor for hash routing (default: tuple value).
-        buckets: virtual hash buckets (rebalancing granularity).
-        rebalance_threshold: skew ratio that triggers a rebalance at an
-            adaptation tick; ``None`` pins the initial assignment.
+        key: join-key extractor for routing (default: tuple value).
         route_cost: comparisons charged per routed tuple.
         merge_cost: comparisons charged per merged result.
         shard_buffer_capacity: optional bound on each shard input buffer.
@@ -187,7 +180,7 @@ def build_sharded_graph(
             time).
 
     Returns:
-        The assembled :class:`ShardedPlan` (depth probe already attached).
+        The assembled :class:`ShardedPlan`.
     """
     if num_shards < 1:
         raise ValueError("need at least one shard")
@@ -195,10 +188,7 @@ def build_sharded_graph(
     router = RouterOperator(
         num_streams=m,
         num_shards=num_shards,
-        policy=policy,
         key=key,
-        buckets=buckets,
-        rebalance_threshold=rebalance_threshold,
         route_cost=route_cost,
     )
     merger = MergerOperator(num_shards, merge_cost=merge_cost)
@@ -239,11 +229,6 @@ def build_sharded_graph(
             name, "merger", target_input=0,
             transform=shard_result_transform(k),
         )
-
-    def _depths() -> list[int]:
-        return [graph.queue_depth(name) for name in shard_names]
-
-    router.attach_depth_probe(_depths)
     return ShardedPlan(
         graph=graph,
         router="router",

@@ -147,8 +147,8 @@ class ZipfKeyProcess(ValueProcess):
 
     ``P(k) ∝ 1 / (k + 1)^alpha`` over ``{0, .., n - 1}``: a handful of
     hot keys carry most of the traffic while a long tail stays rare —
-    the skewed-key regime partition indexes (and skew-aware routing)
-    are built for.  Sampling inverts a precomputed CDF, so the process
+    the skewed-key regime partition indexes are built for, and the one
+    that overloads the shards owning the hot keys.  Sampling inverts a precomputed CDF, so the process
     is deterministic given its seed and costs one uniform draw plus a
     binary search per tuple.  Values are returned as floats so the
     scalar window storage and the equi predicate apply unchanged.

@@ -189,15 +189,7 @@ def sharded_ids(
             return sanitizer.wrap(f"shard{k}", operator)
         return operator
 
-    plan = build_sharded_graph(
-        workload.traces,
-        _shard,
-        num_shards,
-        policy="hash",
-        # the bucket map stays put: equality must not lean on the
-        # unbounded CPU never letting a shard queue build
-        rebalance_threshold=None,
-    )
+    plan = build_sharded_graph(workload.traces, _shard, num_shards)
     cpu = CpuModel(
         capacity, cores=cores if cores is not None else num_shards + 2
     )
@@ -213,9 +205,10 @@ def procs_ids(workload: Workload, num_shards: int) -> set[IdVector]:
 
     ``K`` real ``multiprocessing`` workers behind the supervisor-owned
     router/merger (:func:`repro.parallel.procs.run_procs`) — a fleet
-    fixed at launch, a constant bucket map — and the same adaptation
-    cadence as :func:`run_config`, so for equi-join workloads the
-    result must be bit-identical to :func:`sharded_ids` and the oracle.
+    fixed at launch, routing by the plan's ``crc32(key) % K`` rule — and
+    the same adaptation cadence as :func:`run_config`, so for equi-join
+    workloads the result must be bit-identical to :func:`sharded_ids`
+    and the oracle.
 
     No ``sanitize`` parameter: the determinism sanitizer shadow-tracks
     operator state in-process and cannot observe writes across a

@@ -9,7 +9,7 @@ and ``merge_slices`` over policy-cut slices.
 from repro.core import PartitionedWindow
 from repro.joins.pipeline import merge_slices
 from repro.streams import StreamTuple
-from repro.streams.windows import SessionWindow, TumblingWindow
+from repro.streams.windows import SessionWindow
 
 
 def tup(ts, seq=0):

@@ -154,6 +154,26 @@ class TestOtherChecks:
         assert report.ok
         assert any(d.code == "P109" for d in report.warnings)
 
+    def test_warnings_reported_once(self):
+        # a warning leaves the report ok, so the graph pass runs too and
+        # re-derives the same per-stage findings on the built operators
+        def query(**window):
+            sources = drift_sources(m=3, rate=10.0, seed=0, lags=[0, 1, 2])
+            return Query().streams(*sources).window(10.0, basic=2.0,
+                                                    **window)
+
+        session = query(policy="session:3.0").join(EpsilonJoin(1.0),
+                                                   shedding="none")
+        ragged = (
+            query().join(EpsilonJoin(1.0), shedding="none")
+            .project(lambda r: 1.0)
+            .aggregate("count", window=5.0, slide=2.0)
+        )
+        for q, code in ((session, "P132"), (ragged, "P109")):
+            report = q.validate()
+            assert report.ok
+            assert [d.code for d in report.diagnostics] == [code]
+
     def test_aggregate_without_projection_rejected(self):
         # the default projection emits tuple-of-values payloads, which
         # the numeric aggregate window cannot store

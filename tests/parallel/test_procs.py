@@ -194,9 +194,7 @@ class TestColumnarResultPlane:
             workload.traces, make_shard, 2,
             duration=workload.duration + DRAIN_TAIL,
         )
-        plan = build_sharded_graph(
-            workload.traces, make_shard, 2, rebalance_threshold=None
-        )
+        plan = build_sharded_graph(workload.traces, make_shard, 2)
         graph = plan.run(
             CpuModel(UNBOUNDED_CAPACITY, cores=4), run_config(workload),
             # the analyzer certifies sharding against the *unsharded*

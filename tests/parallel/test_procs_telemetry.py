@@ -77,10 +77,7 @@ def replay_in_process(workload, factory, num_shards):
     tuple order, same synthesized-stats adaptation ticks — then one-shot
     aggregate the per-worker ``Obs`` (the exactness reference)."""
     m = len(workload.traces)
-    router = RouterOperator(
-        num_streams=m, num_shards=num_shards, policy="hash",
-        key=None, buckets=64, rebalance_threshold=None,
-    )
+    router = RouterOperator(num_streams=m, num_shards=num_shards)
     arrivals = sorted(
         (
             tup

@@ -10,7 +10,6 @@ from repro.streams import (
     ConstantProcess,
     ConstantRate,
     StreamSource,
-    UniformProcess,
 )
 from repro.testkit.workloads import key_sources as make_key_sources
 
@@ -34,10 +33,8 @@ def fast_cpu(cores=4):
 CFG = SimulationConfig(duration=15.0, warmup=5.0, adaptation_interval=2.5)
 
 
-def merged_count(num_shards, **kwargs):
-    plan = build_sharded_graph(
-        key_sources(), make_mjoin, num_shards, **kwargs
-    )
+def merged_count(num_shards):
+    plan = build_sharded_graph(key_sources(), make_mjoin, num_shards)
     result = plan.run(fast_cpu(), CFG)
     return plan, result
 
@@ -69,17 +66,6 @@ class TestHashShardingIsLossless:
         )
 
 
-class TestRoundRobin:
-    def test_round_robin_spreads_but_loses_copartitioning(self):
-        plan, result = merged_count(4, policy="round-robin")
-        routed = plan.router_op.routed_per_shard
-        assert max(routed) - min(routed) <= M  # near-perfect balance
-        plan1, result1 = merged_count(1)
-        # matching keys land on different shards: output strictly below
-        # the co-partitioned join's
-        assert plan.output_count(result) < plan1.output_count(result1)
-
-
 class TestPlanStructure:
     def test_plan_passes_static_analyzer(self):
         plan = build_sharded_graph(key_sources(), make_mjoin, 4)
@@ -104,8 +90,8 @@ class TestIndependentShedding:
     def test_skewed_keys_shed_only_on_hot_shards(self):
         # every tuple carries the same key: exactly one shard gets all
         # the work, the rest idle; only the hot shard's controller sheds
-        # (key 39 occupies virtual bucket 7 -> shard 3, where this
-        # marginal overload reliably trips the throttle)
+        # (key 39 hashes to shard 3, where this marginal overload
+        # reliably trips the throttle)
         def hot_sources():
             return [
                 StreamSource(i, ConstantRate(60.0), ConstantProcess(39.0))
@@ -117,9 +103,7 @@ class TestIndependentShedding:
                 EquiJoin(), [WINDOW] * M, BASIC, rng=500 + k
             )
 
-        plan = build_sharded_graph(
-            hot_sources(), make_grub, 4, rebalance_threshold=None
-        )
+        plan = build_sharded_graph(hot_sources(), make_grub, 4)
         plan.run(CpuModel(4000.0, cores=4), CFG)
         zs = [op.throttle.z for op in plan.shard_ops]
         hot = plan.router_op.routed_per_shard.index(
@@ -128,21 +112,6 @@ class TestIndependentShedding:
         cold = [z for k, z in enumerate(zs) if k != hot]
         assert zs[hot] < 1.0
         assert all(z == 1.0 for z in cold)
-
-    def test_rebalance_triggers_under_skew(self):
-        # identical keys + hash routing: backlog piles on one shard and
-        # the router migrates buckets away at adaptation ticks
-        def hot_sources():
-            return [
-                StreamSource(i, ConstantRate(60.0), ConstantProcess(7.0))
-                for i in range(M)
-            ]
-
-        plan = build_sharded_graph(
-            hot_sources(), make_mjoin, 4, rebalance_threshold=1.5
-        )
-        plan.run(CpuModel(3000.0, cores=2), CFG)
-        assert plan.router_op.rebalances > 0
 
 
 class TestDeterminism:

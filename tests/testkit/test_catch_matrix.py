@@ -379,8 +379,7 @@ def workload():
 
 def build(row, w, k, make_shard=None):
     plan = build_sharded_graph(
-        w.traces, make_shard or row.shards(w), k,
-        rebalance_threshold=None, certify=False,
+        w.traces, make_shard or row.shards(w), k, certify=False,
     )
     if row.merger is not None:
         plan.graph._nodes[plan.merger].operator = row.merger(k)
