@@ -43,6 +43,35 @@ _AGGREGATES: dict[str, tuple[Callable[[np.ndarray], float], bool]] = {
 }
 
 
+def aggregate_errors(
+    function: str, window_size: float, slide: float
+) -> dict[str, str]:
+    """Why :class:`ThrottledAggregateOperator` refuses these arguments,
+    keyed by plan-rule code: ``P108`` an unknown function, ``P104`` a
+    non-positive window or slide, or a slide past the window.
+
+    The one definition of both checks: the constructor raises on any of
+    them, and the plan analyzer (:mod:`repro.lint.plan`) reports each.
+    """
+    errors = {}
+    if function not in _AGGREGATES:
+        errors["P108"] = (
+            f"unknown aggregate function {function!r}; choose from "
+            f"{sorted(_AGGREGATES)}"
+        )
+    if slide <= 0 or window_size <= 0:
+        errors["P104"] = (
+            f"aggregate window/slide must be positive "
+            f"(window={window_size:g}, slide={slide:g})"
+        )
+    elif slide > window_size:
+        errors["P104"] = (
+            f"aggregate slide={slide:g}s exceeds its window="
+            f"{window_size:g}s; every emission would drop tuples unseen"
+        )
+    return errors
+
+
 @dataclass(slots=True)
 class AggregateResult:
     """One emitted window aggregate."""
@@ -83,13 +112,9 @@ class ThrottledAggregateOperator(StreamOperator):
         tuple_cost: float = 10.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if function not in _AGGREGATES:
-            raise ValueError(
-                f"unknown aggregate {function!r}; "
-                f"choose from {sorted(_AGGREGATES)}"
-            )
-        if slide <= 0 or slide > window_size:
-            raise ValueError("slide must be in (0, window_size]")
+        errors = aggregate_errors(function, window_size, slide)
+        if errors:
+            raise ValueError("; ".join(errors.values()))
         if tuple_cost <= 0:
             raise ValueError("tuple_cost must be positive")
         self.function = function

@@ -672,16 +672,12 @@ class DataflowGraph:
             return 0
         return sum(len(p.buffer) for p in self._run.nodes[name].ports)
 
-    def validate(self, assumptions=None):
-        """Run the static plan analyzer over this graph.
-
-        Returns a :class:`repro.lint.plan.PlanReport`; pass
-        ``assumptions`` (a :class:`repro.lint.plan.HarvestAssumptions`)
-        to additionally check harvest feasibility (P106).
-        """
+    def validate(self):
+        """Run the static plan analyzer over this graph; returns a
+        :class:`repro.lint.plan.PlanReport`."""
         from repro.lint.plan import analyze_graph
 
-        return analyze_graph(self, assumptions)
+        return analyze_graph(self)
 
     def _check_input(self, node: str, input_index: int) -> None:
         if node not in self._nodes:

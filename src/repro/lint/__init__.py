@@ -8,8 +8,8 @@ Two layers, one diagnostic vocabulary (:mod:`repro.lint.diagnostics`):
 * **Layer 2 — static query-plan analyzer**
   (:func:`repro.lint.plan.analyze_query` /
   :func:`repro.lint.plan.analyze_graph`): P-series checks validating a
-  configured plan — graph shape, schemas, window algebra, and the §4
-  feasibility constraint ``z * C(1) >= C({z_ij})`` — before execution.
+  configured plan — graph shape, schemas, window algebra, shedding
+  soundness, shard safety — before execution.
   Wired into ``Query.run(validate=True)`` and ``DataflowGraph.run``.
 
 Full rule/check reference: ``docs/STATIC_ANALYSIS.md``.
@@ -25,19 +25,16 @@ from .checker import (
 )
 from .diagnostics import Diagnostic, Severity
 from .plan import (
-    HarvestAssumptions,
     PlanReport,
     PlanValidationError,
     analyze_graph,
     analyze_query,
-    check_harvest_feasibility,
 )
 from .rules import REGISTRY, RULES_BY_CODE, Rule, rules_for
 
 __all__ = [
     "Diagnostic",
     "FileReport",
-    "HarvestAssumptions",
     "PlanReport",
     "PlanValidationError",
     "REGISTRY",
@@ -46,7 +43,6 @@ __all__ = [
     "Severity",
     "analyze_graph",
     "analyze_query",
-    "check_harvest_feasibility",
     "check_paths",
     "check_source",
     "iter_python_files",

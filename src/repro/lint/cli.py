@@ -14,12 +14,15 @@ tree.  ``--format json`` emits a machine-readable document::
          "path": "src/repro/core/x.py", "line": 10, "col": 5},
         ...
       ],
-      "counts": {"R001": 1}
+      "counts": {"R001": 1},
+      "file_errors": [{"path": "...", "error": "rule R004 crashed: ..."}]
     }
 
-The JSON schema is golden-tested: field names, ordering and indentation
-are frozen at version 1.  ``--format sarif`` emits SARIF 2.1.0 for
-GitHub code-scanning annotations.
+``file_errors`` lists unparsable files and crashed rules (SARIF: an
+``E000`` result), so a crash never reads as a clean tree.  The JSON
+schema is golden-tested: field names, ordering and indentation are
+frozen at version 1.  ``--format sarif`` emits SARIF 2.1.0 for GitHub
+code-scanning annotations.
 """
 
 from __future__ import annotations
@@ -97,6 +100,12 @@ def _render_human(reports: list[FileReport]) -> str:
     return "\n".join(lines)
 
 
+def _file_errors(report: FileReport) -> list[str]:
+    """A file's unparsable-source error and its rule crash, if any: the
+    machine formats report both as ``file_errors`` / ``E000``."""
+    return [e for e in (report.error, report.internal_error) if e]
+
+
 def _render_json(reports: list[FileReport]) -> str:
     # NOTE: version-1 schema is frozen and golden-tested — field names,
     # key order and indentation must not change
@@ -104,8 +113,8 @@ def _render_json(reports: list[FileReport]) -> str:
     errors = []
     suppressed = 0
     for report in reports:
-        if report.error:
-            errors.append({"path": report.path, "error": report.error})
+        errors.extend({"path": report.path, "error": error}
+                      for error in _file_errors(report))
         diagnostics.extend(d.to_dict() for d in report.diagnostics)
         suppressed += report.suppressed
     counts = Counter(d["code"] for d in diagnostics)
@@ -156,12 +165,12 @@ def _render_sarif(reports: list[FileReport]) -> str:
                     ],
                 }
             )
-        if report.error:
+        for error in _file_errors(report):
             results.append(
                 {
                     "ruleId": "E000",
                     "level": "error",
-                    "message": {"text": report.error},
+                    "message": {"text": error},
                     "locations": [
                         {
                             "physicalLocation": {

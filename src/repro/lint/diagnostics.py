@@ -20,17 +20,10 @@ class Severity(str, Enum):
     * ``ERROR`` — the invariant is violated; CI (and
       ``Query.run(validate=True)``) must fail.
     * ``WARNING`` — suspicious but runnable; reported, never fatal.
-    * ``INFO`` — advisory context attached to a report.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        """Ordering key: higher is more severe."""
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
 
 
 @dataclass(frozen=True, slots=True)

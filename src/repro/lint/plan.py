@@ -20,9 +20,6 @@ P103   Every join window ``w_i`` must be an integral multiple of the
        basic window ``b`` (the logical basic-window algebra of §4.1.1
        assumes ``w = n * b``).
 P104   Aggregates need ``slide <= window``.
-P105   The load-shedding policy must be one the builder knows.
-P106   Harvest feasibility: a hypothesised harvest configuration must
-       satisfy the paper's §4 constraint ``z * C(1) >= C({z_ij})``.
 P107   Every operator input should be fed by a source or an edge
        (warning: a starved input usually means a wiring mistake).
 P108   Aggregate function must exist.
@@ -79,15 +76,15 @@ P133   Partition-index compatibility: an ``index=`` spec must agree
        operator already passed the same check in its constructor.
 =====  ==================================================================
 
+A check that a constructor or ``Query.build`` also makes is written
+once and called from both: P100 and P131's grubjoin case are methods of
+:class:`repro.query.Query`, P104 / P108 are
+:func:`repro.core.aggregate.aggregate_errors`, P133 is
+:func:`repro.core.windex.check_index_compat`.
+
 The shard checks (P121, P124) run exactly when the graph contains a
 routed topology; P124/P126 are one function, :func:`certify_shards`,
 shared with the build-time gate.  All of them look at live objects.
-
-Feasibility (P106) is *symbolic*: rates, selectivities and throttle come
-from :class:`HarvestAssumptions`, not from a run.  With uniform
-time-correlation masses it reduces to checking the §4.2.2 pipeline cost
-model, exactly what the greedy solver enforces at runtime — the analyzer
-catches configurations the solver could never make feasible.
 """
 
 from __future__ import annotations
@@ -95,8 +92,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
 
 from .diagnostics import Diagnostic, Severity
 
@@ -160,32 +155,6 @@ class PlanReport:
         if not self.diagnostics:
             return "plan ok: no findings"
         return "\n".join(d.render() for d in self.diagnostics)
-
-
-@dataclass
-class HarvestAssumptions:
-    """Workload hypothesis for the symbolic feasibility check (P106).
-
-    Attributes:
-        rates: assumed per-stream arrival rates ``lambda_i`` (tuples/s).
-        throttle: the throttle fraction ``z`` the plan must survive.
-        counts: hypothesised harvest counts ``{z_ij}`` as an
-            ``(m, m-1)`` array of logical-basic-window counts; None
-            means the full join (every logical window selected) — the
-            strictest configuration.
-        selectivity: assumed uniform per-hop selectivity.
-    """
-
-    rates: Sequence[float]
-    throttle: float = 1.0
-    counts: Any = None
-    selectivity: float = 0.005
-
-    def __post_init__(self) -> None:
-        if not 0 < self.throttle <= 1:
-            raise ValueError("throttle must be in (0, 1]")
-        if not 0 < self.selectivity <= 1:
-            raise ValueError("selectivity must be in (0, 1]")
 
 
 # --------------------------------------------------------------------------
@@ -275,30 +244,13 @@ def _check_aggregate(
     slide: float,
     node: str,
 ) -> None:
-    from repro.core.aggregate import _AGGREGATES
+    """P104 / P108 (the constructor's own checks) and the P109 warning."""
+    from repro.core.aggregate import aggregate_errors
 
-    if function not in _AGGREGATES:
-        report.add(
-            "P108",
-            f"unknown aggregate function {function!r}; choose from "
-            f"{sorted(_AGGREGATES)}",
-            node=node,
-        )
-    if slide <= 0 or window <= 0:
-        report.add(
-            "P104",
-            f"aggregate window/slide must be positive "
-            f"(window={window:g}, slide={slide:g})",
-            node=node,
-        )
-    elif slide > window:
-        report.add(
-            "P104",
-            f"aggregate slide={slide:g}s exceeds its window="
-            f"{window:g}s; every emission would drop tuples unseen",
-            node=node,
-        )
-    elif not _is_multiple(window, slide):
+    errors = aggregate_errors(function, window, slide)
+    for code, message in errors.items():
+        report.add(code, message, node=node)
+    if "P104" not in errors and not _is_multiple(window, slide):
         report.add(
             "P109",
             f"aggregate window={window:g}s is not a multiple of "
@@ -306,67 +258,6 @@ def _check_aggregate(
             severity=Severity.WARNING,
             node=node,
         )
-
-
-def check_harvest_feasibility(
-    profile: Any,
-    throttle: float,
-    counts: Any = None,
-) -> Diagnostic | None:
-    """P106 against an explicit :class:`repro.core.cost_model.JoinProfile`.
-
-    Returns the diagnostic when ``throttle * C(1) < C(counts)``, else
-    None.  ``counts=None`` checks the full configuration.
-    """
-    if counts is None:
-        counts = profile.full_counts()
-    counts = np.asarray(counts, dtype=float)
-    cost = profile.cost(counts)
-    budget = throttle * profile.full_cost()
-    if cost <= budget * (1 + 1e-12):
-        return None
-    return Diagnostic(
-        code="P106",
-        message=(
-            f"harvest configuration infeasible: C({{z_ij}})={cost:.4g} "
-            f"exceeds the budget z*C(1)={budget:.4g} "
-            f"(z={throttle:g}); the §4 constraint z*C(1) >= C({{z_ij}}) "
-            "cannot hold"
-        ),
-        severity=Severity.ERROR,
-        node="join",
-    )
-
-
-def _feasibility_profile(
-    m: int,
-    window_sizes: Sequence[float],
-    basic: float,
-    assumptions: HarvestAssumptions,
-) -> Any:
-    """Build the symbolic JoinProfile the P106 check evaluates."""
-    from repro.core.cost_model import JoinProfile, uniform_masses
-    from repro.joins.join_order import default_orders
-
-    rates = np.asarray(assumptions.rates, dtype=float)
-    if len(rates) != m:
-        raise ValueError(
-            f"assumptions carry {len(rates)} rates for {m} streams"
-        )
-    segments = np.array(
-        [max(1, math.ceil(w / basic)) for w in window_sizes], dtype=int
-    )
-    window_counts = rates * np.asarray(window_sizes, dtype=float)
-    orders = default_orders(m)
-    selectivity = np.full((m, m), assumptions.selectivity)
-    return JoinProfile(
-        rates=rates,
-        window_counts=window_counts,
-        segments=segments,
-        selectivity=selectivity,
-        orders=orders,
-        masses=uniform_masses(segments, orders),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -512,16 +403,39 @@ def _shard_checks(
 # --------------------------------------------------------------------------
 
 
-def analyze_graph(
-    graph: "DataflowGraph",
-    assumptions: HarvestAssumptions | None = None,
-) -> PlanReport:
+def analyze_graph(graph: "DataflowGraph") -> PlanReport:
     """Validate a constructed dataflow graph (checks P101-P132, plus the
     shard-safety checks P121/P124 for routed topologies)."""
     report = PlanReport()
+    for name, op in graph.node_operators().items():
+        _check_operator(report, op, name)
+    _check_topology(report, graph)
+    return report
+
+
+def _check_operator(report: PlanReport, op: Any, name: str) -> None:
+    """P103 / P132 on a join's windows, P104 / P108 / P109 on an
+    aggregate's — the checks ``analyze_query`` makes on the declaration."""
+    window_sizes = getattr(op, "window_sizes", None)
+    basic = getattr(op, "basic_window_size", None)
+    if window_sizes is not None and basic is not None:
+        _check_join_windows(report, window_sizes, basic, name)
+        policy = _window_policy_of(op)
+        if policy is not None:
+            _check_session_policy(report, policy, window_sizes, basic,
+                                  name)
+    slide = getattr(op, "slide", None)
+    window = getattr(op, "window_size", None)
+    function = getattr(op, "function", None)
+    if slide is not None and window is not None and function is not None:
+        _check_aggregate(report, function, window, slide, name)
+
+
+def _check_topology(report: PlanReport, graph: "DataflowGraph") -> None:
+    """The checks that read edges and sources: P101, P102, P107, P111,
+    P130 and the shard checks P121 / P124."""
     nodes = graph.node_operators()
     edges = graph.edge_list()
-    sources = graph.source_list()
 
     # P101 — cycle detection (iterative DFS, 3-colour)
     adjacency: dict[str, list[str]] = {name: [] for name in nodes}
@@ -570,13 +484,8 @@ def analyze_graph(
                 node=edge.target,
             )
 
-    # P103 / P104 / P108 / P109 — per-operator window parameters
-    # P130 / P132 — unforwarded flush, session geometry
+    # P130 — an anti / outer flush travels no edge
     for name, op in nodes.items():
-        window_sizes = getattr(op, "window_sizes", None)
-        basic = getattr(op, "basic_window_size", None)
-        if window_sizes is not None and basic is not None:
-            _check_join_windows(report, window_sizes, basic, name)
         mode = _join_mode_of(op)
         if (
             mode is not None
@@ -592,26 +501,10 @@ def analyze_graph(
                 severity=Severity.WARNING,
                 node=name,
             )
-        policy = _window_policy_of(op)
-        if (
-            policy is not None
-            and window_sizes is not None
-            and basic is not None
-        ):
-            _check_session_policy(report, policy, window_sizes, basic,
-                                  name)
-        slide = getattr(op, "slide", None)
-        window = getattr(op, "window_size", None)
-        function = getattr(op, "function", None)
-        if slide is not None and window is not None and function is not None:
-            _check_aggregate(report, function, window, slide, name)
 
     # P107 — starved inputs
-    fed: set[tuple[str, int]] = set()
-    for node_name, input_index, _source in sources:
-        fed.add((node_name, input_index))
-    for edge in edges:
-        fed.add((edge.target, edge.target_input))
+    fed = {(node_name, i) for node_name, i, _source in graph.source_list()}
+    fed.update((edge.target, edge.target_input) for edge in edges)
     for name, op in nodes.items():
         for i in range(getattr(op, "num_streams", 1)):
             if (name, i) not in fed:
@@ -674,33 +567,9 @@ def analyze_graph(
                     node=target,
                 )
 
-    # P106 — symbolic harvest feasibility, when a hypothesis is given
-    if assumptions is not None:
-        for name, op in nodes.items():
-            window_sizes = getattr(op, "window_sizes", None)
-            basic = getattr(op, "basic_window_size", None)
-            if window_sizes is None or basic is None:
-                continue
-            profile = _feasibility_profile(
-                len(window_sizes), window_sizes, basic, assumptions
-            )
-            diag = check_harvest_feasibility(
-                profile, assumptions.throttle, assumptions.counts
-            )
-            if diag is not None:
-                report.diagnostics.append(
-                    Diagnostic(
-                        code=diag.code,
-                        message=diag.message,
-                        severity=diag.severity,
-                        node=name,
-                    )
-                )
-
     # P121 / P124 — shard safety of routed plans
     if shard_groups:
         _shard_checks(report, nodes, shard_groups, edges)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -708,79 +577,43 @@ def analyze_graph(
 # --------------------------------------------------------------------------
 
 
-def analyze_query(
-    query: Any,
-    assumptions: HarvestAssumptions | None = None,
-) -> PlanReport:
+def analyze_query(query: Any) -> PlanReport:
     """Validate a declarative :class:`repro.query.Query` before it runs.
 
     Works on the builder's declared state — no operator is constructed
     unless the declaration is structurally sound — so *every* problem is
     reported in one pass instead of whichever constructor raises first.
     """
+    from repro.core.windex import check_index_compat
+    from repro.joins.columnar import supports_columnar
     from repro.joins.variants import JoinMode
-    from repro.query import SHEDDING_POLICIES
-    from repro.streams.windows import resolve_policy
 
     report = PlanReport()
 
-    sources = getattr(query, "_sources", [])
-    window = getattr(query, "_window", None)
-    basic = getattr(query, "_basic", None)
-    predicate = getattr(query, "_predicate", None)
-    shedding = getattr(query, "_shedding", "grubjoin")
-    stages = getattr(query, "_stages", [])
-    mode = getattr(query, "_mode", JoinMode.INNER)
-    policy = resolve_policy(getattr(query, "_policy", None))
-    plain = mode is JoinMode.INNER and policy.is_sliding
-
-    if not sources:
-        report.add("P100", "no input streams; call .streams(...)",
-                   node="query")
-    elif len(sources) < 2:
-        report.add("P100", "a join needs at least two streams",
-                   node="query")
-    if window is None or predicate is None:
-        report.add("P100", "incomplete query: call .window(...) and "
-                   ".join(...) before running", node="query")
-
-    # P105 — shedding policy
-    if shedding not in SHEDDING_POLICIES:
-        report.add(
-            "P105",
-            f"unknown shedding policy {shedding!r}; expected one of "
-            f"{SHEDDING_POLICIES}",
-            node="join",
-        )
+    # P100 — what Query.build refuses to assemble
+    for message in query._declaration_errors():
+        report.add("P100", message, node="query")
 
     # P131 — shedding soundness and policy support for variant modes
-    if shedding in SHEDDING_POLICIES and shedding != "none":
-        if mode in (JoinMode.ANTI, JoinMode.OUTER):
-            report.add(
-                "P131",
-                f"load shedding is unsound for {mode.value} joins: "
-                "dropping a tuple's matches makes the tuple a spurious "
-                "survivor, so shedding would invent results instead of "
-                "losing them; use shedding='none'",
-                node="join",
-            )
-        elif shedding == "grubjoin" and not plain:
-            report.add(
-                "P131",
-                "shedding policy 'grubjoin' only speaks inner-mode "
-                f"sliding-window joins (got mode={mode.value}, "
-                f"window_policy={policy.name}); use "
-                "shedding='randomdrop' or 'none'",
-                node="join",
-            )
+    mode = query._mode
+    if query._shedding != "none" and mode in (JoinMode.ANTI,
+                                               JoinMode.OUTER):
+        report.add(
+            "P131",
+            f"load shedding is unsound for {mode.value} joins: "
+            "dropping a tuple's matches makes the tuple a spurious "
+            "survivor, so shedding would invent results instead of "
+            "losing them; use shedding='none'",
+            node="join",
+        )
+    elif (off_turf := query._grubjoin_off_turf()) is not None:
+        report.add("P131", off_turf, node="join")
 
-    # P133 — partition-index / predicate compatibility (the same
-    # contract the operator constructor enforces at build time, but
-    # reported alongside everything else instead of raising first)
-    from repro.core.windex import check_index_compat
-    from repro.joins.columnar import supports_columnar
-
-    spec = getattr(query, "_join_kwargs", {}).get("index")
+    # P133 — partition-index / predicate compatibility (the contract the
+    # operator constructor enforces at build time, reported alongside
+    # everything else instead of raising first)
+    predicate = query._predicate
+    spec = query._join_kwargs.get("index")
     if spec is not None and predicate is not None:
         try:
             check_index_compat(
@@ -791,24 +624,19 @@ def analyze_query(
         except ValueError as exc:
             report.add("P133", str(exc), node="join")
 
-    # P103 — window divisibility
-    m = len(sources)
-    if window is not None and basic is not None and m >= 2:
+    # P103 / P132 — window divisibility, session-gap geometry
+    m = len(query._sources)
+    window, basic = query._window, query._basic
+    if window is not None and m >= 2:
         _check_join_windows(report, [window] * m, basic, "join")
-
-    # P132 — session-gap geometry
-    if window is not None and basic is not None and m >= 2:
-        _check_session_policy(report, policy, [window] * m, basic,
+        _check_session_policy(report, query._policy, [window] * m, basic,
                               "join")
 
     # P104 / P108 / P109 — declared aggregate stages
+    stages = query._stages
     for index, (kind, arg) in enumerate(stages):
-        if kind != "aggregate":
-            continue
-        function, agg_window, slide = arg
-        _check_aggregate(
-            report, function, agg_window, slide, f"aggregate{index}"
-        )
+        if kind == "aggregate":
+            _check_aggregate(report, *arg, f"aggregate{index}")
 
     # P110 — aggregate over the default (tuple-of-values) projection.
     # Without .project(...) every join result is packed into a tuple of
@@ -816,7 +644,7 @@ def analyze_query(
     # that and the run would die on the first match.  A .select(...)
     # before the aggregate may rescale the payload, so only the certain
     # case is an error.
-    if getattr(query, "_projection", None) is None:
+    if query._projection is None:
         for index, (kind, arg) in enumerate(stages):
             if kind == "select":
                 break
@@ -832,32 +660,10 @@ def analyze_query(
                 )
                 break
 
-    # P106 — symbolic feasibility of the hypothesised harvest config
-    if (
-        assumptions is not None
-        and window is not None
-        and basic is not None
-        and m >= 2
-    ):
-        profile = _feasibility_profile(
-            m, [window] * m, basic, assumptions
-        )
-        diag = check_harvest_feasibility(
-            profile, assumptions.throttle, assumptions.counts
-        )
-        if diag is not None:
-            report.diagnostics.append(diag)
-
-    # graph-level checks (cycles are impossible from the linear builder,
-    # but schema/starvation checks still apply) — only when the declared
-    # state can actually be assembled.  The graph pass re-runs the
-    # per-stage checks above on the built operators (a warning leaves
-    # the report ok), so a finding already reported is not repeated.
-    if report.ok and sources and window is not None and predicate is not None:
+    # the graph-shape checks on the assembled plan (cycles are impossible
+    # from the linear builder, but schema/starvation/flush checks still
+    # apply); the per-operator checks above already covered every stage
+    if report.ok:
         graph, _ = query.build(capacity=1.0)
-        seen = {(d.code, d.node, d.message) for d in report.diagnostics}
-        report.diagnostics.extend(
-            d for d in analyze_graph(graph).diagnostics
-            if (d.code, d.node, d.message) not in seen
-        )
+        _check_topology(report, graph)
     return report

@@ -5,33 +5,34 @@ Rules are *scoped*: each declares the repo sub-packages (or individual
 modules) it polices, expressed relative to the ``repro`` package root, so
 e.g. the wall-clock ban applies to the deterministic simulator packages
 but deliberately not to ``experiments/`` (which measures real solver
-runtimes on purpose).
+runtimes on purpose).  A rule's ``scope`` tuple, below, is the only
+list of its packages; ``python -m repro.lint --list-rules`` prints it.
 
 The rules encode the reproduction's two load-bearing properties plus the
 hot-path hygiene that keeps the pure-Python engine fast:
 
 =====  ==================================================================
 R001   No wall clock (``time.time``/``perf_counter``/``datetime.now``...)
-       inside ``core/``, ``engine/``, ``joins/``, ``streams/`` — the
-       virtual clock is the only time source the simulator may see.
+       in the simulator packages — the virtual clock is the only time
+       source the simulator may see.
 R002   No global / unseeded RNG: the stdlib ``random`` module and the
        legacy ``numpy.random.*`` global functions are banned everywhere;
        draws must flow through an injected ``np.random.Generator``.
 R003   No mutable default arguments (``def f(x=[])``) anywhere.
 R004   No ``list.pop(0)`` / ``insert(0, ...)`` in the hot-path packages
-       (``core/``, ``engine/``, ``joins/``) — use ``collections.deque``
-       or the ring structures the windows already provide.
+       — use ``collections.deque`` or the ring structures the windows
+       already provide.
 R005   No float ``==`` / ``!=`` comparisons in the numeric decision
-       modules (``cost_model``, ``throttle``, ``greedy``): exact float
-       equality against literals is almost always a latent bug there.
+       modules: exact float equality against literals is almost always
+       a latent bug there.
 R006   Hot-path tuple/window/buffer classes must declare ``__slots__``
        (directly or via ``@dataclass(slots=True)``).
 R007   No per-tuple container allocations — ``list()``/``dict()``/
        ``set()`` calls and list/set/dict comprehensions — inside
-       operator ``process()`` methods under ``core/`` and ``joins/``.
-       ``process`` runs once per tuple; hoist the container to
-       ``__init__``, reuse a buffer, or stay in numpy.  Justified
-       allocations carry a per-line suppression.
+       operator ``process()`` methods.  ``process`` runs once per
+       tuple; hoist the container to ``__init__``, reuse a buffer, or
+       stay in numpy.  Justified allocations carry a per-line
+       suppression.
 =====  ==================================================================
 
 Suppression: append ``# lint: disable=R001`` (comma-separate several
@@ -182,8 +183,7 @@ def _check_wall_clock(tree: ast.AST, ctx: RuleContext) -> list[Diagnostic]:
                     message=(
                         f"wall-clock access `{dotted}` inside the "
                         "deterministic simulator; inject a timer from "
-                        "outside core/engine/joins/streams "
-                        "(see repro.timing)"
+                        "outside it (see repro.timing)"
                     ),
                     path=ctx.path,
                     line=node.lineno,
@@ -598,10 +598,7 @@ REGISTRY: tuple[Rule, ...] = (
     Rule(
         code="R001",
         name="no-wall-clock",
-        summary=(
-            "no wall-clock reads inside the deterministic simulator "
-            "(core/, engine/, joins/, streams/, obs/)"
-        ),
+        summary="no wall-clock reads inside the deterministic simulator",
         scope=SIMULATOR_PACKAGES,
         check=_check_wall_clock,
     ),
@@ -625,10 +622,7 @@ REGISTRY: tuple[Rule, ...] = (
     Rule(
         code="R004",
         name="no-list-head-ops",
-        summary=(
-            "no list.pop(0) / insert(0, ...) in hot-path packages "
-            "(core/, engine/, joins/)"
-        ),
+        summary="no list.pop(0) / insert(0, ...) in hot-path packages",
         scope=HOT_PATH_PACKAGES,
         check=_check_list_head_ops,
     ),
@@ -636,7 +630,8 @@ REGISTRY: tuple[Rule, ...] = (
         code="R005",
         name="no-float-equality",
         summary=(
-            "no float ==/!= against literals in cost_model/throttle/greedy"
+            "no float ==/!= against literals in the numeric decision "
+            "modules"
         ),
         scope=FLOAT_EQ_MODULES,
         check=_check_float_equality,
@@ -653,7 +648,7 @@ REGISTRY: tuple[Rule, ...] = (
         name="no-process-allocations",
         summary=(
             "no per-tuple container allocations (list()/dict()/set()/"
-            "comprehensions) in process() under core/ and joins/"
+            "comprehensions) in operator process() methods"
         ),
         scope=PROCESS_HOT_PACKAGES,
         check=_check_process_allocations,

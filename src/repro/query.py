@@ -170,26 +170,51 @@ class Query:
 
     # ---- execution -----------------------------------------------------
 
+    def _declaration_errors(self) -> list[str]:
+        """Why :meth:`build` cannot assemble this declaration (P100).
+
+        The one definition: :meth:`build` raises on it, the plan
+        analyzer reports every entry.
+        """
+        errors = []
+        if not self._sources:
+            errors.append("no input streams; call .streams(...)")
+        elif len(self._sources) < 2:
+            errors.append("a join needs at least two streams")
+        if self._window is None or self._predicate is None:
+            errors.append("incomplete query: call .window(...) and "
+                          ".join(...) before running")
+        return errors
+
+    def _grubjoin_off_turf(self) -> str | None:
+        """P131's grubjoin case, the one definition :meth:`build` raises
+        on and the plan analyzer reports: the harvest algebra is derived
+        for inner-mode sliding-window joins only."""
+        if (
+            self._shedding != "grubjoin"
+            or (self._mode is JoinMode.INNER and self._policy.is_sliding)
+        ):
+            return None
+        return (
+            "shedding policy 'grubjoin' only speaks inner-mode "
+            f"sliding-window joins (got mode={self._mode.value}, "
+            f"window_policy={self._policy.name}); use "
+            "shedding='randomdrop' or 'none'"
+        )
+
     def build(self, capacity: float) -> tuple[DataflowGraph, QueryResult]:
         """Assemble the dataflow graph (without running it)."""
-        if not self._sources:
-            raise ValueError("no input streams; call .streams(...)")
-        if self._window is None or self._predicate is None:
-            raise ValueError("call .window(...) and .join(...) first")
-        m = len(self._sources)
-        if m < 2:
-            raise ValueError("a join needs at least two streams")
+        errors = self._declaration_errors()
+        if errors:
+            raise ValueError("; ".join(errors))
+        off_turf = self._grubjoin_off_turf()
+        if off_turf is not None:
+            raise ValueError(f"{off_turf} (P131)")
 
-        plain = self._mode is JoinMode.INNER and self._policy.is_sliding
+        m = len(self._sources)
         graph = DataflowGraph()
         shedder: RandomDropShedder | None = None
         if self._shedding == "grubjoin":
-            if not plain:
-                raise ValueError(
-                    "grubjoin shedding only speaks inner-mode "
-                    "sliding-window joins (P131); use "
-                    "shedding='randomdrop' or 'none'"
-                )
             join_op: Any = GrubJoinOperator(
                 self._predicate, [self._window] * m, self._basic,
                 **self._join_kwargs,
@@ -248,19 +273,16 @@ class Query:
         )
         return graph, placeholder
 
-    def validate(self, assumptions=None):
+    def validate(self):
         """Run the static plan analyzer over the declared query.
 
         Returns a :class:`repro.lint.plan.PlanReport` listing every
-        problem at once (unknown policy, non-divisible windows,
-        slide > window, schema mismatches, infeasible harvest
-        hypothesis, ...).  ``assumptions`` is an optional
-        :class:`repro.lint.plan.HarvestAssumptions` enabling the
-        symbolic §4 feasibility check ``z * C(1) >= C({z_ij})``.
+        problem at once (non-divisible windows, slide > window, unsound
+        shedding, schema mismatches, ...).
         """
         from .lint.plan import analyze_query
 
-        return analyze_query(self, assumptions)
+        return analyze_query(self)
 
     def run(
         self,

@@ -109,8 +109,9 @@ class TestListRules:
 
 
 class TestRuleCrashIsExitTwo:
-    def test_crashing_rule_exits_two_not_one(self, monkeypatch,
-                                             tmp_path, capsys):
+    @pytest.fixture
+    def crash_tree(self, monkeypatch, tmp_path):
+        """A clean tree linted with one extra rule that always raises."""
         import repro.lint.rules as rules_mod
 
         crasher = Rule(
@@ -129,11 +130,28 @@ class TestRuleCrashIsExitTwo:
         pkg = tmp_path / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "ok.py").write_text("def f(x=None):\n    return x\n")
-        assert main([str(tmp_path)]) == 2
+        return tmp_path
+
+    def test_crashing_rule_exits_two_not_one(self, crash_tree, capsys):
+        assert main([str(crash_tree)]) == 2
         captured = capsys.readouterr()
         assert "R998 crashed" in captured.err
         # a crash must not be double-reported as a finding
         assert "0 finding(s)" in captured.out
+
+    def test_crash_is_reported_by_json_and_sarif(self, crash_tree, capsys):
+        assert main([str(crash_tree), "--format", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"] == []
+        (error,) = payload["file_errors"]
+        assert error["path"].endswith("ok.py")
+        assert "R998 crashed" in error["error"]
+
+        assert main([str(crash_tree), "--format", "sarif"]) == 2
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        (result,) = run["results"]
+        assert result["ruleId"] == "E000"
+        assert "R998 crashed" in result["message"]["text"]
 
 
 class TestGoldenOutputs:
