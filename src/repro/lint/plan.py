@@ -330,11 +330,11 @@ def _check_worker_telemetry(
     Walks the operator's whole reachable state graph, *including* the
     ``obs``/``_obs*`` roots the P124 aliasing walk deliberately skips.
     """
-    from .stategraph import is_telemetry_object, iter_state
+    from .stategraph import is_telemetry_object, walk_state
 
     owners: dict[int, tuple[int, str]] = {}
     for k, op in enumerate(shard_ops):
-        for node in iter_state(op, include_telemetry=True):
+        for node in walk_state(op, include_telemetry=True):
             if not is_telemetry_object(node.obj):
                 continue
             type_name = type(node.obj).__qualname__

@@ -1,27 +1,30 @@
-"""Object-graph walker shared by rule P124 and the determinism sanitizer.
+"""The one walk over an operator's state graph, read by rules P124 and
+P126 and by the determinism sanitizer.
 
-Both checks need the same view of an operator's *state graph*: every
-object reachable from its instance attributes, each labelled with the
-dotted path it was reached through (``windows[2]._seq``).  P124 uses
-it at plan-build time to find containers reachable from two shard
-instances; :class:`repro.testkit.sanitizer.DeterminismSanitizer` asks
-the same question at ``seal()`` and fingerprints the graph between
-calls to attribute any foreign change to a path.  Both ask
-:func:`shared_containers`, so they name the same objects and paths.
+The state graph is every object reachable from an operator's instance
+attributes, each labelled with the dotted path it was reached through
+(``windows[2]._seq``) and given a hash.  :func:`walk_state` is that
+walk; :func:`fingerprint` is the same walk over one object.  P124 and
+the sanitizer's ``seal()`` ask :func:`shared_containers`, so they name
+the same objects and paths; the sanitizer compares the per-path hashes
+between calls to pin any foreign change to a path.
 
-Traversal rules (identical for both users):
+Traversal rules (written once, in :class:`_Walk`):
 
 * roots are ``vars(operator)`` minus telemetry plumbing (``obs``,
   ``_obs_*`` — write-only, and policed at the fork by P126) and the
   sanitizer's own handle;
 * containers (dict/list/tuple/set/frozenset) and plain Python objects
-  (``__dict__`` or relevant ``__slots__``) are entered; dict iteration
-  is sorted by ``repr`` of the key so reports and fingerprints are
-  deterministic;
-* callables are *recorded* (by qualname) but never entered — an injected
+  (``__dict__`` or relevant ``__slots__``) are entered; dict keys,
+  attribute names and set elements are sorted by ``repr``, so reports
+  and hashes are deterministic;
+* each object is recorded once, in preorder, under the first path that
+  reaches it;
+* callables are recorded (by qualname) but never entered — an injected
   predicate's closure is the predicate author's business, and entering
-  it would drag in module globals;
-* numpy arrays, bytearrays, memoryviews and deques are mutable leaves;
+  it would drag in module globals; a class is recorded by its name;
+* numpy arrays, bytearrays, memoryviews and deques are mutable leaves:
+  recorded, never entered, hashed by their contents;
 * strings/numbers/None/bool are immutable and invisible to aliasing
   (interning would produce false sharing).
 
@@ -31,19 +34,21 @@ on the way are walked through but not flagged, so one predicate object
 serving every shard is fine; a write through a shared plain object
 shows up as a foreign write on the victim's side of the sanitizer.
 
-Fingerprints are CRC32 over a canonical structural repr — content-based,
-never ``id()``-based, so two runs of the same simulation produce
-identical fingerprints (the sanitizer's reports stay deterministic).
-An array contributes its shape, dtype and a CRC of its whole buffer —
-except an object array, whose buffer is pointers: its elements are
-rendered one by one, as a list's are.
+Hashes are Merkle style: a CRC32 over the object's type, the ``repr``
+of its primitive members and its children's hashes, memoised by ``id``
+for one pass, so a write changes the hash of its object and of every
+ancestor.  They are content, never ``id()``, so two runs of the same
+simulation hash identically.  An array contributes its shape, dtype and
+a CRC of its whole buffer — except an object array, whose buffer is
+pointers: its elements are hashed one by one, as a deque's are.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Iterator, Sequence
+from functools import cache
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 #: instance-attribute roots excluded from the walk: telemetry plumbing
 #: and the sanitizer's own handle (testkit wrappers share one sanitizer
@@ -55,10 +60,7 @@ def is_excluded_root(name: str) -> bool:
     return name in EXCLUDED_ROOTS or name.startswith("_obs")
 
 
-#: containers entered by the walk
-_CONTAINERS = (list, tuple, set, frozenset)
-
-#: mutable leaf types (tracked for aliasing, not entered)
+#: mutable leaf types (tracked for aliasing, contents hashed, not entered)
 _MUTABLE_LEAVES = ("ndarray", "bytearray", "memoryview", "deque")
 
 #: traversal guard: state graphs are shallow; anything deeper is a cycle
@@ -70,11 +72,7 @@ _PRIMITIVES = (str, int, float, complex, bool, bytes, type(None))
 
 def is_mutable(obj: Any) -> bool:
     """Whether sharing ``obj`` across shards could leak writes."""
-    if isinstance(obj, _PRIMITIVES):
-        return False
-    if isinstance(obj, (tuple, frozenset)):
-        return False
-    if callable(obj):
+    if isinstance(obj, (*_PRIMITIVES, tuple, frozenset)) or callable(obj):
         return False
     if is_dataclass(obj) and not isinstance(obj, type):
         params = getattr(type(obj), "__dataclass_params__", None)
@@ -87,104 +85,162 @@ def is_mutable(obj: Any) -> bool:
     return True
 
 
-def _instance_attrs(obj: Any) -> dict[str, Any]:
-    """``__dict__`` plus ``__slots__`` entries, across the MRO."""
-    attrs: dict[str, Any] = {}
-    inner = getattr(obj, "__dict__", None)
-    if isinstance(inner, dict):
-        attrs.update(inner)
-    for klass in type(obj).__mro__:
+_UNSET = object()
+
+
+@cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every ``__slots__`` name across ``cls``'s MRO, sorted by repr."""
+    names: dict[str, None] = {}
+    for klass in cls.__mro__:
         slots = getattr(klass, "__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for name in slots:
-            if name not in attrs and hasattr(obj, name):
-                attrs[name] = getattr(obj, name)
-    return attrs
+        names.update(dict.fromkeys((slots,) if isinstance(slots, str)
+                                   else slots))
+    return tuple(sorted(names, key=repr))
 
 
-def state_roots(operator: Any) -> dict[str, Any]:
-    """The operator's instance attributes, telemetry plumbing removed."""
-    return {
-        name: value
-        for name, value in _instance_attrs(operator).items()
-        if not is_excluded_root(name)
-    }
+def _sorted(items: Iterable[Any], key: Callable[[Any], str]) -> list[Any]:
+    try:
+        return sorted(items, key=key)
+    except Exception:
+        return list(items)
 
 
-@dataclass(frozen=True)
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode("utf-8", "replace"))
+
+
+@dataclass
 class StateNode:
-    """One reachable object: its path, the object, and its root attr."""
+    """One reachable object: its path, the object, and the Merkle hash
+    of everything below it."""
 
     path: str
-    root: str
     obj: Any
+    digest: int = 0
 
 
-def _sorted_items(d: dict) -> list[tuple[Any, Any]]:
-    try:
-        return sorted(d.items(), key=lambda kv: repr(kv[0]))
-    except Exception:
-        return list(d.items())
+class _Walk:
+    """One pass: the preorder node list and an ``id``-memoised Merkle
+    hash of every object reached.  ``record`` is false below a mutable
+    leaf (contents are hashed, not given paths) and in
+    :func:`fingerprint`."""
+
+    def __init__(self, include_telemetry: bool = False) -> None:
+        self.include_telemetry = include_telemetry
+        self.nodes: list[StateNode] = []
+        self._seen: set[int] = set()    # ids recorded (first path wins)
+        self._memo: dict[int, int] = {}  # id -> hash, this pass only
+        self._open: set[int] = set()    # ids on the descent: cycles
+
+    def token(self, obj: Any, path: str, depth: int,
+              record: bool = True) -> str:
+        """``obj``'s part of its parent's hash: the ``repr`` of a
+        primitive, else ``#`` and the object's hash."""
+        if isinstance(obj, _PRIMITIVES):
+            return repr(obj)
+        key = id(obj)
+        record = record and key not in self._seen and depth <= _MAX_DEPTH
+        if record:
+            self._seen.add(key)
+            self.nodes.append(node := StateNode(path=path, obj=obj))
+        elif key in self._memo:
+            return f"#{self._memo[key]}"
+        elif key in self._open or depth > _MAX_DEPTH:
+            return "<cycle>"
+        self._open.add(key)
+        digest = _crc(self._render(obj, path, depth + 1, record))
+        self._open.discard(key)
+        self._memo[key] = digest
+        if record:
+            node.digest = digest
+        return f"#{digest}"
+
+    def _render(self, obj: Any, path: str, depth: int, record: bool) -> str:
+        """The text hashed for ``obj``: its type and members' tokens."""
+        name = type(obj).__name__
+        if isinstance(obj, type):
+            return f"<class {obj.__module__}.{obj.__qualname__}>"
+        if callable(obj):
+            return f"<callable {getattr(obj, '__qualname__', name)}>"
+        if name in _MUTABLE_LEAVES:
+            return f"{name}:{self._contents(obj, depth)}"
+        return f"<{name} " + ",".join(
+            label + (repr(value) if isinstance(value, _PRIMITIVES) else
+                     self.token(value, path + step, depth, record))
+            for label, step, value in self._members(obj)
+        ) + ">"
+
+    def _members(self, obj: Any) -> Iterator[tuple[str, str, Any]]:
+        """``(label, path step, child)`` for each child entered, in
+        walk order."""
+        if isinstance(obj, dict):
+            for key, value in _sorted(obj.items(), lambda kv: repr(kv[0])):
+                key = repr(key)
+                yield f"{key}:", f"[{key}]", value
+        elif isinstance(obj, (set, frozenset)):
+            for element in _sorted(obj, repr):
+                yield "", "{...}", element
+        elif isinstance(obj, (list, tuple)):
+            for i, element in enumerate(obj):
+                yield "", f"[{i}]", element
+        else:
+            for attr, value in self.attrs(obj):
+                yield f"{attr}=", f".{attr}", value
+
+    def attrs(self, obj: Any) -> list[tuple[str, Any]]:
+        """``__dict__`` plus set ``__slots__`` entries across the MRO,
+        sorted by ``repr`` of the name; names :func:`is_excluded_root`
+        rejects are dropped unless the walk includes telemetry."""
+        attrs = [
+            (name, value) for name in _slot_names(type(obj))
+            if (value := getattr(obj, name, _UNSET)) is not _UNSET
+        ]
+        inner = getattr(obj, "__dict__", None)
+        if isinstance(inner, dict):
+            attrs = _sorted({**dict(attrs), **inner}.items(),
+                            lambda kv: repr(kv[0]))
+        if self.include_telemetry:
+            return attrs
+        return [(n, v) for n, v in attrs if not is_excluded_root(n)]
+
+    def _contents(self, leaf: Any, depth: int) -> str:
+        """A mutable leaf's contents: a CRC of its buffer, or else its
+        elements' tokens (an object array's buffer is pointers)."""
+        if isinstance(leaf, (bytearray, memoryview)):
+            return str(zlib.crc32(bytes(leaf)))
+        head, elements = "", leaf
+        if type(leaf).__name__ == "ndarray":
+            if leaf.dtype != object:
+                return (f"{leaf.shape}:{leaf.dtype}:"
+                        f"{zlib.crc32(leaf.tobytes())}")
+            head, elements = f"{leaf.shape}:", leaf.ravel()
+        return head + ",".join(
+            repr(element) if isinstance(element, _PRIMITIVES)
+            else self.token(element, "", depth, False)
+            for element in elements
+        )
 
 
-def iter_state(operator: Any,
-               include_telemetry: bool = False) -> Iterator[StateNode]:
-    """Yield every reachable object of the operator's state graph,
-    depth-first, each exactly once (first path wins).
+def walk_state(operator: Any,
+               include_telemetry: bool = False) -> list[StateNode]:
+    """Every reachable object of the operator's state graph, in preorder,
+    each exactly once (first path wins), with its hash.
 
     ``include_telemetry`` also walks the ``obs``/``_obs*`` (and other
     excluded) roots the aliasing rules deliberately skip — rule P126
     uses it to certify that a worker-bound operator reaches *no*
     telemetry object at all before the fork.
     """
-    seen: set[int] = set()
+    walk = _Walk(include_telemetry)
+    for name, value in walk.attrs(operator):
+        walk.token(value, name, 0)
+    return walk.nodes
 
-    def walk(obj: Any, path: str, root: str,
-             depth: int) -> Iterator[StateNode]:
-        if isinstance(obj, _PRIMITIVES):
-            return
-        if id(obj) in seen or depth > _MAX_DEPTH:
-            return
-        seen.add(id(obj))
-        yield StateNode(path=path, root=root, obj=obj)
-        if callable(obj) and not isinstance(obj, type):
-            return
-        if isinstance(obj, dict):
-            for key, value in _sorted_items(obj):
-                yield from walk(value, f"{path}[{key!r}]", root,
-                                depth + 1)
-            return
-        if isinstance(obj, _CONTAINERS):
-            if isinstance(obj, (set, frozenset)):
-                try:
-                    elements = sorted(obj, key=repr)
-                except Exception:
-                    elements = list(obj)
-                for element in elements:
-                    yield from walk(element, f"{path}{{...}}", root,
-                                    depth + 1)
-            else:
-                for i, element in enumerate(obj):
-                    yield from walk(element, f"{path}[{i}]", root,
-                                    depth + 1)
-            return
-        if type(obj).__name__ in _MUTABLE_LEAVES:
-            return
-        inner = _instance_attrs(obj)
-        if inner:
-            for name, value in _sorted_items(inner):
-                if include_telemetry or not is_excluded_root(name):
-                    yield from walk(value, f"{path}.{name}", root,
-                                    depth + 1)
 
-    roots = (
-        _instance_attrs(operator)
-        if include_telemetry
-        else state_roots(operator)
-    )
-    for name, value in sorted(roots.items()):
-        yield from walk(value, name, name, 0)
+def fingerprint(obj: Any) -> int:
+    """The walk's hash of one object (content, never ``id()``)."""
+    return _crc(_Walk().token(obj, "", 0, record=False))
 
 
 def is_telemetry_object(obj: Any) -> bool:
@@ -232,7 +288,7 @@ def shared_containers(operators: Sequence[Any]) -> list[SharedObject]:
     """
     owners: dict[int, tuple[Any, dict[int, str]]] = {}
     for index, operator in enumerate(operators):
-        for node in iter_state(operator):
+        for node in walk_state(operator):
             if not is_container(node.obj):
                 continue
             entry = owners.get(id(node.obj))
@@ -246,61 +302,3 @@ def shared_containers(operators: Sequence[Any]) -> list[SharedObject]:
         if len(paths) >= 2
     ]
     return sorted(shared, key=lambda s: min(s.paths.values()))
-
-
-# ---------------------------------------------------------------------------
-# structural fingerprints (the sanitizer's change detector)
-# ---------------------------------------------------------------------------
-
-
-def _canonical(obj: Any, depth: int = 0,
-               seen: frozenset | None = None) -> str:
-    if seen is None:
-        seen = frozenset()
-    if depth > _MAX_DEPTH or id(obj) in seen:
-        return "<cycle>"
-    if isinstance(obj, _PRIMITIVES):
-        return repr(obj)
-    seen = seen | {id(obj)}
-    if callable(obj) and not isinstance(obj, type):
-        return f"<callable {getattr(obj, '__qualname__', type(obj).__name__)}>"
-    if isinstance(obj, dict):
-        inner = ",".join(
-            f"{key!r}:{_canonical(value, depth + 1, seen)}"
-            for key, value in _sorted_items(obj)
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (set, frozenset)):
-        try:
-            elements = sorted(obj, key=repr)
-        except Exception:
-            elements = list(obj)
-        inner = ",".join(
-            _canonical(element, depth + 1, seen) for element in elements
-        )
-        return "set{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        inner = ",".join(
-            _canonical(element, depth + 1, seen) for element in obj
-        )
-        return ("[" if isinstance(obj, list) else "(") + inner + (
-            "]" if isinstance(obj, list) else ")")
-    if type(obj).__name__ == "ndarray":
-        if obj.dtype == object:
-            flat = obj.ravel().tolist()
-            return f"array{obj.shape}:{_canonical(flat, depth + 1, seen)}"
-        return f"array{obj.shape}:{obj.dtype}:{zlib.crc32(obj.tobytes())}"
-    inner_dict = _instance_attrs(obj)
-    if inner_dict:
-        inner = ",".join(
-            f"{name}={_canonical(value, depth + 1, seen)}"
-            for name, value in _sorted_items(inner_dict)
-            if not is_excluded_root(name)
-        )
-        return f"<{type(obj).__name__} {inner}>"
-    return f"<{type(obj).__name__}>"
-
-
-def fingerprint(obj: Any) -> int:
-    """Deterministic structural CRC of one object (content, not id)."""
-    return zlib.crc32(_canonical(obj).encode("utf-8", "replace"))

@@ -9,30 +9,28 @@ owns, or state every operator shares, changes behind its back:
   through the same :func:`repro.lint.stategraph.shared_containers`, so
   both name the same object and paths; sharing a read-only collaborator
   object is fine);
-* **foreign writes** — an operator's state is fingerprinted path by
-  path (:func:`repro.lint.stategraph.iter_state`) at :meth:`seal`, after
-  every ``stride``-th of its calls, and again before the call that
-  follows.  State that changed in between changed while the operator was
-  not running: it is reported with the victim path and the operators
-  that ran in between.  A write through an object two operators share
-  shows up on the victim's side;
+* **foreign writes** — one walk over an operator's state
+  (:func:`repro.lint.stategraph.walk_state`) hashes it path by path at
+  :meth:`seal`, after every ``stride``-th of its calls, and again before
+  the call that follows.  State that changed in between changed while
+  the operator was not running: it is reported with the victim path
+  and the operators that ran in between.  A write through an object two
+  operators share shows up on the victim's side;
 * **globals** — the mutable module-level bindings of the loaded
   ``repro.{core,engine,joins,streams,parallel}`` modules and of each
   registered operator's defining module, and the class-level attributes
   of each registered operator's classes (its MRO up to
   :class:`StreamOperator`), are fingerprinted at :meth:`seal` and
   re-checked at :meth:`finish`: a run must leave state every instance
-  shares as it found it.
+  shares as it found it.  Bindings to the sanitizer itself, to a
+  registered operator or to its proxy are skipped: they are this
+  sanitizer's bookkeeping and the operators' own state.
 
-All fingerprints are structural (CRC over canonical reprs, never
-``id()``), so sanitized runs stay bit-reproducible and two runs of the
-same workload produce identical reports.
-
-Performance: fingerprinting a join's full window state is O(state), so
-an operator is fingerprinted twice per ``stride`` of its calls.
-``stride=1`` checks every gap between calls and is what the
-injected-violation tests use; the differential matrix default keeps
-overhead modest.
+Every hash comes from that one walk, a Merkle hash of content (never
+``id()``), so two runs of the same workload produce identical reports.
+A walk is O(state) and an operator is walked twice per ``stride`` of
+its calls: ``stride=1`` checks every gap between calls (the
+injected-violation tests), the matrix default keeps overhead modest.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.lint.stategraph import (
     fingerprint,
     is_mutable,
-    iter_state,
     shared_containers,
+    walk_state,
 )
 
 #: top-level subpackages whose module globals the sanitizer snapshots
@@ -65,10 +63,10 @@ class DeterminismViolation(AssertionError):
 
 
 def _fingerprint_paths(operator: Any) -> dict[str, int]:
-    """path -> structural fingerprint for every mutable reachable object."""
+    """path -> hash for every mutable reachable object, from one walk."""
     return {
-        node.path: fingerprint(node.obj)
-        for node in iter_state(operator)
+        node.path: node.digest
+        for node in walk_state(operator)
         if is_mutable(node.obj)
     }
 
@@ -102,15 +100,12 @@ class DeterminismSanitizer:
     Args:
         stride: fingerprint after every Nth call per operator and again
             before the next one (1 = every gap, exact provenance).
-        check_globals: also snapshot/verify module and class state.
     """
 
-    def __init__(self, stride: int = 64,
-                 check_globals: bool = True) -> None:
+    def __init__(self, stride: int = 64) -> None:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.stride = int(stride)
-        self.check_globals = check_globals
         self._records: dict[str, _Record] = {}
         self._sealed = False
         self._finished = False
@@ -154,9 +149,8 @@ class DeterminismSanitizer:
             )
         for record in self._records.values():
             record.prints = _fingerprint_paths(record.operator)
-        if self.check_globals:
-            self._spaces = self._shared_namespaces()
-            self._global_prints = self._snapshot_globals()
+        self._spaces = self._shared_namespaces()
+        self._global_prints = self._snapshot_globals()
 
     # -- per-call hooks --------------------------------------------------
 
@@ -227,12 +221,19 @@ class DeterminismSanitizer:
                 )
         return spaces
 
+    def _is_own(self, value: Any) -> bool:
+        """This sanitizer, a registered operator or its proxy."""
+        if isinstance(value, SanitizedOperator):
+            value = value._sanitizer
+        return value is self or any(
+            value is r.operator for r in self._records.values())
+
     def _snapshot_globals(self) -> dict[tuple[str, str], int]:
         return {
             (scope, name): fingerprint(value)
             for scope, (_kind, space) in self._spaces.items()
             for name, value in list(space.items())
-            if _is_shared_state(name, value)
+            if _is_shared_state(name, value) and not self._is_own(value)
         }
 
     # -- teardown --------------------------------------------------------
@@ -249,16 +250,15 @@ class DeterminismSanitizer:
                 self._diff_foreign(
                     record, _fingerprint_paths(record.operator)
                 )
-        if self.check_globals:
-            current = self._snapshot_globals()
-            for key in sorted(self._global_prints):
-                if current.get(key) != self._global_prints[key]:
-                    scope, name = key
-                    self._violations.append(
-                        f"{self._spaces[scope][0]} write: {scope}.{name} "
-                        "changed during the run; state every instance "
-                        "shares must stay constant across runs"
-                    )
+        current = self._snapshot_globals()
+        for key in sorted(self._global_prints):
+            if current.get(key) != self._global_prints[key]:
+                scope, name = key
+                self._violations.append(
+                    f"{self._spaces[scope][0]} write: {scope}.{name} "
+                    "changed during the run; state every instance "
+                    "shares must stay constant across runs"
+                )
         self.raise_for_violations()
 
     @property
@@ -285,26 +285,21 @@ class SanitizedOperator(StreamOperator):
         self.num_streams = inner.num_streams
         self.output_kind = inner.output_kind
 
-    def process(self, tup, now: float) -> ProcessReceipt:
+    def _tracked(self, method, *args):
         self._sanitizer.before_call(self._label)
         try:
-            return self._inner.process(tup, now)
+            return method(*args)
         finally:
             self._sanitizer.after_call(self._label)
+
+    def process(self, tup, now: float) -> ProcessReceipt:
+        return self._tracked(self._inner.process, tup, now)
 
     def on_adapt(self, now, stats, interval) -> None:
-        self._sanitizer.before_call(self._label)
-        try:
-            self._inner.on_adapt(now, stats, interval)
-        finally:
-            self._sanitizer.after_call(self._label)
+        self._tracked(self._inner.on_adapt, now, stats, interval)
 
     def on_finish(self, now):
-        self._sanitizer.before_call(self._label)
-        try:
-            return self._inner.on_finish(now)
-        finally:
-            self._sanitizer.after_call(self._label)
+        return self._tracked(self._inner.on_finish, now)
 
     def bind_obs(self, obs, **labels) -> None:
         self._inner.bind_obs(obs, **labels)

@@ -158,7 +158,7 @@ def _via_gate(ops):
 def _via_sanitizer(ops):
     from repro.testkit.sanitizer import DeterminismSanitizer
 
-    sanitizer = DeterminismSanitizer(check_globals=False)
+    sanitizer = DeterminismSanitizer()
     for k, op in enumerate(ops):
         sanitizer.register(f"shard{k}", op)
     sanitizer.seal()

@@ -1,5 +1,7 @@
 """Structural fingerprints: content, never ``id()``."""
 
+from collections import deque
+
 import numpy as np
 
 from repro.lint.stategraph import fingerprint
@@ -36,3 +38,40 @@ class TestObjectArrays:
         b = a.copy()
         b[2] = -1.0
         assert fingerprint(a) != fingerprint(b)
+
+
+class Left:
+    pass
+
+
+class Right:
+    pass
+
+
+class TestLeavesAndClasses:
+    """Deques, bytearrays, memoryviews and classes are hashed by their
+    contents and names, not by their type alone."""
+
+    def test_deque_append_is_seen(self):
+        queue = deque([1])
+        before = fingerprint(queue)
+        queue.append(2)
+        assert fingerprint(queue) != before
+        assert fingerprint(deque([{"k": 1}])) != fingerprint(deque([{"k": 2}]))
+
+    def test_bytearray_write_is_seen(self):
+        buffer = bytearray(b"abc")
+        before = fingerprint(buffer)
+        buffer[1] = 0
+        assert fingerprint(buffer) != before
+
+    def test_memoryview_write_is_seen(self):
+        buffer = bytearray(b"abc")
+        view = memoryview(buffer)
+        before = fingerprint(view)
+        buffer[1] = 0
+        assert fingerprint(view) != before
+
+    def test_two_classes_differ(self):
+        assert fingerprint(Left) != fingerprint(Right)
+        assert fingerprint([Left]) != fingerprint([Right])

@@ -6,6 +6,9 @@ enough to debug from — the victim path and the operators that ran in
 between, or the module or class binding that changed.
 """
 
+import sys
+from collections import deque
+
 import pytest
 
 from repro.engine.operator import ProcessReceipt, StreamOperator
@@ -58,6 +61,10 @@ class TallyJoin(MJoinOperator):
     def process(self, tup, now):
         TALLY[tup.stream] = TALLY.get(tup.stream, 0) + 1
         return super().process(tup, now)
+
+
+class PlainJoin(MJoinOperator):
+    """Writes only its own state."""
 
 
 class CachingJoin(MJoinOperator):
@@ -188,6 +195,21 @@ class TestSeededViolations:
         assert "foreign write" in str(exc.value)
         assert "op.cache" in str(exc.value)
 
+    def test_foreign_deque_append_caught(self, keys):
+        op = Passive()
+        op.recent = deque([1])
+        san = DeterminismSanitizer(stride=1)
+        proxy = san.wrap("op", op)
+        san.seal()
+        tup = keys.traces[0].tuples[0]
+        proxy.process(tup, tup.timestamp)
+        op.recent.append(2)
+        proxy.process(tup, tup.timestamp + 0.001)
+        with pytest.raises(DeterminismViolation) as exc:
+            san.raise_for_violations()
+        assert "foreign write" in str(exc.value)
+        assert "op.recent" in str(exc.value)
+
     def test_foreign_write_past_row_63_caught(self, keys):
         # a store column's fingerprint covers its whole buffer, not the
         # first 512 bytes (64 float64 rows)
@@ -233,6 +255,35 @@ class TestSeededViolations:
         )
         assert (f"class-attribute write: {__name__}.CachingJoin.seen"
                 in message)
+
+
+class TestOwnBindings:
+    """Module-level bindings to the sanitizer, a registered operator or
+    its proxy are bookkeeping and the operator's own state, not shared
+    globals."""
+
+    def _bound_run(self, keys, monkeypatch, cls):
+        san = DeterminismSanitizer(stride=1)
+        inner = cls(keys.predicate, keys.window_sizes, keys.basic)
+        proxy = san.wrap("op", inner)
+        module = sys.modules[__name__]
+        for name, value in (("SAN", san), ("OP", proxy), ("INNER", inner)):
+            monkeypatch.setattr(module, name, value, raising=False)
+        san.seal()
+        for tup in keys.traces[0].tuples[:5]:
+            proxy.process(tup, tup.timestamp)
+        return san
+
+    def test_own_bindings_stay_clean(self, keys, monkeypatch):
+        self._bound_run(keys, monkeypatch, PlainJoin).finish()
+
+    def test_real_global_write_still_reported(self, keys, monkeypatch):
+        san = self._bound_run(keys, monkeypatch, TallyJoin)
+        with pytest.raises(DeterminismViolation) as exc:
+            san.finish()
+        message = str(exc.value)
+        assert f"module-global write: {__name__}.TALLY" in message
+        assert len(san.violations) == 1
 
 
 class TestMatrixIntegration:
