@@ -116,11 +116,8 @@ def restore(operator: GrubJoinOperator, state: dict[str, Any]) -> None:
             )
 
     for h, counts in zip(operator.histograms, state["histograms"]):
-        if h is None or counts is None:
-            continue
-        if len(counts) != h.buckets:
-            raise ValueError("histogram bucket count mismatch")
-        h.counts[:] = counts
+        if h is not None and counts is not None:
+            h.load(counts)
 
     operator.selectivity._scanned = {
         tuple(int(x) for x in key.split(",")): float(v)

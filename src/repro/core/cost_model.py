@@ -25,6 +25,15 @@ beats uniform tuple dropping when the mass is concentrated.
 ``C`` and ``O`` aggregate over directions weighted by stream rates; with
 all counts full, ``q = 1`` and the model reduces to the classical MJoin
 pipeline model (a unit-tested invariant).
+
+The greedy solvers evaluate a profile thousands of times per solve, so a
+profile reads its numbers from one per-hop table of Python scalars built
+at construction (:class:`_Hop`: ``n``, ``|W|``, ``sigma * |W|``, the total
+mass and the sorted masses).  The covered prefix mass of ``whole`` windows
+is memoised per hop the first time it is asked for, and always computed
+with the same expression, ``sorted_mass[:whole].sum()``: numpy sums eight
+or more elements pairwise, so a running ``cumsum`` table would round
+differently and could flip a greedy tie.  Same expression, same bits.
 """
 
 from __future__ import annotations
@@ -36,6 +45,49 @@ import numpy as np
 #: type alias: counts[i][j] = number of selected logical windows (may be
 #: fractional; the trailing fraction pro-rates the next-ranked window)
 HarvestCounts = np.ndarray
+
+
+class _Hop:
+    """The scalars of one hop ``(i, j)`` that ``C`` and ``O`` read.
+
+    Attributes:
+        n: logical windows of the probed stream, ``n_{r_{i,j}}``.
+        w: its window size ``|W_{r_{i,j}}|`` in tuples.
+        sigma_w: ``sigma[i][r_{i,j}] * |W_{r_{i,j}}|``.
+    """
+
+    __slots__ = ("n", "w", "sigma_w", "_sorted", "_sorted_list", "_total",
+                 "_covered")
+
+    def __init__(
+        self, n: int, w: float, sigma: float, sorted_mass: np.ndarray
+    ) -> None:
+        self.n = n
+        self.w = w
+        self.sigma_w = sigma * w
+        self._sorted = sorted_mass
+        self._sorted_list = sorted_mass.tolist()
+        self._total = float(sorted_mass.sum())
+        # covered[whole] = float(sorted_mass[:whole].sum()); both ends are
+        # known without summing: [:0] is empty and [:n] is the whole array
+        self._covered: list[float | None] = [None] * (n + 1)
+        self._covered[0] = 0.0
+        self._covered[n] = self._total
+
+    def q(self, count: float) -> float:
+        """``q_{i,j}(count)`` for a ``count`` already clamped to
+        ``[0, n]`` (see :meth:`JoinProfile.harvest_mass`)."""
+        if self._total <= 0.0:
+            return count / self.n
+        whole = int(count)
+        covered = self._covered[whole]
+        if covered is None:
+            covered = float(self._sorted[:whole].sum())
+            self._covered[whole] = covered
+        frac = count - whole
+        if frac > 0 and whole < self.n:
+            covered += frac * self._sorted_list[whole]
+        return covered / self._total
 
 
 @dataclass
@@ -63,7 +115,8 @@ class JoinProfile:
     masses: list[list[np.ndarray]]
     output_cost: float = 0.0
     _rankings: list[list[np.ndarray]] = field(init=False, repr=False)
-    _sorted_masses: list[list[np.ndarray]] = field(init=False, repr=False)
+    _hops: list[list[_Hop]] = field(init=False, repr=False)
+    _lams: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rates = np.asarray(self.rates, dtype=float)
@@ -79,30 +132,37 @@ class JoinProfile:
             and len(self.masses) == m
         ):
             raise ValueError("inconsistent profile dimensions")
+        segments = self.segments.tolist()
         for i, order in enumerate(self.orders):
             if sorted(order) != sorted(set(range(m)) - {i}):
                 raise ValueError(f"order for direction {i} is invalid")
             if len(self.masses[i]) != m - 1:
                 raise ValueError(f"masses for direction {i} incomplete")
             for j, l in enumerate(order):
-                if len(self.masses[i][j]) != self.segments[l]:
+                if len(self.masses[i][j]) != segments[l]:
                     raise ValueError(
                         f"masses[{i}][{j}] must have n_{l}="
-                        f"{self.segments[l]} entries"
+                        f"{segments[l]} entries"
                     )
+        window_counts = self.window_counts.tolist()
+        selectivity = self.selectivity.tolist()
         self._rankings = []
-        self._sorted_masses = []
-        for i in range(m):
-            ranks_i, sorted_i = [], []
-            for j in range(m - 1):
+        self._hops = []
+        self._lams = self.rates.tolist()
+        for i, order in enumerate(self.orders):
+            ranks_i, hops_i = [], []
+            for j, l in enumerate(order):
                 mass = np.asarray(self.masses[i][j], dtype=float)
                 if (mass < 0).any():
                     raise ValueError("scores must be non-negative")
                 order_desc = np.argsort(-mass, kind="stable")
                 ranks_i.append(order_desc)
-                sorted_i.append(mass[order_desc])
+                hops_i.append(_Hop(
+                    segments[l], window_counts[l], selectivity[i][l],
+                    mass[order_desc],
+                ))
             self._rankings.append(ranks_i)
-            self._sorted_masses.append(sorted_i)
+            self._hops.append(hops_i)
 
     # ------------------------------------------------------------------
     # structure
@@ -115,7 +175,7 @@ class JoinProfile:
 
     def hop_segments(self, i: int, j: int) -> int:
         """``n_{r_{i,j}}``: logical windows in hop ``j`` of direction ``i``."""
-        return int(self.segments[self.orders[i][j]])
+        return self._hops[i][j].n
 
     def ranking(self, i: int, j: int) -> np.ndarray:
         """``s_{i,j}``: logical-window indices (0-based) by descending
@@ -143,18 +203,8 @@ class JoinProfile:
         ``count / n`` — harvesting then behaves like a random subset, the
         paper's no-time-correlation limiting case.
         """
-        n = self.hop_segments(i, j)
-        count = min(max(count, 0.0), n)
-        sorted_mass = self._sorted_masses[i][j]
-        total = float(sorted_mass.sum())
-        if total <= 0.0:
-            return count / n
-        whole = int(count)
-        covered = float(sorted_mass[:whole].sum())
-        frac = count - whole
-        if frac > 0 and whole < n:
-            covered += frac * float(sorted_mass[whole])
-        return covered / total
+        hop = self._hops[i][j]
+        return hop.q(min(max(count, 0.0), hop.n))
 
     # ------------------------------------------------------------------
     # cost / output
@@ -165,21 +215,19 @@ class JoinProfile:
     ) -> tuple[float, float]:
         """Rate-weighted (cost, output) contribution of direction ``i``.
 
-        ``counts_i`` holds the harvest counts for each hop of ``R_i``.
+        ``counts_i`` holds the harvest counts for each hop of ``R_i``
+        (any sequence of numbers: the greedy passes plain lists).
         """
-        lam = float(self.rates[i])
         partials = 1.0
         comparisons = 0.0
-        for j, l in enumerate(self.orders[i]):
-            n = self.hop_segments(i, j)
-            count = min(max(float(counts_i[j]), 0.0), n)
-            w = float(self.window_counts[l])
-            comparisons += partials * (count / n) * w
-            partials *= self.selectivity[i, l] * w * self.harvest_mass(
-                i, j, count
-            )
+        for hop, count in zip(self._hops[i], counts_i):
+            n = hop.n
+            count = min(max(float(count), 0.0), n)
+            comparisons += partials * (count / n) * hop.w
+            partials *= hop.sigma_w * hop.q(count)
             if partials <= 0.0:
                 break
+        lam = self._lams[i]
         output = lam * partials
         cost = lam * comparisons + self.output_cost * output
         return cost, output
@@ -207,8 +255,12 @@ class JoinProfile:
         return self.evaluate(counts)[1]
 
     def full_cost(self) -> float:
-        """``C(1)``: cost of the full, un-harvested join."""
-        return self.cost(self.full_counts())
+        """``C(1)``: cost of the full, un-harvested join (the sum
+        :meth:`evaluate` forms for :meth:`full_counts`, in its order)."""
+        cost = 0.0
+        for i, hops in enumerate(self._hops):
+            cost += self.direction_terms(i, [hop.n for hop in hops])[0]
+        return cost
 
     def feasible(self, counts: HarvestCounts, throttle: float) -> bool:
         """The optimal-window-harvesting constraint

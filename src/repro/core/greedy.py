@@ -121,6 +121,12 @@ def greedy_pick(
     exactly those of the unmemoized greedy, at far fewer
     ``direction_terms`` calls).
 
+    The loop runs on plain Python rows — counts, segment bounds, frozen
+    flags and per-direction cost/output are lists — and ``counts`` is an
+    ndarray again only in the result.  Every candidate still goes through
+    ``profile.direction_terms``, so ``evaluations`` is an exact call
+    count, and every float is the one the ndarray version computes.
+
     When no integral configuration fits the budget at all, falls back to
     :func:`_fractional_initialization` so the join degrades gracefully
     instead of shutting off.
@@ -142,12 +148,17 @@ def greedy_pick(
     m = profile.m
     hops = m - 1
     budget = throttle * profile.full_cost() * (1 + 1e-12)
-    counts = np.zeros((m, hops))
+    # one list per direction: indexing and copying a short list is far
+    # cheaper than numpy's scalar round trips, and the floats are the same
+    segments = [
+        [profile.hop_segments(i, j) for j in range(hops)] for i in range(m)
+    ]
+    counts = [[0.0] * hops for _ in range(m)]
     initialized = [False] * m
-    frozen = np.zeros((m, hops), dtype=bool)
+    frozen = [[False] * hops for _ in range(m)]
     init_frozen = [False] * m
-    dir_cost = np.zeros(m)
-    dir_out = np.zeros(m)
+    dir_cost = [0.0] * m
+    dir_out = [0.0] * m
     cur_cost = cur_out = 0.0
     evaluations = 0
     steps = 0
@@ -161,55 +172,53 @@ def greedy_pick(
     if warm_start is not None:
         seed = np.floor(np.asarray(warm_start, dtype=float))
         if seed.shape == (m, hops):
-            seed = np.clip(seed, 0.0, None)
-            for i in range(m):
-                for j in range(hops):
-                    seed[i, j] = min(
-                        seed[i, j], float(profile.hop_segments(i, j))
-                    )
-                if seed[i].min() < 1.0:
-                    seed[i, :] = 0.0
-            if seed.max() > 0.0:
+            # whole segments clipped to [0, n]; only directions with no
+            # empty hop are seeded
+            rows = [
+                [min(max(c, 0.0), float(n)) for c, n in zip(row, seg_i)]
+                for row, seg_i in zip(seed.tolist(), segments)
+            ]
+            active = [i for i, row in enumerate(rows) if min(row) >= 1.0]
+            if active:
                 seed_cost = seed_out = 0.0
-                seed_terms = [(0.0, 0.0)] * m
-                for i in range(m):
-                    if seed[i].max() > 0.0:
-                        terms = profile.direction_terms(i, seed[i])
-                        evaluations += 1
-                        seed_terms[i] = terms
-                        seed_cost += terms[0]
-                        seed_out += terms[1]
+                seed_terms = {}
+                for i in active:
+                    terms = profile.direction_terms(i, rows[i])
+                    evaluations += 1
+                    seed_terms[i] = terms
+                    seed_cost += terms[0]
+                    seed_out += terms[1]
                 if seed_cost <= budget:
-                    counts = seed
-                    for i in range(m):
-                        if seed[i].max() > 0.0:
-                            initialized[i] = True
-                            dir_cost[i], dir_out[i] = seed_terms[i]
+                    for i, terms in seed_terms.items():
+                        counts[i] = rows[i]
+                        initialized[i] = True
+                        dir_cost[i], dir_out[i] = terms
                     cur_cost, cur_out = seed_cost, seed_out
-                    reused = int(round(seed.sum()))
+                    reused = int(sum(sum(counts[i]) for i in active))
 
     while True:
         best_score = -np.inf
         best: tuple[int, int | None] | None = None
         best_terms: tuple[float, float] = (0.0, 0.0)
         for i in range(m):
+            cached_i = cached[i]
             if initialized[i]:
+                counts_i, frozen_i = counts[i], frozen[i]
+                segments_i = segments[i]
                 for j in range(hops):
-                    if frozen[i, j]:
+                    if frozen_i[j] or counts_i[j] >= segments_i[j]:
                         continue
-                    if counts[i, j] >= profile.hop_segments(i, j):
-                        continue
-                    terms = cached[i].get(j)
+                    terms = cached_i.get(j)
                     if terms is None:
-                        cand = counts[i].copy()
+                        cand = counts_i.copy()
                         cand[j] += 1
                         terms = profile.direction_terms(i, cand)
                         evaluations += 1
-                        cached[i][j] = terms
+                        cached_i[j] = terms
                     c_i, o_i = terms
                     new_cost = cur_cost - dir_cost[i] + c_i
                     if new_cost > budget:
-                        frozen[i, j] = True
+                        frozen_i[j] = True
                         continue
                     new_out = cur_out - dir_out[i] + o_i
                     score = _score(metric, new_out, new_cost, cur_out,
@@ -220,12 +229,11 @@ def greedy_pick(
             else:
                 if init_frozen[i]:
                     continue
-                terms = cached[i].get(None)
+                terms = cached_i.get(None)
                 if terms is None:
-                    cand = np.ones(hops)
-                    terms = profile.direction_terms(i, cand)
+                    terms = profile.direction_terms(i, [1.0] * hops)
                     evaluations += 1
-                    cached[i][None] = terms
+                    cached_i[None] = terms
                 c_i, o_i = terms
                 new_cost = cur_cost - dir_cost[i] + c_i
                 if new_cost > budget:
@@ -244,16 +252,17 @@ def greedy_pick(
             break
         i, j = best
         if j is None:
-            counts[i, :] = 1.0
+            counts[i] = [1.0] * hops
             initialized[i] = True
         else:
-            counts[i, j] += 1
+            counts[i][j] += 1
         cur_cost += best_terms[0] - dir_cost[i]
         cur_out += best_terms[1] - dir_out[i]
         dir_cost[i], dir_out[i] = best_terms
         cached[i].clear()  # direction i's counts changed
         steps += 1
 
+    counts = np.array(counts, dtype=float).reshape(m, hops)
     method = f"greedy-{metric.value}"
     if reused:
         method += "+warm"

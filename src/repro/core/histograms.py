@@ -46,8 +46,11 @@ class EquiWidthHistogram:
         self.smoothing = float(smoothing)
         #: bumped on every content change; score-convolution caches key on
         #: it (a decay of an empty histogram changes nothing and keeps the
-        #: version, so idle adaptation ticks stay cache hits)
+        #: version, so idle adaptation ticks stay cache hits).  Write
+        #: ``counts`` only through the methods below, which bump it.
         self.version = 0
+        self._tables_version = -1  # version _tables were built at
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # updates
@@ -82,6 +85,14 @@ class EquiWidthHistogram:
         self.counts *= factor
         self.version += 1
 
+    def load(self, counts) -> None:
+        """Replace every bucket's count at once (a checkpoint restore)."""
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != self.counts.shape:
+            raise ValueError("histogram bucket count mismatch")
+        self.counts[:] = counts
+        self.version += 1
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -91,13 +102,27 @@ class EquiWidthHistogram:
         """Total (possibly decayed) sample weight."""
         return float(self.counts.sum())
 
+    def _probability_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probabilities, CDF at the bucket edges)``, memoised per
+        :attr:`version`; both arrays are read-only."""
+        if self._tables_version != self.version:
+            total = self.total + self.smoothing * self.buckets
+            if total <= 0:
+                probs = np.full(self.buckets, 1.0 / self.buckets)
+            else:
+                probs = (self.counts + self.smoothing) / total
+            cum = np.concatenate(([0.0], np.cumsum(probs)))
+            probs.setflags(write=False)
+            cum.setflags(write=False)
+            self._tables = (probs, cum)
+            self._tables_version = self.version
+        return self._tables
+
     def probabilities(self) -> np.ndarray:
         """Normalized bucket frequencies, Laplace-smoothed by
-        :attr:`smoothing` (uniform when empty and unsmoothed)."""
-        total = self.total + self.smoothing * self.buckets
-        if total <= 0:
-            return np.full(self.buckets, 1.0 / self.buckets)
-        return (self.counts + self.smoothing) / total
+        :attr:`smoothing` (uniform when empty and unsmoothed).  The array
+        is shared until the next update: read-only."""
+        return self._probability_tables()[0]
 
     def bucket_edges(self, k: int) -> tuple[float, float]:
         """``(L_i[k_*], L_i[k^*])``: the k-th bucket's range (0-based)."""
@@ -137,16 +162,17 @@ class EquiWidthHistogram:
         total += probs[last] * (z - last)
         return float(total)
 
+    def cdf_many(self, xs: np.ndarray) -> np.ndarray:
+        """Probability mass below each ``x``, pro-rating partial buckets."""
+        probs, cum = self._probability_tables()
+        pos = np.clip(
+            (np.asarray(xs, dtype=float) - self.low) / self.width,
+            0.0,
+            self.buckets,
+        )
+        idx = np.minimum(pos.astype(int), self.buckets - 1)
+        return cum[idx] + probs[idx] * (pos - idx)
+
     def mass_many(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`mass` over aligned bound arrays."""
-        los = np.asarray(los, dtype=float)
-        his = np.asarray(his, dtype=float)
-        probs = self.probabilities()
-        cum = np.concatenate(([0.0], np.cumsum(probs)))
-
-        def cdf(x: np.ndarray) -> np.ndarray:
-            pos = np.clip((x - self.low) / self.width, 0.0, self.buckets)
-            idx = np.minimum(pos.astype(int), self.buckets - 1)
-            return cum[idx] + probs[idx] * (pos - idx)
-
-        return np.maximum(cdf(his) - cdf(los), 0.0)
+        return np.maximum(self.cdf_many(his) - self.cdf_many(los), 0.0)

@@ -78,40 +78,39 @@ def scores_from_histograms(
     if i == l:
         raise ValueError("a direction never probes its own window")
     b = basic_window_size
-    k = np.arange(1, segments + 1, dtype=float)
+    # segment k's band ends where segment k+1's starts: one CDF read per
+    # band edge gives every band mass as a difference of neighbours, the
+    # same floats mass_many returns for the bands themselves
+    edges = b * np.arange(segments + 1, dtype=float)
     if i == 0:
         hist_l = histograms[l]
         if hist_l is None:
             raise ValueError(f"histogram for stream {l} required")
         # Eq. (2): p^k = L_l(b * [-k, -k+1])
-        return hist_l.mass_many(-b * k, -b * (k - 1))
+        cdf = hist_l.cdf_many(-edges)
+        return np.maximum(cdf[:-1] - cdf[1:], 0.0)
     hist_i = histograms[i]
     if hist_i is None:
         raise ValueError(f"histogram for stream {i} required")
     if l == 0:
         # direct: A_{i,0} is what L_i approximates
-        return hist_i.mass_many(b * (k - 1), b * k)
+        cdf = hist_i.cdf_many(edges)
+        return np.maximum(cdf[1:] - cdf[:-1], 0.0)
     hist_l = histograms[l]
     if hist_l is None:
         raise ValueError(f"histogram for stream {l} required")
-    # Eq. (4): p^k ~= sum_v L_l[v] * L_i(b*[k-1,k] + center_v)
+    # Eq. (4): p^k ~= sum_v L_l[v] * L_i(b*[k-1,k] + center_v) over the
+    # buckets v with positive weight, one row of band masses per bucket.
+    # The sum over v must add the rows in order, as a loop would:
+    # add.accumulate is sequential for every shape, where sum(axis=0)
+    # goes pairwise on a single column.
     weights = hist_l.probabilities()
-    centers = hist_l.centers()
-    # One 2-D mass_many call computes every (bucket, segment) band mass;
-    # mass_many is elementwise, so row v equals the per-bucket call it
-    # replaces bit-for-bit.  The accumulation stays a sequential loop
-    # (with the same w <= 0 skip) because float addition order matters
-    # for reproducibility.
-    mass = hist_i.mass_many(
-        b * (k - 1)[None, :] + centers[:, None],
-        b * k[None, :] + centers[:, None],
-    )
-    scores = np.zeros(segments)
-    for v, w in enumerate(weights):
-        if w <= 0:
-            continue
-        scores += w * mass[v]
-    return scores
+    keep = weights > 0
+    if not keep.any():
+        return np.zeros(segments)
+    cdf = hist_i.cdf_many(edges[None, :] + hist_l.centers()[keep, None])
+    mass = np.maximum(cdf[:, 1:] - cdf[:, :-1], 0.0)
+    return np.add.accumulate(weights[keep, None] * mass, axis=0)[-1]
 
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:

@@ -43,10 +43,10 @@ def make_traces(rate=30.0, duration=30.0, seed=3):
             enumerate(sources)]
 
 
-def warm_operator(duration=10.0, capacity=3e4, seed=0):
+def warm_operator(duration=10.0, capacity=3e4, seed=0, trace_seed=3):
     """Run an operator under load to populate all its state."""
     op = make_operator(seed)
-    traces = make_traces(duration=duration)
+    traces = make_traces(duration=duration, seed=trace_seed)
     cfg = SimulationConfig(duration=duration, warmup=0.0,
                            adaptation_interval=2.0)
     Simulation(traces, op, CpuModel(capacity), cfg).run()
@@ -186,6 +186,25 @@ class TestSnapshotRestore:
         other = GrubJoinOperator(EpsilonJoin(1.0), [WINDOW] * 4, BASIC)
         with pytest.raises(ValueError, match="stream count"):
             restore(other, state)
+
+    def test_restored_histograms_refresh_cached_scores(self):
+        """Restoring bumps each histogram's version, so an operator that
+        already cached Eq. 2/4 scores recomputes them from the restored
+        counts instead of serving its own."""
+        now = 10.0
+        state = snapshot(warm_operator(duration=now), now=now)
+        used = warm_operator(duration=now, trace_seed=8)
+        used.build_profile(now)  # fills the score cache
+        before = [h.version for h in used.histograms[1:]]
+        restore(used, state)
+        for h, version in zip(used.histograms[1:], before):
+            assert h.version > version
+        fresh = make_operator(seed=99)
+        restore(fresh, state)
+        got, want = used.build_profile(now), fresh.build_profile(now)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(got.masses[i][j], want.masses[i][j])
 
     def test_histogram_shape_checked(self):
         op = warm_operator()
