@@ -78,8 +78,9 @@ def main() -> None:
               f"-> output rate {result.output_rate:,.0f}/sec")
         print("  throttle trajectory:")
         # show at most ~12 samples so both runs print comparably
-        step = max(1, len(op.z_history) // 12)
-        for t, z in op.z_history[::step]:
+        z_series = result.throttle_series
+        step = max(1, len(z_series) // 12)
+        for t, z in list(zip(z_series.times, z_series.values))[::step]:
             rate = next(r for s, r in reversed(STEPS) if s <= t)
             bar = "#" * int(30 * z)
             print(f"    t={t:5.1f}s rate={rate:5.0f}/s z={z:5.3f} {bar}")

@@ -94,7 +94,8 @@ def main() -> None:
 
     print("\nGrubJoin throttle fraction over time "
           "(z = share of the full join's work the budget allows):")
-    for t, z in grub.z_history:
+    z_series = grub_result.throttle_series
+    for t, z in zip(z_series.times, z_series.values):
         bar = "#" * int(40 * z)
         print(f"  t={t:5.1f}s  z={z:5.3f}  {bar}")
 

@@ -30,7 +30,6 @@ import numpy as np
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt
 from repro.joins.mjoin import MJoinOperator
-from repro.joins.selectivity import SelectivityEstimator
 from repro.obs.explainer import explain_adaptation
 from repro.streams.tuples import JoinResult, StreamTuple
 
@@ -60,20 +59,10 @@ class GrubJoinOperator(MJoinOperator):
         adapt_orders: refresh join orders at every adaptation step.
         sampling: ``omega``, the fraction of tuples processed with window
             shredding for time-correlation learning (paper uses 0.1).
-        gamma: throttle boost factor.
-        z_min: throttle floor.
         metric: greedy evaluation metric (paper recommends BDOpDC).
         solver: ``"greedy"`` (the paper's default) or ``"double-sided"``
             (the tech-report extension switching to reverse greedy for
             large ``z``).
-        histogram_buckets: buckets per per-stream histogram; default sizes
-            them at two buckets per basic window.
-        histogram_decay: per-adaptation aging factor of the histograms.
-        histogram_smoothing: Laplace pseudo-count per histogram bucket so
-            sparse shredding output does not produce spuriously spiky
-            time-correlation estimates.
-        selectivity_default: selectivity assumed before observations.
-        selectivity_decay: per-adaptation aging of selectivity estimates.
         output_cost: work units charged per produced result tuple.
         fractional_fallback: let the greedy initialize a direction below
             one logical basic window per hop when nothing integral fits
@@ -98,7 +87,19 @@ class GrubJoinOperator(MJoinOperator):
             stable workloads, at the price of a path-dependent (still
             feasible, still budget-respecting) configuration; off by
             default so existing runs stay decision-identical.
+
+    The throttle (``self.throttle``) and the selectivity estimator run
+    with their own defaults; a caller that needs another ``gamma`` or a
+    pinned ``z`` assigns ``op.throttle`` after construction.
     """
+
+    #: lag-histogram buckets per basic window of each stream's span
+    histogram_buckets_per_basic_window = 2
+    #: Laplace pseudo-count per histogram bucket, so sparse shredding
+    #: output does not produce spuriously spiky time-correlation estimates
+    histogram_smoothing = 0.25
+    #: per-adaptation aging factor of the lag histograms
+    histogram_decay = 0.95
 
     def __init__(
         self,
@@ -108,15 +109,8 @@ class GrubJoinOperator(MJoinOperator):
         orders: Sequence[Sequence[int]] | None = None,
         adapt_orders: bool = True,
         sampling: float = 0.1,
-        gamma: float = 1.2,
-        z_min: float = 0.01,
         metric: Metric = Metric.BEST_DELTA_OUTPUT_PER_DELTA_COST,
         solver: str = "greedy",
-        histogram_buckets: int | None = None,
-        histogram_decay: float = 0.95,
-        histogram_smoothing: float = 0.25,
-        selectivity_default: float = 0.005,
-        selectivity_decay: float = 0.9,
         output_cost: float = 2.0,
         fractional_fallback: bool = True,
         memory_saving: bool = False,
@@ -142,26 +136,18 @@ class GrubJoinOperator(MJoinOperator):
         self.solver = solver
         self.fractional_fallback = bool(fractional_fallback)
         self.memory_saving = bool(memory_saving)
-        self.throttle = ThrottleController(gamma=gamma, z_min=z_min)
-        self.selectivity = SelectivityEstimator(
-            m, default=selectivity_default, decay=selectivity_decay
-        )
-        self.histogram_decay = float(histogram_decay)
+        self.throttle = ThrottleController()
         b = self.basic_window_size
         # Each stream's lag histogram spans [-n_i*b, n_1*b], which differs
         # per stream when the windows do; size each from its *own* span so
-        # every stream really gets two buckets per basic window.  An
-        # explicit ``histogram_buckets`` overrides for all streams.
+        # every stream really gets the same buckets per basic window.
+        per_window = self.histogram_buckets_per_basic_window
         self.histograms: list[EquiWidthHistogram | None] = [None] + [
             EquiWidthHistogram(
                 low=-self.segments[i] * b,
                 high=self.segments[0] * b,
-                buckets=(
-                    histogram_buckets
-                    if histogram_buckets is not None
-                    else 2 * (self.segments[i] + self.segments[0])
-                ),
-                smoothing=histogram_smoothing,
+                buckets=per_window * (self.segments[i] + self.segments[0]),
+                smoothing=self.histogram_smoothing,
             )
             for i in range(1, m)
         ]
@@ -186,7 +172,6 @@ class GrubJoinOperator(MJoinOperator):
         self.adaptations = 0
         self.last_solver_result = None
         self.solver_seconds_total = 0.0
-        self.z_history: list[tuple[float, float]] = []
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_handles = None
 
@@ -336,7 +321,6 @@ class GrubJoinOperator(MJoinOperator):
     ) -> None:
         """One adaptation step: throttle, relearn, reconfigure harvesting."""
         z = self.throttle.update_from_stats(stats)
-        self.z_history.append((now, z))
         if self._obs_handles is not None:
             self._obs_handles["z"].observe(now, z)
             self._obs_handles["beta"].observe(now, self.throttle.last_beta)

@@ -17,7 +17,6 @@ from .graph import (
     Edge,
     GraphResult,
     NodeResult,
-    SchedulingPolicy,
     SimulationConfig,
 )
 from .metrics import SimulationResult, StreamCounters
@@ -47,7 +46,6 @@ __all__ = [
     "NodeResult",
     "OutputBuffer",
     "ProcessReceipt",
-    "SchedulingPolicy",
     "Simulation",
     "SimulationConfig",
     "SimulationResult",

@@ -4,9 +4,9 @@ The paper runs GrubJoin as one operator *inside* a System S operator
 graph — filters upstream, aggregations downstream, several queries
 sharing the machine.  :class:`DataflowGraph` is that host: named nodes
 wrapping operators, edges carrying one node's outputs into another's
-input buffer, and a scheduler that serves all nodes from one CPU
-(globally oldest buffered tuple first by default, so no node can
-indefinitely starve another with equal load).
+input buffer, and a scheduler that serves all nodes from one CPU by one
+rule, globally oldest buffered tuple first, so no node can indefinitely
+starve another with equal load.
 :class:`repro.engine.runtime.Simulation` is the same loop seen through a
 one-node graph.
 
@@ -49,10 +49,9 @@ Event semantics
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.obs.registry import Histogram, Series, label_key
@@ -107,6 +106,10 @@ class SimulationConfig:
     on_operator_error: str = "raise"
 
     def __post_init__(self) -> None:
+        for name in ("duration", "warmup", "adaptation_interval",
+                     "measure_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if not 0 <= self.warmup < self.duration:
@@ -117,25 +120,6 @@ class SimulationConfig:
             raise ValueError("measure_interval must be positive")
         if self.on_operator_error not in ("raise", "skip"):
             raise ValueError("on_operator_error must be 'raise' or 'skip'")
-
-
-class SchedulingPolicy(str, Enum):
-    """How the shared CPU picks the next tuple to service.
-
-    * ``OLDEST`` — globally oldest buffered tuple first: approximates
-      processing in arrival order across the whole graph, so no equally
-      loaded node starves another.
-    * ``ROUND_ROBIN`` — cycle through nodes with pending work: fair in
-      *servicing opportunities*, which favours cheap operators when an
-      expensive one hogs time per tuple.
-    * ``PRIORITY`` — highest ``add_node(priority=...)`` first; within a
-      priority level, oldest head.  Lets a latency-critical query preempt
-      batchy neighbours.
-    """
-
-    OLDEST = "oldest"
-    ROUND_ROBIN = "round-robin"
-    PRIORITY = "priority"
 
 
 @dataclass(slots=True)
@@ -216,11 +200,9 @@ class _Node:
         operator: StreamOperator,
         admission: Sequence[AdmissionFilter | None] | None,
         buffer_capacity: int | None,
-        priority: int = 0,
     ) -> None:
         self.name = name
         self.operator = operator
-        self.priority = priority
         self.buffer_capacity = buffer_capacity
         if admission is None:
             admission = [None] * operator.num_streams
@@ -254,14 +236,13 @@ class _NodeRun:
     :class:`NodeResult` the loop fills in."""
 
     __slots__ = (
-        "operator", "priority", "labels", "ports", "edges", "output",
+        "operator", "labels", "ports", "edges", "output",
         "stamps", "warm_start", "result",
     )
 
     def __init__(self, node: _Node, config: SimulationConfig,
                  retain_outputs: bool) -> None:
         self.operator = node.operator
-        self.priority = node.priority
         # an anonymous node (the Simulation facade's) carries no label
         self.labels = {"node": node.name} if node.name else {}
         capacity = (
@@ -324,7 +305,6 @@ class _Run:
         sources: Sequence[tuple[str, int, Any]],
         cpu: CpuModel,
         config: SimulationConfig,
-        policy: SchedulingPolicy,
         retain_outputs: bool,
         obs: "Obs | None",
     ) -> None:
@@ -343,21 +323,14 @@ class _Run:
                 for edge in node.edges
             ]
         self._sources = sources
-        # the chooser is fixed per run; OLDEST over the flat port list
-        # costs a one-node run exactly one scan of its own buffers
+        # oldest-first over the flat port list costs a one-node run
+        # exactly one scan of its own buffers
         self._ports = [
             port for node in self.nodes.values() for port in node.ports
         ]
-        self._order = list(self.nodes.values())
-        self._rr_next = 0
         #: tuples waiting in the input buffers, over every port: the fill
-        #: loop reads this instead of asking the chooser to scan them
+        #: loop reads this instead of scanning the buffers for them
         self._queued = 0
-        self._pick = {
-            SchedulingPolicy.OLDEST: partial(_oldest, self._ports),
-            SchedulingPolicy.ROUND_ROBIN: self._pick_round_robin,
-            SchedulingPolicy.PRIORITY: self._pick_priority,
-        }[policy]
         if obs is not None:
             self._bind_obs(obs)
 
@@ -537,10 +510,10 @@ class _Run:
         return last
 
     def _start_service(self, now: float) -> tuple:
-        """Service the chosen buffered tuple (one must be queued) and
+        """Service the oldest buffered tuple (one must be queued) and
         return its completion, shaped like a popped event: ``(done,
         COMPLETION, seq placeholder, payload)``."""
-        port = self._pick()
+        port = _oldest(self._ports)
         tup = port.buffer.pop()
         self._queued -= 1
         port.counters.consumed += 1
@@ -567,23 +540,6 @@ class _Run:
             )
         return done, _COMPLETION, None, (node, receipt.outputs, tup)
 
-    def _pick_round_robin(self) -> _Port | None:
-        order = self._order
-        for offset in range(len(order)):
-            at = (self._rr_next + offset) % len(order)
-            port = _oldest(order[at].ports)
-            if port is not None:
-                self._rr_next = (at + 1) % len(order)
-                return port
-        return None
-
-    def _pick_priority(self) -> _Port | None:
-        return max(
-            (port for port in self._ports if port.buffer),
-            key=lambda p: (p.node.priority, -p.buffer.head().timestamp),
-            default=None,
-        )
-
 
 class DataflowGraph:
     """A DAG of stream operators executed on one shared CPU."""
@@ -606,20 +562,18 @@ class DataflowGraph:
         operator: StreamOperator,
         admission: Sequence[AdmissionFilter | None] | None = None,
         buffer_capacity: int | None = None,
-        priority: int = 0,
     ) -> None:
         """Register an operator under a unique name.
 
         ``buffer_capacity`` bounds each of the node's input buffers;
-        ``None`` defers to the run's ``config.buffer_capacity``.
-        ``priority`` matters only under the PRIORITY scheduling policy
-        (higher runs first).  An empty ``name`` makes the node anonymous:
-        its telemetry carries no ``node=`` label.
+        ``None`` defers to the run's ``config.buffer_capacity``.  An
+        empty ``name`` makes the node anonymous: its telemetry carries no
+        ``node=`` label.
         """
         if name in self._nodes:
             raise ValueError(f"duplicate node name {name!r}")
         self._nodes[name] = _Node(name, operator, admission,
-                                  buffer_capacity, priority)
+                                  buffer_capacity)
 
     def add_source(self, node: str, input_index: int, source: Any) -> None:
         """Attach an external stream source to a node input."""
@@ -697,7 +651,7 @@ class DataflowGraph:
         self,
         cpu: CpuModel,
         config: SimulationConfig | None = None,
-        policy: SchedulingPolicy = SchedulingPolicy.OLDEST,
+        *,
         validate: bool = True,
         retain_outputs: bool = False,
         obs=None,
@@ -727,7 +681,6 @@ class DataflowGraph:
             self.validate().raise_for_errors()
         self._run = _Run(
             list(self._nodes.values()), self._sources, cpu,
-            config or SimulationConfig(), SchedulingPolicy(policy),
-            retain_outputs, obs,
+            config or SimulationConfig(), retain_outputs, obs,
         )
         return self._run.execute()

@@ -43,8 +43,6 @@ class MergerOperator(StreamOperator):
 
     Args:
         num_shards: shards feeding this merger (for per-shard accounting).
-        merge_cost: comparisons charged per merged result (serialization
-            and hand-off are cheap but not free).
     """
 
     num_streams = 1
@@ -55,13 +53,14 @@ class MergerOperator(StreamOperator):
     #: never changes what downstream sees — P121 requires this declaration
     order_insensitive = True
 
-    def __init__(self, num_shards: int, merge_cost: int = 1) -> None:
+    #: comparisons charged per merged result (serialization and hand-off
+    #: are cheap but not free)
+    merge_cost = 1
+
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if merge_cost < 0:
-            raise ValueError("merge_cost must be non-negative")
         self.num_shards = int(num_shards)
-        self.merge_cost = int(merge_cost)
         self.merged = 0
         self.merged_per_shard = [0] * self.num_shards
         # cached obs instrument handles (populated by _obs_setup)

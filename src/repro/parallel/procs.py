@@ -10,8 +10,9 @@ router and the merger:
 
 * **transport** — pickled-batch duplex pipes.  The supervisor routes
   tuples through the :class:`~repro.parallel.router.RouterOperator`
-  (a key's shard is ``crc32(key) % K``), packs per-worker batches, and
-  bounds the number of unacknowledged batches per worker so the
+  (a key's shard is ``crc32(key) % K``), packs per-worker batches of
+  :data:`BATCH_SIZE` tuples, and bounds the unacknowledged batches per
+  worker at :data:`MAX_INFLIGHT` so the
   downstream pipe always fits the OS buffer (sends never block) while
   acks are drained continuously
   (workers never stall on a full upstream pipe) — the classic
@@ -85,16 +86,20 @@ from repro.timing import Timer, wall_clock_timer
 from .merger import MergerOperator
 from .router import RouterOperator
 
-#: per-worker cap on unacknowledged batches; with the default batch
-#: size this keeps well under the ~64 KiB pipe buffer, so supervisor
-#: sends never block on a busy worker
-DEFAULT_MAX_INFLIGHT = 4
-
 #: tuples per pickled batch (amortizes pickling + syscall overhead)
-DEFAULT_BATCH_SIZE = 64
+BATCH_SIZE = 64
+
+#: per-worker cap on unacknowledged batches; with ``BATCH_SIZE`` this
+#: keeps well under the ~64 KiB pipe buffer, so supervisor sends never
+#: block on a busy worker
+MAX_INFLIGHT = 4
+
+#: the supervisor drains acks (and refreshes the dashboard) every this
+#: many flushed batches
+CONTROL_INTERVAL = 4
 
 #: events each worker's crash flight recorder retains (ring buffer)
-DEFAULT_FLIGHT_CAPACITY = 64
+FLIGHT_CAPACITY = 64
 
 
 def result_keys(outputs: Sequence[Any], m: int) -> np.ndarray:
@@ -124,7 +129,6 @@ def _worker_main(
     worker_id: int,
     adaptation_interval: float | None,
     telemetry: bool,
-    flight_capacity: int,
 ) -> None:
     """Worker entry path: build the shard, replay batches, ack results.
 
@@ -150,7 +154,7 @@ def _worker_main(
     what ``on_finish`` records).  A bounded :class:`FlightRecorder`
     always runs; its tail travels with the crash report.
     """
-    flight = FlightRecorder(capacity=flight_capacity)
+    flight = FlightRecorder(capacity=FLIGHT_CAPACITY)
     clock = [0.0]
     shipper = None
     try:
@@ -333,33 +337,21 @@ class _Supervisor:
         duration: float,
         key: Callable[[StreamTuple], Any] | None,
         adaptation_interval: float | None,
-        batch_size: int,
-        max_inflight_batches: int,
-        control_interval: int,
         obs,
         meta: dict | None,
         dashboard: Callable[[str], None] | None,
-        flight_capacity: int,
         timer: Timer,
-        start_method: str,
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one worker shard")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if max_inflight_batches < 1:
-            raise ValueError("max_inflight_batches must be >= 1")
-        if control_interval < 1:
-            raise ValueError("control_interval must be >= 1")
         self.sources = sources
         self.make_shard = make_shard
         self.duration = float(duration)
         self.adaptation_interval = adaptation_interval
-        self.batch_size = int(batch_size)
-        self.max_inflight = int(max_inflight_batches)
-        self.control_interval = int(control_interval)
         self.timer = timer
-        self.ctx = mp.get_context(start_method)
+        # forked, not spawned: ``make_shard`` may be a closure, which
+        # spawn would have to pickle
+        self.ctx = mp.get_context("fork")
         self.router = RouterOperator(
             num_streams=len(sources),
             num_shards=num_shards,
@@ -371,7 +363,6 @@ class _Supervisor:
         self.merged_keys: list[np.ndarray] = []
         self.obs = obs
         self.dashboard = dashboard
-        self.flight_capacity = int(flight_capacity)
         self.aggregator = (
             TelemetryAggregator(obs) if obs is not None else None
         )
@@ -399,8 +390,7 @@ class _Supervisor:
         process = self.ctx.Process(
             target=_worker_main,
             args=(child_conn, self.make_shard, worker_id,
-                  self.adaptation_interval, self.obs is not None,
-                  self.flight_capacity),
+                  self.adaptation_interval, self.obs is not None),
             daemon=True,
             name=f"repro-shard-{worker_id}",
         )
@@ -487,7 +477,7 @@ class _Supervisor:
             # parting "error" message is what we're looking for.  It can
             # sit behind every unread ack, and drain() reads one message
             # per pipe, so read on until the pipe is dry (EOF = done)
-            for _ in range(self.max_inflight + 2):
+            for _ in range(MAX_INFLIGHT + 2):
                 if worker.done:
                     break
                 self.drain(0.5)  # raises with the worker's traceback
@@ -508,8 +498,7 @@ class _Supervisor:
         if not batch:
             return
         worker = self.workers[worker_id]
-        while (worker.batches_sent - worker.batches_acked
-               >= self.max_inflight):
+        while worker.batches_sent - worker.batches_acked >= MAX_INFLIGHT:
             self.drain(0.05)
         self._send(worker, ("batch", worker.batches_sent, batch))
         worker.batches_sent += 1
@@ -558,10 +547,10 @@ class _Supervisor:
                 shard = receipt.outputs[0].shard
                 tuples_routed += 1
                 self.pending[shard].append(tup)
-                if len(self.pending[shard]) >= self.batch_size:
+                if len(self.pending[shard]) >= BATCH_SIZE:
                     self.flush(shard)
                     flushes += 1
-                    if flushes % self.control_interval == 0:
+                    if flushes % CONTROL_INTERVAL == 0:
                         self.control_tick()
             for worker in self.workers.values():
                 self.flush(worker.id)
@@ -610,16 +599,11 @@ def run_procs(
     duration: float,
     key: Callable[[StreamTuple], Any] | None = None,
     adaptation_interval: float | None = 2.0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_inflight_batches: int = DEFAULT_MAX_INFLIGHT,
-    control_interval: int = 4,
     certify: bool = True,
     obs=None,
     meta: dict | None = None,
     dashboard: Callable[[str], None] | None = None,
-    flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
     timer: Timer = wall_clock_timer,
-    start_method: str = "fork",
 ) -> ProcsResult:
     """Run the m-way join sharded over ``num_shards`` worker processes.
 
@@ -636,11 +620,6 @@ def run_procs(
         adaptation_interval: virtual period of the adaptation ticks
             workers replay (match the simulator config when comparing
             against a :class:`ShardedPlan` run); ``None`` disables.
-        batch_size / max_inflight_batches: transport tuning — tuples
-            per pickled batch, and the per-worker cap on batches in
-            flight (keeps pipes below the OS buffer: deadlock-free).
-        control_interval: drain acks (and refresh ``dashboard``) every
-            this many flushed batches.
         certify: run the shard-safety gate (P124) over probe
             operators built from ``make_shard`` before forking,
             including the worker-entry check (P126).
@@ -658,13 +637,14 @@ def run_procs(
             the rendered :func:`repro.obs.render_fleet` text on every
             control tick (and once after the fleet drains).  Requires
             ``obs``.
-        flight_capacity: events each worker's crash flight recorder
-            retains; the tail rides the crash post-mortem.
         timer: injectable wall-clock (tests pass a
             :class:`repro.timing.ManualTimer`).
-        start_method: multiprocessing start method; ``fork`` is
-            required for closure factories (spawn would have to pickle
-            ``make_shard``).
+
+    The transport is fixed: batches of :data:`BATCH_SIZE` tuples, at
+    most :data:`MAX_INFLIGHT` unacknowledged batches per worker (pipes
+    stay below the OS buffer: deadlock-free), a control tick every
+    :data:`CONTROL_INTERVAL` flushed batches, and a crash flight
+    recorder of :data:`FLIGHT_CAPACITY` events per worker.
 
     Returns:
         A :class:`ProcsResult`; its ``merged_ids`` is bit-identical to
@@ -676,8 +656,6 @@ def run_procs(
         raise ValueError(
             "the live fleet dashboard renders telemetry; pass obs="
         )
-    if flight_capacity < 1:
-        raise ValueError("flight_capacity must be >= 1")
     if certify:
         from .sharded import certify_shard_operators
 
@@ -697,14 +675,9 @@ def run_procs(
         duration=duration,
         key=key,
         adaptation_interval=adaptation_interval,
-        batch_size=batch_size,
-        max_inflight_batches=max_inflight_batches,
-        control_interval=control_interval,
         obs=obs,
         meta=meta,
         dashboard=dashboard,
-        flight_capacity=flight_capacity,
         timer=timer,
-        start_method=start_method,
     )
     return supervisor.run()

@@ -85,8 +85,6 @@ class RouterOperator(StreamOperator):
         num_shards: join instances behind this router.
         key: join-key extractor; default uses the tuple's ``value`` (the
             join attribute).
-        route_cost: comparisons charged per routed tuple (routing is not
-            free on a real system, but it is far cheaper than a probe).
         policy, rebalance_threshold: accepted only as ``"hash"`` and
             ``None``, the one routing rule this router has.  They are
             kept so that callers written against the former signature,
@@ -97,12 +95,15 @@ class RouterOperator(StreamOperator):
 
     output_kind = "routed"
 
+    #: comparisons charged per routed tuple (routing is not free on a
+    #: real system, but it is far cheaper than a probe)
+    route_cost = 1
+
     def __init__(
         self,
         num_streams: int,
         num_shards: int,
         key: Callable[[StreamTuple], Any] | None = None,
-        route_cost: int = 1,
         *,
         policy: str = "hash",
         rebalance_threshold: None = None,
@@ -111,8 +112,6 @@ class RouterOperator(StreamOperator):
             raise ValueError("router needs at least one input stream")
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if route_cost < 0:
-            raise ValueError("route_cost must be non-negative")
         if policy != "hash":
             raise ValueError(
                 f"unknown routing policy {policy!r}; routing is by key hash"
@@ -124,7 +123,6 @@ class RouterOperator(StreamOperator):
         self.num_streams = int(num_streams)
         self.num_shards = int(num_shards)
         self.key = key if key is not None else (lambda tup: tup.value)
-        self.route_cost = int(route_cost)
         self.routed_per_shard = [0] * self.num_shards
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_routed = None

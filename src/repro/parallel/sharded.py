@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.engine.cpu import CpuModel
-from repro.engine.graph import DataflowGraph, GraphResult, SchedulingPolicy
+from repro.engine.graph import DataflowGraph, GraphResult
 from repro.engine.operator import StreamOperator
 from repro.engine.runtime import SimulationConfig
 from repro.streams.tuples import StreamTuple
@@ -106,13 +106,13 @@ class ShardedPlan:
         self,
         cpu: CpuModel,
         config: SimulationConfig | None = None,
-        scheduling: SchedulingPolicy = SchedulingPolicy.OLDEST,
+        *,
         validate: bool = True,
         retain_outputs: bool = False,
     ) -> GraphResult:
         """Execute the sharded plan on ``cpu`` (see DataflowGraph.run)."""
-        return self.graph.run(cpu, config, scheduling, validate,
-                              retain_outputs)
+        return self.graph.run(cpu, config, validate=validate,
+                              retain_outputs=retain_outputs)
 
     def output_rate(self, result: GraphResult) -> float:
         """The combined (merged) join output rate of a finished run."""
@@ -152,9 +152,6 @@ def build_sharded_graph(
     make_shard: Callable[[int], StreamOperator],
     num_shards: int,
     key: Callable[[StreamTuple], Any] | None = None,
-    route_cost: int = 1,
-    merge_cost: int = 1,
-    shard_buffer_capacity: int | None = None,
     certify: bool = True,
 ) -> ShardedPlan:
     """Wire router, shards and merger into one dataflow graph.
@@ -168,9 +165,6 @@ def build_sharded_graph(
             windows or controllers.
         num_shards: how many join instances to run in parallel.
         key: join-key extractor for routing (default: tuple value).
-        route_cost: comparisons charged per routed tuple.
-        merge_cost: comparisons charged per merged result.
-        shard_buffer_capacity: optional bound on each shard input buffer.
         certify: run the shard-safety gate
             (:func:`certify_shard_operators`) over the built shard
             operators — raises
@@ -185,13 +179,8 @@ def build_sharded_graph(
     if num_shards < 1:
         raise ValueError("need at least one shard")
     m = len(sources)
-    router = RouterOperator(
-        num_streams=m,
-        num_shards=num_shards,
-        key=key,
-        route_cost=route_cost,
-    )
-    merger = MergerOperator(num_shards, merge_cost=merge_cost)
+    router = RouterOperator(num_streams=m, num_shards=num_shards, key=key)
+    merger = MergerOperator(num_shards)
     graph = DataflowGraph()
     graph.add_node("router", router)
     for s, source in enumerate(sources):
@@ -207,8 +196,7 @@ def build_sharded_graph(
                 f"but {m} sources were given"
             )
         name = f"shard{k}"
-        graph.add_node(name, operator,
-                       buffer_capacity=shard_buffer_capacity)
+        graph.add_node(name, operator)
         for s in range(m):
             graph.connect(
                 "router",

@@ -75,12 +75,13 @@ class TestOnRealController:
 
         # constant 3x overload: the CPU can fully process 1000 tuples per
         # interval at z=1, and 1/z times as many when throttled
+        times, values = [], []
         for step in range(1, 25):
             z = max(op.throttle.z, 1e-6)
             consumable = int(min(3000, 1000 / z))
             op.on_adapt(float(step), [stats(3000, consumable)] * 3, 1.0)
-        times = [t for t, _ in op.z_history]
-        values = [z for _, z in op.z_history]
+            times.append(float(step))
+            values.append(op.throttle_fraction)
         mean, cv = steady_state_stats(times, values)
         assert 0.2 < mean < 0.5  # equilibrium near 1/3
         assert cv < 0.5

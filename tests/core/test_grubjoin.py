@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GrubJoinOperator
+from repro.core.throttle import ThrottleController
 from repro.engine import BufferStats, CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin, MJoinOperator
 from repro.streams import (
@@ -77,11 +78,6 @@ class TestConstruction:
             assert hist.high == op.segments[0] * b
             assert hist.buckets == 2 * (op.segments[s] + op.segments[0])
             assert hist.width == pytest.approx(b / 2)
-
-    def test_explicit_bucket_count_overrides_all_streams(self):
-        op = GrubJoinOperator(EpsilonJoin(1.0), [10.0, 6.0, 4.0], 1.0,
-                              histogram_buckets=16, rng=0)
-        assert [op.histograms[s].buckets for s in (1, 2)] == [16, 16]
 
 
 class TestSubsetProperty:
@@ -163,7 +159,8 @@ class TestAdaptation:
         assert (op.harvest.counts == 10).all()
 
     def test_full_harvest_restored_at_z_one(self):
-        op = make_operator(gamma=10.0)
+        op = make_operator()
+        op.throttle = ThrottleController(gamma=10.0)
         op.on_adapt(5.0, [stats(100, 50)] * 3, 5.0)
         assert op.throttle_fraction < 1
         op.on_adapt(10.0, [stats(100, 100)] * 3, 5.0)
@@ -171,10 +168,16 @@ class TestAdaptation:
         assert (op.harvest.counts == 10).all()
 
     def test_z_history_recorded(self):
+        # the host records z once per adaptation tick; the operator
+        # keeps no copy of its own
         op = make_operator()
-        op.on_adapt(5.0, [stats(10, 10)] * 3, 5.0)
-        op.on_adapt(10.0, [stats(10, 5)] * 3, 5.0)
-        assert len(op.z_history) == 2
+        cfg = SimulationConfig(duration=4.0, warmup=0.0,
+                               adaptation_interval=2.0)
+        result = Simulation(make_sources(rate=5.0), op, CpuModel(1e12),
+                            cfg).run()
+        assert result.throttle_series.times == [2.0, 4.0]
+        assert result.throttle_series.values == [op.throttle_fraction] * 2
+        assert not hasattr(op, "z_history")
 
     def test_double_sided_solver_used(self):
         op = make_operator(solver="double-sided")

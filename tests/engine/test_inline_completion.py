@@ -24,7 +24,6 @@ from repro.engine import (
     EventKind,
     EventQueue,
     ProcessReceipt,
-    SchedulingPolicy,
     SimulationConfig,
     StreamOperator,
 )
@@ -95,14 +94,13 @@ def _keep_even(out):
 class Spec:
     """One drawn run: nodes, edges, sources and the CPU."""
 
-    nodes: tuple = ()        # (streams, cost, join_result, priority,
+    nodes: tuple = ()        # (streams, cost, join_result,
                              #  buffer capacity, gated)
     edges: tuple = ()        # (source, target, input, filtered, transformed)
     arrivals: tuple = ()     # (node, input, grid ticks)
     cores: int = 1
     capacity: float = 8.0
     overhead: float = 1.0
-    policy: SchedulingPolicy = SchedulingPolicy.OLDEST
     on_error: str = "raise"
     warmup: float = 0.0
     adaptation_interval: float = 1.0
@@ -110,13 +108,13 @@ class Spec:
 
 def build(spec: Spec):
     graph = DataflowGraph()
-    for i, (streams, cost, join_result, priority, capacity,
+    for i, (streams, cost, join_result, capacity,
             gated) in enumerate(spec.nodes):
         op = Echo(streams, cost, join_result,
                   fail_every=3 if spec.on_error == "skip" else 0)
         admission = [EveryOther() if gated else None] * streams
         graph.add_node(f"n{i}", op, admission=admission,
-                       buffer_capacity=capacity, priority=priority)
+                       buffer_capacity=capacity)
     for source, target, index, filtered, transformed in spec.edges:
         join_result = spec.nodes[source][2]
         transform = _first if join_result else None
@@ -209,7 +207,7 @@ def run(spec: Spec, inline: bool = True):
             adaptation_interval=spec.adaptation_interval,
             measure_interval=0.5, on_operator_error=spec.on_error,
         )
-        result = graph.run(cpu, config, spec.policy, validate=False,
+        result = graph.run(cpu, config, validate=False,
                            retain_outputs=True)
     return trace, measure(result, cpu), pushes[0]
 
@@ -231,7 +229,6 @@ def specs(draw):
         (draw(st.integers(1, 2)),                  # inputs
          draw(st.integers(0, 3)),                  # comparisons per tuple
          draw(st.booleans()),                      # join-result outputs
-         draw(st.integers(0, 2)),                  # priority
          draw(st.none() | st.integers(1, 3)),      # buffer capacity
          draw(st.booleans()))                      # admission gate
         for _ in range(n)
@@ -257,7 +254,6 @@ def specs(draw):
         capacity=draw(st.sampled_from([1e12, 16.0, 8.0, 2.0])),
         # no overhead: a zero-comparison service ends when it starts
         overhead=draw(st.sampled_from([0.0, 1.0])),
-        policy=draw(st.sampled_from(list(SchedulingPolicy))),
         on_error=draw(st.sampled_from(["raise", "skip"])),
         warmup=draw(st.sampled_from([0.0, 1.0])),
     )
@@ -271,7 +267,7 @@ def test_processed_trace_equals_the_always_push_loop(spec):
 
 def one_node(ticks, **kw):
     """One single-input node fed at ``ticks`` (grid units)."""
-    return Spec(nodes=((1, kw.pop("cost", 0), False, 0, None, False),),
+    return Spec(nodes=((1, kw.pop("cost", 0), False, None, False),),
                 arrivals=((0, 0, tuple(ticks)),), **kw)
 
 
@@ -333,7 +329,7 @@ class TestTies:
         assert measured["nodes"]["n0"]["ports"][0][-1] == 2  # consumed
 
     def test_two_cores_finishing_together(self):
-        spec = Spec(nodes=((2, 0, False, 0, None, False),),
+        spec = Spec(nodes=((2, 0, False, None, False),),
                     arrivals=((0, 0, (0,)), (0, 1, (0,))), cores=2)
         trace, pushes = assert_same_as_reference(spec)
         assert trace[:4] == [(0.0, EventKind.ARRIVAL),

@@ -195,6 +195,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "field",
+        ["duration", "warmup", "adaptation_interval", "measure_interval"],
+    )
+    def test_non_finite_rejected(self, field, value):
+        # an infinite duration never stops ticking; a NaN interval
+        # schedules no tick at all, so the run silently never adapts
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationConfig(**{field: value})
+
 
 class TestRetention:
     def test_outputs_retained_when_asked(self):

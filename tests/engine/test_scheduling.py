@@ -1,4 +1,4 @@
-"""Tests for the graph scheduling policies."""
+"""Tests for the graph scheduler's one rule: oldest buffered tuple first."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.engine import (
     CpuModel,
     DataflowGraph,
     ProcessReceipt,
-    SchedulingPolicy,
     SimulationConfig,
     StreamOperator,
 )
@@ -29,16 +28,13 @@ class CostlyEcho(StreamOperator):
                               outputs=[JoinResult((tup,))])
 
 
-def build(costs, priorities=None, rate=20.0):
+def build(costs, rate=20.0):
     graph = DataflowGraph()
     ops = {}
     for i, cost in enumerate(costs):
         name = f"n{i}"
         ops[name] = CostlyEcho(cost)
-        graph.add_node(
-            name, ops[name],
-            priority=(priorities[i] if priorities else 0),
-        )
+        graph.add_node(name, ops[name])
         graph.add_source(name, 0, StreamSource(
             0, ConstantRate(rate, phase=i * 1e-4), UniformProcess(rng=i)
         ))
@@ -51,50 +47,22 @@ CFG = SimulationConfig(duration=10.0, warmup=0.0)
 class TestOldestPolicy:
     def test_equal_costs_equal_service(self):
         graph, ops = build([10, 10])
-        graph.run(CpuModel(1e9), CFG, policy=SchedulingPolicy.OLDEST)
+        graph.run(CpuModel(1e9), CFG)
         assert ops["n0"].serviced == ops["n1"].serviced
 
     def test_expensive_node_dominates_cpu_time(self):
         # under overload, oldest-first keeps both flowing in arrival order
         graph, ops = build([1000, 1])
-        graph.run(CpuModel(5000.0), CFG, policy=SchedulingPolicy.OLDEST)
+        graph.run(CpuModel(5000.0), CFG)
         # the cheap node is not starved: it services in lockstep
         # (n0's arrivals are phased marginally earlier, hence the slack)
         assert ops["n1"].serviced >= ops["n0"].serviced - 2
 
-
-class TestRoundRobinPolicy:
-    def test_alternates_between_nodes(self):
-        graph, ops = build([1000, 1])
-        graph.run(CpuModel(5000.0), CFG,
-                  policy=SchedulingPolicy.ROUND_ROBIN)
-        # both get servicing opportunities despite the cost asymmetry
-        assert ops["n0"].serviced > 0
-        assert ops["n1"].serviced > 0
-        total = ops["n0"].serviced + ops["n1"].serviced
-        assert abs(ops["n0"].serviced - ops["n1"].serviced) <= total * 0.6
-
-
-class TestPriorityPolicy:
-    def test_high_priority_served_first_under_overload(self):
-        graph, ops = build([100, 100], priorities=[0, 5])
-        graph.run(CpuModel(2500.0), CFG,  # can service ~25/s of 40/s
-                  policy=SchedulingPolicy.PRIORITY)
-        assert ops["n1"].serviced > 2 * ops["n0"].serviced
-
-    def test_equal_priority_falls_back_to_oldest(self):
-        graph, ops = build([10, 10], priorities=[1, 1])
-        graph.run(CpuModel(1e9), CFG, policy=SchedulingPolicy.PRIORITY)
-        assert ops["n0"].serviced == ops["n1"].serviced
-
-
-class TestPolicyCoercion:
-    def test_string_accepted(self):
-        graph, ops = build([1])
-        graph.run(CpuModel(1e9), CFG, policy="round-robin")
-        assert ops["n0"].serviced > 0
-
-    def test_unknown_policy_rejected(self):
+    def test_no_policy_argument(self):
+        # every option after ``config`` is keyword-only, so a stale
+        # positional scheduling policy cannot land in ``validate``
         graph, _ = build([1])
-        with pytest.raises(ValueError):
-            graph.run(CpuModel(1e9), CFG, policy="weird")
+        with pytest.raises(TypeError):
+            graph.run(CpuModel(1e9), CFG, "oldest")
+        with pytest.raises(TypeError):
+            graph.run(CpuModel(1e9), CFG, policy="oldest")

@@ -109,8 +109,8 @@ class TestThrottleDynamics:
             for i in range(3)
         ]
         op = grub_operator()
-        Simulation(sources, op, CpuModel(calibrated), cfg).run()
-        zs = dict(op.z_history)
+        res = Simulation(sources, op, CpuModel(calibrated), cfg).run()
+        zs = dict(zip(res.throttle_series.times, res.throttle_series.values))
         z_overloaded = np.mean([z for t, z in zs.items() if 8 <= t <= 15])
         z_recovered = np.mean([z for t, z in zs.items() if t >= 25])
         assert z_overloaded < 0.9

@@ -27,12 +27,12 @@ class TestShardResultTransform:
 
 class TestMerger:
     def test_counts_per_shard_and_passes_through(self):
-        merger = MergerOperator(num_shards=3, merge_cost=2)
+        merger = MergerOperator(num_shards=3)
         for shard, n in ((0, 2), (2, 1)):
             pack = shard_result_transform(shard)
             for _ in range(n):
                 receipt = merger.process(pack(result([1.0, 2.0])), 5.0)
-                assert receipt.comparisons == 2
+                assert receipt.comparisons == MergerOperator.merge_cost == 1
                 assert len(receipt.outputs) == 1
         assert merger.merged == 3
         assert merger.merged_per_shard == [2, 0, 1]
@@ -55,5 +55,3 @@ class TestMerger:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             MergerOperator(num_shards=0)
-        with pytest.raises(ValueError):
-            MergerOperator(num_shards=1, merge_cost=-1)

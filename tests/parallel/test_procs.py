@@ -3,9 +3,9 @@
 The determinism contract is the headline: ``run_procs`` over real
 ``multiprocessing`` workers must merge the *bit-identical* identity set
 the virtual-time :class:`ShardedPlan` (and the brute-force oracle)
-produce on the same frozen workload — for every join mode and every
-transport setting.  Crash propagation and the P126/P124 worker-entry
-certification ride along.
+produce on the same frozen workload — for every join mode and whatever
+the transport constants are patched to.  Crash propagation and the
+P126/P124 worker-entry certification ride along.
 """
 
 import os
@@ -21,6 +21,7 @@ from repro.joins.columnar import ResultBlock
 from repro.lint.plan import PlanValidationError
 from repro.obs import Obs
 from repro.parallel import build_sharded_graph, run_procs
+from repro.parallel import procs as runtime
 from repro.parallel.procs import result_keys
 from repro.testkit import (
     band_workload,
@@ -126,15 +127,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("num_shards", GRID_SHARDS)
     @pytest.mark.parametrize("seed", GRID_SEEDS)
     def test_every_transport_setting_is_exact(
-        self, seed, num_shards, batch_size, control_interval, references
+        self, seed, num_shards, batch_size, control_interval, references,
+        monkeypatch,
     ):
         # no control loop reads the transport any more, so no transport
-        # setting can change what is merged
+        # constant can change what is merged (forked workers inherit the
+        # patched module)
+        monkeypatch.setattr(runtime, "BATCH_SIZE", batch_size)
+        monkeypatch.setattr(runtime, "CONTROL_INTERVAL", control_interval)
         workload, oracle, sharded = references[seed, num_shards]
-        result = procs_run(
-            workload, num_shards,
-            batch_size=batch_size, control_interval=control_interval,
-        )
+        result = procs_run(workload, num_shards)
         assert set(result.merged_ids) == oracle == sharded
         assert result.merged_count == len(oracle)
 
@@ -300,7 +302,8 @@ class TestAccounting:
 
 
 class TestFailurePaths:
-    def test_worker_crash_propagates_traceback(self):
+    def test_worker_crash_propagates_traceback(self, monkeypatch):
+        monkeypatch.setattr(runtime, "BATCH_SIZE", 4)
         workload = key_workload(seed=1, duration=4.0)
         with pytest.raises(RuntimeError, match="boom on purpose"):
             run_procs(
@@ -308,7 +311,6 @@ class TestFailurePaths:
                 lambda worker_id: CrashShard(),
                 2,
                 duration=workload.duration,
-                batch_size=4,
                 certify=False,
             )
 
@@ -324,13 +326,6 @@ class TestFailurePaths:
 
     def test_parameter_validation(self):
         workload = key_workload(seed=1, duration=2.0)
-        for bad in (
-            dict(batch_size=0),
-            dict(max_inflight_batches=0),
-            dict(control_interval=0),
-        ):
-            with pytest.raises(ValueError):
-                procs_run(workload, 2, **bad)
         with pytest.raises(ValueError):
             procs_run(workload, 0)
 

@@ -18,6 +18,7 @@ from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.joins import MJoinOperator
 from repro.lint.plan import PlanValidationError
 from repro.obs import Obs, jsonl_lines, reference_aggregate, worker_scoped
+from repro.parallel import procs as runtime
 from repro.parallel import run_procs
 from repro.parallel.router import RouterOperator
 from repro.testkit import key_workload, oracle_ids
@@ -239,14 +240,14 @@ class TestRunMetadata:
 
 
 class TestFleetDashboard:
-    def test_dashboard_callback_receives_fleet_frames(self):
+    def test_dashboard_callback_receives_fleet_frames(self, monkeypatch):
+        monkeypatch.setattr(runtime, "BATCH_SIZE", 8)
+        monkeypatch.setattr(runtime, "CONTROL_INTERVAL", 1)
         workload = key_workload(seed=1, duration=5.0)
         frames: list[str] = []
         _result, _obs = procs_obs_run(
             workload, grub_factory(workload, seed=1), 2,
             dashboard=frames.append,
-            batch_size=8,
-            control_interval=1,
         )
         assert frames, "dashboard callback never invoked"
         final = frames[-1]
@@ -264,20 +265,12 @@ class TestFleetDashboard:
                 dashboard=lambda frame: None,
             )
 
-    def test_flight_capacity_is_validated(self):
-        workload = key_workload(seed=1, duration=2.0)
-        with pytest.raises(ValueError, match="flight_capacity"):
-            run_procs(
-                workload.traces,
-                grub_factory(workload, seed=1),
-                2,
-                duration=workload.duration,
-                flight_capacity=0,
-            )
-
 
 class TestCrashFlightRecorder:
-    def test_post_mortem_carries_flight_tail_with_provenance(self):
+    def test_post_mortem_carries_flight_tail_with_provenance(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(runtime, "BATCH_SIZE", 4)
         workload = key_workload(seed=1, duration=4.0)
         with pytest.raises(RuntimeError) as excinfo:
             run_procs(
@@ -285,7 +278,6 @@ class TestCrashFlightRecorder:
                 lambda worker_id: CrashShard(),
                 2,
                 duration=workload.duration,
-                batch_size=4,
                 certify=False,
                 obs=Obs(),
                 timer=ManualTimer(),
@@ -299,7 +291,8 @@ class TestCrashFlightRecorder:
         wid = message.split("shard worker ", 1)[1].split(" ", 1)[0]
         assert f"worker {wid} flight recorder" in message
 
-    def test_crash_without_obs_still_ships_the_tail(self):
+    def test_crash_without_obs_still_ships_the_tail(self, monkeypatch):
+        monkeypatch.setattr(runtime, "BATCH_SIZE", 4)
         workload = key_workload(seed=1, duration=4.0)
         with pytest.raises(RuntimeError, match="flight recorder"):
             run_procs(
@@ -307,15 +300,19 @@ class TestCrashFlightRecorder:
                 lambda worker_id: CrashShard(),
                 2,
                 duration=workload.duration,
-                batch_size=4,
                 certify=False,
             )
 
-    def test_crash_report_queued_behind_unread_acks_is_found(self):
+    def test_crash_report_queued_behind_unread_acks_is_found(
+        self, monkeypatch
+    ):
         """One-tuple batches, a deep inflight cap and no control-tick
         drain: the five acks that precede the crash sit unread in the
         pipe, so the parting error report is the sixth message — the
         supervisor must read past the acks to find it."""
+        monkeypatch.setattr(runtime, "BATCH_SIZE", 1)
+        monkeypatch.setattr(runtime, "MAX_INFLIGHT", 64)
+        monkeypatch.setattr(runtime, "CONTROL_INTERVAL", 10**9)
         workload = key_workload(seed=1, duration=4.0)
         with pytest.raises(RuntimeError) as excinfo:
             run_procs(
@@ -323,9 +320,6 @@ class TestCrashFlightRecorder:
                 lambda worker_id: CrashShard(),
                 2,
                 duration=workload.duration,
-                batch_size=1,
-                max_inflight_batches=64,
-                control_interval=10**9,
                 certify=False,
             )
         message = str(excinfo.value)

@@ -46,11 +46,10 @@ class TestHashRouting:
                 ], (workload.__name__, k)
 
     def test_process_emits_routed_envelope_and_counts(self):
-        router = RouterOperator(num_streams=1, num_shards=2,
-                                route_cost=3)
+        router = RouterOperator(num_streams=1, num_shards=2)
         t = tup(5.0)
         receipt = router.process(t, 0.0)
-        assert receipt.comparisons == 3
+        assert receipt.comparisons == RouterOperator.route_cost == 1
         [routed] = receipt.outputs
         assert isinstance(routed, RoutedTuple)
         assert routed.tuple is t
@@ -75,8 +74,6 @@ class TestValidation:
             RouterOperator(num_streams=0, num_shards=2)
         with pytest.raises(ValueError):
             RouterOperator(num_streams=1, num_shards=0)
-        with pytest.raises(ValueError):
-            RouterOperator(num_streams=1, num_shards=2, route_cost=-1)
 
     def test_only_hash_routing_without_rebalancing_is_accepted(self):
         for kwargs in ({"policy": "round-robin"}, {"policy": "range"},
