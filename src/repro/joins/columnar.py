@@ -26,6 +26,12 @@ into a :class:`ResultBlock`:
 the results' ``seq`` identities as one int64 matrix, and the
 ``JoinResult`` objects themselves only if a consumer iterates.
 
+A radius-0 predicate (``EquiJoin()``, ``EpsilonJoin(0)``) takes the
+equality path instead: every live partial's interval is then the probing
+value's ``[v0, v0]``, so a hop is one 1-D ``pool == v0`` test standing for
+all ``P`` rows of the grid, and the results are the cross product of the
+per-hop hits — no extrema, no back-pointer chains.
+
 The kernel is **bit-identical in virtual time** to ``run_pipeline``: same
 outputs in the same order, same ``comparisons``, same per-hop
 ``HopStats`` — the running extrema reproduce ``probe_context`` exactly
@@ -96,6 +102,8 @@ def run_pipeline_columnar(
     function through :func:`select_kernel`, which checks.
     """
     radius = float(predicate.interval_radius)
+    if radius == 0.0:
+        return _run_equality(tup, order, slices_for_hop)
     result = PipelineResult(hop_stats=[HopStats() for _ in order])
     v0 = float(tup.value)
     # per-partial running value extrema; arrays only once a second hop
@@ -122,11 +130,6 @@ def run_pipeline_columnar(
             )
             lo = pmax - radius
             hi = pmin + radius
-        elif radius == 0.0:
-            # the probe interval is [vmax, vmin] itself; alias instead of
-            # allocating (IEEE: the only value changed by -/+ 0.0 is the
-            # sign of a zero, which compares equal either way)
-            lo, hi = vmax, vmin
         else:
             lo = vmax - radius
             hi = vmin + radius
@@ -146,12 +149,7 @@ def run_pipeline_columnar(
             charged = total
         stats.scanned = num_partials * charged
         result.comparisons += stats.scanned
-        # SCALAR storage (supports_columnar): a slice's values are
-        # already a float64 view of its store's value column
-        if len(slices) == 1:
-            pool = slices[0].values
-        else:
-            pool = np.concatenate([s.values for s in slices])
+        pool = _pool(slices)
         if num_partials == 1:
             pcol = ((pool >= lo) & (pool <= hi)).nonzero()[0]
             # hop 0's parents are never read
@@ -197,6 +195,61 @@ def run_pipeline_columnar(
         result.outputs = _materialize(
             tup, order, hop_slices, parents_chain, rows_chain
         )
+    return result
+
+
+def _pool(slices: Sequence[WindowSlice]) -> np.ndarray:
+    """A hop's candidate pool: the one slice's view of its store's value
+    column (SCALAR storage, :func:`supports_columnar`: already float64),
+    a copy only when the hop selects several runs or strided pieces."""
+    if len(slices) == 1:
+        return slices[0].values
+    return np.concatenate([s.values for s in slices])
+
+
+def _run_equality(
+    tup: StreamTuple,
+    order: Sequence[int],
+    slices_for_hop: Callable[[int, int], Sequence[WindowSlice]],
+) -> PipelineResult:
+    """The kernel for a radius-0 predicate.
+
+    A partial only survives a hop by extending with a value equal to the
+    probing tuple's ``v0``, so every live partial's interval is
+    ``[v0, v0]`` and every row of the partials x candidates grid is the
+    same mask: one 1-D ``pool == v0`` per hop (the same IEEE truth table
+    as ``v0 <= x <= v0``) stands for all ``P`` rows, and the grid's
+    row-major hits are the cross product of the per-hop hits in
+    lexicographic hop order.
+    """
+    result = PipelineResult(hop_stats=[HopStats() for _ in order])
+    v0 = float(tup.value)
+    num_partials = 1
+    hop_slices: list[Sequence[WindowSlice]] = []
+    hop_cols: list[np.ndarray] = []
+    for hop, window_stream in enumerate(order):
+        slices = slices_for_hop(hop, window_stream)
+        stats = result.hop_stats[hop]
+        total = len(slices[0]) if len(slices) == 1 else sum(map(len, slices))
+        if total == 0:
+            return result
+        state = slices[0].store.windex
+        if state is not None and state.is_active:
+            charged = state.charge(slices, total, v0, v0, v0)
+            if charged == 0:
+                return result
+        else:
+            charged = total
+        stats.scanned = num_partials * charged
+        result.comparisons += stats.scanned
+        cols = (_pool(slices) == v0).nonzero()[0]
+        stats.matched = num_partials * len(cols)
+        if stats.matched == 0:
+            return result
+        num_partials = stats.matched
+        hop_slices.append(slices)
+        hop_cols.append(cols)
+    result.outputs = _materialize_product(tup, order, hop_slices, hop_cols)
     return result
 
 
@@ -326,3 +379,34 @@ def _materialize(
         if h:
             idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
     return ResultBlock(seqs, tup, perm, levels)
+
+
+def _materialize_product(
+    tup: StreamTuple,
+    order: Sequence[int],
+    hop_slices: list[Sequence[WindowSlice]],
+    hop_cols: list[np.ndarray],
+) -> ResultBlock:
+    """The :class:`ResultBlock` of an equality probe: the cross product
+    of the per-hop hits, last hop fastest.
+
+    Each hop's ``k_h`` hits are resolved to store rows and gathered once;
+    its ``seq`` column is broadcast into the ``(k_0, ..., k_{H-1}, m)``
+    view of the identity matrix, and its tuple objects into one level
+    of the same shape.
+    """
+    streams = [tup.stream, *order]
+    perm = sorted(range(len(streams)), key=streams.__getitem__)
+    shape = tuple(len(cols) for cols in hop_cols)
+    seqs = np.empty((*shape, len(streams)), dtype=np.int64)
+    seqs[..., tup.stream] = tup.seq
+    levels = []
+    for h, (slices, cols) in enumerate(zip(hop_slices, hop_cols)):
+        seq, level = slices[0].store.gather(_locate(slices, cols))
+        # hop h's hits along axis h: broadcast over the axes after it
+        axis = (-1,) + (1,) * (len(shape) - 1 - h)
+        seqs[..., order[h]] = seq.reshape(axis)
+        grid = np.empty(shape, dtype=object)
+        grid[...] = level.reshape(axis)
+        levels.append(grid.reshape(-1))
+    return ResultBlock(seqs.reshape(-1, len(streams)), tup, perm, levels)

@@ -92,7 +92,9 @@ class EpsilonJoin(JoinPredicate):
         return self.epsilon
 
     def matches(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.epsilon
+        # ``a == b`` first: inf - inf is NaN, but the interval context
+        # joins an infinity with itself
+        return a == b or abs(a - b) <= self.epsilon
 
     def probe_context(self, values: Sequence[float]) -> tuple[float, float]:
         lo = max(values) - self.epsilon
@@ -126,7 +128,7 @@ class EquiJoin(JoinPredicate):
         return self.tolerance
 
     def matches(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.tolerance
+        return a == b or abs(a - b) <= self.tolerance  # see EpsilonJoin
 
     def probe_context(self, values: Sequence[float]) -> tuple[float, float]:
         return max(values) - self.tolerance, min(values) + self.tolerance

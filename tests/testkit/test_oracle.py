@@ -10,7 +10,8 @@ from repro.testkit import (
     oracle_join,
     window_state,
 )
-from repro.testkit.workloads import drift_sources
+from repro.testkit.differential import mjoin_ids
+from repro.testkit.workloads import Workload, drift_sources
 
 
 def trace(stream, points):
@@ -105,6 +106,46 @@ class TestTieBreaksAndIdentity:
         b = trace(1, [(2.0, 5.5)])
         result = oracle_join([a, b], EpsilonJoin(1.0), [4.0] * 2, 1.0)
         assert result.probes == 3
+
+
+class TestInfiniteValues:
+    """inf - inf is NaN, yet the kernels' interval test joins an infinity
+    with itself: the oracle's pairwise ``matches`` must agree."""
+
+    INF = float("inf")
+
+    def _workload(self, predicate, values):
+        traces = [
+            trace(s, [(0.25 * i + 0.01 * s, v) for i, v in enumerate(values)])
+            for s in range(3)
+        ]
+        return Workload(name="inf", traces=traces, predicate=predicate,
+                        window=4.0, basic=1.0, duration=2.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "predicate", [EquiJoin(), EquiJoin(0.25), EpsilonJoin(0.5)],
+        ids=["equi", "equi-0.25", "epsilon-0.5"],
+    )
+    def test_oracle_matches_mjoin(self, predicate):
+        inf = self.INF
+        workload = self._workload(
+            predicate, [inf, -inf, 1.0, inf, -inf, 1.1, -0.0, 0.0]
+        )
+        oracle = oracle_join(
+            workload.traces, predicate, [4.0] * 3, 1.0
+        ).id_set
+        assert mjoin_ids(workload) == oracle
+        # the all-inf and the all-(-inf) cliques are among them
+        assert ((0, 0), (1, 0), (2, 0)) in oracle
+        assert ((0, 1), (1, 1), (2, 1)) in oracle
+
+    def test_every_infinite_clique_joins(self):
+        workload = self._workload(EquiJoin(), [self.INF] * 3)
+        oracle = oracle_join(
+            workload.traces, EquiJoin(), [4.0] * 3, 1.0
+        ).id_set
+        assert len(oracle) == 27
+        assert mjoin_ids(workload) == oracle
 
 
 class TestInputHandling:
