@@ -43,11 +43,9 @@ from .joins import (
     EquiJoin,
     IndexedMJoin,
     InnerProductJoin,
-    JaccardJoin,
     MemoryLimitedMJoin,
     MJoinOperator,
     RandomDropShedder,
-    ThetaJoin,
     VectorDistanceJoin,
 )
 from .streams import (
@@ -74,7 +72,6 @@ __all__ = [
     "HarvestConfiguration",
     "IndexedMJoin",
     "InnerProductJoin",
-    "JaccardJoin",
     "JoinProfile",
     "LinearDriftProcess",
     "MJoinOperator",
@@ -91,7 +88,6 @@ __all__ = [
     "SolverResult",
     "StreamSource",
     "StreamTuple",
-    "ThetaJoin",
     "ThrottleController",
     "ThrottledAggregateOperator",
     "TraceSource",

@@ -21,7 +21,7 @@ from .greedy import Metric, greedy_double_sided, greedy_pick, greedy_reverse
 from .grubjoin import GrubJoinOperator
 from .harvesting import HarvestConfiguration
 from .histograms import EquiWidthHistogram
-from .scores import rank_scores, scores_from_histograms, scores_from_pdf
+from .scores import rank_scores, scores_from_histograms
 from .shredding import shred_slices_for_hop, shredded_slices
 from .solver_result import SolverResult
 from .throttle import FixedThrottle, ThrottleController
@@ -59,7 +59,6 @@ __all__ = [
     "make_index_states",
     "rank_scores",
     "scores_from_histograms",
-    "scores_from_pdf",
     "shred_slices_for_hop",
     "shredded_slices",
     "solve_naive",

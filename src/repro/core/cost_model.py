@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scores import rank_scores
+
 #: type alias: counts[i][j] = number of selected logical windows (may be
 #: fractional; the trailing fraction pro-rates the next-ranked window)
 HarvestCounts = np.ndarray
@@ -155,7 +157,7 @@ class JoinProfile:
                 mass = np.asarray(self.masses[i][j], dtype=float)
                 if (mass < 0).any():
                     raise ValueError("scores must be non-negative")
-                order_desc = np.argsort(-mass, kind="stable")
+                order_desc = rank_scores(mass)
                 ranks_i.append(order_desc)
                 hops_i.append(_Hop(
                     segments[l], window_counts[l], selectivity[i][l],

@@ -7,10 +7,9 @@ window's time range::
 
     p^k_{i,j} = P{ A_{i,l} in b * [k-1, k] },   A_{i,l} = T(t^(i)) - T(t^(l))
 
-Given the true pdfs this is a direct integral (:func:`scores_from_pdf`,
-used by tests and the solver micro-benchmarks).  At runtime GrubJoin only
-maintains ``m`` per-stream histograms ``L_i ~ f_{i,1}``, so scores are
-recovered with the paper's approximations:
+GrubJoin does not know the true pdfs: it maintains ``m`` per-stream
+histograms ``L_i ~ f_{i,1}`` and recovers the scores with the paper's
+approximations (:func:`scores_from_histograms`):
 
 * ``i = 1`` (0-based 0): Eq. (2) — read ``L_l`` over the mirrored range
   ``b * [-k, -k+1]`` since ``A_{1,l} = -A_{l,1}``;
@@ -21,40 +20,11 @@ recovered with the paper's approximations:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .histograms import EquiWidthHistogram
-
-
-def scores_from_pdf(
-    pdf: Callable[[np.ndarray], np.ndarray],
-    basic_window_size: float,
-    segments: int,
-    resolution: int = 64,
-) -> np.ndarray:
-    """Exact scores from a known offset pdf ``f_{i,l}``.
-
-    Integrates ``pdf`` over ``b*[k-1, k]`` for ``k = 1..segments`` with the
-    trapezoid rule at ``resolution`` points per bucket.
-
-    The pdf's argument is the offset ``A_{i,l}``; only the positive side
-    matters because the probed window's tuples are older than the probing
-    tuple.
-    """
-    if basic_window_size <= 0:
-        raise ValueError("basic_window_size must be positive")
-    if segments <= 0:
-        raise ValueError("segments must be positive")
-    scores = np.empty(segments)
-    for k in range(1, segments + 1):
-        xs = np.linspace(
-            basic_window_size * (k - 1), basic_window_size * k, resolution
-        )
-        ys = np.asarray(pdf(xs), dtype=float)
-        scores[k - 1] = np.trapezoid(ys, xs)
-    return np.clip(scores, 0.0, None)
 
 
 def scores_from_histograms(
@@ -115,7 +85,9 @@ def scores_from_histograms(
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:
     """Score ordering (Section 4.2.1's ``s^v_{i,j}``): logical window
-    indices (0-based) sorted by descending score, ties by index.
+    indices (0-based) sorted by descending score, ties by index.  The one
+    definition of the ranking: :class:`~repro.core.cost_model.JoinProfile`
+    ranks every hop with it.
 
     Example:
         >>> [int(k) for k in rank_scores(np.array([0.1, 0.6, 0.3]))]

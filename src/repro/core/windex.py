@@ -115,7 +115,7 @@ def check_index_compat(
     if not columnar_ok:
         raise ValueError(
             f"index={spec!r} requires a columnar-capable predicate "
-            "(scalar storage, interval context, not stream-aware); "
+            "(scalar storage, interval context); "
             "pass index=None"
         )
     if spec == HASH and (radius is None or radius != 0.0):

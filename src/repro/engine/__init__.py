@@ -10,7 +10,7 @@ deterministic and host-independent.
 from .basic_ops import FilterOperator, MapOperator
 from .buffers import BufferStats, InputBuffer, OutputBuffer
 from .clock import ClockError, VirtualClock
-from .cpu import CpuModel, WorkReceipt
+from .cpu import CpuModel
 from .events import Event, EventKind, EventQueue
 from .graph import (
     DataflowGraph,
@@ -22,7 +22,6 @@ from .graph import (
 from .metrics import SimulationResult, StreamCounters
 from .operator import (
     AdmissionFilter,
-    AdmitAll,
     ProcessReceipt,
     StreamOperator,
 )
@@ -30,7 +29,6 @@ from .runtime import Simulation
 
 __all__ = [
     "AdmissionFilter",
-    "AdmitAll",
     "BufferStats",
     "ClockError",
     "CpuModel",
@@ -52,5 +50,4 @@ __all__ = [
     "StreamCounters",
     "StreamOperator",
     "VirtualClock",
-    "WorkReceipt",
 ]

@@ -12,21 +12,6 @@ the mechanism the paper's Section 3 controller reacts to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True, slots=True)
-class WorkReceipt:
-    """What servicing one input tuple cost the operator."""
-
-    comparisons: int
-    overhead: float = 1.0
-
-    @property
-    def units(self) -> float:
-        """Total abstract work units (comparisons + fixed overhead)."""
-        return self.comparisons + self.overhead
-
 
 class CpuModel:
     """A single-server CPU with a fixed comparison throughput.

@@ -89,8 +89,8 @@ class SimulationConfig:
         warmup: leading seconds excluded from rate measurement.  Paper: 20.
         adaptation_interval: the paper's ``Delta`` in seconds.
         measure_interval: sampling period for depth/output series.
-        buffer_capacity: optional bound on each input buffer (a graph
-            node's own ``add_node(buffer_capacity=...)`` wins).
+        buffer_capacity: optional bound on every node's input buffers —
+            ``None`` (unbounded) or an ``int`` of at least 1.
         on_operator_error: ``"raise"`` propagates operator exceptions
             (default — fail loudly during development); ``"skip"`` charges
             a minimal service, drops the poisoned tuple and keeps the
@@ -118,6 +118,12 @@ class SimulationConfig:
             raise ValueError("adaptation_interval must be positive")
         if self.measure_interval <= 0:
             raise ValueError("measure_interval must be positive")
+        capacity = self.buffer_capacity
+        if capacity is not None and (
+            isinstance(capacity, bool) or not isinstance(capacity, int)
+            or capacity < 1
+        ):
+            raise ValueError("buffer_capacity must be None or an int >= 1")
         if self.on_operator_error not in ("raise", "skip"):
             raise ValueError("on_operator_error must be 'raise' or 'skip'")
 
@@ -199,11 +205,9 @@ class _Node:
         name: str,
         operator: StreamOperator,
         admission: Sequence[AdmissionFilter | None] | None,
-        buffer_capacity: int | None,
     ) -> None:
         self.name = name
         self.operator = operator
-        self.buffer_capacity = buffer_capacity
         if admission is None:
             admission = [None] * operator.num_streams
         if len(admission) != operator.num_streams:
@@ -245,13 +249,8 @@ class _NodeRun:
         self.operator = node.operator
         # an anonymous node (the Simulation facade's) carries no label
         self.labels = {"node": node.name} if node.name else {}
-        capacity = (
-            node.buffer_capacity
-            if node.buffer_capacity is not None
-            else config.buffer_capacity
-        )
         self.ports = [
-            _Port(self, i, gate, capacity)
+            _Port(self, i, gate, config.buffer_capacity)
             for i, gate in enumerate(node.admission)
         ]
         #: ``(edge, target port)`` pairs, resolved once all nodes exist
@@ -561,19 +560,16 @@ class DataflowGraph:
         name: str,
         operator: StreamOperator,
         admission: Sequence[AdmissionFilter | None] | None = None,
-        buffer_capacity: int | None = None,
     ) -> None:
         """Register an operator under a unique name.
 
-        ``buffer_capacity`` bounds each of the node's input buffers;
-        ``None`` defers to the run's ``config.buffer_capacity``.  An
-        empty ``name`` makes the node anonymous: its telemetry carries no
-        ``node=`` label.
+        Every input buffer is bounded by the run's
+        ``config.buffer_capacity``.  An empty ``name`` makes the node
+        anonymous: its telemetry carries no ``node=`` label.
         """
         if name in self._nodes:
             raise ValueError(f"duplicate node name {name!r}")
-        self._nodes[name] = _Node(name, operator, admission,
-                                  buffer_capacity)
+        self._nodes[name] = _Node(name, operator, admission)
 
     def add_source(self, node: str, input_index: int, source: Any) -> None:
         """Attach an external stream source to a node input."""

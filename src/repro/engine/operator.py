@@ -110,10 +110,3 @@ class AdmissionFilter(ABC):
 
     def on_adapt(self, now: float, rate_estimate: float) -> None:
         """Optional adaptation hook, fed the stream's recent push rate."""
-
-
-class AdmitAll(AdmissionFilter):
-    """The identity filter: never drops (GrubJoin's configuration)."""
-
-    def admit(self, tup: StreamTuple, now: float) -> bool:
-        return True

@@ -11,16 +11,13 @@ from .drop_optimizer import DropPlan, evaluate_plan, optimize_keep_fractions
 from .indexed import IndexedMJoin
 from .join_order import default_orders, low_selectivity_first, validate_order
 from .mjoin import MJoinOperator
-from .per_pair import PerPairPredicate
 from .pipeline import HopStats, PipelineResult, merge_slices, run_pipeline
 from .predicates import (
     BandJoin,
     EpsilonJoin,
     EquiJoin,
     InnerProductJoin,
-    JaccardJoin,
     JoinPredicate,
-    ThetaJoin,
     VectorDistanceJoin,
 )
 from .random_drop import RandomDropFilter, RandomDropShedder
@@ -38,19 +35,16 @@ __all__ = [
     "HopStats",
     "IndexedMJoin",
     "InnerProductJoin",
-    "JaccardJoin",
     "JoinMode",
     "JoinPredicate",
     "MJoinOperator",
     "MemoryLimitedMJoin",
     "ModeState",
-    "PerPairPredicate",
     "PipelineResult",
     "RandomDropFilter",
     "RandomDropShedder",
     "SHEDDABLE_MODES",
     "SelectivityEstimator",
-    "ThetaJoin",
     "VectorDistanceJoin",
     "default_orders",
     "evaluate_plan",

@@ -64,12 +64,10 @@ _CHUNK_ELEMS = 1 << 22
 
 def supports_columnar(predicate: JoinPredicate) -> bool:
     """True when ``predicate`` satisfies the columnar kernel's contract:
-    scalar storage, interval-shaped probe contexts, no stream-aware
-    context construction."""
+    scalar storage and interval-shaped probe contexts."""
     return (
         bool(getattr(predicate, "interval_context", False))
         and predicate.storage_mode == SCALAR
-        and not getattr(predicate, "stream_aware", False)
     )
 
 
@@ -78,8 +76,9 @@ def select_kernel(
 ) -> Callable[..., PipelineResult]:
     """The probe kernel for ``predicate``: the columnar kernel exactly
     when :func:`supports_columnar` holds, else the reference nested-loop
-    :func:`~repro.joins.pipeline.run_pipeline` (band/theta/jaccard/
-    vector predicates, whose probe context is not an interval).
+    :func:`~repro.joins.pipeline.run_pipeline` (band, inner-product and
+    vector-distance predicates, whose probe context is not an
+    interval).
 
     Kernel choice is a fact about the predicate, not an option: both
     kernels share one signature and are bit-identical in virtual time

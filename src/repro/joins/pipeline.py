@@ -111,20 +111,12 @@ def run_pipeline(
 
     result = PipelineResult(hop_stats=[HopStats() for _ in order])
     partials: list[list[StreamTuple]] = [[tup]]
-    stream_aware = getattr(predicate, "stream_aware", False)
     for hop, window_stream in enumerate(order):
         slices = slices_for_hop(hop, window_stream)
         stats = result.hop_stats[hop]
         next_partials: list[list[StreamTuple]] = []
         for partial in partials:
-            if stream_aware:
-                context = predicate.probe_context_streams(
-                    [(t.stream, t.value) for t in partial], window_stream
-                )
-            else:
-                context = predicate.probe_context(
-                    [t.value for t in partial]
-                )
+            context = predicate.probe_context([t.value for t in partial])
             for s in slices:
                 hits, cost = probe(context, s)
                 stats.scanned += cost

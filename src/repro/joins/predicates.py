@@ -205,75 +205,6 @@ class VectorDistanceJoin(JoinPredicate):
         return np.flatnonzero(mask)
 
 
-class JaccardJoin(JoinPredicate):
-    """All pairwise Jaccard similarities at least ``threshold`` — a join
-    over set-valued attributes (the paper's schema model explicitly allows
-    set-valued join attributes)."""
-
-    storage_mode = GENERIC
-
-    def __init__(self, threshold: float) -> None:
-        if not 0 <= threshold <= 1:
-            raise ValueError("threshold must be in [0, 1]")
-        self.threshold = float(threshold)
-
-    def _similarity(self, a: set, b: set) -> float:
-        if not a and not b:
-            return 1.0
-        union = len(a | b)
-        return len(a & b) / union if union else 0.0
-
-    def matches(self, a, b) -> bool:
-        return self._similarity(set(a), set(b)) >= self.threshold
-
-    def probe_context(self, values: Sequence) -> tuple[set, ...]:
-        return tuple(set(v) for v in values)
-
-    def probe_block(self, context: tuple[set, ...], block: list) -> np.ndarray:
-        hits = [
-            idx
-            for idx, candidate in enumerate(block)
-            if all(
-                self._similarity(set(candidate), v) >= self.threshold
-                for v in context
-            )
-        ]
-        return np.asarray(hits, dtype=np.intp)
-
-
-class ThetaJoin(JoinPredicate):
-    """Arbitrary pairwise condition given as a callable — the catch-all
-    for user-defined join attributes.
-
-    Args:
-        condition: ``(a, b) -> bool``; must be symmetric for the m-way
-            clique semantics to be order-independent.
-        name: label used in reprs/logs.
-    """
-
-    storage_mode = GENERIC
-
-    def __init__(self, condition, name: str = "theta") -> None:
-        if not callable(condition):
-            raise TypeError("condition must be callable")
-        self.condition = condition
-        self.name = name
-
-    def matches(self, a, b) -> bool:
-        return bool(self.condition(a, b))
-
-    def probe_context(self, values: Sequence) -> tuple:
-        return tuple(values)
-
-    def probe_block(self, context: tuple, block: list) -> np.ndarray:
-        hits = [
-            idx
-            for idx, candidate in enumerate(block)
-            if all(self.condition(candidate, v) for v in context)
-        ]
-        return np.asarray(hits, dtype=np.intp)
-
-
 class InnerProductJoin(JoinPredicate):
     """All pairwise weighted-keyword inner products at least ``threshold``
     (paper Example 2: similar news items across sources).

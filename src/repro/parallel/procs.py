@@ -335,7 +335,6 @@ class _Supervisor:
         num_shards: int,
         *,
         duration: float,
-        key: Callable[[StreamTuple], Any] | None,
         adaptation_interval: float | None,
         obs,
         meta: dict | None,
@@ -353,9 +352,7 @@ class _Supervisor:
         # spawn would have to pickle
         self.ctx = mp.get_context("fork")
         self.router = RouterOperator(
-            num_streams=len(sources),
-            num_shards=num_shards,
-            key=key,
+            num_streams=len(sources), num_shards=num_shards
         )
         self.merger = MergerOperator(num_shards)
         self.workers: dict[int, _Worker] = {}
@@ -597,7 +594,6 @@ def run_procs(
     num_shards: int,
     *,
     duration: float,
-    key: Callable[[StreamTuple], Any] | None = None,
     adaptation_interval: float | None = 2.0,
     certify: bool = True,
     obs=None,
@@ -616,7 +612,6 @@ def run_procs(
             derives only from that id (deterministic seeding).
         num_shards: worker count, fixed for the whole run.
         duration: virtual seconds of trace to replay.
-        key: join-key extractor for hash routing (default: tuple value).
         adaptation_interval: virtual period of the adaptation ticks
             workers replay (match the simulator config when comparing
             against a :class:`ShardedPlan` run); ``None`` disables.
@@ -673,7 +668,6 @@ def run_procs(
         make_shard,
         num_shards,
         duration=duration,
-        key=key,
         adaptation_interval=adaptation_interval,
         obs=obs,
         meta=meta,

@@ -6,9 +6,9 @@ it, and emits a :class:`RoutedTuple` naming that shard; the graph's
 filtered fan-out edges (``Edge.filter``) then deliver the tuple to the
 owning shard's input buffer only.
 
-Routing is one pure function of the join key::
+Routing is one pure function of the join attribute::
 
-    shard = stable_key_hash(key(tup)) % num_shards
+    shard = stable_key_hash(tup.value) % num_shards
 
 Equal keys always land on the same shard, on every stream, for the whole
 run, so an equi-join's matching tuples meet on one shard together with
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -83,8 +83,6 @@ class RouterOperator(StreamOperator):
     Args:
         num_streams: inputs (one per joined stream).
         num_shards: join instances behind this router.
-        key: join-key extractor; default uses the tuple's ``value`` (the
-            join attribute).
         policy, rebalance_threshold: accepted only as ``"hash"`` and
             ``None``, the one routing rule this router has.  They are
             kept so that callers written against the former signature,
@@ -103,7 +101,6 @@ class RouterOperator(StreamOperator):
         self,
         num_streams: int,
         num_shards: int,
-        key: Callable[[StreamTuple], Any] | None = None,
         *,
         policy: str = "hash",
         rebalance_threshold: None = None,
@@ -122,7 +119,6 @@ class RouterOperator(StreamOperator):
             )
         self.num_streams = int(num_streams)
         self.num_shards = int(num_shards)
-        self.key = key if key is not None else (lambda tup: tup.value)
         self.routed_per_shard = [0] * self.num_shards
         # cached obs instrument handles (populated by _obs_setup)
         self._obs_routed = None
@@ -135,8 +131,9 @@ class RouterOperator(StreamOperator):
         ]
 
     def shard_of(self, tup: StreamTuple) -> int:
-        """The shard that owns ``tup`` (a pure function of its key)."""
-        return stable_key_hash(self.key(tup)) % self.num_shards
+        """The shard that owns ``tup`` (a pure function of its join
+        attribute, ``tup.value``)."""
+        return stable_key_hash(tup.value) % self.num_shards
 
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Assign ``tup`` to its shard and emit the routed envelope."""

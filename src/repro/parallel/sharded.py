@@ -151,7 +151,6 @@ def build_sharded_graph(
     sources: Sequence[Any],
     make_shard: Callable[[int], StreamOperator],
     num_shards: int,
-    key: Callable[[StreamTuple], Any] | None = None,
     certify: bool = True,
 ) -> ShardedPlan:
     """Wire router, shards and merger into one dataflow graph.
@@ -164,7 +163,6 @@ def build_sharded_graph(
             shard its own operator instance — shards must not share
             windows or controllers.
         num_shards: how many join instances to run in parallel.
-        key: join-key extractor for routing (default: tuple value).
         certify: run the shard-safety gate
             (:func:`certify_shard_operators`) over the built shard
             operators — raises
@@ -179,7 +177,7 @@ def build_sharded_graph(
     if num_shards < 1:
         raise ValueError("need at least one shard")
     m = len(sources)
-    router = RouterOperator(num_streams=m, num_shards=num_shards, key=key)
+    router = RouterOperator(num_streams=m, num_shards=num_shards)
     merger = MergerOperator(num_shards)
     graph = DataflowGraph()
     graph.add_node("router", router)

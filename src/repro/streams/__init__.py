@@ -8,25 +8,23 @@ the correlated worlds behind its two motivating applications.
 
 from .arrivals import (
     ArrivalProcess,
-    BurstyArrivals,
     ConstantRate,
     PiecewiseRate,
     PoissonArrivals,
 )
-from .correlated import ObjectWorld, TopicWorld, WorldEvent
+from .correlated import ObjectWorld, TopicWorld
 from .disorder import DisorderedSource
-from .schema import Attribute, SchemaError, StreamSchema, numeric_schema
-from .source import StreamSource, merge_sources
+from .schema import Attribute, SchemaError, StreamSchema
+from .source import StreamSource
 from .stochastic import (
     ConstantProcess,
     DiscreteUniformProcess,
     LinearDriftProcess,
-    RandomWalkProcess,
     UniformProcess,
     ValueProcess,
     ZipfKeyProcess,
 )
-from .trace import TraceSource, load_trace, record_trace, save_trace
+from .trace import TraceSource, record_trace
 from .tuples import JoinResult, StreamTuple
 from .windows import (
     SLIDING,
@@ -40,7 +38,6 @@ from .windows import (
 __all__ = [
     "ArrivalProcess",
     "Attribute",
-    "BurstyArrivals",
     "ConstantProcess",
     "ConstantRate",
     "DiscreteUniformProcess",
@@ -50,7 +47,6 @@ __all__ = [
     "ObjectWorld",
     "PiecewiseRate",
     "PoissonArrivals",
-    "RandomWalkProcess",
     "SLIDING",
     "SchemaError",
     "SessionWindow",
@@ -64,12 +60,7 @@ __all__ = [
     "UniformProcess",
     "ValueProcess",
     "WindowPolicy",
-    "WorldEvent",
     "ZipfKeyProcess",
-    "load_trace",
-    "merge_sources",
-    "numeric_schema",
     "record_trace",
     "resolve_policy",
-    "save_trace",
 ]

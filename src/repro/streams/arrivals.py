@@ -3,8 +3,7 @@
 The paper's experiments use fixed per-stream rates (``lambda_i`` in
 tuples/sec) plus one scenario with a stepped rate profile (Section 6.2.4:
 100 -> 150 -> 50 tuples/sec every 8 seconds).  We provide deterministic
-constant-rate arrivals, Poisson arrivals, piecewise profiles, and a bursty
-two-state modulated process for stress tests.
+constant-rate arrivals, Poisson arrivals and piecewise profiles.
 """
 
 from __future__ import annotations
@@ -154,58 +153,3 @@ class PiecewiseRate(ArrivalProcess):
             end = min(end, until)
             if start < end:
                 yield start, end, rate
-
-
-class BurstyArrivals(ArrivalProcess):
-    """A two-state Markov-modulated Poisson process.
-
-    Alternates between a quiet state (rate ``base_rate``) and a burst state
-    (rate ``burst_rate``); dwell times in each state are exponential.  Used
-    to stress the adaptivity of the throttling controller beyond the paper's
-    stepped-rate scenario.
-    """
-
-    def __init__(
-        self,
-        base_rate: float,
-        burst_rate: float,
-        mean_quiet: float = 10.0,
-        mean_burst: float = 2.0,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        if base_rate <= 0 or burst_rate <= 0:
-            raise ValueError("rates must be positive")
-        if mean_quiet <= 0 or mean_burst <= 0:
-            raise ValueError("dwell times must be positive")
-        self.base_rate = float(base_rate)
-        self.burst_rate = float(burst_rate)
-        self.mean_quiet = float(mean_quiet)
-        self.mean_burst = float(mean_burst)
-        self._rng = np.random.default_rng(rng)
-        self._state_schedule: list[tuple[float, float]] | None = None
-
-    def _build_schedule(self, until: float) -> list[tuple[float, float]]:
-        schedule: list[tuple[float, float]] = []
-        t = 0.0
-        bursting = False
-        while t < until:
-            rate = self.burst_rate if bursting else self.base_rate
-            schedule.append((t, rate))
-            dwell = self._rng.exponential(
-                self.mean_burst if bursting else self.mean_quiet
-            )
-            t += dwell
-            bursting = not bursting
-        return schedule
-
-    def iter_arrivals(self, until: float) -> Iterator[float]:
-        self._state_schedule = self._build_schedule(until)
-        profile = PiecewiseRate(self._state_schedule, poisson=True, rng=self._rng)
-        yield from profile.iter_arrivals(until)
-
-    def rate_at(self, timestamp: float) -> float:
-        if not self._state_schedule:
-            return self.base_rate
-        starts = [s for s, _ in self._state_schedule]
-        idx = max(bisect_right(starts, timestamp) - 1, 0)
-        return self._state_schedule[idx][1]

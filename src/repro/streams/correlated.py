@@ -17,19 +17,9 @@ worlds below produce per-stream tuple traces replayable through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tuples import StreamTuple
-
-
-@dataclass(frozen=True, slots=True)
-class WorldEvent:
-    """One underlying real-world event observed by every stream."""
-
-    event_id: int
-    time: float
 
 
 class TopicWorld:

@@ -85,8 +85,3 @@ class StreamSchema:
                     f"stream {self.name!r}: attribute {attr.name!r} value "
                     f"{payload[attr.name]!r} fails validation"
                 )
-
-
-def numeric_schema(name: str) -> StreamSchema:
-    """Schema for the paper's synthetic workload: one numeric attribute."""
-    return StreamSchema(name, (Attribute("value", float),))

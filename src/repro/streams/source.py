@@ -1,14 +1,12 @@
 """Stream sources: an arrival process plus a value process per stream.
 
 A :class:`StreamSource` materializes the timestamped tuples for one input
-stream.  :func:`merge_sources` interleaves several sources into the single,
-globally time-ordered arrival sequence that drives the simulation runtime.
+stream.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .arrivals import ArrivalProcess
 from .schema import StreamSchema
@@ -73,18 +71,3 @@ class StreamSource:
         from .trace import TraceSource
 
         return TraceSource(self.stream, self.generate(until))
-
-
-def merge_sources(
-    sources: Iterable[StreamSource], until: float
-) -> Iterator[StreamTuple]:
-    """Merge several sources into one globally timestamp-ordered iterator.
-
-    Ties are broken by stream index so the merge is deterministic.
-    """
-    streams = [src.iter_tuples(until) for src in sources]
-    keyed = (
-        ((t.timestamp, t.stream, t) for t in it) for it in streams
-    )
-    for _, _, tup in heapq.merge(*keyed):
-        yield tup

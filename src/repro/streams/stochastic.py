@@ -93,45 +93,6 @@ class UniformProcess(ValueProcess):
         return float(self._rng.uniform(self.low, self.high))
 
 
-class RandomWalkProcess(ValueProcess):
-    """A reflected Gaussian random walk over ``[0, domain)``.
-
-    Produces slowly varying values, so two walks seeded identically but
-    sampled with a lag exhibit the nonaligned time-correlation pattern
-    without the sawtooth of :class:`LinearDriftProcess`.
-    """
-
-    def __init__(
-        self,
-        domain: float = 1000.0,
-        step_std: float = 5.0,
-        start: float | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        if domain <= 0:
-            raise ValueError("domain must be positive")
-        if step_std < 0:
-            raise ValueError("step_std must be non-negative")
-        self.domain = float(domain)
-        self.step_std = float(step_std)
-        self._rng = np.random.default_rng(rng)
-        self._position = self.domain / 2 if start is None else float(start)
-        self._last_ts: float | None = None
-
-    def sample(self, timestamp: float) -> float:
-        if self._last_ts is not None:
-            elapsed = max(0.0, timestamp - self._last_ts)
-            step = self.step_std * np.sqrt(elapsed) * self._rng.standard_normal()
-            self._position = self._reflect(self._position + step)
-        self._last_ts = timestamp
-        return self._position
-
-    def _reflect(self, x: float) -> float:
-        span = self.domain
-        x = x % (2 * span)
-        return x if x < span else 2 * span - x
-
-
 class ConstantProcess(ValueProcess):
     """Always the same value — handy for deterministic unit tests."""
 

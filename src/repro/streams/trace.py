@@ -9,9 +9,7 @@ still be consumed stream-by-stream.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Sequence
-from pathlib import Path
 
 from .arrivals import ArrivalProcess
 from .tuples import StreamTuple
@@ -73,35 +71,3 @@ def record_trace(
 
     source = StreamSource(stream, arrivals, values)
     return TraceSource(stream, source.generate(until))
-
-
-def save_trace(trace: TraceSource, path: str | Path) -> None:
-    """Persist a trace as JSON lines (payloads must be JSON-serializable)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for t in trace.tuples:
-            record = {
-                "value": t.value,
-                "timestamp": t.timestamp,
-                "stream": t.stream,
-                "seq": t.seq,
-            }
-            f.write(json.dumps(record) + "\n")
-
-
-def load_trace(path: str | Path) -> TraceSource:
-    """Load a trace previously written by :func:`save_trace`."""
-    tuples: list[StreamTuple] = []
-    stream = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            record = json.loads(line)
-            stream = record["stream"]
-            tuples.append(
-                StreamTuple(
-                    value=record["value"],
-                    timestamp=record["timestamp"],
-                    stream=record["stream"],
-                    seq=record["seq"],
-                )
-            )
-    return TraceSource(stream, tuples)

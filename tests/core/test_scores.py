@@ -8,31 +8,7 @@ from repro.core import (
     EquiWidthHistogram,
     rank_scores,
     scores_from_histograms,
-    scores_from_pdf,
 )
-
-
-def gaussian_pdf(mu, sigma):
-    return lambda x: stats.norm.pdf(x, mu, sigma)
-
-
-class TestScoresFromPdf:
-    def test_integrates_gaussian(self):
-        scores = scores_from_pdf(gaussian_pdf(5.0, 1.0), 2.0, 10)
-        # bucket k covers offsets [2(k-1), 2k); the mass sits around 5
-        assert np.argmax(scores) == 2  # bucket [4, 6)
-        expected = stats.norm.cdf(6, 5, 1) - stats.norm.cdf(4, 5, 1)
-        assert scores[2] == pytest.approx(expected, rel=0.01)
-
-    def test_uniform_pdf_gives_equal_scores(self):
-        scores = scores_from_pdf(lambda x: np.full_like(x, 0.05), 1.0, 10)
-        assert np.allclose(scores, 0.05)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            scores_from_pdf(gaussian_pdf(0, 1), 0.0, 5)
-        with pytest.raises(ValueError):
-            scores_from_pdf(gaussian_pdf(0, 1), 1.0, 0)
 
 
 def hist_from_pdf(pdf, low, high, buckets=200, samples=200_000, seed=0):

@@ -68,17 +68,16 @@ class TestNodeResult:
 
 class TestPerRunState:
     def test_config_buffer_capacity_bounds_a_node_that_set_none(self):
-        def run(node_capacity):
+        def run(capacity):
             g = DataflowGraph()
-            g.add_node("slow", FilterOperator(lambda v: True, cost=50),
-                       buffer_capacity=node_capacity)
+            g.add_node("slow", FilterOperator(lambda v: True, cost=50))
             g.add_source("slow", 0, StreamSource(0, ConstantRate(20.0),
                                                  UniformProcess(rng=0)))
             cfg = SimulationConfig(duration=8.0, warmup=0.0,
-                                   buffer_capacity=5)
+                                   buffer_capacity=capacity)
             return g.run(CpuModel(200.0), cfg).nodes["slow"]
 
-        node = run(None)
+        node = run(5)
         counters = node.streams[0]
         queued = int(node.queue_depth_series[0].values[-1])
         assert counters.dropped_at_buffer > 0
@@ -86,7 +85,7 @@ class TestPerRunState:
         assert counters.arrived == (
             counters.consumed + queued + counters.dropped_at_buffer
         )
-        # the node's own bound wins over the config's
+        # the config's bound is the only one: a roomy bound drops nothing
         roomy = run(1000)
         assert roomy.streams[0].dropped_at_buffer == 0
         assert max(roomy.queue_depth_series[0].values) > 5

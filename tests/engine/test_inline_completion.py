@@ -94,11 +94,11 @@ def _keep_even(out):
 class Spec:
     """One drawn run: nodes, edges, sources and the CPU."""
 
-    nodes: tuple = ()        # (streams, cost, join_result,
-                             #  buffer capacity, gated)
+    nodes: tuple = ()        # (streams, cost, join_result, gated)
     edges: tuple = ()        # (source, target, input, filtered, transformed)
     arrivals: tuple = ()     # (node, input, grid ticks)
     cores: int = 1
+    buffer_capacity: int | None = None
     capacity: float = 8.0
     overhead: float = 1.0
     on_error: str = "raise"
@@ -108,13 +108,11 @@ class Spec:
 
 def build(spec: Spec):
     graph = DataflowGraph()
-    for i, (streams, cost, join_result, capacity,
-            gated) in enumerate(spec.nodes):
+    for i, (streams, cost, join_result, gated) in enumerate(spec.nodes):
         op = Echo(streams, cost, join_result,
                   fail_every=3 if spec.on_error == "skip" else 0)
         admission = [EveryOther() if gated else None] * streams
-        graph.add_node(f"n{i}", op, admission=admission,
-                       buffer_capacity=capacity)
+        graph.add_node(f"n{i}", op, admission=admission)
     for source, target, index, filtered, transformed in spec.edges:
         join_result = spec.nodes[source][2]
         transform = _first if join_result else None
@@ -205,7 +203,8 @@ def run(spec: Spec, inline: bool = True):
         config = SimulationConfig(
             duration=DURATION, warmup=spec.warmup,
             adaptation_interval=spec.adaptation_interval,
-            measure_interval=0.5, on_operator_error=spec.on_error,
+            measure_interval=0.5, buffer_capacity=spec.buffer_capacity,
+            on_operator_error=spec.on_error,
         )
         result = graph.run(cpu, config, validate=False,
                            retain_outputs=True)
@@ -229,7 +228,6 @@ def specs(draw):
         (draw(st.integers(1, 2)),                  # inputs
          draw(st.integers(0, 3)),                  # comparisons per tuple
          draw(st.booleans()),                      # join-result outputs
-         draw(st.none() | st.integers(1, 3)),      # buffer capacity
          draw(st.booleans()))                      # admission gate
         for _ in range(n)
     )
@@ -250,6 +248,8 @@ def specs(draw):
         edges=edges,
         arrivals=arrivals,
         cores=draw(st.integers(1, 4)),
+        # one bound for every node's input buffers
+        buffer_capacity=draw(st.none() | st.integers(1, 3)),
         # 1e12 is idle; 16 and 8 put services on the grid; 2 saturates
         capacity=draw(st.sampled_from([1e12, 16.0, 8.0, 2.0])),
         # no overhead: a zero-comparison service ends when it starts
@@ -267,7 +267,7 @@ def test_processed_trace_equals_the_always_push_loop(spec):
 
 def one_node(ticks, **kw):
     """One single-input node fed at ``ticks`` (grid units)."""
-    return Spec(nodes=((1, kw.pop("cost", 0), False, None, False),),
+    return Spec(nodes=((1, kw.pop("cost", 0), False, False),),
                 arrivals=((0, 0, tuple(ticks)),), **kw)
 
 
@@ -329,7 +329,7 @@ class TestTies:
         assert measured["nodes"]["n0"]["ports"][0][-1] == 2  # consumed
 
     def test_two_cores_finishing_together(self):
-        spec = Spec(nodes=((2, 0, False, None, False),),
+        spec = Spec(nodes=((2, 0, False, False),),
                     arrivals=((0, 0, (0,)), (0, 1, (0,))), cores=2)
         trace, pushes = assert_same_as_reference(spec)
         assert trace[:4] == [(0.0, EventKind.ARRIVAL),

@@ -189,6 +189,11 @@ class TestConfigValidation:
             {"duration": 10, "warmup": -1},
             {"adaptation_interval": 0},
             {"measure_interval": 0},
+            {"buffer_capacity": 0},
+            {"buffer_capacity": -3},
+            {"buffer_capacity": 2.5},
+            {"buffer_capacity": float("nan")},
+            {"buffer_capacity": True},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -39,7 +39,7 @@ from repro.engine import (
     MapOperator,
     SimulationConfig,
 )
-from repro.joins import EquiJoin, JaccardJoin, MJoinOperator
+from repro.joins import EquiJoin, InnerProductJoin, MJoinOperator
 from repro.lint import Severity
 from repro.lint.plan import (
     PlanValidationError,
@@ -273,10 +273,10 @@ ROWS = [
     # P133 — partition-index compatibility
     Row("q-hash-on-band", lambda: query(shedding="none", index="hash"),
         lambda: mjoin(index="hash")),
-    Row("q-index-on-jaccard",
-        lambda: query(predicate=JaccardJoin(0.5), shedding="none",
+    Row("q-index-on-inner-product",
+        lambda: query(predicate=InnerProductJoin(0.5), shedding="none",
                       index="adaptive"),
-        lambda: mjoin(JaccardJoin(0.5), index="adaptive")),
+        lambda: mjoin(InnerProductJoin(0.5), index="adaptive")),
     Row("q-unknown-index",
         lambda: query(predicate=EquiJoin(), shedding="none",
                       index="btree"),
@@ -326,7 +326,7 @@ EXPECTED = {
     "q-session-gap-at-horizon": ("", "", "", "P132"),
     "g-session-gap-off-grid": ("", "n/a", "", "P132"),
     "q-hash-on-band": ("raises", "raises", "P133", ""),
-    "q-index-on-jaccard": ("raises", "raises", "P133", ""),
+    "q-index-on-inner-product": ("raises", "raises", "P133", ""),
     "q-unknown-index": ("raises", "raises", "P133", ""),
     "g-hash-on-band": ("raises", "n/a", "not reached", "not reached"),
     "q-hash-on-band-off-grid": ("raises", "raises", "P103,P133", ""),
@@ -739,7 +739,7 @@ class TestPartitionIndexRule:
             assert report.ok, report.render()
 
     def test_none_always_clean(self):
-        assert analyze_query(self.make(JaccardJoin(0.5), None)).ok
+        assert analyze_query(self.make(InnerProductJoin(0.5), None)).ok
 
     def test_hash_on_band_predicate_rejected(self):
         report = analyze_query(self.make(EpsilonJoin(1.0), "hash"))
@@ -750,7 +750,7 @@ class TestPartitionIndexRule:
         )
 
     def test_non_columnar_predicate_rejected(self):
-        report = analyze_query(self.make(JaccardJoin(0.5), "adaptive"))
+        report = analyze_query(self.make(InnerProductJoin(0.5), "adaptive"))
         assert "P133" in error_codes(report)
         assert any(
             "columnar" in d.message

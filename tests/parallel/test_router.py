@@ -60,13 +60,6 @@ class TestHashRouting:
         hit = {router.shard_of(tup(float(v))) for v in range(200)}
         assert hit == {0, 1, 2, 3}
 
-    def test_custom_key_extractor(self):
-        router = RouterOperator(
-            num_streams=1, num_shards=4,
-            key=lambda t: int(t.value) // 10,
-        )
-        assert router.shard_of(tup(20.0)) == router.shard_of(tup(29.0))
-
 
 class TestValidation:
     def test_invalid_args(self):

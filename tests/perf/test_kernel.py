@@ -27,14 +27,13 @@ from repro.joins.columnar import (
     select_kernel,
     supports_columnar,
 )
-from repro.joins.per_pair import PerPairPredicate
 from repro.joins.pipeline import merge_slices, run_pipeline
 from repro.joins.predicates import (
     BandJoin,
     EpsilonJoin,
     EquiJoin,
-    JaccardJoin,
-    ThetaJoin,
+    InnerProductJoin,
+    VectorDistanceJoin,
 )
 from repro.streams.tuples import StreamTuple
 from repro.testkit.differential import run_config
@@ -604,16 +603,11 @@ class TestKernelSelection:
     def test_auto_falls_back_for_generic_predicates(self):
         for predicate in (
             BandJoin(0.5, 1.0),
-            JaccardJoin(0.5),
-            ThetaJoin(lambda a, b: a < b),
+            InnerProductJoin(0.5),
+            VectorDistanceJoin(1.0, dim=2),
         ):
             assert not supports_columnar(predicate)
             assert select_kernel(predicate) is run_pipeline
-
-    def test_stream_aware_predicates_excluded(self):
-        per_pair = PerPairPredicate(3, default=EpsilonJoin(1.0))
-        assert not supports_columnar(per_pair)
-        assert select_kernel(per_pair) is run_pipeline
 
 
 def test_numpy_dtype_stability():

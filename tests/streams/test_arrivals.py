@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.streams import (
-    BurstyArrivals,
     ConstantRate,
     PiecewiseRate,
     PoissonArrivals,
@@ -87,29 +86,3 @@ class TestPiecewiseRate:
     def test_invalid(self, bps):
         with pytest.raises(ValueError):
             PiecewiseRate(bps)
-
-
-class TestBurstyArrivals:
-    def test_generates_sorted_arrivals(self):
-        b = BurstyArrivals(10, 200, rng=0)
-        times = list(b.iter_arrivals(60.0))
-        assert times == sorted(times)
-        assert len(times) > 0
-
-    def test_mean_rate_between_states(self):
-        b = BurstyArrivals(10, 200, mean_quiet=5, mean_burst=5, rng=1)
-        times = list(b.iter_arrivals(200.0))
-        mean_rate = len(times) / 200.0
-        assert 10 < mean_rate < 200
-
-    def test_rate_at_reflects_schedule(self):
-        b = BurstyArrivals(10, 200, rng=2)
-        list(b.iter_arrivals(60.0))  # builds the schedule
-        rates = {b.rate_at(t) for t in np.linspace(0, 59, 120)}
-        assert rates <= {10.0, 200.0}
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            BurstyArrivals(0, 10)
-        with pytest.raises(ValueError):
-            BurstyArrivals(10, 10, mean_quiet=0)

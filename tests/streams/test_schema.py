@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streams import Attribute, SchemaError, StreamSchema, numeric_schema
+from repro.streams import Attribute, SchemaError, StreamSchema
 
 
 class TestAttribute:
@@ -24,7 +24,7 @@ class TestStreamSchema:
         s.validate(None)
 
     def test_single_attribute_bare_payload(self):
-        s = numeric_schema("S1")
+        s = StreamSchema("S1", (Attribute("value", float),))
         s.validate(3.14)
         with pytest.raises(SchemaError):
             s.validate("text")
@@ -46,5 +46,5 @@ class TestStreamSchema:
             s.validate({"a": 1.0, "b": "x"})
 
     def test_arity(self):
-        assert numeric_schema("S").arity == 1
+        assert StreamSchema("S", (Attribute("value", float),)).arity == 1
         assert StreamSchema("S").arity == 0

@@ -1,22 +1,20 @@
-"""Tests for stream sources and the global merge."""
+"""Tests for stream sources."""
 
 import pytest
 
 from repro.streams import (
+    Attribute,
     ConstantProcess,
     ConstantRate,
     SchemaError,
+    StreamSchema,
     StreamSource,
     UniformProcess,
-    merge_sources,
-    numeric_schema,
 )
 
 
-def make_source(stream=0, rate=10.0, phase=0.0):
-    return StreamSource(
-        stream, ConstantRate(rate, phase=phase), UniformProcess(rng=stream)
-    )
+def make_source(stream=0, rate=10.0):
+    return StreamSource(stream, ConstantRate(rate), UniformProcess(rng=stream))
 
 
 class TestStreamSource:
@@ -39,7 +37,7 @@ class TestStreamSource:
             0,
             ConstantRate(5),
             ConstantProcess("not a number"),
-            schema=numeric_schema("S1"),
+            schema=StreamSchema("S1", (Attribute("value", float),)),
         )
         with pytest.raises(SchemaError):
             src.generate(1.0)
@@ -50,23 +48,3 @@ class TestStreamSource:
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
             StreamSource(-1, ConstantRate(1), UniformProcess())
-
-
-class TestMergeSources:
-    def test_global_timestamp_order(self):
-        sources = [make_source(i, rate=50.0, phase=i * 0.003) for i in range(3)]
-        merged = list(merge_sources(sources, 2.0))
-        ts = [t.timestamp for t in merged]
-        assert ts == sorted(ts)
-
-    def test_all_tuples_present(self):
-        sources = [make_source(i, rate=20.0) for i in range(2)]
-        merged = list(merge_sources(sources, 1.0))
-        assert len(merged) == sum(len(s.generate(1.0)) for s in sources)
-
-    def test_tie_break_by_stream(self):
-        sources = [make_source(i, rate=10.0) for i in range(3)]  # same phases
-        merged = list(merge_sources(sources, 0.5))
-        for k in range(0, len(merged), 3):
-            chunk = merged[k : k + 3]
-            assert [t.stream for t in chunk] == [0, 1, 2]

@@ -6,7 +6,6 @@ import pytest
 from repro.streams import (
     ConstantProcess,
     LinearDriftProcess,
-    RandomWalkProcess,
     UniformProcess,
 )
 
@@ -80,23 +79,6 @@ class TestUniformProcess:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             UniformProcess(5, 5)
-
-
-class TestRandomWalkProcess:
-    def test_stays_in_domain(self):
-        p = RandomWalkProcess(domain=100, step_std=20, rng=0)
-        vals = [p.sample(float(t)) for t in range(300)]
-        assert all(0 <= v <= 100 for v in vals)
-
-    def test_zero_step_is_constant(self):
-        p = RandomWalkProcess(domain=100, step_std=0.0, start=40.0)
-        assert [p.sample(float(t)) for t in range(5)] == [40.0] * 5
-
-    def test_small_elapsed_small_move(self):
-        p = RandomWalkProcess(domain=1000, step_std=1.0, start=500.0, rng=0)
-        v0 = p.sample(0.0)
-        v1 = p.sample(0.001)
-        assert abs(v1 - v0) < 5.0
 
 
 class TestConstantProcess:

@@ -7,9 +7,7 @@ from repro.streams import (
     StreamTuple,
     TraceSource,
     UniformProcess,
-    load_trace,
     record_trace,
-    save_trace,
 )
 
 
@@ -51,14 +49,3 @@ class TestRecordAndPersist:
         trace = record_trace(1, ConstantRate(10), UniformProcess(rng=0), 2.0)
         assert len(trace.tuples) == 20
         assert trace.stream == 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = record_trace(2, ConstantRate(5), UniformProcess(rng=1), 3.0)
-        path = tmp_path / "trace.jsonl"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert len(loaded.tuples) == len(trace.tuples)
-        for a, b in zip(loaded.tuples, trace.tuples):
-            assert a.timestamp == pytest.approx(b.timestamp)
-            assert a.value == pytest.approx(b.value)
-            assert (a.stream, a.seq) == (b.stream, b.seq)

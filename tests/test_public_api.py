@@ -1,8 +1,13 @@
 """The public API surface: everything in ``__all__`` importable and real,
-and every runtime option accounted for."""
+every export named by a program outside ``tests/``, and every runtime
+option accounted for."""
 
+import ast
 import importlib
 import inspect
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -18,7 +23,8 @@ from repro.parallel import (
     run_procs,
 )
 
-DOC = Path(__file__).resolve().parents[1] / "docs" / "ARCHITECTURE.md"
+ROOT = Path(__file__).resolve().parents[1]
+DOC = ROOT / "docs" / "ARCHITECTURE.md"
 
 
 class TestTopLevelApi:
@@ -94,8 +100,6 @@ EXPECTED = {
         "name": "required: edges, results and the `node=` label",
         "operator": "required",
         "admission": "`Simulation`; `Query` with `shedding=\"randomdrop\"`",
-        "buffer_capacity": "tests only (per-node form of "
-                           "`SimulationConfig.buffer_capacity`)",
     },
     "DataflowGraph.run": {
         "cpu": "required",
@@ -115,13 +119,11 @@ EXPECTED = {
         "sources": "required",
         "make_shard": "required",
         "num_shards": "required",
-        "key": "tests only (the default routes on the tuple value)",
         "certify": "tests only (unsafe plans reach the analyzer)",
     },
     "RouterOperator": {
         "num_streams": "required",
         "num_shards": "required",
-        "key": "`build_sharded_graph` and `run_procs` forward theirs",
         "policy": "`benchmarks/e2e/check.py` passes `\"hash\"`",
         "rebalance_threshold": "`benchmarks/e2e/check.py` passes `None`",
     },
@@ -133,13 +135,14 @@ EXPECTED = {
         "make_shard": "required",
         "num_shards": "required",
         "duration": "required",
-        "key": "tests only (the default routes on the tuple value)",
         "adaptation_interval": "e2e `run_procs_pass`, `repro.obs record "
                                "--procs`, the testkit's procs rows",
         "certify": "e2e `run_procs_pass` passes `False`",
         "obs": "`repro.obs record --procs`, the e2e traced pass",
         "meta": "`repro.obs record --procs`",
-        "dashboard": "tests only (the live fleet view)",
+        "dashboard": "tests only (the live fleet view; the one sampler "
+                     "of the `autoscaler_backlog` series the `procs_k2` "
+                     "obs golden pins)",
         "timer": "the fake-clock seam: `repro.obs record --procs`",
     },
     "GrubJoinOperator": {
@@ -190,7 +193,166 @@ class TestOptionRatchet:
             assert parameters(function) == list(EXPECTED[entry]), entry
 
     def test_option_count(self):
-        assert sum(map(len, EXPECTED.values())) == 50
+        assert sum(map(len, EXPECTED.values())) == 46
 
     def test_docs_print_expected(self):
         assert render(EXPECTED) in DOC.read_text()
+
+
+# --------------------------------------------------------------------------
+# the export ratchet
+# --------------------------------------------------------------------------
+
+#: the programs an export must be named by: tests do not count
+CALLER_DIRS = ("src", "benchmarks", "examples")
+
+#: the only reasons an export may stay with no caller in ``CALLER_DIRS``
+REASONS = {
+    "fixture": "a workload the tests build their inputs from",
+    "reference": "the oracle the fleet-aggregation tests compare "
+                 "`TelemetryAggregator` against",
+    "item 9": "`repro.analysis`: ROADMAP item 9 decides whether a "
+              "replication report calls it",
+}
+
+#: every export no program outside ``tests/`` names, with its reason
+#: (``docs/ARCHITECTURE.md`` prints this table, "Exports")
+TESTS_ONLY = {
+    "ConstantProcess": "fixture",
+    "UniformProcess": "fixture",
+    "mixed_key_workload": "fixture",
+    "reference_aggregate": "reference",
+    "overshoot": "item 9",
+    "relative_improvement_ci": "item 9",
+    "settling_time": "item 9",
+    "steady_state_stats": "item 9",
+}
+
+
+def render_tests_only(tests_only):
+    """``tests_only`` as the markdown table ``docs/ARCHITECTURE.md``
+    prints."""
+    lines = ["| export | reason | why it stays |",
+             "|--------|--------|--------------|"]
+    for name, reason in tests_only.items():
+        lines.append(f"| `{name}` | {reason} | {REASONS[reason]} |")
+    return "\n".join(lines)
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "id", None) == "__all__" for t in node.targets
+    )
+
+
+def exports(root=ROOT):
+    """Every name in a package ``__init__``'s ``__all__``, once (``repro``
+    re-exports its subpackages' names)."""
+    names = set()
+    for init in (root / "src").rglob("__init__.py"):
+        for node in ast.parse(init.read_text()).body:
+            if _is_all(node):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _spans(path, tree):
+    """``(name -> line spans of its module-level definitions)`` —
+    ``def``, ``class``, assignment — and the line spans of an
+    ``__init__``'s re-exports (its imports and ``__all__``)."""
+    own, reexports = {}, []
+    for node in tree.body:
+        span = (node.lineno, node.end_lineno)
+        if path.name == "__init__.py" and (
+            isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node)
+        ):
+            reexports.append(span)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            own.setdefault(node.name, []).append(span)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    own.setdefault(target.id, []).append(span)
+    return own, reexports
+
+
+def callers(names, root=ROOT):
+    """``name -> ["path:line", ...]``: every NAME token naming one of
+    ``names`` in ``CALLER_DIRS``, outside the name's own definition and
+    the ``__init__`` re-exports, plus any ``.github/workflows`` file that
+    mentions it.  Comments and docstrings hold no NAME tokens."""
+    found = {name: [] for name in names}
+    for path in sorted(p for d in CALLER_DIRS
+                       for p in (root / d).rglob("*.py")):
+        text = path.read_text()
+        own, reexports = _spans(path, ast.parse(text))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.NAME or tok.string not in found:
+                continue
+            line = tok.start[0]
+            if not any(lo <= line <= hi
+                       for lo, hi in reexports + own.get(tok.string, [])):
+                found[tok.string].append(
+                    f"{path.relative_to(root)}:{line}")
+    for path in sorted((root / ".github" / "workflows").glob("*.yml")):
+        text = path.read_text()
+        for name in names:
+            if re.search(rf"\b{re.escape(name)}\b", text):
+                found[name].append(str(path.relative_to(root)))
+    return found
+
+
+class TestExportCallers:
+    def test_uncalled_exports_are_exactly_the_tests_only_ones(self):
+        # both directions: a new export needs a caller or a row, and a
+        # row whose name gained a caller must go
+        found = callers(exports())
+        assert sorted(n for n, where in found.items() if not where) == (
+            sorted(TESTS_ONLY)
+        )
+
+    def test_export_count(self):
+        assert len(exports()) == 260
+
+    def test_docs_print_tests_only(self):
+        # rendering looks every reason up in REASONS: there are three
+        assert render_tests_only(TESTS_ONLY) in DOC.read_text()
+
+    def test_definitions_reexports_comments_and_docstrings_do_not_count(
+        self, tmp_path
+    ):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from .mod import LIMIT, Lonely, Used\n"
+            "__all__ = ['LIMIT', 'Lonely', 'Used']\n"
+        )
+        (pkg / "mod.py").write_text(
+            "LIMIT = 3\n"
+            "\n\n"
+            "class Lonely:\n"
+            "    def clone(self):\n"
+            "        return Lonely()  # Used, LIMIT\n"
+            "\n\n"
+            "def make():\n"
+            "    \"\"\"Lonely\"\"\"\n"
+            "    return Used()\n"
+        )
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench.py").write_text(
+            "from pkg import LIMIT\n"
+        )
+        (tmp_path / ".github" / "workflows").mkdir(parents=True)
+        (tmp_path / ".github" / "workflows" / "ci.yml").write_text(
+            "run: python -c 'import pkg; pkg.make()'\n"
+        )
+        assert exports(tmp_path) == {"LIMIT", "Lonely", "Used"}
+        assert callers({"LIMIT", "Lonely", "Used", "make"}, tmp_path) == {
+            "LIMIT": ["benchmarks/bench.py:1"],
+            "Lonely": [],
+            "Used": ["src/pkg/mod.py:11"],
+            "make": [".github/workflows/ci.yml"],
+        }
