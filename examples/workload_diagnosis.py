@@ -14,7 +14,7 @@ Run:  python examples/workload_diagnosis.py
 
 from repro import ConstantRate, EpsilonJoin, LinearDriftProcess, StreamSource
 from repro.analysis import offset_match_profile, sparkline
-from repro.obs import Obs, render_dashboard
+from repro.obs import Obs, render_report
 from repro.query import Query
 from repro.streams import record_trace
 
@@ -88,8 +88,8 @@ def main() -> None:
           f"({kept:.0f}% of full at z="
           f"{result.join_operator.throttle_fraction:.2f})")
 
-    print("\n5. telemetry dashboard for the instrumented run:")
-    print(render_dashboard(obs))
+    print("\n5. telemetry report for the instrumented run:")
+    print(render_report(obs))
 
 
 if __name__ == "__main__":

@@ -14,24 +14,24 @@ The pieces:
   (:mod:`repro.obs.spans`);
 * :func:`explain_adaptation` — the shedding-decision explainer: why each
   basic window was kept or shed (:mod:`repro.obs.explainer`);
-* :func:`write_jsonl` — the deterministic JSONL exporter
-  (:mod:`repro.obs.export`);
-* :func:`load_recording` / :func:`render_report` — replay and inspect a
-  recorded run (:mod:`repro.obs.inspect`, :mod:`repro.obs.dashboard`),
-  also via ``python -m repro.obs``.
+* :func:`write_jsonl` / :func:`load_recording` — the deterministic
+  JSONL exporter and its inverse, which rebuilds the :class:`Obs` a log
+  was written from (:mod:`repro.obs.export`);
+* :func:`render_report` / :func:`render_fleet` — the single-run and
+  per-worker ascii views of an ``Obs``, live or loaded
+  (:mod:`repro.obs.dashboard`), also via ``python -m repro.obs``.
 
 An operator driven by hand is instrumented the way every host does it:
 ``op.bind_obs(obs)``.
 """
 
 from .aggregate import (
-    ClockMap,
     DeltaShipper,
     TelemetryAggregator,
     TelemetryDelta,
     reference_aggregate,
 )
-from .dashboard import render_dashboard, render_fleet, render_report
+from .dashboard import render_fleet, render_report
 from .explainer import (
     REASON_BUDGET,
     REASON_FRACTIONAL,
@@ -44,18 +44,13 @@ from .explainer import (
 )
 from .export import (
     jsonl_lines,
+    load_recording,
+    parse_lines,
     worker_scoped,
     write_jsonl,
 )
 from .flight import FlightRecorder
 from .hub import Obs
-from .inspect import (
-    RecordedHistogram,
-    RecordedSeries,
-    RunRecording,
-    load_recording,
-    parse_lines,
-)
 from .registry import (
     LOG2_BOUNDS,
     Counter,
@@ -69,7 +64,6 @@ from .spans import ActiveSpan, SpanRecord, SpanRecorder
 __all__ = [
     "ActiveSpan",
     "AdaptationExplanation",
-    "ClockMap",
     "Counter",
     "DeltaShipper",
     "DirectionDecision",
@@ -83,9 +77,6 @@ __all__ = [
     "REASON_FRACTIONAL",
     "REASON_NO_SHEDDING",
     "REASON_SELECTED",
-    "RecordedHistogram",
-    "RecordedSeries",
-    "RunRecording",
     "Series",
     "SpanRecord",
     "SpanRecorder",
@@ -97,7 +88,6 @@ __all__ = [
     "load_recording",
     "parse_lines",
     "reference_aggregate",
-    "render_dashboard",
     "render_fleet",
     "render_report",
     "worker_scoped",

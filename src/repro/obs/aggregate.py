@@ -19,10 +19,9 @@ the child and this module moves that telemetry back to the supervisor:
   time-order invariant).  Spans and shedding decisions are buffered per
   worker and installed by :meth:`TelemetryAggregator.finalize` in sorted
   worker order — ack arrival order is racy, the finalized export is not.
-* :class:`ClockMap` — worker-relative → supervisor time mapping applied
-  to every shipped timestamp.  Workers replay tuples on the virtual
-  delivery-time clock, which both sides share, so the identity map is
-  the default; the hook exists for transports with skewed clocks.
+
+Workers replay tuples on the virtual delivery-time clock, which both
+sides share, so shipped timestamps are merged as they are.
 
 Everything here is virtual-time native (R001: no wall clocks) and
 stdlib-only, like the rest of the package.
@@ -31,26 +30,9 @@ stdlib-only, like the rest of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .hub import Obs
 from .registry import Counter, Gauge, Histogram, Series
-from .spans import SpanRecord
-
-
-@dataclass(frozen=True, slots=True)
-class ClockMap:
-    """Affine worker-relative → supervisor time mapping.
-
-    Workers run on the shared virtual delivery-time clock, so the
-    default (``offset=0.0``) is the identity; a transport whose workers
-    run on their own zero-based clock registers the skew as the offset.
-    """
-
-    offset: float = 0.0
-
-    def map(self, time: float) -> float:
-        return time + self.offset
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,19 +69,6 @@ class TelemetryDelta:
     spans: tuple = ()
     spans_dropped: int = 0
     decisions: tuple = ()
-
-    def empty(self) -> bool:
-        """True when the delta carries no telemetry at all."""
-        return not (
-            self.meta
-            or self.counters
-            or self.gauges
-            or self.histograms
-            or self.series
-            or self.spans
-            or self.spans_dropped
-            or self.decisions
-        )
 
 
 class DeltaShipper:
@@ -213,7 +182,6 @@ class DeltaShipper:
 class _WorkerBuffer:
     """Per-worker order-sensitive telemetry held back until finalize."""
 
-    clock: ClockMap = field(default_factory=ClockMap)
     meta: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)
     spans_dropped: int = 0
@@ -242,17 +210,9 @@ class TelemetryAggregator:
         self._workers: dict[int, _WorkerBuffer] = {}
         self._finalized = False
 
-    def register_worker(
-        self, worker: int, clock: ClockMap | None = None
-    ) -> None:
-        """Announce a worker (idempotent); optional clock mapping."""
-        buffer = self._workers.get(worker)
-        if buffer is None:
-            self._workers[worker] = _WorkerBuffer(
-                clock=clock if clock is not None else ClockMap()
-            )
-        elif clock is not None:
-            buffer.clock = clock
+    def register_worker(self, worker: int) -> None:
+        """Announce a worker (idempotent)."""
+        self._workers.setdefault(worker, _WorkerBuffer())
 
     def absorb(self, delta: TelemetryDelta) -> None:
         """Merge one delta: metrics now, spans/decisions at finalize."""
@@ -260,7 +220,6 @@ class TelemetryAggregator:
             raise RuntimeError("aggregator already finalized")
         self.register_worker(delta.worker)
         buffer = self._workers[delta.worker]
-        clock = buffer.clock
         wid = str(delta.worker)
         registry = self.obs.registry
         if delta.meta:
@@ -277,7 +236,7 @@ class TelemetryAggregator:
         for name, labels, samples in delta.series:
             instrument = registry.series(name, worker=wid, **labels)
             for time, value in samples:
-                instrument.observe(clock.map(time), value)
+                instrument.observe(time, value)
         buffer.spans.extend(delta.spans)
         buffer.spans_dropped += delta.spans_dropped
         buffer.decisions.extend(delta.decisions)
@@ -294,24 +253,10 @@ class TelemetryAggregator:
         for worker in sorted(self._workers):
             buffer = self._workers[worker]
             wid = str(worker)
-            offset = buffer.clock.offset
-            if offset:
-                spans: Sequence[SpanRecord] = [
-                    replace(record, start=record.start + offset,
-                            end=record.end + offset)
-                    for record in buffer.spans
-                ]
-            else:
-                spans = buffer.spans
-            self.obs.spans.extend_remapped(spans, {"worker": wid})
+            self.obs.spans.extend_remapped(buffer.spans, {"worker": wid})
             self.obs.spans.dropped += buffer.spans_dropped
             for decision in buffer.decisions:
-                mapped = replace(decision, worker=worker)
-                if offset:
-                    mapped = replace(
-                        mapped, time=buffer.clock.map(decision.time)
-                    )
-                self.obs.decisions.append(mapped)
+                self.obs.decisions.append(replace(decision, worker=worker))
             if buffer.meta:
                 self.obs.meta.setdefault("worker_meta", {})[wid] = (
                     buffer.meta

@@ -35,10 +35,9 @@ import argparse
 import sys
 from typing import IO, Sequence
 
-from .dashboard import render_dashboard, render_fleet, render_report
-from .export import worker_scoped, write_jsonl
+from .dashboard import render_fleet, render_report
+from .export import load_recording, worker_scoped, write_jsonl
 from .hub import Obs
-from .inspect import load_recording
 
 #: the recorded slice's stepped input rates (a scaled-down Fig. 10
 #: scenario: rate steps every 4 virtual seconds, cycling)
@@ -186,16 +185,16 @@ def _cmd_record(args: argparse.Namespace, out: IO[str]) -> int:
     lines = write_jsonl(obs, args.output)
     out.write(f"wrote {lines} records to {args.output}\n")
     if args.dashboard:
-        out.write(render_dashboard(obs, top=args.top) + "\n")
+        out.write(render_report(obs, top=args.top) + "\n")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace, out: IO[str]) -> int:
-    rec = load_recording(args.path)
+    obs = load_recording(args.path)
     if args.fleet:
-        out.write(render_fleet(rec) + "\n")
+        out.write(render_fleet(obs) + "\n")
     else:
-        out.write(render_report(rec, top=args.top) + "\n")
+        out.write(render_report(obs, top=args.top) + "\n")
     return 0
 
 
@@ -221,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "forked workers instead (worker-scoped "
                           "export: deterministic, CI-diffable)")
     rec.add_argument("--dashboard", action="store_true",
-                     help="print the live dashboard after recording")
+                     help="print the run's report (the fleet view "
+                          "with --procs) after recording")
     rec.add_argument("--top", type=int, default=5,
-                     help="top-k services in the dashboard")
+                     help="top-k services in the report")
     rec.set_defaults(func=_cmd_record)
 
     rep = sub.add_parser("report", help="replay a recorded JSONL log")

@@ -1,14 +1,13 @@
 """ASCII dashboard: render a run's telemetry in a terminal.
 
 Built on :mod:`repro.analysis.ascii_plots` (sparklines / bar charts, no
-plotting dependencies).  Two entry points share the same sections:
+plotting dependencies).  Both views take an :class:`~repro.obs.hub.Obs`,
+live or loaded from a recording
+(:func:`~repro.obs.export.load_recording`):
 
-* :func:`render_dashboard` — a *live* view over an in-flight or
-  just-finished :class:`~repro.obs.hub.Obs` (examples print it between
-  runs);
-* :func:`render_report` — the replay view over a recorded
-  :class:`~repro.obs.inspect.RunRecording` (what ``python -m repro.obs
-  report`` prints).
+* :func:`render_report` — the single-run report (what ``python -m
+  repro.obs report`` prints);
+* :func:`render_fleet` — the per-worker view of a process-parallel run.
 
 All output is deterministic: sections sort by name/labels and the top-k
 selections tie-break on ``(start, span_id)``.
@@ -22,8 +21,7 @@ from repro.analysis.ascii_plots import bar_chart, series_plot, sparkline
 
 from .explainer import AdaptationExplanation
 from .hub import Obs
-from .inspect import RunRecording
-from .registry import Counter, Gauge, Histogram, Series
+from .registry import Histogram, Instrument, Series, label_key
 from .spans import SpanRecord
 
 #: heat levels for harvest fractions 0.0 .. 1.0 (space = fully shed)
@@ -89,220 +87,40 @@ def _section(title: str, body: str) -> str:
     return f"-- {title} --\n{body}"
 
 
-def _histogram_summary(count: int, total: float, hi: float | None,
-                       p95: float, label: str) -> str:
-    mean = total / count if count else 0.0
-    top = f"{hi:g}" if hi is not None else "n/a"
-    return (f"{label}: n={count} mean={mean:.6g} "
-            f"p95≤{p95:.6g} max={top}")
+def _matching(obs: Obs, name: str, **labels) -> list[Instrument]:
+    """Every instrument named ``name`` whose labels include ``labels``,
+    in ``(name, labels)`` order."""
+    wanted = set(label_key(labels))
+    return [i for i in obs.registry.collect()
+            if i.name == name and wanted <= set(i.labels)]
 
 
-def _recorded_p95(buckets: list[tuple[float, int]], count: int,
-                  hi: float | None) -> float:
-    if not count:
-        return 0.0
-    target = 0.95 * count
-    cumulative = 0
-    for bound, fill in buckets:
-        cumulative += fill
-        if cumulative >= target:
-            return min(bound, hi) if hi is not None else bound
-    return hi if hi is not None else 0.0
+def _counter_sum(obs: Obs, name: str, **labels) -> float:
+    return sum(c.value for c in _matching(obs, name, **labels))
 
 
-def render_report(rec: RunRecording, top: int = 5) -> str:
-    """The replay report over a recorded run (deterministic)."""
+def render_report(obs: Obs, top: int = 5) -> str:
+    """The single-run report over a live or loaded ``Obs``
+    (deterministic)."""
     lines: list[str] = []
-    meta = dict(rec.meta)
+    meta = dict(obs.meta)
     workload = meta.pop("workload", "run")
-    header = f"== obs report: {workload} =="
-    lines.append(header)
+    lines.append(f"== obs report: {workload} ==")
     if meta:
         lines.append("  " + "  ".join(
             f"{k}={meta[k]}" for k in sorted(meta)
         ))
-    service_spans = rec.spans_named("service")
+    spans = obs.spans
     lines.append(
-        f"  spans={len(rec.spans)} (service={len(service_spans)}"
-        + (f", dropped={rec.spans_dropped}" if rec.spans_dropped else "")
-        + f")  adaptations={len(rec.adaptations)}"
+        f"  spans={len(spans)} (service={len(spans.named('service'))}"
+        + (f", dropped={spans.dropped}" if spans.dropped else "")
+        + f")  adaptations={len(obs.decisions)}"
     )
 
-    z = rec.get_series("throttle_z")
-    if z is not None and z.times:
-        lines.append(_section(
-            "throttle trajectory",
-            series_plot(z.times, z.values, label="  z"),
-        ))
-    lines.append(_section("harvest heat map",
-                          harvest_heatmap(rec.adaptations)))
-    lines.append(_section(
-        f"top-{top} expensive services",
-        top_services(rec.top_spans("service", "comparisons", top), top),
-    ))
-
-    latency = rec.get_histogram("tuple_latency_seconds")
-    if latency is not None:
-        lines.append(_section("latency", _histogram_summary(
-            latency.count, latency.sum, latency.max,
-            _recorded_p95(latency.buckets, latency.count, latency.max),
-            "  tuple latency (s)",
-        )))
-
-    accounting = rec.counters_named("stream_arrived_total")
-    if accounting:
-        rows = []
-        for labels, arrived in accounting:
-            stream = labels.get("stream", "?")
-            admitted = rec.counter("stream_admitted_total", stream=stream)
-            dropped = rec.counter("stream_dropped_total", stream=stream)
-            rows.append(f"  stream {stream}: arrived={arrived:g} "
-                        f"admitted={admitted:g} dropped={dropped:g}")
-        lines.append(_section("per-stream accounting", "\n".join(rows)))
-    return "\n".join(lines)
-
-
-def _fleet_instruments(source: Obs | RunRecording):
-    """Normalize an ``Obs`` or a ``RunRecording`` into flat instrument
-    lists ``(counters, gauges, series)`` of ``(name, labels, ...)``
-    tuples, each sorted by ``(name, labels)``."""
-    if isinstance(source, RunRecording):
-        counters = [
-            (k[0], dict(k[1]), v)
-            for k, v in sorted(source.counters.items())
-        ]
-        gauges = [
-            (k[0], dict(k[1]), v)
-            for k, v in sorted(source.gauges.items())
-        ]
-        series = [
-            (k[0], dict(k[1]), s.times, s.values)
-            for k, s in sorted(source.series.items())
-        ]
-        return counters, gauges, series
-    counters, gauges, series = [], [], []
-    for instrument in source.registry.collect():  # already sorted
-        labels = instrument.label_dict()
-        if isinstance(instrument, Counter):
-            counters.append((instrument.name, labels, instrument.value))
-        elif isinstance(instrument, Gauge):
-            gauges.append((instrument.name, labels, instrument.value))
-        elif isinstance(instrument, Series):
-            series.append((instrument.name, labels,
-                           instrument.times, instrument.values))
-    return counters, gauges, series
-
-
-def render_fleet(source: Obs | RunRecording, width: int = 24) -> str:
-    """Fleet view of a process-parallel run: one timeline, per worker.
-
-    Works over the live supervisor ``Obs`` (the procs runtime calls
-    this on every control tick when a ``dashboard=`` sink is given) or
-    over a loaded recording (``python -m repro.obs report --fleet``).
-    Shows, per worker: routed/merged totals, the backlog trajectory as
-    a sparkline, shipped comparison counts, and the latest harvest
-    fractions ``z[i,j]`` as heat cells; below, each worker's harvest
-    heat map.  Deterministic for a finalized recording (sections sort
-    by worker id).
-    """
-    counters, gauges, series = _fleet_instruments(source)
-    decisions = (
-        source.adaptations
-        if isinstance(source, RunRecording)
-        else source.decisions
-    )
-
-    def counter_sum(name: str, **match) -> float:
-        return sum(
-            v for n, labels, v in counters
-            if n == name and all(
-                labels.get(k) == val for k, val in match.items()
-            )
-        )
-
-    workers: set[str] = set()
-    for n, labels, _v in counters:
-        if n == "merger_merged_total" and "shard" in labels:
-            workers.add(labels["shard"])
-        if "worker" in labels:
-            workers.add(labels["worker"])
-    for row in list(gauges) + [(n, l, None) for n, l, _t, _v in series]:
-        if "worker" in row[1]:
-            workers.add(row[1]["worker"])
-
-    lines: list[str] = []
-    workload = source.meta.get("workload", "run")
-    elapsed = 0.0
-    for _n, _labels, times, _values in series:
-        if times:
-            elapsed = max(elapsed, times[-1])
-    if not isinstance(source, RunRecording):
-        elapsed = max(elapsed, source.now())
-    merged_total = counter_sum("merger_merged_total")
-    header = f"== fleet dashboard: {workload} (t={elapsed:g}s"
-    if elapsed > 0.0:
-        header += f", merged={merged_total:g}" \
-                  f" ~{merged_total / elapsed:.1f}/s"
-    lines.append(header + ") ==")
-
-    rows = []
-    for wid in sorted(workers, key=lambda w: (len(w), w)):
-        routed = counter_sum("router_routed_total", shard=wid)
-        merged = counter_sum("merger_merged_total", shard=wid)
-        comparisons = counter_sum(
-            "direction_comparisons_total", worker=wid
-        )
-        backlog = next(
-            ((times, values) for n, labels, times, values in series
-             if n == "autoscaler_backlog"
-             and labels.get("worker") == wid and times),
-            None,
-        )
-        row = (f"  worker {wid}  routed={routed:g} merged={merged:g} "
-               f"comparisons={comparisons:g}")
-        if backlog is not None:
-            tail = backlog[1][-width:]
-            row += (f"  backlog {sparkline(tail)} "
-                    f"(last={backlog[1][-1]:g})")
-        z_cells = sorted(
-            ((labels.get("direction", "?"), labels.get("hop", "?"), v)
-             for n, labels, v in gauges
-             if n == "harvest_fraction" and labels.get("worker") == wid),
-        )
-        if z_cells:
-            row += "  z=" + "".join(heat_char(v) for _d, _h, v in z_cells)
-        rows.append(row)
-    lines.append(_section(
-        "workers", "\n".join(rows) if rows else "  (no workers yet)"
-    ))
-
-    worker_decisions = [d for d in decisions if d.worker is not None]
-    for wid in sorted({d.worker for d in worker_decisions}):
-        lines.append(_section(
-            f"harvest heat map (worker {wid})",
-            harvest_heatmap(
-                [d for d in worker_decisions if d.worker == wid]
-            ),
-        ))
-    return "\n".join(lines)
-
-
-def render_dashboard(obs: Obs, top: int = 5) -> str:
-    """Live view over an :class:`Obs` (same sections as the report)."""
-    lines: list[str] = []
-    workload = obs.meta.get("workload", "run")
-    lines.append(f"== obs dashboard: {workload} (t={obs.now():g}s) ==")
-    lines.append(
-        f"  spans={len(obs.spans)}  adaptations={len(obs.decisions)}  "
-        f"metrics={len(obs.registry)}"
-    )
-    # the throttle series carries operator labels (mode, window_policy),
-    # so match by name alone — one simulation hosts one throttled join
-    z = next(
-        (i for i in obs.registry.collect() if i.name == "throttle_z"),
-        None,
-    )
-    if isinstance(z, Series) and z.times:
+    # the throttle series carries operator labels (mode, window_policy);
+    # one run hosts one throttled join
+    z = next((s for s in _matching(obs, "throttle_z") if s.times), None)
+    if z is not None:
         lines.append(_section(
             "throttle trajectory",
             series_plot(z.times, z.values, label="  z"),
@@ -314,10 +132,98 @@ def render_dashboard(obs: Obs, top: int = 5) -> str:
         top_services(obs.spans.top_by_attr("service", "comparisons", top),
                      top),
     ))
+
     latency = obs.registry.get("tuple_latency_seconds")
     if isinstance(latency, Histogram) and latency.count:
-        lines.append(_section("latency", _histogram_summary(
-            latency.count, latency.sum, latency.max,
-            latency.quantile(0.95), "  tuple latency (s)",
+        lines.append(_section("latency", (
+            f"  tuple latency (s): n={latency.count} "
+            f"mean={latency.mean():.6g} "
+            f"p95≤{latency.quantile(0.95):.6g} max={latency.max:g}"
         )))
+
+    rows = []
+    for arrived in _matching(obs, "stream_arrived_total"):
+        # drops are labelled {reason, stream}: sum over the reasons
+        labels = arrived.label_dict()
+        admitted = _counter_sum(obs, "stream_admitted_total", **labels)
+        dropped = _counter_sum(obs, "stream_dropped_total", **labels)
+        rows.append(f"  stream {labels.get('stream', '?')}: "
+                    f"arrived={arrived.value:g} admitted={admitted:g} "
+                    f"dropped={dropped:g}")
+    if rows:
+        lines.append(_section("per-stream accounting", "\n".join(rows)))
+    return "\n".join(lines)
+
+
+def render_fleet(obs: Obs, width: int = 24) -> str:
+    """Fleet view of a process-parallel run: one timeline, per worker.
+
+    Works over the live supervisor ``Obs`` (the procs runtime calls
+    this on every control tick when a ``dashboard=`` sink is given) or
+    over a loaded recording (``python -m repro.obs report --fleet``).
+    Shows, per worker: routed/merged totals, the backlog trajectory as
+    a sparkline, shipped comparison counts, and the latest harvest
+    fractions ``z[i,j]`` as heat cells; below, each worker's harvest
+    heat map.  Deterministic for a finalized recording (sections sort
+    by worker id).
+    """
+    workers: set[str] = set()
+    elapsed = obs.now()
+    for instrument in obs.registry.collect():
+        if isinstance(instrument, Histogram):
+            continue
+        labels = instrument.label_dict()
+        if instrument.name == "merger_merged_total" and "shard" in labels:
+            workers.add(labels["shard"])
+        if "worker" in labels:
+            workers.add(labels["worker"])
+        if isinstance(instrument, Series) and instrument.times:
+            elapsed = max(elapsed, instrument.times[-1])
+
+    lines: list[str] = []
+    workload = obs.meta.get("workload", "run")
+    merged_total = _counter_sum(obs, "merger_merged_total")
+    header = f"== fleet dashboard: {workload} (t={elapsed:g}s"
+    if elapsed > 0.0:
+        header += f", merged={merged_total:g}" \
+                  f" ~{merged_total / elapsed:.1f}/s"
+    lines.append(header + ") ==")
+
+    rows = []
+    for wid in sorted(workers, key=lambda w: (len(w), w)):
+        routed = _counter_sum(obs, "router_routed_total", shard=wid)
+        merged = _counter_sum(obs, "merger_merged_total", shard=wid)
+        comparisons = _counter_sum(
+            obs, "direction_comparisons_total", worker=wid
+        )
+        row = (f"  worker {wid}  routed={routed:g} merged={merged:g} "
+               f"comparisons={comparisons:g}")
+        backlog = next(
+            (s for s in _matching(obs, "autoscaler_backlog", worker=wid)
+             if s.times),
+            None,
+        )
+        if backlog is not None:
+            row += (f"  backlog {sparkline(backlog.values[-width:])} "
+                    f"(last={backlog.values[-1]:g})")
+        z_cells = sorted(
+            (g.label_dict().get("direction", "?"),
+             g.label_dict().get("hop", "?"), g.value)
+            for g in _matching(obs, "harvest_fraction", worker=wid)
+        )
+        if z_cells:
+            row += "  z=" + "".join(heat_char(v) for _d, _h, v in z_cells)
+        rows.append(row)
+    lines.append(_section(
+        "workers", "\n".join(rows) if rows else "  (no workers yet)"
+    ))
+
+    worker_decisions = [d for d in obs.decisions if d.worker is not None]
+    for wid in sorted({d.worker for d in worker_decisions}):
+        lines.append(_section(
+            f"harvest heat map (worker {wid})",
+            harvest_heatmap(
+                [d for d in worker_decisions if d.worker == wid]
+            ),
+        ))
     return "\n".join(lines)

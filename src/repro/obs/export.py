@@ -1,4 +1,4 @@
-"""The JSONL event-log exporter.
+"""The JSONL event-log format: the exporter and its inverse, the loader.
 
 It is **deterministic**: keys are sorted, floats are emitted with
 Python's shortest-roundtrip ``repr`` (stable across platforms), numpy
@@ -13,15 +13,22 @@ JSONL layout (one JSON object per line)::
     {"type": "adaptation", "time": ...}         # explainer, tick order
     {"type": "series", "name": ..., "samples": [[t, v], ...]}
     {"type": "counter" | "gauge" | "histogram", "name": ..., ...}
+
+:func:`load_recording` reads such a log back into an :class:`Obs`
+through the registry's own calls, so a recorded run is inspected with
+the same renderers as a live one, and re-exporting it reproduces the
+file byte for byte.  A loaded ``Obs``'s clock reads 0.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
+from .explainer import AdaptationExplanation
 from .hub import Obs
 from .registry import Counter, Gauge, Histogram, Series
+from .spans import SpanRecord
 
 
 def jsonable(value):
@@ -152,3 +159,55 @@ def write_jsonl(obs: Obs, target: str | IO[str], select=None) -> int:
             lines += 1
     return lines
 
+
+def parse_lines(lines: Iterable[str]) -> Obs:
+    """Rebuild the :class:`Obs` a JSONL log was exported from (lines
+    with or without newlines; an unknown record type is an error)."""
+    obs = Obs()
+    for raw in lines:
+        if not raw.strip():
+            continue
+        data = json.loads(raw)
+        kind = data.pop("type", None)
+        labels = data.get("labels", {})
+        if kind == "meta":
+            obs.meta = data
+        elif kind == "span":
+            obs.spans.records.append(SpanRecord(
+                data["id"], data["parent"], data["name"], data["start"],
+                data["end"], labels, data.get("attrs", {}),
+            ))
+        elif kind == "spans-dropped":
+            obs.spans.dropped = data["count"]
+        elif kind == "adaptation":
+            obs.decisions.append(AdaptationExplanation.from_dict(data))
+        elif kind == "series":
+            series = obs.series(data["name"], **labels)
+            for time, value in data["samples"]:
+                series.observe(time, value)
+        elif kind == "counter":
+            obs.counter(data["name"], **labels).inc(data["value"])
+        elif kind == "gauge":
+            obs.gauge(data["name"], **labels).set(data["value"])
+        elif kind == "histogram":
+            lo, hi = data.get("min"), data.get("max")
+            obs.histogram(data["name"], **labels).merge(
+                # float("+Inf") is inf: the overflow slot's bound
+                [(Histogram.bucket_index(float(bound)), fill)
+                 for bound, fill in data.get("buckets", [])],
+                data["count"], data["sum"],
+                float("inf") if lo is None else lo,
+                float("-inf") if hi is None else hi,
+            )
+        else:
+            raise ValueError(f"unknown record type {kind!r}")
+    return obs
+
+
+def load_recording(source: str | IO[str]) -> Obs:
+    """Load a JSONL log from a path or text file object (see
+    :func:`parse_lines`)."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fh:
+            return parse_lines(fh)
+    return parse_lines(source)

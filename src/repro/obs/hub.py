@@ -84,6 +84,3 @@ class Obs:
     def explain(self, explanation: AdaptationExplanation) -> None:
         """Record one adaptation tick's shedding-decision explanation."""
         self.decisions.append(explanation)
-
-    def last_decision(self) -> AdaptationExplanation | None:
-        return self.decisions[-1] if self.decisions else None

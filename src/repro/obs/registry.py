@@ -227,9 +227,6 @@ class Series(Instrument):
     def __len__(self) -> int:
         return len(self.times)
 
-    def last(self) -> float | None:
-        return self.values[-1] if self.values else None
-
     def mean(self) -> float:
         """Arithmetic mean of the values (0.0 if empty)."""
         return sum(self.values) / len(self.values) if self.values else 0.0

@@ -53,7 +53,7 @@ class ActiveSpan:
     """A span opened by the context-manager API, still in flight."""
 
     __slots__ = ("_recorder", "span_id", "parent_id", "name", "labels",
-                 "attrs", "start", "_end_override")
+                 "attrs", "start")
 
     def __init__(self, recorder: "SpanRecorder", span_id: int,
                  parent_id: int | None, name: str, labels: dict,
@@ -65,16 +65,11 @@ class ActiveSpan:
         self.labels = labels
         self.attrs: dict = {}
         self.start = start
-        self._end_override: float | None = None
 
     def annotate(self, **attrs) -> "ActiveSpan":
         """Attach measurement attributes to the span."""
         self.attrs.update(attrs)
         return self
-
-    def end_at(self, time: float) -> None:
-        """Override the end time (e.g. a known virtual completion time)."""
-        self._end_override = float(time)
 
     def __enter__(self) -> "ActiveSpan":
         return self
@@ -126,17 +121,12 @@ class SpanRecorder:
             self._stack.pop()
         elif span.span_id in self._stack:  # tolerate out-of-order exits
             self._stack.remove(span.span_id)
-        end = (
-            span._end_override
-            if span._end_override is not None
-            else self._clock()
-        )
         self._append(SpanRecord(
             span_id=span.span_id,
             parent_id=span.parent_id,
             name=span.name,
             start=span.start,
-            end=max(end, span.start),
+            end=max(self._clock(), span.start),
             labels=span.labels,
             attrs=span.attrs,
         ))
@@ -224,10 +214,6 @@ class SpanRecorder:
     def named(self, name: str) -> list[SpanRecord]:
         """All recorded spans with the given name, in record order."""
         return [r for r in self.records if r.name == name]
-
-    def children_of(self, span_id: int) -> list[SpanRecord]:
-        """Direct children of a span, in record order."""
-        return [r for r in self.records if r.parent_id == span_id]
 
     def top_by_attr(self, name: str, attr: str,
                     k: int = 10) -> list[SpanRecord]:

@@ -42,11 +42,11 @@ class TestTimeSeries:
 
     def test_last_and_mean(self):
         ts = Series("queue_depth", ())
-        assert ts.last() is None
+        assert ts.values == []
         assert ts.mean() == 0.0
         ts.observe(0.0, 4.0)
         ts.observe(1.0, 8.0)
-        assert ts.last() == 8.0
+        assert ts.values[-1] == 8.0
         assert ts.mean() == 6.0
 
 

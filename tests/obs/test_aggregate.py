@@ -11,10 +11,10 @@ under id remapping, and the finalized export is deterministic.
 import pytest
 
 from repro.obs import (
-    ClockMap,
     DeltaShipper,
     Obs,
     TelemetryAggregator,
+    TelemetryDelta,
     jsonl_lines,
     reference_aggregate,
     worker_scoped,
@@ -57,7 +57,6 @@ class TestDeltaShipper:
         obs = make_worker(0, 3)
         delta = DeltaShipper(obs, 0).collect()
         assert delta.worker == 0
-        assert not delta.empty()
         names = {name for name, _labels, _v in delta.counters}
         assert names == {"events_total"}
         assert len(delta.spans) == 3
@@ -67,7 +66,7 @@ class TestDeltaShipper:
         shipper = DeltaShipper(obs, 1)
         shipper.collect()
         quiet = shipper.collect()
-        assert quiet.empty()
+        assert quiet == TelemetryDelta(worker=1, now=quiet.now)
         obs.counter("events_total", kind="demo").inc(5)
         growth = shipper.collect()
         assert growth.counters == (("events_total", {"kind": "demo"}, 5),)
@@ -185,22 +184,6 @@ class TestSpanRemapping:
         assert child.parent_id == parent.span_id
         assert child.labels["worker"] == "7"
         assert child.attrs == {"steps": 3}
-
-
-class TestClockMap:
-    def test_offset_maps_series_spans_and_decisions(self):
-        source = make_worker(0, 2)
-        merged = Obs()
-        aggregator = TelemetryAggregator(merged)
-        aggregator.register_worker(0, ClockMap(offset=100.0))
-        aggregator.absorb(DeltaShipper(source, 0).collect())
-        aggregator.finalize()
-        series = merged.registry.get("z", worker="0")
-        assert series.times == [100.0, 101.0]
-        assert merged.spans.records[0].start == 100.0
-
-    def test_identity_is_default(self):
-        assert ClockMap().map(3.5) == 3.5
 
 
 class TestWorkerScopedFilter:

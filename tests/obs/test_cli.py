@@ -21,6 +21,10 @@ so any byte of drift is a behaviour change — regenerate with::
     PYTHONPATH=src python -m repro.obs record --capacity 1e12 -o tests/obs/golden/fig10_idle_slice.jsonl
     PYTHONPATH=src python -m repro.obs record --procs 2 -o tests/obs/golden/procs_k2_slice.jsonl
 
+Two text files pin what the replay prints from them:
+``fig10_report.txt`` (``report fig10_slice.jsonl``) and
+``procs_k2_fleet.txt`` (``report procs_k2_slice.jsonl --fleet``).
+
 and review the diff before committing it.
 """
 
@@ -29,16 +33,20 @@ import pathlib
 
 import pytest
 
-from repro.obs import jsonl_lines, load_recording, worker_scoped
+from repro.obs import (
+    jsonl_lines,
+    load_recording,
+    parse_lines,
+    render_fleet,
+    render_report,
+    worker_scoped,
+)
 from repro.obs.cli import main, record_procs_slice, record_slice
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "fig10_slice.jsonl"
-IDLE_GOLDEN = (
-    pathlib.Path(__file__).parent / "golden" / "fig10_idle_slice.jsonl"
-)
-PROCS_GOLDEN = (
-    pathlib.Path(__file__).parent / "golden" / "procs_k2_slice.jsonl"
-)
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "fig10_slice.jsonl"
+IDLE_GOLDEN = GOLDEN_DIR / "fig10_idle_slice.jsonl"
+PROCS_GOLDEN = GOLDEN_DIR / "procs_k2_slice.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +63,19 @@ class TestGolden:
     def test_golden_run_actually_sheds(self):
         # guard against the golden workload degenerating into a no-op:
         # the recorded slice must show real shedding decisions
-        rec = load_recording(str(GOLDEN))
-        assert rec.meta["workload"] == "fig10-slice"
-        assert len(rec.adaptations) == 8
-        zs = [a.z for a in rec.adaptations]
+        obs = load_recording(str(GOLDEN))
+        assert obs.meta["workload"] == "fig10-slice"
+        assert len(obs.decisions) == 8
+        zs = [a.z for a in obs.decisions]
         assert min(zs) < 0.8
         assert any(
             not w.kept
-            for a in rec.adaptations
+            for a in obs.decisions
             for d in a.directions
             for w in d.windows
         )
-        assert len(rec.spans_named("service")) > 500
-        assert rec.spans_named("solver.greedy")
+        assert len(obs.spans.named("service")) > 500
+        assert obs.spans.named("solver.greedy")
 
     def test_matches_committed_idle_golden(self):
         obs = record_slice(capacity=1e12)
@@ -78,9 +86,9 @@ class TestGolden:
         # the idle slice must stay idle: every service takes under a
         # nanosecond of virtual time, so the CPU is free long before the
         # next arrival (50 ms apart at the slice's rates)
-        rec = load_recording(str(IDLE_GOLDEN))
-        assert rec.meta["capacity"] == 1e12
-        services = rec.spans_named("service")
+        obs = load_recording(str(IDLE_GOLDEN))
+        assert obs.meta["capacity"] == 1e12
+        services = obs.spans.named("service")
         assert len(services) > 500
         assert max(s.end - s.start for s in services) < 1e-9
 
@@ -109,7 +117,7 @@ class TestCli:
         out = io.StringIO()
         assert main(["record", "-o", str(tmp_path / "r.jsonl"),
                      "--duration", "6", "--dashboard"], out=out) == 0
-        assert "obs dashboard" in out.getvalue()
+        assert "obs report" in out.getvalue()
 
 
 class TestProcsGolden:
@@ -124,15 +132,15 @@ class TestProcsGolden:
         assert actual == expected
 
     def test_procs_golden_has_fleet_telemetry(self):
-        rec = load_recording(str(PROCS_GOLDEN))
-        assert rec.meta["runtime"] == "procs"
-        assert rec.meta["num_shards"] == 2
-        assert rec.meta["workload"].startswith("procs-k2-")
+        obs = load_recording(str(PROCS_GOLDEN))
+        assert obs.meta["runtime"] == "procs"
+        assert obs.meta["num_shards"] == 2
+        assert obs.meta["workload"].startswith("procs-k2-")
         # both workers shed under the pinned throttle and shipped their
         # decisions and solver spans back
-        assert {a.worker for a in rec.adaptations} == {0, 1}
+        assert {a.worker for a in obs.decisions} == {0, 1}
         span_workers = {
-            s.labels.get("worker") for s in rec.spans_named("solver.greedy")
+            s.labels.get("worker") for s in obs.spans.named("solver.greedy")
         }
         assert span_workers == {"0", "1"}
 
@@ -155,3 +163,29 @@ class TestProcsCli:
         text = out.getvalue()
         assert "fleet dashboard" in text
         assert "worker 0" in text and "worker 1" in text
+
+
+class TestReplay:
+    @pytest.mark.parametrize("golden", [GOLDEN, IDLE_GOLDEN, PROCS_GOLDEN],
+                             ids=lambda p: p.stem)
+    def test_export_of_loaded_golden_is_the_file(self, golden):
+        expected = golden.read_text(encoding="utf-8").splitlines()
+        assert list(jsonl_lines(load_recording(str(golden)))) == expected
+
+    @pytest.mark.parametrize("capacity", [8e3, 1e12])
+    def test_live_and_replayed_reports_agree(self, capacity):
+        obs = record_slice(capacity=capacity)
+        replayed = parse_lines(jsonl_lines(obs))
+        assert render_report(replayed) == render_report(obs)
+
+    def test_report_pinned_with_throttle_trajectory(self):
+        text = render_report(load_recording(str(GOLDEN)))
+        assert "-- throttle trajectory --" in text
+        assert text + "\n" == (
+            GOLDEN_DIR / "fig10_report.txt"
+        ).read_text(encoding="utf-8")
+
+    def test_fleet_view_pinned(self):
+        assert render_fleet(load_recording(str(PROCS_GOLDEN))) + "\n" == (
+            GOLDEN_DIR / "procs_k2_fleet.txt"
+        ).read_text(encoding="utf-8")

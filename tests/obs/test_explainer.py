@@ -35,7 +35,7 @@ class TestPinnedZReconstruction:
     @pytest.mark.parametrize("z", [0.25, 0.5, 0.8])
     def test_selected_windows_match_harvest_configuration(self, z):
         op, obs = run_pinned(z)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         assert explanation is not None
         assert explanation.z == z
         # the last explanation and op.harvest describe the same tick:
@@ -61,7 +61,7 @@ class TestPinnedZReconstruction:
 
     def test_solver_metadata_recorded(self):
         op, obs = run_pinned(0.5)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         result = op.last_solver_result
         assert explanation.solver_method == result.method
         assert explanation.steps == result.steps
@@ -81,7 +81,7 @@ class TestPinnedZReconstruction:
 
     def test_budget_reason_windows_are_shed(self):
         _, obs = run_pinned(0.25)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         reasons = {w.reason
                    for d in explanation.directions for w in d.windows}
         # at z=0.25 some windows must be cut by the budget
@@ -95,7 +95,7 @@ class TestPinnedZReconstruction:
 
     def test_no_shedding_at_full_throttle(self):
         op, obs = run_pinned(1.0)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         assert explanation.solver_method == "full"
         assert explanation.steps == 0
         reasons = {w.reason
@@ -113,7 +113,7 @@ class TestPinnedZReconstruction:
 
     def test_rank_orders_follow_scores(self):
         _, obs = run_pinned(0.5)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         for d in explanation.directions:
             ranked = sorted(d.windows, key=lambda w: w.rank)
             scores = [w.score for w in ranked]
@@ -128,6 +128,6 @@ class TestPinnedZReconstruction:
 class TestRoundTrip:
     def test_to_dict_from_dict(self):
         _, obs = run_pinned(0.5)
-        explanation = obs.last_decision()
+        explanation = obs.decisions[-1]
         rebuilt = AdaptationExplanation.from_dict(explanation.to_dict())
         assert rebuilt == explanation

@@ -1,4 +1,4 @@
-"""Exporter determinism and the recording round trip."""
+"""Exporter determinism, the recording round trip, and the report."""
 
 import io
 import json
@@ -11,6 +11,7 @@ from repro.obs import (
     jsonl_lines,
     load_recording,
     parse_lines,
+    render_report,
     write_jsonl,
 )
 from repro.obs.export import jsonable
@@ -79,19 +80,38 @@ class TestJsonl:
         obs = sample_obs()
         path = tmp_path / "run.jsonl"
         write_jsonl(obs, str(path))
-        rec = load_recording(str(path))
-        assert rec.meta == {"workload": "unit", "seed": 1}
-        assert rec.counter("drops_total", stream=0) == 5
-        assert rec.gauge("throttle", node="join") == 0.5
-        hist = rec.get_histogram("latency")
+        loaded = load_recording(str(path))
+        assert loaded.meta == {"workload": "unit", "seed": 1}
+        assert loaded.registry.get("drops_total", stream=0).value == 5
+        assert loaded.registry.get("throttle", node="join").value == 0.5
+        hist = loaded.registry.get("latency")
         assert hist.count == 3 and hist.max == 3.0
-        series = rec.get_series("depth", stream=0)
+        assert hist.counts == obs.registry.get("latency").counts
+        series = loaded.registry.get("depth", stream=0)
         assert series.values == [1.0, 4.0]
-        assert len(rec.spans_named("service")) == 1
+        assert len(loaded.spans.named("service")) == 1
+        assert loaded.now() == 0.0
+        assert list(jsonl_lines(loaded)) == list(jsonl_lines(obs))
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ValueError, match="unknown record type"):
             parse_lines(['{"type":"mystery"}'])
+
+
+class TestReport:
+    def test_dropped_sums_over_reasons(self):
+        # stream_dropped_total is labelled {reason, stream}: the
+        # per-stream line must add admission and buffer drops
+        obs = Obs()
+        obs.counter("stream_arrived_total", stream=0).inc(10)
+        obs.counter("stream_admitted_total", stream=0).inc(7)
+        obs.counter("stream_dropped_total", reason="admission",
+                    stream=0).inc(3)
+        obs.counter("stream_dropped_total", reason="buffer",
+                    stream=0).inc(2)
+        for view in (parse_lines(jsonl_lines(obs)), obs):
+            assert ("stream 0: arrived=10 admitted=7 dropped=5"
+                    in render_report(view))
 
 
 class TestJsonable:

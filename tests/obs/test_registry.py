@@ -161,9 +161,6 @@ class TestSeries:
         s.observe(1.0, 11.0)  # same virtual instant: legal
         s.observe(2.0, 12.0)
         assert len(s) == 3
-        assert s.last() == 12.0
+        assert s.values[-1] == 12.0
         with pytest.raises(ValueError, match="time order"):
             s.observe(0.5, 1.0)
-
-    def test_empty_last(self):
-        assert Series("s", ()).last() is None
