@@ -22,9 +22,9 @@ only partial); ``np.nonzero`` enumerates hits in (partial-major,
 candidate-ascending) order, which is exactly the order the nested loops
 of the slow path visit them in.  After the final hop the back-pointer
 chains of the surviving partials are resolved — with array gathers —
-into a :class:`ResultBlock`:
-the results' ``seq`` identities as one int64 matrix, and the
-``JoinResult`` objects themselves only if a consumer iterates.
+into a :class:`ResultBlock`, which keeps each hop's hits — their ``seq``
+numbers and tuple objects — and builds the results' identity matrix and
+``JoinResult`` objects only if a consumer reads them.
 
 A radius-0 predicate (``EquiJoin()``, ``EpsilonJoin(0)``) takes the
 equality path instead: every live partial's interval is then the probing
@@ -46,7 +46,8 @@ how many rows the hop is charged (``HopStats.scanned``, ``comparisons``).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -248,7 +249,9 @@ def _run_equality(
         num_partials = stats.matched
         hop_slices.append(slices)
         hop_cols.append(cols)
-    result.outputs = _materialize_product(tup, order, hop_slices, hop_cols)
+    result.outputs = _materialize_product(
+        tup, order, hop_slices, hop_cols, num_partials
+    )
     return result
 
 
@@ -257,7 +260,7 @@ def _locate(slices: Sequence[WindowSlice], cols: np.ndarray) -> np.ndarray:
     of the hop's store."""
     if len(slices) == 1:
         s = slices[0]
-        return s.lo + cols * s.step
+        return cols + s.lo if s.step == 1 else s.lo + cols * s.step
     offsets = np.fromiter(
         accumulate(map(len, slices), initial=0),
         dtype=np.intp, count=len(slices) + 1,
@@ -269,41 +272,52 @@ def _locate(slices: Sequence[WindowSlice], cols: np.ndarray) -> np.ndarray:
 
 
 class ResultBlock(Sequence):
-    """One completed probe's results, kept columnar.
+    """One completed probe's results, kept as the hits its hops gathered.
 
     To every consumer it *is* the ``list[JoinResult]`` the reference
     pipeline returns — sized, truthy when non-empty, iterable, indexable,
-    equal to a list of the same results — but the
-    :class:`~repro.streams.tuples.JoinResult` objects are only built the
-    first time somebody looks at one (and then kept, so a timestamp
-    stamped on a result is seen by every later reader).  What is built
-    eagerly is :attr:`seqs`: an ``(n, m)`` int64 matrix whose column
-    ``s`` holds the sequence number of each result's constituent from
-    stream ``s`` — the results' identities, which is all the process
-    runtime ships.
+    equal to a list of the same results.  What the probe keeps is, per
+    hop, the ``seq`` numbers and the tuple objects gathered from the
+    probed store at the hits' rows: the block owns them and refers to no
+    store, so later changes to the windows cannot reach it.
 
-    Until then the constituents are held, per hop, as the tuple objects
-    gathered from the probed store at the hits' rows when the probe ran:
-    the block owns them and refers to no store, so later changes to the
-    windows cannot reach it.
+    An equality probe keeps each hop's ``k_h`` hits once, as a factor of
+    the cross product (last hop fastest); an interval probe keeps one hit
+    per result and hop, as aligned rows.  Either way result ``r`` takes
+    hop ``h``'s hit ``(r // stride_h) % k_h`` (:meth:`factors`), so the
+    identities of many blocks can be laid out at once
+    (:func:`repro.parallel.procs.result_keys`).  The ``(n, m)`` identity
+    matrix :attr:`seqs` and the :class:`~repro.streams.tuples.JoinResult`
+    objects are only built the first time somebody reads them, and then
+    kept (so a timestamp stamped on a result is seen by every later
+    reader).
     """
 
-    __slots__ = ("seqs", "_tup", "_perm", "_levels", "_results")
+    __slots__ = (
+        "_tup", "_order", "_hits", "_levels", "_product", "_count",
+        "_seqs", "_results",
+    )
 
     def __init__(
         self,
-        seqs: np.ndarray,
         tup: StreamTuple,
-        perm: Sequence[int],
+        order: Sequence[int],
+        hits: list[np.ndarray],
         levels: list[np.ndarray],
+        product: bool,
+        count: int,
     ) -> None:
-        self.seqs = seqs
         self._tup = tup
-        #: constituent positions (0 = the probing tuple, ``h + 1`` = hop
-        #: ``h``) in ascending stream order
-        self._perm = perm
-        #: per hop, the constituents' tuple objects (object arrays)
+        #: the stream each hop probed
+        self._order = order
+        #: per hop, the hits' ``seq`` numbers (int64 arrays)
+        self._hits = hits
+        #: per hop, the hits' tuple objects (object arrays)
         self._levels = levels
+        #: cross-product factors (equality) or aligned rows (interval)
+        self._product = product
+        self._count = count
+        self._seqs: np.ndarray | None = None
         self._results: list[JoinResult] | None = None
 
     @property
@@ -311,21 +325,68 @@ class ResultBlock(Sequence):
         """Whether the ``JoinResult`` objects have been built yet."""
         return self._results is not None
 
+    def factors(
+        self,
+    ) -> tuple[int, int, Sequence[int], list[np.ndarray], bool]:
+        """The results' identities, unexpanded: ``(stream, seq, order,
+        hits, product)``.  Every result holds the probing tuple (``seq``
+        of ``stream``) and, per hop ``h``, one of the ``k_h`` hits of
+        stream ``order[h]`` (``seq`` numbers ``hits[h]``).  Result ``r``
+        takes hit ``r`` of every hop when the hits are aligned rows, and
+        hit ``(r // stride_h) % k_h`` when they are cross-product
+        factors (``product``; ``stride_h`` is the product of the later
+        hops' ``k``)."""
+        return (
+            self._tup.stream, self._tup.seq, self._order, self._hits,
+            self._product,
+        )
+
+    @property
+    def seqs(self) -> np.ndarray:
+        """The ``(n, m)`` int64 identity matrix: column ``s`` holds the
+        sequence number of each result's constituent from stream ``s``."""
+        seqs = self._seqs
+        if seqs is None:
+            tup = self._tup
+            seqs = np.empty(
+                (self._count, len(self._order) + 1), dtype=np.int64
+            )
+            seqs[:, tup.stream] = tup.seq
+            rows = np.arange(self._count)
+            stride = 1
+            for stream, hits in zip(self._order[::-1], self._hits[::-1]):
+                seqs[:, stream] = hits[rows // stride % len(hits)]
+                if self._product:
+                    stride *= len(hits)
+            self._seqs = seqs
+        return seqs
+
     def _rows(self) -> list[JoinResult]:
         results = self._results
         if results is None:
-            columns: list = [repeat(self._tup)]
-            columns.extend(level.tolist() for level in self._levels)
-            # every block has a hop, so zip() ends with the level lists
-            results = self._results = [
-                JoinResult(constituents)
-                for constituents in zip(*(columns[k] for k in self._perm))
-            ]
+            tup = self._tup
+            streams = [tup.stream, *self._order]
+            # constituent positions (0 = the probing tuple, ``h + 1`` =
+            # hop ``h``) in ascending stream order
+            by_stream = itemgetter(
+                *sorted(range(len(streams)), key=streams.__getitem__)
+            )
+            levels = [level.tolist() for level in self._levels]
+            combos = (
+                product((tup,), *levels) if self._product
+                else zip(repeat(tup), *levels)
+            )
+            results = self._results = list(
+                map(JoinResult, map(by_stream, combos))
+            )
             self._levels = None  # the results hold the tuples now
         return results
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return self._count
+
+    def __bool__(self) -> bool:
+        return self._count > 0
 
     def __iter__(self):
         return iter(self._rows())
@@ -352,32 +413,25 @@ def _materialize(
     """Resolve surviving back-pointer chains into a :class:`ResultBlock`.
 
     Output order is ascending final-partial index, which equals the slow
-    path's enumeration order; constituents are sorted by stream via a
-    permutation precomputed from the (distinct) stream ids.  The chain
-    walk is array gathers only: each hop's hits are positions in its
-    candidate pool, resolved to rows of the hop's store; the ``seq``
-    column gathered at those rows fills that stream's column of the
-    identity matrix, and the tuple column gathered there is the block's
-    own copy of that hop's constituents.
+    path's enumeration order.  The chain walk is array gathers only:
+    each hop's hits are positions in its candidate pool, resolved to
+    rows of the hop's store; the ``seq`` and tuple columns gathered at
+    those rows are the block's own copy of that hop's constituents, one
+    per result.
     """
     hops = len(rows_chain)
-    count = len(rows_chain[-1])
-    streams = [tup.stream, *order]
-    perm = sorted(range(len(streams)), key=streams.__getitem__)
-    seqs = np.empty((count, len(streams)), dtype=np.int64)
-    seqs[:, tup.stream] = tup.seq
+    hits: list = [None] * hops
     levels: list = [None] * hops
     idxs: np.ndarray | None = None  # None: the identity over the last hop
     for h in range(hops - 1, -1, -1):
         slices = hop_slices[h]
-        store = slices[0].store
         rows = _locate(
             slices, rows_chain[h] if idxs is None else rows_chain[h][idxs]
         )
-        seqs[:, order[h]], levels[h] = store.gather(rows)
+        hits[h], levels[h] = slices[0].store.gather(rows)
         if h:
             idxs = parents_chain[h] if idxs is None else parents_chain[h][idxs]
-    return ResultBlock(seqs, tup, perm, levels)
+    return ResultBlock(tup, order, hits, levels, False, len(rows_chain[-1]))
 
 
 def _materialize_product(
@@ -385,27 +439,15 @@ def _materialize_product(
     order: Sequence[int],
     hop_slices: list[Sequence[WindowSlice]],
     hop_cols: list[np.ndarray],
+    count: int,
 ) -> ResultBlock:
     """The :class:`ResultBlock` of an equality probe: the cross product
-    of the per-hop hits, last hop fastest.
-
-    Each hop's ``k_h`` hits are resolved to store rows and gathered once;
-    its ``seq`` column is broadcast into the ``(k_0, ..., k_{H-1}, m)``
-    view of the identity matrix, and its tuple objects into one level
-    of the same shape.
-    """
-    streams = [tup.stream, *order]
-    perm = sorted(range(len(streams)), key=streams.__getitem__)
-    shape = tuple(len(cols) for cols in hop_cols)
-    seqs = np.empty((*shape, len(streams)), dtype=np.int64)
-    seqs[..., tup.stream] = tup.seq
+    of the per-hop hits, last hop fastest.  Each hop's ``k_h`` hits are
+    resolved to store rows and gathered once; nothing is expanded."""
+    hits = []
     levels = []
-    for h, (slices, cols) in enumerate(zip(hop_slices, hop_cols)):
+    for slices, cols in zip(hop_slices, hop_cols):
         seq, level = slices[0].store.gather(_locate(slices, cols))
-        # hop h's hits along axis h: broadcast over the axes after it
-        axis = (-1,) + (1,) * (len(shape) - 1 - h)
-        seqs[..., order[h]] = seq.reshape(axis)
-        grid = np.empty(shape, dtype=object)
-        grid[...] = level.reshape(axis)
-        levels.append(grid.reshape(-1))
-    return ResultBlock(seqs.reshape(-1, len(streams)), tup, perm, levels)
+        hits.append(seq)
+        levels.append(level)
+    return ResultBlock(tup, order, hits, levels, True, count)

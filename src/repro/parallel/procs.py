@@ -102,29 +102,88 @@ CONTROL_INTERVAL = 4
 FLIGHT_CAPACITY = 64
 
 
-def result_keys(outputs: Sequence[Any], m: int) -> np.ndarray:
-    """The identities of one ``process()`` call's results as an ``(n, m)``
-    int64 matrix: column ``s`` is the ``seq`` of the constituent from
-    stream ``s``, ``-1`` where a result has none (the singletons of the
-    semi/anti/outer modes).
+def result_keys(batch: Sequence[Sequence[Any]], m: int) -> np.ndarray:
+    """The identities of a batch's results as one ``(n, m)`` int64
+    matrix, in batch order: column ``s`` is the ``seq`` of the
+    constituent from stream ``s``, ``-1`` where a result has none (the
+    singletons of the semi/anti/outer modes).  ``batch`` holds one
+    output sequence per ``process()`` call.
 
-    The columnar kernel's :class:`~repro.joins.columnar.ResultBlock`
-    already carries that matrix and is returned as is — no result object
-    is ever built; any other output sequence (the reference pipeline,
+    A columnar :class:`~repro.joins.columnar.ResultBlock` contributes
+    its :meth:`~repro.joins.columnar.ResultBlock.factors` unexpanded —
+    no result object and no per-block matrix is built — and all blocks
+    are expanded together, in a fixed number of array operations however
+    many the batch holds.  Any other output (the reference pipeline,
     ``ModeState``) is filled from :meth:`JoinResult.key`.
     """
-    seqs = getattr(outputs, "seqs", None)
-    if seqs is not None:
-        return seqs
-    keys = np.full((len(outputs), m), -1, dtype=np.int64)
-    for row, result in zip(keys, outputs):
-        for stream, seq in result.key():
-            row[stream] = seq
+    firsts: list[int] = []   # per block: its first row in the matrix
+    counts: list[int] = []   # per block: its rows
+    meta: list[int] = []     # per block: its m streams, seq, product
+    hits: list[np.ndarray] = []  # per block and hop: the hits' seqs
+    rows: list[int] = []     # the rows of the other outputs ...
+    listed: list[list[int]] = []  # ... and their keys
+    total = 0
+    for outputs in batch:
+        n = len(outputs)
+        factors = getattr(outputs, "factors", None)
+        if factors is not None:
+            stream, seq, order, block_hits, product = factors()
+            firsts.append(total)
+            counts.append(n)
+            meta.append(stream)
+            meta.extend(order)
+            meta.extend((seq, product))
+            hits.extend(block_hits)
+        else:
+            rows.extend(range(total, total + n))
+            for result in outputs:
+                key = [-1] * m
+                for stream, seq in result.key():
+                    key[stream] = seq
+                listed.append(key)
+        total += n
+    if not counts:
+        return np.array(listed, dtype=np.int64).reshape(-1, m)
+    # per block, position 0 is the probing tuple (one "hit") and
+    # position h + 1 is hop h; the pool holds the probing seqs, then
+    # every block's hits in order
+    blocks = len(counts)
+    meta = np.array(meta).reshape(blocks, m + 2)
+    pool = np.concatenate([meta[:, m], *hits])
+    hop_sizes = np.fromiter(map(len, hits), np.int64, len(hits))
+    sizes = np.ones((blocks, m), dtype=np.int64)
+    sizes[:, 1:] = hop_sizes.reshape(blocks, m - 1)
+    starts = np.empty_like(sizes)
+    starts[:, 0] = np.arange(blocks)
+    starts[:, 1:] = (hop_sizes.cumsum() - hop_sizes + blocks).reshape(
+        blocks, m - 1
+    )
+    # a cross-product factor's stride is the product of the later
+    # positions' sizes (the probing tuple, of size 1, is picked whatever
+    # its stride); aligned rows step by 1
+    strides = np.ones_like(sizes)
+    strides[:, :-1] = sizes[:, :0:-1].cumprod(axis=1)[:, ::-1]
+    strides[meta[:, m + 1] == 0] = 1
+    # each block's positions in stream order, then one row per result
+    by_stream = meta[:, :m].argsort(axis=1)[None]
+    counts = np.array(counts)
+    start, stride, size = np.repeat(
+        np.take_along_axis(np.stack([starts, strides, sizes]), by_stream, 2),
+        counts, axis=1,
+    )
+    r = np.arange(len(start)) - np.repeat(counts.cumsum() - counts, counts)
+    block_keys = pool[start + r[:, None] // stride % size]
+    if not listed:
+        return block_keys
+    keys = np.empty((total, m), dtype=np.int64)
+    keys[rows] = listed
+    keys[np.repeat(firsts, counts) + r] = block_keys
     return keys
 
 
 def _worker_main(
     conn,
+    inherited: Sequence[Any],
     make_shard: Callable[[int], StreamOperator],
     worker_id: int,
     adaptation_interval: float | None,
@@ -135,7 +194,8 @@ def _worker_main(
     Runs in the forked child.  The operator is constructed *here* so
     its state never crosses the process boundary; only plain
     :class:`StreamTuple` batches come in and result identities (one
-    :func:`result_keys` matrix per ack, plus telemetry deltas) go out.
+    :func:`result_keys` matrix per ack, built once from the whole
+    batch's outputs, plus telemetry deltas) go out.
     Virtual time inside the worker is each tuple's delivery time, and
     adaptation ticks are replayed at the same multiples of
     ``adaptation_interval`` the simulator would fire.
@@ -153,7 +213,13 @@ def _worker_main(
     with the "bye" (taken after the end-of-run flush, so it includes
     what ``on_finish`` records).  A bounded :class:`FlightRecorder`
     always runs; its tail travels with the crash report.
+
+    ``inherited`` are the supervisor's ends of the pipes, which the fork
+    copied into this child; closing them here means a supervisor that
+    closes its end is an EOF for the worker blocked on the other one.
     """
+    for end in inherited:
+        end.close()
     flight = FlightRecorder(capacity=FLIGHT_CAPACITY)
     clock = [0.0]
     shipper = None
@@ -168,7 +234,6 @@ def _worker_main(
             adaptation_interval if adaptation_interval else None
         )
         m = operator.num_streams
-        no_keys = np.empty((0, m), dtype=np.int64)
         arrivals = [0] * m
         while True:
             msg = conn.recv()
@@ -177,7 +242,7 @@ def _worker_main(
                 flight.note(
                     clock[0], f"recv batch seq={seq} n={len(batch)}"
                 )
-                blocks: list[np.ndarray] = []
+                outputs = []
                 comparisons = 0
                 for tup in batch:
                     now = tup.delivery_time
@@ -203,8 +268,8 @@ def _worker_main(
                     receipt = operator.process(tup, now)
                     comparisons += receipt.comparisons
                     if receipt.outputs:
-                        blocks.append(result_keys(receipt.outputs, m))
-                keys = np.concatenate(blocks) if blocks else no_keys
+                        outputs.append(receipt.outputs)
+                keys = result_keys(outputs, m)
                 flight.note(
                     clock[0],
                     f"ack seq={seq} results={len(keys)} "
@@ -219,7 +284,7 @@ def _worker_main(
                 )
             elif msg[0] == "stop":
                 flight.note(clock[0], "stop received")
-                keys = result_keys(operator.on_finish(clock[0]), m)
+                keys = result_keys([operator.on_finish(clock[0])], m)
                 delta = (
                     shipper.collect() if shipper is not None else None
                 )
@@ -384,9 +449,10 @@ class _Supervisor:
 
     def spawn(self, worker_id: int) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+        inherited = [parent_conn, *(w.conn for w in self.workers.values())]
         process = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.make_shard, worker_id,
+            args=(child_conn, inherited, self.make_shard, worker_id,
                   self.adaptation_interval, self.obs is not None),
             daemon=True,
             name=f"repro-shard-{worker_id}",
@@ -458,10 +524,20 @@ class _Supervisor:
         for conn in _conn_wait(list(conns), timeout):
             try:
                 msg = conn.recv()
-            except EOFError:
-                conns[conn].done = True
-                continue
+            except (EOFError, OSError):
+                # the pipe closed (or reset) before the worker's "bye"
+                raise self._death(conns[conn]) from None
             self._handle(msg)
+
+    def _death(self, worker: _Worker) -> RuntimeError:
+        """Stop the fleet after ``worker`` died without its parting
+        report; the error to raise names it."""
+        worker.done = True
+        self.shutdown(force=True)
+        return RuntimeError(
+            f"shard worker {worker.id} died without an error report "
+            f"(exit code {worker.process.exitcode})"
+        )
 
     def _send(self, worker: _Worker, payload: tuple) -> None:
         """Send downstream; if the worker died mid-run, surface its
@@ -473,16 +549,11 @@ class _Supervisor:
             # the dead worker's conn must stay drainable here: its
             # parting "error" message is what we're looking for.  It can
             # sit behind every unread ack, and drain() reads one message
-            # per pipe, so read on until the pipe is dry (EOF = done)
+            # per pipe, so read on until the pipe is dry: drain() raises
+            # with the worker's traceback, or at the EOF after it
             for _ in range(MAX_INFLIGHT + 2):
-                if worker.done:
-                    break
-                self.drain(0.5)  # raises with the worker's traceback
-            worker.done = True
-            self.shutdown(force=True)
-            raise RuntimeError(
-                f"shard worker {worker.id} died without an error report"
-            )
+                self.drain(0.5)
+            raise self._death(worker)
 
     def flush(self, worker_id: int) -> None:
         """Ship the pending batch, waiting for ack capacity first.
@@ -517,12 +588,14 @@ class _Supervisor:
     # -- lifecycle -----------------------------------------------------
 
     def shutdown(self, force: bool = False) -> None:
+        # pipes first: a worker blocked in recv() sees EOF and returns,
+        # so the joins below do not wait out their timeout
         for worker in self.workers.values():
-            if force:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-            worker.process.join(timeout=5.0)
             worker.conn.close()
+            if force and worker.process.is_alive():
+                worker.process.terminate()
+        for worker in self.workers.values():
+            worker.process.join(timeout=5.0)
 
     def run(self) -> ProcsResult:
         started = self.timer()

@@ -9,15 +9,26 @@ P126/P124 worker-entry certification ride along.
 """
 
 import os
+import random
+import signal
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import CpuModel
 from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.joins import MJoinOperator
+from repro.joins import columnar
 from repro.joins.columnar import ResultBlock
+from repro.joins.pipeline import run_pipeline
+from repro.joins.predicates import EpsilonJoin, EquiJoin
+from repro.joins.variants import JoinMode, ModeState
 from repro.lint.plan import PlanValidationError
 from repro.obs import Obs
 from repro.parallel import build_sharded_graph, run_procs
@@ -37,7 +48,15 @@ from repro.testkit.differential import (
     UNBOUNDED_CAPACITY,
     run_config,
 )
+from repro.streams.tuples import StreamTuple
 from repro.timing import ManualTimer
+from tests.perf.test_kernel import KEYS, build_windows
+from tests.perf.test_result_block import (
+    ROWS,
+    eager_result_keys,
+    pool_slices,
+    probe_both,
+)
 
 
 def mjoin_factory(workload):
@@ -272,13 +291,159 @@ class TestColumnarResultPlane:
             outputs = operator.process(tup, tup.timestamp).outputs
             if outputs:
                 blocks.append(outputs)
-        assert blocks
-        for block in blocks:
-            assert isinstance(block, ResultBlock)
-            assert result_keys(block, 3) is block.seqs
-            assert not block.materialized
-            # the list path names the same identities
-            assert result_keys(list(block), 3).tolist() == block.seqs.tolist()
+        assert len(blocks) > 8
+        assert all(isinstance(block, ResultBlock) for block in blocks)
+        keys = result_keys(blocks, 3)
+        assert not any(block.materialized for block in blocks)
+        # the list path names the same identities, and so do the blocks
+        assert keys.tolist() == result_keys(
+            [list(block) for block in blocks], 3
+        ).tolist()
+        assert keys.tolist() == np.concatenate(
+            [block.seqs for block in blocks]
+        ).tolist()
+
+
+#: what one ``process()`` call can hand the worker's batch
+OUTPUT_KINDS = ("product", "chain", "pipeline", "singletons", "empty")
+
+
+def batch_outputs(seed: int, kinds, m: int = 3):
+    """One output per kind, as ``(lazy, eager)``: the columnar kernel's
+    block of a completed equality (``product``) or interval (``chain``)
+    probe, with the eager block of the same probe; the reference
+    pipeline's list; a ``ModeState``'s anti singletons; an empty list."""
+    now = 10.0
+    rng = random.Random(seed)
+    windows = build_windows(seed, m=m, per_stream=ROWS[m], keys=KEYS)
+    pairs = []
+    for kind in kinds:
+        if kind == "empty":
+            pairs.append(([], []))
+            continue
+        if kind == "singletons":
+            state = ModeState(JoinMode.ANTI, [5.0] * m)
+            for stream in rng.sample(range(m), m):
+                tup = windows[stream].tuples[rng.randrange(10)]
+                state.observe(tup, [], tup.timestamp)
+            singles = state.flush(now)
+            assert singles and {len(r.constituents) for r in singles} == {1}
+            pairs.append((singles, singles))
+            continue
+        predicate = EquiJoin() if kind == "product" else EpsilonJoin(1.5)
+        for attempt in range(100):
+            stream = rng.randrange(m)
+            order = [s for s in range(m) if s != stream]
+            rng.shuffle(order)
+            tup = StreamTuple(value=rng.choice(KEYS), timestamp=now,
+                              stream=stream, seq=90_000 + attempt)
+            pool = rng.choice(("single", "multi-run", "strided"))
+
+            def slices_for_hop(hop, ws, pool=pool):
+                return pool_slices(windows[ws], now, pool, 0.4)
+
+            if kind == "pipeline":
+                out = run_pipeline(tup, order, slices_for_hop,
+                                   predicate).outputs
+                pair = (out, out)
+            else:
+                pair = probe_both(tup, order, slices_for_hop, predicate)
+            if pair[1]:
+                break
+        else:  # pragma: no cover - the fixture must complete probes
+            raise AssertionError(f"no {kind} probe completed")
+        pairs.append(pair)
+    return pairs
+
+
+def numpy_calls(fn, monkeypatch) -> list[str]:
+    """The numpy functions and array methods ``fn`` calls from the
+    process runtime and the columnar kernel's modules, by name."""
+    calls: list[str] = []
+
+    class Counting:
+        """Stands in for the ``numpy`` module: counts every call."""
+
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+
+            return counted
+
+    for module in (runtime, columnar):
+        monkeypatch.setattr(module, "np", Counting())
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(
+            getattr(arg, "__self__", None), np.ndarray
+        ):
+            calls.append(f"ndarray.{arg.__name__}")
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        monkeypatch.undo()
+    return calls
+
+
+class TestBatchResultKeys:
+    """A worker's ack carries one identity matrix for the whole batch:
+    :func:`result_keys` over the batch's outputs is the concatenation of
+    the eager per-output matrices, and its cost in numpy calls does not
+    grow with the number of blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 4),
+        kinds=st.lists(st.sampled_from(OUTPUT_KINDS), max_size=10),
+    )
+    def test_batch_is_the_concatenated_eager_keys(self, seed, m, kinds):
+        pairs = batch_outputs(seed, kinds, m)
+        lazy = [out for out, _ in pairs]
+        keys = result_keys(lazy, m)
+        want = np.concatenate([
+            np.empty((0, m), dtype=np.int64),
+            *(eager_result_keys(out, m) for _, out in pairs),
+        ])
+        assert keys.dtype == np.int64
+        assert keys.shape == want.shape
+        assert np.array_equal(keys, want)
+        assert not any(
+            out.materialized for out in lazy if isinstance(out, ResultBlock)
+        )
+
+    def test_every_kind_in_one_batch(self):
+        pairs = batch_outputs(11, [*OUTPUT_KINDS, *OUTPUT_KINDS[::-1]])
+        keys = result_keys([out for out, _ in pairs], 3)
+        assert keys.tolist() == np.concatenate(
+            [eager_result_keys(out, 3) for _, out in pairs]
+        ).tolist()
+        assert (keys == -1).any() and (keys >= 0).all(axis=1).any()
+
+    def test_empty_batch(self):
+        for batch in ([], [[]], [[], []]):
+            keys = result_keys(batch, 3)
+            assert keys.dtype == np.int64 and keys.shape == (0, 3)
+
+    def test_numpy_calls_do_not_grow_with_blocks(self, monkeypatch):
+        blocks = [
+            out for out, _ in batch_outputs(5, ["product", "chain"] * 32)
+        ]
+        calls = {
+            n: numpy_calls(lambda n=n: result_keys(blocks[:n], 3),
+                           monkeypatch)
+            for n in (8, 64)
+        }
+        assert calls[8]
+        assert calls[8] == calls[64]
 
 
 class TestAccounting:
@@ -328,6 +493,82 @@ class TestFailurePaths:
         workload = key_workload(seed=1, duration=2.0)
         with pytest.raises(ValueError):
             procs_run(workload, 0)
+
+
+class KillShard(StreamOperator):
+    """Worker 1 kills its own process with SIGKILL at its ``at``-th
+    tuple, or in the end-of-run flush when ``at`` is ``None``: a death
+    that leaves no parting report."""
+
+    num_streams = 3
+
+    def __init__(self, worker_id: int, at: int | None):
+        self.worker_id = worker_id
+        self.at = at
+        self.count = 0
+
+    def _die_if(self, now_is_the_time: bool) -> None:
+        if self.worker_id == 1 and now_is_the_time:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def process(self, tup, now):
+        self.count += 1
+        self._die_if(self.count == self.at)
+        return ProcessReceipt(comparisons=1)
+
+    def on_finish(self, now):
+        self._die_if(self.at is None)
+        return []
+
+
+class Poisoned:
+    """A trace whose ``at``-th tuple carries a value no pickle takes."""
+
+    def __init__(self, trace, at: int):
+        self.trace = trace
+        self.at = at
+
+    def iter_tuples(self, until):
+        for i, tup in enumerate(self.trace.iter_tuples(until)):
+            yield replace(tup, value=threading.Lock()) if i == self.at else tup
+
+
+class TestWorkerDeath:
+    """A failure outside the workers' own code stops the fleet at once:
+    the supervisor closes its pipes before it joins the workers, and a
+    worker whose pipe ends before its "bye" is named as dead."""
+
+    # worker 1 replays 80 tuples, in two batches of the default size
+    @pytest.mark.parametrize("at", [1, 30, 65, 80, None])
+    def test_killed_worker_is_named_promptly(self, at):
+        workload = key_workload(seed=1, duration=4.0)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_procs(
+                workload.traces,
+                lambda worker_id: KillShard(worker_id, at),
+                2,
+                duration=workload.duration,
+                certify=False,
+            )
+        assert time.perf_counter() - started < 3.0
+        message = str(excinfo.value)
+        assert "shard worker 1 died without an error report" in message
+        assert f"exit code {-signal.SIGKILL}" in message
+
+    def test_unpicklable_payload_surfaces_promptly(self):
+        workload = key_workload(seed=1, duration=4.0)
+        traces = [Poisoned(workload.traces[0], 10), *workload.traces[1:]]
+        started = time.perf_counter()
+        with pytest.raises(TypeError, match="pickle"):
+            run_procs(
+                traces,
+                mjoin_factory(workload),
+                2,
+                duration=workload.duration,
+                certify=False,
+            )
+        assert time.perf_counter() - started < 3.0
 
 
 class TestWorkerEntryCertification:

@@ -408,8 +408,9 @@ def test_result_block_outlives_its_windows(pool, exact, seed, monkeypatch):
     """A block taken at probe time and first read after its windows took
     a late sorted insert, an eviction, a full turn of the ring, growth
     and compaction is the reference pipeline's output as of the probe:
-    same tuple objects, same order, same keys — and ``seqs`` names them
-    without building any.  The probe itself is the reference's: same
+    same tuple objects, same order, same keys.  What it kept is each
+    hop's hits, copied out of the store, and ``seqs`` — built on first
+    read — names the results without building any.  The probe itself is the reference's: same
     comparisons and ``HopStats``, an indexed exact hop charged through
     :func:`indexed_probe` (a radius > 0 one is charged the partials'
     union envelope, which the reference has no notion of)."""
@@ -487,12 +488,31 @@ def test_result_block_outlives_its_windows(pool, exact, seed, monkeypatch):
     for block, expected in taken:
         assert not block.materialized
         assert len(block) == len(expected) and block
+        # what the probe kept: per hop, the hits' seqs — one factor of
+        # the cross product each (equality) or one per result (interval)
+        # — copied out of a store that has churned since
+        stream, seq, order, hits, product = block.factors()
+        assert product == exact
+        assert sorted([stream, *order]) == [0, 1, 2]
+        assert {dict(r.key())[stream] for r in expected} == {seq}
+        sizes = [len(h) for h in hits]
+        if product:
+            assert int(np.prod(sizes)) == len(expected)
+        else:
+            assert sizes == [len(expected)] * len(hits)
+        for ws, h in zip(order, hits):
+            assert h.dtype == np.int64
+            assert not np.shares_memory(h, windows[ws]._seq)
+            assert set(h.tolist()) == {
+                dict(r.key())[ws] for r in expected
+            }
         seqs = block.seqs
+        assert block.seqs is seqs  # built on first read, then kept
         assert seqs.dtype == np.int64 and seqs.shape == (len(expected), 3)
         assert seqs.tolist() == [
             [t.seq for t in r.constituents] for r in expected
         ]
-        assert not block.materialized  # seqs is eager; rows are not
+        assert not block.materialized  # reading seqs builds no rows
         for got, want in zip(block, expected):
             assert len(got.constituents) == len(want.constituents)
             assert all(
