@@ -132,8 +132,8 @@ class PartitionedWindow:
 
     __slots__ = (
         "window_size", "basic_window_size", "n", "mode", "policy", "windex",
-        "_tups", "_ts", "_vals", "_seq", "_bounds", "_gens", "_last",
-        "_epoch_start", "rotations", "frozen_version",
+        "_tups", "_ts", "_vals", "_seq", "_bounds", "_derived", "_last",
+        "_epoch_start", "frozen_version",
     )
 
     def __init__(
@@ -182,21 +182,19 @@ class PartitionedWindow:
         #: basic window ``k`` (ring index, 0 = newest, still open)
         #: is rows ``[_bounds[-k - 2], _bounds[-k - 1])``
         self._bounds = [0] * (self.n + 2)
-        #: per physical window (``_gens[-k - 1]``, like the boundaries):
-        #: how often its rows moved relative to its start (late insert,
-        #: eviction) — with :attr:`rotations` what an external index keys
-        #: its cached row numbers on
-        self._gens = [0] * (self.n + 1)
+        #: per physical window (``_derived[-k - 1]``, like the
+        #: boundaries): what an index derived from its rows (see
+        #: :meth:`derived`)
+        self._derived: list[dict] = [{} for _ in range(self.n + 1)]
         #: timestamp of the newest row as a python float, so the in-order
         #: check never reads the array; meaningless while nothing is stored
         self._last = 0.0
         self._epoch_start = float(start_time)
-        #: rotation-epoch counter: increments once per basic-window rotation
-        self.rotations = 0
         #: moves whenever the frozen windows (ring index >= 1) may differ
-        #: from before: a rotation, a generation bump, or an in-order
-        #: append into a frozen window (which moves no generation).
-        #: Compaction moves no window-relative row and leaves it alone
+        #: from before: a rotation, a shift or expiry that empties a
+        #: window's derived slot, or an in-order append into a frozen
+        #: window.  Compaction moves no window-relative row and leaves
+        #: it alone
         self.frozen_version = 0
 
     # ------------------------------------------------------------------
@@ -218,17 +216,14 @@ class PartitionedWindow:
 
         Each rotation advances the head past the oldest basic window
         (batch-expiring its tuples) and opens an empty one at the tail;
-        no row moves.
+        no row moves.  The expired window's derived slot goes with it.
         """
         b = self.basic_window_size
         while now - self._epoch_start >= b:
             self._bounds = [*self._bounds[1:], self._bounds[-1]]
-            self._gens = [*self._gens[1:], 0]
+            self._derived = [*self._derived[1:], {}]
             self._epoch_start += b
-            self.rotations += 1
             self.frozen_version += 1
-            if self.windex is not None:
-                self.windex.mark_frozen(self)
 
     # ------------------------------------------------------------------
     # insertion
@@ -315,7 +310,7 @@ class PartitionedWindow:
             self._tups[tail + delta : tail] = None
         for j in range(k + 1):
             bounds[-j - 1] += delta
-        self._gens[-k - 1] += 1
+        self._derived[-k - 1].clear()
         self.frozen_version += 1
         if delta < 0 and bounds[-1] > bounds[0]:
             self._last = float(self._ts[bounds[-1] - 1])
@@ -388,13 +383,19 @@ class PartitionedWindow:
         (ring index: 0 = still open, ``n`` = oldest)."""
         return self._bounds[-k - 2], self._bounds[-k - 1]
 
-    def window_key(self, k: int) -> tuple[int, int]:
-        """``(identity, generation)`` of physical window ``k``: the
-        identity is stable across rotations (the ring index is not), the
-        generation moves whenever a row's offset from the window's start
-        does.  A cache of window-relative row numbers keyed on both only
-        ever sees the window append."""
-        return self.rotations - k, self._gens[-k - 1]
+    def derived(self, k: int) -> dict:
+        """The slot for data derived from physical window ``k``'s rows
+        (ring index), one entry per consumer under a fixed string key
+        (``"windex"``, ``"sorted"``).
+
+        The store empties the slot whenever a row's offset from the
+        window's start moves — a late insert's or an eviction's shift,
+        an early expiry — and drops it when the window rotates out.
+        Appends leave it alone, so an entry built over the window's
+        first ``len`` rows stays valid for them; compaction moves the
+        window's start, not its rows' offsets.
+        """
+        return self._derived[-k - 1]
 
     def window_pieces(
         self, lo: int, hi: int
@@ -592,7 +593,8 @@ class PartitionedWindow:
         if dropped:
             older = self.n + 1 - k  # windows k..n: the first entries
             bounds[:older] = [bounds[-k - 1]] * older
-            self._gens[:older] = [g + 1 for g in self._gens[:older]]
+            for slot in self._derived[:older]:
+                slot.clear()
             self.frozen_version += 1
         return dropped
 

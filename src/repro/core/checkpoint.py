@@ -41,6 +41,8 @@ def snapshot(operator: GrubJoinOperator, now: float) -> dict[str, Any]:
         "version": SNAPSHOT_VERSION,
         "now": now,
         "num_streams": operator.num_streams,
+        "window_sizes": list(operator.window_sizes),
+        "basic_window_size": operator.basic_window_size,
         "windows": [
             [
                 {
@@ -98,6 +100,9 @@ def restore(operator: GrubJoinOperator, state: dict[str, Any]) -> None:
         )
     if state["num_streams"] != operator.num_streams:
         raise ValueError("snapshot stream count does not match operator")
+    if (state.get("window_sizes") != operator.window_sizes
+            or state.get("basic_window_size") != operator.basic_window_size):
+        raise ValueError("snapshot window sizes do not match operator")
     now = float(state["now"])
 
     for stream, tuples in enumerate(state["windows"]):

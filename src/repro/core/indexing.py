@@ -7,9 +7,10 @@ sorted index answers a probe in ``O(log n + matches)`` instead of
 ``O(n)`` — the sliding-window indexing direction of Golab et al. (EDBT
 2004), which the paper cites for its basic-window expiration batching.
 
-Indexes live *outside* the windows, keyed by
-:meth:`~repro.core.basic_windows.PartitionedWindow.window_key` and the
-window's row count, so the core window structures stay index-agnostic.
+Each basic window's index is kept in the window's own derived slot
+(:meth:`~repro.core.basic_windows.PartitionedWindow.derived`), which
+the store empties whenever the window's row offsets move, so an entry
+is stale only when the window has appended since it was built.
 The CPU charge for an indexed probe is ``ceil(log2(n)) + matches`` work
 units per basic window probed, making the cost saving visible to the
 load-shedding machinery.
@@ -28,14 +29,13 @@ class SortedWindowIndex:
     """Lazily maintained sorted indexes for one or more stores' basic
     windows.
 
-    Each index is rebuilt on first use after its window changed (append,
-    late insert, eviction, or expiry and reuse of the ring position),
-    which amortizes to one ``argsort`` per basic-window lifetime under
-    batch expiration.
+    Each index is rebuilt on first use after its window changed (an
+    append changes its length; a late insert, an eviction or expiry
+    empties its slot), which amortizes to one ``argsort`` per
+    basic-window lifetime under batch expiration.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple, tuple[tuple, np.ndarray, np.ndarray]] = {}
         self.rebuilds = 0
 
     def _entry(
@@ -44,18 +44,14 @@ class SortedWindowIndex:
         """``(start row, order, sorted values)`` of physical window ``k``;
         ``order`` counts rows from the start, which compaction moves."""
         start, stop = store.window_rows(k)
-        # ring position, not window identity, names the slot: the cache
-        # stays at n + 1 entries per store and the key check below tells
-        # a recycled position from an unchanged window
-        slot = (id(store), (store.rotations - k) % (store.n + 1))
-        key = (*store.window_key(k), stop - start)
-        cached = self._cache.get(slot)
-        if cached is not None and cached[0] == key:
-            return start, cached[1], cached[2]
+        slot = store.derived(k)
+        cached = slot.get("sorted")
+        if cached is not None and len(cached[0]) == stop - start:
+            return start, *cached
         values = store.values[start:stop]
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
-        self._cache[slot] = (key, order, sorted_values)
+        slot["sorted"] = (order, sorted_values)
         self.rebuilds += 1
         return start, order, sorted_values
 
@@ -94,7 +90,3 @@ class SortedWindowIndex:
         if step != 1:
             keep &= (rows - s_lo) % step == 0
         return (rows[keep] - s_lo) // step, cost
-
-    def invalidate(self) -> None:
-        """Drop all cached indexes (e.g. between runs)."""
-        self._cache.clear()

@@ -17,16 +17,18 @@ This module supplies that layer for :class:`~repro.core.basic_windows
   and per-partition ``(min, max)`` summaries.  Rows stay where they
   are; the table is a permutation view in window-relative row numbers
   (the window's start moves when the store compacts), so slice
-  semantics (and the reference path) are untouched.
+  semantics (and the reference path) are untouched.  Each table is
+  kept in its window's derived slot (:meth:`~repro.core.basic_windows
+  .PartitionedWindow.derived`, as :class:`~repro.core.indexing
+  .SortedWindowIndex` keeps its sorted values), which the store
+  empties when the window's row offsets move and drops when the
+  window rotates out.
 * :class:`WindowIndexState` — the per-stream mutable state: which
   index kind is active (``flat`` / ``hash`` / ``range``), a value
   histogram (:class:`~repro.core.histograms.EquiWidthHistogram`
-  reused as the distribution sensor), lazily rebuilt partition tables
-  keyed on :meth:`~repro.core.basic_windows.PartitionedWindow
-  .window_key` (the :class:`~repro.core.indexing.SortedWindowIndex`
-  pattern), and the
-  adaptive kind-selection policy with hysteresis so the kind does not
-  flap between adaptation ticks.
+  reused as the distribution sensor), the rule for when a window's
+  table is rebuilt, and the adaptive kind-selection policy with
+  hysteresis so the kind does not flap between adaptation ticks.
 
 The index **prices a hop, it does not find its hits**: the columnar
 kernel always finds a hop's hits by scanning the hop's slice view, and
@@ -221,9 +223,10 @@ class WindowIndexState:
     * the **policy** — at each :meth:`tick` (the operator's adaptation
       step) the desired kind is derived from the sensor and applied
       only after ``hysteresis`` consecutive agreeing ticks;
-    * the **tables** — per-basic-window :class:`PartitionTable`\\ s
-      rebuilt lazily when the window's rows moved or the state's epoch
-      (bumped on every kind/boundary switch) did;
+    * the **tables** — per-basic-window :class:`PartitionTable`\\ s,
+      kept in the windows' derived slots and rebuilt lazily when the
+      slot was emptied, the state's epoch (bumped on every
+      kind/boundary switch) moved, or the window stopped filling;
     * the **plan** — the frozen windows' tables and the per-bucket
       prefix sums a hash probe is priced from (:class:`_FrozenPlan`),
       kept while the store's ``frozen_version`` and the epoch stand.
@@ -272,7 +275,8 @@ class WindowIndexState:
         #: partition boundaries from the sensor) ever read the sensor;
         #: the ring skips the per-insert observe call otherwise
         self.needs_sensor = spec in (ADAPTIVE, RANGE)
-        #: bumped on every kind/boundary switch; part of the table key
+        #: bumped on every kind/boundary switch; a table built at another
+        #: epoch is rebuilt
         self.epoch = 0
         self.sensor: EquiWidthHistogram | None = None
         self._warm = np.empty(self.warmup, dtype=np.float64)
@@ -280,9 +284,6 @@ class WindowIndexState:
         self._boundaries: np.ndarray | None = None
         self._pending: str | None = None
         self._pending_ticks = 0
-        # table cache: window identity -> (epoch, generation, table);
-        # mark_frozen drops the expired window's, so it stays at n + 1
-        self._tables: dict[int, tuple[int, int, PartitionTable]] = {}
         # the frozen windows as a hash probe prices them (_bucket_rows)
         self._plan = _FrozenPlan()
         # telemetry (flushed into obs as deltas at adaptation ticks)
@@ -431,23 +432,24 @@ class WindowIndexState:
         basic window ``k``.
 
         Returns ``None`` when the window is too small to be worth
-        indexing (charge it in full).  A cached table is reused while the
-        window has only *appended* since the build — its
-        :meth:`~repro.core.basic_windows.PartitionedWindow.window_key`
-        is unchanged; a late insert's shift or an eviction moves it —
-        and the appended tail stays within its tolerated fraction of
-        the window.  Either failing triggers a rebuild, so a filling
-        window rebuilds logarithmically often instead of once per
-        insert.
+        indexing (charge it in full).  The table lives in the window's
+        derived slot as ``(epoch, built_frozen, table)``; the store
+        empties the slot when anything but an append changes the window.
+        It is reused at the same epoch while the appended tail stays
+        within its tolerated fraction of the window, so a filling window
+        rebuilds logarithmically often instead of once per insert.  A
+        table built while the window was filling (``k == 0``) is rebuilt
+        once when asked for at ``k >= 1``: no more appends are coming,
+        so the new table has no tail for the window's remaining lifetime.
         """
         start, stop = store.window_rows(k)
         n = stop - start
-        key, generation = store.window_key(k)
-        cached = self._tables.get(key)
+        slot = store.derived(k)
+        cached = slot.get("windex")
         if (
             cached is not None
             and cached[0] == self.epoch
-            and cached[1] == generation
+            and (cached[1] or k == 0)
         ):
             table = cached[2]
             # tolerate a delta tail of 1/16 of the window (plus a small
@@ -460,7 +462,7 @@ class WindowIndexState:
         if n < self.min_index_rows:
             return None
         table = self._build(store.values[start:stop])
-        self._tables[key] = (self.epoch, generation, table)
+        slot["windex"] = (self.epoch, k > 0, table)
         self.rebuilds += 1
         return table
 
@@ -789,20 +791,6 @@ class WindowIndexState:
         plan.rows = prefix(counts + whole[:, None]).T.tolist()
         plan.hits = prefix((counts > 0).astype(np.int64)).T.tolist()
         plan.parts = prefix(parts).tolist()
-
-    def mark_frozen(self, store: PartitionedWindow) -> None:
-        """``store`` just rotated: drop the cached table of the window
-        that stopped growing, and of the one that expired.
-
-        The window that was filling until now carries a delta tail of
-        unpruned candidate rows in its table, and since no more appends
-        are coming, one more rebuild (on the next probe) yields a
-        tail-free table that the append-only reuse rule then keeps for
-        the window's whole remaining lifetime.
-        """
-        frozen = store.window_key(1)[0]
-        self._tables.pop(frozen, None)
-        self._tables.pop(frozen - store.n, None)
 
 
 class WindexTelemetry:

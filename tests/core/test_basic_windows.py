@@ -246,8 +246,10 @@ class TestPartitionedWindowStructure:
 class TestRotation:
     def test_rotation_count(self):
         w = PartitionedWindow(10.0, 2.0)
+        w.insert(tup(0.5), now=0.5)
         w.rotate_to(7.0)
-        assert w.rotations == 3
+        # three rotations carried the row from ring index 0 to 3
+        assert w.basic_window_sizes() == [0, 0, 0, 1, 0, 0]
         assert w.epoch_start == 6.0
 
     def test_theta(self):
@@ -267,7 +269,7 @@ class TestRotation:
         w = PartitionedWindow(4.0, 1.0)
         w.insert(tup(0.0), now=0.0)
         w.rotate_to(2.5)  # two rotations at once
-        assert w.rotations == 2
+        assert w.basic_window_sizes() == [0, 0, 1, 0, 0]
         assert w.epoch_start == 2.0
 
 
@@ -454,7 +456,10 @@ _EIGHTHS = st.integers(0, 24).map(lambda i: i / 8.0)
 class StoreMachine(RuleBasedStateMachine):
     """Random interleavings of every mutation, small initial capacity so
     growth *and* compaction both fire; after each step the store must
-    show what the model shows, through every view."""
+    show what the model shows, through every view.  A marker written
+    into a window's derived slot and still there after later steps
+    holds a prefix of that window's rows: the store empties the slot
+    whenever anything but an append changes them."""
 
     mode = "scalar"
 
@@ -523,6 +528,25 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.evict_older_than(age, self.now) == (
             self.model.evict_older_than(age, self.now)
         )
+
+    @rule(k=st.integers(0, 6))
+    def derive(self, k):
+        """What an index does: derive an entry from window ``k``'s rows."""
+        k %= self.model.n + 1
+        self.store.rotate_to(self.now)
+        self.store.derived(k)["marker"] = self._window_seqs(k)
+
+    def _window_seqs(self, k):
+        start, stop = self.store.window_rows(k)
+        return self.store.seqs[start:stop].tolist()
+
+    @invariant()
+    def derived_entries_hold_a_prefix(self):
+        self.store.rotate_to(self.now)
+        for k in range(self.model.n + 1):
+            marker = self.store.derived(k).get("marker")
+            if marker is not None:
+                assert self._window_seqs(k)[: len(marker)] == marker
 
     def _seqs(self, slices):
         assert len(slices) <= 1  # contiguous coverage is one slice

@@ -12,7 +12,7 @@ from repro.core.checkpoint import (
     save_snapshot,
     snapshot,
 )
-from repro.engine import CpuModel, Simulation, SimulationConfig
+from repro.engine import BufferStats, CpuModel, Simulation, SimulationConfig
 from repro.joins import EpsilonJoin
 from repro.joins.columnar import ResultBlock
 from repro.streams import (
@@ -71,45 +71,58 @@ class TestSnapshotRestore:
                 i
             ].count_unexpired(10.0)
 
-    def test_restored_operator_continues_identically(self):
-        """A restored operator must process the remaining workload exactly
-        like the original (same RNG state, same windows, same config)."""
-        duration, half = 20.0, 10.0
-        traces = make_traces(duration=duration)
-
-        # run A straight through
-        op_full = make_operator(seed=1)
-        cfg_full = SimulationConfig(duration=duration, warmup=0.0,
-                                    adaptation_interval=2.0)
-        sim_full = Simulation(traces, op_full, CpuModel(3e4), cfg_full,
-                              retain_outputs=True)
-        sim_full.run()
-
-        # run B: first half, snapshot, restore into a fresh operator
-        op_a = make_operator(seed=1)
+    @pytest.mark.parametrize(
+        "predicate, index",
+        [(EpsilonJoin(1.0), None), (EpsilonJoin(0.0), "hash"),
+         (EpsilonJoin(1.0), "range")],
+        ids=["none", "hash", "range"],
+    )
+    def test_restored_operator_continues_identically(self, predicate, index):
+        """A restored operator processes the rest of the workload exactly
+        like the one it was snapshotted from: the same comparisons and
+        the same results for every tuple, adaptation steps included."""
+        half, adapt = 10.0, 2.0
+        traces = make_traces(duration=3 * half)
+        original, restored = (
+            GrubJoinOperator(predicate, [WINDOW] * 3, BASIC, rng=seed,
+                             index=index)
+            for seed in (1, 42)  # the restore overwrites the RNG state
+        )
         first = [
             TraceSource(i, [t for t in tr.tuples if t.timestamp < half])
             for i, tr in enumerate(traces)
         ]
-        cfg_half = SimulationConfig(duration=half, warmup=0.0,
-                                    adaptation_interval=2.0)
-        Simulation(first, op_a, CpuModel(3e4), cfg_half).run()
-        state = snapshot(op_a, now=half)
+        cfg = SimulationConfig(duration=half, warmup=0.0,
+                               adaptation_interval=adapt)
+        Simulation(first, original, CpuModel(3e4), cfg).run()
+        restore(restored, snapshot(original, now=half))
 
-        op_b = make_operator(seed=42)  # different seed; state overwritten
-        restore(op_b, state)
-        # process the second half directly through the operator and
-        # compare the window/statistics evolution
-        second = [t for tr in traces for t in tr.tuples
-                  if t.timestamp >= half]
-        second.sort(key=lambda t: (t.timestamp, t.stream))
-        for t in second[:200]:
-            op_b.process(t, t.timestamp)
-        # sanity: windows consistent with the full run's at the same time
-        t_last = second[199].timestamp
-        for i in range(3):
-            got = op_b.windows[i].count_unexpired(t_last)
-            assert got > 0
+        second = sorted(
+            (t for tr in traces for t in tr.tuples if t.timestamp >= half),
+            key=lambda t: (t.timestamp, t.stream),
+        )
+        pushed = [0] * 3
+        next_adapt = half + adapt
+        outputs = 0
+        for t in second:
+            while t.timestamp >= next_adapt:
+                # 3/4 of each stream's arrivals consumed: the throttle
+                # and the harvest stay in play
+                stats = [BufferStats(pushed=p, popped=p - p // 4, dropped=0,
+                                     depth=p // 4) for p in pushed]
+                for op in (original, restored):
+                    op.on_adapt(next_adapt, stats, adapt)
+                pushed = [0] * 3
+                next_adapt += adapt
+            pushed[t.stream] += 1
+            want = original.process(t, t.timestamp)
+            got = restored.process(t, t.timestamp)
+            assert got.comparisons == want.comparisons
+            assert [r.key() for r in got.outputs] == [
+                r.key() for r in want.outputs
+            ]
+            outputs += len(want.outputs)
+        assert outputs > 0 or index == "hash"
 
     def test_seq_column_restored(self):
         """The restored windows carry the ``seq`` column: the next
@@ -186,6 +199,17 @@ class TestSnapshotRestore:
         other = GrubJoinOperator(EpsilonJoin(1.0), [WINDOW] * 4, BASIC)
         with pytest.raises(ValueError, match="stream count"):
             restore(other, state)
+
+    @pytest.mark.parametrize("window, basic", [(20.0, 2.0), (20.0, BASIC),
+                                               (WINDOW, 2.0)])
+    def test_window_sizes_checked(self, window, basic):
+        """Lag histograms are bucketed by basic window: a snapshot only
+        loads into an operator with the same window geometry."""
+        state = snapshot(warm_operator(), now=10.0)
+        other = GrubJoinOperator(EpsilonJoin(1.0), [window] * 3, basic)
+        with pytest.raises(ValueError, match="window sizes"):
+            restore(other, state)
+        restore(make_operator(), json.loads(json.dumps(state)))
 
     def test_restored_histograms_refresh_cached_scores(self):
         """Restoring bumps each histogram's version, so an operator that

@@ -100,14 +100,6 @@ class TestCaching:
         hits, _ = index.range_probe(WindowSlice(bw, *bw.live_rows), 0, 10)
         assert len(hits) == 1 and index.rebuilds == 2
 
-    def test_invalidate_drops_cache(self):
-        bw = window_with([1, 2])
-        index = SortedWindowIndex()
-        index.range_probe(WindowSlice(bw, 0, 2), 0, 10)
-        index.invalidate()
-        index.range_probe(WindowSlice(bw, 0, 2), 0, 10)
-        assert index.rebuilds == 2
-
     def test_non_scalar_rejected(self):
         bw = window_with([{"a": 1}], mode="generic")
         index = SortedWindowIndex()

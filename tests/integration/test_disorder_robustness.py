@@ -56,11 +56,12 @@ class TestInsertSorted:
         first = tup(1.0)
         bw.insert(first, now=2.0)
         columns = [bw._ts, bw._vals, bw._seq, bw._tups]
-        key = bw.window_key(0)
+        slot = bw.derived(0)
+        slot["marker"] = 1
         second = tup(2.0)
         bw.insert(second, now=2.0)
         assert list(bw.timestamps) == [1.0, 2.0]
-        assert bw.window_key(0) == key
+        assert bw.derived(0) is slot and slot == {"marker": 1}
         assert all(a is b for a, b in zip(
             [bw._ts, bw._vals, bw._seq, bw._tups], columns))
         assert bw.tuples[0] is first and bw.tuples[1] is second
@@ -103,14 +104,17 @@ class TestInsertSorted:
     def test_version_bumped(self):
         bw = one_window()
         bw.insert(tup(2.0), now=2.0)
-        key = bw.window_key(0)
+        bw.derived(0)["marker"] = 1
+        version = bw.frozen_version
         bw.insert(tup(3.0), now=3.0)
-        assert bw.window_key(0) == key  # an append keeps row numbers
+        # an append keeps row numbers: the slot survives
+        assert bw.derived(0) == {"marker": 1}
         bw.insert(tup(1.0), now=3.0)
-        # a shifting insert moves the generation: that is how append-only
-        # consumers (partition-index delta reuse) detect that their
-        # cached row mapping is stale
-        assert bw.window_key(0) == (key[0], key[1] + 1)
+        # a shifting insert empties the slot: that is how append-only
+        # consumers (partition-index delta reuse) lose a row mapping
+        # that went stale
+        assert bw.derived(0) == {}
+        assert bw.frozen_version > version
 
     @settings(max_examples=40, deadline=None)
     @given(

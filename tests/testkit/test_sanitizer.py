@@ -142,8 +142,8 @@ class TestSeededViolations:
 
     def test_cross_shard_write_caught_with_provenance(self, keys):
         san, _a, b, _wa, wb, tups = self._two_shards(keys)
-        # the seeded bug: "shard0" rotates shard1's window behind its back
-        b.windows[0].rotations += 1
+        # the seeded bug: "shard0" writes shard1's window behind its back
+        b.windows[0].frozen_version += 1
         with pytest.raises(DeterminismViolation) as exc:
             wb.process(tups[20], tups[20].timestamp)
             san.finish()
@@ -154,7 +154,7 @@ class TestSeededViolations:
 
     def test_violation_surfaces_at_finish_too(self, keys):
         san, _a, b, _wa, _wb, _tups = self._two_shards(keys)
-        b.windows[0].rotations += 1
+        b.windows[0].frozen_version += 1
         with pytest.raises(DeterminismViolation):
             san.finish()
 
