@@ -116,7 +116,6 @@ class PartitionedWindow:
             ``vector`` a 2-D one (both enable vectorized predicate
             probes), ``generic`` only ``ts`` / ``seq`` and the tuples.
         dim: vector dimension for ``vector`` mode.
-        start_time: virtual time at which the window begins.
         policy: membership policy (:class:`~repro.streams.windows
             .WindowPolicy` instance, spec string, or ``None`` for the
             bit-identical sliding default).  Non-sliding policies only
@@ -142,7 +141,6 @@ class PartitionedWindow:
         basic_window_size: float,
         mode: str = SCALAR,
         dim: int | None = None,
-        start_time: float = 0.0,
         policy: "WindowPolicy | str | None" = None,
         index=None,
     ) -> None:
@@ -189,7 +187,7 @@ class PartitionedWindow:
         #: timestamp of the newest row as a python float, so the in-order
         #: check never reads the array; meaningless while nothing is stored
         self._last = 0.0
-        self._epoch_start = float(start_time)
+        self._epoch_start = 0.0
         #: moves whenever the frozen windows (ring index >= 1) may differ
         #: from before: a rotation, a shift or expiry that empties a
         #: window's derived slot, or an in-order append into a frozen
@@ -474,8 +472,7 @@ class PartitionedWindow:
 
         Ring arithmetic only picks which physical windows to search;
         membership is decided on actual timestamps, because a row was
-        placed against the ``_epoch_start`` of its insertion (or of a
-        checkpoint restore), not today's.
+        placed against the ``_epoch_start`` of its insertion, not today's.
         """
         epoch, b, n = self._epoch_start, self.basic_window_size, self.n
         k_first = 0 if ts_hi >= epoch else math.ceil((epoch - ts_hi) / b)

@@ -85,14 +85,6 @@ class EquiWidthHistogram:
         self.counts *= factor
         self.version += 1
 
-    def load(self, counts) -> None:
-        """Replace every bucket's count at once (a checkpoint restore)."""
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != self.counts.shape:
-            raise ValueError("histogram bucket count mismatch")
-        self.counts[:] = counts
-        self.version += 1
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -175,8 +175,19 @@ class PartitionTable:
         self.build_n = build_n
 
 
-#: a frozen window whose table a :class:`_FrozenPlan` has not asked for
-_UNFETCHED = object()
+class _Unfetched:
+    """The marker of a frozen window whose table a :class:`_FrozenPlan`
+    has not asked for.  Plans compare it by identity, so it pickles as
+    the module's one instance (a bare ``object()`` would come back from
+    a snapshot as a stranger, and the plan would read it as a table)."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "_UNFETCHED"
+
+
+_UNFETCHED = _Unfetched()
 
 
 class _FrozenPlan:

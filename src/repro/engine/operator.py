@@ -25,6 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Obs
 
 
+def is_telemetry_attr(name: str) -> bool:
+    """Whether an instance attribute is telemetry plumbing: the bound
+    sink ``obs`` or an ``_obs*`` instrument-handle cache.  Telemetry is
+    not state — a pickled operator drops it (see ``__getstate__``) and
+    the state walk of :mod:`repro.lint.stategraph` skips it."""
+    return name == "obs" or name.startswith("_obs")
+
+
+def _without_telemetry(obj) -> dict:
+    """``obj``'s pickled state: its ``__dict__`` with every telemetry
+    attribute unbound (``None``, as every constructor leaves it)."""
+    return {
+        name: None if is_telemetry_attr(name) else value
+        for name, value in vars(obj).items()
+    }
+
+
 @dataclass(slots=True)
 class ProcessReceipt:
     """Result of servicing one input tuple.
@@ -66,6 +83,12 @@ class StreamOperator(ABC):
     def _obs_setup(self, obs: "Obs", labels: dict[str, str]) -> None:
         """Hook: create/cache instrument handles.  Default: nothing."""
 
+    def __getstate__(self) -> dict:
+        """A pickled operator is a snapshot: ``pickle.loads`` of it
+        continues bit-identically to the operator it was taken from.
+        It carries no telemetry; re-bind the copy with :meth:`bind_obs`."""
+        return _without_telemetry(self)
+
     @abstractmethod
     def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
         """Service one input tuple at virtual time ``now``."""
@@ -103,6 +126,11 @@ class AdmissionFilter(ABC):
 
     def _obs_setup(self, obs: "Obs", labels: dict[str, str]) -> None:
         """Hook: create/cache instrument handles.  Default: nothing."""
+
+    def __getstate__(self) -> dict:
+        """Pickles without telemetry (see
+        :meth:`StreamOperator.__getstate__`)."""
+        return _without_telemetry(self)
 
     @abstractmethod
     def admit(self, tup: StreamTuple, now: float) -> bool:

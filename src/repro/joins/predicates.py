@@ -111,35 +111,11 @@ class EpsilonJoin(JoinPredicate):
         return np.flatnonzero(mask)
 
 
-class EquiJoin(JoinPredicate):
-    """All values equal (within a tolerance for floats)."""
+class EquiJoin(EpsilonJoin):
+    """All values equal: an :class:`EpsilonJoin` of radius 0."""
 
-    storage_mode = SCALAR
-    interval_context = True
-
-    def __init__(self, tolerance: float = 0.0) -> None:
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        self.tolerance = float(tolerance)
-
-    @property
-    def interval_radius(self) -> float:
-        """Half-width of the interval context (see ``interval_context``)."""
-        return self.tolerance
-
-    def matches(self, a: float, b: float) -> bool:
-        return a == b or abs(a - b) <= self.tolerance  # see EpsilonJoin
-
-    def probe_context(self, values: Sequence[float]) -> tuple[float, float]:
-        return max(values) - self.tolerance, min(values) + self.tolerance
-
-    def probe_block(
-        self, context: tuple[float, float], block: np.ndarray
-    ) -> np.ndarray:
-        lo, hi = context
-        if lo > hi:
-            return _EMPTY
-        return np.flatnonzero((block >= lo) & (block <= hi))
+    def __init__(self) -> None:
+        super().__init__(0.0)
 
 
 class BandJoin(JoinPredicate):

@@ -12,8 +12,9 @@ between calls to pin any foreign change to a path.
 Traversal rules (written once, in :class:`_Walk`):
 
 * roots are ``vars(operator)`` minus telemetry plumbing (``obs``,
-  ``_obs_*`` — write-only, and policed at the fork by P126) and the
-  sanitizer's own handle;
+  ``_obs*`` — write-only, and policed at the fork by P126; the rule is
+  :func:`repro.engine.operator.is_telemetry_attr`) and the sanitizer's
+  own handle;
 * containers (dict/list/tuple/set/frozenset) and plain Python objects
   (``__dict__`` or relevant ``__slots__``) are entered; dict keys,
   attribute names and set elements are sorted by ``repr``, so reports
@@ -50,14 +51,15 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-#: instance-attribute roots excluded from the walk: telemetry plumbing
-#: and the sanitizer's own handle (testkit wrappers share one sanitizer
-#: by design)
-EXCLUDED_ROOTS = ("obs", "_sanitizer")
+from repro.engine.operator import is_telemetry_attr
 
 
 def is_excluded_root(name: str) -> bool:
-    return name in EXCLUDED_ROOTS or name.startswith("_obs")
+    """Attribute names the walk skips: telemetry plumbing (the one rule
+    :func:`repro.engine.operator.is_telemetry_attr`, which pickling an
+    operator also follows) and the sanitizer's own handle (testkit
+    wrappers share one sanitizer by design)."""
+    return name == "_sanitizer" or is_telemetry_attr(name)
 
 
 #: mutable leaf types (tracked for aliasing, contents hashed, not entered)

@@ -1,4 +1,4 @@
-"""Stream substrate: tuples, schemas, value processes, arrivals, sources.
+"""Stream substrate: tuples, value processes, arrivals, sources.
 
 This package models the *inputs* of the join: timestamped tuple streams
 with configurable arrival processes and join-attribute value processes,
@@ -14,7 +14,6 @@ from .arrivals import (
 )
 from .correlated import ObjectWorld, TopicWorld
 from .disorder import DisorderedSource
-from .schema import Attribute, SchemaError, StreamSchema
 from .source import StreamSource
 from .stochastic import (
     ConstantProcess,
@@ -37,7 +36,6 @@ from .windows import (
 
 __all__ = [
     "ArrivalProcess",
-    "Attribute",
     "ConstantProcess",
     "ConstantRate",
     "DiscreteUniformProcess",
@@ -48,10 +46,8 @@ __all__ = [
     "PiecewiseRate",
     "PoissonArrivals",
     "SLIDING",
-    "SchemaError",
     "SessionWindow",
     "SlidingWindow",
-    "StreamSchema",
     "StreamSource",
     "StreamTuple",
     "TopicWorld",

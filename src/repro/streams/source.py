@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .arrivals import ArrivalProcess
-from .schema import StreamSchema
 from .stochastic import ValueProcess
 from .tuples import StreamTuple
 
@@ -21,8 +20,6 @@ class StreamSource:
         stream: 0-based stream index (position in the join).
         arrivals: when tuples arrive.
         values: what each tuple's join attribute is.
-        schema: optional schema; when given, every generated payload is
-            validated against it (cheap insurance in examples and tests).
         name: human-readable label, defaults to ``S<stream+1>`` matching the
             paper's notation.
     """
@@ -32,7 +29,6 @@ class StreamSource:
         stream: int,
         arrivals: ArrivalProcess,
         values: ValueProcess,
-        schema: StreamSchema | None = None,
         name: str | None = None,
     ) -> None:
         if stream < 0:
@@ -40,15 +36,12 @@ class StreamSource:
         self.stream = stream
         self.arrivals = arrivals
         self.values = values
-        self.schema = schema
         self.name = name if name is not None else f"S{stream + 1}"
 
     def iter_tuples(self, until: float) -> Iterator[StreamTuple]:
         """Yield this stream's tuples with timestamps in ``[0, until)``."""
         for seq, ts in enumerate(self.arrivals.iter_arrivals(until)):
             payload = self.values.sample(ts)
-            if self.schema is not None:
-                self.schema.validate(payload)
             yield StreamTuple(
                 value=payload, timestamp=ts, stream=self.stream, seq=seq
             )

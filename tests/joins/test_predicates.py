@@ -52,8 +52,13 @@ class TestEquiJoin:
         assert not p.matches(2.0, 2.0001)
 
     def test_tolerance(self):
-        p = EquiJoin(tolerance=0.01)
-        assert p.matches(2.0, 2.005)
+        """An equi-join is the radius-0 epsilon-join; a tolerance is an
+        ``EpsilonJoin``."""
+        p = EquiJoin()
+        assert isinstance(p, EpsilonJoin) and p.interval_radius == 0.0
+        assert EpsilonJoin(0.01).matches(2.0, 2.005)
+        with pytest.raises(TypeError):
+            EquiJoin(0.01)
 
     def test_probe_block(self):
         p = EquiJoin()

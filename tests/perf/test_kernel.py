@@ -163,7 +163,7 @@ def test_full_slices_identical(exact, m, seed):
 def test_equijoin_and_wide_epsilon_identical():
     now = 10.0
     windows = build_windows(7, m=3, value_span=2.0)
-    for predicate in (EquiJoin(0.25), EpsilonJoin(5.0)):
+    for predicate in (EquiJoin(), EpsilonJoin(0.25), EpsilonJoin(5.0)):
         rng = random.Random(42)
         for trial in range(10):
             tup = StreamTuple(
@@ -265,7 +265,7 @@ def test_single_partial_hops_identical():
     windows = build_windows(37, m=4, value_span=40.0)
     rng = random.Random(5)
     single_later_hop = 0
-    for predicate in (EpsilonJoin(0.3), EquiJoin(0.0), EquiJoin(0.25)):
+    for predicate in (EpsilonJoin(0.3), EquiJoin(), EpsilonJoin(0.25)):
         for trial in range(40):
             value = float("nan") if trial == 0 else rng.uniform(0.0, 40.0)
             if trial % 3 == 1:  # an exact hit, so radius 0 gets past hop 0
@@ -619,7 +619,7 @@ class TestKernelSelection:
         assert supports_columnar(EpsilonJoin(1.0))
         assert supports_columnar(EquiJoin())
         assert select_kernel(EpsilonJoin(1.0)) is run_pipeline_columnar
-        assert select_kernel(EquiJoin(0.1)) is run_pipeline_columnar
+        assert select_kernel(EpsilonJoin(0.1)) is run_pipeline_columnar
 
     def test_auto_falls_back_for_generic_predicates(self):
         for predicate in (

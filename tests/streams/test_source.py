@@ -3,11 +3,7 @@
 import pytest
 
 from repro.streams import (
-    Attribute,
-    ConstantProcess,
     ConstantRate,
-    SchemaError,
-    StreamSchema,
     StreamSource,
     UniformProcess,
 )
@@ -31,16 +27,6 @@ class TestStreamSource:
     def test_default_name_matches_paper_notation(self):
         assert make_source(stream=0).name == "S1"
         assert make_source(stream=2).name == "S3"
-
-    def test_schema_validation_applied(self):
-        src = StreamSource(
-            0,
-            ConstantRate(5),
-            ConstantProcess("not a number"),
-            schema=StreamSchema("S1", (Attribute("value", float),)),
-        )
-        with pytest.raises(SchemaError):
-            src.generate(1.0)
 
     def test_rate_at_delegates(self):
         assert make_source(rate=42.0).rate_at(0.0) == 42.0

@@ -123,7 +123,7 @@ class TestInfiniteValues:
                         window=4.0, basic=1.0, duration=2.0, seed=0)
 
     @pytest.mark.parametrize(
-        "predicate", [EquiJoin(), EquiJoin(0.25), EpsilonJoin(0.5)],
+        "predicate", [EquiJoin(), EpsilonJoin(0.25), EpsilonJoin(0.5)],
         ids=["equi", "equi-0.25", "epsilon-0.5"],
     )
     def test_oracle_matches_mjoin(self, predicate):
