@@ -41,7 +41,13 @@ for one pass, so a write changes the hash of its object and of every
 ancestor.  They are content, never ``id()``, so two runs of the same
 simulation hash identically.  An array contributes its shape, dtype and
 a CRC of its whole buffer — except an object array, whose buffer is
-pointers: its elements are hashed one by one, as a deque's are.
+pointers: its elements are hashed one by one, as a deque's are.  A
+column store (an object with a ``live_rows`` property, i.e. a
+:class:`~repro.core.basic_windows.PartitionedWindow`) holds state only
+in its live rows: the slack past its tail is ``np.empty`` and written
+before it is read, so each of the store's arrays is hashed over
+``live_rows`` alone.  Each array is still its own node, so aliasing is
+seen as before.
 """
 
 from __future__ import annotations
@@ -101,6 +107,13 @@ def _slot_names(cls: type) -> tuple[str, ...]:
     return tuple(sorted(names, key=repr))
 
 
+@cache
+def _is_store(cls: type) -> bool:
+    """Whether ``cls`` is a column store: it has a ``live_rows``
+    property, ``(head, tail)``, outside which its arrays hold no state."""
+    return isinstance(getattr(cls, "live_rows", None), property)
+
+
 def _sorted(items: Iterable[Any], key: Callable[[Any], str]) -> list[Any]:
     try:
         return sorted(items, key=key)
@@ -134,6 +147,7 @@ class _Walk:
         self._seen: set[int] = set()    # ids recorded (first path wins)
         self._memo: dict[int, int] = {}  # id -> hash, this pass only
         self._open: set[int] = set()    # ids on the descent: cycles
+        self._live: dict[int, slice] = {}  # id -> a store column's rows
 
     def token(self, obj: Any, path: str, depth: int,
               record: bool = True) -> str:
@@ -167,10 +181,16 @@ class _Walk:
             return f"<callable {getattr(obj, '__qualname__', name)}>"
         if name in _MUTABLE_LEAVES:
             return f"{name}:{self._contents(obj, depth)}"
+        members = self._members(obj)
+        if _is_store(type(obj)):
+            members = list(members)
+            rows = slice(*obj.live_rows)
+            self._live.update((id(value), rows) for _, _, value in members
+                              if type(value).__name__ == "ndarray")
         return f"<{name} " + ",".join(
             label + (repr(value) if isinstance(value, _PRIMITIVES) else
                      self.token(value, path + step, depth, record))
-            for label, step, value in self._members(obj)
+            for label, step, value in members
         ) + ">"
 
     def _members(self, obj: Any) -> Iterator[tuple[str, str, Any]]:
@@ -208,15 +228,18 @@ class _Walk:
 
     def _contents(self, leaf: Any, depth: int) -> str:
         """A mutable leaf's contents: a CRC of its buffer, or else its
-        elements' tokens (an object array's buffer is pointers)."""
+        elements' tokens (an object array's buffer is pointers); a store
+        column's over its live rows only."""
         if isinstance(leaf, (bytearray, memoryview)):
             return str(zlib.crc32(bytes(leaf)))
         head, elements = "", leaf
         if type(leaf).__name__ == "ndarray":
+            if (rows := self._live.get(id(leaf))) is not None:
+                head, leaf = f"{leaf.shape}:", leaf[rows]
             if leaf.dtype != object:
-                return (f"{leaf.shape}:{leaf.dtype}:"
+                return (f"{head}{leaf.shape}:{leaf.dtype}:"
                         f"{zlib.crc32(leaf.tobytes())}")
-            head, elements = f"{leaf.shape}:", leaf.ravel()
+            head, elements = f"{head}{leaf.shape}:", leaf.ravel()
         return head + ",".join(
             repr(element) if isinstance(element, _PRIMITIVES)
             else self.token(element, "", depth, False)

@@ -46,14 +46,6 @@ class TraceSource:
         count = sum(1 for t in self.tuples if lo <= t.timestamp <= hi)
         return count / 2.0
 
-    def to_testkit_trace(self, until: float) -> "TraceSource":
-        """Uniform freezing surface: a trace truncated at ``until``.
-
-        Lets the testkit freeze any source — live or already recorded —
-        through one method without special-casing.
-        """
-        return TraceSource(self.stream, self.generate(until))
-
     @property
     def mean_rate(self) -> float:
         """Average rate over the trace's full span."""

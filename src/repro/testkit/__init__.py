@@ -1,4 +1,4 @@
-"""Correctness testkit: oracle, differential harness, properties, chaos.
+"""Correctness testkit: oracle, differential harness, chaos, sanitizer.
 
 Four pieces, one contract:
 
@@ -8,9 +8,6 @@ Four pieces, one contract:
   IndexedMJoin, GrubJoin, RandomDrop, ShardedPlan) on the same frozen
   workload and diff its identity set against the oracle (``equal`` for
   unconstrained runs, ``subset`` for shedding ones);
-* :mod:`~repro.testkit.properties` — a dependency-free seeded property
-  runner (generate / check / shrink by halving the span and dropping
-  streams) over the workload space, join modes and window policies;
 * :mod:`~repro.testkit.chaos` — deterministic fault injection (stalls,
   spikes, duplicates, reordering, CPU degradation), all replayable from
   a seed;
@@ -19,7 +16,9 @@ Four pieces, one contract:
   writes and changed module or class globals.
 
 ``python -m repro.testkit`` runs the standard matrix and prints a
-canonical JSON verdict; CI diffs two runs byte-for-byte.
+canonical JSON verdict; CI diffs two runs byte-for-byte.  The same
+contracts as hypothesis properties over the workload space, join modes
+and window policies are ``tests/testkit/test_properties.py``.
 """
 
 from .chaos import (
@@ -56,18 +55,6 @@ from .oracle import (
     oracle_join,
     window_state,
 )
-from .properties import (
-    PropertyFailure,
-    PropertyOutcome,
-    check_full_join_matches_oracle,
-    check_shedding_is_subset,
-    check_variants_match_oracle,
-    default_shrink,
-    random_scenario_workload,
-    random_workload,
-    run_builtin_properties,
-    run_property,
-)
 from .sanitizer import (
     DeterminismSanitizer,
     DeterminismViolation,
@@ -98,8 +85,6 @@ __all__ = [
     "FrozenSource",
     "MatrixSpec",
     "OracleResult",
-    "PropertyFailure",
-    "PropertyOutcome",
     "SanitizedOperator",
     "Workload",
     "band_workload",
@@ -107,13 +92,9 @@ __all__ = [
     "calibrated_shed_capacity",
     "chaos_ids",
     "chaos_matrix",
-    "check_full_join_matches_oracle",
-    "check_shedding_is_subset",
-    "check_variants_match_oracle",
     "compare",
     "dedupe_tuples",
     "default_scenarios",
-    "default_shrink",
     "default_workloads",
     "differential_matrix",
     "drift_sources",
@@ -130,15 +111,11 @@ __all__ = [
     "oracle_ids",
     "oracle_join",
     "procs_ids",
-    "random_scenario_workload",
-    "random_workload",
     "randomdrop_ids",
     "rate_spike",
     "register_scenario",
     "reorder",
-    "run_builtin_properties",
     "run_config",
-    "run_property",
     "scenario_names",
     "scenario_workload",
     "sharded_ids",

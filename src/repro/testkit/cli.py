@@ -1,9 +1,9 @@
 """``python -m repro.testkit``: the differential matrix as a CLI verdict.
 
 Runs the standard grid (oracle vs every join path on seeded workloads),
-optionally the chaos battery and the built-in properties, and prints one
-canonical JSON document to stdout — ``sort_keys=True``, no wall-clock
-material — so two invocations with the same flags are byte-identical.
+optionally the chaos battery, and prints one canonical JSON document to
+stdout — ``sort_keys=True``, no wall-clock material — so two invocations
+with the same flags are byte-identical.
 CI leans on that: ``--check-determinism`` performs the double run and
 diff in-process and fails the exit code on any drift.
 
@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .chaos import chaos_matrix
 from .differential import MatrixSpec, differential_matrix
-from .properties import run_builtin_properties
 from .workloads import build_scenarios, default_workloads
 
 
@@ -55,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chaos-seed", type=int, default=7,
         help="seed for the fault injection draws (default: 7)",
-    )
-    parser.add_argument(
-        "--properties", type=int, default=0, metavar="N",
-        help="also run each built-in property with N examples",
     )
     parser.add_argument(
         "--no-shedding", action="store_true",
@@ -149,10 +144,6 @@ def run_verdict(args: argparse.Namespace) -> dict:
         verdict["chaos"] = chaos_matrix(
             workloads, seed=args.chaos_seed, progress=progress
         )
-    if args.properties > 0:
-        verdict["properties"] = run_builtin_properties(
-            seed=seeds[0], examples=args.properties
-        )
     verdict["ok"] = _all_ok(verdict)
     return verdict
 
@@ -161,13 +152,7 @@ def _all_ok(verdict: dict) -> bool:
     if not verdict["differential"]["ok"]:
         return False
     chaos = verdict.get("chaos")
-    if chaos is not None and not chaos["ok"]:
-        return False
-    properties = verdict.get("properties")
-    if properties is not None:
-        if any(not p["ok"] for p in properties.values()):
-            return False
-    return True
+    return chaos is None or chaos["ok"]
 
 
 def serialize(verdict: dict, indent: int | None = 2) -> str:

@@ -4,7 +4,7 @@ Before the testkit existed, every test module hand-rolled the same two
 constructors — de-phased constant-rate streams over the paper's linear
 drift process, and uniform-key streams for partitioned equi-joins.  This
 module is the single home for both, plus the frozen-trace bundles the
-differential harness and property runner consume.
+differential harness consumes.
 
 Everything here is deterministic given its ``seed``: stream ``i`` uses
 ``seed + i``, arrivals are de-phased by ``phase_step`` so merge order is
@@ -196,62 +196,6 @@ class Workload:
             for trace in self.traces
             for t in trace.tuples
         }
-
-    def halved(self) -> "Workload":
-        """The same workload on the first half of its time span — the
-        property runner's shrink step."""
-        half = self.duration / 2.0
-        return Workload(
-            name=self.name,
-            traces=[t.to_testkit_trace(half) for t in self.traces],
-            predicate=self.predicate,
-            window=self.window,
-            basic=self.basic,
-            duration=half,
-            seed=self.seed,
-            tags=dict(self.tags),
-            mode=self.mode,
-            window_policy=self.window_policy,
-        )
-
-    def dropped_stream(self, index: int) -> "Workload":
-        """The workload without stream ``index`` — the property runner's
-        stream-count shrink step.  Remaining traces are re-indexed to
-        keep streams contiguous (the engines require ``0..m-1``).
-        Requires ``m > 2``; a 2-way join cannot lose a stream.
-        """
-        if self.m <= 2:
-            raise ValueError("cannot drop a stream from a 2-way join")
-        if not 0 <= index < self.m:
-            raise ValueError(f"stream index {index} out of 0..{self.m - 1}")
-        traces = []
-        for trace in self.traces:
-            if trace.stream == index:
-                continue
-            new_stream = (
-                trace.stream if trace.stream < index else trace.stream - 1
-            )
-            traces.append(
-                TraceSource(
-                    new_stream,
-                    [
-                        replace(t, stream=new_stream)
-                        for t in trace.tuples
-                    ],
-                )
-            )
-        return Workload(
-            name=f"{self.name}-drop{index}",
-            traces=traces,
-            predicate=self.predicate,
-            window=self.window,
-            basic=self.basic,
-            duration=self.duration,
-            seed=self.seed,
-            tags=dict(self.tags),
-            mode=self.mode,
-            window_policy=self.window_policy,
-        )
 
 
 def drift_workload(

@@ -3,7 +3,9 @@
 ``pickle.loads(pickle.dumps(op))`` taken mid-run continues bit-identically
 to the operator it was taken from: the same comparisons and results for
 every later tuple, the same adaptation decisions at the same ticks and
-the same end-of-run flush.  Telemetry is not
+the same end-of-run flush, and its state digests
+(:func:`repro.lint.stategraph.walk_state`) equal the original's, path by
+path, right after the restore and after the last event.  Telemetry is not
 state: the copy comes back unbound (``obs`` and every ``_obs*`` handle
 ``None``) and is re-bound with ``bind_obs``.
 """
@@ -36,6 +38,7 @@ from repro.joins import (
     RandomDropShedder,
     VectorDistanceJoin,
 )
+from repro.lint.stategraph import walk_state
 from repro.obs import Obs
 from repro.streams import StreamTuple
 from repro.timing import ManualTimer
@@ -187,10 +190,18 @@ def cut_point(case: Case, events: list) -> int:
     return candidates[int(case.cut * len(candidates))]
 
 
-def drive(op, events: list) -> list:
+def digests(op) -> list:
+    """The operator's state, path by path (:func:`walk_state`)."""
+    return [(n.path, n.digest) for n in walk_state(op)]
+
+
+def drive(op, events: list, state: bool = False) -> list:
     """Feed ``events`` to ``op``; per tuple its comparisons and result
-    keys, per tick nothing (what a tick decides shows in later tuples)."""
-    trace = []
+    keys, per tick nothing (what a tick decides shows in later tuples).
+    With ``state``, the operator's :func:`digests` before the first
+    event and after the last one too (a walk costs milliseconds, so
+    not after every event)."""
+    trace = [digests(op)] if state else []
     for event in events:
         if event[0] == "adapt":
             op.on_adapt(event[1], event[2], ADAPT)
@@ -199,7 +210,7 @@ def drive(op, events: list) -> list:
             receipt = op.process(t, t.delivery_time)
             trace.append((receipt.comparisons,
                           [r.key() for r in receipt.outputs]))
-    return trace
+    return trace + [digests(op)] if state else trace
 
 
 def finish(op) -> list:
@@ -215,10 +226,11 @@ def index_constants(small: bool):
             else nullcontext())
 
 
-def continues_identically(case: Case, index, snapshot=pickled):
+def continues_identically(case: Case, index, snapshot=pickled,
+                          state: bool = False):
     """Run ``case`` to its cut, snapshot, then continue the operator and
     its restored copy side by side; return the restored copy's trace and
-    the original's."""
+    the original's (with their state digests, if ``state``)."""
     with index_constants(case.small_tables):
         original = build(case, index)
         events = schedule(case, original.num_streams)
@@ -227,8 +239,8 @@ def continues_identically(case: Case, index, snapshot=pickled):
         last = events[cut - 1]
         now = last[1] if last[0] == "adapt" else last[1].delivery_time
         restored = snapshot(original, now)
-        want = drive(original, events[cut:]) + [finish(original)]
-        got = drive(restored, events[cut:]) + [finish(restored)]
+        want = drive(original, events[cut:], state) + [finish(original)]
+        got = drive(restored, events[cut:], state) + [finish(restored)]
         return got, want
 
 
@@ -242,8 +254,10 @@ class TestSnapshotRestore:
     @given(case=cases)
     def test_restored_operator_continues_identically(self, index, case):
         """The property: snapshot, restore, continue ≡ the uninterrupted
-        run, per tuple (comparisons and result keys) and at the flush."""
-        got, want = continues_identically(case.for_index(index), index)
+        run, per tuple (comparisons and result keys), in state (digests
+        at the cut and at the end) and at the flush."""
+        got, want = continues_identically(case.for_index(index), index,
+                                          state=True)
         assert got == want
 
     def test_json_restore_missed_index_state(self):

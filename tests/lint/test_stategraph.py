@@ -4,7 +4,9 @@ from collections import deque
 
 import numpy as np
 
-from repro.lint.stategraph import fingerprint
+from repro.core.basic_windows import PartitionedWindow
+from repro.lint.stategraph import fingerprint, shared_containers, walk_state
+from repro.streams import StreamTuple
 
 
 def objects(*elements):
@@ -75,3 +77,44 @@ class TestLeavesAndClasses:
     def test_two_classes_differ(self):
         assert fingerprint(Left) != fingerprint(Right)
         assert fingerprint([Left]) != fingerprint([Right])
+
+
+def store(values):
+    """A lone-basic-window store holding ``values`` at rows 0.."""
+    window = PartitionedWindow(1e6, 1e6)
+    for seq, value in enumerate(values):
+        window.insert(StreamTuple(value, float(seq), 0, seq), now=float(seq))
+    return window
+
+
+class Holder:
+    def __init__(self, window):
+        self.window = window
+
+
+def digests(window):
+    return [(n.path, n.digest) for n in walk_state(Holder(window))]
+
+
+class TestStoreColumns:
+    """A store's columns hold state in their live rows only: the slack
+    past the tail is ``np.empty``, written before it is read."""
+
+    def test_slack_is_not_state_but_a_live_row_is(self):
+        a, b = store([1.0, 2.0, 3.0]), store([1.0, 2.0, 3.0])
+        head, tail = b.live_rows
+        assert (head, tail) == a.live_rows and tail < len(b._ts)
+        b._ts[tail:], b._vals[tail:], b._seq[tail:] = -1.0, 7.0, 99
+        assert fingerprint(a) == fingerprint(b)
+        assert digests(a) == digests(b)
+        b._vals[tail - 1] = 4.0
+        assert fingerprint(a) != fingerprint(b)
+        changed = {p for (p, d), (_, e) in zip(digests(a), digests(b))
+                   if d != e}
+        assert changed == {"window", "window._vals"}
+
+    def test_columns_stay_nodes_so_aliasing_is_seen(self):
+        a, b = store([1.0, 2.0]), store([1.0, 2.0])
+        b._seq = a._seq
+        [shared] = shared_containers([Holder(a), Holder(b)])
+        assert shared.paths == {0: "window._seq", 1: "window._seq"}

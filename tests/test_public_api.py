@@ -315,7 +315,7 @@ class TestExportCallers:
         )
 
     def test_export_count(self):
-        assert len(exports()) == 252
+        assert len(exports()) == 242
 
     def test_docs_print_tests_only(self):
         # rendering looks every reason up in REASONS: there are three

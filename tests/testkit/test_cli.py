@@ -20,7 +20,6 @@ class TestArguments:
         args = parse([])
         assert args.seeds == "1,2,3"
         assert not args.quick and not args.chaos
-        assert args.properties == 0
 
     def test_bad_seeds_exit(self):
         with pytest.raises(SystemExit):
@@ -54,7 +53,7 @@ class TestVerdict:
         assert verdict["ok"]
         assert verdict["seeds"] == [1]
         assert len(verdict["differential"]["workloads"]) == 5
-        assert "chaos" not in verdict and "properties" not in verdict
+        assert "chaos" not in verdict
 
     def test_verdict_serializes_canonically(self, quick_verdict):
         text = serialize(quick_verdict)

@@ -1,177 +1,185 @@
-"""Tests for the seeded property runner and its built-in properties."""
+"""The testkit's three contracts as hypothesis properties.
 
-import numpy as np
+* ``full_join_matches_oracle`` — the unconstrained MJoin's output equals
+  the brute-force oracle's;
+* ``shedding_is_subset`` — a feedback-throttled GrubJoin under measured
+  overload loses results but never invents one (the paper's promise);
+* ``variants_match_oracle`` — over any join mode and window policy, the
+  nested-loop MJoin and the IndexedMJoin both equal the extended oracle.
 
-from repro.testkit import run_property
-from repro.testkit.properties import (
-    BUILTIN_PROPERTIES,
-    check_full_join_matches_oracle,
-    default_shrink,
-    describe_case,
-    random_scenario_workload,
-    random_workload,
+Each draws the *parameters* of a seeded workload (a :class:`Case`), not
+the workload, so hypothesis shrinks along them: fewer streams, a shorter
+window, seed 0.  Every property is derandomized: a failure replays by
+running the test again, and the falsifying ``Case(...)`` it prints can be
+pinned with ``@example(case=Case(...))``.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.joins.variants import JoinMode
+from repro.testkit import (
+    Workload,
+    calibrated_shed_capacity,
+    compare,
+    drift_workload,
+    grubjoin_ids,
+    indexed_ids,
+    key_workload,
+    mjoin_ids,
+    oracle_ids,
 )
-from repro.testkit.workloads import Workload, drift_workload
+
+DURATION = 8.0
+PROPERTY = settings(max_examples=20, derandomize=True, deadline=None)
 
 
-def make_workload(rng):
-    return drift_workload(int(rng.integers(1 << 20)), duration=4.0)
+@dataclass(frozen=True)
+class Case:
+    """One point of the workload space; :meth:`workload` freezes it."""
 
+    kind: str                # "keys" (EquiJoin) or "drift" (EpsilonJoin)
+    m: int
+    window: float
+    basic: float
+    rate: float
+    seed: int
+    n_keys: int = 20         # keys only
+    epsilon: float = 1.0     # drift only
+    deviation: float = 1.0   # drift only
+    lag_step: float = 0.0    # drift only: stream i lags i * lag_step
+    poisson: bool = False
+    mode: JoinMode = JoinMode.INNER
+    policy: str | None = None
 
-class TestRunnerLifecycle:
-    def test_passing_property_reports_ok(self):
-        outcome = run_property(
-            "always-true", make_workload, lambda case: None,
-            seed=3, examples=4,
-        )
-        assert outcome.ok
-        assert outcome.failures == []
-        assert outcome.summary()["examples"] == 4
-
-    def test_failure_is_caught_not_raised(self):
-        def check(case):
-            raise AssertionError("nope")
-
-        outcome = run_property(
-            "always-false", make_workload, check, seed=3, examples=2
-        )
-        assert not outcome.ok
-        assert len(outcome.failures) == 2
-        assert outcome.failures[0].message == "nope"
-
-    def test_examples_replay_from_seed(self):
-        seen_a, seen_b = [], []
-        run_property("collect", make_workload,
-                     lambda c: seen_a.append(c.name), seed=9,
-                     examples=3)
-        run_property("collect", make_workload,
-                     lambda c: seen_b.append(c.name), seed=9,
-                     examples=3)
-        assert seen_a == seen_b
-        different = []
-        run_property("collect", make_workload,
-                     lambda c: different.append(c.name), seed=10,
-                     examples=3)
-        assert different != seen_a
-
-
-class TestShrinking:
-    def test_shrinks_to_smaller_failing_case(self):
-        def check(case):
-            # fails whenever the workload spans more than 1.5 s: the
-            # halving shrinker can cut 4.0 -> 2.0 but 1.0 passes; the
-            # stream axis then drops 3 -> 2 (duration is unaffected)
-            assert case.duration <= 1.5, (
-                f"too long: {case.duration}"
+    def workload(self) -> Workload:
+        shared = dict(m=self.m, rate=self.rate, duration=DURATION,
+                      window=self.window, basic=self.basic,
+                      poisson=self.poisson)
+        if self.kind == "keys":
+            workload = key_workload(self.seed, n_keys=self.n_keys, **shared)
+        else:
+            workload = drift_workload(
+                self.seed, epsilon=self.epsilon, deviation=self.deviation,
+                lags=[self.lag_step * i for i in range(self.m)], **shared,
             )
-
-        outcome = run_property(
-            "duration-bound", make_workload, check, seed=3, examples=1
-        )
-        assert not outcome.ok
-        failure = outcome.failures[0]
-        assert failure.shrink_steps == 2
-        assert "duration=2" in failure.shrunk
-        assert "m=2" in failure.shrunk
-        assert "duration=4" in failure.case
-        assert "m=3" in failure.case
-
-    def test_shrink_keeps_original_when_halves_pass(self):
-        def check(case):
-            # only the full 3-way, full-length case fails: the halved
-            # variant (duration 2) and every dropped-stream variant
-            # (m=2) pass, so no shrink step can land
-            assert case.duration < 4.0 or case.m < 3
-
-        outcome = run_property(
-            "full-only", make_workload, check, seed=3, examples=1
-        )
-        failure = outcome.failures[0]
-        assert failure.shrink_steps == 0
-        assert failure.case == failure.shrunk
-
-    def test_shrink_minimizes_stream_count(self):
-        # regression: a failure seeded on a 5-way join must shrink down
-        # the stream axis, not stall at m=5 once halving is exhausted
-        def make_wide(rng):
-            return drift_workload(
-                int(rng.integers(1 << 20)), m=5, duration=2.0
-            )
-
-        def check(case):
-            assert case.m <= 2, f"too many streams: {case.m}"
-
-        outcome = run_property(
-            "narrow-join", make_wide, check, seed=5, examples=1,
-            max_shrink_steps=16,
-        )
-        failure = outcome.failures[0]
-        assert "m=5" in failure.case
-        assert "m=3" in failure.shrunk  # minimal: m=2 variants pass
-        assert failure.shrink_steps >= 2
-
-    def test_default_shrink_stops_when_halving_removes_nothing(self):
-        # one tuple per stream at t~0: halving the span can't shrink it,
-        # so only the stream-drop variants remain (each m=3 -> m=2)
-        workload = drift_workload(1, duration=0.05)
-        half = workload.halved()
-        assert half.tuple_count() == workload.tuple_count()
-        variants = list(default_shrink(workload))
-        assert [v.m for v in variants] == [2, 2, 2]
-        # and a 2-way join has no shrink moves left at all
-        two_way = variants[0]
-        assert list(default_shrink(two_way)) == []
-
-    def test_default_shrink_ignores_foreign_cases(self):
-        assert list(default_shrink(42)) == []
-
-    def test_describe_case(self):
-        workload = drift_workload(1, duration=4.0)
-        text = describe_case(workload)
-        assert workload.name in text
-        assert "tuples=" in text
-        assert describe_case(42) == "42"
+        workload.mode, workload.window_policy = self.mode, self.policy
+        return workload
 
 
-class TestGeneratorSpace:
-    def test_random_workloads_stay_in_declared_space(self):
-        kinds, ms = set(), set()
-        for i in range(12):
-            workload = random_workload(np.random.default_rng([4, i]))
-            assert isinstance(workload, Workload)
-            assert workload.basic <= workload.window
-            kinds.add(workload.tags["kind"])
-            ms.add(workload.m)
-        assert kinds == {"drift", "keys"}
-        assert ms == {3, 4}
-
-    def test_random_scenario_workloads_cover_variant_space(self):
-        modes, policies = set(), set()
-        for i in range(24):
-            workload = random_scenario_workload(
-                np.random.default_rng([7, i])
-            )
-            assert isinstance(workload, Workload)
-            modes.add(workload.mode.value)
-            policies.add(workload.policy.name)
-        assert modes == {"inner", "semi", "anti", "outer"}
-        assert policies == {"sliding", "tumbling", "session"}
+seeds = st.integers(0, (1 << 30) - 1)
+kinds = st.sampled_from(("keys", "drift"))
 
 
-class TestBuiltins:
-    def test_builtin_names(self):
-        assert [name for name, _, _ in BUILTIN_PROPERTIES] == [
-            "full_join_matches_oracle",
-            "shedding_is_subset",
-            "variants_match_oracle",
-        ]
+@st.composite
+def cases(draw) -> Case:
+    """The inner sliding-window space: m in {3, 4}, keys or drift values,
+    varied windows, rates, key counts, tolerances, skew (deviation) and
+    correlation lags."""
+    kind, m = draw(kinds), draw(st.sampled_from((3, 4)))
+    shared = dict(
+        m=m,
+        window=draw(st.sampled_from((3.0, 4.0, 6.0))),
+        basic=draw(st.sampled_from((0.5, 1.0))),
+        rate=draw(st.sampled_from((8.0, 12.0))) if m == 3 else 6.0,
+        seed=draw(seeds),
+    )
+    if kind == "keys":
+        return Case(kind, n_keys=draw(st.sampled_from((20, 40))), **shared)
+    return Case(
+        kind,
+        epsilon=draw(st.sampled_from((1.0, 1.5, 2.0))),
+        deviation=draw(st.sampled_from((0.5, 1.0, 2.0))),
+        lag_step=draw(st.sampled_from((0.0, 0.05, 0.1))),
+        **shared,
+    )
 
-    def test_oracle_property_passes_on_real_cases(self):
-        outcome = run_property(
-            "full_join_matches_oracle",
-            random_workload,
-            check_full_join_matches_oracle,
-            seed=0,
-            examples=2,
-        )
-        assert outcome.ok, outcome.failures
+
+#: the variant space: any join mode over any window policy.  Poisson
+#: arrivals keep session gaps irregular enough that the session policy
+#: closes sessions; short low-rate traces keep the oracle cheap
+variant_cases = st.builds(
+    Case, kind=kinds, m=st.just(3), window=st.just(4.0),
+    basic=st.just(0.5), rate=st.just(2.0), seed=seeds, n_keys=st.just(8),
+    epsilon=st.just(2.0), lag_step=st.just(0.1), poisson=st.just(True),
+    mode=st.sampled_from(JoinMode),
+    policy=st.sampled_from(("sliding", "tumbling", "session:1.5")),
+)
+
+#: cases each property runs clean and each planted defect shows on
+PLAIN = Case("keys", m=3, window=4.0, basic=1.0, rate=8.0, seed=1)
+VARIANT = Case("keys", m=3, window=4.0, basic=0.5, rate=2.0, seed=1,
+               n_keys=8, lag_step=0.1, poisson=True, mode=JoinMode.OUTER,
+               policy="session:1.5")
+
+
+def holds(reference, observed, workload, mode: str, label: str) -> None:
+    report = compare(reference, observed, workload, mode=mode, label=label)
+    assert report.ok, "\n" + report.render()
+
+
+@PROPERTY
+@example(case=PLAIN)
+@given(case=cases())
+def test_full_join_matches_oracle(case):
+    workload = case.workload()
+    holds(oracle_ids(workload), mjoin_ids(workload), workload, "equal",
+          "mjoin")
+
+
+@PROPERTY
+@example(case=PLAIN)
+@given(case=cases())
+def test_shedding_is_subset(case):
+    workload = case.workload()
+    capacity = calibrated_shed_capacity(workload, fraction=0.3)
+    holds(oracle_ids(workload), grubjoin_ids(workload, capacity=capacity),
+          workload, "subset", "grubjoin-shed")
+
+
+@PROPERTY
+@example(case=VARIANT)
+@given(case=variant_cases)
+def test_variants_match_oracle(case):
+    workload = case.workload()
+    reference = oracle_ids(workload)
+    holds(reference, mjoin_ids(workload), workload, "equal", "mjoin")
+    holds(reference, indexed_ids(workload), workload, "equal", "indexed")
+
+
+class TestNonVacuity:
+    """Each property fails on a planted defect: one engine's identity set
+    is corrupted, and the property's body runs once on a case it passes
+    clean (its ``@example``)."""
+
+    @staticmethod
+    def plant(monkeypatch, name: str, defect) -> None:
+        real = globals()[name]
+        monkeypatch.setitem(globals(), name,
+                            lambda *args, **kw: defect(real(*args, **kw)))
+
+    @staticmethod
+    def drop_one(ids: set) -> set:
+        assert ids
+        return set(sorted(ids)[1:])
+
+    def test_full_join_catches_a_dropped_result(self, monkeypatch):
+        self.plant(monkeypatch, "mjoin_ids", self.drop_one)
+        with pytest.raises(AssertionError, match=r"\[mjoin\].*missing=1 "):
+            test_full_join_matches_oracle.hypothesis.inner_test(case=PLAIN)
+
+    def test_shedding_catches_an_invented_result(self, monkeypatch):
+        invented = tuple((stream, -1) for stream in range(PLAIN.m))
+        assert invented not in oracle_ids(PLAIN.workload()).id_set
+        self.plant(monkeypatch, "grubjoin_ids", lambda ids: ids | {invented})
+        with pytest.raises(AssertionError,
+                           match=r"\[grubjoin-shed\].*extra=1"):
+            test_shedding_is_subset.hypothesis.inner_test(case=PLAIN)
+
+    def test_variants_catch_a_dropped_indexed_result(self, monkeypatch):
+        self.plant(monkeypatch, "indexed_ids", self.drop_one)
+        with pytest.raises(AssertionError, match=r"\[indexed\].*missing=1 "):
+            test_variants_match_oracle.hypothesis.inner_test(case=VARIANT)

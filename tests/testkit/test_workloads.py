@@ -61,24 +61,6 @@ class TestGeometry:
                 assert lookup[(t.stream, t.seq)] is t
 
 
-class TestShrinking:
-    def test_halved_cuts_span_and_tuples(self):
-        workload = drift_workload(1, duration=8.0)
-        half = workload.halved()
-        assert half.duration == 4.0
-        assert 0 < half.tuple_count() < workload.tuple_count()
-        assert half.seed == workload.seed
-        assert half.predicate is workload.predicate
-
-    def test_halved_is_a_prefix(self):
-        workload = key_workload(1, duration=8.0)
-        half = workload.halved()
-        for full_trace, half_trace in zip(workload.traces, half.traces):
-            n = len(half_trace.tuples)
-            assert half_trace.tuples == full_trace.tuples[:n]
-            assert all(t.timestamp < 4.0 for t in half_trace.tuples)
-
-
 class TestDefaultSet:
     def test_five_workloads_per_seed(self):
         workloads = default_workloads((1, 2))
