@@ -866,3 +866,47 @@ class TestNonFiniteValues:
         assert all(s.active == kind for s in op.windex_states)
         assert sum(s.rows_pruned for s in op.windex_states) > 0
         assert keys == flat_keys
+
+
+class TestDefaultTuningBill:
+    """What an adaptive index bills a run at the class's own tuning, as
+    recorded numbers.  Outputs cannot catch a wrong charge (the index
+    only prices hops), and :class:`TestChargeMatchesPrunedPool` runs at
+    hand-sized tuning; here the basic windows hold 400 rows, so the
+    filling window's tables are cached, reused with a delta tail and
+    rebuilt, frozen windows are priced whole and cut at the edges, and
+    the newest window passes through the too-small case after every
+    rotation."""
+
+    def test_bill_is_pinned(self):
+        workload = zipf_key_workload(
+            seed=3, m=3, rate=800.0, duration=3.0, window=2.0, basic=0.5,
+            n_keys=200_000, alpha=0.5,
+        )
+        op = MJoinOperator(EquiJoin(), workload.window_sizes, workload.basic,
+                           index="adaptive")
+        tuples = sorted(
+            (t for tr in workload.traces for t in tr.tuples),
+            key=lambda t: (t.timestamp, t.stream, t.seq),
+        )
+        results = 0
+        next_adapt = 0.5
+        for t in tuples:
+            while t.timestamp >= next_adapt:
+                op.on_adapt(next_adapt, [], 0.5)
+                next_adapt += 0.5
+            results += len(op.process(t, t.timestamp).outputs)
+        assert (len(tuples), results) == (7199, 35)
+        assert op.comparisons_total == 1445327
+        # (partitions scanned, pruned, rows scanned, pruned, rebuilds,
+        # switches) per stream
+        assert [
+            (s.partitions_scanned, s.partitions_pruned, s.rows_scanned,
+             s.rows_pruned, s.rebuilds, s.switches)
+            for s in op.windex_states
+        ] == [
+            (1957, 486519, 81664, 946589, 14, 1),
+            (7575, 1930051, 236143, 3460548, 16, 1),
+            (4269, 1087262, 158739, 1974481, 16, 1),
+        ]
+        assert all(s.active == HASH for s in op.windex_states)
