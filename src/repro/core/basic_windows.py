@@ -178,7 +178,9 @@ class PartitionedWindow:
         self._tups = np.empty(_INITIAL_CAPACITY, dtype=object)
         #: ascending row boundaries, head first and tail last: physical
         #: basic window ``k`` (ring index, 0 = newest, still open)
-        #: is rows ``[_bounds[-k - 2], _bounds[-k - 1])``
+        #: is rows ``[_bounds[-k - 2], _bounds[-k - 1])`` (the hash
+        #: index's charge reads this and ``_derived`` directly: it runs
+        #: once per hop, where a method call costs more than its work)
         self._bounds = [0] * (self.n + 2)
         #: per physical window (``_derived[-k - 1]``, like the
         #: boundaries): what an index derived from its rows (see
@@ -272,7 +274,7 @@ class PartitionedWindow:
         self._seq[row] = tup.seq
         self._tups[row] = tup
         if self.windex is not None and self.windex.needs_sensor:
-            self.windex.observe(tup.value)
+            self.windex.feed.append(tup.value)
 
     def _open_gap(self, ts: float, k: int) -> int:
         """Make room for a late tuple at its timestamp position — after
@@ -424,16 +426,6 @@ class PartitionedWindow:
             k, start, piece_lo, stop = pieces[-1]
             pieces[-1] = (k, start, piece_lo, min(hi, stop))
         return pieces
-
-    def ring_span(self, lo: int, hi: int) -> tuple[int, int]:
-        """Ring indexes of the physical basic windows holding rows ``lo``
-        and ``hi - 1`` (stored rows, ``lo < hi``): the oldest and the
-        newest window that rows ``[lo, hi)`` touch, two searches
-        whatever ``n`` is."""
-        bounds = self._bounds
-        top = self.n + 1
-        return (top - bisect_right(bounds, lo),
-                top - bisect_right(bounds, hi - 1))
 
     def strided(
         self, slices: Sequence[WindowSlice], step: int

@@ -57,8 +57,9 @@ class EquiWidthHistogram:
     # ------------------------------------------------------------------
 
     def _bucket_of(self, x: float) -> int:
-        idx = int((x - self.low) / self.width)
-        return min(max(idx, 0), self.buckets - 1)
+        # clamp before the cast: a far-out sample's position can be inf
+        pos = (x - self.low) / self.width
+        return int(min(max(pos, 0.0), self.buckets - 1))
 
     def add(self, x: float, weight: float = 1.0) -> None:
         """Record one sample."""
@@ -66,12 +67,13 @@ class EquiWidthHistogram:
         self.version += 1
 
     def add_many(self, xs) -> None:
-        """Record a batch of samples."""
-        idx = np.clip(
-            ((np.asarray(xs, dtype=float) - self.low) / self.width).astype(int),
-            0,
-            self.buckets - 1,
-        )
+        """Record a batch of samples, each in the bucket :meth:`add` puts
+        it in (NaN has no bucket)."""
+        # clip before the cast: a position past int64 has no integer,
+        # and a far-out sample's position may overflow to inf
+        with np.errstate(over="ignore"):
+            pos = (np.asarray(xs, dtype=float) - self.low) / self.width
+        idx = np.clip(pos, 0, self.buckets - 1).astype(int)
         np.add.at(self.counts, idx, 1.0)
         if len(idx):
             self.version += 1

@@ -26,7 +26,8 @@ This module supplies that layer for :class:`~repro.core.basic_windows
 * :class:`WindowIndexState` — the per-stream mutable state: which
   index kind is active (``flat`` / ``hash`` / ``range``), a value
   histogram (:class:`~repro.core.histograms.EquiWidthHistogram`
-  reused as the distribution sensor), the rule for when a window's
+  reused as the distribution sensor, fed per tick with the values
+  inserted since the last one), the rule for when a window's
   table is rebuilt, and the adaptive kind-selection policy with
   hysteresis so the kind does not flap between adaptation ticks.
 
@@ -48,8 +49,7 @@ output-identical to running without an index
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
-from math import isfinite
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -175,51 +175,29 @@ class PartitionTable:
         self.build_n = build_n
 
 
-class _Unfetched:
-    """The marker of a frozen window whose table a :class:`_FrozenPlan`
-    has not asked for.  Plans compare it by identity, so it pickles as
-    the module's one instance (a bare ``object()`` would come back from
-    a snapshot as a stranger, and the plan would read it as a table)."""
-
-    __slots__ = ()
-
-    def __reduce__(self) -> str:
-        return "_UNFETCHED"
-
-
-_UNFETCHED = _Unfetched()
-
-
 class _FrozenPlan:
-    """One store's frozen basic windows (ring index ``1..n``) as an exact
-    match probe prices them, valid while the store's ``frozen_version``
+    """What frozen windows (ring index ``1..n``) covered whole are charged
+    by an exact match probe, valid while the store's ``frozen_version``
     stands (the state drops its plan on an epoch switch).
 
-    ``tables[k]`` is window ``k``'s table (or ``None``: too small or
-    empty), asked of :meth:`WindowIndexState.table_for` the first time
-    a probe touches the window; until the frozen part changes,
-    ``table_for`` would hand back the same object with no side effect,
-    so asking once is exact.  ``rows[p]`` / ``hits[p]`` / ``parts`` are
-    prefix sums over the ring, read only for spans inside ``lo..hi``
-    (ring indexes whose windows are all fetched): ``rows[p][k]`` the
-    rows windows ``< k`` are charged
-    whole for bucket ``p`` (bucket plus delta tail, or every row of a
-    window without a table), ``hits[p][k]`` how many of their tables
-    have bucket ``p`` nonempty, ``parts[k]`` their nonempty partitions.
+    ``rows`` / ``hits`` / ``parts`` are prefix sums over the ring, read
+    only for spans inside ``lo..hi`` (ring indexes whose tables have been
+    asked for): with ``w = n + 2``, ``rows[p * w + k]`` is what windows
+    ``< k`` are charged whole for bucket ``p`` (bucket plus delta tail,
+    or every row of a window without a table), ``hits[p * w + k]`` how
+    many of their tables have bucket ``p`` nonempty, ``parts[k]`` their
+    nonempty partitions.  Flat lists: a span's charge is two reads of
+    each, and the plan is a handful of objects whatever the partition
+    count.
     """
 
-    __slots__ = ("store", "version", "tables", "sizes", "lo", "hi",
-                 "rows", "hits", "parts")
+    __slots__ = ("version", "lo", "hi", "rows", "hits", "parts")
 
-    def __init__(self, store: PartitionedWindow | None = None) -> None:
-        self.store = store
-        n = 0 if store is None else store.n
-        self.version = -1 if store is None else store.frozen_version
-        self.tables: list = [_UNFETCHED] * (n + 1)
-        self.sizes = [0] * (n + 1)
+    def __init__(self, version: int = -1) -> None:
+        self.version = version
         self.lo, self.hi = 1, 0
-        self.rows: list[list[int]] = []
-        self.hits: list[list[int]] = []
+        self.rows: list[int] = []
+        self.hits: list[int] = []
         self.parts: list[int] = []
 
 
@@ -230,7 +208,9 @@ class WindowIndexState:
 
     * the **sensor** — a warmup sample buffer that seeds an
       :class:`~repro.core.histograms.EquiWidthHistogram` over the
-      observed value domain, updated per insert and decayed per tick;
+      observed value domain, fed per tick (the store appends each
+      inserted value to :attr:`feed`; :meth:`tick` drains it) and
+      decayed per tick;
     * the **policy** — at each :meth:`tick` (the operator's adaptation
       step) the desired kind is derived from the sensor and applied
       only after ``hysteresis`` consecutive agreeing ticks;
@@ -238,9 +218,10 @@ class WindowIndexState:
       kept in the windows' derived slots and rebuilt lazily when the
       slot was emptied, the state's epoch (bumped on every
       kind/boundary switch) moved, or the window stopped filling;
-    * the **plan** — the frozen windows' tables and the per-bucket
-      prefix sums a hash probe is priced from (:class:`_FrozenPlan`),
-      kept while the store's ``frozen_version`` and the epoch stand.
+    * the **plan** — the per-bucket prefix sums a hash probe prices
+      whole frozen windows from (:class:`_FrozenPlan`), kept while the
+      store's ``frozen_version`` and the epoch stand.  A state prices
+      only the store that owns it.
 
     Args:
         spec: ``"hash"`` / ``"range"`` pin the kind; ``"adaptive"``
@@ -284,8 +265,11 @@ class WindowIndexState:
         self.active = HASH if spec == HASH else FLAT
         #: only the adaptive policy and pinned range (which derives its
         #: partition boundaries from the sensor) ever read the sensor;
-        #: the ring skips the per-insert observe call otherwise
+        #: the store feeds it nothing otherwise
         self.needs_sensor = spec in (ADAPTIVE, RANGE)
+        #: values inserted since the last tick, not yet fed to the sensor
+        #: (the store appends to it; :meth:`tick` drains it)
+        self.feed: list[float] = []
         #: bumped on every kind/boundary switch; a table built at another
         #: epoch is rebuilt
         self.epoch = 0
@@ -310,21 +294,35 @@ class WindowIndexState:
     # ------------------------------------------------------------------
 
     def observe(self, value: float) -> None:
-        """Feed one inserted value to the distribution sensor.
+        """Queue one value for the sensor, as an insert does; the next
+        :meth:`tick` feeds it."""
+        self.feed.append(value)
+
+    def _drain(self) -> None:
+        """Feed the sensor the values queued since the last tick, in
+        insert order: into the warmup buffer until it holds
+        :attr:`warmup` values (which fixes the sensor's domain), the
+        rest in one :meth:`~repro.core.histograms.EquiWidthHistogram
+        .add_many`.
 
         NaN and infinities are skipped: they say nothing about the
         distribution, and pricing is lossless by table construction,
         whatever the sensor saw.
         """
-        if not isfinite(value):
-            return
-        if self.sensor is not None:
-            self.sensor.add(value)
-            return
-        self._warm[self._warm_n] = value
-        self._warm_n += 1
-        if self._warm_n == len(self._warm):
+        vals = np.array(self.feed, dtype=np.float64)
+        self.feed = []
+        vals = vals[np.isfinite(vals)]
+        if self.sensor is None:
+            n = self._warm_n
+            take = min(len(vals), len(self._warm) - n)
+            self._warm[n : n + take] = vals[:take]
+            self._warm_n = n + take
+            if self._warm_n < len(self._warm):
+                return
             self._init_sensor()
+            vals = vals[take:]
+        if len(vals):
+            self.sensor.add_many(vals)
 
     def _init_sensor(self) -> None:
         vals = self._warm[: self._warm_n]
@@ -352,7 +350,8 @@ class WindowIndexState:
         return KIND_CODES[self.active]
 
     def tick(self) -> str:
-        """One adaptation step: age the sensor, re-derive the kind.
+        """One adaptation step: feed the sensor the values inserted since
+        the last step, age it, re-derive the kind.
 
         Pinned specs apply immediately once derivable (hash at
         construction, range as soon as boundaries exist); the adaptive
@@ -360,6 +359,8 @@ class WindowIndexState:
         ticks agree on a kind different from the active one.  Returns
         the active kind after the step.
         """
+        if self.feed:
+            self._drain()
         if self.sensor is None:
             if self._warm_n >= min(self.min_samples, len(self._warm)):
                 self._init_sensor()
@@ -452,6 +453,8 @@ class WindowIndexState:
         table built while the window was filling (``k == 0``) is rebuilt
         once when asked for at ``k >= 1``: no more appends are coming,
         so the new table has no tail for the window's remaining lifetime.
+        :meth:`_bucket_rows` applies the same rule inline, where it runs
+        once per hop; the two change together.
         """
         start, stop = store.window_rows(k)
         n = stop - start
@@ -627,17 +630,20 @@ class WindowIndexState:
         glo: float,
         ghi: float,
         key: float,
+        part: int | None = None,
     ) -> int:
         """Rows one hop is charged under the active index, out of the
         ``total`` rows its ``slices`` select; ``rows_scanned`` /
         ``rows_pruned`` move by the charge and the rest.
 
         ``[glo, ghi]`` is the union envelope of the live partials' probe
-        intervals and ``key`` the probing tuple's value.  Charged are the
-        rows :meth:`candidate_rows` keeps, except that a hash probe over
-        a step-1 slice takes the key's bucket from each table with no
-        summary test (:meth:`_bucket_rows`).  A charge of 0 means the
-        hop has no hits.
+        intervals and ``key`` the probing tuple's value; ``part`` is its
+        :meth:`hash_part` when the caller has it (every state shares
+        :attr:`n_partitions`, so one probe's bucket holds for all its
+        hops).  Charged are the rows :meth:`candidate_rows` keeps,
+        except that a hash probe over a step-1 slice takes the key's
+        bucket from each table with no summary test
+        (:meth:`_bucket_rows`).  A charge of 0 means the hop has no hits.
         """
         charged = 0
         hashed = self.active == HASH
@@ -650,8 +656,9 @@ class WindowIndexState:
             # radius 0 (check_index_compat): a partial only survives a
             # hop by extending with an exactly equal value, so every live
             # partial's values equal the probing tuple's — one probe key,
-            # one bucket, resolved once
-            part = self.hash_part(key)
+            # one bucket
+            if part is None:
+                part = self.hash_part(key)
             parts = None  # only a strided slice needs it as an array
             glo = ghi = key
         for s in slices:
@@ -670,126 +677,108 @@ class WindowIndexState:
         """Rows of the step-1 slice ``s`` in hash bucket ``part``, plus
         each window's delta tail and the windows too small to index.
 
-        Python work per call does not grow with the number of basic
-        windows: the slice can only cut its oldest and its newest window
-        (a bucket's rows are ascending, so one bisect pair each), and
-        the whole frozen windows between them are read off
-        the store's :class:`_FrozenPlan` (:meth:`_whole_rows`).  The
-        filling window goes through :meth:`table_for` as every window
-        used to.  No ``(min, max)``-summary test here: thousands of keys
-        share each bucket, so a nonempty bucket's value span practically
-        always covers the probe key.
+        One call prices the slice, and its Python work does not grow
+        with the number of basic windows: the slice can only cut its
+        oldest and its newest window (two bisects of the store's window
+        bounds find them; a bucket's rows are ascending, so one bisect
+        pair each cuts them), and the whole frozen windows between them
+        are two reads of the store's :class:`_FrozenPlan`.  Each edge
+        window's table is read off its derived slot under
+        :meth:`table_for`'s rule, which only runs to build one.  No
+        ``(min, max)``-summary test here: thousands of keys share each
+        bucket, so a nonempty bucket's value span practically always
+        covers the probe key.
         """
         lo, hi = s.lo, s.hi
         if hi <= lo:
             return 0
         store = s.store
         plan = self._plan
-        if plan.store is not store or plan.version != store.frozen_version:
-            plan = self._plan = _FrozenPlan(store)
-        k_old, k_new = store.ring_span(lo, hi)
-        count = 0
+        if plan.version != store.frozen_version:
+            plan = self._plan = _FrozenPlan(store.frozen_version)
+        # ring index k is rows [bounds[-k - 2], bounds[-k - 1]); w = n + 2
+        bounds = store._bounds
+        w = len(bounds)
+        k_old = w - 1 - bisect_right(bounds, lo)
+        k_new = w - 1 - bisect_right(bounds, hi - 1)
+        epoch = self.epoch
+        min_rows = self.min_index_rows
+        # partitions are counted as the indexed windows' nonempty ones
+        # (``parts``) of which ``scanned`` hold the bucket; the rest are
+        # pruned
+        count = scanned = parts = 0
         for k in (k_old, k_new) if k_old != k_new else (k_old,):
-            start, stop = store.window_rows(k)
-            if k == 0:
-                table = self.table_for(store, 0)
+            start = bounds[-k - 2]
+            stop = bounds[-k - 1]
+            first = lo if lo > start else start
+            last = hi if hi < stop else stop
+            size = stop - start
+            cached = store._derived[-k - 1].get("windex")
+            if (
+                cached is not None
+                and cached[0] == epoch
+                and (cached[1] or k == 0)
+                and size - cached[2].build_n <= max(min_rows >> 2, size >> 4)
+            ):
+                table = cached[2]
+            elif size < min_rows:
+                count += last - first
+                continue
             else:
-                table = plan.tables[k]
-                if table is _UNFETCHED:
-                    table = self._fetch(plan, store, k, stop - start)
-            count += self._piece_rows(
-                table, part, start, max(lo, start), min(hi, stop)
-            )
+                table = self.table_for(store, k)
+            parts += table.nonempty_parts
+            built = start + table.build_n
+            a = table.starts[part]
+            b = table.starts[part + 1]
+            if b > a:
+                scanned += 1
+                if first > start or last < built:
+                    # the bucket's rows are ascending: cut them to the
+                    # slice's part of the table's prefix
+                    rows = table.order_list
+                    a, b = (bisect_left(rows, first - start, a, b),
+                            bisect_left(rows, min(last, built) - start, a, b))
+                if b > a:
+                    count += b - a
+            if built < last:
+                count += last - (first if first > built else built)
         if k_old - k_new > 1:
-            count += self._whole_rows(plan, store, k_new + 1, k_old - 1, part)
-        return count
-
-    def _piece_rows(
-        self,
-        table: PartitionTable | None,
-        part: int,
-        start: int,
-        lo: int,
-        hi: int,
-    ) -> int:
-        """Rows ``[lo, hi)`` of the window starting at row ``start``
-        that bucket ``part`` of its ``table`` (``None``: every row)
-        charges, its delta tail included."""
-        if table is None:
-            return hi - lo
-        built = start + table.build_n
-        a = table.starts[part]
-        b = table.starts[part + 1]
-        if b > a:
-            self.partitions_scanned += 1
-            self.partitions_pruned += table.nonempty_parts - 1
-            if lo > start or hi < built:
-                # the bucket's rows are ascending: cut them to the
-                # slice's part of the table's prefix
-                rows = table.order_list
-                a, b = (bisect_left(rows, lo - start, a, b),
-                        bisect_left(rows, min(hi, built) - start, a, b))
-            count = max(b - a, 0)
-        else:
-            self.partitions_pruned += table.nonempty_parts
-            count = 0
-        if built < hi:
-            count += hi - max(lo, built)
-        return count
-
-    def _fetch(
-        self, plan: _FrozenPlan, store: PartitionedWindow, k: int, size: int
-    ) -> PartitionTable | None:
-        table = plan.tables[k] = self.table_for(store, k)
-        plan.sizes[k] = size
-        return table
-
-    def _whole_rows(
-        self,
-        plan: _FrozenPlan,
-        store: PartitionedWindow,
-        a: int,
-        b: int,
-        part: int,
-    ) -> int:
-        """What frozen windows ``a..b``, each covered whole, are charged
-        for bucket ``part``: two reads of the plan's prefix sums, once
-        every window in the span has been fetched.  Fetching stays lazy —
-        an empty window is never asked for its table, as the per-window
-        walk never asked it — so no table is built that the walk would
-        not have built."""
-        if not plan.lo <= a <= b <= plan.hi:
-            for k in range(a, b + 1):
-                if plan.tables[k] is _UNFETCHED:
-                    start, stop = store.window_rows(k)
-                    if stop > start:
-                        self._fetch(plan, store, k, stop - start)
-                    else:
-                        plan.tables[k] = None
-            if a <= plan.hi + 1 and plan.lo <= b + 1:
-                plan.lo, plan.hi = min(a, plan.lo), max(b, plan.hi)
-            else:
-                plan.lo, plan.hi = a, b
-            self._sum_plan(plan)
-        rows = plan.rows[part]
-        hits = plan.hits[part]
-        scanned = hits[b + 1] - hits[a]
+            a, b = k_new + 1, k_old - 1
+            if not plan.lo <= a <= b <= plan.hi:
+                self._sum_plan(plan, store, a, b)
+            i, j = part * w + a, part * w + b + 1
+            scanned += plan.hits[j] - plan.hits[i]
+            parts += plan.parts[b + 1] - plan.parts[a]
+            count += plan.rows[j] - plan.rows[i]
         self.partitions_scanned += scanned
-        self.partitions_pruned += plan.parts[b + 1] - plan.parts[a] - scanned
-        return rows[b + 1] - rows[a]
+        self.partitions_pruned += parts - scanned
+        return count
 
-    def _sum_plan(self, plan: _FrozenPlan) -> None:
-        """(Re)build the plan's prefix sums over its fetched windows."""
-        n_windows = len(plan.tables)
+    def _sum_plan(
+        self, plan: _FrozenPlan, store: PartitionedWindow, a: int, b: int
+    ) -> None:
+        """Extend the plan's span to cover frozen windows ``a..b`` and
+        rebuild its prefix sums.  Tables are asked for lazily, as the
+        per-window walk used to ask: an empty window never is, so no
+        table is built that the walk would not have built; asking again
+        for a window already in the span hands back the same table."""
+        if a <= plan.hi + 1 and plan.lo <= b + 1:
+            a, b = min(a, plan.lo), max(b, plan.hi)
+        plan.lo, plan.hi = a, b
+        n_windows = store.n + 1
         counts = np.zeros((n_windows, self.n_partitions), dtype=np.int64)
         whole = np.zeros(n_windows, dtype=np.int64)
         parts = np.zeros(n_windows, dtype=np.int64)
-        for k, table in enumerate(plan.tables):
+        for k in range(a, b + 1):
+            start, stop = store.window_rows(k)
+            if stop == start:
+                continue
+            table = self.table_for(store, k)
             if table is None:
-                whole[k] = plan.sizes[k]
-            elif table is not _UNFETCHED:
+                whole[k] = stop - start
+            else:
                 counts[k] = np.diff(table.starts)
-                whole[k] = plan.sizes[k] - table.build_n
+                whole[k] = stop - start - table.build_n
                 parts[k] = table.nonempty_parts
 
         def prefix(per_window: np.ndarray) -> np.ndarray:
@@ -798,9 +787,9 @@ class WindowIndexState:
                 np.cumsum(per_window, axis=0),
             ))
 
-        # one python list per bucket: a span's charge is two list reads
-        plan.rows = prefix(counts + whole[:, None]).T.tolist()
-        plan.hits = prefix((counts > 0).astype(np.int64)).T.tolist()
+        # bucket-major: bucket p's prefix sums are entries p * (n + 2) ...
+        plan.rows = prefix(counts + whole[:, None]).T.ravel().tolist()
+        plan.hits = prefix((counts > 0).astype(np.int64)).T.ravel().tolist()
         plan.parts = prefix(parts).tolist()
 
 

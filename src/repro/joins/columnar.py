@@ -224,6 +224,9 @@ def _run_equality(
     """
     result = PipelineResult(hop_stats=[HopStats() for _ in order])
     v0 = float(tup.value)
+    # v0's hash bucket, the same for every hop's index (one bucket
+    # layout per operator): hashed at the first indexed hop
+    part = None
     num_partials = 1
     hop_slices: list[Sequence[WindowSlice]] = []
     hop_cols: list[np.ndarray] = []
@@ -235,7 +238,9 @@ def _run_equality(
             return result
         state = slices[0].store.windex
         if state is not None and state.is_active:
-            charged = state.charge(slices, total, v0, v0, v0)
+            if part is None:
+                part = state.hash_part(v0)
+            charged = state.charge(slices, total, v0, v0, v0, part)
             if charged == 0:
                 return result
         else:

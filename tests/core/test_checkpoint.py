@@ -108,8 +108,9 @@ cases = st.builds(
 #: snapshotted once the index is active
 FOUND = Case(kind="grubjoin", storage="scalar", mode="inner", equi=False,
              small_tables=True, seed=3, cut_at="any", cut=0.5)
-#: a hash-indexed MJoin snapshotted while its frozen plan still holds
-#: windows it has not fetched: the plan's marker must pickle as itself
+#: a hash-indexed MJoin snapshotted while its frozen plan covers only
+#: part of the ring (when the plan held a marker for the windows it had
+#: not fetched, the marker had to pickle as itself)
 UNFETCHED = Case(kind="mjoin", storage="scalar", mode="inner", equi=True,
                  small_tables=False, seed=1, cut_at="any", cut=0.5)
 
@@ -257,6 +258,21 @@ class TestSnapshotRestore:
         run, per tuple (comparisons and result keys), in state (digests
         at the cut and at the end) and at the flush."""
         got, want = continues_identically(case.for_index(index), index,
+                                          state=True)
+        assert got == want
+
+    @pytest.mark.parametrize("index", ["range", "adaptive"])
+    def test_pending_sensor_feed_is_carried(self, index):
+        """A cut between two ticks: the values inserted since the last
+        tick are queued for the sensor, not yet in it.  The copy carries
+        the queue and feeds it at its next tick as the original does."""
+
+        def snapshot(op, now):
+            assert any(state.feed for state in op.windex_states)
+            return pickled(op, now)
+
+        case = replace(FOUND, kind="mjoin").for_index(index)
+        got, want = continues_identically(case, index, snapshot=snapshot,
                                           state=True)
         assert got == want
 

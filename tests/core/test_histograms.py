@@ -52,6 +52,32 @@ class TestUpdates:
         h2.add_many(xs)
         assert np.allclose(h1.counts, h2.counts)
 
+    @settings(max_examples=50, deadline=None)
+    @given(xs=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e19, -1e19, 1e300, -1e300, 9.2e18, 10.0, -0.0]),
+    ), max_size=30))
+    def test_add_many_buckets_extremes_as_add(self, xs):
+        # a scaled position past int64 must clamp to the edge bucket, not
+        # wrap in the cast (1e19 and 1e300 once landed in bucket 0); the
+        # counts are bit-equal, not just close
+        h1 = EquiWidthHistogram(0, 10, 10)
+        h2 = EquiWidthHistogram(0, 10, 10)
+        for x in xs:
+            h1.add(x)
+        h2.add_many(xs)
+        assert h1.counts.tolist() == h2.counts.tolist()
+
+    def test_position_past_float_range_clamps(self):
+        # 1e300 over a 1e-300-wide domain: the scaled position is inf
+        h1 = EquiWidthHistogram(0.0, 1e-300, 10)
+        h2 = EquiWidthHistogram(0.0, 1e-300, 10)
+        for x in (1e300, -1e300, 5e-301):
+            h1.add(x)
+        h2.add_many([1e300, -1e300, 5e-301])
+        assert h1.counts.tolist() == h2.counts.tolist() == [
+            1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
     def test_weighted_add(self):
         h = EquiWidthHistogram(0, 10, 10)
         h.add(1.0, weight=2.5)

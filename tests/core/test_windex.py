@@ -868,6 +868,82 @@ class TestNonFiniteValues:
         assert keys == flat_keys
 
 
+def _observe_per_insert(state: WindowIndexState, value: float) -> None:
+    """The sensor as it was fed once per insert: skip a non-finite
+    value, else add it to the histogram, or to the warmup buffer until
+    that holds ``warmup`` values."""
+    if not np.isfinite(value):
+        return
+    if state.sensor is not None:
+        state.sensor.add(value)
+        return
+    state._warm[state._warm_n] = value
+    state._warm_n += 1
+    if state._warm_n == len(state._warm):
+        state._init_sensor()
+
+
+#: sensor inputs: in the domain and NaN and the infinities, which the
+#: warmup buffer takes to fix a domain; then finite values far outside
+#: it too (their scaled positions pass int64)
+_IN_DOMAIN = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([_NAN, _INF, -_INF]),
+    st.just("tick"),
+)
+_ANY_VALUE = st.one_of(
+    _IN_DOMAIN,
+    st.sampled_from([1e19, -1e19, 1e300, -1e300, 9.3e18]),
+)
+
+
+class TestPerTickFeed:
+    """The sensor is fed once per tick, from the values queued since the
+    last one, and ends each tick exactly as the per-insert feed left it:
+    the same counts to the bit, total, kind decisions and range
+    boundaries — with warmup-buffer crossings inside one tick, ticks at
+    any point, non-finite and far out-of-domain values."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        spec=st.sampled_from([ADAPTIVE, RANGE]),
+        radius=st.sampled_from([0.0, 0.5, 40.0]),
+        warmup=st.sampled_from([4, 8, 16]),
+        min_samples=st.sampled_from([2, 6, 12]),
+        hysteresis=st.sampled_from([1, 2]),
+        head=st.lists(_IN_DOMAIN, max_size=40),
+        tail=st.lists(_ANY_VALUE, max_size=80),
+    )
+    def test_matches_per_insert_feed(self, tune, spec, radius, warmup,
+                                     min_samples, hysteresis, head, tail):
+        tune(warmup=warmup, min_samples=min_samples, hysteresis=hysteresis,
+             n_partitions=16)
+        per_tick = WindowIndexState(spec, radius)
+        per_insert = WindowIndexState(spec, radius)
+        for event in [*head, *tail, "tick"]:
+            if event != "tick":
+                per_tick.observe(event)
+                _observe_per_insert(per_insert, event)
+                continue
+            assert per_tick.tick() == per_insert.tick()
+            assert per_tick.feed == []
+            assert per_tick._warm_n == per_insert._warm_n
+            if per_insert.sensor is None:
+                assert per_tick.sensor is None
+            else:
+                assert (per_tick.sensor.counts.tolist()
+                        == per_insert.sensor.counts.tolist())
+                assert per_tick.sensor.total == per_insert.sensor.total
+            assert (per_tick.active, per_tick.switches) == (
+                per_insert.active, per_insert.switches)
+            if per_insert._boundaries is None:
+                assert per_tick._boundaries is None
+            else:
+                assert (per_tick._boundaries.tolist()
+                        == per_insert._boundaries.tolist())
+
+
 class TestDefaultTuningBill:
     """What an adaptive index bills a run at the class's own tuning, as
     recorded numbers.  Outputs cannot catch a wrong charge (the index

@@ -262,10 +262,10 @@ class TestOneSlicePerHop:
 
 
 class TestFrozenTablesOncePerRotation:
-    """What pricing a hash hop costs, as counts: the frozen windows'
-    tables are asked for once per rotation, not once per probe — a
-    steady-state full probe calls ``table_for`` for the filling window
-    only."""
+    """What pricing a hash hop costs, as counts: a frozen window's table
+    is built at most once per rotation, not once per probe, and the
+    filling window's table is rebuilt logarithmically often as it
+    grows — ``table_for`` runs only to build a table."""
 
     def test_full_hash_probes(self, monkeypatch):
         monkeypatch.setattr(WindowIndexState, "min_index_rows", 8)
@@ -284,6 +284,7 @@ class TestFrozenTablesOncePerRotation:
         per_rotation = []
         for rotation in range(12):
             calls.clear()
+            rebuilds = pw.windex.rebuilds
             # 10 probes per basic window, each after 4 in-order arrivals
             for _ in range(10):
                 for _ in range(4):
@@ -298,15 +299,19 @@ class TestFrozenTablesOncePerRotation:
                                 stream=0, seq=probes),
                     (1,), lambda hop, l: pw.full_slices(now), EquiJoin(),
                 )
-            per_rotation.append((calls.count(0), len(calls) - calls.count(0)))
+            per_rotation.append((len(calls) - calls.count(0),
+                                 pw.windex.rebuilds - rebuilds))
         assert pw.windex.rows_pruned > 0  # the index priced the hops
         # steady state (the window is full from the 7th basic window on):
-        # once per probe for the filling window, and at most once per
-        # frozen window per rotation — where a per-window walk asks every
-        # window on every probe (70 frozen-window calls per rotation)
-        for filling, frozen in per_rotation[pw.n + 1:]:
-            assert filling == 10
+        # at most one ask per frozen window per rotation — where a
+        # per-window walk asks every window on every probe (70
+        # frozen-window calls per rotation) — and 9 builds per rotation
+        # (the filling window's logarithmic rebuilds plus the newly
+        # frozen window's one tail-free rebuild), as per-probe asking
+        # built them
+        for frozen, _ in per_rotation[pw.n + 1:]:
             assert frozen <= pw.n
+        assert [built for _, built in per_rotation] == [9] * 12
 
 
 # ----------------------------------------------------------------------
