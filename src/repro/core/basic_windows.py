@@ -274,7 +274,7 @@ class PartitionedWindow:
         self._seq[row] = tup.seq
         self._tups[row] = tup
         if self.windex is not None and self.windex.needs_sensor:
-            self.windex.feed.append(tup.value)
+            self.windex.observe(tup.value)
 
     def _open_gap(self, ts: float, k: int) -> int:
         """Make room for a late tuple at its timestamp position — after

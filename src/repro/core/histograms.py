@@ -57,9 +57,8 @@ class EquiWidthHistogram:
     # ------------------------------------------------------------------
 
     def _bucket_of(self, x: float) -> int:
-        # clamp before the cast: a far-out sample's position can be inf
-        pos = (x - self.low) / self.width
-        return int(min(max(pos, 0.0), self.buckets - 1))
+        idx = int((x - self.low) / self.width)
+        return min(max(idx, 0), self.buckets - 1)
 
     def add(self, x: float, weight: float = 1.0) -> None:
         """Record one sample."""
@@ -67,8 +66,8 @@ class EquiWidthHistogram:
         self.version += 1
 
     def add_many(self, xs) -> None:
-        """Record a batch of samples, each in the bucket :meth:`add` puts
-        it in (NaN has no bucket)."""
+        """Record a batch of samples; one beyond the domain lands in the
+        edge bucket, as with :meth:`add` (NaN has no bucket)."""
         # clip before the cast: a position past int64 has no integer,
         # and a far-out sample's position may overflow to inf
         with np.errstate(over="ignore"):

@@ -128,6 +128,23 @@ def check_index_compat(
     return spec
 
 
+def _reusable(cached, epoch: int, k: int, size: int, min_rows: int) -> bool:
+    """Whether a derived slot's ``(epoch, built_frozen, table)`` entry
+    still serves physical window ``k`` of ``size`` rows (see
+    :meth:`WindowIndexState.table_for`)."""
+    # tolerate a delta tail of 1/16 of the window (plus a small absolute
+    # slack): every tail row is an unpruned candidate on every probe, so
+    # a lax bound silently erodes pruning, while a tight one rebuilds the
+    # actively filling window so often that rebuild cost eats the
+    # pruning win
+    return (
+        cached is not None
+        and cached[0] == epoch
+        and (cached[1] or k == 0)
+        and size - cached[2].build_n <= max(min_rows >> 2, size >> 4)
+    )
+
+
 class PartitionTable:
     """Partition layout of one basic window's value column prefix.
 
@@ -208,8 +225,8 @@ class WindowIndexState:
 
     * the **sensor** — a warmup sample buffer that seeds an
       :class:`~repro.core.histograms.EquiWidthHistogram` over the
-      observed value domain, fed per tick (the store appends each
-      inserted value to :attr:`feed`; :meth:`tick` drains it) and
+      observed value domain, fed per tick (the store queues each
+      inserted value with :meth:`observe`; :meth:`tick` drains them) and
       decayed per tick;
     * the **policy** — at each :meth:`tick` (the operator's adaptation
       step) the desired kind is derived from the sensor and applied
@@ -268,7 +285,7 @@ class WindowIndexState:
         #: the store feeds it nothing otherwise
         self.needs_sensor = spec in (ADAPTIVE, RANGE)
         #: values inserted since the last tick, not yet fed to the sensor
-        #: (the store appends to it; :meth:`tick` drains it)
+        #: (:meth:`observe` queues them; :meth:`tick` drains them)
         self.feed: list[float] = []
         #: bumped on every kind/boundary switch; a table built at another
         #: epoch is rebuilt
@@ -294,8 +311,8 @@ class WindowIndexState:
     # ------------------------------------------------------------------
 
     def observe(self, value: float) -> None:
-        """Queue one value for the sensor, as an insert does; the next
-        :meth:`tick` feeds it."""
+        """Queue one inserted value for the sensor (the store calls this
+        per insert); the next :meth:`tick` feeds it."""
         self.feed.append(value)
 
     def _drain(self) -> None:
@@ -453,26 +470,13 @@ class WindowIndexState:
         table built while the window was filling (``k == 0``) is rebuilt
         once when asked for at ``k >= 1``: no more appends are coming,
         so the new table has no tail for the window's remaining lifetime.
-        :meth:`_bucket_rows` applies the same rule inline, where it runs
-        once per hop; the two change together.
         """
         start, stop = store.window_rows(k)
         n = stop - start
         slot = store.derived(k)
         cached = slot.get("windex")
-        if (
-            cached is not None
-            and cached[0] == self.epoch
-            and (cached[1] or k == 0)
-        ):
-            table = cached[2]
-            # tolerate a delta tail of 1/16 of the window (plus a small
-            # absolute slack): every tail row is an unpruned candidate
-            # on every probe, so a lax bound silently erodes pruning,
-            # while a tight one rebuilds the actively filling window so
-            # often that rebuild cost eats the pruning win
-            if n - table.build_n <= max(self.min_index_rows >> 2, n >> 4):
-                return table
+        if _reusable(cached, self.epoch, k, n, self.min_index_rows):
+            return cached[2]
         if n < self.min_index_rows:
             return None
         table = self._build(store.values[start:stop])
@@ -683,8 +687,8 @@ class WindowIndexState:
         bounds find them; a bucket's rows are ascending, so one bisect
         pair each cuts them), and the whole frozen windows between them
         are two reads of the store's :class:`_FrozenPlan`.  Each edge
-        window's table is read off its derived slot under
-        :meth:`table_for`'s rule, which only runs to build one.  No
+        window's table is read off its derived slot while
+        :func:`_reusable`; :meth:`table_for` only runs to build one.  No
         ``(min, max)``-summary test here: thousands of keys share each
         bucket, so a nonempty bucket's value span practically always
         covers the probe key.
@@ -714,12 +718,7 @@ class WindowIndexState:
             last = hi if hi < stop else stop
             size = stop - start
             cached = store._derived[-k - 1].get("windex")
-            if (
-                cached is not None
-                and cached[0] == epoch
-                and (cached[1] or k == 0)
-                and size - cached[2].build_n <= max(min_rows >> 2, size >> 4)
-            ):
+            if _reusable(cached, epoch, k, size, min_rows):
                 table = cached[2]
             elif size < min_rows:
                 count += last - first

@@ -870,12 +870,12 @@ class TestNonFiniteValues:
 
 def _observe_per_insert(state: WindowIndexState, value: float) -> None:
     """The sensor as it was fed once per insert: skip a non-finite
-    value, else add it to the histogram, or to the warmup buffer until
-    that holds ``warmup`` values."""
+    value, else add it to the histogram on its own, or to the warmup
+    buffer until that holds ``warmup`` values."""
     if not np.isfinite(value):
         return
     if state.sensor is not None:
-        state.sensor.add(value)
+        state.sensor.add_many([value])
         return
     state._warm[state._warm_n] = value
     state._warm_n += 1
