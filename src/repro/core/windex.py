@@ -128,6 +128,16 @@ def check_index_compat(
     return spec
 
 
+def _code_dtype(n_parts: int) -> type:
+    """The narrowest unsigned dtype that holds partition codes
+    ``0 .. n_parts - 1``."""
+    if n_parts <= 1 << 8:
+        return np.uint8
+    if n_parts <= 1 << 16:
+        return np.uint16
+    return np.intp
+
+
 def _reusable(cached, epoch: int, k: int, size: int, min_rows: int) -> bool:
     """Whether a derived slot's ``(epoch, built_frozen, table)`` entry
     still serves physical window ``k`` of ``size`` rows (see
@@ -169,7 +179,7 @@ class PartitionTable:
     """
 
     __slots__ = ("kind", "n_parts", "order", "order_list", "starts",
-                 "pmins", "pmaxs", "nonempty_parts", "build_n")
+                 "counts", "pmins", "pmaxs", "nonempty_parts", "build_n")
 
     def __init__(
         self,
@@ -177,6 +187,8 @@ class PartitionTable:
         n_parts: int,
         order: np.ndarray,
         starts: np.ndarray,
+        counts: np.ndarray,
+        nonempty_parts: int,
         pmins: np.ndarray,
         pmaxs: np.ndarray,
         build_n: int,
@@ -186,9 +198,11 @@ class PartitionTable:
         self.order = order
         self.order_list = order.tolist()
         self.starts = starts.tolist()
+        #: rows per partition (int64; ``diff(starts)``)
+        self.counts = counts
         self.pmins = pmins
         self.pmaxs = pmaxs
-        self.nonempty_parts = int(np.count_nonzero(np.diff(starts)))
+        self.nonempty_parts = nonempty_parts
         self.build_n = build_n
 
 
@@ -484,11 +498,11 @@ class WindowIndexState:
         self.rebuilds += 1
         return table
 
-    def _hash_codes(self, vals: np.ndarray) -> np.ndarray:
+    def _hash_codes(self, vals: np.ndarray, dtype=np.intp) -> np.ndarray:
         # +0.0 canonicalizes -0.0 so equal floats share a bit pattern
         bits = (vals + 0.0).view(np.uint64)
         return ((bits * _HASH_MULT) >> np.uint64(self._hash_shift)).astype(
-            np.intp
+            dtype
         )
 
     def hash_part(self, key: float) -> int:
@@ -504,33 +518,36 @@ class WindowIndexState:
         return code >> self._hash_shift
 
     def _build(self, vals: np.ndarray) -> PartitionTable:
+        # codes in the narrowest unsigned type that holds them: numpy's
+        # stable sort is a radix sort for integers of 16 bits or less,
+        # and a stable sort's permutation does not depend on the dtype
         if self.active == HASH:
             kind = HASH
             n_parts = self.n_partitions
-            codes = self._hash_codes(vals)
+            codes = self._hash_codes(vals, _code_dtype(n_parts))
         else:
             kind = RANGE
             boundaries = self._boundaries
             n_parts = len(boundaries) + 1
             codes = np.searchsorted(
                 boundaries, vals, side="right"
-            ).astype(np.intp)
-        order = np.argsort(codes, kind="stable").astype(np.intp, copy=False)
-        starts = np.searchsorted(
-            codes[order], np.arange(n_parts + 1), side="left"
-        ).astype(np.intp, copy=False)
+            ).astype(_code_dtype(n_parts))
+        order = np.argsort(codes, kind="stable")
+        counts = np.bincount(codes, minlength=n_parts)
+        starts = np.zeros(n_parts + 1, dtype=np.intp)
+        np.cumsum(counts, out=starts[1:])
         pmins = np.full(n_parts, np.inf)
         pmaxs = np.full(n_parts, -np.inf)
         sv = vals[order]
-        nonempty = np.flatnonzero(np.diff(starts) > 0)
+        nonempty = np.flatnonzero(counts)
         if len(nonempty):
             # fmin / fmax: a NaN row must not poison its partition's
             # summary (a NaN-only one stays NaN and prunes: NaN matches
             # nothing)
             pmins[nonempty] = np.fmin.reduceat(sv, starts[nonempty])
             pmaxs[nonempty] = np.fmax.reduceat(sv, starts[nonempty])
-        return PartitionTable(kind, n_parts, order, starts, pmins, pmaxs,
-                              len(vals))
+        return PartitionTable(kind, n_parts, order, starts, counts,
+                              len(nonempty), pmins, pmaxs, len(vals))
 
     # ------------------------------------------------------------------
     # probing
@@ -776,7 +793,7 @@ class WindowIndexState:
             if table is None:
                 whole[k] = stop - start
             else:
-                counts[k] = np.diff(table.starts)
+                counts[k] = table.counts
                 whole[k] = stop - start - table.build_n
                 parts[k] = table.nonempty_parts
 

@@ -290,8 +290,8 @@ class ResultBlock(Sequence):
     the cross product (last hop fastest); an interval probe keeps one hit
     per result and hop, as aligned rows.  Either way result ``r`` takes
     hop ``h``'s hit ``(r // stride_h) % k_h`` (:meth:`factors`), so the
-    identities of many blocks can be laid out at once
-    (:func:`repro.parallel.procs.result_keys`).  The ``(n, m)`` identity
+    identities of many blocks can be gathered and laid out at once
+    (:func:`repro.parallel.procs.gather_keys`).  The ``(n, m)`` identity
     matrix :attr:`seqs` and the :class:`~repro.streams.tuples.JoinResult`
     objects are only built the first time somebody reads them, and then
     kept (so a timestamp stamped on a result is seen by every later

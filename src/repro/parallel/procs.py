@@ -9,19 +9,23 @@ same router -> shards -> merger plan as
 router and the merger:
 
 * **transport** — pickled-batch duplex pipes.  The supervisor routes
-  tuples through the :class:`~repro.parallel.router.RouterOperator`
-  (a key's shard is ``crc32(key) % K``), packs per-worker batches of
-  :data:`BATCH_SIZE` tuples, and bounds the unacknowledged batches per
-  worker at :data:`MAX_INFLIGHT` so the
+  each tuple by :meth:`~repro.parallel.router.RouterOperator.shard_of`
+  (a key's shard is ``crc32(key) % K``), computed once per distinct key
+  (:func:`shard_memo`), packs per-worker batches of :data:`BATCH_SIZE`
+  plain ``(value, timestamp, stream, seq, delivery)`` rows, and bounds
+  the unacknowledged batches per worker at :data:`MAX_INFLIGHT` so the
   downstream pipe always fits the OS buffer (sends never block) while
   acks are drained continuously
   (workers never stall on a full upstream pipe) — the classic
   two-sided-pipe deadlock cannot form.  Results travel upstream as
-  *identity columns*: each ack carries one ``(n, m)`` int64 matrix of
-  ``seq`` numbers (:func:`result_keys`), the supervisor's merge is a
-  count and a list append per ack, and no per-result Python object is
-  built on either side (``ProcsResult.merged_ids`` builds the testkit's
-  identity set from the matrices on first access).  On ``("stop",)``
+  *identity columns*, unexpanded: each ack carries one
+  :class:`ResultKeys` — the batch's result blocks as gathered factors
+  (:func:`gather_keys`), never larger than the ``(n, m)`` int64 matrix
+  of ``seq`` numbers it stands for — the supervisor's merge is a count
+  and a list append per ack, and no per-result Python object is built
+  on either side (the matrices are expanded, and
+  ``ProcsResult.merged_ids`` builds the testkit's identity set from
+  them, on first access).  On ``("stop",)``
   a worker runs the operator's end-of-run flush (``on_finish``, the
   same call the graph host makes on every node) and its result
   identities ride the ``("bye", ...)`` — anti/outer survivors still
@@ -69,7 +73,9 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 from multiprocessing.connection import wait as _conn_wait
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -101,84 +107,195 @@ CONTROL_INTERVAL = 4
 #: events each worker's crash flight recorder retains (ring buffer)
 FLIGHT_CAPACITY = 64
 
+#: a tuple as it crosses the pipe: a plain row, which C pickle writes
+#: with no Python call (the worker rebuilds it with ``StreamTuple(*row)``)
+_row = attrgetter("value", "timestamp", "stream", "seq", "delivery")
 
-def result_keys(batch: Sequence[Sequence[Any]], m: int) -> np.ndarray:
-    """The identities of a batch's results as one ``(n, m)`` int64
-    matrix, in batch order: column ``s`` is the ``seq`` of the
-    constituent from stream ``s``, ``-1`` where a result has none (the
-    singletons of the semi/anti/outer modes).  ``batch`` holds one
-    output sequence per ``process()`` call.
+
+def gather_keys(batch: Sequence[Sequence[Any]], m: int) -> "ResultKeys":
+    """The identities of a batch's results, gathered for the pipe: the
+    worker half of an ack.  ``batch`` holds one output sequence per
+    ``process()`` call.
 
     A columnar :class:`~repro.joins.columnar.ResultBlock` contributes
     its :meth:`~repro.joins.columnar.ResultBlock.factors` unexpanded —
-    no result object and no per-block matrix is built — and all blocks
-    are expanded together, in a fixed number of array operations however
-    many the batch holds.  Any other output (the reference pipeline,
-    ``ModeState``) is filled from :meth:`JoinResult.key`.
+    no result object and no matrix is built — and the whole batch lands
+    in one int64 buffer in a fixed number of numpy calls however many
+    blocks it holds.  Any other output (the reference pipeline,
+    ``ModeState``) is listed row by row from :meth:`JoinResult.key`.
+    When the factors would take more room than the ``(n, m)`` matrix
+    (small blocks: each carries ``2m + 1`` words of layout), the matrix
+    is what ships, so an ack is never larger than the matrix it stands
+    for.
     """
-    firsts: list[int] = []   # per block: its first row in the matrix
-    counts: list[int] = []   # per block: its rows
-    meta: list[int] = []     # per block: its m streams, seq, product
+    head: list[int] = []     # per block: its m streams, seq, product
+    sizes: list[int] = []    # per block and hop: its hit count
     hits: list[np.ndarray] = []  # per block and hop: the hits' seqs
-    rows: list[int] = []     # the rows of the other outputs ...
-    listed: list[list[int]] = []  # ... and their keys
-    total = 0
+    listed: list[int] = []   # the other outputs' keys, row-major ...
+    rows: list[int] = []     # ... and their rows in the batch
+    count = 0
     for outputs in batch:
         n = len(outputs)
         factors = getattr(outputs, "factors", None)
         if factors is not None:
             stream, seq, order, block_hits, product = factors()
-            firsts.append(total)
-            counts.append(n)
-            meta.append(stream)
-            meta.extend(order)
-            meta.extend((seq, product))
+            head.append(stream)
+            head.extend(order)
+            head.extend((seq, product))
+            sizes.extend(map(len, block_hits))
             hits.extend(block_hits)
         else:
-            rows.extend(range(total, total + n))
+            rows.extend(range(count, count + n))
             for result in outputs:
                 key = [-1] * m
                 for stream, seq in result.key():
                     key[stream] = seq
-                listed.append(key)
-        total += n
-    if not counts:
-        return np.array(listed, dtype=np.int64).reshape(-1, m)
-    # per block, position 0 is the probing tuple (one "hit") and
-    # position h + 1 is hop h; the pool holds the probing seqs, then
-    # every block's hits in order
-    blocks = len(counts)
-    meta = np.array(meta).reshape(blocks, m + 2)
-    pool = np.concatenate([meta[:, m], *hits])
-    hop_sizes = np.fromiter(map(len, hits), np.int64, len(hits))
-    sizes = np.ones((blocks, m), dtype=np.int64)
-    sizes[:, 1:] = hop_sizes.reshape(blocks, m - 1)
-    starts = np.empty_like(sizes)
-    starts[:, 0] = np.arange(blocks)
-    starts[:, 1:] = (hop_sizes.cumsum() - hop_sizes + blocks).reshape(
-        blocks, m - 1
+                listed.extend(key)
+        count += n
+    blocks = len(head) // (m + 2)
+    if not blocks:
+        rows = []  # the listed rows are the matrix, in order
+    flat = np.concatenate(
+        [np.array(head + sizes + listed + rows, dtype=np.int64), *hits]
     )
-    # a cross-product factor's stride is the product of the later
-    # positions' sizes (the probing tuple, of size 1, is picked whatever
-    # its stride); aligned rows step by 1
-    strides = np.ones_like(sizes)
-    strides[:, :-1] = sizes[:, :0:-1].cumprod(axis=1)[:, ::-1]
-    strides[meta[:, m + 1] == 0] = 1
-    # each block's positions in stream order, then one row per result
-    by_stream = meta[:, :m].argsort(axis=1)[None]
-    counts = np.array(counts)
-    start, stride, size = np.repeat(
-        np.take_along_axis(np.stack([starts, strides, sizes]), by_stream, 2),
-        counts, axis=1,
-    )
-    r = np.arange(len(start)) - np.repeat(counts.cumsum() - counts, counts)
-    block_keys = pool[start + r[:, None] // stride % size]
-    if not listed:
-        return block_keys
-    keys = np.empty((total, m), dtype=np.int64)
-    keys[rows] = listed
-    keys[np.repeat(firsts, counts) + r] = block_keys
+    keys = ResultKeys(m, count, blocks, len(listed) // m, flat)
+    if len(flat) > count * m:
+        return ResultKeys(m, count, 0, count, keys.matrix.ravel())
     return keys
+
+
+def _wire_keys(m: int, count: int, blocks: int, listed: int,
+               data: bytes) -> "ResultKeys":
+    return ResultKeys(
+        m, count, blocks, listed, np.frombuffer(data, dtype=np.int64)
+    )
+
+
+class ResultKeys:
+    """One ack's result identities, as they cross the pipe.
+
+    ``len()`` is the result count and iteration yields one ``(m,)``
+    row per result: column ``s`` is the ``seq`` of the constituent from
+    stream ``s``, ``-1`` where a result has none (the singletons of the
+    semi/anti/outer modes).  :attr:`matrix` is the ``(n, m)`` int64
+    identity matrix in batch order — the supervisor half of the ack,
+    expanded the first time somebody reads it and then kept.
+
+    ``flat`` is laid out, for ``blocks`` blocks and ``listed`` listed
+    rows, as: the ``(blocks, m + 2)`` meta rows (probing stream, the
+    hops' streams, probing ``seq``, product flag), the ``blocks *
+    (m - 1)`` hop sizes, the ``(listed, m)`` listed keys, their rows
+    (only when there are blocks; without, they are the matrix), then
+    every hop's hits.  It pickles as raw bytes.
+    """
+
+    __slots__ = ("m", "count", "blocks", "listed", "flat", "_matrix")
+
+    def __init__(self, m: int, count: int, blocks: int, listed: int,
+                 flat: np.ndarray) -> None:
+        self.m = m
+        self.count = count
+        self.blocks = blocks
+        self.listed = listed
+        self.flat = flat
+        self._matrix: np.ndarray | None = None
+
+    def __reduce__(self):
+        return _wire_keys, (
+            self.m, self.count, self.blocks, self.listed,
+            self.flat.tobytes(),
+        )
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.matrix)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        keys = self._matrix
+        if keys is None:
+            keys = self._matrix = self._expand()
+        return keys
+
+    def _expand(self) -> np.ndarray:
+        """All blocks expanded together, in a fixed number of array
+        operations however many the ack holds."""
+        m, blocks, listed, flat = self.m, self.blocks, self.listed, self.flat
+        if not blocks:
+            return flat[: listed * m].reshape(listed, m)
+        # per block, position 0 is the probing tuple (one "hit") and
+        # position h + 1 is hop h; the pool holds the probing seqs, then
+        # every block's hits in order
+        at = blocks * (m + 2)
+        meta = flat[:at].reshape(blocks, m + 2)
+        hop_sizes = flat[at : at + blocks * (m - 1)]
+        at += len(hop_sizes)
+        listed_keys = flat[at : at + listed * m].reshape(listed, m)
+        at += listed * m
+        rows = flat[at : at + listed]
+        pool = np.concatenate([meta[:, m], flat[at + listed :]])
+        sizes = np.ones((blocks, m), dtype=np.int64)
+        sizes[:, 1:] = hop_sizes.reshape(blocks, m - 1)
+        starts = np.empty_like(sizes)
+        starts[:, 0] = np.arange(blocks)
+        starts[:, 1:] = (hop_sizes.cumsum() - hop_sizes + blocks).reshape(
+            blocks, m - 1
+        )
+        # a cross-product factor's stride is the product of the later
+        # positions' sizes (the probing tuple, of size 1, is picked whatever
+        # its stride), and its block holds their product; aligned rows
+        # step by 1, one result per hit
+        product = meta[:, m + 1] != 0
+        strides = np.ones_like(sizes)
+        strides[:, :-1] = sizes[:, :0:-1].cumprod(axis=1)[:, ::-1]
+        counts = np.where(product, strides[:, 0], sizes[:, -1])
+        strides[~product] = 1
+        # each block's positions in stream order, then one row per result
+        by_stream = meta[:, :m].argsort(axis=1)[None]
+        start, stride, size = np.repeat(
+            np.take_along_axis(
+                np.stack([starts, strides, sizes]), by_stream, 2
+            ),
+            counts, axis=1,
+        )
+        r = np.arange(len(start)) - np.repeat(counts.cumsum() - counts, counts)
+        block_keys = pool[start + r[:, None] // stride % size]
+        if not listed:
+            return block_keys
+        keys = np.empty((self.count, m), dtype=np.int64)
+        keys[rows] = listed_keys
+        from_blocks = np.ones(self.count, dtype=bool)
+        from_blocks[rows] = False
+        keys[from_blocks] = block_keys
+        return keys
+
+
+def shard_memo(
+    shard_of: Callable[[StreamTuple], int],
+) -> Callable[[StreamTuple], int]:
+    """``shard_of``, computed once per distinct key of one run.
+
+    Equal ``float`` / ``int`` / ``str`` payloads of one type have one
+    repr, so they share one memo entry (the type is part of the entry:
+    ``1`` and ``1.0`` are equal but are not the same payload).  Every
+    other type asks ``shard_of`` per tuple: ``Decimal('1.0')`` and
+    ``Decimal('1.00')`` are equal, with different reprs.
+    """
+    memo: dict[tuple[type, Any], int] = {}
+
+    def route(tup: StreamTuple) -> int:
+        value = tup.value
+        cls = type(value)
+        if cls is float or cls is int or cls is str:
+            shard = memo.get((cls, value))
+            if shard is None:
+                shard = memo[cls, value] = shard_of(tup)
+            return shard
+        return shard_of(tup)
+
+    return route
 
 
 def _worker_main(
@@ -192,10 +309,11 @@ def _worker_main(
     """Worker entry path: build the shard, replay batches, ack results.
 
     Runs in the forked child.  The operator is constructed *here* so
-    its state never crosses the process boundary; only plain
-    :class:`StreamTuple` batches come in and result identities (one
-    :func:`result_keys` matrix per ack, built once from the whole
-    batch's outputs, plus telemetry deltas) go out.
+    its state never crosses the process boundary; only batches of plain
+    ``(value, timestamp, stream, seq, delivery)`` rows come in (rebuilt
+    into :class:`StreamTuple`\\ s by one ``starmap``) and result
+    identities (one :func:`gather_keys` value per ack, gathered once
+    from the whole batch's outputs, plus telemetry deltas) go out.
     Virtual time inside the worker is each tuple's delivery time, and
     adaptation ticks are replayed at the same multiples of
     ``adaptation_interval`` the simulator would fire.
@@ -238,13 +356,13 @@ def _worker_main(
         while True:
             msg = conn.recv()
             if msg[0] == "batch":
-                _, seq, batch = msg
+                _, seq, rows = msg
                 flight.note(
-                    clock[0], f"recv batch seq={seq} n={len(batch)}"
+                    clock[0], f"recv batch seq={seq} n={len(rows)}"
                 )
                 outputs = []
                 comparisons = 0
-                for tup in batch:
+                for tup in starmap(StreamTuple, rows):
                     now = tup.delivery_time
                     if next_adapt is not None:
                         while now >= next_adapt:
@@ -269,7 +387,7 @@ def _worker_main(
                     comparisons += receipt.comparisons
                     if receipt.outputs:
                         outputs.append(receipt.outputs)
-                keys = result_keys(outputs, m)
+                keys = gather_keys(outputs, m)
                 flight.note(
                     clock[0],
                     f"ack seq={seq} results={len(keys)} "
@@ -279,12 +397,12 @@ def _worker_main(
                     shipper.collect() if shipper is not None else None
                 )
                 conn.send(
-                    ("ack", worker_id, seq, len(batch), keys,
+                    ("ack", worker_id, seq, len(rows), keys,
                      comparisons, delta)
                 )
             elif msg[0] == "stop":
                 flight.note(clock[0], "stop received")
-                keys = result_keys([operator.on_finish(clock[0])], m)
+                keys = gather_keys([operator.on_finish(clock[0])], m)
                 delta = (
                     shipper.collect() if shipper is not None else None
                 )
@@ -339,17 +457,19 @@ class _Worker:
 class ProcsResult:
     """Outcome of one process-parallel run.
 
-    ``merged_keys`` is the merged output as it crossed the pipes: the
-    acks' :func:`result_keys` matrices in arrival order, one row per
-    result (``merged_count`` rows in all, at-least-once duplicates
-    included).  ``merged_ids`` is the identity set the testkit diffs
-    (each element a :meth:`JoinResult.key` — the ``(stream, seq)`` pairs
-    of the result's constituents), built from those matrices on first
-    access.  ``merged_per_worker`` / ``routed_per_worker`` are indexed
-    by worker id.
+    ``acks`` is the merged output as it crossed the pipes: each ack's
+    (and each "bye"'s) :class:`ResultKeys`, in arrival order.
+    ``merged_keys`` reads them as their ``(n, m)`` identity matrices,
+    one row per result (``merged_count`` rows in all, at-least-once
+    duplicates included), expanded on first access.  ``merged_ids`` is
+    the identity set the testkit diffs (each element a
+    :meth:`JoinResult.key` — the ``(stream, seq)`` pairs of the result's
+    constituents), built from those matrices on first access.
+    ``merged_per_worker`` / ``routed_per_worker`` are indexed by worker
+    id.
     """
 
-    merged_keys: list[np.ndarray] = field(repr=False)
+    acks: list[ResultKeys] = field(repr=False)
     merged_count: int
     merged_per_worker: list[int]
     routed_per_worker: list[int]
@@ -357,6 +477,10 @@ class ProcsResult:
     tuples_routed: int
     wall_seconds: float
     workers_spawned: int
+
+    @cached_property
+    def merged_keys(self) -> list[np.ndarray]:
+        return [keys.matrix for keys in self.acks]
 
     @cached_property
     def merged_ids(self) -> frozenset:
@@ -422,7 +546,7 @@ class _Supervisor:
         self.merger = MergerOperator(num_shards)
         self.workers: dict[int, _Worker] = {}
         self.pending: dict[int, list[StreamTuple]] = {}
-        self.merged_keys: list[np.ndarray] = []
+        self.acks: list[ResultKeys] = []
         self.obs = obs
         self.dashboard = dashboard
         self.aggregator = (
@@ -480,10 +604,10 @@ class _Supervisor:
         if delta is not None and self.aggregator is not None:
             self.aggregator.absorb(delta)
 
-    def _merge(self, worker: _Worker, keys: np.ndarray) -> None:
+    def _merge(self, worker: _Worker, keys: ResultKeys) -> None:
         worker.results += len(keys)
         self.merger.absorb(worker.id, len(keys))
-        self.merged_keys.append(keys)
+        self.acks.append(keys)
 
     def _handle(self, msg: tuple) -> None:
         kind = msg[0]
@@ -568,7 +692,9 @@ class _Supervisor:
         worker = self.workers[worker_id]
         while worker.batches_sent - worker.batches_acked >= MAX_INFLIGHT:
             self.drain(0.05)
-        self._send(worker, ("batch", worker.batches_sent, batch))
+        self._send(
+            worker, ("batch", worker.batches_sent, list(map(_row, batch)))
+        )
         worker.batches_sent += 1
         worker.routed += len(batch)
         if self.obs is not None:
@@ -609,15 +735,17 @@ class _Supervisor:
         )
         for k in range(self.router.num_shards):
             self.spawn(k)
-        tuples_routed = 0
+        route = shard_memo(self.router.shard_of)
+        account = self.router.account
+        pending = self.pending
         flushes = 0
         try:
             for tup in arrivals:
-                receipt = self.router.process(tup, tup.delivery_time)
-                shard = receipt.outputs[0].shard
-                tuples_routed += 1
-                self.pending[shard].append(tup)
-                if len(self.pending[shard]) >= BATCH_SIZE:
+                shard = route(tup)
+                account(shard)
+                batch = pending[shard]
+                batch.append(tup)
+                if len(batch) >= BATCH_SIZE:
                     self.flush(shard)
                     flushes += 1
                     if flushes % CONTROL_INTERVAL == 0:
@@ -644,7 +772,7 @@ class _Supervisor:
         wall = self.timer() - started
         order = sorted(self.workers)
         return ProcsResult(
-            merged_keys=self.merged_keys,
+            acks=self.acks,
             merged_count=self.merger.merged,
             merged_per_worker=[
                 self.merger.merged_per_shard[w] for w in order
@@ -655,7 +783,7 @@ class _Supervisor:
             comparisons_per_worker=[
                 self.workers[w].comparisons for w in order
             ],
-            tuples_routed=tuples_routed,
+            tuples_routed=len(arrivals),
             wall_seconds=wall,
             workers_spawned=len(self.workers),
         )

@@ -135,12 +135,17 @@ class RouterOperator(StreamOperator):
         attribute, ``tup.value``)."""
         return stable_key_hash(tup.value) % self.num_shards
 
-    def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
-        """Assign ``tup`` to its shard and emit the routed envelope."""
-        shard = self.shard_of(tup)
+    def account(self, shard: int) -> None:
+        """Count one tuple routed to ``shard`` (the process runtime
+        routes without envelopes and counts through here)."""
         self.routed_per_shard[shard] += 1
         if self._obs_routed is not None:
             self._obs_routed[shard].inc()
+
+    def process(self, tup: StreamTuple, now: float) -> ProcessReceipt:
+        """Assign ``tup`` to its shard and emit the routed envelope."""
+        shard = self.shard_of(tup)
+        self.account(shard)
         return ProcessReceipt(
             comparisons=self.route_cost,
             outputs=[RoutedTuple(shard, tup)],

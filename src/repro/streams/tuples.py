@@ -41,7 +41,7 @@ class StreamTuple:
     def __reduce__(self):
         # a frozen slots dataclass otherwise pickles through python-level
         # per-field get/setstate helpers; the constructor call is several
-        # times cheaper on the procs runtime's batch path
+        # times cheaper for a pickled operator's window columns
         return StreamTuple, (
             self.value, self.timestamp, self.stream, self.seq, self.delivery
         )

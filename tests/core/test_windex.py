@@ -152,6 +152,29 @@ class TestHashCodes:
         assert codes.max() < 16
 
 
+class TestNarrowCodes:
+    """A table is built from partition codes in the narrowest unsigned
+    type (numpy radix-sorts those); its stable permutation, offsets and
+    per-partition counts are the ones the ``intp`` codes give."""
+
+    @pytest.mark.parametrize("n_partitions", [16, 256, 1024])
+    def test_table_is_the_intp_table(self, tune, n_partitions):
+        tune(min_index_rows=8, n_partitions=n_partitions)
+        state = WindowIndexState(HASH, 0.0)
+        rng = np.random.default_rng(n_partitions)
+        vals = rng.integers(0, 3 * n_partitions, size=2400).astype(float)
+        vals[::97] = np.nan
+        table = state.table_for(fill(one_window(), vals), 0)
+        codes = state._hash_codes(vals)
+        order = np.argsort(codes, kind="stable")
+        starts = np.searchsorted(codes[order], np.arange(n_partitions + 1))
+        assert table.order.dtype == np.intp
+        assert np.array_equal(table.order, order)
+        assert table.starts == starts.tolist()
+        assert table.counts.tolist() == np.diff(starts).tolist()
+        assert table.nonempty_parts == np.count_nonzero(np.diff(starts))
+
+
 class TestTableLifecycle:
     def test_small_window_not_indexed(self, tune):
         state = hash_state(tune)

@@ -170,9 +170,9 @@ class TestIndexedOperator:
 
     def test_catch_matrix_verdict_with_tables_built(self, small_tables,
                                                     tmp_path):
-        # the matrix's index row ("mjoin-adaptive-index") never builds a
-        # table on its workload; pinned hash does here, and its shards
-        # must pass every gate as that harmless row does
+        # pinned hash at the class's partition count builds tables here
+        # too, and its shards must pass every gate as the matrix's
+        # tuned adaptive row ("mjoin-adaptive-index") does
         row = Row("mjoin-hash-index", False, each(MJoinOperator, index="hash"))
         got = cells(row, key_workload(seed=1, duration=4.0), tmp_path)
         assert tuple(got.values()) == EXPECTED.get(

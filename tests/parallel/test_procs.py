@@ -8,17 +8,20 @@ the transport constants are patched to.  Crash propagation and the
 P126/P124 worker-entry certification ride along.
 """
 
+import math
 import os
+import pickle
 import random
 import signal
 import sys
 import threading
 import time
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import CpuModel
@@ -33,7 +36,8 @@ from repro.lint.plan import PlanValidationError
 from repro.obs import Obs
 from repro.parallel import build_sharded_graph, run_procs
 from repro.parallel import procs as runtime
-from repro.parallel.procs import result_keys
+from repro.parallel.procs import ResultKeys, gather_keys, shard_memo
+from repro.parallel.router import RouterOperator
 from repro.testkit import (
     band_workload,
     key_workload,
@@ -293,12 +297,12 @@ class TestColumnarResultPlane:
                 blocks.append(outputs)
         assert len(blocks) > 8
         assert all(isinstance(block, ResultBlock) for block in blocks)
-        keys = result_keys(blocks, 3)
+        keys = gather_keys(blocks, 3).matrix
         assert not any(block.materialized for block in blocks)
         # the list path names the same identities, and so do the blocks
-        assert keys.tolist() == result_keys(
+        assert keys.tolist() == gather_keys(
             [list(block) for block in blocks], 3
-        ).tolist()
+        ).matrix.tolist()
         assert keys.tolist() == np.concatenate(
             [block.seqs for block in blocks]
         ).tolist()
@@ -393,11 +397,19 @@ def numpy_calls(fn, monkeypatch) -> list[str]:
     return calls
 
 
+def wire(keys: ResultKeys) -> ResultKeys:
+    """``keys`` as the supervisor receives them."""
+    return pickle.loads(pickle.dumps(keys, pickle.HIGHEST_PROTOCOL))
+
+
 class TestBatchResultKeys:
-    """A worker's ack carries one identity matrix for the whole batch:
-    :func:`result_keys` over the batch's outputs is the concatenation of
-    the eager per-output matrices, and its cost in numpy calls does not
-    grow with the number of blocks."""
+    """A worker's ack carries one value for the whole batch: the
+    worker gathers the blocks' factors (:func:`gather_keys`), the
+    supervisor expands them (:attr:`ResultKeys.matrix`), and the two
+    halves together give the concatenation of the eager per-output
+    matrices.  Neither half's cost in numpy calls grows with the number
+    of blocks, and what crosses the pipe is never larger than the
+    matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -408,42 +420,146 @@ class TestBatchResultKeys:
     def test_batch_is_the_concatenated_eager_keys(self, seed, m, kinds):
         pairs = batch_outputs(seed, kinds, m)
         lazy = [out for out, _ in pairs]
-        keys = result_keys(lazy, m)
+        gathered = gather_keys(lazy, m)
         want = np.concatenate([
             np.empty((0, m), dtype=np.int64),
             *(eager_result_keys(out, m) for _, out in pairs),
         ])
-        assert keys.dtype == np.int64
-        assert keys.shape == want.shape
-        assert np.array_equal(keys, want)
         assert not any(
             out.materialized for out in lazy if isinstance(out, ResultBlock)
+        )
+        received = wire(gathered)
+        assert len(received) == len(want)
+        for keys in (gathered.matrix, received.matrix):
+            assert keys.dtype == np.int64
+            assert keys.shape == want.shape
+            assert np.array_equal(keys, want)
+        assert [row.tolist() for row in received] == want.tolist()
+        assert len(pickle.dumps(received, pickle.HIGHEST_PROTOCOL)) <= len(
+            pickle.dumps(want, pickle.HIGHEST_PROTOCOL)
         )
 
     def test_every_kind_in_one_batch(self):
         pairs = batch_outputs(11, [*OUTPUT_KINDS, *OUTPUT_KINDS[::-1]])
-        keys = result_keys([out for out, _ in pairs], 3)
+        keys = wire(gather_keys([out for out, _ in pairs], 3)).matrix
         assert keys.tolist() == np.concatenate(
             [eager_result_keys(out, 3) for _, out in pairs]
         ).tolist()
         assert (keys == -1).any() and (keys >= 0).all(axis=1).any()
 
+    def test_blocks_and_listed_rows_in_one_ack(self):
+        # large blocks ship as factors; listed rows between them keep
+        # their places in the batch
+        blocks = batch_outputs(5, ["product", "chain"] * 4)
+        singles = batch_outputs(5, ["singletons", "pipeline"])
+        pairs = [*blocks[:3], singles[0], *blocks[3:], singles[1]]
+        gathered = gather_keys([out for out, _ in pairs], 3)
+        assert gathered.blocks == len(blocks)
+        assert gathered.listed == len(singles[0][0]) + len(singles[1][0])
+        want = np.concatenate([eager_result_keys(out, 3) for _, out in pairs])
+        assert np.array_equal(wire(gathered).matrix, want)
+
     def test_empty_batch(self):
         for batch in ([], [[]], [[], []]):
-            keys = result_keys(batch, 3)
-            assert keys.dtype == np.int64 and keys.shape == (0, 3)
+            for keys in (gather_keys(batch, 3), wire(gather_keys(batch, 3))):
+                assert len(keys) == 0
+                assert keys.matrix.dtype == np.int64
+                assert keys.matrix.shape == (0, 3)
 
     def test_numpy_calls_do_not_grow_with_blocks(self, monkeypatch):
         blocks = [
             out for out, _ in batch_outputs(5, ["product", "chain"] * 32)
         ]
-        calls = {
-            n: numpy_calls(lambda n=n: result_keys(blocks[:n], 3),
-                           monkeypatch)
-            for n in (8, 64)
-        }
-        assert calls[8]
-        assert calls[8] == calls[64]
+        gather, expand = {}, {}
+        for n in (8, 64):
+            gather[n] = numpy_calls(
+                lambda n=n: gather_keys(blocks[:n], 3), monkeypatch
+            )
+            received = wire(gather_keys(blocks[:n], 3))
+            assert received.blocks == n  # the factors crossed, unexpanded
+            expand[n] = numpy_calls(lambda: received.matrix, monkeypatch)
+        assert gather[8] and expand[8]
+        assert gather[8] == gather[64]
+        assert expand[8] == expand[64]
+
+
+class TestAckSize:
+    """An ack is never larger than the ``(n, m)`` matrix it stands for:
+    a product block's factors hold ``sum(k) <= prod(k)`` hits, aligned
+    rows ``(m - 1) * n < m * n``, and a batch whose blocks are too small
+    to pay for their layout ships the matrix itself."""
+
+    def test_every_ack_of_a_run(self):
+        result = procs_run(key_workload(seed=2, duration=6.0), 2)
+        assert result.merged_count
+        factored = 0
+        for keys in result.acks:
+            blob = pickle.dumps(keys, pickle.HIGHEST_PROTOCOL)
+            matrix = pickle.dumps(keys.matrix, pickle.HIGHEST_PROTOCOL)
+            assert len(blob) <= len(matrix)
+            factored += keys.blocks > 0
+        assert factored, "no ack shipped factors — test is vacuous"
+
+    def test_small_blocks_ship_the_matrix(self):
+        # one result per block: 7 words of factors against 3 of matrix
+        tiny = [
+            ResultBlock(
+                StreamTuple(value=1.0, timestamp=0.0, stream=s, seq=10 + s),
+                [o for o in range(3) if o != s],
+                [np.array([20 + s]), np.array([30 + s])],
+                [], True, 1,
+            )
+            for s in range(3)
+        ]
+        keys = gather_keys(tiny, 3)
+        assert keys.blocks == 0 and keys.listed == len(tiny)
+        assert keys.matrix.tolist() == np.concatenate(
+            [eager_result_keys(out, 3) for out in tiny]
+        ).tolist()
+
+
+#: join keys whose equality and repr disagree across types and values
+MIXED_KEYS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 1, 1.0, True, False, "1", "",
+                     Decimal("1.0"), Decimal("1.00"), Decimal(1)]),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3).map(np.int64),
+    st.floats(-3, 3).map(np.float64),
+    st.text(max_size=2),
+    st.decimals(allow_nan=False, places=2, min_value=-2, max_value=2),
+    st.tuples(st.integers(0, 2), st.sampled_from([1, 1.0, "1"])),
+)
+
+
+class TestShardMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(MIXED_KEYS, max_size=40),
+           shards=st.sampled_from([1, 3, 1 << 16]))
+    @example(
+        keys=[1, 1.0, True, np.int64(1), Decimal(1), Decimal("1.0"),
+              Decimal("1.00"), "1", -0.0, 0.0, math.nan, math.nan, (1, 1.0)],
+        shards=1 << 16,
+    )
+    def test_memoised_shard_is_shard_of(self, keys, shards):
+        router = RouterOperator(num_streams=1, num_shards=shards)
+        asked = []
+
+        def shard_of(tup):
+            asked.append(tup)
+            return router.shard_of(tup)
+
+        route = shard_memo(shard_of)
+        tuples = [StreamTuple(value=key, timestamp=0.0) for key in keys]
+        # twice over: the second pass reads the memo
+        assert [route(t) for t in tuples + tuples] == [
+            router.shard_of(t) for t in tuples + tuples
+        ]
+        # one ask per distinct exact float / int / str payload of a type;
+        # any other payload asks every time
+        exact = {(type(k), k) for k in keys if type(k) in (float, int, str)}
+        others = sum(type(k) not in (float, int, str) for k in keys)
+        assert len(asked) == len(exact) + 2 * others
 
 
 class TestAccounting:
