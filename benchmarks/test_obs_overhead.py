@@ -12,10 +12,10 @@ Two invariants protect the simulator's measurements:
    have rotted into unconditional work).
 
 The same pair of invariants is enforced for the **process-parallel
-telemetry plane**: a ``run_procs`` fleet shipping per-worker deltas
-over the ack pipes must merge the identical result identity set as the
-telemetry-off run, and the telemetry-off transport must not pay for
-the shipping machinery it isn't using.
+telemetry plane**: a ``run_procs`` fleet whose workers ship their
+recordings home with their parting "bye" must merge the identical
+result identity set as the telemetry-off run, and the telemetry-off
+transport must not pay for the shipping machinery it isn't using.
 """
 
 import time
@@ -165,7 +165,7 @@ def test_procs_obs_overhead(benchmark, show_table):
     )
     show_table(table)
     # 1. the telemetry plane never changes results: identical identity
-    #    sets and per-worker accounting, shipped deltas or not
+    #    sets and per-worker accounting, shipped recordings or not
     assert res_on.merged_ids == res_off.merged_ids
     assert res_on.routed_per_worker == res_off.routed_per_worker
     assert res_on.comparisons_per_worker == res_off.comparisons_per_worker
@@ -176,7 +176,8 @@ def test_procs_obs_overhead(benchmark, show_table):
         range(PROCS_WORKERS)
     )
     # 3. off means off: a telemetry-free transport must not pay for the
-    #    delta machinery (enabled collects, pickles and merges deltas —
-    #    strictly more work) beyond process-spawn noise
+    #    telemetry plane (enabled records, ships and merges each
+    #    worker's recording — strictly more work) beyond process-spawn
+    #    noise
     assert disabled < enabled * 1.5
 

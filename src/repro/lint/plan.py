@@ -48,10 +48,9 @@ P124   Instance aliasing: no container or array (list, dict, set,
 P126   Worker telemetry (process runtime): worker telemetry is
        constructed *post-fork* and stays private to its worker — no
        telemetry-plane object (a bound ``Obs`` sink, registry,
-       instrument, span/flight recorder, delta shipper) may be
-       reachable anywhere in a to-be-forked operator's state graph,
-       and no two worker probes may reach the same telemetry object
-       (cross-worker sharing).
+       instrument, span/flight recorder) may be reachable anywhere in
+       a to-be-forked operator's state graph, and no two worker probes
+       may reach the same telemetry object (cross-worker sharing).
 P130   Mode placement: shard targets behind a router require the
        paper's home configuration — inner mode over sliding windows.
        An anti or outer join with outgoing edges is a WARNING: its
@@ -91,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .diagnostics import Diagnostic, Severity
@@ -312,17 +312,17 @@ def _check_worker_telemetry(
     """P126 — worker telemetry is constructed post-fork and private.
 
     The cross-process telemetry plane builds each worker's
-    :class:`~repro.obs.Obs` *inside the forked child* and ships
-    incremental deltas back over the pipe (write-only from the shard); the supervisor-side aggregator is
-    the only reader.  That design holds only if the operators about to
-    be forked carry no telemetry at all:
+    :class:`~repro.obs.Obs` *inside the forked child* and ships its
+    recording back with the worker's "bye" (write-only from the shard);
+    the supervisor's merge is the only reader.  That design holds only
+    if the operators about to be forked carry no telemetry at all:
 
     * any reachable telemetry-plane object (an ``Obs`` bound with
       ``bind_obs``, a registry or instrument, a span or flight
-      recorder, a delta shipper) was necessarily constructed
-      *pre-fork* — the forked copy would record into dead
-      supervisor-side state instead of the worker's own post-fork
-      plane (bind obs on the supervisor's router/merger instead);
+      recorder) was necessarily constructed *pre-fork* — the forked
+      copy would record into dead supervisor-side state instead of the
+      worker's own post-fork plane (bind obs on the supervisor's
+      router/merger instead);
     * one telemetry object reachable from two worker probes is
       cross-worker sharing: after the fork it silently becomes K
       divergent copies no runtime check can see across.
@@ -348,7 +348,7 @@ def _check_worker_telemetry(
                     f"object {type_name} at {node.path!r} before the "
                     "fork; worker telemetry must be constructed inside "
                     "the child (the procs runtime builds each worker's "
-                    "Obs post-fork and ships deltas back)",
+                    "Obs post-fork and ships its recording back)",
                     node=labels[k],
                 )
             elif prior[0] != k:
@@ -437,39 +437,21 @@ def _check_topology(report: PlanReport, graph: "DataflowGraph") -> None:
     nodes = graph.node_operators()
     edges = graph.edge_list()
 
-    # P101 — cycle detection (iterative DFS, 3-colour)
+    # P101 — cycle detection
     adjacency: dict[str, list[str]] = {name: [] for name in nodes}
+    preds: dict[str, list[str]] = {name: [] for name in nodes}
     for edge in edges:
         adjacency[edge.source].append(edge.target)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in nodes}
-    for start in nodes:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        trail = [start]
-        colour[start] = GREY
-        while stack:
-            name, idx = stack[-1]
-            if idx < len(adjacency[name]):
-                stack[-1] = (name, idx + 1)
-                nxt = adjacency[name][idx]
-                if colour[nxt] == GREY:
-                    cycle = trail[trail.index(nxt):] + [nxt]
-                    report.add(
-                        "P101",
-                        "operator graph contains a cycle: "
-                        + " -> ".join(cycle),
-                        node=nxt,
-                    )
-                elif colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, 0))
-                    trail.append(nxt)
-            else:
-                colour[name] = BLACK
-                stack.pop()
-                trail.pop()
+        preds[edge.target].append(edge.source)
+    try:
+        TopologicalSorter(preds).prepare()
+    except CycleError as error:
+        cycle = error.args[1]
+        report.add(
+            "P101",
+            "operator graph contains a cycle: " + " -> ".join(cycle),
+            node=cycle[0],
+        )
 
     # P102 — schema compatibility along edges
     for edge in edges:

@@ -271,7 +271,7 @@ def fingerprint(obj: Any) -> int:
 def is_telemetry_object(obj: Any) -> bool:
     """Whether ``obj`` belongs to the telemetry plane — any instance of
     a class defined in the ``repro.obs`` package (``Obs``, registries,
-    instruments, span/flight recorders, delta shippers...)."""
+    instruments, span/flight recorders...)."""
     module = type(obj).__module__
     return module == "repro.obs" or module.startswith("repro.obs.")
 

@@ -16,7 +16,8 @@ The pieces:
   basic window was kept or shed (:mod:`repro.obs.explainer`);
 * :func:`write_jsonl` / :func:`load_recording` — the deterministic
   JSONL exporter and its inverse, which rebuilds the :class:`Obs` a log
-  was written from (:mod:`repro.obs.export`);
+  was written from (:mod:`repro.obs.export`); the same lines carry a
+  process-parallel worker's recording back to the supervisor;
 * :func:`render_report` / :func:`render_fleet` — the single-run and
   per-worker ascii views of an ``Obs``, live or loaded
   (:mod:`repro.obs.dashboard`), also via ``python -m repro.obs``.
@@ -25,12 +26,6 @@ An operator driven by hand is instrumented the way every host does it:
 ``op.bind_obs(obs)``.
 """
 
-from .aggregate import (
-    DeltaShipper,
-    TelemetryAggregator,
-    TelemetryDelta,
-    reference_aggregate,
-)
 from .dashboard import render_fleet, render_report
 from .explainer import (
     REASON_BUDGET,
@@ -65,7 +60,6 @@ __all__ = [
     "ActiveSpan",
     "AdaptationExplanation",
     "Counter",
-    "DeltaShipper",
     "DirectionDecision",
     "FlightRecorder",
     "Gauge",
@@ -80,14 +74,11 @@ __all__ = [
     "Series",
     "SpanRecord",
     "SpanRecorder",
-    "TelemetryAggregator",
-    "TelemetryDelta",
     "WindowDecision",
     "explain_adaptation",
     "jsonl_lines",
     "load_recording",
     "parse_lines",
-    "reference_aggregate",
     "render_fleet",
     "render_report",
     "worker_scoped",

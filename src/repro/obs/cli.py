@@ -10,7 +10,7 @@ Two subcommands:
     byte-identical file — CI records a slice and diffs it against the
     committed golden copy.  ``--procs K`` records the *process-parallel*
     slice instead: GrubJoin shards with a pinned throttle on ``K``
-    forked workers, their telemetry shipped back and merged under
+    forked workers, their recordings shipped back and merged under
     ``worker=<id>`` labels; only the worker-scoped (deterministic)
     records are exported, so this too is byte-stable and CI-diffable.
 
@@ -125,7 +125,7 @@ def record_procs_slice(
 
     GrubJoin shards with a :class:`~repro.core.throttle.FixedThrottle`
     replay a frozen keyed workload on ``K`` forked workers; every
-    worker ships its telemetry back over the ack pipe and the returned
+    worker ships its recording back with its "bye" and the returned
     supervisor ``Obs`` holds the merged fleet.  With the throttle
     fixed, the worker-scoped export
     (``jsonl_lines(obs, select=worker_scoped)``) is byte-identical

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.ascii_plots import bar_chart, series_plot, sparkline
+from repro.analysis.ascii_plots import bar_chart, series_plot
 
 from .explainer import AdaptationExplanation
 from .hub import Obs
@@ -155,17 +155,16 @@ def render_report(obs: Obs, top: int = 5) -> str:
     return "\n".join(lines)
 
 
-def render_fleet(obs: Obs, width: int = 24) -> str:
+def render_fleet(obs: Obs) -> str:
     """Fleet view of a process-parallel run: one timeline, per worker.
 
-    Works over the live supervisor ``Obs`` (the procs runtime calls
-    this on every control tick when a ``dashboard=`` sink is given) or
-    over a loaded recording (``python -m repro.obs report --fleet``).
-    Shows, per worker: routed/merged totals, the backlog trajectory as
-    a sparkline, shipped comparison counts, and the latest harvest
-    fractions ``z[i,j]`` as heat cells; below, each worker's harvest
-    heat map.  Deterministic for a finalized recording (sections sort
-    by worker id).
+    Works over a finished run's supervisor ``Obs`` (``python -m
+    repro.obs record --procs K --dashboard``) or over a loaded
+    recording (``python -m repro.obs report --fleet``).  Shows, per
+    worker: routed/merged totals, shipped comparison counts, and the
+    latest harvest fractions ``z[i,j]`` as heat cells; below, each
+    worker's harvest heat map.  Deterministic (sections sort by worker
+    id).
     """
     workers: set[str] = set()
     elapsed = obs.now()
@@ -198,14 +197,6 @@ def render_fleet(obs: Obs, width: int = 24) -> str:
         )
         row = (f"  worker {wid}  routed={routed:g} merged={merged:g} "
                f"comparisons={comparisons:g}")
-        backlog = next(
-            (s for s in _matching(obs, "autoscaler_backlog", worker=wid)
-             if s.times),
-            None,
-        )
-        if backlog is not None:
-            row += (f"  backlog {sparkline(backlog.values[-width:])} "
-                    f"(last={backlog.values[-1]:g})")
         z_cells = sorted(
             (g.label_dict().get("direction", "?"),
              g.label_dict().get("hop", "?"), g.value)

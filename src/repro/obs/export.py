@@ -18,11 +18,17 @@ JSONL layout (one JSON object per line)::
 through the registry's own calls, so a recorded run is inspected with
 the same renderers as a live one, and re-exporting it reproduces the
 file byte for byte.  A loaded ``Obs``'s clock reads 0.
+
+The format is also the process-parallel runtime's wire format for
+telemetry: each worker ships its whole recording as these lines with
+its parting "bye", and :func:`merge_workers` folds the parsed
+recordings into the run's ``Obs``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import IO, Iterable, Iterator
 
 from .explainer import AdaptationExplanation
@@ -55,9 +61,9 @@ def worker_scoped(record: dict) -> bool:
     """Export filter keeping only worker-provenance records (plus meta).
 
     A process-parallel run's :class:`Obs` holds two clock domains: the
-    *worker-side* telemetry merged by the aggregator (virtual-time,
-    deterministic — every record carries a ``worker`` label or field)
-    and the *supervisor-side* transport and backlog families
+    *worker-side* telemetry folded in by :func:`merge_workers`
+    (virtual-time, deterministic — every record carries a ``worker``
+    label or field) and the *supervisor-side* transport families
     (wall-relative, load-dependent).  The
     aggregated-golden CI slice exports through this filter so only the
     deterministic domain is diffed.
@@ -202,6 +208,49 @@ def parse_lines(lines: Iterable[str]) -> Obs:
         else:
             raise ValueError(f"unknown record type {kind!r}")
     return obs
+
+
+def merge_workers(obs: Obs, workers: dict[int, Obs]) -> None:
+    """Fold each worker's recording into ``obs``, in sorted worker order.
+
+    Every record gains ``worker=<id>`` provenance: a label on instruments
+    and spans (whose ids are reassigned, parents kept), the ``worker``
+    field on decisions; a worker's meta goes under ``worker_meta``.
+    Instruments that never moved — a zero counter, an empty histogram
+    or series — are not registered.  Histograms merge bucket-wise over
+    the shared log2 edges, so the merge is exact, and the sorted order
+    makes the export independent of which worker finished first.
+    """
+    for worker in sorted(workers):
+        source, wid = workers[worker], str(worker)
+        for instrument in source.registry.collect():
+            name, labels = instrument.name, instrument.label_dict()
+            if isinstance(instrument, Counter):
+                if instrument.value:
+                    obs.counter(name, worker=wid, **labels).inc(
+                        instrument.value
+                    )
+            elif isinstance(instrument, Gauge):
+                obs.gauge(name, worker=wid, **labels).set(instrument.value)
+            elif isinstance(instrument, Histogram):
+                if instrument.count:
+                    obs.histogram(name, worker=wid, **labels).merge(
+                        [(i, fill) for i, fill in enumerate(instrument.counts)
+                         if fill],
+                        instrument.count, instrument.sum,
+                        instrument.min, instrument.max,
+                    )
+            elif instrument.times:  # a series with samples
+                series = obs.series(name, worker=wid, **labels)
+                for time, value in zip(instrument.times, instrument.values):
+                    series.observe(time, value)
+        obs.spans.extend_remapped(source.spans.records, {"worker": wid})
+        obs.spans.dropped += source.spans.dropped
+        obs.decisions.extend(
+            replace(decision, worker=worker) for decision in source.decisions
+        )
+        if source.meta:
+            obs.meta.setdefault("worker_meta", {})[wid] = source.meta
 
 
 def load_recording(source: str | IO[str]) -> Obs:

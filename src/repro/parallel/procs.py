@@ -50,21 +50,20 @@ router and the merger:
 
 Telemetry: pass ``obs=`` to turn on the **cross-process telemetry
 plane**.  The supervisor exports its own ``procs_*`` transport counters
-and per-worker backlog series on a wall-relative clock (read through
-the injected ``timer`` — the sanctioned seam from :mod:`repro.timing`;
-this module never touches the wall clock directly), and every worker
-builds its own :class:`~repro.obs.Obs` *inside the forked child* (P126
-stays satisfied), binds it to the shard operator, and piggybacks
-incremental :class:`~repro.obs.TelemetryDelta` snapshots on its batch
-acks plus a final flush on the drain "bye".  A supervisor-side
-:class:`~repro.obs.TelemetryAggregator` merges them — exactly, under a
-``worker=<id>`` label — into the run's ``Obs``, so the JSONL/ascii
-exporters and the golden-slice machinery see the whole fleet
-unchanged.  Each worker also keeps a bounded
+on a wall-relative clock (read through the injected ``timer`` — the
+sanctioned seam from :mod:`repro.timing`; this module never touches the
+wall clock directly), and every worker builds its own
+:class:`~repro.obs.Obs` *inside the forked child* (P126 stays
+satisfied) and binds it to the shard operator.  Acks carry no
+telemetry: a worker's whole recording rides its "bye", once, as the
+JSONL lines of :func:`~repro.obs.jsonl_lines` (taken after the
+end-of-run flush).  When the fleet has drained, the supervisor parses
+them and :func:`~repro.obs.export.merge_workers` folds them — exactly,
+under a ``worker=<id>`` label, in sorted worker order — into the run's
+``Obs``, so the JSONL/ascii exporters and the golden-slice machinery
+see the whole fleet.  Each worker also keeps a bounded
 :class:`~repro.obs.FlightRecorder`; a crashing worker's post-mortem
 ``RuntimeError`` carries its traceback *and* the flight-recorder tail.
-Pass ``dashboard=`` for the live fleet view
-(:func:`repro.obs.render_fleet`, refreshed every control tick).
 Telemetry never changes results (see ``docs/OBSERVABILITY.md``).
 """
 
@@ -82,8 +81,8 @@ import numpy as np
 
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import StreamOperator
-from repro.obs.aggregate import DeltaShipper, TelemetryAggregator
-from repro.obs.dashboard import render_fleet
+from repro.joins.columnar import ResultBlock
+from repro.obs.export import jsonl_lines, merge_workers, parse_lines
 from repro.obs.flight import FlightRecorder
 from repro.obs.hub import Obs
 from repro.streams.tuples import StreamTuple
@@ -100,8 +99,7 @@ BATCH_SIZE = 64
 #: block on a busy worker
 MAX_INFLIGHT = 4
 
-#: the supervisor drains acks (and refreshes the dashboard) every this
-#: many flushed batches
+#: the supervisor drains acks every this many flushed batches
 CONTROL_INTERVAL = 4
 
 #: events each worker's crash flight recorder retains (ring buffer)
@@ -117,58 +115,59 @@ def gather_keys(batch: Sequence[Sequence[Any]], m: int) -> "ResultKeys":
     worker half of an ack.  ``batch`` holds one output sequence per
     ``process()`` call.
 
-    A columnar :class:`~repro.joins.columnar.ResultBlock` contributes
-    its :meth:`~repro.joins.columnar.ResultBlock.factors` unexpanded —
+    An ack is factors or a matrix, never a mix.  When every output is
+    a columnar :class:`~repro.joins.columnar.ResultBlock`, the blocks'
+    :meth:`~repro.joins.columnar.ResultBlock.factors` ship unexpanded —
     no result object and no matrix is built — and the whole batch lands
     in one int64 buffer in a fixed number of numpy calls however many
-    blocks it holds.  Any other output (the reference pipeline,
-    ``ModeState``) is listed row by row from :meth:`JoinResult.key`.
-    When the factors would take more room than the ``(n, m)`` matrix
-    (small blocks: each carries ``2m + 1`` words of layout), the matrix
-    is what ships, so an ack is never larger than the matrix it stands
-    for.
+    blocks it holds.  Otherwise (an output of the reference pipeline or
+    of a ``ModeState``) the ``(n, m)`` matrix ships, built from the
+    blocks' :attr:`~repro.joins.columnar.ResultBlock.seqs` and the other
+    outputs' :meth:`JoinResult.key`.  The matrix also ships when the
+    factors would take more room (small blocks: each carries ``2m + 1``
+    words of layout), so an ack is never larger than the matrix it
+    stands for.
     """
+    count = sum(map(len, batch))
+    if not all(isinstance(outputs, ResultBlock) for outputs in batch):
+        return ResultKeys(m, count, 0, _matrix(batch, m).ravel())
     head: list[int] = []     # per block: its m streams, seq, product
     sizes: list[int] = []    # per block and hop: its hit count
     hits: list[np.ndarray] = []  # per block and hop: the hits' seqs
-    listed: list[int] = []   # the other outputs' keys, row-major ...
-    rows: list[int] = []     # ... and their rows in the batch
-    count = 0
-    for outputs in batch:
-        n = len(outputs)
-        factors = getattr(outputs, "factors", None)
-        if factors is not None:
-            stream, seq, order, block_hits, product = factors()
-            head.append(stream)
-            head.extend(order)
-            head.extend((seq, product))
-            sizes.extend(map(len, block_hits))
-            hits.extend(block_hits)
-        else:
-            rows.extend(range(count, count + n))
-            for result in outputs:
-                key = [-1] * m
-                for stream, seq in result.key():
-                    key[stream] = seq
-                listed.extend(key)
-        count += n
-    blocks = len(head) // (m + 2)
-    if not blocks:
-        rows = []  # the listed rows are the matrix, in order
-    flat = np.concatenate(
-        [np.array(head + sizes + listed + rows, dtype=np.int64), *hits]
-    )
-    keys = ResultKeys(m, count, blocks, len(listed) // m, flat)
+    for block in batch:
+        stream, seq, order, block_hits, product = block.factors()
+        head.append(stream)
+        head.extend(order)
+        head.extend((seq, product))
+        sizes.extend(map(len, block_hits))
+        hits.extend(block_hits)
+    flat = np.concatenate([np.array(head + sizes, dtype=np.int64), *hits])
+    keys = ResultKeys(m, count, len(batch), flat)
     if len(flat) > count * m:
-        return ResultKeys(m, count, 0, count, keys.matrix.ravel())
+        return ResultKeys(m, count, 0, keys.matrix.ravel())
     return keys
 
 
-def _wire_keys(m: int, count: int, blocks: int, listed: int,
+def _matrix(batch: Sequence[Sequence[Any]], m: int) -> np.ndarray:
+    """The ``(n, m)`` identity matrix of a batch's outputs, in order."""
+    parts = [np.empty((0, m), dtype=np.int64)]
+    for outputs in batch:
+        if isinstance(outputs, ResultBlock):
+            parts.append(outputs.seqs)
+            continue
+        rows = []
+        for result in outputs:
+            key = [-1] * m
+            for stream, seq in result.key():
+                key[stream] = seq
+            rows.append(key)
+        parts.append(np.array(rows, dtype=np.int64).reshape(-1, m))
+    return np.concatenate(parts)
+
+
+def _wire_keys(m: int, count: int, blocks: int,
                data: bytes) -> "ResultKeys":
-    return ResultKeys(
-        m, count, blocks, listed, np.frombuffer(data, dtype=np.int64)
-    )
+    return ResultKeys(m, count, blocks, np.frombuffer(data, dtype=np.int64))
 
 
 class ResultKeys:
@@ -181,29 +180,26 @@ class ResultKeys:
     identity matrix in batch order — the supervisor half of the ack,
     expanded the first time somebody reads it and then kept.
 
-    ``flat`` is laid out, for ``blocks`` blocks and ``listed`` listed
-    rows, as: the ``(blocks, m + 2)`` meta rows (probing stream, the
-    hops' streams, probing ``seq``, product flag), the ``blocks *
-    (m - 1)`` hop sizes, the ``(listed, m)`` listed keys, their rows
-    (only when there are blocks; without, they are the matrix), then
-    every hop's hits.  It pickles as raw bytes.
+    With ``blocks == 0``, ``flat`` is the matrix itself, row-major.
+    Otherwise it holds the ``(blocks, m + 2)`` meta rows (probing
+    stream, the hops' streams, probing ``seq``, product flag), the
+    ``blocks * (m - 1)`` hop sizes, then every hop's hits.  It pickles
+    as raw bytes.
     """
 
-    __slots__ = ("m", "count", "blocks", "listed", "flat", "_matrix")
+    __slots__ = ("m", "count", "blocks", "flat", "_matrix")
 
-    def __init__(self, m: int, count: int, blocks: int, listed: int,
+    def __init__(self, m: int, count: int, blocks: int,
                  flat: np.ndarray) -> None:
         self.m = m
         self.count = count
         self.blocks = blocks
-        self.listed = listed
         self.flat = flat
         self._matrix: np.ndarray | None = None
 
     def __reduce__(self):
         return _wire_keys, (
-            self.m, self.count, self.blocks, self.listed,
-            self.flat.tobytes(),
+            self.m, self.count, self.blocks, self.flat.tobytes(),
         )
 
     def __len__(self) -> int:
@@ -222,20 +218,16 @@ class ResultKeys:
     def _expand(self) -> np.ndarray:
         """All blocks expanded together, in a fixed number of array
         operations however many the ack holds."""
-        m, blocks, listed, flat = self.m, self.blocks, self.listed, self.flat
+        m, blocks, flat = self.m, self.blocks, self.flat
         if not blocks:
-            return flat[: listed * m].reshape(listed, m)
+            return flat.reshape(self.count, m)
         # per block, position 0 is the probing tuple (one "hit") and
         # position h + 1 is hop h; the pool holds the probing seqs, then
         # every block's hits in order
         at = blocks * (m + 2)
         meta = flat[:at].reshape(blocks, m + 2)
         hop_sizes = flat[at : at + blocks * (m - 1)]
-        at += len(hop_sizes)
-        listed_keys = flat[at : at + listed * m].reshape(listed, m)
-        at += listed * m
-        rows = flat[at : at + listed]
-        pool = np.concatenate([meta[:, m], flat[at + listed :]])
+        pool = np.concatenate([meta[:, m], flat[at + len(hop_sizes) :]])
         sizes = np.ones((blocks, m), dtype=np.int64)
         sizes[:, 1:] = hop_sizes.reshape(blocks, m - 1)
         starts = np.empty_like(sizes)
@@ -261,15 +253,7 @@ class ResultKeys:
             counts, axis=1,
         )
         r = np.arange(len(start)) - np.repeat(counts.cumsum() - counts, counts)
-        block_keys = pool[start + r[:, None] // stride % size]
-        if not listed:
-            return block_keys
-        keys = np.empty((self.count, m), dtype=np.int64)
-        keys[rows] = listed_keys
-        from_blocks = np.ones(self.count, dtype=bool)
-        from_blocks[rows] = False
-        keys[from_blocks] = block_keys
-        return keys
+        return pool[start + r[:, None] // stride % size]
 
 
 def shard_memo(
@@ -313,7 +297,7 @@ def _worker_main(
     ``(value, timestamp, stream, seq, delivery)`` rows come in (rebuilt
     into :class:`StreamTuple`\\ s by one ``starmap``) and result
     identities (one :func:`gather_keys` value per ack, gathered once
-    from the whole batch's outputs, plus telemetry deltas) go out.
+    from the whole batch's outputs) go out.
     Virtual time inside the worker is each tuple's delivery time, and
     adaptation ticks are replayed at the same multiples of
     ``adaptation_interval`` the simulator would fire.
@@ -326,11 +310,11 @@ def _worker_main(
     With ``telemetry`` the worker builds its own :class:`Obs` *here*,
     post-fork (P126: telemetry is constructed inside the child and
     only written, never shared), binds it to the operator on a clock
-    that follows replayed virtual time, and ships incremental
-    :class:`TelemetryDelta` snapshots on every ack plus a final one
-    with the "bye" (taken after the end-of-run flush, so it includes
-    what ``on_finish`` records).  A bounded :class:`FlightRecorder`
-    always runs; its tail travels with the crash report.
+    that follows replayed virtual time, and ships its whole recording
+    as JSONL lines with the "bye" (taken after the end-of-run flush,
+    so it includes what ``on_finish`` records).  A bounded
+    :class:`FlightRecorder` always runs; its tail travels with the
+    crash report.
 
     ``inherited`` are the supervisor's ends of the pipes, which the fork
     copied into this child; closing them here means a supervisor that
@@ -340,14 +324,13 @@ def _worker_main(
         end.close()
     flight = FlightRecorder(capacity=FLIGHT_CAPACITY)
     clock = [0.0]
-    shipper = None
+    obs = None
     try:
         operator = make_shard(worker_id)
         if telemetry:
             obs = Obs()
             obs.bind_clock(lambda: clock[0])
             operator.bind_obs(obs)
-            shipper = DeltaShipper(obs, worker_id)
         next_adapt = (
             adaptation_interval if adaptation_interval else None
         )
@@ -393,20 +376,14 @@ def _worker_main(
                     f"ack seq={seq} results={len(keys)} "
                     f"comparisons={comparisons}",
                 )
-                delta = (
-                    shipper.collect() if shipper is not None else None
-                )
                 conn.send(
-                    ("ack", worker_id, seq, len(rows), keys,
-                     comparisons, delta)
+                    ("ack", worker_id, seq, len(rows), keys, comparisons)
                 )
             elif msg[0] == "stop":
                 flight.note(clock[0], "stop received")
                 keys = gather_keys([operator.on_finish(clock[0])], m)
-                delta = (
-                    shipper.collect() if shipper is not None else None
-                )
-                conn.send(("bye", worker_id, keys, delta))
+                recording = [] if obs is None else list(jsonl_lines(obs))
+                conn.send(("bye", worker_id, keys, recording))
                 return
     except EOFError:
         return
@@ -414,18 +391,11 @@ def _worker_main(
         import traceback
 
         try:
-            delta = None
-            if shipper is not None:
-                try:  # best effort: telemetry up to the crash
-                    delta = shipper.collect()
-                except Exception:
-                    delta = None
             conn.send((
                 "error",
                 worker_id,
                 traceback.format_exc(),
                 f"worker {worker_id} " + flight.render_tail(),
-                delta,
             ))
         except Exception:
             pass
@@ -440,17 +410,11 @@ class _Worker:
     id: int
     process: Any
     conn: Any
-    routed: int = 0          # tuples sent
-    acked: int = 0           # tuples acknowledged processed
     batches_sent: int = 0
     batches_acked: int = 0
-    results: int = 0
     comparisons: int = 0
     done: bool = False       # "bye" received
-
-    @property
-    def backlog(self) -> int:
-        return self.routed - self.acked
+    recording: list[str] = field(default_factory=list)  # the bye's JSONL
 
 
 @dataclass
@@ -527,7 +491,6 @@ class _Supervisor:
         adaptation_interval: float | None,
         obs,
         meta: dict | None,
-        dashboard: Callable[[str], None] | None,
         timer: Timer,
     ) -> None:
         if num_shards < 1:
@@ -548,11 +511,6 @@ class _Supervisor:
         self.pending: dict[int, list[StreamTuple]] = {}
         self.acks: list[ResultKeys] = []
         self.obs = obs
-        self.dashboard = dashboard
-        self.aggregator = (
-            TelemetryAggregator(obs) if obs is not None else None
-        )
-        self._obs_backlog: dict[int, Any] = {}
         if obs is not None:
             origin = timer()
             obs.bind_clock(lambda: timer() - origin)
@@ -586,51 +544,30 @@ class _Supervisor:
         worker = _Worker(worker_id, process, parent_conn)
         self.workers[worker_id] = worker
         self.pending[worker_id] = []
-        if self.obs is not None:
-            # the exported name outlived the scaling loop that first
-            # read it: two records of it sit in the procs_k2 obs golden,
-            # and a rename is not worth a golden change
-            self._obs_backlog[worker_id] = self.obs.series(
-                "autoscaler_backlog", worker=worker_id
-            )
-            # workers replay on the shared virtual delivery-time clock,
-            # so the identity clock map is exact
-            self.aggregator.register_worker(worker_id)
         return worker
 
     # -- transport -----------------------------------------------------
 
-    def _absorb(self, delta) -> None:
-        if delta is not None and self.aggregator is not None:
-            self.aggregator.absorb(delta)
-
     def _merge(self, worker: _Worker, keys: ResultKeys) -> None:
-        worker.results += len(keys)
         self.merger.absorb(worker.id, len(keys))
         self.acks.append(keys)
 
     def _handle(self, msg: tuple) -> None:
         kind = msg[0]
         if kind == "ack":
-            _, wid, _seq, n, keys, comparisons, delta = msg
+            _, wid, _seq, _n, keys, comparisons = msg
             worker = self.workers[wid]
-            worker.acked += n
             worker.batches_acked += 1
             worker.comparisons += comparisons
             self._merge(worker, keys)
-            self._absorb(delta)
-        elif kind == "bye":  # carries the end-of-run flush's results
-            _, wid, keys, delta = msg
+        elif kind == "bye":  # the end-of-run flush's results, recording
+            _, wid, keys, recording = msg
             worker = self.workers[wid]
             worker.done = True
+            worker.recording = recording
             self._merge(worker, keys)
-            self._absorb(delta)
         elif kind == "error":
-            _, wid, trace, flight_tail, delta = msg
-            try:  # salvage the dying worker's last telemetry
-                self._absorb(delta)
-            except Exception:
-                pass
+            _, wid, trace, flight_tail = msg
             self.shutdown(force=True)
             raise RuntimeError(
                 f"shard worker {wid} crashed:\n{trace}\n{flight_tail}"
@@ -696,20 +633,10 @@ class _Supervisor:
             worker, ("batch", worker.batches_sent, list(map(_row, batch)))
         )
         worker.batches_sent += 1
-        worker.routed += len(batch)
         if self.obs is not None:
             self._obs_batches.inc()
             self._obs_tuples.inc(len(batch))
         self.pending[worker_id] = []
-
-    def control_tick(self) -> None:
-        self.drain(0.0)
-        if self.dashboard is None:
-            return
-        now_rel = self.obs.now()
-        for worker in self.workers.values():
-            self._obs_backlog[worker.id].observe(now_rel, worker.backlog)
-        self.dashboard(render_fleet(self.obs))
 
     # -- lifecycle -----------------------------------------------------
 
@@ -749,7 +676,7 @@ class _Supervisor:
                     self.flush(shard)
                     flushes += 1
                     if flushes % CONTROL_INTERVAL == 0:
-                        self.control_tick()
+                        self.drain(0.0)
             for worker in self.workers.values():
                 self.flush(worker.id)
                 self._send(worker, ("stop",))
@@ -762,13 +689,13 @@ class _Supervisor:
                 self.drain(0.1)
         finally:
             self.shutdown()
-        if self.aggregator is not None:
-            # every final delta rode a "bye"; install buffered spans and
-            # decisions in worker order (ack arrival order is racy, the
-            # finalized export is not)
-            self.aggregator.finalize()
-            if self.dashboard is not None:
-                self.dashboard(render_fleet(self.obs))
+        if self.obs is not None:
+            # every recording rode a "bye"; merged in worker order (bye
+            # arrival order is racy, the merged export is not)
+            merge_workers(self.obs, {
+                wid: parse_lines(worker.recording)
+                for wid, worker in self.workers.items()
+            })
         wall = self.timer() - started
         order = sorted(self.workers)
         return ProcsResult(
@@ -799,7 +726,6 @@ def run_procs(
     certify: bool = True,
     obs=None,
     meta: dict | None = None,
-    dashboard: Callable[[str], None] | None = None,
     timer: Timer = wall_clock_timer,
 ) -> ProcsResult:
     """Run the m-way join sharded over ``num_shards`` worker processes.
@@ -822,23 +748,20 @@ def run_procs(
         obs: optional :class:`repro.obs.Obs` sink.  Supervisor-side
             transport telemetry lands in it directly; in
             addition each worker builds its *own* ``Obs`` post-fork
-            (P126 stays satisfied), and its shipped deltas are
-            merged in under a ``worker=<id>`` label — exporters see
-            the whole fleet.  Telemetry never changes results.
+            (P126 stays satisfied), ships its recording with its "bye",
+            and the recordings are merged in under a ``worker=<id>``
+            label once the fleet drains — exporters see the whole
+            fleet.  Telemetry never changes results.
         meta: run metadata merged into ``obs.meta`` (seed, workload
             name...) so aggregated exports are self-describing; the
             runtime adds ``runtime``/``num_shards``/
             ``adaptation_interval`` keys itself.
-        dashboard: optional sink for the live fleet view — called with
-            the rendered :func:`repro.obs.render_fleet` text on every
-            control tick (and once after the fleet drains).  Requires
-            ``obs``.
         timer: injectable wall-clock (tests pass a
             :class:`repro.timing.ManualTimer`).
 
     The transport is fixed: batches of :data:`BATCH_SIZE` tuples, at
     most :data:`MAX_INFLIGHT` unacknowledged batches per worker (pipes
-    stay below the OS buffer: deadlock-free), a control tick every
+    stay below the OS buffer: deadlock-free), an ack drain every
     :data:`CONTROL_INTERVAL` flushed batches, and a crash flight
     recorder of :data:`FLIGHT_CAPACITY` events per worker.
 
@@ -848,10 +771,6 @@ def run_procs(
         :meth:`~repro.parallel.sharded.ShardedPlan.merged_result_ids`
         and to the oracle, for every join mode.
     """
-    if dashboard is not None and obs is None:
-        raise ValueError(
-            "the live fleet dashboard renders telemetry; pass obs="
-        )
     if certify:
         from .sharded import certify_shard_operators
 
@@ -872,7 +791,6 @@ def run_procs(
         adaptation_interval=adaptation_interval,
         obs=obs,
         meta=meta,
-        dashboard=dashboard,
         timer=timer,
     )
     return supervisor.run()

@@ -59,8 +59,8 @@ def certify_shard_operators(
     ``worker_entry=True`` adds P126: the process runtime is about to
     fork these operators, so no telemetry object — a bound obs sink
     included — may be reachable anywhere in their state graphs (worker
-    telemetry is constructed post-fork and shipped back as deltas —
-    see :mod:`repro.obs.aggregate`).
+    telemetry is constructed post-fork and shipped back as JSONL with
+    the worker's "bye" — see :mod:`repro.parallel.procs`).
     """
     from repro.lint.plan import certify_shards
 

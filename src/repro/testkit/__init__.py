@@ -24,7 +24,6 @@ and window policies are ``tests/testkit/test_properties.py``.
 from .chaos import (
     ChaosScenario,
     DegradedCpu,
-    FrozenSource,
     chaos_ids,
     chaos_matrix,
     default_scenarios,
@@ -82,7 +81,6 @@ __all__ = [
     "DeterminismSanitizer",
     "DeterminismViolation",
     "DifferentialReport",
-    "FrozenSource",
     "MatrixSpec",
     "OracleResult",
     "SanitizedOperator",

@@ -2,7 +2,8 @@
 
 Every fault here is a *pure function of a frozen trace and a seed*: it
 rewrites the recorded tuples' delivery times (or clones/removes tuples)
-and returns a new frozen, delivery-ordered source.  Nothing is sampled at
+and returns a new frozen, delivery-ordered
+:class:`~repro.streams.trace.TraceSource`.  Nothing is sampled at
 simulation time, so a chaos run is exactly as replayable as a clean one —
 the property the determinism check in CI leans on.
 
@@ -29,7 +30,6 @@ checks that, plus bit-replayability, for every scenario × workload.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -40,6 +40,7 @@ from repro.engine import CpuModel, Simulation
 from repro.joins import MJoinOperator, RandomDropShedder
 from repro.joins.variants import SHEDDABLE_MODES
 from repro.streams.disorder import DisorderedSource
+from repro.streams.trace import TraceSource
 from repro.streams.tuples import StreamTuple
 
 from .differential import (
@@ -51,56 +52,14 @@ from .oracle import IdVector, oracle_join
 from .workloads import Workload
 
 
-class FrozenSource:
-    """A recorded stream in *delivery* order — the chaos counterpart of
-    :class:`repro.streams.trace.TraceSource` (which requires timestamp
-    order and so cannot hold a disordered delivery schedule).
-
-    Exposes the same ``iter_tuples`` / ``rate_at`` surface the runtime
-    consumes, plus ``.tuples`` so the oracle can read the logical stream
-    directly (it sorts and de-duplicates internally).
-    """
-
-    __slots__ = ("stream", "tuples", "name")
-
-    def __init__(
-        self, stream: int, tuples: Sequence[StreamTuple],
-        name: str | None = None,
-    ) -> None:
-        deliveries = [t.delivery_time for t in tuples]
-        if deliveries != sorted(deliveries):
-            raise ValueError(
-                "frozen tuples must be sorted by delivery time"
-            )
-        self.stream = stream
-        self.tuples = list(tuples)
-        self.name = name if name is not None else f"S{stream + 1}"
-
-    def iter_tuples(self, until: float) -> Iterator[StreamTuple]:
-        """Yield tuples *delivered* before ``until``, in delivery order."""
-        for t in self.tuples:
-            if t.delivery_time >= until:
-                return
-            yield t
-
-    def generate(self, until: float) -> list[StreamTuple]:
-        return list(self.iter_tuples(until))
-
-    def rate_at(self, timestamp: float) -> float:
-        """Empirical logical rate: tuples within +/- 1 s of ``timestamp``."""
-        lo, hi = timestamp - 1.0, timestamp + 1.0
-        count = sum(1 for t in self.tuples if lo <= t.timestamp <= hi)
-        return count / 2.0
-
-
-def _freeze(stream: int, tuples: Sequence[StreamTuple]) -> FrozenSource:
+def _freeze(stream: int, tuples: Sequence[StreamTuple]) -> TraceSource:
     ordered = sorted(
         tuples, key=lambda t: (t.delivery_time, t.timestamp, t.seq)
     )
-    return FrozenSource(stream, ordered)
+    return TraceSource(stream, ordered)
 
 
-def stall(trace, start: float, end: float, mode: str = "defer") -> FrozenSource:
+def stall(trace, start: float, end: float, mode: str = "defer") -> TraceSource:
     """Silence a stream's deliveries in ``[start, end)``.
 
     ``defer`` releases the stalled tuples in one burst at ``end`` (a
@@ -131,7 +90,7 @@ def rate_spike(
     factor: float,
     rng: np.random.Generator | int | None = None,
     jitter: float = 0.05,
-) -> FrozenSource:
+) -> TraceSource:
     """Multiply the arrival rate in ``[start, end)`` by ``factor``.
 
     Extra tuples are jittered clones of the interval's real tuples —
@@ -175,7 +134,7 @@ def duplicate_delivery(
     probability: float,
     max_delay: float = 0.5,
     rng: np.random.Generator | int | None = None,
-) -> FrozenSource:
+) -> TraceSource:
     """At-least-once delivery: each tuple is re-delivered with the given
     probability, ``U(0, max_delay)`` seconds after its first delivery.
     Duplicates keep their ``(stream, seq)`` identity, so a correct engine
@@ -202,7 +161,7 @@ def reorder(
     trace,
     max_delay: float,
     rng: np.random.Generator | int | None = None,
-) -> FrozenSource:
+) -> TraceSource:
     """Bounded out-of-order delivery: each tuple is delayed by
     ``U(0, max_delay)``, so consecutive deliveries can be out of
     timestamp order.  Wraps :class:`DisorderedSource` and freezes the
@@ -467,7 +426,6 @@ def chaos_matrix(
 __all__ = [
     "ChaosScenario",
     "DegradedCpu",
-    "FrozenSource",
     "chaos_ids",
     "chaos_matrix",
     "default_scenarios",

@@ -448,14 +448,17 @@ class TestBatchResultKeys:
         assert (keys == -1).any() and (keys >= 0).all(axis=1).any()
 
     def test_blocks_and_listed_rows_in_one_ack(self):
-        # large blocks ship as factors; listed rows between them keep
-        # their places in the batch
+        # an ack is factors or a matrix, never a mix: blocks alone ship
+        # as factors, and with listed rows among them the batch ships
+        # its matrix, every row in its place
         blocks = batch_outputs(5, ["product", "chain"] * 4)
         singles = batch_outputs(5, ["singletons", "pipeline"])
+        assert gather_keys([out for out, _ in blocks], 3).blocks == len(
+            blocks
+        )
         pairs = [*blocks[:3], singles[0], *blocks[3:], singles[1]]
         gathered = gather_keys([out for out, _ in pairs], 3)
-        assert gathered.blocks == len(blocks)
-        assert gathered.listed == len(singles[0][0]) + len(singles[1][0])
+        assert gathered.blocks == 0
         want = np.concatenate([eager_result_keys(out, 3) for _, out in pairs])
         assert np.array_equal(wire(gathered).matrix, want)
 
@@ -512,7 +515,7 @@ class TestAckSize:
             for s in range(3)
         ]
         keys = gather_keys(tiny, 3)
-        assert keys.blocks == 0 and keys.listed == len(tiny)
+        assert keys.blocks == 0 and len(keys.flat) == 3 * len(tiny)
         assert keys.matrix.tolist() == np.concatenate(
             [eager_result_keys(out, 3) for out in tiny]
         ).tolist()

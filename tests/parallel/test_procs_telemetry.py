@@ -4,9 +4,11 @@ Three contracts:
 
 * **obs on changes no results** — a telemetry-enabled run merges the
   exact identity set the oracle (and the telemetry-off run) produces;
-* **delta-merge exactness** — the supervisor's aggregated registry is
+* **merge exactness** — the supervisor's merged registry is
   byte-identical (worker-scoped JSONL) to an in-process replay of the
-  same per-worker event streams shipped in one delta;
+  same per-worker event streams, merged straight from the workers'
+  ``Obs`` — so the fork, the pipe and the JSONL round trip of the
+  "bye" lose nothing;
 * **crash forensics** — a crashing worker's post-mortem carries its
   flight-recorder tail with worker provenance.
 """
@@ -17,7 +19,8 @@ from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt, StreamOperator
 from repro.joins import MJoinOperator
 from repro.lint.plan import PlanValidationError
-from repro.obs import Obs, jsonl_lines, reference_aggregate, worker_scoped
+from repro.obs import Obs, jsonl_lines, worker_scoped
+from repro.obs.export import merge_workers
 from repro.parallel import procs as runtime
 from repro.parallel import run_procs
 from repro.parallel.router import RouterOperator
@@ -63,20 +66,19 @@ def procs_obs_run(workload, factory, num_shards, **kwargs):
 
 
 def worker_lines(obs):
-    """The deterministic export domain: worker-scoped records minus the
-    supervisor-registered (empty, label-only) backlog series and meta."""
+    """The deterministic export domain: worker-scoped records, meta
+    aside."""
     return [
         line
         for line in jsonl_lines(obs, select=worker_scoped)
         if '"type":"meta"' not in line
-        and '"autoscaler_backlog"' not in line
     ]
 
 
 def replay_in_process(workload, factory, num_shards):
     """Mirror ``_worker_main`` in-process: same routing, same per-worker
-    tuple order, same synthesized-stats adaptation ticks — then one-shot
-    aggregate the per-worker ``Obs`` (the exactness reference)."""
+    tuple order, same synthesized-stats adaptation ticks — then merge
+    the per-worker ``Obs`` directly (the exactness reference)."""
     m = len(workload.traces)
     router = RouterOperator(num_streams=m, num_shards=num_shards)
     arrivals = sorted(
@@ -119,9 +121,11 @@ def replay_in_process(workload, factory, num_shards):
         state["operator"].process(tup, now)
     for state in workers.values():  # the stop-time flush
         state["operator"].on_finish(state["clock"][0])
-    return reference_aggregate(
-        {wid: state["obs"] for wid, state in workers.items()}
+    merged = Obs()
+    merge_workers(
+        merged, {wid: state["obs"] for wid, state in workers.items()}
     )
+    return merged
 
 
 class CrashShard(StreamOperator):
@@ -170,10 +174,9 @@ class TestResultsUnchanged:
 
 class TestDeltaMergeExactness:
     def test_procs_aggregate_equals_in_process_reference(self):
-        # the headline exactness contract: telemetry shipped
-        # incrementally over real process pipes reconstructs, byte for
-        # byte, what a single process observing every worker's events
-        # records
+        # the headline exactness contract: recordings shipped over real
+        # process pipes as JSONL reconstruct, byte for byte, what a
+        # single process observing every worker's events records
         workload = key_workload(seed=3, duration=6.0)
         factory = grub_factory(workload, seed=3)
         _result, obs = procs_obs_run(workload, factory, 2)
@@ -184,7 +187,7 @@ class TestDeltaMergeExactness:
         # an indexed join publishes its windex_* counter deltas at ticks
         # and in on_finish; what accrued after the last tick only
         # reaches the supervisor if the worker runs the flush before
-        # its final delta
+        # it takes its recording
         workload = key_workload(seed=3, duration=6.0)
 
         def factory(worker_id: int) -> MJoinOperator:
@@ -237,33 +240,6 @@ class TestRunMetadata:
         assert obs.meta["adaptation_interval"] == ADAPT
         assert obs.meta["experiment"] == "telemetry-e2e"
         assert obs.meta["seed"] == 1
-
-
-class TestFleetDashboard:
-    def test_dashboard_callback_receives_fleet_frames(self, monkeypatch):
-        monkeypatch.setattr(runtime, "BATCH_SIZE", 8)
-        monkeypatch.setattr(runtime, "CONTROL_INTERVAL", 1)
-        workload = key_workload(seed=1, duration=5.0)
-        frames: list[str] = []
-        _result, _obs = procs_obs_run(
-            workload, grub_factory(workload, seed=1), 2,
-            dashboard=frames.append,
-        )
-        assert frames, "dashboard callback never invoked"
-        final = frames[-1]
-        assert "fleet dashboard" in final
-        assert "worker 0" in final and "worker 1" in final
-
-    def test_dashboard_requires_obs(self):
-        workload = key_workload(seed=1, duration=2.0)
-        with pytest.raises(ValueError, match="pass obs="):
-            run_procs(
-                workload.traces,
-                grub_factory(workload, seed=1),
-                2,
-                duration=workload.duration,
-                dashboard=lambda frame: None,
-            )
 
 
 class TestCrashFlightRecorder:

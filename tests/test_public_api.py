@@ -140,9 +140,6 @@ EXPECTED = {
         "certify": "e2e `run_procs_pass` passes `False`",
         "obs": "`repro.obs record --procs`, the e2e traced pass",
         "meta": "`repro.obs record --procs`",
-        "dashboard": "tests only (the live fleet view; the one sampler "
-                     "of the `autoscaler_backlog` series the `procs_k2` "
-                     "obs golden pins)",
         "timer": "the fake-clock seam: `repro.obs record --procs`",
     },
     "GrubJoinOperator": {
@@ -193,7 +190,7 @@ class TestOptionRatchet:
             assert parameters(function) == list(EXPECTED[entry]), entry
 
     def test_option_count(self):
-        assert sum(map(len, EXPECTED.values())) == 46
+        assert sum(map(len, EXPECTED.values())) == 45
 
     def test_docs_print_expected(self):
         assert render(EXPECTED) in DOC.read_text()
@@ -209,8 +206,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples")
 #: the only reasons an export may stay with no caller in ``CALLER_DIRS``
 REASONS = {
     "fixture": "a workload the tests build their inputs from",
-    "reference": "the oracle the fleet-aggregation tests compare "
-                 "`TelemetryAggregator` against",
     "item 9": "`repro.analysis`: ROADMAP item 9 decides whether a "
               "replication report calls it",
 }
@@ -221,7 +216,6 @@ TESTS_ONLY = {
     "ConstantProcess": "fixture",
     "UniformProcess": "fixture",
     "mixed_key_workload": "fixture",
-    "reference_aggregate": "reference",
     "overshoot": "item 9",
     "relative_improvement_ci": "item 9",
     "settling_time": "item 9",
@@ -315,10 +309,10 @@ class TestExportCallers:
         )
 
     def test_export_count(self):
-        assert len(exports()) == 242
+        assert len(exports()) == 237
 
     def test_docs_print_tests_only(self):
-        # rendering looks every reason up in REASONS: there are three
+        # rendering looks every reason up in REASONS: there are two
         assert render_tests_only(TESTS_ONLY) in DOC.read_text()
 
     def test_definitions_reexports_comments_and_docstrings_do_not_count(

@@ -5,7 +5,6 @@ import pytest
 from repro.streams import StreamTuple, TraceSource
 from repro.testkit import (
     DegradedCpu,
-    FrozenSource,
     chaos_matrix,
     default_scenarios,
     duplicate_delivery,
@@ -28,19 +27,22 @@ def make_trace(stream=0, n=20, spacing=0.25):
 
 
 class TestFrozenSource:
+    """A frozen delivery schedule is a :class:`TraceSource` ordered by
+    delivery time."""
+
     def test_requires_delivery_order(self):
         late = StreamTuple(value=1.0, timestamp=0.0, stream=0, seq=0,
                            delivery=2.0)
         early = StreamTuple(value=2.0, timestamp=1.0, stream=0, seq=1)
         with pytest.raises(ValueError, match="delivery"):
-            FrozenSource(0, [late, early])
+            TraceSource(0, [late, early])
         # swapped, the same tuples are a valid frozen stream
-        assert len(FrozenSource(0, [early, late]).tuples) == 2
+        assert len(TraceSource(0, [early, late]).tuples) == 2
 
     def test_iterates_by_delivery_horizon(self):
         late = StreamTuple(value=1.0, timestamp=0.0, stream=0, seq=0,
                            delivery=2.0)
-        source = FrozenSource(0, [late])
+        source = TraceSource(0, [late])
         assert source.generate(1.0) == []
         assert source.generate(3.0) == [late]
 
