@@ -242,7 +242,8 @@ class PartitionedWindow:
         into their timestamp position so the store-wide timestamp order —
         which every binary search relies on — is always preserved.
         """
-        self.rotate_to(now)
+        if now - self._epoch_start >= self.basic_window_size:
+            self.rotate_to(now)
         ts = tup.timestamp
         offset = self._epoch_start - ts
         k = 0 if offset <= 0 else math.ceil(offset / self.basic_window_size)
@@ -516,10 +517,14 @@ class PartitionedWindow:
         set further restricted by the policy's inclusive lower timestamp
         bound.
         """
-        self.rotate_to(now)
+        if now - self._epoch_start >= self.basic_window_size:  # runs per hop
+            self.rotate_to(now)
         if not self.policy.is_sliding:
             return self._policy_slices(now)
-        lo, tail = self._expiry_row(now), self._bounds[-1]
+        lo, stop, tail = self._bounds[0], self._bounds[1], self._bounds[-1]
+        if stop > lo:  # _expiry_row(), inline
+            cut = now - self.n * self.basic_window_size
+            lo += int(self._ts[lo:stop].searchsorted(cut, "right"))
         return [WindowSlice(self, lo, tail)] if tail > lo else []
 
     def _policy_slices(self, now: float) -> list[WindowSlice]:

@@ -258,8 +258,9 @@ class GrubJoinOperator(MJoinOperator):
                 self._obs_handles["harvested"].inc()
         self.tuples_processed += 1
         self.comparisons_total += comparisons
-        work = comparisons + round(self.output_cost * len(outputs))
-        return ProcessReceipt(comparisons=work, outputs=outputs)
+        if produced := len(outputs):
+            comparisons += round(self.output_cost * produced)
+        return ProcessReceipt(comparisons=comparisons, outputs=outputs)
 
     def _harvested_probe(
         self, tup: StreamTuple, now: float

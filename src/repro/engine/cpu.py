@@ -86,14 +86,11 @@ class CpuModel:
         is busy the work queues on the soonest-free core and starts when
         it frees up.
         """
-        service = self.service_time(comparisons)
-        core = 0
-        for c in range(1, self.cores):
-            if self.core_busy_until[c] < self.core_busy_until[core]:
-                core = c
-        start = max(now, self.core_busy_until[core])
-        done = start + service
-        self.core_busy_until[core] = done
+        # service_time(), inline: this runs once per serviced tuple
+        service = (comparisons + self.tuple_overhead) / self.comparisons_per_second
+        busy = self.core_busy_until
+        core = 0 if self.cores == 1 else busy.index(min(busy))
+        done = busy[core] = max(now, busy[core]) + service
         self.core_busy_time[core] += service
         self.busy_time += service
         self.serviced += 1

@@ -81,11 +81,13 @@ class EventQueue:
         still scheduled.
         """
         scheduled = self._scheduled
-        seq = self._seq
-        for time, kind, payload in entries:
-            scheduled.append(Event(time, kind, seq, payload))
-            seq += 1
-        self._seq = seq
+        before = len(scheduled)
+        # tuple.__new__ builds an Event in C (NamedTuple's __new__ is Python)
+        scheduled += [
+            tuple.__new__(Event, (time, kind, seq, payload))
+            for seq, (time, kind, payload) in enumerate(entries, self._seq)
+        ]
+        self._seq += len(scheduled) - before
         scheduled.sort(reverse=True)
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.obs.registry import Histogram, Series, label_key
@@ -287,9 +288,9 @@ def _oldest(ports: Sequence[_Port]) -> _Port | None:
     best: _Port | None = None
     best_ts = float("inf")
     for port in ports:
-        head = port.buffer.head()
-        if head is not None and head.timestamp < best_ts:
-            best, best_ts = port, head.timestamp
+        queue = port.buffer._queue  # not head(): this runs once per service
+        if queue and queue[0].timestamp < best_ts:
+            best, best_ts = port, queue[0].timestamp
     return best
 
 
@@ -364,25 +365,30 @@ class _Run:
         fixes the ``seq`` tie-break: arrivals source by source, then the
         adaptation ticks, the measurement ticks and the stop."""
         cfg = self.config
+        arrivals = []
         for name, index, source in self._sources:
             port = self.nodes[name].ports[index]
-            for tup in source.iter_tuples(cfg.duration):
-                yield tup.delivery_time, _ARRIVAL, (port, tup)
+            tups = list(source.iter_tuples(cfg.duration))
+            # ``t.delivery_time``, spelled out: this runs once per arrival
+            times = [t.timestamp if t.delivery is None else t.delivery for t in tups]
+            arrivals.append(zip(times, repeat(_ARRIVAL), zip(repeat(port), tups)))
+        ticks = []
         for kind, step in ((EventKind.ADAPT, cfg.adaptation_interval),
                            (EventKind.MEASURE, cfg.measure_interval)):
             t = step
             while t <= cfg.duration:
-                yield t, kind, None
+                ticks.append((t, kind, None))
                 t += step
-        yield cfg.duration, EventKind.STOP, None
+        ticks.append((cfg.duration, EventKind.STOP, None))
+        return chain(*arrivals, ticks)
 
     def execute(self) -> GraphResult:
         cfg = self.config
         events = self.events
         events.schedule(self._known_events())
 
-        pop, advance_to, duration = (
-            events.pop, self.clock.advance_to, cfg.duration
+        pop, clock, busy, duration = (
+            events.pop, self.clock, self.cpu.core_busy_until, cfg.duration
         )
         # ``held`` is a completion that runs next without being queued
         # (see _fill_cores); STOP is always queued, so the loop ends on it
@@ -391,11 +397,24 @@ class _Run:
             now, kind, _, payload = held or pop()
             if now > duration:
                 break
-            advance_to(now)
+            if now < clock._now:
+                clock.advance_to(now)  # raises ClockError
+            clock._now = now
             held = None
             if kind is _ARRIVAL:
+                # _deliver, inline: this branch runs once per tuple
                 port, tup = payload
-                if self._deliver(port, tup, now):
+                counters = port.counters
+                counters.arrived += 1
+                if port.gate is not None and not port.gate.admit(tup, now):
+                    counters.dropped_at_admission += 1
+                    continue
+                if port.buffer.push(tup):
+                    counters.admitted += 1
+                    self._queued += 1
+                else:
+                    counters.dropped_at_buffer += 1
+                if min(busy) <= now:
                     held = self._fill_cores(now)
             elif kind is _COMPLETION:
                 held = self._on_completion(*payload, now)
@@ -417,34 +436,35 @@ class _Run:
             warmup=cfg.warmup,
         )
 
-    def _deliver(self, port: _Port, tup: StreamTuple, now: float) -> bool:
-        """Offer ``tup`` to a node input; False iff its gate refused it
-        (a full buffer drops and counts the tuple but returns True)."""
+    def _deliver(self, port: _Port, tup: StreamTuple, now: float) -> None:
+        """Offer ``tup`` to a node input (an arrival event does so inline)."""
         counters = port.counters
         counters.arrived += 1
         if port.gate is not None and not port.gate.admit(tup, now):
             counters.dropped_at_admission += 1
-            return False
-        if port.buffer.push(tup):
+        elif port.buffer.push(tup):
             counters.admitted += 1
             self._queued += 1
         else:
             counters.dropped_at_buffer += 1
-        return True
 
     def _collect(self, node: _NodeRun, outputs: list, now: float) -> None:
         """Stamp (operator-owned results only), count and retain."""
         if node.stamps:
-            for result in outputs:
-                result.timestamp = now
+            if hasattr(outputs, "stamp"):  # a block of lazily built results
+                outputs.stamp(now)
+            else:
+                for result in outputs:
+                    result.timestamp = now
         node.output.push_many(outputs)
         if node.warm_start is None and now >= self.config.warmup:
             node.warm_start = node.output.count - len(outputs)
 
     def _on_completion(self, node: _NodeRun, outputs: list,
                        probe: StreamTuple, now: float) -> tuple | None:
-        self._collect(node, outputs, now)
         node.result.latency_histogram.observe(now - probe.timestamp)
+        if outputs:
+            self._collect(node, outputs, now)
         for edge, target in node.edges:
             for out in outputs:
                 if edge.filter is not None and not edge.filter(out):

@@ -104,7 +104,6 @@ def run_pipeline_columnar(
     radius = float(predicate.interval_radius)
     if radius == 0.0:
         return _run_equality(tup, order, slices_for_hop)
-    result = PipelineResult(hop_stats=[HopStats() for _ in order])
     v0 = float(tup.value)
     # per-partial running value extrema; arrays only once a second hop
     # is reached — until then the probing tuple is the one partial
@@ -114,14 +113,14 @@ def run_pipeline_columnar(
     hop_slices: list[Sequence[WindowSlice]] = []
     parents_chain: list[np.ndarray | None] = []
     rows_chain: list[np.ndarray] = []
-    completed = True
+    comparisons, hop_stats, outputs = 0, [], []  # the result, built last
     last_hop = len(order) - 1
     for hop, window_stream in enumerate(order):
         slices = slices_for_hop(hop, window_stream)
-        stats = result.hop_stats[hop]
-        total = len(slices[0]) if len(slices) == 1 else sum(map(len, slices))
+        s = slices[0] if len(slices) == 1 else None
+        pool = _pool(slices) if s is None else s.store._vals[s.lo:s.hi:s.step]
+        total = len(pool)
         if total == 0:
-            completed = False
             break
         if num_partials == 1:
             # python floats: ``max - r`` is the same IEEE subtraction
@@ -143,15 +142,15 @@ def run_pipeline_columnar(
             )
             charged = state.charge(slices, total, glo, ghi, v0)
             if charged == 0:
-                completed = False
                 break
         else:
             charged = total
-        stats.scanned = num_partials * charged
-        result.comparisons += stats.scanned
-        pool = _pool(slices)
+        scanned = num_partials * charged
+        comparisons += scanned
         if num_partials == 1:
-            pcol = ((pool >= lo) & (pool <= hi)).nonzero()[0]
+            mask = pool >= lo
+            mask &= pool <= hi
+            pcol = mask.nonzero()[0]
             # hop 0's parents are never read
             prow = np.zeros(len(pcol), dtype=np.intp) if hop else None
         else:
@@ -172,9 +171,9 @@ def run_pipeline_columnar(
                 else np.concatenate(hit_parts),
                 total,
             )
-        stats.matched = len(pcol)
-        if stats.matched == 0:
-            completed = False
+        matched = len(pcol)
+        hop_stats.append(HopStats(scanned, matched))
+        if matched == 0:
             break
         if hop < last_hop:
             candidates = pool[pcol]
@@ -184,27 +183,27 @@ def run_pipeline_columnar(
             else:
                 vmin = np.minimum(vmin[prow], candidates)
                 vmax = np.maximum(vmax[prow], candidates)
-            num_partials = stats.matched
+            num_partials = matched
         # hits are only resolved to store rows at the final
         # materialization, which runs once per completed probe — far
         # less often than this per-hop path
         hop_slices.append(slices)
         parents_chain.append(prow)
         rows_chain.append(pcol)
-    if completed:
-        result.outputs = _materialize(
+    else:
+        outputs = _materialize(
             tup, order, hop_slices, parents_chain, rows_chain
         )
-    return result
+    while len(hop_stats) < len(order):  # the hops not probed
+        hop_stats.append(HopStats())
+    return PipelineResult(comparisons, outputs, hop_stats)
 
 
 def _pool(slices: Sequence[WindowSlice]) -> np.ndarray:
-    """A hop's candidate pool: the one slice's view of its store's value
-    column (SCALAR storage, :func:`supports_columnar`: already float64),
-    a copy only when the hop selects several runs or strided pieces."""
-    if len(slices) == 1:
-        return slices[0].values
-    return np.concatenate([s.values for s in slices])
+    """The candidate pool of a hop over several runs or strided pieces, or
+    none: a copy of their values (SCALAR storage: already float64).  The
+    kernels read a one-slice hop's pool in place, as a view."""
+    return np.concatenate([s.values for s in slices]) if slices else np.empty(0)
 
 
 def _run_equality(
@@ -222,7 +221,6 @@ def _run_equality(
     row-major hits are the cross product of the per-hop hits in
     lexicographic hop order.
     """
-    result = PipelineResult(hop_stats=[HopStats() for _ in order])
     v0 = float(tup.value)
     # v0's hash bucket, the same for every hop's index (one bucket
     # layout per operator): hashed at the first indexed hop
@@ -230,34 +228,40 @@ def _run_equality(
     num_partials = 1
     hop_slices: list[Sequence[WindowSlice]] = []
     hop_cols: list[np.ndarray] = []
+    comparisons, hop_stats, outputs = 0, [], []
     for hop, window_stream in enumerate(order):
         slices = slices_for_hop(hop, window_stream)
-        stats = result.hop_stats[hop]
-        total = len(slices[0]) if len(slices) == 1 else sum(map(len, slices))
+        s = slices[0] if len(slices) == 1 else None
+        pool = _pool(slices) if s is None else s.store._vals[s.lo:s.hi:s.step]
+        total = len(pool)
         if total == 0:
-            return result
+            break
         state = slices[0].store.windex
         if state is not None and state.is_active:
             if part is None:
                 part = state.hash_part(v0)
             charged = state.charge(slices, total, v0, v0, v0, part)
             if charged == 0:
-                return result
+                break
         else:
             charged = total
-        stats.scanned = num_partials * charged
-        result.comparisons += stats.scanned
-        cols = (_pool(slices) == v0).nonzero()[0]
-        stats.matched = num_partials * len(cols)
-        if stats.matched == 0:
-            return result
-        num_partials = stats.matched
+        scanned = num_partials * charged
+        comparisons += scanned
+        cols = (pool == v0).nonzero()[0]
+        matched = num_partials * len(cols)
+        hop_stats.append(HopStats(scanned, matched))
+        if matched == 0:
+            break
+        num_partials = matched
         hop_slices.append(slices)
         hop_cols.append(cols)
-    result.outputs = _materialize_product(
-        tup, order, hop_slices, hop_cols, num_partials
-    )
-    return result
+    else:
+        outputs = _materialize_product(
+            tup, order, hop_slices, hop_cols, num_partials
+        )
+    while len(hop_stats) < len(order):  # the hops not probed
+        hop_stats.append(HopStats())
+    return PipelineResult(comparisons, outputs, hop_stats)
 
 
 def _locate(slices: Sequence[WindowSlice], cols: np.ndarray) -> np.ndarray:
@@ -295,12 +299,12 @@ class ResultBlock(Sequence):
     matrix :attr:`seqs` and the :class:`~repro.streams.tuples.JoinResult`
     objects are only built the first time somebody reads them, and then
     kept (so a timestamp stamped on a result is seen by every later
-    reader).
+    reader).  :meth:`stamp` sets their emission time without building them.
     """
 
     __slots__ = (
         "_tup", "_order", "_hits", "_levels", "_product", "_count",
-        "_seqs", "_results",
+        "_seqs", "_results", "_stamp",
     )
 
     def __init__(
@@ -324,6 +328,13 @@ class ResultBlock(Sequence):
         self._count = count
         self._seqs: np.ndarray | None = None
         self._results: list[JoinResult] | None = None
+        self._stamp = 0.0  # the results' timestamp (see stamp())
+
+    def stamp(self, now: float) -> None:
+        """Set the results' ``timestamp``: the built ones now, the rest later."""
+        self._stamp = now
+        for result in self._results or ():
+            result.timestamp = now
 
     @property
     def materialized(self) -> bool:
@@ -382,7 +393,7 @@ class ResultBlock(Sequence):
                 else zip(repeat(tup), *levels)
             )
             results = self._results = list(
-                map(JoinResult, map(by_stream, combos))
+                map(JoinResult, map(by_stream, combos), repeat(self._stamp))
             )
             self._levels = None  # the results hold the tuples now
         return results

@@ -178,6 +178,8 @@ class MJoinOperator(StreamOperator):
             else None
         )
         for hop, stats in enumerate(result.hop_stats):
+            if not stats.scanned:
+                continue  # not probed: observe would ignore it
             self.selectivity.observe(
                 tup.stream, order[hop], stats.scanned, stats.matched
             )
@@ -188,9 +190,9 @@ class MJoinOperator(StreamOperator):
         outputs = result.outputs
         if self._modes is not None:
             outputs = self._modes.observe(tup, outputs, now)
-        work = result.comparisons + round(
-            self.output_cost * len(outputs)
-        )
+        work, produced = result.comparisons, len(outputs)
+        if produced:
+            work += round(self.output_cost * produced)
         return ProcessReceipt(comparisons=work, outputs=outputs)
 
     def on_adapt(

@@ -130,7 +130,8 @@ class Histogram(Instrument):
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        self.counts[self.bucket_index(value)] += 1
+        # bucket_index(), inline: the runtime observes once per tuple
+        self.counts[0 if value <= 0.0 else bisect_left(LOG2_BOUNDS, value)] += 1
         self.count += 1
         self.sum += value
         if value < self.min:
