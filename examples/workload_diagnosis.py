@@ -6,16 +6,25 @@ The workflow a downstream user actually follows:
 2. measure the pairwise offset-match profile — is there an exploitable
    time correlation, and where does it sit?
 3. size the join window so the correlation peak fits inside it;
-4. run the query through the declarative builder with GrubJoin shedding,
+4. run the join with GrubJoin shedding on a simulated CPU,
    instrumented with ``repro.obs`` so the run explains itself.
 
 Run:  python examples/workload_diagnosis.py
 """
 
-from repro import ConstantRate, EpsilonJoin, LinearDriftProcess, StreamSource
+from repro import (
+    ConstantRate,
+    CpuModel,
+    EpsilonJoin,
+    GrubJoinOperator,
+    LinearDriftProcess,
+    MJoinOperator,
+    Simulation,
+    SimulationConfig,
+    StreamSource,
+)
 from repro.analysis import offset_match_profile, sparkline
 from repro.obs import Obs, render_report
-from repro.query import Query
 from repro.streams import record_trace
 
 RATE = 60.0
@@ -62,31 +71,32 @@ def main() -> None:
 
     print("\n4. running the query (GrubJoin, CPU at half the full-join "
           "need)...")
-    # calibrate on a probe run via the builder's 'none' policy
-    probe = (
-        Query()
-        .streams(*(make_source(i) for i in range(3)))
-        .window(window, basic=window / 10)
-        .join(predicate, shedding="none")
-        .run(capacity=1e15, duration=30.0, warmup=10.0)
-    )
-    # estimate demand from utilization of the probe CPU
+    windows = [window] * 3
+    basic = window / 10
+    # calibrate on a probe run: the full join on an unbounded CPU
+    probe = Simulation(
+        [make_source(i) for i in range(3)],
+        MJoinOperator(predicate, windows, basic),
+        CpuModel(1e15),
+        SimulationConfig(duration=30.0, warmup=10.0,
+                         adaptation_interval=5.0),
+    ).run()
     full_rate = probe.output_rate
     obs = Obs()
     obs.meta.update(workload="workload-diagnosis", window=window)
-    result = (
-        Query()
-        .streams(*(make_source(i) for i in range(3)))
-        .window(window, basic=window / 10)
-        .join(predicate, shedding="grubjoin", rng=1)
-        .run(capacity=2e5, duration=30.0, warmup=10.0,
-             adaptation_interval=2.0, obs=obs)
-    )
+    join = GrubJoinOperator(predicate, windows, basic, rng=1)
+    result = Simulation(
+        [make_source(i) for i in range(3)],
+        join,
+        CpuModel(2e5),
+        SimulationConfig(duration=30.0, warmup=10.0,
+                         adaptation_interval=2.0),
+        obs=obs,
+    ).run()
     kept = (100.0 * result.output_rate / full_rate) if full_rate else 0.0
     print(f"   unconstrained join: {full_rate:10,.0f} results/sec")
     print(f"   GrubJoin, shedding: {result.output_rate:10,.0f} results/sec "
-          f"({kept:.0f}% of full at z="
-          f"{result.join_operator.throttle_fraction:.2f})")
+          f"({kept:.0f}% of full at z={join.throttle_fraction:.2f})")
 
     print("\n5. telemetry report for the instrumented run:")
     print(render_report(obs))

@@ -47,11 +47,11 @@ def aggregate_errors(
     function: str, window_size: float, slide: float
 ) -> dict[str, str]:
     """Why :class:`ThrottledAggregateOperator` refuses these arguments,
-    keyed by plan-rule code: ``P108`` an unknown function, ``P104`` a
+    keyed by rule code: ``P108`` an unknown function, ``P104`` a
     non-positive window or slide, or a slide past the window.
 
-    The one definition of both checks: the constructor raises on any of
-    them, and the plan analyzer (:mod:`repro.lint.plan`) reports each.
+    The constructor raises on any of them, so the plan analyzer
+    (:mod:`repro.lint.plan`) never sees such an aggregate.
     """
     errors = {}
     if function not in _AGGREGATES:

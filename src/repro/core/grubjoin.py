@@ -54,16 +54,12 @@ class GrubJoinOperator(MJoinOperator):
         predicate: join condition (any :class:`JoinPredicate`).
         window_sizes: per-stream join window sizes ``w_i`` (seconds).
         basic_window_size: ``b`` (seconds).
-        orders: fixed join orders; default derives them adaptively with
-            low-selectivity-first.
-        adapt_orders: refresh join orders at every adaptation step.
         sampling: ``omega``, the fraction of tuples processed with window
             shredding for time-correlation learning (paper uses 0.1).
         metric: greedy evaluation metric (paper recommends BDOpDC).
         solver: ``"greedy"`` (the paper's default) or ``"double-sided"``
             (the tech-report extension switching to reverse greedy for
             large ``z``).
-        output_cost: work units charged per produced result tuple.
         fractional_fallback: let the greedy initialize a direction below
             one logical basic window per hop when nothing integral fits
             the budget (recommended; an ablation bench covers it).
@@ -106,12 +102,9 @@ class GrubJoinOperator(MJoinOperator):
         predicate: "JoinPredicate",
         window_sizes: Sequence[float],
         basic_window_size: float,
-        orders: Sequence[Sequence[int]] | None = None,
-        adapt_orders: bool = True,
         sampling: float = 0.1,
         metric: Metric = Metric.BEST_DELTA_OUTPUT_PER_DELTA_COST,
         solver: str = "greedy",
-        output_cost: float = 2.0,
         fractional_fallback: bool = True,
         memory_saving: bool = False,
         rng: np.random.Generator | int | None = None,
@@ -123,12 +116,11 @@ class GrubJoinOperator(MJoinOperator):
             raise ValueError("sampling (omega) must be in (0, 1]")
         if solver not in ("greedy", "double-sided"):
             raise ValueError("solver must be 'greedy' or 'double-sided'")
-        # shedding is only sound for inner-mode sliding windows (plan
-        # rule P131): mode and window policy stay at the base's defaults
-        super().__init__(
-            predicate, window_sizes, basic_window_size, orders=orders,
-            adapt_orders=adapt_orders, output_cost=output_cost, index=index,
-        )
+        # the harvest algebra is defined for inner-mode sliding windows
+        # only; mode, window policy, join orders and the output charge
+        # stay at the base's defaults
+        super().__init__(predicate, window_sizes, basic_window_size,
+                         index=index)
         m = self.num_streams
         self.segments = [w.n for w in self.windows]
         self.sampling = float(sampling)

@@ -84,9 +84,9 @@ def check_index_compat(
 ) -> str | None:
     """Validate an ``index=`` spec against the predicate's capabilities.
 
-    This is the single compatibility contract shared by the operator
-    constructors (``MJoinOperator``/``GrubJoinOperator``) and the static
-    plan-analyzer rule P133 (``analyze_query``).
+    This is the single compatibility contract, checked by the operator
+    constructors (``MJoinOperator`` and every subclass): an operator
+    that exists has a spec its predicate can serve.
 
     Args:
         spec: the requested index kind (``None`` disables indexing and

@@ -633,6 +633,11 @@ class DataflowGraph:
         """All ``(node, input_index, source)`` attachments."""
         return list(self._sources)
 
+    def node_admission(self) -> dict[str, list[AdmissionFilter | None]]:
+        """Mapping of node name -> its admission slot per input."""
+        return {name: list(node.admission)
+                for name, node in self._nodes.items()}
+
     def queue_depth(self, name: str) -> int:
         """Total buffered tuples across a node's input buffers right now
         (0 before the first run; the final backlog after one)."""

@@ -29,9 +29,13 @@ from .harness import (
     run_random_drop,
 )
 from .instances import random_instance
-from .replication import Comparison, ReplicatedMetric, compare, replicate
+from .replication import (
+    Comparison,
+    ReplicatedMetric,
+    compare_seeds,
+    replicate,
+)
 from .report import to_markdown, write_csv, write_markdown_report
-from .sweep import sweep
 
 __all__ = [
     "Comparison",
@@ -40,7 +44,7 @@ __all__ = [
     "WorkloadSpec",
     "aligned_spec",
     "calibrate_capacity",
-    "compare",
+    "compare_seeds",
     "default_config",
     "fig10_adaptation",
     "fig4_optimality",
@@ -57,7 +61,6 @@ __all__ = [
     "run_grubjoin",
     "run_random_drop",
     "shard_scaleout",
-    "sweep",
     "to_markdown",
     "write_csv",
     "write_markdown_report",

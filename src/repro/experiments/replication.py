@@ -3,7 +3,7 @@ mean and bootstrap confidence intervals.
 
 The paper reports averages of several runs; :func:`replicate` makes that
 explicit and quantified — each metric comes back with its mean and a
-bootstrap interval, and :func:`compare` adds a permutation p-value for
+bootstrap interval, and :func:`compare_seeds` adds a permutation p-value for
 "is GrubJoin really better than the baseline here, or is it seed noise?".
 """
 
@@ -93,7 +93,7 @@ class Comparison:
         )
 
 
-def compare(
+def compare_seeds(
     treatment_runner: Callable[[int], float],
     baseline_runner: Callable[[int], float],
     seeds: Sequence[int],

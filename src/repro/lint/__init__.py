@@ -6,11 +6,10 @@ Two layers, one diagnostic vocabulary (:mod:`repro.lint.diagnostics`):
   AST rules R001-R007 guarding the virtual-clock/seeded-RNG substitution
   and hot-path hygiene.  See :mod:`repro.lint.rules`.
 * **Layer 2 — static query-plan analyzer**
-  (:func:`repro.lint.plan.analyze_query` /
-  :func:`repro.lint.plan.analyze_graph`): P-series checks validating a
-  configured plan — graph shape, schemas, window algebra, shedding
-  soundness, shard safety — before execution.
-  Wired into ``Query.run(validate=True)`` and ``DataflowGraph.run``.
+  (:func:`repro.lint.plan.analyze_graph`): P-series checks validating a
+  configured :class:`~repro.engine.graph.DataflowGraph` — graph shape,
+  schemas, window algebra, shedding soundness, shard safety — before
+  execution.  Wired into ``DataflowGraph.run(validate=True)``.
 
 Full rule/check reference: ``docs/STATIC_ANALYSIS.md``.
 """
@@ -28,7 +27,6 @@ from .plan import (
     PlanReport,
     PlanValidationError,
     analyze_graph,
-    analyze_query,
 )
 from .rules import REGISTRY, RULES_BY_CODE, Rule, rules_for
 
@@ -42,7 +40,6 @@ __all__ = [
     "Rule",
     "Severity",
     "analyze_graph",
-    "analyze_query",
     "check_paths",
     "check_source",
     "iter_python_files",

@@ -18,7 +18,7 @@ class Severity(str, Enum):
     """How bad a finding is.
 
     * ``ERROR`` — the invariant is violated; CI (and
-      ``Query.run(validate=True)``) must fail.
+      ``DataflowGraph.run(validate=True)``) must fail.
     * ``WARNING`` — suspicious but runnable; reported, never fatal.
     """
 

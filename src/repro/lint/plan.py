@@ -1,11 +1,10 @@
 """Static query-plan analyzer (the ``P``-series checks).
 
-Validates a configured :class:`repro.engine.graph.DataflowGraph` or a
-declarative :class:`repro.query.Query` *before* any tuple flows, the way
-compile-time front-ends of multi-way join systems validate operator
-graphs.  A misconfigured plan should fail here, with every problem
-reported at once, instead of raising (or silently misbehaving) minutes
-into a simulation.
+Validates a configured :class:`repro.engine.graph.DataflowGraph` *before*
+any tuple flows, the way compile-time front-ends of multi-way join
+systems validate operator graphs.  A misconfigured plan should fail
+here, with every problem reported at once, instead of raising (or
+silently misbehaving) minutes into a simulation.
 
 Checks
 ======
@@ -19,16 +18,10 @@ P102   Schema compatibility: an edge whose source emits join results
 P103   Every join window ``w_i`` must be an integral multiple of the
        basic window ``b`` (the logical basic-window algebra of §4.1.1
        assumes ``w = n * b``).
-P104   Aggregates need ``slide <= window``.
 P107   Every operator input should be fed by a source or an edge
        (warning: a starved input usually means a wiring mistake).
-P108   Aggregate function must exist.
 P109   Aggregate windows should be an integral multiple of the slide
        (warning: ragged emission boundaries).
-P110   A query aggregating join results needs ``.project(...)`` (or a
-       scalar ``.select(...)``): the default projection packs each
-       result into a tuple of constituent values, which the numeric
-       aggregate window cannot store.
 P111   Router fan-out: a partitioning router (``output_kind ==
        "routed"``, declaring ``num_shards``) must feed exactly
        ``num_shards`` distinct shard targets, and every fan-out edge
@@ -56,30 +49,25 @@ P130   Mode placement: shard targets behind a router require the
        An anti or outer join with outgoing edges is a WARNING: its
        end-of-run flush is recorded on the join node but travels no
        edge (nothing is serviced after ``STOP``).
-P131   Shedding soundness: load shedding with an anti or outer join is
-       an ERROR — dropping a tuple's matches turns the tuple into a
-       spurious "survivor", inventing results instead of losing them.
-       The ``grubjoin`` policy further requires inner-mode
-       sliding-window joins (the only configuration its harvest
-       algebra is defined for).
+P131   Shedding soundness: an admission filter in front of an anti or
+       outer join is an ERROR — dropping a tuple's matches turns the
+       tuple into a spurious "survivor", inventing results instead of
+       losing them.
 P132   Session-gap geometry (warnings): a session gap that is not an
        integral multiple of the basic window makes expiry granularity
        ragged; a gap at or above the effective window horizon can
        never close a session inside the window, degenerating the
        policy to sliding.
-P133   Partition-index compatibility: an ``index=`` spec must agree
-       with the predicate's capabilities — the single contract of
-       :func:`repro.core.windex.check_index_compat` (columnar-capable
-       predicate; ``hash`` only for exact equi probes, radius 0).
-       Checked on a declared query's ``.join(index=...)``; a built
-       operator already passed the same check in its constructor.
 =====  ==================================================================
 
-A check that a constructor or ``Query.build`` also makes is written
-once and called from both: P100 and P131's grubjoin case are methods of
-:class:`repro.query.Query`, P104 / P108 are
-:func:`repro.core.aggregate.aggregate_errors`, P133 is
-:func:`repro.core.windex.check_index_compat`.
+The constructors refuse what they cannot build, so the analyzer never
+sees it: :class:`~repro.core.aggregate.ThrottledAggregateOperator`
+raises on an unknown function or a bad slide
+(:func:`repro.core.aggregate.aggregate_errors`, once P108 / P104), a
+join operator on an ``index=`` spec its predicate cannot serve
+(:func:`repro.core.windex.check_index_compat`, once P133), and
+``GrubJoinOperator`` takes no join mode or window policy (its harvest
+algebra is defined for inner-mode sliding windows only).
 
 The shard checks (P121, P124) run exactly when the graph contains a
 routed topology; P124/P126 are one function, :func:`certify_shards`,
@@ -238,19 +226,11 @@ def _check_session_policy(
 
 
 def _check_aggregate(
-    report: PlanReport,
-    function: str,
-    window: float,
-    slide: float,
-    node: str,
+    report: PlanReport, window: float, slide: float, node: str
 ) -> None:
-    """P104 / P108 (the constructor's own checks) and the P109 warning."""
-    from repro.core.aggregate import aggregate_errors
-
-    errors = aggregate_errors(function, window, slide)
-    for code, message in errors.items():
-        report.add(code, message, node=node)
-    if "P104" not in errors and not _is_multiple(window, slide):
+    """P109 — ragged emission boundaries (the constructor already
+    refused a bad function or slide)."""
+    if not _is_multiple(window, slide):
         report.add(
             "P109",
             f"aggregate window={window:g}s is not a multiple of "
@@ -414,8 +394,7 @@ def analyze_graph(graph: "DataflowGraph") -> PlanReport:
 
 
 def _check_operator(report: PlanReport, op: Any, name: str) -> None:
-    """P103 / P132 on a join's windows, P104 / P108 / P109 on an
-    aggregate's — the checks ``analyze_query`` makes on the declaration."""
+    """P103 / P132 on a join's windows, P109 on an aggregate's."""
     window_sizes = getattr(op, "window_sizes", None)
     basic = getattr(op, "basic_window_size", None)
     if window_sizes is not None and basic is not None:
@@ -426,14 +405,13 @@ def _check_operator(report: PlanReport, op: Any, name: str) -> None:
                                   name)
     slide = getattr(op, "slide", None)
     window = getattr(op, "window_size", None)
-    function = getattr(op, "function", None)
-    if slide is not None and window is not None and function is not None:
-        _check_aggregate(report, function, window, slide, name)
+    if slide is not None and window is not None:
+        _check_aggregate(report, window, slide, name)
 
 
 def _check_topology(report: PlanReport, graph: "DataflowGraph") -> None:
-    """The checks that read edges and sources: P101, P102, P107, P111,
-    P130 and the shard checks P121 / P124."""
+    """The checks that read edges, sources and admission filters: P101,
+    P102, P107, P111, P130, P131 and the shard checks P121 / P124."""
     nodes = graph.node_operators()
     edges = graph.edge_list()
 
@@ -481,6 +459,24 @@ def _check_topology(report: PlanReport, graph: "DataflowGraph") -> None:
                 "recorded on this node but not forwarded (nothing is "
                 "serviced after STOP), so downstream stages miss them",
                 severity=Severity.WARNING,
+                node=name,
+            )
+
+    # P131 — shedding in front of an anti / outer join invents survivors
+    admission = graph.node_admission()
+    for name, op in nodes.items():
+        mode = _join_mode_of(op)
+        if (
+            mode is not None
+            and mode.value in ("anti", "outer")
+            and any(gate is not None for gate in admission[name])
+        ):
+            report.add(
+                "P131",
+                f"node {name!r} sheds in front of an {mode.value} join: "
+                "dropping a tuple's matches makes the tuple a spurious "
+                "survivor, so shedding would invent results instead of "
+                "losing them; run it without admission filters",
                 node=name,
             )
 
@@ -552,100 +548,3 @@ def _check_topology(report: PlanReport, graph: "DataflowGraph") -> None:
     # P121 / P124 — shard safety of routed plans
     if shard_groups:
         _shard_checks(report, nodes, shard_groups, edges)
-
-
-# --------------------------------------------------------------------------
-# query analysis
-# --------------------------------------------------------------------------
-
-
-def analyze_query(query: Any) -> PlanReport:
-    """Validate a declarative :class:`repro.query.Query` before it runs.
-
-    Works on the builder's declared state — no operator is constructed
-    unless the declaration is structurally sound — so *every* problem is
-    reported in one pass instead of whichever constructor raises first.
-    """
-    from repro.core.windex import check_index_compat
-    from repro.joins.columnar import supports_columnar
-    from repro.joins.variants import JoinMode
-
-    report = PlanReport()
-
-    # P100 — what Query.build refuses to assemble
-    for message in query._declaration_errors():
-        report.add("P100", message, node="query")
-
-    # P131 — shedding soundness and policy support for variant modes
-    mode = query._mode
-    if query._shedding != "none" and mode in (JoinMode.ANTI,
-                                               JoinMode.OUTER):
-        report.add(
-            "P131",
-            f"load shedding is unsound for {mode.value} joins: "
-            "dropping a tuple's matches makes the tuple a spurious "
-            "survivor, so shedding would invent results instead of "
-            "losing them; use shedding='none'",
-            node="join",
-        )
-    elif (off_turf := query._grubjoin_off_turf()) is not None:
-        report.add("P131", off_turf, node="join")
-
-    # P133 — partition-index / predicate compatibility (the contract the
-    # operator constructor enforces at build time, reported alongside
-    # everything else instead of raising first)
-    predicate = query._predicate
-    spec = query._join_kwargs.get("index")
-    if spec is not None and predicate is not None:
-        try:
-            check_index_compat(
-                spec,
-                columnar_ok=supports_columnar(predicate),
-                radius=getattr(predicate, "interval_radius", None),
-            )
-        except ValueError as exc:
-            report.add("P133", str(exc), node="join")
-
-    # P103 / P132 — window divisibility, session-gap geometry
-    m = len(query._sources)
-    window, basic = query._window, query._basic
-    if window is not None and m >= 2:
-        _check_join_windows(report, [window] * m, basic, "join")
-        _check_session_policy(report, query._policy, [window] * m, basic,
-                              "join")
-
-    # P104 / P108 / P109 — declared aggregate stages
-    stages = query._stages
-    for index, (kind, arg) in enumerate(stages):
-        if kind == "aggregate":
-            _check_aggregate(report, *arg, f"aggregate{index}")
-
-    # P110 — aggregate over the default (tuple-of-values) projection.
-    # Without .project(...) every join result is packed into a tuple of
-    # its m constituent values; a numeric aggregate window cannot store
-    # that and the run would die on the first match.  A .select(...)
-    # before the aggregate may rescale the payload, so only the certain
-    # case is an error.
-    if query._projection is None:
-        for index, (kind, arg) in enumerate(stages):
-            if kind == "select":
-                break
-            if kind == "aggregate":
-                report.add(
-                    "P110",
-                    "aggregate over the default projection: join "
-                    "results become tuples of constituent values, "
-                    "which the numeric aggregate window cannot store; "
-                    "add .project(...) (or a scalar .select(...)) "
-                    "before the aggregate",
-                    node=f"aggregate{index}",
-                )
-                break
-
-    # the graph-shape checks on the assembled plan (cycles are impossible
-    # from the linear builder, but schema/starvation/flush checks still
-    # apply); the per-operator checks above already covered every stage
-    if report.ok:
-        graph, _ = query.build(capacity=1.0)
-        _check_topology(report, graph)
-    return report

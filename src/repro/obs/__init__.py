@@ -3,8 +3,7 @@
 Everything is keyed to **virtual time** (lint rule R001 covers this
 package: no wall clocks) and is **off by default** — a run only pays for
 telemetry when an :class:`Obs` is passed to the engine hooks
-(``Simulation(..., obs=obs)``, ``DataflowGraph.run(obs=obs)``,
-``Query.run(obs=obs)``).
+(``Simulation(..., obs=obs)``, ``DataflowGraph.run(obs=obs)``).
 
 The pieces:
 

@@ -4,8 +4,8 @@ An :class:`Obs` bundles a :class:`~repro.obs.registry.MetricsRegistry`,
 a :class:`~repro.obs.spans.SpanRecorder`, and the list of
 :class:`~repro.obs.explainer.AdaptationExplanation` records, plus the
 virtual clock they are keyed to.  It is the object the engine hooks
-accept (``Simulation(..., obs=obs)``, ``DataflowGraph.run(obs=obs)``,
-``Query.run(obs=obs)``) and the exporters consume.
+accept (``Simulation(..., obs=obs)``, ``DataflowGraph.run(obs=obs)``)
+and the exporters consume.
 
 Instrumentation is **off by default**: every instrumented call site
 guards on ``obs is not None`` (or the cached handle it set up at bind

@@ -70,7 +70,6 @@ from .workloads import (
     key_sources,
     key_workload,
     mixed_key_workload,
-    register_scenario,
     scenario_names,
     scenario_workload,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "procs_ids",
     "randomdrop_ids",
     "rate_spike",
-    "register_scenario",
     "reorder",
     "run_config",
     "scenario_names",

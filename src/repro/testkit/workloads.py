@@ -393,30 +393,8 @@ def mixed_key_workload(
 # declarative scenario library: the mode x window x predicate grid
 # ----------------------------------------------------------------------
 
-#: scenario name -> zero-argument frozen-workload builder
-_SCENARIOS: dict[str, Callable[[], Workload]] = {}
-
-
-def register_scenario(
-    name: str, builder: Callable[[], Workload]
-) -> None:
-    """Add a named scenario to the grid.
-
-    ``builder`` must be deterministic (seeded) and return a frozen
-    :class:`Workload`; the returned workload's ``name`` is forced to the
-    scenario name so verdict rows stay stable.  Later ROADMAP items
-    (multi-tenant serving, disorder handling) register their scenarios
-    through this same hook.
-    """
-    if not name or any(c.isspace() for c in name):
-        raise ValueError(f"bad scenario name {name!r}")
-    if name in _SCENARIOS:
-        raise ValueError(f"scenario {name!r} already registered")
-    _SCENARIOS[name] = builder
-
-
 def scenario_names() -> list[str]:
-    """All registered scenario names, sorted."""
+    """All scenario names, sorted."""
     return sorted(_SCENARIOS)
 
 
@@ -450,10 +428,9 @@ def build_scenarios(patterns: Sequence[str] = ("*",)) -> list[Workload]:
     return [scenario_workload(name) for name in sorted(selected)]
 
 
-def _grid_scenario(
-    mode: str, policy: str, kind: str, seed: int
-) -> Callable[[], Workload]:
-    """One cell of the mode x window x predicate grid.
+def _grid_scenario(name: str, seed: int) -> Callable[[], Workload]:
+    """One cell of the mode x window x predicate grid, named
+    ``sc-<mode>-<window>-<kind>``.
 
     Sliding/tumbling cells run the standard constant-rate builders;
     session cells switch to low-rate Poisson arrivals (constant-rate
@@ -461,6 +438,7 @@ def _grid_scenario(
     with a gap chosen as an integral multiple of ``b`` below the
     effective horizon (plan rule P132's sound region).
     """
+    _, mode, policy, kind = name.split("-")
     policy_spec = "session:1.5" if policy == "session" else policy
 
     def build() -> Workload:
@@ -490,23 +468,21 @@ def _grid_scenario(
     return build
 
 
-def _register_grid() -> None:
-    """The ~12 frozen grid scenarios: every mode x window cell, with the
-    predicate kind alternating so both drift (interval) and keys (equi)
-    appear in every mode row and every window column."""
-    kinds = ("drift", "keys")
-    seed = 41
-    for mi, mode in enumerate(("inner", "semi", "anti", "outer")):
-        for wi, policy in enumerate(("sliding", "tumbling", "session")):
-            kind = kinds[(mi + wi) % 2]
-            register_scenario(
-                f"sc-{mode}-{policy}-{kind}",
-                _grid_scenario(mode, policy, kind, seed),
-            )
-            seed += 1
-
-
-_register_grid()
+#: scenario name -> zero-argument frozen-workload builder: every mode x
+#: window cell once, the predicate kind alternating so both drift
+#: (interval) and keys (equi) appear in every mode row and every window
+#: column; seeds 41.. in this order
+_SCENARIOS: dict[str, Callable[[], Workload]] = {
+    name: _grid_scenario(name, seed)
+    for seed, name in enumerate((
+        "sc-inner-sliding-drift", "sc-inner-tumbling-keys",
+        "sc-inner-session-drift", "sc-semi-sliding-keys",
+        "sc-semi-tumbling-drift", "sc-semi-session-keys",
+        "sc-anti-sliding-drift", "sc-anti-tumbling-keys",
+        "sc-anti-session-drift", "sc-outer-sliding-keys",
+        "sc-outer-tumbling-drift", "sc-outer-session-keys",
+    ), start=41)
+}
 
 
 def default_workloads(seeds: Sequence[int] = (1, 2, 3)) -> list[Workload]:

@@ -50,16 +50,12 @@ class TestConstruction:
             {"sampling": 0.0},
             {"sampling": 1.5},
             {"solver": "quantum"},
-            {"output_cost": -1},
+            {"index": "btree"},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             make_operator(**kwargs)
-
-    def test_fixed_orders_validated(self):
-        with pytest.raises(ValueError):
-            make_operator(orders=[[1, 1], [0, 2], [0, 1]])
 
     def test_too_few_streams(self):
         with pytest.raises(ValueError):

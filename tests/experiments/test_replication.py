@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments.replication import Comparison, compare, replicate
+from repro.experiments.replication import (
+    Comparison,
+    compare_seeds,
+    replicate,
+)
 
 
 class TestReplicate:
@@ -41,7 +45,7 @@ class TestCompare:
         rng = np.random.default_rng(0)
         t_noise = rng.normal(0, 2, 100)
         b_noise = rng.normal(0, 2, 100)
-        result = compare(
+        result = compare_seeds(
             lambda seed: 200.0 + t_noise[seed],
             lambda seed: 100.0 + b_noise[seed],
             seeds=list(range(12)),
@@ -52,7 +56,7 @@ class TestCompare:
     def test_noise_not_significant(self):
         rng = np.random.default_rng(1)
         noise = rng.normal(0, 10, 200)
-        result = compare(
+        result = compare_seeds(
             lambda seed: 100.0 + noise[seed],
             lambda seed: 100.0 + noise[seed + 50],
             seeds=list(range(8)),
@@ -93,7 +97,7 @@ class TestEndToEnd:
             )
 
         capacity = calibrate_capacity(spec(7, rate=30.0), 30.0, cfg)
-        result = compare(
+        result = compare_seeds(
             lambda s: run_grubjoin(spec(s), capacity, cfg)[0].output_rate,
             lambda s: run_random_drop(spec(s), capacity,
                                       cfg)[0].output_rate,

@@ -1,26 +1,22 @@
 """Static query-plan analyzer: the rule catch matrix, then the plan
 tests that check more than which codes fire.
 
-The catch matrix has one row for each public way a P-rule can fire,
-and one for the declaration P105 used to catch, which ``Query.join``
-refuses first.  Plans with no finding are the ``TestCleanPlans`` cases
-below.  A row's plan is a ``Query`` (``q-`` rows), a ``DataflowGraph``
-(``g-``) or the shard operators a process runtime is about to fork
-(``w-``).  Columns:
+The catch matrix has one row for each public way a P-rule can fire.
+Plans with no finding are the ``TestCleanPlans`` cases below.  A row's
+plan is a ``DataflowGraph`` (``g-`` rows) or the shard operators a
+process runtime is about to fork (``w-``).  Columns:
 
 ctor      the operator constructor, called directly with the row's
           arguments, raises ``ValueError`` (``n/a``: the row configures
           no constructor argument);
-build     declaring the ``Query`` or calling ``Query.build()`` raises
-          ``ValueError`` (``n/a`` for graph and shard rows);
-errors,   the codes ``analyze_query`` (``q-``), ``analyze_graph``
-warnings  (``g-``) or ``certify_shards(worker_entry=True)`` (``w-``)
-          reports; ``not reached`` when the plan cannot be declared.
+errors,   the codes ``analyze_graph`` (``g-``) or
+warnings  ``certify_shards(worker_entry=True)`` (``w-``) reports;
+          ``not reached`` when the constructor refuses the plan.
 
 ``EXPECTED`` is the table ``docs/STATIC_ANALYSIS.md`` prints.  A rule
-whose every row also raises in ``ctor`` or ``build`` restates a check
-the program makes anyway, so it must call the same definition (P100,
-P104, P108, P131's grubjoin case, P133 do).
+the constructor enforces (P104 and P108 in ``aggregate_errors``, P133
+in ``check_index_compat``) has no analyzer code: its row reads ``not
+reached``.
 """
 
 import re
@@ -39,12 +35,16 @@ from repro.engine import (
     MapOperator,
     SimulationConfig,
 )
-from repro.joins import EquiJoin, InnerProductJoin, MJoinOperator
+from repro.joins import (
+    EquiJoin,
+    InnerProductJoin,
+    MJoinOperator,
+    RandomDropShedder,
+)
 from repro.lint import Severity
 from repro.lint.plan import (
     PlanValidationError,
     analyze_graph,
-    analyze_query,
     certify_shards,
 )
 from repro.obs import Obs
@@ -54,7 +54,6 @@ from repro.parallel import (
     build_sharded_graph,
     shard_result_transform,
 )
-from repro.query import Query
 from repro.streams import StreamTuple
 from repro.testkit.workloads import drift_sources
 
@@ -83,34 +82,15 @@ def to_tuple(result):
 # --------------------------------------------------------------------------
 
 
-def query(window=10.0, basic=1.0, policy=None, predicate=None,
-          **join_kwargs):
-    return (
-        Query()
-        .streams(*make_sources())
-        .window(window, basic=basic, policy=policy)
-        .join(predicate or EpsilonJoin(1.0), **join_kwargs)
-    )
-
-
-def stamped(q):
-    """A scalar projection, so aggregate rows do not also fire P110."""
-    return q.project(lambda r: r.timestamp)
-
-
-def aggregate_query(function, window, slide):
-    return stamped(query()).aggregate(function, window=window, slide=slide)
-
-
 def mjoin(predicate=None, basic=1.0, **kwargs):
     return MJoinOperator(predicate or EpsilonJoin(1.0), [10.0] * 3, basic,
                          **kwargs)
 
 
-def fed(op):
+def fed(op, admission=None):
     """A graph with ``op`` as node ``op``, every input fed by a source."""
     g = DataflowGraph()
-    g.add_node("op", op)
+    g.add_node("op", op, admission=admission)
     sources = make_sources(m=getattr(op, "num_streams", 1))
     for i, source in enumerate(sources):
         g.add_source("op", i, source)
@@ -123,6 +103,11 @@ def feeding_sink(op):
     g.add_node("sink", FilterOperator(lambda v: True))
     g.connect("op", "sink", transform=to_tuple)
     return g
+
+
+def randomdrop(op):
+    """``fed(op)`` behind RandomDrop's admission filters."""
+    return fed(op, admission=RandomDropShedder(op, 1e6).filters)
 
 
 def cycle():
@@ -201,34 +186,16 @@ class Row:
 
 
 ROWS = [
-    # P100 — what Query.build refuses to assemble
-    Row("q-empty", Query),
-    Row("q-one-stream", lambda: Query().streams(*make_sources(m=1))
-        .window(10.0, basic=1.0).join(EpsilonJoin(1.0))),
-    Row("q-no-join", lambda: Query().streams(*make_sources())
-        .window(10.0, basic=1.0)),
     # P103 — window divisibility
-    Row("q-window-off-grid", lambda: query(basic=3.0),
-        lambda: GrubJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 3.0)),
     Row("g-window-off-grid", lambda: fed(mjoin(basic=3.0)),
         lambda: mjoin(basic=3.0)),
-    # P104 / P108 / P109 / P110 — aggregate stages
-    Row("q-slide-over-window", lambda: aggregate_query("count", 2.0, 5.0),
-        lambda: ThrottledAggregateOperator("count", 2.0, 5.0)),
-    Row("q-slide-zero", lambda: aggregate_query("count", 2.0, 0.0),
-        lambda: ThrottledAggregateOperator("count", 2.0, 0.0)),
+    # P104 / P109 — aggregate stages
     Row("g-slide-over-window",
         lambda: fed(ThrottledAggregateOperator("count", 2.0, 5.0)),
         lambda: ThrottledAggregateOperator("count", 2.0, 5.0)),
-    Row("q-unknown-aggregate", lambda: aggregate_query("median", 5.0, 1.0),
-        lambda: ThrottledAggregateOperator("median", 5.0, 1.0)),
-    Row("q-ragged-aggregate", lambda: aggregate_query("count", 5.0, 2.0),
-        lambda: ThrottledAggregateOperator("count", 5.0, 2.0)),
     Row("g-ragged-aggregate",
         lambda: fed(ThrottledAggregateOperator("count", 5.0, 2.0)),
         lambda: ThrottledAggregateOperator("count", 5.0, 2.0)),
-    Row("q-default-projection",
-        lambda: query().aggregate("count", window=5.0, slide=1.0)),
     # P101 / P102 / P107 — graph shape
     Row("g-cycle", cycle),
     Row("g-edge-without-transform", join_edge_without_transform),
@@ -249,91 +216,42 @@ ROWS = [
             EquiJoin(), window_policy="tumbling"))),
     Row("g-anti-with-edge", lambda: feeding_sink(mjoin(mode="anti")),
         lambda: mjoin(mode="anti")),
-    Row("q-anti-with-stage",
-        lambda: stamped(query(shedding="none", mode="anti"))
-        .where(lambda v: True),
-        lambda: mjoin(mode="anti")),
     # P131 — shedding soundness
-    Row("q-anti-randomdrop", lambda: query(shedding="randomdrop",
-                                           mode="anti"),
+    Row("g-anti-randomdrop", lambda: randomdrop(mjoin(mode="anti")),
         lambda: mjoin(mode="anti")),
-    Row("q-outer-grubjoin", lambda: query(mode="outer")),
-    Row("q-semi-grubjoin", lambda: query(mode="semi")),
-    Row("q-tumbling-grubjoin", lambda: query(policy="tumbling")),
     # P132 — session-gap geometry
-    Row("q-session-gap-off-grid",
-        lambda: query(policy="session:1.3", shedding="none"),
-        lambda: mjoin(window_policy="session:1.3")),
-    Row("q-session-gap-at-horizon",
-        lambda: query(policy="session:12", shedding="none"),
-        lambda: mjoin(window_policy="session:12")),
     Row("g-session-gap-off-grid",
         lambda: fed(mjoin(window_policy="session:1.3")),
         lambda: mjoin(window_policy="session:1.3")),
     # P133 — partition-index compatibility
-    Row("q-hash-on-band", lambda: query(shedding="none", index="hash"),
-        lambda: mjoin(index="hash")),
-    Row("q-index-on-inner-product",
-        lambda: query(predicate=InnerProductJoin(0.5), shedding="none",
-                      index="adaptive"),
-        lambda: mjoin(InnerProductJoin(0.5), index="adaptive")),
-    Row("q-unknown-index",
-        lambda: query(predicate=EquiJoin(), shedding="none",
-                      index="btree"),
-        lambda: mjoin(EquiJoin(), index="btree")),
     Row("g-hash-on-band", lambda: fed(mjoin(index="hash")),
         lambda: mjoin(index="hash")),
-    Row("q-hash-on-band-off-grid",
-        lambda: query(basic=3.0, shedding="none", index="hash"),
-        lambda: mjoin(basic=3.0, index="hash")),
-    # refused when declared: the P105 row (the policy list is Query.join's)
-    Row("q-unknown-shedding", lambda: query(shedding="magic")),
 ]
 
-#: row -> (ctor, build, errors, warnings); ``""`` means nothing raised
-#: or nothing was reported
+#: row -> (ctor, errors, warnings); ``""`` means nothing raised or
+#: nothing was reported
 EXPECTED = {
-    "q-empty": ("n/a", "raises", "P100", ""),
-    "q-one-stream": ("n/a", "raises", "P100", ""),
-    "q-no-join": ("n/a", "raises", "P100", ""),
-    "q-window-off-grid": ("", "", "P103", ""),
-    "g-window-off-grid": ("", "n/a", "P103", ""),
-    "q-slide-over-window": ("raises", "raises", "P104", ""),
-    "q-slide-zero": ("raises", "raises", "P104", ""),
-    "g-slide-over-window": ("raises", "n/a", "not reached", "not reached"),
-    "q-unknown-aggregate": ("raises", "raises", "P108", ""),
-    "q-ragged-aggregate": ("", "", "", "P109"),
-    "g-ragged-aggregate": ("", "n/a", "", "P109"),
-    "q-default-projection": ("n/a", "", "P110", ""),
-    "g-cycle": ("n/a", "n/a", "P101", ""),
-    "g-edge-without-transform": ("n/a", "n/a", "P102", ""),
-    "g-starved-input": ("n/a", "n/a", "", "P107"),
-    "g-router-missing-target": ("n/a", "n/a", "P111", ""),
-    "g-router-unfiltered-edge": ("n/a", "n/a", "P111", ""),
-    "g-merger-order-sensitive": ("n/a", "n/a", "P121", ""),
-    "g-shards-share-list": ("n/a", "n/a", "P124", ""),
-    "w-one-instance-two-workers": ("n/a", "n/a", "P124", ""),
-    "w-obs-bound-before-fork": ("n/a", "n/a", "P126", ""),
-    "g-semi-shards": ("n/a", "n/a", "P130", ""),
-    "g-tumbling-shards": ("n/a", "n/a", "P130", ""),
-    "g-anti-with-edge": ("", "n/a", "", "P130"),
-    "q-anti-with-stage": ("", "", "", "P130"),
-    "q-anti-randomdrop": ("", "", "P131", ""),
-    "q-outer-grubjoin": ("n/a", "raises", "P131", ""),
-    "q-semi-grubjoin": ("n/a", "raises", "P131", ""),
-    "q-tumbling-grubjoin": ("n/a", "raises", "P131", ""),
-    "q-session-gap-off-grid": ("", "", "", "P132"),
-    "q-session-gap-at-horizon": ("", "", "", "P132"),
-    "g-session-gap-off-grid": ("", "n/a", "", "P132"),
-    "q-hash-on-band": ("raises", "raises", "P133", ""),
-    "q-index-on-inner-product": ("raises", "raises", "P133", ""),
-    "q-unknown-index": ("raises", "raises", "P133", ""),
-    "g-hash-on-band": ("raises", "n/a", "not reached", "not reached"),
-    "q-hash-on-band-off-grid": ("raises", "raises", "P103,P133", ""),
-    "q-unknown-shedding": ("n/a", "raises", "not reached", "not reached"),
+    "g-window-off-grid": ("", "P103", ""),
+    "g-slide-over-window": ("raises", "not reached", "not reached"),
+    "g-ragged-aggregate": ("", "", "P109"),
+    "g-cycle": ("n/a", "P101", ""),
+    "g-edge-without-transform": ("n/a", "P102", ""),
+    "g-starved-input": ("n/a", "", "P107"),
+    "g-router-missing-target": ("n/a", "P111", ""),
+    "g-router-unfiltered-edge": ("n/a", "P111", ""),
+    "g-merger-order-sensitive": ("n/a", "P121", ""),
+    "g-shards-share-list": ("n/a", "P124", ""),
+    "w-one-instance-two-workers": ("n/a", "P124", ""),
+    "w-obs-bound-before-fork": ("n/a", "P126", ""),
+    "g-semi-shards": ("n/a", "P130", ""),
+    "g-tumbling-shards": ("n/a", "P130", ""),
+    "g-anti-with-edge": ("", "", "P130"),
+    "g-anti-randomdrop": ("", "P131", ""),
+    "g-session-gap-off-grid": ("", "", "P132"),
+    "g-hash-on-band": ("raises", "not reached", "not reached"),
 }
 
-COLUMNS = ("ctor", "build", "errors", "warnings")
+COLUMNS = ("ctor", "errors", "warnings")
 
 
 def _raises(build):
@@ -350,20 +268,15 @@ def _codes(diagnostics):
 
 def cells(row):
     ctor = "n/a" if row.ctor is None else _raises(row.ctor)
-    is_query = row.name.startswith("q-")
     try:
         plan = row.plan()
     except ValueError:
-        return (ctor, "raises" if is_query else "n/a",
-                "not reached", "not reached")
-    if is_query:
-        build = _raises(lambda: plan.build(capacity=1.0))
-        report = analyze_query(plan)
-    elif isinstance(plan, DataflowGraph):
-        build, report = "n/a", analyze_graph(plan)
+        return (ctor, "not reached", "not reached")
+    if isinstance(plan, DataflowGraph):
+        report = analyze_graph(plan)
     else:
-        build, report = "n/a", certify_shards(plan, worker_entry=True)
-    return (ctor, build, _codes(report.errors), _codes(report.warnings))
+        report = certify_shards(plan, worker_entry=True)
+    return (ctor, _codes(report.errors), _codes(report.warnings))
 
 
 def render(expected):
@@ -391,7 +304,7 @@ def test_every_documented_code_has_a_row():
     documented = set(re.findall(r"^\| (P1\d\d) \|", DOC.read_text(),
                                 re.MULTILINE))
     caught = {code for row_cells in EXPECTED.values()
-              for cell in row_cells[2:] for code in cell.split(",")}
+              for cell in row_cells[1:] for code in cell.split(",")}
     assert documented and documented <= caught
 
 
@@ -402,82 +315,45 @@ def test_every_documented_code_has_a_row():
 
 class TestOtherChecks:
     def test_warnings_reported_once(self):
-        # a warning leaves the report ok, so the graph pass runs too; it
-        # must not derive the per-stage findings a second time
-        def declared(**window):
-            sources = drift_sources(m=3, rate=10.0, seed=0, lags=[0, 1, 2])
-            return Query().streams(*sources).window(10.0, basic=2.0,
-                                                    **window)
-
-        session = declared(policy="session:3.0").join(EpsilonJoin(1.0),
-                                                      shedding="none")
-        ragged = (
-            declared().join(EpsilonJoin(1.0), shedding="none")
-            .project(lambda r: 1.0)
-            .aggregate("count", window=5.0, slide=2.0)
-        )
-        for q, code in ((session, "P132"), (ragged, "P109")):
-            report = q.validate()
+        # a warning leaves the report ok, and every finding is derived
+        # once: one node, one code
+        session = fed(MJoinOperator(
+            EpsilonJoin(1.0), [10.0] * 3, 2.0, window_policy="session:3.0"))
+        ragged = fed(MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 2.0))
+        ragged.add_node("rate", ThrottledAggregateOperator(
+            "count", window_size=5.0, slide=2.0))
+        ragged.connect("op", "rate", transform=to_tuple)
+        for g, code in ((session, "P132"), (ragged, "P109")):
+            report = analyze_graph(g)
             assert report.ok
             assert [d.code for d in report.diagnostics] == [code]
 
-    def test_aggregate_without_projection_rejected(self):
-        # the default projection emits tuple-of-values payloads, which
-        # the numeric aggregate window cannot store
-        q = query().aggregate("count", window=5.0, slide=1.0)
-        report = analyze_query(q)
-        assert "P110" in error_codes(report)
-        # a scalar select before the aggregate silences it ...
-        q2 = (
-            query()
-            .select(lambda v: max(v))
-            .aggregate("count", window=5.0, slide=1.0)
-        )
-        assert "P110" not in error_codes(analyze_query(q2))
-        # ... as does an explicit projection
-        q3 = (
-            query()
-            .project(lambda r: r.timestamp)
-            .aggregate("count", window=5.0, slide=1.0)
-        )
-        assert "P110" not in error_codes(analyze_query(q3))
-
     def test_all_problems_reported_at_once(self):
-        q = (
-            query(window=10.0, basic=3.0)
-            .aggregate("median", window=2.0, slide=5.0)
-        )
-        report = analyze_query(q)
-        assert {"P103", "P104", "P108"} <= error_codes(report)
+        g = join_edge_without_transform()
+        g.add_node("late", mjoin(basic=3.0))
+        g.add_node("a", MapOperator(lambda v: v))
+        g.add_node("b", MapOperator(lambda v: v))
+        g.connect("a", "b")
+        g.connect("b", "a")
+        report = analyze_graph(g)
+        assert {"P101", "P102", "P103"} <= error_codes(report)
 
 # --------------------------------------------------------------------------
-# wiring: Query.run / DataflowGraph.run
+# wiring: DataflowGraph.run
 # --------------------------------------------------------------------------
 
 
 class TestRunValidation:
-    def test_query_run_rejects_invalid_plan(self):
-        q = (
-            Query()
-            .streams(*make_sources())
-            .window(10.0, basic=3.0)
-            .join(EpsilonJoin(1.0))
+    def test_graph_run_validate_off_still_executes(self):
+        g = fed(GrubJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 3.0,
+                                        rng=0))
+        result = g.run(
+            CpuModel(1e9),
+            SimulationConfig(duration=4.0, warmup=1.0,
+                             adaptation_interval=2.0),
+            validate=False,
         )
-        with pytest.raises(PlanValidationError, match="P103"):
-            q.run(capacity=1e6, duration=2.0, warmup=0.0)
-
-    def test_query_run_validate_off_still_executes(self):
-        q = (
-            Query()
-            .streams(*make_sources())
-            .window(10.0, basic=3.0)
-            .join(EpsilonJoin(1.0), rng=0)
-        )
-        result = q.run(
-            capacity=1e9, duration=4.0, warmup=1.0,
-            adaptation_interval=2.0, validate=False,
-        )
-        assert result.graph_result is not None
+        assert result.nodes["op"].output_count > 0
 
     def test_graph_run_rejects_cycle(self):
         g = DataflowGraph()
@@ -490,9 +366,9 @@ class TestRunValidation:
                   SimulationConfig(duration=1.0, warmup=0.0))
 
     def test_error_message_lists_findings(self):
-        q = query(window=10.0, basic=3.0)
+        g = fed(mjoin(basic=3.0))
         try:
-            q.run(capacity=1e6)
+            g.run(CpuModel(1e6), SimulationConfig(duration=1.0, warmup=0.0))
         except PlanValidationError as exc:
             assert "P103" in str(exc)
             assert exc.report.errors
@@ -506,17 +382,6 @@ class TestRunValidation:
 
 
 class TestCleanPlans:
-    def test_query_builder_pipeline_validates(self):
-        q = (
-            query()
-            .project(lambda r: max(t.value for t in r.constituents))
-            .where(lambda v: v < 900)
-            .select(lambda v: v / 10)
-            .aggregate("count", window=5.0, slide=1.0)
-        )
-        report = analyze_query(q)
-        assert report.ok, report.render()
-
     def test_dataflow_pipeline_example_shape_validates(self):
         # mirrors examples/dataflow_pipeline.py
         g = DataflowGraph()
@@ -537,19 +402,17 @@ class TestCleanPlans:
 
     def test_quickstart_example_shape_validates(self):
         # mirrors examples/quickstart.py (bare join, divisible windows)
-        q = (
-            Query()
-            .streams(*make_sources())
-            .window(20.0, basic=2.0)
-            .join(EpsilonJoin(1.0), shedding="grubjoin", rng=7)
-        )
-        report = analyze_query(q)
+        g = fed(GrubJoinOperator(EpsilonJoin(1.0), [20.0] * 3, 2.0,
+                                        rng=7))
+        report = analyze_graph(g)
         assert report.ok, report.render()
 
     def test_randomdrop_and_none_policies_validate(self):
-        for policy in ("randomdrop", "none"):
-            report = analyze_query(query(shedding=policy))
-            assert report.ok, report.render()
+        for drop in (True, False):
+            op = mjoin()
+            g = randomdrop(op) if drop else fed(op)
+            report = analyze_graph(g)
+            assert not report.diagnostics, report.render()
 
 
 class TestRouterFanout:
@@ -583,20 +446,15 @@ class TestRouterFanout:
 class TestModeAndPolicyRules:
     """P130/P131/P132: join modes and window policies."""
 
-    def make(self, mode="inner", policy=None, shedding="grubjoin",
-             window=10.0, basic=1.0):
-        return (
-            Query()
-            .streams(*make_sources())
-            .window(window, basic=basic, policy=policy)
-            .join(EpsilonJoin(1.0), shedding=shedding, mode=mode)
-        )
+    def make(self, mode="inner", policy=None, drop=False):
+        op = mjoin(mode=mode, window_policy=policy)
+        return randomdrop(op) if drop else fed(op)
 
     def test_anti_and_outer_queries_validate_clean(self):
         # every host performs the end-of-run survivor flush, so a bare
         # anti/outer join is an ordinary plan
         for mode in ("anti", "outer"):
-            report = analyze_query(self.make(mode=mode, shedding="none"))
+            report = analyze_graph(self.make(mode=mode))
             assert not report.diagnostics, (mode, report.render())
 
     def test_outer_query_matches_simulation_and_oracle(self):
@@ -613,26 +471,24 @@ class TestModeAndPolicyRules:
         for mode in ("outer", "anti"):
             w = replace(default_workloads()[0], mode=mode)
             cfg = run_config(w)
-            sim = Simulation(
-                w.traces,
-                MJoinOperator(w.predicate, w.window_sizes, w.basic,
-                              mode=mode),
-                CpuModel(UNBOUNDED_CAPACITY), cfg,
-            ).run()
-            query = (
-                Query().streams(*w.traces).window(w.window, basic=w.basic)
-                .join(w.predicate, shedding="none", mode=mode)
-                .run(capacity=UNBOUNDED_CAPACITY, duration=cfg.duration,
-                     warmup=cfg.warmup,
-                     adaptation_interval=cfg.adaptation_interval)
-            )
-            joined = query.stage("join").output_count
+
+            def join():
+                return MJoinOperator(w.predicate, w.window_sizes, w.basic,
+                                     mode=mode)
+
+            sim = Simulation(w.traces, join(), CpuModel(UNBOUNDED_CAPACITY),
+                             cfg).run()
+            g = DataflowGraph()
+            g.add_node("join", join())
+            for i, trace in enumerate(w.traces):
+                g.add_source("join", i, trace)
+            graph = g.run(CpuModel(UNBOUNDED_CAPACITY), cfg)
+            joined = graph.nodes["join"].output_count
             assert joined == sim.output_count_total > 0, mode
             assert joined == len(oracle_ids(w).ids), mode
 
     def test_shedding_with_anti_join_is_unsound(self):
-        report = analyze_query(self.make(mode="anti",
-                                         shedding="randomdrop"))
+        report = analyze_graph(self.make(mode="anti", drop=True))
         assert error_codes(report) == {"P131"}
         assert any(
             "invent" in d.message
@@ -640,19 +496,21 @@ class TestModeAndPolicyRules:
         )
 
     def test_grubjoin_off_turf_build_raises(self):
-        with pytest.raises(ValueError, match="P131"):
-            self.make(mode="semi").build(capacity=10.0)
+        # the harvest algebra speaks inner-mode sliding windows only, so
+        # GrubJoin takes neither a mode nor a window policy
+        for off_turf in ({"mode": "semi"}, {"window_policy": "tumbling"}):
+            with pytest.raises(TypeError):
+                GrubJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0,
+                                 **off_turf)
 
     def test_semi_with_randomdrop_validates(self):
-        report = analyze_query(self.make(mode="semi",
-                                         shedding="randomdrop"))
+        report = analyze_graph(self.make(mode="semi", drop=True))
         assert report.ok, report.render()
 
     def test_session_gap_off_grid_warns(self):
         # gap 1.3 is not a multiple of b=1: session boundaries land
         # mid-slice and expiry quantizes to the next slice edge
-        report = analyze_query(self.make(policy="session:1.3",
-                                         shedding="none"))
+        report = analyze_graph(self.make(policy="session:1.3"))
         assert report.ok, report.render()
         warnings = [
             d for d in report.diagnostics
@@ -661,16 +519,14 @@ class TestModeAndPolicyRules:
         assert warnings and "mid-slice" in warnings[0].message
 
     def test_session_gap_at_horizon_warns_degenerate(self):
-        report = analyze_query(self.make(policy="session:12",
-                                         shedding="none"))
+        report = analyze_graph(self.make(policy="session:12"))
         messages = [
             d.message for d in report.diagnostics if d.code == "P132"
         ]
         assert any("degenerates" in m for m in messages)
 
     def test_aligned_session_gap_is_clean(self):
-        report = analyze_query(self.make(policy="session:2",
-                                         shedding="none"))
+        report = analyze_graph(self.make(policy="session:2"))
         assert not [
             d for d in report.diagnostics if d.code == "P132"
         ], report.render()
@@ -719,54 +575,36 @@ class TestModeAndPolicyRules:
         )
 
 class TestPartitionIndexRule:
-    """P133: the ``index=`` spec must agree with the predicate."""
-
-    def make(self, predicate, spec, shedding="none"):
-        return (
-            Query()
-            .streams(*make_sources())
-            .window(10.0, basic=1.0)
-            .join(predicate, shedding=shedding, index=spec)
-        )
+    """P133: the constructor refuses an ``index=`` spec the predicate
+    cannot serve, so every graph the analyzer sees has a valid one."""
 
     def test_hash_on_equi_is_clean(self):
-        report = analyze_query(self.make(EquiJoin(), "hash"))
+        report = analyze_graph(fed(mjoin(EquiJoin(), index="hash")))
         assert report.ok, report.render()
 
     def test_range_and_adaptive_on_band_are_clean(self):
         for spec in ("range", "adaptive"):
-            report = analyze_query(self.make(EpsilonJoin(1.0), spec))
+            report = analyze_graph(fed(mjoin(EpsilonJoin(1.0), index=spec)))
             assert report.ok, report.render()
 
     def test_none_always_clean(self):
-        assert analyze_query(self.make(InnerProductJoin(0.5), None)).ok
+        assert analyze_graph(fed(mjoin(InnerProductJoin(0.5)))).ok
 
     def test_hash_on_band_predicate_rejected(self):
-        report = analyze_query(self.make(EpsilonJoin(1.0), "hash"))
-        assert "P133" in error_codes(report)
-        assert any(
-            "equi" in d.message
-            for d in report.errors if d.code == "P133"
-        )
+        with pytest.raises(ValueError, match="equi"):
+            mjoin(EpsilonJoin(1.0), index="hash")
 
     def test_non_columnar_predicate_rejected(self):
-        report = analyze_query(self.make(InnerProductJoin(0.5), "adaptive"))
-        assert "P133" in error_codes(report)
-        assert any(
-            "columnar" in d.message
-            for d in report.errors if d.code == "P133"
-        )
+        with pytest.raises(ValueError, match="columnar"):
+            mjoin(InnerProductJoin(0.5), index="adaptive")
 
     def test_build_threads_spec_into_operator(self):
-        _graph, placeholder = self.make(EquiJoin(), "adaptive").build(
-            capacity=10.0
-        )
-        assert placeholder.join_operator.index_spec == "adaptive"
-        assert placeholder.join_operator.windex_states is not None
+        op = mjoin(EquiJoin(), index="adaptive")
+        assert op.index_spec == "adaptive"
+        assert op.windex_states is not None
 
     def test_grubjoin_shedding_accepts_index(self):
-        query = self.make(EquiJoin(), "hash", shedding="grubjoin")
-        report = analyze_query(query)
+        op = GrubJoinOperator(EquiJoin(), [10.0] * 3, 1.0, index="hash")
+        report = analyze_graph(fed(op))
         assert report.ok, report.render()
-        _graph, placeholder = query.build(capacity=10.0)
-        assert placeholder.join_operator.index_spec == "hash"
+        assert op.index_spec == "hash"

@@ -99,14 +99,17 @@ EXPECTED = {
     "DataflowGraph.add_node": {
         "name": "required: edges, results and the `node=` label",
         "operator": "required",
-        "admission": "`Simulation`; `Query` with `shedding=\"randomdrop\"`",
+        "admission": "`Simulation`: RandomDrop's filters "
+                     "(`examples/quickstart.py`, `run_random_drop`)",
     },
     "DataflowGraph.run": {
         "cpu": "required",
-        "config": "`Simulation`, `Query`, `examples/dataflow_pipeline.py`",
-        "validate": "`Simulation` and `Query` pass `False` (checked already)",
+        "config": "`Simulation`, `examples/dataflow_pipeline.py`",
+        "validate": "`Simulation` passes `False`; `ShardedPlan.run` "
+                    "forwards its own",
         "retain_outputs": "`Simulation`: the testkit's differential rows",
-        "obs": "`Simulation`, `Query`: `python -m repro.obs record`",
+        "obs": "`Simulation`: `python -m repro.obs record`, "
+               "`examples/workload_diagnosis.py`",
     },
     "ShardedPlan.run": {
         "cpu": "required",
@@ -146,23 +149,18 @@ EXPECTED = {
         "predicate": "required",
         "window_sizes": "required",
         "basic_window_size": "required (the paper's b)",
-        "orders": "shared with `MJoinOperator`: `Query.join` feeds either",
-        "adapt_orders": "shared with `MJoinOperator`: `Query.join` feeds "
-                        "either",
         "sampling": "the paper's omega: "
                     "`benchmarks/test_ablation_shredding.py`",
         "metric": "`benchmarks/test_ablation_greedy_metric.py`",
         "solver": "`\"double-sided\"`, the tech-report extension "
                   "(Fig. 6); tests only",
-        "output_cost": "shared with `MJoinOperator`: `Query.join` feeds "
-                       "either",
         "fractional_fallback": "`benchmarks/"
                                "test_ablation_fractional_init.py`",
         "memory_saving": "the paper's Section 7 memory shedding; tests only",
         "rng": "every caller: the seeded shredding sampler",
         "solver_timer": "the e2e traced pass, perfbench",
         "warm_start": "perfbench, the testkit's warm-start rows",
-        "index": "shared with `MJoinOperator`: `Query.join(index=)` (P133)",
+        "index": "the testkit's `grubjoin_z1_indexed` row",
     },
 }
 
@@ -190,7 +188,7 @@ class TestOptionRatchet:
             assert parameters(function) == list(EXPECTED[entry]), entry
 
     def test_option_count(self):
-        assert sum(map(len, EXPECTED.values())) == 45
+        assert sum(map(len, EXPECTED.values())) == 42
 
     def test_docs_print_expected(self):
         assert render(EXPECTED) in DOC.read_text()
@@ -206,8 +204,8 @@ CALLER_DIRS = ("src", "benchmarks", "examples")
 #: the only reasons an export may stay with no caller in ``CALLER_DIRS``
 REASONS = {
     "fixture": "a workload the tests build their inputs from",
-    "item 9": "`repro.analysis`: ROADMAP item 9 decides whether a "
-              "replication report calls it",
+    "item 9": "statistics and seed replication: ROADMAP item 9 decides "
+              "whether a replication report calls it",
 }
 
 #: every export no program outside ``tests/`` names, with its reason
@@ -215,6 +213,7 @@ REASONS = {
 TESTS_ONLY = {
     "ConstantProcess": "fixture",
     "UniformProcess": "fixture",
+    "compare_seeds": "item 9",
     "mixed_key_workload": "fixture",
     "overshoot": "item 9",
     "relative_improvement_ci": "item 9",
@@ -273,11 +272,36 @@ def _spans(path, tree):
     return own, reexports
 
 
+def run_commands(workflow):
+    """The shell commands of a workflow file's ``run:`` keys: an inline
+    value, or the lines of a block scalar (``|``, ``>-``), which are
+    indented past the key.  Step names and YAML comments are not
+    commands."""
+    commands, block = [], None
+    for line in workflow.splitlines():
+        stripped = line.lstrip()
+        indent = len(line) - len(stripped)
+        if block is not None:
+            if not stripped or indent > block:
+                commands.append(line)
+                continue
+            block = None
+        match = re.match(r"(?:- )?run:\s*(.*)$", stripped)
+        if match is None:
+            continue
+        if match.group(1)[:1] in ("|", ">"):
+            block = indent
+        else:
+            commands.append(match.group(1))
+    return "\n".join(commands)
+
+
 def callers(names, root=ROOT):
     """``name -> ["path:line", ...]``: every NAME token naming one of
     ``names`` in ``CALLER_DIRS``, outside the name's own definition and
-    the ``__init__`` re-exports, plus any ``.github/workflows`` file that
-    mentions it.  Comments and docstrings hold no NAME tokens."""
+    the ``__init__`` re-exports, plus any ``.github/workflows`` file
+    whose ``run:`` commands name it.  Comments and docstrings hold no
+    NAME tokens."""
     found = {name: [] for name in names}
     for path in sorted(p for d in CALLER_DIRS
                        for p in (root / d).rglob("*.py")):
@@ -292,7 +316,7 @@ def callers(names, root=ROOT):
                 found[tok.string].append(
                     f"{path.relative_to(root)}:{line}")
     for path in sorted((root / ".github" / "workflows").glob("*.yml")):
-        text = path.read_text()
+        text = run_commands(path.read_text())
         for name in names:
             if re.search(rf"\b{re.escape(name)}\b", text):
                 found[name].append(str(path.relative_to(root)))
@@ -309,7 +333,23 @@ class TestExportCallers:
         )
 
     def test_export_count(self):
-        assert len(exports()) == 237
+        assert len(exports()) == 235
+
+    def test_no_two_exports_share_a_name(self):
+        # a name bound to two different objects by two package
+        # ``__all__``s would count one's callers as the other's
+        bound = {}
+        for init in sorted((ROOT / "src").rglob("__init__.py")):
+            package = ".".join(init.parent.relative_to(ROOT / "src").parts)
+            module = importlib.import_module(package)
+            for name in getattr(module, "__all__", ()):
+                bound.setdefault(name, {})[package] = getattr(module, name)
+        clashes = {
+            name: sorted(by_package)
+            for name, by_package in bound.items()
+            if len({id(obj) for obj in by_package.values()}) > 1
+        }
+        assert clashes == {}
 
     def test_docs_print_tests_only(self):
         # rendering looks every reason up in REASONS: there are two
@@ -341,11 +381,16 @@ class TestExportCallers:
         )
         (tmp_path / ".github" / "workflows").mkdir(parents=True)
         (tmp_path / ".github" / "workflows" / "ci.yml").write_text(
-            "run: python -c 'import pkg; pkg.make()'\n"
+            "steps:\n"
+            "  - name: Lonely step  # Used\n"
+            "    run: python -c 'import pkg; pkg.make()'\n"
+            "  - run: >-\n"
+            "      python -c 'import pkg;\n"
+            "      pkg.LIMIT'\n"
         )
         assert exports(tmp_path) == {"LIMIT", "Lonely", "Used"}
         assert callers({"LIMIT", "Lonely", "Used", "make"}, tmp_path) == {
-            "LIMIT": ["benchmarks/bench.py:1"],
+            "LIMIT": ["benchmarks/bench.py:1", ".github/workflows/ci.yml"],
             "Lonely": [],
             "Used": ["src/pkg/mod.py:11"],
             "make": [".github/workflows/ci.yml"],

@@ -10,7 +10,6 @@ from repro.testkit import (
     mjoin_ids,
     oracle_ids,
     oracle_join,
-    register_scenario,
     scenario_names,
     scenario_workload,
 )
@@ -56,12 +55,6 @@ class TestGrid:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             scenario_workload("sc-nope")
-
-    def test_register_rejects_duplicates_and_bad_names(self):
-        with pytest.raises(ValueError):
-            register_scenario("sc-inner-sliding-drift", lambda: None)
-        with pytest.raises(ValueError):
-            register_scenario("has space", lambda: None)
 
     def test_builds_are_deterministic(self):
         a = scenario_workload("sc-semi-session-keys")
